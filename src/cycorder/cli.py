@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .arith import inverse_totient, totient
 from .comparator import Verdict, compare, comparison_record, record_to_json
@@ -41,18 +40,6 @@ EXIT_INCOMPARABLE = 3
 EXIT_CHECKPOINT = 4
 
 FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one subcommand plus the knobs it uses."""
-
-    subcommand: str
-    range_max: int = 0
-    workers: int = 1
-    fmt: str = "plain"
-    checkpoint: str | None = None
-    verbosity: int = 0
 
 
 def _positive(text: str) -> int:
@@ -221,39 +208,28 @@ def cmd_phi(n: int) -> int:
     return EXIT_OK
 
 
-def run(config: RunConfig, args: argparse.Namespace) -> int:
-    if config.subcommand == "cyclo":
+def run(args: argparse.Namespace) -> int:
+    if args.subcommand == "cyclo":
         return cmd_cyclo(args.n, args.q)
-    if config.subcommand == "compare":
+    if args.subcommand == "compare":
         return cmd_compare(args.m, args.n, args.certificate)
-    if config.subcommand == "chain":
-        return cmd_chain(config.range_max, config.fmt, config.workers, config.verbosity)
-    if config.subcommand == "verify":
-        return cmd_verify(
-            config.range_max, config.workers, config.checkpoint, config.fmt, config.verbosity
-        )
-    if config.subcommand == "conjecture2":
+    if args.subcommand == "chain":
+        return cmd_chain(args.range_max, args.fmt, args.workers, args.verbose)
+    if args.subcommand == "verify":
+        return cmd_verify(args.range_max, args.workers, args.checkpoint, args.fmt, args.verbose)
+    if args.subcommand == "conjecture2":
         return cmd_conjecture2(args.i_max)
-    if config.subcommand == "invtot":
+    if args.subcommand == "invtot":
         return cmd_invtot(args.v)
-    if config.subcommand == "phi":
+    if args.subcommand == "phi":
         return cmd_phi(args.n)
-    raise AssertionError(f"unhandled subcommand {config.subcommand}")
+    raise AssertionError(f"unhandled subcommand {args.subcommand}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        range_max=getattr(args, "range_max", 0),
-        workers=args.workers,
-        fmt=getattr(args, "fmt", "plain"),
-        checkpoint=getattr(args, "checkpoint", None),
-        verbosity=args.verbose,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return run(config, args)
+        return run(args)
     except KeyboardInterrupt:
         print("interrupted; checkpointed progress is on disk", file=sys.stderr)
         return 130

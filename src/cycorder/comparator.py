@@ -15,6 +15,10 @@ q in [2, c] (empty when c <= 1) needs exhaustive evaluation.  The verdict
 plus those finitely many signs certify the infinite family of
 inequalities.
 
+The certificate carries c, the leading sign and the finite evidence, not
+D itself: D and its split are recomputed from the two indices as
+`cyclo(n, cache) - cyclo(m, cache)` and `.split_pos_neg()`.
+
 Ties (D(q) = 0 at some checked q) are compatible with the ordering, which
 is defined through "<="; they are recorded in the certificate rather than
 downgrading the verdict, so strictness can be audited separately.
@@ -24,11 +28,11 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .arith import moebius, radical, totient
 from .cyclotomic import CycloCache, cyclo, eval_cyclo
-from .intpoly import IntPoly
 
 SHORTCUT_PHI_GAP = "phi-gap"  # different totients decide the pair outright
 SHORTCUT_ODD_DOUBLE = "odd-double"  # pair {k, 2k} with k odd, decided by mu(radical(k))
@@ -64,9 +68,6 @@ class Certificate:
     tie_witnesses   q values with exact equality of the two sides
     flip_witnesses  one q with positive and one with negative difference
                     (present exactly when the verdict is INCOMPARABLE)
-    split_pos       positive part of the difference (the "A" of A - B),
-                    kept for auditability; omitted in batch runs
-    split_neg       negated negative part (the "B")
     """
 
     threshold_c: int
@@ -74,20 +75,15 @@ class Certificate:
     checked_q_max: int
     tie_witnesses: list[int] = field(default_factory=list)
     flip_witnesses: list[int] = field(default_factory=list)
-    split_pos: IntPoly | None = None
-    split_neg: IntPoly | None = None
 
 
-def compare(
-    m: int, n: int, cache: CycloCache, *, keep_split: bool = True
-) -> tuple[Verdict, Certificate]:
+def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     """Full comparison of indices m and n with certificate.
 
-    Evaluates the difference exactly at every q in [2, threshold_c] and
-    settles all larger q by the leading-coefficient argument in the module
-    docstring.  With keep_split=False the certificate omits the positive/
-    negative split polynomials (batch runs keep memory flat; the split is
-    reconstructible from the two indices).
+    Forms the difference D (value at n minus value at m) only to read its
+    threshold c and leading sign, evaluates D exactly at every q in
+    [2, c], and settles all larger q by the leading-coefficient argument
+    in the module docstring.
     """
     if m < 1 or n < 1:
         raise ValueError(f"indices must be positive integers, got ({m}, {n})")
@@ -96,14 +92,12 @@ def compare(
 
     pm = cyclo(m, cache).coeffs
     pn = cyclo(n, cache).coeffs
-    if len(pm) <= len(pn):
-        diff = list(pn)
-        for i, c in enumerate(pm):
-            diff[i] -= c
+    # map stops at the shorter operand; the longer one's tail follows
+    diff = list(map(operator.sub, pn, pm))
+    if len(pn) >= len(pm):
+        diff.extend(pn[len(pm) :])
     else:
-        diff = [-c for c in pm]
-        for i, c in enumerate(pn):
-            diff[i] += c
+        diff.extend(map(operator.neg, pm[len(pn) :]))
     while diff and diff[-1] == 0:
         diff.pop()
     # distinct cyclotomic polynomials; the guard is against caller bugs
@@ -141,11 +135,7 @@ def compare(
             first_neg = checked = c + 1
         flips = [first_pos, first_neg]
 
-    cert = Certificate(c, lead, checked, ties, flips)
-    if keep_split:
-        d_poly = IntPoly(diff)
-        cert.split_pos, cert.split_neg = d_poly.split_pos_neg()
-    return verdict, cert
+    return verdict, Certificate(c, lead, checked, ties, flips)
 
 
 def compare_fast(

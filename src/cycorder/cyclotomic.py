@@ -136,14 +136,25 @@ def cyclo_moebius(n: int) -> IntPoly:
 
 
 def eval_cyclo(n: int, q: int, cache: CycloCache) -> int:
-    """Exact value of the nth cyclotomic polynomial at the integer q >= 2."""
+    """Exact value of the nth cyclotomic polynomial at the integer q >= 2,
+    memoized under (n, q).
+
+    A non-squarefree n is evaluated through the entry for its radical r:
+    the value at q equals the value for r at q^(n/r).  Proof: the entry
+    for r at t^(n/r) is monic of degree (n/r) * totient(r) = totient(n)
+    and vanishes at every primitive nth root of unity z, because z^(n/r)
+    has order n / (n/r) = r; so it is the nth cyclotomic polynomial (the
+    substitution `_cyclo_coeffs` builds the entry for n by).  Evaluating
+    the short entry skips the zero coefficients of the spread one.
+    """
     if q < 2:
         raise ValueError(f"the ordering is only defined over q >= 2, got q={q}")
     key = (n, q)
     memo = cache.evals
     val = memo.get(key)
     if val is None:
-        val = _eval_blocked(_cyclo_coeffs(n, cache), q)
+        r = radical(n)
+        val = _eval_blocked(_cyclo_coeffs(r, cache), q ** (n // r))
         memo[key] = val
     return val
 

@@ -359,34 +359,3 @@ class IntPoly:
         s = cs[k:]
         return s == s[::-1]
 
-
-def add(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p + q
-
-
-def sub(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p - q
-
-
-def mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p * q
-
-
-def div_exact(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p.div_exact(q)
-
-
-def eval_at(p: IntPoly, x: int) -> int:
-    return p.eval_at(x)
-
-
-def split_pos_neg(p: IntPoly) -> tuple[IntPoly, IntPoly]:
-    return p.split_pos_neg()
-
-
-def max_abs_coeff(p: IntPoly) -> int:
-    return p.max_abs_coeff()
-
-
-def is_self_reciprocal_up_to_power(p: IntPoly) -> bool:
-    return p.is_self_reciprocal_up_to_power()

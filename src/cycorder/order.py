@@ -179,7 +179,6 @@ def sort_class(
     phi_class: PhiClass,
     cache: CycloCache,
     *,
-    keep_split: bool = False,
     cert_sink: Callable[[int, int, Verdict, Certificate], None] | None = None,
 ) -> tuple[list[int], list[tuple[int, int, Verdict, Certificate]], list[tuple[int, int, Certificate]]]:
     """Exhaustively compare one class and return its members in order.
@@ -202,7 +201,7 @@ def sort_class(
         mi = members[i]
         for j in range(i + 1, k):
             mj = members[j]
-            verdict, cert = compare(mi, mj, cache, keep_split=keep_split)
+            verdict, cert = compare(mi, mj, cache)
             if cert_sink is not None:
                 cert_sink(mi, mj, verdict, cert)
             else:
@@ -288,7 +287,8 @@ class CheckpointFile:
     completed class.  Every line carries a chain hash over the previous
     line's hash plus its own body, so silent edits or reordering are
     detected at load time.  A malformed trailing line (interrupted write)
-    is discarded; a chain mismatch in well-formed lines raises
+    is discarded and cut from the file, so later appends start on a fresh
+    line; a chain mismatch in well-formed lines raises
     CheckpointError.  Classes are written in ascending totient order, so
     a resumed run re-does at most the classes that finished out of order.
     """
@@ -309,18 +309,21 @@ class CheckpointFile:
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(self.path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
         parsed: list[dict] = []
+        good_end = 0  # byte offset just past the last line kept
+        torn = False
         for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                parsed.append(json.loads(line))
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # interrupted final write; drop it
-                raise CheckpointError(f"{self.path}: malformed line {i + 1}")
+            if line.strip():
+                try:
+                    parsed.append(json.loads(line))
+                except ValueError:
+                    if i == len(lines) - 1:
+                        torn = True  # interrupted final write; drop it
+                        break
+                    raise CheckpointError(f"{self.path}: malformed line {i + 1}")
+            good_end += len(line)
         if not parsed or parsed[0].get("kind") != "header":
             raise CheckpointError(f"{self.path}: missing header line")
         header = parsed[0]
@@ -342,6 +345,16 @@ class CheckpointFile:
                 self.completed[rec["phi"]] = body
                 self._last_phi = rec["phi"]
         self._last_hash = prev
+        # the next append must start on a fresh line: cut the torn tail's
+        # bytes, or end a complete final line whose newline was never written
+        if torn or not lines[-1].endswith(b"\n"):
+            with open(self.path, "r+b") as fh:
+                fh.truncate(good_end)
+                if not torn:
+                    fh.seek(good_end)
+                    fh.write(b"\n")
+                fh.flush()
+                os.fsync(fh.fileno())
 
     def append(self, summary: dict) -> None:
         if summary["phi"] <= self._last_phi:
@@ -462,7 +475,7 @@ def precedes(m: int, n: int, cache: CycloCache) -> PrecedesReport:
     """
     if m == n:
         raise ValueError("precedes needs two distinct indices")
-    verdict, cert = compare(m, n, cache, keep_split=False)
+    verdict, cert = compare(m, n, cache)
     if verdict is Verdict.INCOMPARABLE:
         raise IncomparablePairError(m, n, cert)
     if verdict is not Verdict.LESS:
@@ -475,12 +488,12 @@ def precedes(m: int, n: int, cache: CycloCache) -> PrecedesReport:
 
     blockers: list[int] = []
     for x in candidates:
-        v1, c1 = compare(m, x, cache, keep_split=False)
+        v1, c1 = compare(m, x, cache)
         if v1 is Verdict.INCOMPARABLE:
             raise IncomparablePairError(m, x, c1)
         if v1 is not Verdict.LESS:
             continue
-        v2, c2 = compare(x, n, cache, keep_split=False)
+        v2, c2 = compare(x, n, cache)
         if v2 is Verdict.INCOMPARABLE:
             raise IncomparablePairError(x, n, c2)
         if v2 is Verdict.LESS:

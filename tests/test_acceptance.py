@@ -140,14 +140,14 @@ def test_criterion_10_shortcut_soundness(shared_cache):
         for m in range(1, 301):
             for n in range(1, 301):
                 vf, _ = compare_fast(m, n, shared_cache)
-                vc, _ = compare(m, n, shared_cache, keep_split=False)
+                vc, _ = compare(m, n, shared_cache)
                 assert vf is vc, (m, n)
         rng = random.Random(20240)
         for _ in range(1000):
             m = rng.randint(1, 2000)
             n = rng.randint(1, 2000)
             vf, _ = compare_fast(m, n, shared_cache)
-            vc, _ = compare(m, n, shared_cache, keep_split=False)
+            vc, _ = compare(m, n, shared_cache)
             assert vf is vc, (m, n)
 
 

@@ -24,7 +24,7 @@ def verdicts300(shared_cache):
     table = {}
     for m in range(1, 301):
         for n in range(m + 1, 301):
-            table[(m, n)] = compare(m, n, shared_cache, keep_split=False)
+            table[(m, n)] = compare(m, n, shared_cache)
     return table
 
 
@@ -37,7 +37,8 @@ def test_compare_worked_examples(shared_cache):
     assert cert.threshold_c == 1
     assert cert.checked_q_max == 1  # finite step empty
     assert cert.leading_sign == 1
-    assert cert.split_pos.coeffs == (0, 1) and cert.split_neg.is_zero()
+    pos, neg = (cyclo(4, shared_cache) - cyclo(6, shared_cache)).split_pos_neg()
+    assert pos.coeffs == (0, 1) and neg.is_zero()
 
     v, _ = compare(7, 7, shared_cache)
     assert v is Verdict.EQUAL
@@ -68,10 +69,26 @@ def test_compare_fast_worked_examples(shared_cache):
     assert v is Verdict.LESS and tag == SHORTCUT_ODD_DOUBLE
 
 
+def test_mixed_degree_certificate_matches_polynomial_difference(shared_cache):
+    """Operands of unequal length, in both orientations: the certificate's
+    threshold, leading sign and checked range are those of the IntPoly
+    difference."""
+    for m in range(1, 121):
+        for n in range(1, 121):
+            if totient(m) == totient(n):
+                continue
+            d = cyclo(n, shared_cache) - cyclo(m, shared_cache)
+            c = d.max_abs_coeff()
+            _, cert = compare(m, n, shared_cache)
+            assert cert.threshold_c == c, (m, n)
+            assert cert.leading_sign == (1 if d.coeffs[-1] > 0 else -1), (m, n)
+            assert cert.checked_q_max == max(c, 1), (m, n)
+
+
 def test_antisymmetry_and_diagonal(shared_cache, verdicts300):
     for (m, n), (v, _) in verdicts300.items():
         assert v in (Verdict.LESS, Verdict.GREATER), (m, n, v)
-        rv, _ = compare(n, m, shared_cache, keep_split=False)
+        rv, _ = compare(n, m, shared_cache)
         assert rv is v.flipped(), (m, n)
     for m in range(1, 301):
         v, _ = compare(m, m, shared_cache)
@@ -92,7 +109,7 @@ def test_shortcut_soundness_random(shared_cache):
         m = rng.randint(1, 2000)
         n = rng.randint(1, 2000)
         vf, _ = compare_fast(m, n, shared_cache)
-        vc, _ = compare(m, n, shared_cache, keep_split=False)
+        vc, _ = compare(m, n, shared_cache)
         assert vf is vc, (m, n)
 
 

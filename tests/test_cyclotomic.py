@@ -38,6 +38,19 @@ def test_eval_cyclo(shared_cache):
         eval_cyclo(5, 1, shared_cache)
 
 
+def test_eval_cyclo_matches_entry_to_2000(shared_cache):
+    """The memoized evaluation (through the radical's entry for
+    non-squarefree n) equals direct evaluation of the entry for n."""
+    for n in range(1, 2001):
+        cyclo(n, shared_cache)
+    fresh = CycloCache()
+    fresh.polys = dict(shared_cache.polys)  # same entries, empty memo
+    for n in range(1, 2001):
+        poly = cyclo(n, shared_cache)
+        for q in (2, 3, 7):
+            assert eval_cyclo(n, q, fresh) == poly.eval_at(q), (n, q)
+
+
 def test_cache_reuse_and_trim():
     cache = CycloCache()
     p1 = cyclo(360, cache)

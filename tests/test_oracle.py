@@ -53,7 +53,7 @@ def test_signs_never_contradict_verdicts(shared_cache):
     for m in range(1, 201):
         vm = values[m]
         for n in range(m + 1, 201):
-            verdict, _ = compare(m, n, shared_cache, keep_split=False)
+            verdict, _ = compare(m, n, shared_cache)
             allowed = {0, 1} if verdict is Verdict.LESS else {0, -1}
             for a, b in zip(vm, values[n]):
                 d = b - a
@@ -66,7 +66,7 @@ def test_brute_compare_op_agrees(shared_cache):
         m = rng.randint(1, 200)
         n = rng.randint(1, 200)
         signs = brute_compare(m, n, 25)
-        verdict, _ = compare(m, n, shared_cache, keep_split=False)
+        verdict, _ = compare(m, n, shared_cache)
         if verdict is Verdict.LESS:
             assert signs[-1] == 0
         elif verdict is Verdict.GREATER:

@@ -78,7 +78,7 @@ def test_sort_class_adjacent_pairs_are_less(shared_cache):
         assert not incomparable
         assert sorted(ordered) == cls.members
         for a, b in zip(ordered, ordered[1:]):
-            v, _ = compare(a, b, shared_cache, keep_split=False)
+            v, _ = compare(a, b, shared_cache)
             assert v is Verdict.LESS, (a, b)
 
 
@@ -120,7 +120,7 @@ def test_cross_class_pairs_follow_totient_gap(shared_cache):
         tm, tn = totient(m), totient(n)
         if tm == tn:
             continue
-        v, _ = compare(m, n, shared_cache, keep_split=False)
+        v, _ = compare(m, n, shared_cache)
         assert v is (Verdict.LESS if tm < tn else Verdict.GREATER), (m, n)
         checked += 1
 
@@ -159,7 +159,7 @@ def test_precedes_blockers_match_full_scan(shared_cache):
     # scanning every index up to 200 finds exactly the blockers the
     # totient-band enumeration reports, confirming the band loses nothing
     for m, n in [(2, 6), (6, 3), (10, 12), (14, 9), (5, 14), (1, 2)]:
-        v, _ = compare(m, n, shared_cache, keep_split=False)
+        v, _ = compare(m, n, shared_cache)
         if v is not Verdict.LESS:
             m, n = n, m
         rep = precedes(m, n, shared_cache)
@@ -167,8 +167,8 @@ def test_precedes_blockers_match_full_scan(shared_cache):
         for x in range(1, 201):
             if x in (m, n):
                 continue
-            v1, _ = compare(m, x, shared_cache, keep_split=False)
-            v2, _ = compare(x, n, shared_cache, keep_split=False)
+            v1, _ = compare(m, x, shared_cache)
+            v2, _ = compare(x, n, shared_cache)
             if v1 is Verdict.LESS and v2 is Verdict.LESS:
                 brute.append(x)
         assert [b for b in rep.blockers if b <= 200] == brute, (m, n)
@@ -245,6 +245,22 @@ def test_checkpoint_resume_and_validation(tmp_path):
         fh.writelines(lines)
     with pytest.raises(CheckpointError):
         build_chain(300, workers=1, checkpoint_path=path)
+
+
+def test_checkpoint_torn_tail_survives_two_resumes(tmp_path):
+    path = str(tmp_path / "verify.ckpt")
+    first = build_chain(60, workers=1, checkpoint_path=path)
+    intact = open(path).read()
+    lines = intact.splitlines(True)
+
+    # half of line 5, then a complete line 5 whose newline never landed
+    for tail in (lines[4][: len(lines[4]) // 2], lines[4][:-1]):
+        with open(path, "w") as fh:
+            fh.writelines(lines[:4])
+            fh.write(tail)
+        assert build_chain(60, workers=1, checkpoint_path=path) == first
+        assert build_chain(60, workers=1, checkpoint_path=path) == first
+        assert open(path).read() == intact
 
 
 def test_checkpoint_parallel_matches_serial(tmp_path):
