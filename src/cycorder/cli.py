@@ -7,7 +7,7 @@ checkpoint path.  All numbers print as exact decimals.
 Exit codes:
     0   success (comparable pair, total order verified, ...)
     1   runtime failure
-    2   usage error (argparse)
+    2   usage error (argparse, or an input above its size guard)
     3   an INCOMPARABLE pair was found (scriptable counterexample signal)
     4   checkpoint file rejected (hash chain or parameter mismatch)
     130 interrupted; checkpointed progress is already flushed
@@ -40,6 +40,19 @@ EXIT_INCOMPARABLE = 3
 EXIT_CHECKPOINT = 4
 
 FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
+
+# Size guards, checked before any work: a larger input exits 2 instead of
+# running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
+MAX_CYCLO_INDEX = 100_000  # dense division of t^N - 1; N = 30030 takes ~4 s
+MAX_CONJECTURE2_I = 12  # polynomials of degree 2*3^(I-1); I = 12 takes ~1 s
+MAX_INVTOT_VALUE = 10**9  # V = 2615348736000 has 4.7 million preimages (36 s)
+
+
+def _oversized(name: str, value: int, bound: int) -> bool:
+    if value <= bound:
+        return False
+    print(f"usage error: {name} must be <= {bound}, got {value}", file=sys.stderr)
+    return True
 
 
 def _positive(text: str) -> int:
@@ -99,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_cyclo(n: int, q: int | None) -> int:
+    if _oversized("N", n, MAX_CYCLO_INDEX):
+        return EXIT_USAGE
     if q is not None and q < 2:
         print(f"usage error: q must be >= 2, got {q}", file=sys.stderr)
         return EXIT_USAGE
@@ -156,6 +171,9 @@ def cmd_chain(range_max: int, fmt: str, workers: int, verbosity: int) -> int:
 
 
 def cmd_verify(range_max: int, workers: int, checkpoint: str | None, fmt: str, verbosity: int) -> int:
+    # imported here, as in build_chain: the pool's modules cost about 1.6 MB
+    from concurrent.futures.process import BrokenProcessPool
+
     progress = _progress_printer(max(verbosity, 1))
     try:
         report = build_chain(
@@ -164,6 +182,10 @@ def cmd_verify(range_max: int, workers: int, checkpoint: str | None, fmt: str, v
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died ({exc}); checkpointed progress is on disk",
+              file=sys.stderr)
+        return EXIT_FAILURE
     print(
         f"classes={report.class_count} compares={report.pair_count} "
         f"max threshold_c={report.max_threshold_c} ties={len(report.tie_pairs)}",
@@ -183,6 +205,8 @@ def cmd_verify(range_max: int, workers: int, checkpoint: str | None, fmt: str, v
 
 
 def cmd_conjecture2(i_max: int) -> int:
+    if _oversized("I", i_max, MAX_CONJECTURE2_I):
+        return EXIT_USAGE
     try:
         reports = check_conjecture2(i_max)
     except (NotLessError, IncomparablePairError) as exc:
@@ -198,6 +222,8 @@ def cmd_conjecture2(i_max: int) -> int:
 
 
 def cmd_invtot(v: int) -> int:
+    if _oversized("V", v, MAX_INVTOT_VALUE):
+        return EXIT_USAGE
     for x in inverse_totient(v):
         print(x)
     return EXIT_OK

@@ -15,6 +15,22 @@ q in [2, c] (empty when c <= 1) needs exhaustive evaluation.  The verdict
 plus those finitely many signs certify the infinite family of
 inequalities.
 
+D is never formed coefficient by coefficient.  The cache keeps each
+compared entry's value at 2^w (w = 8) as one integer P, with its height
+H (largest absolute coefficient); then X = P_n - P_m is D's value at
+B = 2^w, and every |D_i| <= h = H_n + H_m.  While 4h < B:
+
+  * the leading sign is the sign of X: below D's top nonzero coefficient
+    the digits sum to at most h * (B^top - 1) / (B - 1) < B^top in
+    absolute value;
+  * c is read off X by a handful of big-integer operations
+    (`difference_threshold`, which proves the test it applies).
+
+A pair whose heights sum to 64 or more (first possible at index 26565,
+whose entry has height 59) packs both entries afresh, uncached, at the
+smallest multiple of 8 bits w with 4h < 2^w, and goes through the same
+reading.
+
 The certificate carries c, the leading sign and the finite evidence, not
 D itself: D and its split are recomputed from the two indices as
 `cyclo(n, cache) - cyclo(m, cache)` and `.split_pos_neg()`.
@@ -28,11 +44,17 @@ from __future__ import annotations
 
 import enum
 import json
-import operator
 from dataclasses import dataclass, field
 
 from .arith import moebius, radical, totient
-from .cyclotomic import CycloCache, cyclo, eval_cyclo
+from .cyclotomic import (
+    PACK_WIDTH,
+    CycloCache,
+    cyclo,
+    eval_cyclo,
+    packed_value,
+    pair_width,
+)
 
 SHORTCUT_PHI_GAP = "phi-gap"  # different totients decide the pair outright
 SHORTCUT_ODD_DOUBLE = "odd-double"  # pair {k, 2k} with k odd, decided by mu(radical(k))
@@ -77,13 +99,67 @@ class Certificate:
     flip_witnesses: list[int] = field(default_factory=list)
 
 
+def difference_threshold(x: int, width: int, length: int, bound: int) -> int:
+    """Largest absolute coefficient c of the difference D packed in x.
+
+    x is D's value at B = 2^width, D has at most `length` coefficients,
+    each of absolute value at most `bound`, and 4 * bound < B.  Returns
+    0 for x = 0, else the least k >= 1 with every |D_i| <= k, found by
+    doubling k up to `bound` (which passes; a failure there raises
+    ArithmeticError) and bisecting.
+
+    Test for k.  With ONES = sum of B^i over i < length, the two
+    operands x + k*ONES and k*ONES - x are the digit strings D_i + k and
+    k - D_i, and
+
+        ((x + k*ONES) | (k*ONES - x)) & (ONES << (width - 1)) == 0
+
+    holds iff |D_i| <= k for every i.  Every digit lies in
+    [-(k + bound), k + bound] and k + bound <= 2 * bound < B/2.  If all
+    |D_i| <= k, both strings have digits in [0, 2k], below B/2: they are
+    the base-B digits of the operands and none sets its top bit
+    (bit width-1).  Otherwise one string has a negative digit.  Take the
+    lowest one, e < 0, at position i: below it every digit is
+    nonnegative and below B, so nothing borrows from position i, and
+    base-B digit i of the operand (floor semantics, which is what
+    Python's two's-complement `&` reads for a negative operand too) is
+    e + B, in (B/2, B): its top bit is set.  The search never tests a
+    k above `bound`, so the premise k + bound < B/2 holds throughout.
+    """
+    if not x:
+        return 0
+    nbytes = width // 8
+    ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * length, "little")
+    top = ones << (width - 1)
+
+    lo, hi = 0, 1  # lo fails (or is 0), hi is the next candidate
+    while True:
+        shift = hi * ones
+        if not ((x + shift) | (shift - x)) & top:
+            break
+        if hi >= bound:
+            raise ArithmeticError(f"internal: a coefficient of the difference exceeds {bound}")
+        lo, hi = hi, min(2 * hi, bound)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        shift = mid * ones
+        if ((x + shift) | (shift - x)) & top:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     """Full comparison of indices m and n with certificate.
 
-    Forms the difference D (value at n minus value at m) only to read its
-    threshold c and leading sign, evaluates D exactly at every q in
-    [2, c], and settles all larger q by the leading-coefficient argument
-    in the module docstring.
+    Reads the threshold c and the leading sign of the difference D (value
+    at n minus value at m) off X = P_n - P_m, the difference of the two
+    entries' values at 2^w (D's value there), evaluates D exactly at every
+    q in [2, c], and settles all larger q by the leading-coefficient
+    argument in the module docstring.  w is PACK_WIDTH, whose packed
+    values the cache keeps, unless the two heights sum too high for it;
+    then both entries are packed afresh at the pair's width.
     """
     if m < 1 or n < 1:
         raise ValueError(f"indices must be positive integers, got ({m}, {n})")
@@ -92,20 +168,20 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 
     pm = cyclo(m, cache).coeffs
     pn = cyclo(n, cache).coeffs
-    # map stops at the shorter operand; the longer one's tail follows
-    diff = list(map(operator.sub, pn, pm))
-    if len(pn) >= len(pm):
-        diff.extend(pn[len(pm) :])
+    xm, hm = cache.packed_entry(m)
+    xn, hn = cache.packed_entry(n)
+    bound = hm + hn
+    width = pair_width(bound)
+    if width == PACK_WIDTH:
+        x = xn - xm
     else:
-        diff.extend(map(operator.neg, pm[len(pn) :]))
-    while diff and diff[-1] == 0:
-        diff.pop()
+        x = packed_value(pn, width) - packed_value(pm, width)
     # distinct cyclotomic polynomials; the guard is against caller bugs
-    if not diff:
+    if not x:
         raise ArithmeticError(f"internal: distinct indices {m}, {n} gave a zero difference")
 
-    c = max(map(abs, diff))
-    lead = 1 if diff[-1] > 0 else -1
+    c = difference_threshold(x, width, max(len(pm), len(pn)), bound)
+    lead = 1 if x > 0 else -1
     ties: list[int] = []
     first_neg = first_pos = 0
     for q in range(2, c + 1):

@@ -9,24 +9,9 @@ slower than the main path, by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import cyclo_moebius
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Sampling bounds for oracle sweeps."""
-
-    q_max: int = 10
-    n_max: int = 200
-
-    def __post_init__(self):
-        if self.q_max < 2:
-            raise ValueError(f"q_max must be >= 2, got {self.q_max}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
 
 def brute_totient(n: int) -> int:

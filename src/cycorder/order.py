@@ -180,22 +180,20 @@ def sort_class(
     cache: CycloCache,
     *,
     cert_sink: Callable[[int, int, Verdict, Certificate], None] | None = None,
-) -> tuple[list[int], list[tuple[int, int, Verdict, Certificate]], list[tuple[int, int, Certificate]]]:
+) -> tuple[list[int], list[tuple[int, int, Certificate]]]:
     """Exhaustively compare one class and return its members in order.
 
-    Runs compare on all k*(k-1)/2 member pairs.  Returns
-    (ordered_members, evidence, incomparable) where evidence holds one
-    (m, n, verdict, certificate) entry per pair in ascending pair order.
-    When cert_sink is given, certificates stream to it instead and
-    evidence comes back empty (batch runs keep memory flat that way).
-    Incomparable pairs are reported as data, never raised.
+    Runs compare on all k*(k-1)/2 member pairs, in ascending pair order,
+    and hands each (m, n, verdict, certificate) to cert_sink when one is
+    given; nothing else keeps the certificates, so batch runs stay flat in
+    memory.  Returns (ordered_members, incomparable); incomparable pairs
+    are reported as data, never raised.
     """
     members = phi_class.members
     k = len(members)
     if k == 0:
         raise ValueError("empty totient class")
     rank = [0] * k
-    evidence: list[tuple[int, int, Verdict, Certificate]] = []
     incomparable: list[tuple[int, int, Certificate]] = []
     for i in range(k):
         mi = members[i]
@@ -204,8 +202,6 @@ def sort_class(
             verdict, cert = compare(mi, mj, cache)
             if cert_sink is not None:
                 cert_sink(mi, mj, verdict, cert)
-            else:
-                evidence.append((mi, mj, verdict, cert))
             if verdict is Verdict.LESS:
                 rank[j] += 1
             elif verdict is Verdict.GREATER:
@@ -213,7 +209,7 @@ def sort_class(
             else:
                 incomparable.append((mi, mj, cert))
     ordered = [m for _, m in sorted(zip(rank, members))]
-    return ordered, evidence, incomparable
+    return ordered, incomparable
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +232,7 @@ def _summarize_class(phi_value: int, members: list[int], cache: CycloCache) -> d
         for q in cert.tie_witnesses:
             ties.append([m, n, q])
 
-    ordered, _, incomparable = sort_class(
+    ordered, incomparable = sort_class(
         PhiClass(phi_value, members), cache, cert_sink=sink
     )
     return {
@@ -391,7 +387,9 @@ def build_chain(
     Classes are distributed over `workers` processes (1 = in-process).
     Report content is identical for any worker count.  With a checkpoint
     path, completed classes are persisted as they finish and a later call
-    resumes from them.
+    resumes from them.  A worker process that dies (killed, out of
+    memory) raises concurrent.futures.process.BrokenProcessPool; the
+    classes finished before it are already on the checkpoint.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -426,11 +424,25 @@ def build_chain(
             flush_checkpoint()
             cache.trim(trim_bound)
     else:
-        ctx = get_context()
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(trim_bound,)) as pool:
-            for summary in pool.imap_unordered(_class_task, todo, chunksize=1):
-                note(summary)
+        # imported here: the pool's modules add about 1.6 MB to every
+        # process, and serial runs never need them
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        # forked workers start from this process's state; a worker that dies
+        # breaks the pool, and the pending results raise BrokenProcessPool
+        # instead of waiting forever
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=get_context(),
+            initializer=_init_worker,
+            initargs=(trim_bound,),
+        )
+        try:
+            for future in as_completed([pool.submit(_class_task, t) for t in todo]):
+                note(future.result())
                 flush_checkpoint()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     sequence: list[int] = []
     pair_count = 0

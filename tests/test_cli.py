@@ -168,6 +168,29 @@ def test_invtot_and_phi(capsys):
     assert code == 0 and out == "4\n"
 
 
+@pytest.mark.parametrize(
+    "argv, name, bound, worker",
+    [
+        (["cyclo"], "N", "MAX_CYCLO_INDEX", "cyclo"),
+        (["conjecture2"], "I", "MAX_CONJECTURE2_I", "check_conjecture2"),
+        (["invtot"], "V", "MAX_INVTOT_VALUE", "inverse_totient"),
+    ],
+    ids=["cyclo", "conjecture2", "invtot"],
+)
+def test_size_guard_exits_2_before_any_work(capsys, monkeypatch, argv, name, bound, worker):
+    from cycorder import cli
+
+    limit = getattr(cli, bound)
+
+    def must_not_run(*args):
+        raise AssertionError(f"{worker} ran on an oversized input")
+
+    monkeypatch.setattr(cli, worker, must_not_run)
+    code, out, err = run_cli(capsys, *argv, str(limit + 1))
+    assert code == 2 and out == ""
+    assert f"{name} must be <= {limit}, got {limit + 1}" in err
+
+
 def test_workers_flag(capsys):
     code, out, _ = run_cli(capsys, "-w", "2", "chain", "60")
     assert code == 0

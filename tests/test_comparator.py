@@ -183,18 +183,13 @@ def test_certificate_invariants(verdicts300):
             assert 2 <= q <= cert.checked_q_max
 
 
-def test_incomparable_verdict_synthetic():
+def test_incomparable_verdict_synthetic(fake_pair_cache):
     """No incomparable pair is known among real indices, so the detection
     machinery is exercised on polynomials injected under fake indices."""
-    from cycorder.cyclotomic import CycloCache
-    from cycorder.intpoly import IntPoly
-
-    cache = CycloCache()
-    a, b = 900001, 900002
+    cache = fake_pair_cache
+    a, b = 900001, 900002  # t^2 and t^2 + t - 3
     # difference (b - a) is t - 3: negative at q=2, tie at q=3, positive sign
     # only past the threshold c=3, so the positive witness is q = c+1 = 4
-    cache.polys[a] = IntPoly([0, 0, 1])
-    cache.polys[b] = IntPoly([-3, 1, 1])
     v, cert = compare(a, b, cache)
     assert v is Verdict.INCOMPARABLE
     assert cert.threshold_c == 3
@@ -213,6 +208,28 @@ def test_incomparable_verdict_synthetic():
     assert v2 is Verdict.INCOMPARABLE
     assert cert2.leading_sign == -1
     assert sorted(cert2.flip_witnesses) == [2, 4]
+
+
+def test_tall_pair_is_read_at_a_wider_packing():
+    """Heights summing to 64 or more (no real index below 26565 has them)
+    are read off values packed afresh at 16 bits; an entry of height 70
+    keeps no 8-bit packed value at all."""
+    from cycorder.cyclotomic import CycloCache
+    from cycorder.intpoly import IntPoly
+
+    cache = CycloCache()
+    a, b = 900001, 900002
+    for n, coeffs in ((a, (3, -70, 0, 1)), (b, (-30, 5, 1, 1))):
+        poly = cache.polys[n] = IntPoly(coeffs)
+        cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 100))
+    # difference (b - a) is t^2 + 75t - 33, positive for every q >= 1
+    v, cert = compare(a, b, cache)
+    assert cache.packed[a] == (None, 70) and cache.packed[b][1] == 30
+    assert v is Verdict.LESS
+    assert (cert.threshold_c, cert.leading_sign, cert.checked_q_max) == (75, 1, 75)
+    assert not cert.tie_witnesses and not cert.flip_witnesses
+    v, cert = compare(b, a, cache)
+    assert v is Verdict.GREATER and (cert.threshold_c, cert.leading_sign) == (75, -1)
 
 
 def test_record_round_trip(shared_cache):

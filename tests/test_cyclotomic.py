@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cycorder.arith import divisors, totient
@@ -9,6 +11,7 @@ from cycorder.cyclotomic import (
     cyclo_moebius,
     eval_cyclo,
 )
+from cycorder.oracle import _horner
 
 
 def test_cyclo_small_values(shared_cache):
@@ -51,14 +54,30 @@ def test_eval_cyclo_matches_entry_to_2000(shared_cache):
             assert eval_cyclo(n, q, fresh) == poly.eval_at(q), (n, q)
 
 
+def test_eval_cyclo_matches_oracle_horner():
+    """The product formula against Horner on the Moebius oracle's
+    coefficients: every n <= 200, a seeded sample of n <= 3000, and the
+    indices with the most factors (2310 and 2730 have five primes; 2*3^7
+    is a long, sparse entry), at small q and at q = 256."""
+    rng = random.Random(3000)
+    indices = list(range(1, 201)) + rng.sample(range(201, 3001), 150) + [2310, 2730, 2 * 3**7]
+    cache = CycloCache()
+    for n in indices:
+        coeffs = cyclo_moebius(n).coeffs
+        for q in (2, 3, 7, 256):
+            assert eval_cyclo(n, q, cache) == _horner(coeffs, q), (n, q)
+
+
 def test_cache_reuse_and_trim():
     cache = CycloCache()
     p1 = cyclo(360, cache)
     assert cyclo(360, cache) is p1
     assert 360 in cache
     eval_cyclo(360, 2, cache)
+    cache.packed_entry(360)
     cache.trim(100)
     assert 360 not in cache
+    assert 360 not in cache.packed and (360, 2) not in cache.evals
     assert cyclo(360, cache) == p1
 
 

@@ -6,7 +6,6 @@ from cycorder.arith import inverse_totient, totient
 from cycorder.comparator import Verdict, compare
 from cycorder.cyclotomic import cyclo_moebius
 from cycorder.oracle import (
-    OracleConfig,
     brute_compare,
     brute_inverse_totient,
     brute_totient,
@@ -73,11 +72,3 @@ def test_brute_compare_op_agrees(shared_cache):
             assert signs[1] == 0
         elif verdict is Verdict.EQUAL:
             assert signs == {-1: 0, 0: 24, 1: 0}
-
-
-def test_oracle_config_validation():
-    OracleConfig(q_max=2, n_max=1)
-    with pytest.raises(ValueError):
-        OracleConfig(q_max=1)
-    with pytest.raises(ValueError):
-        OracleConfig(n_max=0)

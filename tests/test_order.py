@@ -1,15 +1,19 @@
 import json
 import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import cycorder
 from cycorder.arith import totient
 from cycorder.comparator import Verdict, compare
-from cycorder.cyclotomic import CycloCache
 from cycorder.order import (
     ChainReport,
     CheckpointError,
+    CheckpointFile,
     NotLessError,
     PhiClass,
     build_chain,
@@ -63,18 +67,24 @@ def test_phi_classes_partition():
 
 
 def test_sort_class_examples(shared_cache):
-    ordered, evidence, incomparable = sort_class(PhiClass(2, [3, 4, 6]), shared_cache)
+    evidence = []
+    ordered, incomparable = sort_class(
+        PhiClass(2, [3, 4, 6]), shared_cache, cert_sink=lambda *e: evidence.append(e)
+    )
     assert ordered == [6, 4, 3]
     assert len(evidence) == 3 and not incomparable
-    ordered, _, _ = sort_class(PhiClass(4, [5, 8, 10, 12]), shared_cache)
+    ordered, _ = sort_class(PhiClass(4, [5, 8, 10, 12]), shared_cache)
     assert ordered == [10, 12, 8, 5]
-    ordered, evidence, _ = sort_class(PhiClass(10, [11]), shared_cache)
+    evidence = []
+    ordered, _ = sort_class(
+        PhiClass(10, [11]), shared_cache, cert_sink=lambda *e: evidence.append(e)
+    )
     assert ordered == [11] and not evidence
 
 
 def test_sort_class_adjacent_pairs_are_less(shared_cache):
     for cls in phi_classes(500):
-        ordered, _, incomparable = sort_class(cls, shared_cache)
+        ordered, incomparable = sort_class(cls, shared_cache)
         assert not incomparable
         assert sorted(ordered) == cls.members
         for a, b in zip(ordered, ordered[1:]):
@@ -175,28 +185,24 @@ def test_precedes_blockers_match_full_scan(shared_cache):
         assert all(b in rep.candidates_examined for b in rep.blockers)
 
 
-def test_sort_class_reports_incomparable_as_data():
-    from cycorder.intpoly import IntPoly
-
-    cache = CycloCache()
-    a, b = 900001, 900002
-    cache.polys[a] = IntPoly([0, 0, 1])       # t^2
-    cache.polys[b] = IntPoly([-3, 1, 1])      # t^2 + t - 3
-    ordered, evidence, incomparable = sort_class(PhiClass(2, [a, b]), cache)
+def test_sort_class_reports_incomparable_as_data(fake_pair_cache):
+    cache = fake_pair_cache
+    a, b = 900001, 900002  # t^2 and t^2 + t - 3
+    evidence = []
+    ordered, incomparable = sort_class(
+        PhiClass(2, [a, b]), cache, cert_sink=lambda *e: evidence.append(e)
+    )
     assert len(incomparable) == 1
     assert incomparable[0][0] == a and incomparable[0][1] == b
     assert sorted(ordered) == [a, b]  # still a permutation, order best-effort
     assert len(evidence) == 1
 
 
-def test_precedes_surfaces_incomparable_distinctly():
-    from cycorder.intpoly import IntPoly
+def test_precedes_surfaces_incomparable_distinctly(fake_pair_cache):
     from cycorder.order import IncomparablePairError
 
-    cache = CycloCache()
+    cache = fake_pair_cache
     a, b = 900001, 900002
-    cache.polys[a] = IntPoly([0, 0, 1])
-    cache.polys[b] = IntPoly([-3, 1, 1])
     with pytest.raises(IncomparablePairError) as exc:
         precedes(a, b, cache)
     assert exc.value.m == a and exc.value.n == b
@@ -283,3 +289,38 @@ def test_sequence_formats():
     assert rows[1] == "1,1,1,0"
     assert rows[3] == "3,6,2,0"
     assert len(rows) == 21
+
+
+def test_dead_worker_ends_the_run_and_keeps_the_checkpoint(tmp_path):
+    """A worker process that dies mid-class makes `verify` exit 1 instead
+    of waiting forever for its result; the checkpoint stays loadable and
+    resumes to the full report."""
+    path = str(tmp_path / "verify.ckpt")
+    script = textwrap.dedent(
+        f"""
+        import os
+        import sys
+
+        from cycorder import cli, order
+
+        real_task = order._class_task
+
+        def dying_task(args):
+            if args[0] == 12:  # the class {{13, 21, 26, 28, 36, 42}}
+                os._exit(1)
+            return real_task(args)
+
+        order._class_task = dying_task
+        sys.exit(cli.main(["-w", "2", "verify", "60", "--checkpoint", {path!r}]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 1, done.stderr
+    assert "worker process died" in done.stderr
+    checkpoint = CheckpointFile(path, 60)
+    assert 12 not in checkpoint.completed
+    assert build_chain(60, checkpoint_path=path) == build_chain(60)
