@@ -9,7 +9,7 @@ Exit codes:
     1   runtime failure
     2   usage error (argparse, or an input above its size guard)
     3   an INCOMPARABLE pair was found (scriptable counterexample signal)
-    4   checkpoint file rejected (hash chain or parameter mismatch)
+    4   checkpoint file rejected (hash chain, version or parameter mismatch)
     130 interrupted; checkpointed progress is already flushed
 """
 
@@ -21,7 +21,7 @@ import sys
 
 from .arith import inverse_totient, totient
 from .comparator import Verdict, compare, comparison_record, record_to_json
-from .cyclotomic import CycloCache, cyclo
+from .cyclotomic import CycloCache, cyclo, eval_cyclo
 from .order import (
     CheckpointError,
     IncomparablePairError,
@@ -43,6 +43,7 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 
 # Size guards, checked before any work: a larger input exits 2 instead of
 # running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
+# MAX_CYCLO_INDEX bounds `cyclo N` and both indices of `compare M N`.
 MAX_CYCLO_INDEX = 100_000  # dense division of t^N - 1; N = 30030 takes ~4 s
 MAX_CONJECTURE2_I = 12  # polynomials of degree 2*3^(I-1); I = 12 takes ~1 s
 MAX_INVTOT_VALUE = 10**9  # V = 2615348736000 has 4.7 million preimages (36 s)
@@ -122,11 +123,13 @@ def cmd_cyclo(n: int, q: int | None) -> int:
     print("# coefficients in ascending degree order (constant term first)", file=sys.stderr)
     print(" ".join(str(c) for c in poly.coeffs))
     if q is not None:
-        print(poly.eval_at(q))
+        print(eval_cyclo(n, q, cache))
     return EXIT_OK
 
 
 def cmd_compare(m: int, n: int, emit_certificate: bool) -> int:
+    if _oversized("M", m, MAX_CYCLO_INDEX) or _oversized("N", n, MAX_CYCLO_INDEX):
+        return EXIT_USAGE
     cache = CycloCache()
     verdict, cert = compare(m, n, cache)
     print(verdict.value)

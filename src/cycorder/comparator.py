@@ -47,14 +47,8 @@ import json
 from dataclasses import dataclass, field
 
 from .arith import moebius, radical, totient
-from .cyclotomic import (
-    PACK_WIDTH,
-    CycloCache,
-    cyclo,
-    eval_cyclo,
-    packed_value,
-    pair_width,
-)
+from .cyclotomic import PACK_WIDTH, CycloCache, cyclo, eval_cyclo, pair_width
+from .intpoly import packed_value
 
 SHORTCUT_PHI_GAP = "phi-gap"  # different totients decide the pair outright
 SHORTCUT_ODD_DOUBLE = "odd-double"  # pair {k, 2k} with k odd, decided by mu(radical(k))

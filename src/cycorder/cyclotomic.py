@@ -1,5 +1,5 @@
 """Cyclotomic polynomials by two independent routes, their exact values,
-and the exact inequality predicates used by the comparison fast paths.
+and two exact inequality predicates on those values (no comparison calls them).
 
 The primary route, `cyclo`, is the divisor recursion: t^n - 1 factors as
 the product of the cyclotomic polynomials of the divisors of n, so the
@@ -17,9 +17,10 @@ value at 2^8, packed into one integer, and its height: all that
 `comparator.compare` reads of it.
 
 The oracle route, `cyclo_moebius`, inverts the product identity by the
-Moebius function over divisor binomials t^(n/d) - 1 and never touches a
-cache, so the two routes share no construction logic and cross-check each
-other (the test suite asserts coefficientwise equality).
+Moebius function over divisor binomials t^(n/d) - 1 with its own exact
+multiply and divide passes.  It never touches a cache and calls no
+`intpoly` arithmetic, so the two routes share no polynomial code and
+cross-check each other (the test suite asserts coefficientwise equality).
 
 Values, `eval_cyclo`, come from the same product identity applied to
 integers: Phi_n(q) is a quotient of products of q^e - 1 (or q^e + 1 for
@@ -32,11 +33,12 @@ without coordination.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate
 from math import prod
+from operator import neg, sub
 
 from .arith import divisors, factorize, moebius, radical, totient
-from .intpoly import IntPoly, _div_exact_lists, _mul_lists
+from .intpoly import IntPoly, _div_exact_lists, packed_value
 
 PACK_WIDTH = 8  # bits per coefficient of the packed values the cache keeps
 
@@ -48,27 +50,6 @@ def pair_width(height: int) -> int:
     exactly off values packed at this width (see `comparator`).
     """
     return max(PACK_WIDTH, -(-(4 * height).bit_length() // 8) * 8)
-
-
-def packed_value(coeffs, width: int) -> int:
-    """The polynomial's value at 2^width, for |coefficients| < 2^(width-1).
-
-    Each coefficient is shifted by 2^(width-1) into one unsigned digit, the
-    digit string is read as one integer, and the shift is taken back off
-    as a second integer: C-level conversions, no Python loop at width 8.
-    Width must be a multiple of 8; a coefficient that does not fit raises
-    (ValueError from `bytes`, OverflowError from `int.to_bytes`).
-    """
-    nbytes = width // 8
-    shift = 1 << (width - 1)
-    digits = map(shift.__add__, coeffs)
-    if nbytes == 1:
-        raw = bytes(digits)
-    else:
-        raw = b"".join(map(int.to_bytes, digits, repeat(nbytes), repeat("little")))
-    return int.from_bytes(raw, "little") - int.from_bytes(
-        shift.to_bytes(nbytes, "little") * len(coeffs), "little"
-    )
 
 
 class CycloCache:
@@ -174,14 +155,41 @@ def cyclo(n: int, cache: CycloCache) -> IntPoly:
     return cache.polys[n]
 
 
+def _times_binomial(a: list[int], k: int) -> list[int]:
+    """Coefficients of a * (t^k - 1): a shifted up by k, minus a."""
+    return list(map(sub, [0] * k + a, a + [0] * k))
+
+
+def _over_binomial(a: list[int], k: int) -> list[int]:
+    """Coefficients of the exact quotient a / (t^k - 1), for k >= 1.
+
+    a = q * (t^k - 1) reads a_j = q_(j-k) - q_j coefficientwise, so
+    q_j = q_(j-k) - a_j: along each residue class of j mod k the quotient
+    is the negated running sum of a.  What is left, a_j - q_(j-k) for the
+    top k coefficients, is the remainder; a nonzero one raises
+    ArithmeticError.
+    """
+    qlen = len(a) - k
+    if qlen < 1:
+        raise ArithmeticError(f"degree {len(a) - 1} is below the divisor's {k}")
+    quot = [0] * qlen
+    for r in range(min(k, qlen)):
+        quot[r::k] = accumulate(map(neg, a[r:qlen:k]))
+    carry = [0] * max(0, k - qlen) + quot[max(0, qlen - k) :]
+    if a[qlen:] != carry:
+        raise ArithmeticError(f"t^{k} - 1 does not divide the polynomial")
+    return quot
+
+
 def cyclo_moebius(n: int) -> IntPoly:
     """Independent oracle: the nth cyclotomic polynomial by Moebius
     inversion of the product identity.
 
     Multiplies the binomials t^(n/d) - 1 over divisors d with mu(d) = 1,
     then divides exactly by those with mu(d) = -1.  Every intermediate
-    quotient is a polynomial, so each step stays exact.  Deliberately
-    cache-free and structurally unrelated to `cyclo`.
+    quotient is Phi_n times the binomials still to divide, a polynomial,
+    so each step stays exact and a remainder raises.  Cache-free, and
+    one linear pass of its own per binomial: no `intpoly` arithmetic.
     """
     if n < 1:
         raise ValueError(f"index must be a positive integer, got {n}")
@@ -190,12 +198,11 @@ def cyclo_moebius(n: int) -> IntPoly:
     for d in divisors(n):
         mu = moebius(d)
         if mu == 1:
-            k = n // d
-            acc = _mul_lists(acc, [-1] + [0] * (k - 1) + [1])
+            acc = _times_binomial(acc, n // d)
         elif mu == -1:
             den.append(n // d)
-    for k in sorted(den):
-        acc = _div_exact_lists(acc, [-1] + [0] * (k - 1) + [1])
+    for k in den:
+        acc = _over_binomial(acc, k)
     return IntPoly(acc)
 
 

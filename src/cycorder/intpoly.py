@@ -19,6 +19,7 @@ pure; instances can be shared freely between workers.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable
 
 
@@ -61,21 +62,25 @@ def _mul_school(a: list[int], b: list[int]) -> list[int]:
     return res
 
 
-def _pack(coeffs: list[int], width_bytes: int) -> int:
-    """Evaluate the polynomial at 2^(8*width_bytes) as a signed big integer."""
-    pos = bytearray(width_bytes * len(coeffs))
-    neg = bytearray(width_bytes * len(coeffs))
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            chunk = c.to_bytes((c.bit_length() + 7) // 8, "little")
-            off = i * width_bytes
-            pos[off : off + len(chunk)] = chunk
-        elif c < 0:
-            c = -c
-            chunk = c.to_bytes((c.bit_length() + 7) // 8, "little")
-            off = i * width_bytes
-            neg[off : off + len(chunk)] = chunk
-    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+def packed_value(coeffs, width: int) -> int:
+    """The polynomial's value at 2^width, for |coefficients| < 2^(width-1).
+
+    Each coefficient is shifted by 2^(width-1) into one unsigned digit, the
+    digit string is read as one integer, and the shift is taken back off
+    as a second integer: C-level conversions, no Python loop at width 8.
+    Width must be a multiple of 8; a coefficient that does not fit raises
+    (ValueError from `bytes`, OverflowError from `int.to_bytes`).
+    """
+    nbytes = width // 8
+    shift = 1 << (width - 1)
+    digits = map(shift.__add__, coeffs)
+    if nbytes == 1:
+        raw = bytes(digits)
+    else:
+        raw = b"".join(map(int.to_bytes, digits, repeat(nbytes), repeat("little")))
+    return int.from_bytes(raw, "little") - int.from_bytes(
+        shift.to_bytes(nbytes, "little") * len(coeffs), "little"
+    )
 
 
 def _mul_packed(a: list[int], b: list[int]) -> list[int]:
@@ -88,7 +93,7 @@ def _mul_packed(a: list[int], b: list[int]) -> list[int]:
     bound = max(map(abs, a)) * max(map(abs, b)) * min(la, lb)
     width = 8 * ((bound.bit_length() + 9) // 8)
     wb = width // 8
-    v = _pack(a, wb) * _pack(b, wb)
+    v = packed_value(a, width) * packed_value(b, width)
     n_out = la + lb - 1
     half = 1 << (width - 1)
     # shift every digit by half so the packed value is nonnegative and
@@ -218,24 +223,6 @@ def _div_exact_lists(num: list[int], den: list[int]) -> list[int]:
     return _normalize(_div_school(num, den))
 
 
-def _eval_blocked(coeffs, x: int) -> int:
-    """Horner evaluation over 16-coefficient blocks.
-
-    Identical arithmetic to plain Horner, but the big accumulator is only
-    touched once per block, which matters at degree ~10^4.
-    """
-    w = 16
-    top = ((len(coeffs) - 1) // w) * w
-    xw = x**w
-    total = 0
-    for start in range(top, -1, -w):
-        acc = 0
-        for c in reversed(coeffs[start : start + w]):
-            acc = acc * x + c
-        total = total * xw + acc
-    return total
-
-
 # ---------------------------------------------------------------------------
 # public value type
 # ---------------------------------------------------------------------------
@@ -325,9 +312,10 @@ class IntPoly:
 
     def eval_at(self, x: int) -> int:
         """Exact value of the polynomial at the integer x (Horner scheme)."""
-        if not self.coeffs:
-            return 0
-        return _eval_blocked(self.coeffs, x)
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value
 
     __call__ = eval_at
 

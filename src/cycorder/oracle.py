@@ -1,10 +1,9 @@
 """Brute-force oracles used by the test suite to validate the main pipeline.
 
 Nothing here shares an algorithm with the module it checks: the totient is
-a direct coprime count, comparisons evaluate independently constructed
-coefficient lists with a plain per-coefficient Horner loop, and the
-inverse-totient scan computes totients by sieve.  Orders of magnitude
-slower than the main path, by design.
+a direct coprime count, comparisons evaluate the coefficients of
+`cyclo_moebius` (which shares no polynomial code with `cyclo`) with a plain
+per-coefficient Horner loop, and the inverse-totient scan sieves totients.
 """
 
 from __future__ import annotations

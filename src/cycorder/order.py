@@ -45,6 +45,7 @@ from .comparator import (
 from .cyclotomic import CycloCache
 
 DEFAULT_TRIM_BOUND = 4096  # worker caches drop entries above this after each class
+CHECKPOINT_VERSION = 1  # checkpoint line format; a file of another version is refused
 
 
 class OrderingError(Exception):
@@ -249,21 +250,24 @@ def _summarize_class(phi_value: int, members: list[int], cache: CycloCache) -> d
     }
 
 
+def _finish_class(phi_value: int, members: list[int], cache: CycloCache) -> dict:
+    """Summarize one class, then trim the cache to DEFAULT_TRIM_BOUND."""
+    summary = _summarize_class(phi_value, members, cache)
+    cache.trim(DEFAULT_TRIM_BOUND)
+    return summary
+
+
 _worker_cache: CycloCache | None = None
-_worker_trim: int = DEFAULT_TRIM_BOUND
 
 
-def _init_worker(trim_bound: int) -> None:
-    global _worker_cache, _worker_trim
+def _init_worker() -> None:
+    global _worker_cache
     _worker_cache = CycloCache()
-    _worker_trim = trim_bound
 
 
 def _class_task(args: tuple[int, list[int]]) -> dict:
     phi_value, members = args
-    summary = _summarize_class(phi_value, members, _worker_cache)
-    _worker_cache.trim(_worker_trim)
-    return summary
+    return _finish_class(phi_value, members, _worker_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +283,13 @@ def _chain_hash(prev_hex: str, body: dict) -> str:
 class CheckpointFile:
     """Append-only resume file for long verification runs.
 
-    Line 1 is a header carrying range_max; each further line records one
-    completed class.  Every line carries a chain hash over the previous
-    line's hash plus its own body, so silent edits or reordering are
-    detected at load time.  A malformed trailing line (interrupted write)
-    is discarded and cut from the file, so later appends start on a fresh
-    line; a chain mismatch in well-formed lines raises
+    Line 1 is a header carrying the format version (CHECKPOINT_VERSION)
+    and range_max; each further line records one completed class.  Every
+    line carries a chain hash over the previous line's hash plus its own
+    body, so silent edits or reordering are detected at load time.  A
+    malformed trailing line (interrupted write) is discarded and cut from
+    the file, so later appends start on a fresh line; a chain mismatch in
+    well-formed lines, another version or another range_max raises
     CheckpointError.  Classes are written in ascending totient order, so
     a resumed run re-does at most the classes that finished out of order.
     """
@@ -298,8 +303,8 @@ class CheckpointFile:
         if os.path.exists(path) and os.path.getsize(path) > 0:
             self._load()
         else:
-            header = {"kind": "header", "version": 1, "range_max": range_max}
-            header["chain"] = _chain_hash("", {k: v for k, v in header.items()})
+            header = {"kind": "header", "version": CHECKPOINT_VERSION, "range_max": range_max}
+            header["chain"] = _chain_hash("", header)
             self._last_hash = header["chain"]
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -326,11 +331,11 @@ class CheckpointFile:
         body = {k: v for k, v in header.items() if k != "chain"}
         if _chain_hash("", body) != header.get("chain"):
             raise CheckpointError(f"{self.path}: header hash mismatch")
-        if header.get("range_max") != self.range_max:
-            raise CheckpointError(
-                f"{self.path}: checkpoint is for range_max={header.get('range_max')}, "
-                f"requested {self.range_max}"
-            )
+        for key, wanted in (("version", CHECKPOINT_VERSION), ("range_max", self.range_max)):
+            if header.get(key) != wanted:
+                raise CheckpointError(
+                    f"{self.path}: checkpoint has {key}={header.get(key)!r}, wanted {wanted}"
+                )
         prev = header["chain"]
         for i, rec in enumerate(parsed[1:], start=2):
             body = {k: v for k, v in rec.items() if k != "chain"}
@@ -380,7 +385,6 @@ def build_chain(
     *,
     checkpoint_path: str | None = None,
     progress: ProgressFn | None = None,
-    trim_bound: int = DEFAULT_TRIM_BOUND,
 ) -> ChainReport:
     """Sort {1..range_max} into the full chain, verifying comparability.
 
@@ -408,21 +412,21 @@ def build_chain(
         if progress is not None:
             progress(done_count, total, summary)
 
+    unflushed = 0  # position in `classes` of the first class not yet offered
+
     def flush_checkpoint() -> None:
+        nonlocal unflushed
         if checkpoint is None:
             return
-        for cls in classes:
-            s = summaries.get(cls.phi_value)
-            if s is None:
-                break
-            checkpoint.append(s)
+        while unflushed < total and classes[unflushed].phi_value in summaries:
+            checkpoint.append(summaries[classes[unflushed].phi_value])
+            unflushed += 1
 
     if workers == 1 or len(todo) <= 1:
         cache = CycloCache()
         for phi_value, members in todo:
-            note(_summarize_class(phi_value, members, cache))
+            note(_finish_class(phi_value, members, cache))
             flush_checkpoint()
-            cache.trim(trim_bound)
     else:
         # imported here: the pool's modules add about 1.6 MB to every
         # process, and serial runs never need them
@@ -435,7 +439,6 @@ def build_chain(
             max_workers=workers,
             mp_context=get_context(),
             initializer=_init_worker,
-            initargs=(trim_bound,),
         )
         try:
             for future in as_completed([pool.submit(_class_task, t) for t in todo]):

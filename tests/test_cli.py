@@ -171,13 +171,16 @@ def test_invtot_and_phi(capsys):
 @pytest.mark.parametrize(
     "argv, name, bound, worker",
     [
-        (["cyclo"], "N", "MAX_CYCLO_INDEX", "cyclo"),
-        (["conjecture2"], "I", "MAX_CONJECTURE2_I", "check_conjecture2"),
-        (["invtot"], "V", "MAX_INVTOT_VALUE", "inverse_totient"),
+        (["cyclo", None], "N", "MAX_CYCLO_INDEX", "cyclo"),
+        (["compare", "1", None], "N", "MAX_CYCLO_INDEX", "compare"),
+        (["compare", None, "1"], "M", "MAX_CYCLO_INDEX", "compare"),
+        (["conjecture2", None], "I", "MAX_CONJECTURE2_I", "check_conjecture2"),
+        (["invtot", None], "V", "MAX_INVTOT_VALUE", "inverse_totient"),
     ],
-    ids=["cyclo", "conjecture2", "invtot"],
+    ids=["cyclo", "compare-n", "compare-m", "conjecture2", "invtot"],
 )
 def test_size_guard_exits_2_before_any_work(capsys, monkeypatch, argv, name, bound, worker):
+    """The oversized value stands where argv holds None."""
     from cycorder import cli
 
     limit = getattr(cli, bound)
@@ -186,7 +189,7 @@ def test_size_guard_exits_2_before_any_work(capsys, monkeypatch, argv, name, bou
         raise AssertionError(f"{worker} ran on an oversized input")
 
     monkeypatch.setattr(cli, worker, must_not_run)
-    code, out, err = run_cli(capsys, *argv, str(limit + 1))
+    code, out, err = run_cli(capsys, *(str(limit + 1) if a is None else a for a in argv))
     assert code == 2 and out == ""
     assert f"{name} must be <= {limit}, got {limit + 1}" in err
 

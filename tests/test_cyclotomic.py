@@ -1,17 +1,24 @@
-import random
-
 import pytest
 
 from cycorder.arith import divisors, totient
 from cycorder.cyclotomic import (
     CycloCache,
+    _over_binomial,
+    _times_binomial,
     check_mu_sandwich,
     check_value_bounds,
     cyclo,
     cyclo_moebius,
     eval_cyclo,
 )
+from cycorder.intpoly import IntPoly
 from cycorder.oracle import _horner
+
+
+@pytest.fixture(scope="module")
+def oracle_to_3000() -> dict[int, IntPoly]:
+    """The Moebius oracle's polynomial for every n <= 3000, built once."""
+    return {n: cyclo_moebius(n) for n in range(1, 3001)}
 
 
 def test_cyclo_small_values(shared_cache):
@@ -31,6 +38,21 @@ def test_cyclo_moebius_small_values():
     assert cyclo_moebius(4).coeffs == (1, 0, 1)
     # (t^12-1)(t^2-1) / ((t^6-1)(t^4-1)), reduced by long division
     assert cyclo_moebius(12).coeffs == (1, 0, -1, 0, 1)
+
+
+def test_oracle_division_raises_on_a_non_multiple():
+    a = _times_binomial([3, -1, 2], 4)
+    assert a == [-3, 1, -2, 0, 3, -1, 2]
+    assert _over_binomial(a, 4) == [3, -1, 2]
+    assert _over_binomial([-1, 0, 1], 1) == [1, 1]
+    for coeffs, k in (
+        (a[:-1] + [3], 4),  # top coefficient off by one
+        ([1, 0, 1], 1),  # t^2 + 1 = (t + 1)(t - 1) + 2
+        ([1, 0, 0, 0, 1], 2),  # t^4 + 1 = (t^2 + 1)(t^2 - 1) + 2
+        ([0, 1], 2),  # degree below the divisor's
+    ):
+        with pytest.raises(ArithmeticError):
+            _over_binomial(coeffs, k)
 
 
 def test_eval_cyclo(shared_cache):
@@ -54,16 +76,13 @@ def test_eval_cyclo_matches_entry_to_2000(shared_cache):
             assert eval_cyclo(n, q, fresh) == poly.eval_at(q), (n, q)
 
 
-def test_eval_cyclo_matches_oracle_horner():
+def test_eval_cyclo_matches_oracle_horner(oracle_to_3000):
     """The product formula against Horner on the Moebius oracle's
-    coefficients: every n <= 200, a seeded sample of n <= 3000, and the
-    indices with the most factors (2310 and 2730 have five primes; 2*3^7
-    is a long, sparse entry), at small q and at q = 256."""
-    rng = random.Random(3000)
-    indices = list(range(1, 201)) + rng.sample(range(201, 3001), 150) + [2310, 2730, 2 * 3**7]
+    coefficients, for every n <= 3000 (2310 and 2730 have five primes)
+    and 2*3^7 (a long, sparse entry), at small q and at q = 256."""
     cache = CycloCache()
-    for n in indices:
-        coeffs = cyclo_moebius(n).coeffs
+    for n, poly in [*oracle_to_3000.items(), (2 * 3**7, cyclo_moebius(2 * 3**7))]:
+        coeffs = poly.coeffs
         for q in (2, 3, 7, 256):
             assert eval_cyclo(n, q, cache) == _horner(coeffs, q), (n, q)
 
@@ -86,9 +105,9 @@ def test_degree_law_to_2000(shared_cache):
         assert cyclo(n, shared_cache).degree == totient(n), n
 
 
-def test_oracle_equivalence_to_1000(shared_cache):
-    for n in range(1, 1001):
-        assert cyclo(n, shared_cache) == cyclo_moebius(n), n
+def test_oracle_equivalence_to_3000(shared_cache, oracle_to_3000):
+    for n, poly in oracle_to_3000.items():
+        assert cyclo(n, shared_cache) == poly, n
 
 
 def test_product_identity(shared_cache):

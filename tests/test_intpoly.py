@@ -120,17 +120,6 @@ def test_eval_is_ring_morphism():
         assert (p + q).eval_at(x) == p.eval_at(x) + q.eval_at(x)
 
 
-def test_eval_blocked_matches_plain_horner():
-    rng = random.Random(5150)
-    for _ in range(30):
-        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 400))]
-        x = rng.choice([-7, -2, 2, 3, 10, 256])
-        plain = 0
-        for c in reversed(coeffs):
-            plain = plain * x + c
-        assert IntPoly(coeffs).eval_at(x) == plain
-
-
 def test_split_round_trip():
     rng = random.Random(99)
     for _ in range(400):

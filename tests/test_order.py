@@ -9,6 +9,7 @@ import pytest
 
 import cycorder
 from cycorder.arith import totient
+from cycorder.cli import main
 from cycorder.comparator import Verdict, compare
 from cycorder.order import (
     ChainReport,
@@ -16,6 +17,7 @@ from cycorder.order import (
     CheckpointFile,
     NotLessError,
     PhiClass,
+    _chain_hash,
     build_chain,
     check_conjecture2,
     class_is_complete,
@@ -251,6 +253,35 @@ def test_checkpoint_resume_and_validation(tmp_path):
         fh.writelines(lines)
     with pytest.raises(CheckpointError):
         build_chain(300, workers=1, checkpoint_path=path)
+
+
+def test_checkpoint_of_another_version_is_refused(tmp_path, capsys):
+    """A header with a valid hash but another format version is refused,
+    by the library and by `verify` (exit 4)."""
+    path = str(tmp_path / "verify.ckpt")
+    header = {"kind": "header", "version": 2, "range_max": 60}
+    header["chain"] = _chain_hash("", header)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+    with pytest.raises(CheckpointError, match="version=2, wanted 1"):
+        CheckpointFile(path, 60)
+    assert main(["verify", "60", "--checkpoint", path]) == 4
+    assert "version=2, wanted 1" in capsys.readouterr().err
+
+
+def test_checkpoint_is_offered_each_class_once(tmp_path, monkeypatch):
+    """Classes finishing out of order on two workers still reach the
+    checkpoint in ascending order, each offered to `append` once."""
+    offered = []
+    real_append = CheckpointFile.append
+
+    def append(checkpoint, summary):
+        offered.append(summary["phi"])
+        real_append(checkpoint, summary)
+
+    monkeypatch.setattr(CheckpointFile, "append", append)
+    report = build_chain(200, workers=2, checkpoint_path=str(tmp_path / "verify.ckpt"))
+    assert offered == sorted(offered) and len(offered) == report.class_count
 
 
 def test_checkpoint_torn_tail_survives_two_resumes(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycorder.comparator import difference_threshold
-from cycorder.cyclotomic import PACK_WIDTH, packed_value, pair_width
+from cycorder.cyclotomic import PACK_WIDTH, pair_width
+from cycorder.intpoly import packed_value
 
 
 @st.composite
