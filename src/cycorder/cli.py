@@ -43,10 +43,12 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 
 # Size guards, checked before any work: a larger input exits 2 instead of
 # running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
-# MAX_CYCLO_INDEX bounds `cyclo N` and both indices of `compare M N`.
+# MAX_CYCLO_INDEX bounds `cyclo N`, both indices of `compare M N`, and
+# `chain N` and `verify N`, which build every index up to N.
 MAX_CYCLO_INDEX = 100_000  # dense division of t^N - 1; N = 30030 takes ~4 s
 MAX_CONJECTURE2_I = 12  # polynomials of degree 2*3^(I-1); I = 12 takes ~1 s
 MAX_INVTOT_VALUE = 10**9  # V = 2615348736000 has 4.7 million preimages (36 s)
+MAX_PHI_INDEX = 10**10  # the sieve bound squared; above it factorize may trial-divide for hours
 
 
 def _oversized(name: str, value: int, bound: int) -> bool:
@@ -153,6 +155,8 @@ def _progress_printer(verbosity: int):
 
 
 def cmd_chain(range_max: int, fmt: str, workers: int, verbosity: int) -> int:
+    if _oversized("N", range_max, MAX_CYCLO_INDEX):
+        return EXIT_USAGE
     report = build_chain(range_max, workers, progress=_progress_printer(verbosity))
     if fmt == "plain":
         text = format_plain(report)
@@ -174,6 +178,8 @@ def cmd_chain(range_max: int, fmt: str, workers: int, verbosity: int) -> int:
 
 
 def cmd_verify(range_max: int, workers: int, checkpoint: str | None, fmt: str, verbosity: int) -> int:
+    if _oversized("N", range_max, MAX_CYCLO_INDEX):
+        return EXIT_USAGE
     # imported here, as in build_chain: the pool's modules cost about 1.6 MB
     from concurrent.futures.process import BrokenProcessPool
 
@@ -233,6 +239,8 @@ def cmd_invtot(v: int) -> int:
 
 
 def cmd_phi(n: int) -> int:
+    if _oversized("N", n, MAX_PHI_INDEX):
+        return EXIT_USAGE
     print(totient(n))
     return EXIT_OK
 

@@ -60,7 +60,9 @@ class CycloCache:
     is t - 1.  `packed[n]` is (value at 2^PACK_WIDTH, height), the height
     being the largest absolute coefficient; the value is None when the
     height alone is too large for any pair to be read at PACK_WIDTH.
-    Intended to be owned by a single worker.
+    Intended to be owned by a single worker.  Polynomials live until
+    `trim` drops their index; `packed` and `evals` are per-class memos,
+    cleared by every `trim` (a verification trims after each class).
     """
 
     __slots__ = ("polys", "packed", "evals")
@@ -79,8 +81,8 @@ class CycloCache:
     def packed_entry(self, n: int) -> tuple[int | None, int]:
         """(value at 2^PACK_WIDTH, height) of the stored entry for n.
 
-        Packed on first use and kept, so only entries that are compared
-        pay the byte per coefficient.
+        Packed on first use and kept until the next `trim`, so only
+        entries that are compared pay the byte per coefficient.
         """
         entry = self.packed.get(n)
         if entry is None:
@@ -93,13 +95,17 @@ class CycloCache:
         return entry
 
     def trim(self, max_index: int) -> None:
-        """Drop entries above max_index to bound worker memory.
+        """Drop polynomials above max_index and clear both memos.
 
-        Dropped entries are recomputed on demand; values never change.
+        In a verification only `compare` fills the memos, for the two
+        indices it compares, and an index is compared only inside its own
+        totient class, which is sorted once: no later class reads what a
+        class left.  Polynomials serve later classes as divisors, so those
+        up to max_index stay.  Dropped entries are recomputed on demand.
         """
         self.polys = {n: p for n, p in self.polys.items() if n <= max_index}
-        self.packed = {n: p for n, p in self.packed.items() if n <= max_index}
-        self.evals = {k: v for k, v in self.evals.items() if k[0] <= max_index}
+        self.packed.clear()
+        self.evals.clear()
 
 
 def _cyclo_coeffs(n: int, cache: CycloCache) -> tuple[int, ...]:

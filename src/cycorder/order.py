@@ -7,12 +7,12 @@ comparison (the point is to *verify* comparability, so no pair is
 skipped) and the sorted classes concatenate, ascending by totient value,
 into the full chain.
 
-Classes are independent work units: a worker pool processes them with
-per-worker polynomial caches and the aggregation orders results by
-totient value, so report content does not depend on scheduling or worker
-count.  Progress can be checkpointed per completed class and resumed; the
-checkpoint is a hash-chained JSON-lines file and loading verifies the
-chain.
+Classes are independent work units, run in process or on a worker pool
+with per-worker polynomial caches.  Either way their results arrive in
+ascending totient order and one loop records, checkpoints and reports
+each, so the report, the checkpoint and the progress lines do not depend
+on scheduling or worker count.  The checkpoint is a hash-chained
+JSON-lines file, one line per class; loading verifies the chain.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -29,7 +29,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 from dataclasses import dataclass, field
+from itertools import repeat
 from multiprocessing import get_context
 from typing import Callable, Iterable
 
@@ -219,7 +221,10 @@ def sort_class(
 # ---------------------------------------------------------------------------
 
 
-def _summarize_class(phi_value: int, members: list[int], cache: CycloCache) -> dict:
+def _finish_class(task: tuple[int, list[int]], cache: CycloCache) -> dict:
+    """Sort and summarize one (phi_value, members) class, then trim the
+    cache to DEFAULT_TRIM_BOUND."""
+    phi_value, members = task
     digest = hashlib.sha256()
     ties: list[list[int]] = []
     max_c = 0
@@ -236,6 +241,7 @@ def _summarize_class(phi_value: int, members: list[int], cache: CycloCache) -> d
     ordered, incomparable = sort_class(
         PhiClass(phi_value, members), cache, cert_sink=sink
     )
+    cache.trim(DEFAULT_TRIM_BOUND)
     return {
         "phi": phi_value,
         "members": ordered,
@@ -250,24 +256,20 @@ def _summarize_class(phi_value: int, members: list[int], cache: CycloCache) -> d
     }
 
 
-def _finish_class(phi_value: int, members: list[int], cache: CycloCache) -> dict:
-    """Summarize one class, then trim the cache to DEFAULT_TRIM_BOUND."""
-    summary = _summarize_class(phi_value, members, cache)
-    cache.trim(DEFAULT_TRIM_BOUND)
-    return summary
-
-
 _worker_cache: CycloCache | None = None
 
 
 def _init_worker() -> None:
     global _worker_cache
     _worker_cache = CycloCache()
+    # Ctrl-C kills a worker outright, as a dead worker: a KeyboardInterrupt
+    # raised while it sends a result can leave the result queue's lock held,
+    # and the pool's shutdown then waits forever
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
 
 
 def _class_task(args: tuple[int, list[int]]) -> dict:
-    phi_value, members = args
-    return _finish_class(phi_value, members, _worker_cache)
+    return _finish_class(args, _worker_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +293,7 @@ class CheckpointFile:
     the file, so later appends start on a fresh line; a chain mismatch in
     well-formed lines, another version or another range_max raises
     CheckpointError.  Classes are written in ascending totient order, so
-    a resumed run re-does at most the classes that finished out of order.
+    the classes on file are always the lowest ones.
     """
 
     def __init__(self, path: str, range_max: int):
@@ -388,12 +390,14 @@ def build_chain(
 ) -> ChainReport:
     """Sort {1..range_max} into the full chain, verifying comparability.
 
-    Classes are distributed over `workers` processes (1 = in-process).
-    Report content is identical for any worker count.  With a checkpoint
-    path, completed classes are persisted as they finish and a later call
-    resumes from them.  A worker process that dies (killed, out of
-    memory) raises concurrent.futures.process.BrokenProcessPool; the
-    classes finished before it are already on the checkpoint.
+    Classes are distributed over `workers` processes (1 = in-process)
+    and their results taken in ascending totient order, so one loop
+    records, checkpoints and reports (`progress`) each, and the report,
+    the checkpoint file and the progress calls are identical for any
+    worker count.  A later call resumes after the last class on file.  A
+    worker process that dies (killed, out of memory) raises
+    concurrent.futures.process.BrokenProcessPool; the classes below the
+    first unfinished one are already on the checkpoint.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -402,35 +406,15 @@ def build_chain(
 
     summaries: dict[int, dict] = dict(checkpoint.completed) if checkpoint else {}
     todo = [(c.phi_value, c.members) for c in classes if c.phi_value not in summaries]
-    done_count = len(summaries)
     total = len(classes)
 
-    def note(summary: dict) -> None:
-        nonlocal done_count
-        summaries[summary["phi"]] = summary
-        done_count += 1
-        if progress is not None:
-            progress(done_count, total, summary)
-
-    unflushed = 0  # position in `classes` of the first class not yet offered
-
-    def flush_checkpoint() -> None:
-        nonlocal unflushed
-        if checkpoint is None:
-            return
-        while unflushed < total and classes[unflushed].phi_value in summaries:
-            checkpoint.append(summaries[classes[unflushed].phi_value])
-            unflushed += 1
-
+    pool = None
     if workers == 1 or len(todo) <= 1:
-        cache = CycloCache()
-        for phi_value, members in todo:
-            note(_finish_class(phi_value, members, cache))
-            flush_checkpoint()
+        results = map(_finish_class, todo, repeat(CycloCache()))
     else:
         # imported here: the pool's modules add about 1.6 MB to every
         # process, and serial runs never need them
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import ProcessPoolExecutor
 
         # forked workers start from this process's state; a worker that dies
         # breaks the pool, and the pending results raise BrokenProcessPool
@@ -440,11 +424,16 @@ def build_chain(
             mp_context=get_context(),
             initializer=_init_worker,
         )
-        try:
-            for future in as_completed([pool.submit(_class_task, t) for t in todo]):
-                note(future.result())
-                flush_checkpoint()
-        finally:
+        results = pool.map(_class_task, todo)
+    try:
+        for summary in results:  # ascending totient order, as in `classes`
+            summaries[summary["phi"]] = summary
+            if checkpoint is not None:
+                checkpoint.append(summary)
+            if progress is not None:
+                progress(len(summaries), total, summary)
+    finally:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
 
     sequence: list[int] = []

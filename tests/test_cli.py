@@ -176,8 +176,11 @@ def test_invtot_and_phi(capsys):
         (["compare", None, "1"], "M", "MAX_CYCLO_INDEX", "compare"),
         (["conjecture2", None], "I", "MAX_CONJECTURE2_I", "check_conjecture2"),
         (["invtot", None], "V", "MAX_INVTOT_VALUE", "inverse_totient"),
+        (["chain", None], "N", "MAX_CYCLO_INDEX", "build_chain"),
+        (["-w", "2", "verify", None], "N", "MAX_CYCLO_INDEX", "build_chain"),
+        (["phi", None], "N", "MAX_PHI_INDEX", "totient"),
     ],
-    ids=["cyclo", "compare-n", "compare-m", "conjecture2", "invtot"],
+    ids=["cyclo", "compare-n", "compare-m", "conjecture2", "invtot", "chain", "verify", "phi"],
 )
 def test_size_guard_exits_2_before_any_work(capsys, monkeypatch, argv, name, bound, worker):
     """The oversized value stands where argv holds None."""
@@ -192,6 +195,16 @@ def test_size_guard_exits_2_before_any_work(capsys, monkeypatch, argv, name, bou
     code, out, err = run_cli(capsys, *(str(limit + 1) if a is None else a for a in argv))
     assert code == 2 and out == ""
     assert f"{name} must be <= {limit}, got {limit + 1}" in err
+
+
+def test_verify_stderr_is_the_same_for_any_worker_count(capsys):
+    """Progress lines come one per class in ascending totient order, so
+    two workers print byte for byte what one prints."""
+    serial = run_cli(capsys, "-w", "1", "verify", "300")
+    assert run_cli(capsys, "-w", "2", "verify", "300") == serial
+    phis = [int(line.split()[1][4:]) for line in serial[2].splitlines()
+            if line.startswith("class phi=")]
+    assert phis == sorted(set(phis)) and len(phis) > 1
 
 
 def test_workers_flag(capsys):

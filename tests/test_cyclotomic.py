@@ -94,9 +94,15 @@ def test_cache_reuse_and_trim():
     assert 360 in cache
     eval_cyclo(360, 2, cache)
     cache.packed_entry(360)
+    cyclo(50, cache)
+    eval_cyclo(50, 2, cache)
+    cache.packed_entry(50)
     cache.trim(100)
     assert 360 not in cache
     assert 360 not in cache.packed and (360, 2) not in cache.evals
+    # the memos are cleared outright, entries at or below the bound too
+    assert 50 in cache
+    assert 50 not in cache.packed and (50, 2) not in cache.evals
     assert cyclo(360, cache) == p1
 
 

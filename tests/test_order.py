@@ -1,9 +1,11 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -355,3 +357,42 @@ def test_dead_worker_ends_the_run_and_keeps_the_checkpoint(tmp_path):
     checkpoint = CheckpointFile(path, 60)
     assert 12 not in checkpoint.completed
     assert build_chain(60, checkpoint_path=path) == build_chain(60)
+
+
+def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
+    """SIGINT to the process group of a two-worker `verify`, sent once the
+    checkpoint holds a class line, ends it with exit 130 within 10 s; the
+    checkpoint loads and resumes to the full report."""
+    path = str(tmp_path / "verify.ckpt")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def has_class_line() -> bool:
+        if not os.path.exists(path):
+            return False
+        with open(path) as fh:
+            return '"kind": "class"' in fh.read()
+
+    with open(tmp_path / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cycorder", "-w", "2", "verify", "1200", "--checkpoint", path],
+            stdout=subprocess.DEVNULL, stderr=err, env=env, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not has_class_line():
+                assert proc.poll() is None, "verify ended before its first class line"
+                assert time.monotonic() < deadline, "no class line within 60 s"
+                time.sleep(0.005)
+            os.killpg(proc.pid, signal.SIGINT)
+            code = proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        err.seek(0)
+        stderr = err.read()
+    assert code == 130, stderr
+    assert "interrupted" in stderr
+    assert CheckpointFile(path, 1200).completed
+    assert build_chain(1200, workers=2, checkpoint_path=path) == build_chain(1200)
