@@ -1,5 +1,5 @@
-"""Elementary multiplicative number theory: factorization, totient, Moebius,
-radical, divisors, and inverse totient.
+"""Elementary multiplicative number theory: factorization, totient (also
+as a table by sieve), Moebius, radical, divisors, and inverse totient.
 
 Everything here works on indices (the n of a cyclotomic polynomial), which
 stay small (~10^5) at verification scale, so factorization is plain trial
@@ -7,8 +7,8 @@ division backed by a precomputed prime sieve.  Coefficients and polynomial
 evaluations elsewhere in the package use Python's arbitrary-precision
 integers; the machine-word assumption applies to indices only.
 
-All functions are pure and the sieve is an immutable tuple built at import
-time, so the module is safe to call from any number of concurrent workers.
+All functions are pure, and the prime sieve is an immutable tuple built at
+import time.
 """
 
 from __future__ import annotations
@@ -99,6 +99,19 @@ def totient(n: int) -> int:
     for p, _ in factorize(n):
         result -= result // p
     return result
+
+
+def totient_table(limit: int) -> list[int]:
+    """[0, totient(1), ..., totient(limit)] by one sieve.
+
+    Each prime p, found as an entry its smaller primes left untouched,
+    multiplies the entries of its multiples by 1 - 1/p.
+    """
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            phi[p::p] = [v - v // p for v in phi[p::p]]
+    return phi
 
 
 def moebius(n: int) -> int:

@@ -45,7 +45,7 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 # running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
 # MAX_CYCLO_INDEX bounds `cyclo N`, both indices of `compare M N`, and
 # `chain N` and `verify N`, which build every index up to N.
-MAX_CYCLO_INDEX = 100_000  # dense division of t^N - 1; N = 30030 takes ~4 s
+MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s; verify N grows faster (20000: ~1 min)
 MAX_CONJECTURE2_I = 12  # polynomials of degree 2*3^(I-1); I = 12 takes ~1 s
 MAX_INVTOT_VALUE = 10**9  # V = 2615348736000 has 4.7 million preimages (36 s)
 MAX_PHI_INDEX = 10**10  # the sieve bound squared; above it factorize may trial-divide for hours
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "-w", "--workers", type=_positive, default=1,
-        help="worker processes for chain/verify (default 1, reproducible timing)",
+        help="accepted for compatibility and ignored: chain/verify run in one process",
     )
     parser.add_argument(
         "-v", "--verbose", action="count", default=0,
@@ -180,9 +180,6 @@ def cmd_chain(range_max: int, fmt: str, workers: int, verbosity: int) -> int:
 def cmd_verify(range_max: int, workers: int, checkpoint: str | None, fmt: str, verbosity: int) -> int:
     if _oversized("N", range_max, MAX_CYCLO_INDEX):
         return EXIT_USAGE
-    # imported here, as in build_chain: the pool's modules cost about 1.6 MB
-    from concurrent.futures.process import BrokenProcessPool
-
     progress = _progress_printer(max(verbosity, 1))
     try:
         report = build_chain(
@@ -191,10 +188,6 @@ def cmd_verify(range_max: int, workers: int, checkpoint: str | None, fmt: str, v
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except BrokenProcessPool as exc:
-        print(f"error: a worker process died ({exc}); checkpointed progress is on disk",
-              file=sys.stderr)
-        return EXIT_FAILURE
     print(
         f"classes={report.class_count} compares={report.pair_count} "
         f"max threshold_c={report.max_threshold_c} ties={len(report.tie_pairs)}",

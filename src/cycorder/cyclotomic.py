@@ -1,44 +1,43 @@
 """Cyclotomic polynomials by two independent routes, their exact values,
 and two exact inequality predicates on those values (no comparison calls them).
 
-The primary route, `cyclo`, is the divisor recursion: t^n - 1 factors as
-the product of the cyclotomic polynomials of the divisors of n, so the
-polynomial for n is t^n - 1 divided exactly by the entries for the proper
-divisors.  Two classical index reductions keep the dense division work on
-odd squarefree indices only:
+The primary route, `cyclo`, does arithmetic on odd squarefree indices
+("kernels") only.  Two classical index reductions reach every other index:
 
   * if r = radical(n) < n, the polynomial for n is the one for r with
     t replaced by t^(n/r);
   * for odd squarefree m > 1, the polynomial for 2m is the one for m with
     t replaced by -t.
 
+A kernel's polynomial is the Moebius product of binomials 1 - t^d over
+its divisors, formed as a power series truncated after its middle
+coefficient, with the upper half read off by palindromy (the sparse power
+series of A. Arnold and M. Monagan, "Calculating cyclotomic polynomials",
+Math. Comp. 80 (2011)).  No entry is built from another entry's
+coefficients except through the two reductions.
+
 The first comparison that reads an entry stores beside it the entry's
 value at 2^8, packed into one integer, and its height: all that
 `comparator.compare` reads of it.
 
-The oracle route, `cyclo_moebius`, inverts the product identity by the
-Moebius function over divisor binomials t^(n/d) - 1 with its own exact
-multiply and divide passes.  It never touches a cache and calls no
-`intpoly` arithmetic, so the two routes share no polynomial code and
+The oracle route, `cyclo_moebius`, applies the same identity to the full
+polynomials t^(n/d) - 1 with its own exact multiply and divide passes.  It
+never touches a cache and shares no code with `cyclo`, so the two routes
 cross-check each other (the test suite asserts coefficientwise equality).
 
 Values, `eval_cyclo`, come from the same product identity applied to
 integers: Phi_n(q) is a quotient of products of q^e - 1 (or q^e + 1 for
 even n), with no coefficient read.
-
-A CycloCache is confined to one worker: entries are value-deterministic,
-so per-worker caches give results identical to any shared arrangement
-without coordination.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import prod
-from operator import neg, sub
+from operator import add, neg, sub
 
 from .arith import divisors, factorize, moebius, radical, totient
-from .intpoly import IntPoly, _div_exact_lists, packed_value
+from .intpoly import IntPoly, packed_value
 
 PACK_WIDTH = 8  # bits per coefficient of the packed values the cache keeps
 
@@ -60,9 +59,8 @@ class CycloCache:
     is t - 1.  `packed[n]` is (value at 2^PACK_WIDTH, height), the height
     being the largest absolute coefficient; the value is None when the
     height alone is too large for any pair to be read at PACK_WIDTH.
-    Intended to be owned by a single worker.  Polynomials live until
-    `trim` drops their index; `packed` and `evals` are per-class memos,
-    cleared by every `trim` (a verification trims after each class).
+    Everything lives until `trim`, which a verification calls after each
+    class.
     """
 
     __slots__ = ("polys", "packed", "evals")
@@ -94,18 +92,58 @@ class CycloCache:
             self.packed[n] = entry
         return entry
 
-    def trim(self, max_index: int) -> None:
-        """Drop polynomials above max_index and clear both memos.
+    def trim(self) -> None:
+        """Drop every polynomial and clear both memos.
 
-        In a verification only `compare` fills the memos, for the two
+        In a verification only `compare` fills the cache, for the two
         indices it compares, and an index is compared only inside its own
-        totient class, which is sorted once: no later class reads what a
-        class left.  Polynomials serve later classes as divisors, so those
-        up to max_index stay.  Dropped entries are recomputed on demand.
+        totient class, which is sorted once: no later class reads a memo a
+        class left.  An entry is built from no other entry than its
+        radical's and its kernel's, so a later class rebuilds the few it
+        needs again, and the cache never holds more than one class's
+        entries with theirs.
         """
-        self.polys = {n: p for n, p in self.polys.items() if n <= max_index}
+        self.polys.clear()
         self.packed.clear()
         self.evals.clear()
+
+
+def _kernel_coeffs(n: int) -> list[int]:
+    """Coefficients of the entry for an odd squarefree n > 1, by the
+    truncated Moebius product.
+
+    Moebius inversion of t^n - 1 = prod over d | n of Phi_d(t) gives
+    Phi_n(t) = prod over d | n of (t^d - 1)^mu(n/d); for n > 1 the
+    exponents sum to zero, so the signs cancel and
+
+        Phi_n(t) = prod over d | n of (1 - t^d)^mu(n/d)
+
+    in the integer power series, where every factor is a unit.  Reduction
+    modulo t^h, h = phi(n)/2 + 1, is a ring map, so the product can be
+    formed on truncated series: a factor with d >= h is 1, a factor
+    1 - t^d is one shifted subtraction, and 1 / (1 - t^d) = sum of t^(kd)
+    is a running sum with stride d, per residue class when d^2 < h (few
+    classes, long runs) and block by block otherwise (few blocks).  That
+    gives the coefficients of t^0..t^(h-1).  The rest follow by symmetry:
+    for n > 1, t^phi(n) * Phi_n(1/t) has the inverses of Phi_n's roots as
+    its roots, the same primitive nth roots of unity, and leading
+    coefficient Phi_n(0) = 1, so it is Phi_n and the coefficients form a
+    palindrome of length phi(n) + 1 = 2h - 1.
+    """
+    h = totient(n) // 2 + 1
+    s = [1] + [0] * (h - 1)
+    for d in divisors(n):
+        if d >= h:
+            break
+        if moebius(n // d) == 1:
+            s[d:] = map(sub, s[d:], s[:-d])
+        elif d * d < h:
+            for r in range(d):
+                s[r::d] = accumulate(s[r::d])
+        else:
+            for j in range(d, h, d):
+                s[j : j + d] = map(add, s[j : j + d], s[j - d : j])
+    return s + s[-2::-1]
 
 
 def _cyclo_coeffs(n: int, cache: CycloCache) -> tuple[int, ...]:
@@ -114,44 +152,31 @@ def _cyclo_coeffs(n: int, cache: CycloCache) -> tuple[int, ...]:
         return poly.coeffs
 
     if n == 1:
-        coeffs: tuple[int, ...] = (-1, 1)
+        coeffs = [-1, 1]
     elif n == 2:
-        coeffs = (1, 1)
+        coeffs = [1, 1]
     else:
         r = radical(n)
         if r != n:
             # substitute t -> t^(n/r) into the entry for the radical
             base = _cyclo_coeffs(r, cache)
-            k = n // r
-            spread = [0] * ((len(base) - 1) * k + 1)
-            for i, c in enumerate(base):
-                spread[i * k] = c
-            coeffs = tuple(spread)
+            coeffs = [0] * ((len(base) - 1) * (n // r) + 1)
+            coeffs[:: n // r] = base
         elif n % 2 == 0:
             # n = 2m with m odd squarefree > 1: substitute t -> -t
             base = _cyclo_coeffs(n // 2, cache)
-            coeffs = tuple(-c if i % 2 else c for i, c in enumerate(base))
+            coeffs = list(base)
+            coeffs[1::2] = map(neg, base[1::2])
         else:
-            # odd squarefree: divide t^n - 1 by every proper-divisor entry
-            rem = [-1] + [0] * (n - 1) + [1]
-            proper = divisors(n)[:-1]
-            proper.sort(key=totient)
-            for d in proper:
-                rem = _div_exact_lists(rem, list(_cyclo_coeffs(d, cache)))
-            coeffs = tuple(rem)
+            coeffs = _kernel_coeffs(n)
 
-    if len(coeffs) - 1 != totient(n):
-        raise ArithmeticError(
-            f"internal: cyclotomic index {n} produced degree {len(coeffs) - 1}, "
-            f"expected totient {totient(n)}"
-        )
-    cache.polys[n] = IntPoly(coeffs)
-    return coeffs
+    poly = cache.polys[n] = IntPoly(coeffs)
+    return poly.coeffs
 
 
 def cyclo(n: int, cache: CycloCache) -> IntPoly:
-    """The nth cyclotomic polynomial, computed through the divisor
-    recursion and cached.
+    """The nth cyclotomic polynomial, built from its kernel (the odd part
+    of its radical) and cached.
 
     The result is monic of degree totient(n).
     """

@@ -5,16 +5,15 @@ the coefficient of t^i, the last entry is nonzero, and the zero polynomial
 is the empty sequence.  Its degree is reported as None rather than a
 numeric sentinel.
 
-Multiplication and exact division carry two implementations each: a
-schoolbook baseline, and a fast path (coefficient packing into Python
-big integers for multiplication, Newton series inversion for division)
-used above a size cutoff.  The fast paths are exercised against the
-baseline by the test suite, and every fast division re-checks
-quotient * divisor == dividend before returning, so a non-exact division
-is always reported regardless of path.
+Multiplication and exact division are schoolbook: no construction route
+calls them (cyclotomic polynomials are built by their own linear passes),
+only tests and interactive use.  A division that leaves a remainder
+raises ExactDivisionError.  `packed_value` reads a coefficient sequence
+as one big integer, the form in which comparisons take their
+differences.
 
 IntPoly values are immutable after construction and all operations are
-pure; instances can be shared freely between workers.
+pure.
 """
 
 from __future__ import annotations
@@ -25,41 +24,6 @@ from typing import Iterable
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a supposedly exact polynomial division leaves a remainder."""
-
-
-_KRONECKER_CUTOFF = 40  # min operand length before packing pays off
-_NEWTON_CUTOFF = 48  # min quotient length before series inversion pays off
-_SPARSE_NNZ = 4  # operands at most this dense take the term-by-term path
-
-
-def _normalize(coeffs: list[int]) -> list[int]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    del coeffs[n:]
-    return coeffs
-
-
-# ---------------------------------------------------------------------------
-# list-level kernels (hot paths work on raw lists; IntPoly wraps them)
-# ---------------------------------------------------------------------------
-
-
-def _mul_school(a: list[int], b: list[int]) -> list[int]:
-    """Schoolbook product, outer loop over a; zero terms of a cost nothing."""
-    if not a or not b:
-        return []
-    lb = len(b)
-    res = [0] * (len(a) + lb - 1)
-    for i, c in enumerate(a):
-        if c:
-            if c == 1:
-                res[i : i + lb] = [r + x for r, x in zip(res[i : i + lb], b)]
-            elif c == -1:
-                res[i : i + lb] = [r - x for r, x in zip(res[i : i + lb], b)]
-            else:
-                res[i : i + lb] = [r + c * x for r, x in zip(res[i : i + lb], b)]
-    return res
 
 
 def packed_value(coeffs, width: int) -> int:
@@ -83,50 +47,21 @@ def packed_value(coeffs, width: int) -> int:
     )
 
 
-def _mul_packed(a: list[int], b: list[int]) -> list[int]:
-    """Product via packed big-integer multiplication (Kronecker substitution).
-
-    Digit width is chosen from the operands' actual coefficient bounds, so
-    every product coefficient fits one signed digit and unpacking is exact.
-    """
-    la, lb = len(a), len(b)
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(la, lb)
-    width = 8 * ((bound.bit_length() + 9) // 8)
-    wb = width // 8
-    v = packed_value(a, width) * packed_value(b, width)
-    n_out = la + lb - 1
-    half = 1 << (width - 1)
-    # shift every digit by half so the packed value is nonnegative and
-    # digits can be sliced back out without borrows
-    offset = (half * ((1 << (width * n_out)) - 1)) // ((1 << width) - 1)
-    raw = (v + offset).to_bytes(wb * n_out + 1, "little")
-    return [
-        int.from_bytes(raw[i * wb : (i + 1) * wb], "little") - half
-        for i in range(n_out)
-    ]
-
-
-def _nnz(a: list[int]) -> int:
-    return sum(1 for c in a if c)
-
-
-def _mul_lists(a: list[int], b: list[int]) -> list[int]:
+def _mul_school(a, b) -> list[int]:
+    """Schoolbook product of two coefficient sequences; zero terms of a cost nothing."""
     if not a or not b:
         return []
-    na, nb = _nnz(a), _nnz(b)
-    if min(na, nb) <= _SPARSE_NNZ:
-        # schoolbook with the sparse operand outermost is linear-time here
-        out = _mul_school(a, b) if na <= nb else _mul_school(b, a)
-        return _normalize(out)
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) < _KRONECKER_CUTOFF:
-        return _normalize(_mul_school(a, b))
-    return _normalize(_mul_packed(a, b))
+    lb = len(b)
+    res = [0] * (len(a) + lb - 1)
+    for i, c in enumerate(a):
+        if c:
+            res[i : i + lb] = [r + c * x for r, x in zip(res[i : i + lb], b)]
+    return res
 
 
-def _div_school(num: list[int], den: list[int]) -> list[int]:
-    """Long division; raises ExactDivisionError on any nonzero remainder."""
+def _div_school(num, den) -> list[int]:
+    """Long division by a nonzero divisor; raises ExactDivisionError on any
+    nonzero remainder."""
     dn = len(den)
     lead = den[-1]
     rem = list(num)
@@ -137,8 +72,6 @@ def _div_school(num: list[int], den: list[int]) -> list[int]:
         return []
     quot = [0] * qlen
     body = den[:-1]
-    sparse_body = [(j, c) for j, c in enumerate(body) if c]
-    use_sparse = len(sparse_body) <= _SPARSE_NNZ
     for top in range(len(num) - 1, dn - 2, -1):
         c = rem[top]
         if c:
@@ -148,79 +81,10 @@ def _div_school(num: list[int], den: list[int]) -> list[int]:
             k = top - dn + 1
             quot[k] = q
             rem[top] = 0
-            if q:
-                if use_sparse:
-                    for j, bc in sparse_body:
-                        rem[k + j] -= q * bc
-                elif q == 1:
-                    rem[k:top] = [x - y for x, y in zip(rem[k:top], body)]
-                elif q == -1:
-                    rem[k:top] = [x + y for x, y in zip(rem[k:top], body)]
-                else:
-                    rem[k:top] = [x - q * y for x, y in zip(rem[k:top], body)]
+            rem[k:top] = [x - q * y for x, y in zip(rem[k:top], body)]
     if any(rem):
         raise ExactDivisionError("nonzero remainder")
     return quot
-
-
-class _InverseGrowth(Exception):
-    """Internal: the divisor's inverse series has fast-growing coefficients."""
-
-
-_INV_GROWTH_LIMIT = 1 << 80
-
-
-def _series_inverse(d: list[int], length: int) -> list[int]:
-    """Inverse of the power series d (with d[0] = +-1) modulo t^length.
-
-    Divisors of t^n - 1 have periodic, small-coefficient inverse series;
-    a generic divisor's inverse grows exponentially, in which case this
-    bails out so the caller can use long division instead.
-    """
-    inv = [d[0]]
-    k = 1
-    while k < length:
-        k2 = min(2 * k, length)
-        prod = _mul_lists(d[:k2], inv)
-        del prod[k2:]
-        err = [2 - prod[0]] + [-c for c in prod[1:]]
-        inv = _mul_lists(inv, err)
-        del inv[k2:]
-        if max(map(abs, inv), default=0) > _INV_GROWTH_LIMIT:
-            raise _InverseGrowth
-        k = k2
-    inv += [0] * (length - len(inv))
-    return inv
-
-
-def _div_newton(num: list[int], den: list[int]) -> list[int]:
-    """Exact division via reversed-series inversion, verified by remultiplying."""
-    qlen = len(num) - len(den) + 1
-    rnum = num[::-1]
-    del rnum[qlen:]
-    rden = den[::-1]
-    inv = _series_inverse(rden, qlen)
-    rquot = _mul_lists(rnum, inv)
-    del rquot[qlen:]
-    rquot += [0] * (qlen - len(rquot))  # low-order zeros of the quotient
-    quot = rquot[::-1]
-    if _mul_lists(quot, den) != _normalize(list(num)):
-        raise ExactDivisionError("nonzero remainder")
-    return quot
-
-
-def _div_exact_lists(num: list[int], den: list[int]) -> list[int]:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return []
-    qlen = len(num) - len(den) + 1
-    if qlen >= _NEWTON_CUTOFF and den[-1] in (1, -1) and len(den) > _SPARSE_NNZ:
-        try:
-            return _normalize(_div_newton(num, den))
-        except _InverseGrowth:
-            pass
-    return _normalize(_div_school(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +163,7 @@ class IntPoly:
         return IntPoly([-c for c in self.coeffs])
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_mul_lists(list(self.coeffs), list(other.coeffs)))
+        return IntPoly(_mul_school(self.coeffs, other.coeffs))
 
     def div_exact(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient self / other.
@@ -308,7 +172,9 @@ class IntPoly:
         signals a logic bug in the caller, not bad user input) and
         ZeroDivisionError for a zero divisor.
         """
-        return IntPoly(_div_exact_lists(list(self.coeffs), list(other.coeffs)))
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        return IntPoly(_div_school(self.coeffs, other.coeffs))
 
     def eval_at(self, x: int) -> int:
         """Exact value of the polynomial at the integer x (Horner scheme)."""

@@ -7,12 +7,11 @@ comparison (the point is to *verify* comparability, so no pair is
 skipped) and the sorted classes concatenate, ascending by totient value,
 into the full chain.
 
-Classes are independent work units, run in process or on a worker pool
-with per-worker polynomial caches.  Either way their results arrive in
-ascending totient order and one loop records, checkpoints and reports
-each, so the report, the checkpoint and the progress lines do not depend
-on scheduling or worker count.  The checkpoint is a hash-chained
-JSON-lines file, one line per class; loading verifies the chain.
+Classes are independent work units, run in one process in ascending
+totient order; one loop records, checkpoints and reports each, and the
+polynomial cache is emptied after every class.  The checkpoint is a
+hash-chained JSON-lines file, one line per class; loading verifies the
+chain.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -29,13 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import signal
 from dataclasses import dataclass, field
-from itertools import repeat
-from multiprocessing import get_context
+from itertools import groupby
 from typing import Callable, Iterable
 
-from .arith import inverse_totient, totient
+from .arith import inverse_totient, totient, totient_table
 from .comparator import (
     Certificate,
     Verdict,
@@ -46,7 +43,6 @@ from .comparator import (
 )
 from .cyclotomic import CycloCache
 
-DEFAULT_TRIM_BOUND = 4096  # worker caches drop entries above this after each class
 CHECKPOINT_VERSION = 1  # checkpoint line format; a file of another version is refused
 
 
@@ -155,10 +151,10 @@ def phi_classes(range_max: int) -> list[PhiClass]:
     """Partition {1..range_max} into totient classes, ascending by value."""
     if range_max < 1:
         raise ValueError(f"range_max must be >= 1, got {range_max}")
-    buckets: dict[int, list[int]] = {}
-    for x in range(1, range_max + 1):
-        buckets.setdefault(totient(x), []).append(x)
-    return [PhiClass(v, buckets[v]) for v in sorted(buckets)]
+    phi = totient_table(range_max).__getitem__
+    # a stable sort keeps each class's members ascending
+    ordered = sorted(range(1, range_max + 1), key=phi)
+    return [PhiClass(v, list(members)) for v, members in groupby(ordered, key=phi)]
 
 
 def class_is_complete(phi_value: int, range_max: int) -> bool:
@@ -216,15 +212,12 @@ def sort_class(
 
 
 # ---------------------------------------------------------------------------
-# per-class summaries (shared by the serial path, the worker pool, and the
-# checkpoint file)
+# per-class summaries (shared by build_chain and the checkpoint file)
 # ---------------------------------------------------------------------------
 
 
-def _finish_class(task: tuple[int, list[int]], cache: CycloCache) -> dict:
-    """Sort and summarize one (phi_value, members) class, then trim the
-    cache to DEFAULT_TRIM_BOUND."""
-    phi_value, members = task
+def _finish_class(phi_class: PhiClass, cache: CycloCache) -> dict:
+    """Sort and summarize one class, then empty the cache."""
     digest = hashlib.sha256()
     ties: list[list[int]] = []
     max_c = 0
@@ -238,14 +231,13 @@ def _finish_class(task: tuple[int, list[int]], cache: CycloCache) -> dict:
         for q in cert.tie_witnesses:
             ties.append([m, n, q])
 
-    ordered, incomparable = sort_class(
-        PhiClass(phi_value, members), cache, cert_sink=sink
-    )
-    cache.trim(DEFAULT_TRIM_BOUND)
+    ordered, incomparable = sort_class(phi_class, cache, cert_sink=sink)
+    cache.trim()
+    k = len(ordered)
     return {
-        "phi": phi_value,
+        "phi": phi_class.phi_value,
         "members": ordered,
-        "pair_count": len(members) * (len(members) - 1) // 2,
+        "pair_count": k * (k - 1) // 2,
         "max_threshold_c": max_c,
         "ties": ties,
         "incomparable": [
@@ -254,22 +246,6 @@ def _finish_class(task: tuple[int, list[int]], cache: CycloCache) -> dict:
         ],
         "cert_hash": digest.hexdigest(),
     }
-
-
-_worker_cache: CycloCache | None = None
-
-
-def _init_worker() -> None:
-    global _worker_cache
-    _worker_cache = CycloCache()
-    # Ctrl-C kills a worker outright, as a dead worker: a KeyboardInterrupt
-    # raised while it sends a result can leave the result queue's lock held,
-    # and the pool's shutdown then waits forever
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-
-
-def _class_task(args: tuple[int, list[int]]) -> dict:
-    return _finish_class(args, _worker_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +366,11 @@ def build_chain(
 ) -> ChainReport:
     """Sort {1..range_max} into the full chain, verifying comparability.
 
-    Classes are distributed over `workers` processes (1 = in-process)
-    and their results taken in ascending totient order, so one loop
-    records, checkpoints and reports (`progress`) each, and the report,
-    the checkpoint file and the progress calls are identical for any
-    worker count.  A later call resumes after the last class on file.  A
-    worker process that dies (killed, out of memory) raises
-    concurrent.futures.process.BrokenProcessPool; the classes below the
-    first unfinished one are already on the checkpoint.
+    Classes run in this process in ascending totient order, and one loop
+    records, checkpoints and reports (`progress`) each.  A later call
+    resumes after the last class on file.  `workers` is checked (>= 1)
+    and has no effect: the run is one process, and existing callers that
+    pass a worker count get the same results as before.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -405,36 +378,17 @@ def build_chain(
     checkpoint = CheckpointFile(checkpoint_path, range_max) if checkpoint_path else None
 
     summaries: dict[int, dict] = dict(checkpoint.completed) if checkpoint else {}
-    todo = [(c.phi_value, c.members) for c in classes if c.phi_value not in summaries]
     total = len(classes)
 
-    pool = None
-    if workers == 1 or len(todo) <= 1:
-        results = map(_finish_class, todo, repeat(CycloCache()))
-    else:
-        # imported here: the pool's modules add about 1.6 MB to every
-        # process, and serial runs never need them
-        from concurrent.futures import ProcessPoolExecutor
-
-        # forked workers start from this process's state; a worker that dies
-        # breaks the pool, and the pending results raise BrokenProcessPool
-        # instead of waiting forever
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=get_context(),
-            initializer=_init_worker,
-        )
-        results = pool.map(_class_task, todo)
-    try:
-        for summary in results:  # ascending totient order, as in `classes`
-            summaries[summary["phi"]] = summary
-            if checkpoint is not None:
-                checkpoint.append(summary)
-            if progress is not None:
-                progress(len(summaries), total, summary)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    cache = CycloCache()
+    for cls in classes:
+        if cls.phi_value in summaries:
+            continue  # on file from an earlier run
+        summary = summaries[cls.phi_value] = _finish_class(cls, cache)
+        if checkpoint is not None:
+            checkpoint.append(summary)
+        if progress is not None:
+            progress(len(summaries), total, summary)
 
     sequence: list[int] = []
     pair_count = 0

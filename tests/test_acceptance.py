@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout,
 every tolerance zero.  Each test prints a PASS/FAIL line.
 
-Criterion 3 (range verification at 20000) runs for tens of minutes and is
+Criterion 3 (range verification at 20000) runs for about a minute and is
 gated behind CYCORDER_EXTENDED=1; everything else runs by default.
 """
 
@@ -68,19 +68,18 @@ def test_criterion_02_verify_2000(capsys):
 @pytest.mark.extended
 @pytest.mark.skipif(
     not os.environ.get("CYCORDER_EXTENDED"),
-    reason="tens of minutes: set CYCORDER_EXTENDED=1 to run the 20000 verification",
+    reason="about a minute: set CYCORDER_EXTENDED=1 to run the 20000 verification",
 )
 def test_criterion_03_verify_20000(capsys):
     with criterion(3, "verify(20000) reports TOTAL-ORDER (extended)"):
-        workers = os.cpu_count() or 1
         t0 = time.monotonic()
-        code = main(["-w", str(workers), "verify", "20000"])
+        code = main(["verify", "20000"])
         elapsed = time.monotonic() - t0
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.strip().splitlines()[-1] == "VERDICT TOTAL-ORDER"
         with capsys.disabled():
-            print(f"\nverify(20000): {elapsed / 60:.1f} min on {workers} workers")
+            print(f"\nverify(20000): {elapsed:.1f} s in one process")
 
 
 def test_criterion_04_conjecture2(capsys):

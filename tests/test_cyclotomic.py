@@ -2,6 +2,7 @@ import pytest
 
 from cycorder.arith import divisors, totient
 from cycorder.cyclotomic import (
+    PACK_WIDTH,
     CycloCache,
     _over_binomial,
     _times_binomial,
@@ -94,16 +95,18 @@ def test_cache_reuse_and_trim():
     assert 360 in cache
     eval_cyclo(360, 2, cache)
     cache.packed_entry(360)
-    cyclo(50, cache)
+    p2 = cyclo(50, cache)
     eval_cyclo(50, 2, cache)
     cache.packed_entry(50)
-    cache.trim(100)
+    cache.trim()
     assert 360 not in cache
     assert 360 not in cache.packed and (360, 2) not in cache.evals
-    # the memos are cleared outright, entries at or below the bound too
-    assert 50 in cache
+    # every map is emptied, the small index's entries too
+    assert 50 not in cache
     assert 50 not in cache.packed and (50, 2) not in cache.evals
+    assert len(cache) == 0 and not cache.polys and not cache.packed and not cache.evals
     assert cyclo(360, cache) == p1
+    assert cyclo(50, cache) == p2
 
 
 def test_degree_law_to_2000(shared_cache):
@@ -114,6 +117,27 @@ def test_degree_law_to_2000(shared_cache):
 def test_oracle_equivalence_to_3000(shared_cache, oracle_to_3000):
     for n, poly in oracle_to_3000.items():
         assert cyclo(n, shared_cache) == poly, n
+
+
+def test_packed_entries_match_the_product_formula_to_3000():
+    """A third route: each entry's packed value at 2^8, read off its
+    coefficients, equals the integer product formula at q = 256."""
+    cache = CycloCache()
+    for n in range(1, 3001):
+        cyclo(n, cache)
+        value, height = cache.packed_entry(n)
+        assert height < 2 ** (PACK_WIDTH - 2), n  # every entry this small packs at width 8
+        assert value == eval_cyclo(n, 2**PACK_WIDTH, cache), n
+        cache.trim()
+
+
+def test_six_prime_kernel_builds():
+    """255255 = 3*5*7*11*13*17, the first index with six odd primes."""
+    n = 3 * 5 * 7 * 11 * 13 * 17
+    poly = cyclo(n, CycloCache())
+    assert poly.degree == totient(n) == 92160
+    assert poly.coeffs == poly.coeffs[::-1]
+    assert poly.eval_at(2) == eval_cyclo(n, 2, CycloCache())
 
 
 def test_product_identity(shared_cache):

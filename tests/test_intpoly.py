@@ -3,15 +3,7 @@ import random
 import pytest
 
 from cycorder.cyclotomic import cyclo_moebius
-from cycorder.intpoly import (
-    ExactDivisionError,
-    IntPoly,
-    _div_exact_lists,
-    _div_school,
-    _mul_lists,
-    _mul_school,
-    _normalize,
-)
+from cycorder.intpoly import ExactDivisionError, IntPoly
 
 
 def rnd_poly(rng, maxdeg=8, bound=9):
@@ -141,26 +133,3 @@ def test_div_mul_round_trip():
             continue
         assert (p * q).div_exact(q) == p
         done += 1
-
-
-def test_fast_mul_matches_schoolbook():
-    rng = random.Random(777)
-    for _ in range(200):
-        la = rng.randint(1, 150)
-        lb = rng.randint(1, 150)
-        a = [rng.randint(-999, 999) for _ in range(la)]
-        b = [rng.randint(-999, 999) for _ in range(lb)]
-        assert _mul_lists(list(a), list(b)) == _normalize(_mul_school(a, b))
-
-
-def test_fast_div_matches_schoolbook():
-    rng = random.Random(778)
-    for _ in range(120):
-        lq = rng.randint(48, 160)
-        ld = rng.randint(2, 120)
-        quot = [rng.randint(-9, 9) for _ in range(lq - 1)] + [rng.choice([1, -1])]
-        den = [rng.randint(-9, 9) for _ in range(ld - 1)] + [rng.choice([1, -1])]
-        num = _mul_lists(list(quot), list(den))
-        got = _div_exact_lists(list(num), list(den))
-        assert got == _normalize(_div_school(list(num), list(den)))
-        assert got == _normalize(list(quot))

@@ -4,7 +4,6 @@ import random
 import signal
 import subprocess
 import sys
-import textwrap
 import time
 
 import pytest
@@ -272,8 +271,8 @@ def test_checkpoint_of_another_version_is_refused(tmp_path, capsys):
 
 
 def test_checkpoint_is_offered_each_class_once(tmp_path, monkeypatch):
-    """Classes finishing out of order on two workers still reach the
-    checkpoint in ascending order, each offered to `append` once."""
+    """Classes reach the checkpoint in ascending order, each offered to
+    `append` once, whatever worker count is passed."""
     offered = []
     real_append = CheckpointFile.append
 
@@ -324,45 +323,11 @@ def test_sequence_formats():
     assert len(rows) == 21
 
 
-def test_dead_worker_ends_the_run_and_keeps_the_checkpoint(tmp_path):
-    """A worker process that dies mid-class makes `verify` exit 1 instead
-    of waiting forever for its result; the checkpoint stays loadable and
-    resumes to the full report."""
-    path = str(tmp_path / "verify.ckpt")
-    script = textwrap.dedent(
-        f"""
-        import os
-        import sys
-
-        from cycorder import cli, order
-
-        real_task = order._class_task
-
-        def dying_task(args):
-            if args[0] == 12:  # the class {{13, 21, 26, 28, 36, 42}}
-                os._exit(1)
-            return real_task(args)
-
-        order._class_task = dying_task
-        sys.exit(cli.main(["-w", "2", "verify", "60", "--checkpoint", {path!r}]))
-        """
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert done.returncode == 1, done.stderr
-    assert "worker process died" in done.stderr
-    checkpoint = CheckpointFile(path, 60)
-    assert 12 not in checkpoint.completed
-    assert build_chain(60, checkpoint_path=path) == build_chain(60)
-
-
 def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
-    """SIGINT to the process group of a two-worker `verify`, sent once the
-    checkpoint holds a class line, ends it with exit 130 within 10 s; the
-    checkpoint loads and resumes to the full report."""
+    """SIGINT to the process group of a `verify`, sent once the checkpoint
+    holds a class line, ends it with exit 130 within 10 s; the checkpoint
+    loads and resumes to the full report.  N = 3000 keeps the run going
+    for about a second after its first class line."""
     path = str(tmp_path / "verify.ckpt")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -375,7 +340,7 @@ def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
 
     with open(tmp_path / "stderr.txt", "w+") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "cycorder", "-w", "2", "verify", "1200", "--checkpoint", path],
+            [sys.executable, "-m", "cycorder", "verify", "3000", "--checkpoint", path],
             stdout=subprocess.DEVNULL, stderr=err, env=env, start_new_session=True,
         )
         try:
@@ -394,5 +359,5 @@ def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
         stderr = err.read()
     assert code == 130, stderr
     assert "interrupted" in stderr
-    assert CheckpointFile(path, 1200).completed
-    assert build_chain(1200, workers=2, checkpoint_path=path) == build_chain(1200)
+    assert CheckpointFile(path, 3000).completed
+    assert build_chain(3000, workers=2, checkpoint_path=path) == build_chain(3000)
