@@ -45,7 +45,7 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 # running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
 # MAX_CYCLO_INDEX bounds `cyclo N`, both indices of `compare M N`, and
 # `chain N` and `verify N`, which build every index up to N.
-MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s; verify N grows faster (20000: ~1 min)
+MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s; verify N grows faster (20000: ~25 s)
 MAX_CONJECTURE2_I = 12  # polynomials of degree 2*3^(I-1); I = 12 takes ~1 s
 MAX_INVTOT_VALUE = 10**9  # V = 2615348736000 has 4.7 million preimages (36 s)
 MAX_PHI_INDEX = 10**10  # the sieve bound squared; above it factorize may trial-divide for hours

@@ -95,13 +95,13 @@ class CycloCache:
     def trim(self) -> None:
         """Drop every polynomial and clear both memos.
 
-        In a verification only `compare` fills the cache, for the two
-        indices it compares, and an index is compared only inside its own
-        totient class, which is sorted once: no later class reads a memo a
-        class left.  An entry is built from no other entry than its
-        radical's and its kernel's, so a later class rebuilds the few it
-        needs again, and the cache never holds more than one class's
-        entries with theirs.
+        In a verification only `compare` and `packed_difference` fill the
+        cache, for the two indices they read, and an index is read only
+        inside its own totient class, which is sorted once: no later class
+        reads a memo a class left.  An entry is built from no other entry
+        than its radical's and its kernel's, so a later class rebuilds the
+        few it needs again, and the cache never holds more than one
+        class's entries with theirs.
         """
         self.polys.clear()
         self.packed.clear()

@@ -2,10 +2,11 @@
 
 A totient gap already orders two indices (smaller totient first), so the
 range {1..N} splits into totient classes and only pairs inside one class
-need polynomial comparison.  Each class is sorted by exhaustive pairwise
-comparison (the point is to *verify* comparability, so no pair is
-skipped) and the sorted classes concatenate, ascending by totient value,
-into the full chain.
+need polynomial comparison.  Each class is sorted by asymptotic order and
+its k - 1 adjacent pairs are certified; by transitivity that verifies
+comparability of every pair in the class (proof in `sort_class`).  The
+sorted classes concatenate, ascending by totient value, into the full
+chain.
 
 Classes are independent work units, run in one process in ascending
 totient order; one loop records, checkpoints and reports each, and the
@@ -29,6 +30,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from itertools import groupby
 from typing import Callable, Iterable
 
@@ -39,11 +41,12 @@ from .comparator import (
     certificate_from_record,
     compare,
     comparison_record,
+    packed_difference,
     record_to_json,
 )
 from .cyclotomic import CycloCache
 
-CHECKPOINT_VERSION = 1  # checkpoint line format; a file of another version is refused
+CHECKPOINT_VERSION = 2  # checkpoint line format; a file of another version is refused
 
 
 class OrderingError(Exception):
@@ -180,34 +183,50 @@ def sort_class(
     *,
     cert_sink: Callable[[int, int, Verdict, Certificate], None] | None = None,
 ) -> tuple[list[int], list[tuple[int, int, Certificate]]]:
-    """Exhaustively compare one class and return its members in order.
+    """Sort one class by asymptotic order and certify its adjacent pairs.
 
-    Runs compare on all k*(k-1)/2 member pairs, in ascending pair order,
-    and hands each (m, n, verdict, certificate) to cert_sink when one is
-    given; nothing else keeps the certificates, so batch runs stay flat in
-    memory.  Returns (ordered_members, incomparable); incomparable pairs
-    are reported as data, never raised.
+    Members are sorted by the sign of X = P_b - P_a (`packed_difference`),
+    the leading sign of the difference of their polynomials: the
+    asymptotic order, which on polynomials of one degree is lexicographic
+    from the top coefficient, a strict total order.  Then compare runs on
+    the k - 1 adjacent pairs (a, b), in order, and each (a, b, verdict,
+    certificate) goes to cert_sink when one is given; nothing else keeps
+    the certificates, so batch runs stay flat in memory.  Returns
+    (ordered_members, incomparable); an INCOMPARABLE pair is reported as
+    data, never raised.  Any other verdict but LESS contradicts the sort
+    and raises ArithmeticError.
+
+    Why k - 1 certificates prove what all k(k-1)/2 pairs would:
+
+    1. LESS means Phi_a(q) <= Phi_b(q) at every integer q >= 2, a
+       transitive relation, so LESS certificates on every adjacent pair
+       chain to every pair of the class: the class is totally ordered.
+    2. a LESS b implies that a precedes b asymptotically, since the
+       difference is nonzero and its sign for large q is its leading sign.
+       So a total order on the class is contained in the asymptotic
+       order and, both being total, equals it.  Hence the class has an
+       incomparable pair exactly when some adjacent pair is not LESS, and
+       the verdict keeps its meaning.
+    3. In a totally ordered class, Phi_a(q) = Phi_c(q) with a before c
+       forces Phi_a(q) <= Phi_b(q) <= Phi_c(q) = Phi_a(q) for every b
+       between them, so each adjacent pair from a to c ties at q.  The
+       set of indices in some tied pair is therefore the set of indices
+       in some tied adjacent pair.
     """
-    members = phi_class.members
-    k = len(members)
-    if k == 0:
+    if not phi_class.members:
         raise ValueError("empty totient class")
-    rank = [0] * k
+    ordered = sorted(
+        phi_class.members, key=cmp_to_key(lambda a, b: packed_difference(b, a, cache)[0])
+    )
     incomparable: list[tuple[int, int, Certificate]] = []
-    for i in range(k):
-        mi = members[i]
-        for j in range(i + 1, k):
-            mj = members[j]
-            verdict, cert = compare(mi, mj, cache)
-            if cert_sink is not None:
-                cert_sink(mi, mj, verdict, cert)
-            if verdict is Verdict.LESS:
-                rank[j] += 1
-            elif verdict is Verdict.GREATER:
-                rank[i] += 1
-            else:
-                incomparable.append((mi, mj, cert))
-    ordered = [m for _, m in sorted(zip(rank, members))]
+    for a, b in zip(ordered, ordered[1:]):
+        verdict, cert = compare(a, b, cache)
+        if cert_sink is not None:
+            cert_sink(a, b, verdict, cert)
+        if verdict is Verdict.INCOMPARABLE:
+            incomparable.append((a, b, cert))
+        elif verdict is not Verdict.LESS:
+            raise ArithmeticError(f"internal: sorted neighbours {a}, {b} compare {verdict.value}")
     return ordered, incomparable
 
 
@@ -233,11 +252,10 @@ def _finish_class(phi_class: PhiClass, cache: CycloCache) -> dict:
 
     ordered, incomparable = sort_class(phi_class, cache, cert_sink=sink)
     cache.trim()
-    k = len(ordered)
     return {
         "phi": phi_class.phi_value,
         "members": ordered,
-        "pair_count": k * (k - 1) // 2,
+        "pair_count": len(ordered) - 1,
         "max_threshold_c": max_c,
         "ties": ties,
         "incomparable": [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -13,12 +14,14 @@ from cycorder.arith import totient
 from cycorder.cli import main
 from cycorder.comparator import Verdict, compare
 from cycorder.order import (
+    CHECKPOINT_VERSION,
     ChainReport,
     CheckpointError,
     CheckpointFile,
     NotLessError,
     PhiClass,
     _chain_hash,
+    _finish_class,
     build_chain,
     check_conjecture2,
     class_is_complete,
@@ -75,7 +78,7 @@ def test_sort_class_examples(shared_cache):
         PhiClass(2, [3, 4, 6]), shared_cache, cert_sink=lambda *e: evidence.append(e)
     )
     assert ordered == [6, 4, 3]
-    assert len(evidence) == 3 and not incomparable
+    assert len(evidence) == 2 and not incomparable
     ordered, _ = sort_class(PhiClass(4, [5, 8, 10, 12]), shared_cache)
     assert ordered == [10, 12, 8, 5]
     evidence = []
@@ -95,6 +98,25 @@ def test_sort_class_adjacent_pairs_are_less(shared_cache):
             assert v is Verdict.LESS, (a, b)
 
 
+def test_sort_class_order_holds_for_every_pair(shared_cache):
+    # the all-pairs reference for the adjacent-pair certificates
+    for cls in phi_classes(1000):
+        ordered, incomparable = sort_class(cls, shared_cache)
+        assert not incomparable
+        assert sorted(ordered) == cls.members
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1 :]:
+                v, _ = compare(a, b, shared_cache)
+                assert v is Verdict.LESS, (a, b)
+
+
+def test_build_chain_2000_sequence_digest():
+    # the digest of the all-pairs code's output
+    sequence = build_chain(2000).sequence
+    digest = hashlib.sha256(",".join(map(str, sequence)).encode()).hexdigest()
+    assert digest == "020689067dafcef27391d6d52e4f66d7297af5af04b7140d8ac247777f3f8afa"
+
+
 def test_build_chain_small():
     rep = build_chain(6)
     assert rep.sequence == [1, 2, 6, 4, 3, 5]
@@ -110,9 +132,7 @@ def test_build_chain_31_matches_sequence_start():
     assert rep.stable_prefix == A206225_PREFIX
     assert not rep.incomparable_pairs
     assert not rep.tie_pairs
-    assert rep.pair_count == sum(
-        len(c.members) * (len(c.members) - 1) // 2 for c in phi_classes(31)
-    )
+    assert rep.pair_count == sum(len(c.members) - 1 for c in phi_classes(31))
 
 
 def test_stable_prefix_rule():
@@ -201,6 +221,24 @@ def test_sort_class_reports_incomparable_as_data(fake_pair_cache):
     assert len(evidence) == 1
 
 
+def test_tied_indices_match_an_all_pairs_scan(fake_pair_cache):
+    cache = fake_pair_cache
+    a, b, c = 900001, 900004, 900003  # t^2, t^2 + t - 2, t^2 + 2t - 4: all 4 at q = 2
+    members = sorted((a, b, c))
+    scan = set()
+    for i, m in enumerate(members):
+        for n in members[i + 1 :]:
+            v, cert = compare(m, n, cache)
+            assert v is not Verdict.INCOMPARABLE
+            if cert.tie_witnesses:
+                scan |= {m, n}
+    summary = _finish_class(PhiClass(2, members), cache)
+    assert summary["members"] == [a, b, c]
+    assert summary["ties"] == [[a, b, 2], [b, c, 2]]
+    assert summary["pair_count"] == 2 and not summary["incomparable"]
+    assert {x for m, n, _ in summary["ties"] for x in (m, n)} == scan == {a, b, c}
+
+
 def test_precedes_surfaces_incomparable_distinctly(fake_pair_cache):
     from cycorder.order import IncomparablePairError
 
@@ -257,17 +295,18 @@ def test_checkpoint_resume_and_validation(tmp_path):
 
 
 def test_checkpoint_of_another_version_is_refused(tmp_path, capsys):
-    """A header with a valid hash but another format version is refused,
-    by the library and by `verify` (exit 4)."""
+    """A version-1 header with a valid hash, as an older run leaves behind,
+    is refused by the library and by `verify` (exit 4)."""
     path = str(tmp_path / "verify.ckpt")
-    header = {"kind": "header", "version": 2, "range_max": 60}
+    header = {"kind": "header", "version": 1, "range_max": 60}
     header["chain"] = _chain_hash("", header)
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-    with pytest.raises(CheckpointError, match="version=2, wanted 1"):
+    message = f"version=1, wanted {CHECKPOINT_VERSION}"
+    with pytest.raises(CheckpointError, match=message):
         CheckpointFile(path, 60)
     assert main(["verify", "60", "--checkpoint", path]) == 4
-    assert "version=2, wanted 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_checkpoint_is_offered_each_class_once(tmp_path, monkeypatch):
@@ -326,7 +365,7 @@ def test_sequence_formats():
 def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
     """SIGINT to the process group of a `verify`, sent once the checkpoint
     holds a class line, ends it with exit 130 within 10 s; the checkpoint
-    loads and resumes to the full report.  N = 3000 keeps the run going
+    loads and resumes to the full report.  N = 5000 keeps the run going
     for about a second after its first class line."""
     path = str(tmp_path / "verify.ckpt")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
@@ -340,7 +379,7 @@ def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
 
     with open(tmp_path / "stderr.txt", "w+") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "cycorder", "verify", "3000", "--checkpoint", path],
+            [sys.executable, "-m", "cycorder", "verify", "5000", "--checkpoint", path],
             stdout=subprocess.DEVNULL, stderr=err, env=env, start_new_session=True,
         )
         try:
@@ -359,5 +398,5 @@ def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
         stderr = err.read()
     assert code == 130, stderr
     assert "interrupted" in stderr
-    assert CheckpointFile(path, 3000).completed
-    assert build_chain(3000, workers=2, checkpoint_path=path) == build_chain(3000)
+    assert CheckpointFile(path, 5000).completed
+    assert build_chain(5000, workers=2, checkpoint_path=path) == build_chain(5000)
