@@ -46,6 +46,10 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 # MAX_CYCLO_INDEX bounds `cyclo N`, both indices of `compare M N`, and
 # `chain N` and `verify N`, which build every index up to N.
 MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s; verify N grows faster (20000: ~25 s)
+# cyclo N Q bounds the bits of Phi_N(Q), fewer than (phi(N) + 1) * bit_length(Q).
+# At 2^18 the value took at most 0.6 s (N = 90090, 30030) and printing 0.1 s;
+# at 2^20 it took up to 7.6 s, and both costs grow about as the square.
+MAX_CYCLO_VALUE_BITS = 2**18
 MAX_CONJECTURE2_I = 12  # polynomials of degree 2*3^(I-1); I = 12 takes ~1 s
 MAX_INVTOT_VALUE = 10**9  # V = 2615348736000 has 4.7 million preimages (36 s)
 MAX_PHI_INDEX = 10**10  # the sieve bound squared; above it factorize may trial-divide for hours
@@ -56,6 +60,22 @@ def _oversized(name: str, value: int, bound: int) -> bool:
         return False
     print(f"usage error: {name} must be <= {bound}, got {value}", file=sys.stderr)
     return True
+
+
+# str() refuses an int of more digits than sys.get_int_max_str_digits()
+# (4300 by default since Python 3.10.7; no limit below 640 can be set)
+_STR_CHUNK = 10**600
+
+
+def _decimal(x: int) -> str:
+    """The nonnegative x as an exact decimal string on any Python: x is
+    split at 10^k, k about half its digits, until every part that str()
+    converts is below _STR_CHUNK."""
+    if x < _STR_CHUNK:
+        return str(x)
+    k = x.bit_length() * 1233 >> 13  # about half its digits: log10(2) ~ 1233/4096
+    hi, lo = divmod(x, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def _positive(text: str) -> int:
@@ -117,15 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_cyclo(n: int, q: int | None) -> int:
     if _oversized("N", n, MAX_CYCLO_INDEX):
         return EXIT_USAGE
-    if q is not None and q < 2:
-        print(f"usage error: q must be >= 2, got {q}", file=sys.stderr)
-        return EXIT_USAGE
+    if q is not None:
+        if q < 2:
+            print(f"usage error: q must be >= 2, got {q}", file=sys.stderr)
+            return EXIT_USAGE
+        bits = (totient(n) + 1) * q.bit_length()
+        if _oversized("(phi(N) + 1) * bit_length(Q)", bits, MAX_CYCLO_VALUE_BITS):
+            return EXIT_USAGE
     cache = CycloCache()
     poly = cyclo(n, cache)
     print("# coefficients in ascending degree order (constant term first)", file=sys.stderr)
     print(" ".join(str(c) for c in poly.coeffs))
     if q is not None:
-        print(eval_cyclo(n, q, cache))
+        print(_decimal(eval_cyclo(n, q, cache)))
     return EXIT_OK
 
 

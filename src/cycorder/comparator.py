@@ -144,17 +144,21 @@ def difference_threshold(x: int, width: int, length: int, bound: int) -> int:
     return hi
 
 
-def packed_difference(m: int, n: int, cache: CycloCache) -> tuple[int, int, int, int]:
-    """(x, width, length, bound) for distinct indices m and n.
+def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
+    """Full comparison of indices m and n with certificate.
 
-    x = P_n - P_m is the difference D (value at n minus value at m) at
-    2^width, D has at most `length` coefficients, each of absolute value
-    at most `bound` = H_m + H_n, and 4 * bound < 2^width.  width is
-    PACK_WIDTH, whose packed values the cache keeps, unless the two
-    heights sum too high for it; then both entries are packed afresh at
-    the pair's width.  The sign of x is D's leading sign at every width
-    (module docstring).
+    Reads the threshold c and the leading sign of the difference D (value
+    at n minus value at m) off X = P_n - P_m, evaluates D exactly at every
+    q in [2, c], and settles all larger q by the leading-coefficient
+    argument in the module docstring.  X is read at PACK_WIDTH, off the
+    packed values the cache keeps, unless the two heights sum too high
+    for it; then both entries are packed afresh at the pair's width.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"indices must be positive integers, got ({m}, {n})")
+    if m == n:
+        return Verdict.EQUAL, Certificate(0, 0, 1)
+
     pm = cyclo(m, cache).coeffs
     pn = cyclo(n, cache).coeffs
     xm, hm = cache.packed_entry(m)
@@ -168,24 +172,7 @@ def packed_difference(m: int, n: int, cache: CycloCache) -> tuple[int, int, int,
     # distinct cyclotomic polynomials; the guard is against caller bugs
     if not x:
         raise ArithmeticError(f"internal: distinct indices {m}, {n} gave a zero difference")
-    return x, width, max(len(pm), len(pn)), bound
-
-
-def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
-    """Full comparison of indices m and n with certificate.
-
-    Reads the threshold c and the leading sign of the difference D (value
-    at n minus value at m) off X = P_n - P_m (`packed_difference`),
-    evaluates D exactly at every q in [2, c], and settles all larger q by
-    the leading-coefficient argument in the module docstring.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"indices must be positive integers, got ({m}, {n})")
-    if m == n:
-        return Verdict.EQUAL, Certificate(0, 0, 1)
-
-    x, width, length, bound = packed_difference(m, n, cache)
-    c = difference_threshold(x, width, length, bound)
+    c = difference_threshold(x, width, max(len(pm), len(pn)), bound)
     lead = 1 if x > 0 else -1
     ties: list[int] = []
     first_neg = first_pos = 0

@@ -2,19 +2,21 @@
 and two exact inequality predicates on those values (no comparison calls them).
 
 The primary route, `cyclo`, does arithmetic on odd squarefree indices
-("kernels") only.  Two classical index reductions reach every other index:
+("kernels") only.  Every other index n comes from its kernel k, the odd
+part of r = radical(n), in one substitution: with e = n/r,
 
-  * if r = radical(n) < n, the polynomial for n is the one for r with
-    t replaced by t^(n/r);
-  * for odd squarefree m > 1, the polynomial for 2m is the one for m with
-    t replaced by -t.
+    Phi_n(t) = Phi_k(s * t^e),  s = -1 if r = 2k and k > 1, else s = +1,
+
+which joins the classical Phi_n(t) = Phi_r(t^e) (n and r have the same
+primes) and Phi_2k(t) = Phi_k(-t) for odd k > 1.  The powers of two come
+from Phi_2 = t + 1 instead: Phi_(2^a)(t) = t^e + 1.
 
 A kernel's polynomial is the Moebius product of binomials 1 - t^d over
 its divisors, formed as a power series truncated after its middle
 coefficient, with the upper half read off by palindromy (the sparse power
 series of A. Arnold and M. Monagan, "Calculating cyclotomic polynomials",
-Math. Comp. 80 (2011)).  No entry is built from another entry's
-coefficients except through the two reductions.
+Math. Comp. 80 (2011)).  No entry is built from the coefficients of any
+entry other than its kernel's.
 
 The first comparison that reads an entry stores beside it the entry's
 value at 2^8, packed into one integer, and its height: all that
@@ -55,8 +57,9 @@ class CycloCache:
     """Map from index n to the computed polynomial for n, plus its packed
     value and height once compared, and an evaluation memo keyed (n, q).
 
-    Every stored entry has degree exactly totient(n); the entry for n = 1
-    is t - 1.  `packed[n]` is (value at 2^PACK_WIDTH, height), the height
+    An entry is stored for each index built and for its kernel (`cyclo`);
+    every entry has degree exactly totient(n), and the entry for n = 1 is
+    t - 1.  `packed[n]` is (value at 2^PACK_WIDTH, height), the height
     being the largest absolute coefficient; the value is None when the
     height alone is too large for any pair to be read at PACK_WIDTH.
     Everything lives until `trim`, which a verification calls after each
@@ -95,13 +98,13 @@ class CycloCache:
     def trim(self) -> None:
         """Drop every polynomial and clear both memos.
 
-        In a verification only `compare` and `packed_difference` fill the
-        cache, for the two indices they read, and an index is read only
-        inside its own totient class, which is sorted once: no later class
-        reads a memo a class left.  An entry is built from no other entry
-        than its radical's and its kernel's, so a later class rebuilds the
-        few it needs again, and the cache never holds more than one
-        class's entries with theirs.
+        In a verification only `order.sort_class` and `compare` fill the
+        cache, for the indices they read, and an index is read only inside
+        its own totient class, which is sorted once: no later class reads
+        a memo a class left.  An entry is built from no other entry than
+        its kernel's, so a later class rebuilds the few kernels it needs
+        again, and the cache never holds more than one class's entries
+        with their kernels.
         """
         self.polys.clear()
         self.packed.clear()
@@ -146,44 +149,36 @@ def _kernel_coeffs(n: int) -> list[int]:
     return s + s[-2::-1]
 
 
-def _cyclo_coeffs(n: int, cache: CycloCache) -> tuple[int, ...]:
-    poly = cache.polys.get(n)
-    if poly is not None:
-        return poly.coeffs
-
-    if n == 1:
-        coeffs = [-1, 1]
-    elif n == 2:
-        coeffs = [1, 1]
-    else:
-        r = radical(n)
-        if r != n:
-            # substitute t -> t^(n/r) into the entry for the radical
-            base = _cyclo_coeffs(r, cache)
-            coeffs = [0] * ((len(base) - 1) * (n // r) + 1)
-            coeffs[:: n // r] = base
-        elif n % 2 == 0:
-            # n = 2m with m odd squarefree > 1: substitute t -> -t
-            base = _cyclo_coeffs(n // 2, cache)
-            coeffs = list(base)
-            coeffs[1::2] = map(neg, base[1::2])
-        else:
-            coeffs = _kernel_coeffs(n)
-
-    poly = cache.polys[n] = IntPoly(coeffs)
-    return poly.coeffs
-
-
 def cyclo(n: int, cache: CycloCache) -> IntPoly:
-    """The nth cyclotomic polynomial, built from its kernel (the odd part
-    of its radical) and cached.
+    """The nth cyclotomic polynomial, built from its kernel and cached.
 
-    The result is monic of degree totient(n).
+    The kernel's entry with t replaced by s * t^e (module docstring);
+    only n and its kernel are stored.  The result is monic of degree
+    totient(n).
     """
     if n < 1:
         raise ValueError(f"index must be a positive integer, got {n}")
-    _cyclo_coeffs(n, cache)
-    return cache.polys[n]
+    poly = cache.polys.get(n)
+    if poly is not None:
+        return poly
+    r = radical(n)
+    k = r if r % 2 else r // 2
+    if k == 1:
+        base = (-1, 1) if n == 1 else (1, 1)  # Phi_1, or Phi_2 for n = 2^a
+    else:
+        kernel = cache.polys.get(k)
+        if kernel is None:
+            kernel = cache.polys[k] = IntPoly(_kernel_coeffs(k))
+        if n == k:
+            return kernel
+        base = kernel.coeffs
+    e = n // r
+    coeffs = [0] * ((len(base) - 1) * e + 1)
+    coeffs[::e] = base
+    if 1 < k < r:  # s = -1: the odd powers of the kernel change sign
+        coeffs[e :: 2 * e] = map(neg, base[1::2])
+    poly = cache.polys[n] = IntPoly(coeffs)
+    return poly
 
 
 def _times_binomial(a: list[int], k: int) -> list[int]:

@@ -2,8 +2,9 @@
 
 A totient gap already orders two indices (smaller totient first), so the
 range {1..N} splits into totient classes and only pairs inside one class
-need polynomial comparison.  Each class is sorted by asymptotic order and
-its k - 1 adjacent pairs are certified; by transitivity that verifies
+need polynomial comparison.  Each class is sorted by asymptotic order,
+which is the order of its members' coefficient tuples read from the top,
+and its k - 1 adjacent pairs are certified; by transitivity that verifies
 comparability of every pair in the class (proof in `sort_class`).  The
 sorted classes concatenate, ascending by totient value, into the full
 chain.
@@ -30,7 +31,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from itertools import groupby
 from typing import Callable, Iterable
 
@@ -41,10 +41,9 @@ from .comparator import (
     certificate_from_record,
     compare,
     comparison_record,
-    packed_difference,
     record_to_json,
 )
-from .cyclotomic import CycloCache
+from .cyclotomic import CycloCache, cyclo
 
 CHECKPOINT_VERSION = 2  # checkpoint line format; a file of another version is refused
 
@@ -185,13 +184,16 @@ def sort_class(
 ) -> tuple[list[int], list[tuple[int, int, Certificate]]]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
 
-    Members are sorted by the sign of X = P_b - P_a (`packed_difference`),
-    the leading sign of the difference of their polynomials: the
-    asymptotic order, which on polynomials of one degree is lexicographic
-    from the top coefficient, a strict total order.  Then compare runs on
-    the k - 1 adjacent pairs (a, b), in order, and each (a, b, verdict,
-    certificate) goes to cert_sink when one is given; nothing else keeps
-    the certificates, so batch runs stay flat in memory.  Returns
+    Members are sorted by their coefficient tuples read from the top.
+    Both polynomials of a pair (a, b) are monic of degree phi_value, so
+    the first coefficient from the top where the tuples differ is the
+    leading coefficient of Phi_b - Phi_a, and a sorts first exactly when
+    it is positive: the asymptotic order, a strict total order, since
+    distinct indices have distinct polynomials.  A class of one member
+    builds no entry.  Then compare runs on the k - 1 adjacent pairs
+    (a, b), in order, and each (a, b, verdict, certificate) goes to
+    cert_sink when one is given; nothing else keeps the certificates, so
+    batch runs stay flat in memory.  Returns
     (ordered_members, incomparable); an INCOMPARABLE pair is reported as
     data, never raised.  Any other verdict but LESS contradicts the sort
     and raises ArithmeticError.
@@ -215,9 +217,9 @@ def sort_class(
     """
     if not phi_class.members:
         raise ValueError("empty totient class")
-    ordered = sorted(
-        phi_class.members, key=cmp_to_key(lambda a, b: packed_difference(b, a, cache)[0])
-    )
+    ordered = list(phi_class.members)
+    if len(ordered) > 1:
+        ordered.sort(key=lambda n: cyclo(n, cache).coeffs[::-1])
     incomparable: list[tuple[int, int, Certificate]] = []
     for a, b in zip(ordered, ordered[1:]):
         verdict, cert = compare(a, b, cache)

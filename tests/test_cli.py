@@ -197,6 +197,35 @@ def test_size_guard_exits_2_before_any_work(capsys, monkeypatch, argv, name, bou
     assert f"{name} must be <= {limit}, got {limit + 1}" in err
 
 
+def test_value_size_guard_exits_2_before_evaluating(capsys, monkeypatch):
+    from cycorder import cli
+
+    def must_not_run(*args):
+        raise AssertionError("eval_cyclo ran on an oversized value")
+
+    monkeypatch.setattr(cli, "eval_cyclo", must_not_run)
+    code, out, err = run_cli(capsys, "cyclo", "100000", str(10**300))
+    assert code == 2 and out == ""
+    bits = (40000 + 1) * (10**300).bit_length()
+    assert f"(phi(N) + 1) * bit_length(Q) must be <= {cli.MAX_CYCLO_VALUE_BITS}, got {bits}" in err
+
+
+def test_cyclo_prints_a_value_above_the_str_digit_limit(capsys):
+    """Phi_100000(2) has 12,042 digits, above str()'s default 4,300."""
+    from cycorder.cyclotomic import CycloCache, eval_cyclo
+
+    code, out, _ = run_cli(capsys, "cyclo", "100000", "2")
+    value = eval_cyclo(100000, 2, CycloCache())
+    digits = out.splitlines()[1]
+    assert code == 0 and len(digits) == 12042
+    # read back 500 digits at a time: int(digits) meets the same limit
+    parsed = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i : i + 500]
+        parsed = parsed * 10 ** len(chunk) + int(chunk)
+    assert parsed == value
+
+
 def test_verify_stderr_is_the_same_for_any_worker_count(capsys):
     """Progress lines come one per class in ascending totient order, so
     two workers print byte for byte what one prints."""

@@ -65,8 +65,8 @@ def test_eval_cyclo(shared_cache):
 
 
 def test_eval_cyclo_matches_entry_to_2000(shared_cache):
-    """The memoized evaluation (through the radical's entry for
-    non-squarefree n) equals direct evaluation of the entry for n."""
+    """The memoized evaluation (the product formula) equals direct
+    evaluation of the entry for n."""
     for n in range(1, 2001):
         cyclo(n, shared_cache)
     fresh = CycloCache()
@@ -107,6 +107,15 @@ def test_cache_reuse_and_trim():
     assert len(cache) == 0 and not cache.polys and not cache.packed and not cache.evals
     assert cyclo(360, cache) == p1
     assert cyclo(50, cache) == p2
+
+
+def test_cyclo_stores_only_the_index_and_its_kernel():
+    """Each entry comes from its kernel (the odd part of the radical) in
+    one substitution, with no radical entry on the way; 2^a needs none."""
+    for n, stored in ((360, {360, 15}), (16, {16}), (2 * 3**7, {2 * 3**7, 3})):
+        cache = CycloCache()
+        assert cyclo(n, cache) == cyclo_moebius(n)
+        assert set(cache.polys) == stored, n
 
 
 def test_degree_law_to_2000(shared_cache):

@@ -13,6 +13,8 @@ import cycorder
 from cycorder.arith import totient
 from cycorder.cli import main
 from cycorder.comparator import Verdict, compare
+from cycorder.cyclotomic import CycloCache
+from cycorder.intpoly import IntPoly
 from cycorder.order import (
     CHECKPOINT_VERSION,
     ChainReport,
@@ -82,10 +84,28 @@ def test_sort_class_examples(shared_cache):
     ordered, _ = sort_class(PhiClass(4, [5, 8, 10, 12]), shared_cache)
     assert ordered == [10, 12, 8, 5]
     evidence = []
-    ordered, _ = sort_class(
-        PhiClass(10, [11]), shared_cache, cert_sink=lambda *e: evidence.append(e)
-    )
+    cache = CycloCache()
+    ordered, _ = sort_class(PhiClass(10, [11]), cache, cert_sink=lambda *e: evidence.append(e))
     assert ordered == [11] and not evidence
+    assert 11 not in cache  # a class of one member builds no entry
+
+
+def test_sort_class_orders_a_tall_pair():
+    """Stand-ins whose heights (70 and 30) sum to 64 or more sort by
+    their coefficients and certify at the wider packing."""
+    cache = CycloCache()
+    a, b = 900001, 900002
+    for n, coeffs in ((a, (3, -70, 0, 1)), (b, (-30, 5, 1, 1))):
+        poly = cache.polys[n] = IntPoly(coeffs)
+        cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 100))
+    evidence = []
+    ordered, incomparable = sort_class(
+        PhiClass(3, [b, a]), cache, cert_sink=lambda *e: evidence.append(e)
+    )
+    assert ordered == [a, b] and not incomparable
+    [(m, n, verdict, cert)] = evidence
+    assert (m, n, verdict) == (a, b, Verdict.LESS)
+    assert (cert.threshold_c, cert.leading_sign) == (75, 1)
 
 
 def test_sort_class_adjacent_pairs_are_less(shared_cache):
