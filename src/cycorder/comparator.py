@@ -16,9 +16,10 @@ plus those finitely many signs certify the infinite family of
 inequalities.
 
 D is never formed coefficient by coefficient.  The cache keeps each
-compared entry's value at 2^w (w = 8) as one integer P, with its height
-H (largest absolute coefficient); then X = P_n - P_m is D's value at
-B = 2^w, and every |D_i| <= h = H_n + H_m.  While 4h < B:
+compared entry's value at 2^w (w = 8) as one integer P, with its length
+and its height H (largest absolute coefficient), all made from its
+kernel's bytes (`CycloCache.packed_entry`); then X = P_n - P_m is D's
+value at B = 2^w, and every |D_i| <= h = H_n + H_m.  While 4h < B:
 
   * the leading sign is the sign of X: below D's top nonzero coefficient
     the digits sum to at most h * (B^top - 1) / (B - 1) < B^top in
@@ -27,9 +28,9 @@ B = 2^w, and every |D_i| <= h = H_n + H_m.  While 4h < B:
     (`difference_threshold`, which proves the test it applies).
 
 A pair whose heights sum to 64 or more (first possible at index 26565,
-whose entry has height 59) packs both entries afresh, uncached, at the
-smallest multiple of 8 bits w with 4h < 2^w, and goes through the same
-reading.
+whose entry has height 59) packs both entries afresh from their kernels,
+uncached, at the smallest multiple of 8 bits w with 4h < 2^w, and goes
+through the same reading.
 
 The certificate carries c, the leading sign and the finite evidence, not
 D itself: D and its split are recomputed from the two indices as
@@ -47,8 +48,8 @@ import json
 from dataclasses import dataclass, field
 
 from .arith import moebius, radical, totient
-from .cyclotomic import PACK_WIDTH, CycloCache, cyclo, eval_cyclo, pair_width
-from .intpoly import packed_value
+from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
+from .cyclotomic import cyclo  # noqa: F401  re-exported: D is cyclo(n, cache) - cyclo(m, cache)
 
 SHORTCUT_PHI_GAP = "phi-gap"  # different totients decide the pair outright
 SHORTCUT_ODD_DOUBLE = "odd-double"  # pair {k, 2k} with k odd, decided by mu(radical(k))
@@ -150,29 +151,28 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     Reads the threshold c and the leading sign of the difference D (value
     at n minus value at m) off X = P_n - P_m, evaluates D exactly at every
     q in [2, c], and settles all larger q by the leading-coefficient
-    argument in the module docstring.  X is read at PACK_WIDTH, off the
-    packed values the cache keeps, unless the two heights sum too high
-    for it; then both entries are packed afresh at the pair's width.
+    argument in the module docstring.  X, the length and the heights come
+    from the cache's packed entries; X is read at PACK_WIDTH unless the
+    two heights sum too high for it, and then both entries are packed
+    afresh at the pair's width.  No coefficient tuple is built.
     """
     if m < 1 or n < 1:
         raise ValueError(f"indices must be positive integers, got ({m}, {n})")
     if m == n:
         return Verdict.EQUAL, Certificate(0, 0, 1)
 
-    pm = cyclo(m, cache).coeffs
-    pn = cyclo(n, cache).coeffs
-    xm, hm = cache.packed_entry(m)
-    xn, hn = cache.packed_entry(n)
+    xm, lm, hm = cache.packed_entry(m)
+    xn, ln, hn = cache.packed_entry(n)
     bound = hm + hn
     width = pair_width(bound)
-    if width == PACK_WIDTH:
-        x = xn - xm
-    else:
-        x = packed_value(pn, width) - packed_value(pm, width)
+    if width != PACK_WIDTH:
+        xm = cache.packed_entry(m, width)[0]
+        xn = cache.packed_entry(n, width)[0]
+    x = xn - xm
     # distinct cyclotomic polynomials; the guard is against caller bugs
     if not x:
         raise ArithmeticError(f"internal: distinct indices {m}, {n} gave a zero difference")
-    c = difference_threshold(x, width, max(len(pm), len(pn)), bound)
+    c = difference_threshold(x, width, max(lm, ln), bound)
     lead = 1 if x > 0 else -1
     ties: list[int] = []
     first_neg = first_pos = 0

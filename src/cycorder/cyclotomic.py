@@ -1,7 +1,7 @@
 """Cyclotomic polynomials by two independent routes, their exact values,
 and two exact inequality predicates on those values (no comparison calls them).
 
-The primary route, `cyclo`, does arithmetic on odd squarefree indices
+All arithmetic on coefficients is done on odd squarefree indices
 ("kernels") only.  Every other index n comes from its kernel k, the odd
 part of r = radical(n), in one substitution: with e = n/r,
 
@@ -18,9 +18,14 @@ series of A. Arnold and M. Monagan, "Calculating cyclotomic polynomials",
 Math. Comp. 80 (2011)).  No entry is built from the coefficients of any
 entry other than its kernel's.
 
-The first comparison that reads an entry stores beside it the entry's
-value at 2^8, packed into one integer, and its height: all that
-`comparator.compare` reads of it.
+A kernel's coefficients are used in two forms.  Comparisons and the
+class sort read `CycloCache.packed_entry`: the kernel is kept as bytes
+(coefficient + 128) with its height, and any index's value at 2^8 is made
+from those bytes by C-level slicing, one byte translation for s = -1 and
+one `int.from_bytes`.  The substitution keeps the height, so every entry
+inherits its kernel's.  `cyclo` returns an `IntPoly` for callers that want
+the coefficients themselves (the `cyclo` command, tests); no comparison
+builds one.
 
 The oracle route, `cyclo_moebius`, applies the same identity to the full
 polynomials t^(n/d) - 1 with its own exact multiply and divide passes.  It
@@ -34,14 +39,20 @@ even n), with no coefficient read.
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate
 from math import prod
 from operator import add, neg, sub
 
 from .arith import divisors, factorize, moebius, radical, totient
-from .intpoly import IntPoly, packed_value
+from .intpoly import IntPoly, digit_string, packed_value
 
 PACK_WIDTH = 8  # bits per coefficient of the packed values the cache keeps
+# byte tables on digits c + 128 (_OFFSET maps c's two's-complement byte to it)
+_NEG = bytes(-b & 0xFF for b in range(256))  # c + 128 -> -c + 128
+_OFFSET = bytes(b ^ 0x80 for b in range(256))
+_ABS = bytes(abs(b - 128) for b in range(256))  # c + 128 -> |c|
+_SMALL_BASES = {1: (-1, 1), 2: (1, 1)}  # Phi_1 and Phi_2, the bases _kernel_of gives besides kernels
 
 
 def pair_width(height: int) -> int:
@@ -53,24 +64,82 @@ def pair_width(height: int) -> int:
     return max(PACK_WIDTH, -(-(4 * height).bit_length() // 8) * 8)
 
 
-class CycloCache:
-    """Map from index n to the computed polynomial for n, plus its packed
-    value and height once compared, and an evaluation memo keyed (n, q).
+def _digit_width(height: int) -> int:
+    """Smallest multiple of 8 bits w with height < 2^(w-1): the width of
+    the digits a kernel of this height is kept in."""
+    return -(-(height.bit_length() + 1) // 8) * 8
 
-    An entry is stored for each index built and for its kernel (`cyclo`);
-    every entry has degree exactly totient(n), and the entry for n = 1 is
-    t - 1.  `packed[n]` is (value at 2^PACK_WIDTH, height), the height
-    being the largest absolute coefficient; the value is None when the
-    height alone is too large for any pair to be read at PACK_WIDTH.
-    Everything lives until `trim`, which a verification calls after each
-    class.
+
+def _kernel_of(n: int) -> tuple[int, int, bool]:
+    """(k, e, flip) with Phi_n(t) = Phi_k(s * t^e), s = -1 exactly when flip.
+
+    k is the kernel of n (module docstring), except that it is 1 for n = 1
+    and 2 for the powers of two, where Phi_(2^a)(t) = Phi_2(t^e).
+    """
+    r = radical(n)
+    k = r if r % 2 or r == 2 else r // 2
+    return k, n // r, k < r
+
+
+def kernel_entry(coeffs, mirror: bool = False) -> tuple[bytes, int]:
+    """(digits, height) kept for a kernel: its coefficients as a
+    `digit_string` at `_digit_width(height)`, 8 bits (coefficient + 128)
+    for every kernel below 40755, and the largest absolute coefficient.
+
+    With `mirror`, coeffs is the lower half of a palindrome, which goes on
+    with coeffs[-2::-1] (the same height).  The byte route is C work: a
+    signed-byte array (it refuses a coefficient outside [-128, 127]),
+    shifted by one translation, and the height as the largest byte of a
+    second.
+    """
+    try:
+        digits = array("b", coeffs).tobytes().translate(_OFFSET)
+    except OverflowError:  # a coefficient outside [-128, 127]
+        height = max(map(abs, coeffs))
+    else:
+        height = max(digits.translate(_ABS))
+    if height < 128:
+        return (digits + digits[-2::-1] if mirror else digits), height
+    if mirror:
+        coeffs = [*coeffs, *coeffs[-2::-1]]
+    return digit_string(coeffs, _digit_width(height)), height
+
+
+def _kernel_digits_to_coeffs(digits: bytes, height: int) -> list[int]:
+    """The coefficients a `kernel_entry` was made from."""
+    width = _digit_width(height)
+    nbytes, shift = width // 8, 1 << (width - 1)
+    return [
+        int.from_bytes(digits[i : i + nbytes], "little") - shift
+        for i in range(0, len(digits), nbytes)
+    ]
+
+
+class CycloCache:
+    """Per-run store of cyclotomic data: the polynomials `cyclo` returns,
+    the kernels comparisons read, each compared index's packed value, and
+    an evaluation memo keyed (n, q).
+
+    `polys` maps n to the `IntPoly` that `cyclo` built for it, and holds n
+    and its kernel (`cyclo`); `len(cache)` and `n in cache` count it.  No
+    comparison reads it.
+
+    `kernels` maps a kernel k to `kernel_entry(coefficients of Phi_k)`,
+    filled by `kernel`; 1 and 2 are stored as kernels too (t - 1 and
+    t + 1).  `packed[n]` is (value at 2^PACK_WIDTH, length, height) of
+    Phi_n, filled by `packed_entry` from the kernel's digits: length is
+    totient(n) + 1 and height the largest absolute coefficient, both the
+    kernel's under the substitution, and the value is None when the height
+    alone is too large for any pair to be read at PACK_WIDTH.  Everything
+    lives until `trim`, which a verification calls after each class.
     """
 
-    __slots__ = ("polys", "packed", "evals")
+    __slots__ = ("polys", "kernels", "packed", "evals")
 
     def __init__(self) -> None:
         self.polys: dict[int, IntPoly] = {}
-        self.packed: dict[int, tuple[int | None, int]] = {}
+        self.kernels: dict[int, tuple[bytes, int]] = {}
+        self.packed: dict[int, tuple[int | None, int, int]] = {}
         self.evals: dict[tuple[int, int], int] = {}
 
     def __contains__(self, n: int) -> bool:
@@ -79,24 +148,58 @@ class CycloCache:
     def __len__(self) -> int:
         return len(self.polys)
 
-    def packed_entry(self, n: int) -> tuple[int | None, int]:
-        """(value at 2^PACK_WIDTH, height) of the stored entry for n.
-
-        Packed on first use and kept until the next `trim`, so only
-        entries that are compared pay the byte per coefficient.
-        """
-        entry = self.packed.get(n)
+    def kernel(self, k: int) -> tuple[bytes, int]:
+        """(digits, height) of the kernel k (or 1, or 2), built on first
+        use from the lower half of its palindrome (`_kernel_half`)."""
+        entry = self.kernels.get(k)
         if entry is None:
-            coeffs = self.polys[n].coeffs
-            height = max(map(abs, coeffs))
-            # a pair read at PACK_WIDTH has both heights within pair_width's bound
-            usable = pair_width(height) == PACK_WIDTH
-            entry = (packed_value(coeffs, PACK_WIDTH) if usable else None, height)
-            self.packed[n] = entry
+            if k > 2:
+                entry = kernel_entry(_kernel_half(k), mirror=True)
+            else:
+                entry = kernel_entry(_SMALL_BASES[k])
+            self.kernels[k] = entry
+        return entry
+
+    def packed_entry(self, n: int, width: int = PACK_WIDTH) -> tuple[int | None, int, int]:
+        """(value at 2^width, length, height) of Phi_n, from its kernel.
+
+        Phi_n(t) = Phi_k(s * t^e) (`_kernel_of`; an index whose own digits
+        are in `kernels` is read as is).  Neither substitution changes the
+        height, and the length is (len(kernel) - 1) * e + 1.  At PACK_WIDTH
+        the value is C work on the kernel's bytes (coefficient + 128): they
+        are spread with stride e over a string of 0x80 bytes (coefficient
+        0), s = -1 maps the odd powers' bytes through _NEG, and the string
+        is read as one integer less the all-0x80 one.  That entry is kept
+        until `trim`.  A wider width (a tall pair or class) packs the
+        kernel's coefficients, with sign s, at width * e, which gives
+        Phi_n(2^width); that entry is not kept.
+        """
+        if width == PACK_WIDTH:
+            entry = self.packed.get(n)
+            if entry is not None:
+                return entry
+        k, e, flip = (n, 1, False) if n in self.kernels else _kernel_of(n)
+        digits, height = self.kernel(k)
+        length = (len(digits) * 8 // _digit_width(height) - 1) * e + 1
+        if width != PACK_WIDTH:
+            coeffs = _kernel_digits_to_coeffs(digits, height)
+            if flip:
+                coeffs[1::2] = map(neg, coeffs[1::2])
+            return packed_value(coeffs, width * e), length, height
+        value = None
+        # a pair read at PACK_WIDTH has both heights within pair_width's bound
+        if pair_width(height) == PACK_WIDTH:
+            pad = b"\x80" * length
+            raw = bytearray(pad)
+            raw[::e] = digits
+            if flip:
+                raw[e :: 2 * e] = raw[e :: 2 * e].translate(_NEG)
+            value = int.from_bytes(raw, "little") - int.from_bytes(pad, "little")
+        entry = self.packed[n] = (value, length, height)
         return entry
 
     def trim(self) -> None:
-        """Drop every polynomial and clear both memos.
+        """Drop every polynomial and kernel and clear both memos.
 
         In a verification only `order.sort_class` and `compare` fill the
         cache, for the indices they read, and an index is read only inside
@@ -107,13 +210,15 @@ class CycloCache:
         with their kernels.
         """
         self.polys.clear()
+        self.kernels.clear()
         self.packed.clear()
         self.evals.clear()
 
 
-def _kernel_coeffs(n: int) -> list[int]:
-    """Coefficients of the entry for an odd squarefree n > 1, by the
-    truncated Moebius product.
+def _kernel_half(n: int) -> list[int]:
+    """The lower half of Phi_n's coefficients, t^0..t^(phi(n)/2), for an
+    odd squarefree n > 1, by the truncated Moebius product; the whole
+    polynomial is the palindrome half + half[-2::-1].
 
     Moebius inversion of t^n - 1 = prod over d | n of Phi_d(t) gives
     Phi_n(t) = prod over d | n of (t^d - 1)^mu(n/d); for n > 1 the
@@ -146,7 +251,7 @@ def _kernel_coeffs(n: int) -> list[int]:
         else:
             for j in range(d, h, d):
                 s[j : j + d] = map(add, s[j : j + d], s[j - d : j])
-    return s + s[-2::-1]
+    return s
 
 
 def cyclo(n: int, cache: CycloCache) -> IntPoly:
@@ -161,21 +266,20 @@ def cyclo(n: int, cache: CycloCache) -> IntPoly:
     poly = cache.polys.get(n)
     if poly is not None:
         return poly
-    r = radical(n)
-    k = r if r % 2 else r // 2
-    if k == 1:
-        base = (-1, 1) if n == 1 else (1, 1)  # Phi_1, or Phi_2 for n = 2^a
-    else:
+    k, e, flip = _kernel_of(n)
+    if k > 2:
         kernel = cache.polys.get(k)
         if kernel is None:
-            kernel = cache.polys[k] = IntPoly(_kernel_coeffs(k))
+            half = _kernel_half(k)
+            kernel = cache.polys[k] = IntPoly(half + half[-2::-1])
         if n == k:
             return kernel
         base = kernel.coeffs
-    e = n // r
+    else:
+        base = _SMALL_BASES[k]  # not stored
     coeffs = [0] * ((len(base) - 1) * e + 1)
     coeffs[::e] = base
-    if 1 < k < r:  # s = -1: the odd powers of the kernel change sign
+    if flip:  # s = -1: the odd powers of the kernel change sign
         coeffs[e :: 2 * e] = map(neg, base[1::2])
     poly = cache.polys[n] = IntPoly(coeffs)
     return poly

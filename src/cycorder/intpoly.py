@@ -8,9 +8,9 @@ numeric sentinel.
 Multiplication and exact division are schoolbook: no construction route
 calls them (cyclotomic polynomials are built by their own linear passes),
 only tests and interactive use.  A division that leaves a remainder
-raises ExactDivisionError.  `packed_value` reads a coefficient sequence
-as one big integer, the form in which comparisons take their
-differences.
+raises ExactDivisionError.  `digit_string` writes a coefficient sequence
+as fixed-width digits, the form in which the cache keeps kernels, and
+`packed_value` reads it as one big integer.
 
 IntPoly values are immutable after construction and all operations are
 pure.
@@ -26,24 +26,30 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a supposedly exact polynomial division leaves a remainder."""
 
 
+def digit_string(coeffs, width: int) -> bytes:
+    """The coefficients as unsigned little-endian digits of `width` bits,
+    each shifted by 2^(width-1), for |coefficients| < 2^(width-1).
+
+    C-level conversions, no Python loop at width 8.  Width must be a
+    multiple of 8; a coefficient that does not fit raises (ValueError from
+    `bytes`, OverflowError from `int.to_bytes`).
+    """
+    nbytes = width // 8
+    digits = map((1 << (width - 1)).__add__, coeffs)
+    if nbytes == 1:
+        return bytes(digits)
+    return b"".join(map(int.to_bytes, digits, repeat(nbytes), repeat("little")))
+
+
 def packed_value(coeffs, width: int) -> int:
     """The polynomial's value at 2^width, for |coefficients| < 2^(width-1).
 
-    Each coefficient is shifted by 2^(width-1) into one unsigned digit, the
-    digit string is read as one integer, and the shift is taken back off
-    as a second integer: C-level conversions, no Python loop at width 8.
-    Width must be a multiple of 8; a coefficient that does not fit raises
-    (ValueError from `bytes`, OverflowError from `int.to_bytes`).
+    The digit string is read as one integer and the shift is taken back
+    off as a second integer.
     """
-    nbytes = width // 8
-    shift = 1 << (width - 1)
-    digits = map(shift.__add__, coeffs)
-    if nbytes == 1:
-        raw = bytes(digits)
-    else:
-        raw = b"".join(map(int.to_bytes, digits, repeat(nbytes), repeat("little")))
-    return int.from_bytes(raw, "little") - int.from_bytes(
-        shift.to_bytes(nbytes, "little") * len(coeffs), "little"
+    shift = (1 << (width - 1)).to_bytes(width // 8, "little")
+    return int.from_bytes(digit_string(coeffs, width), "little") - int.from_bytes(
+        shift * len(coeffs), "little"
     )
 
 

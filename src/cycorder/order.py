@@ -3,11 +3,11 @@
 A totient gap already orders two indices (smaller totient first), so the
 range {1..N} splits into totient classes and only pairs inside one class
 need polynomial comparison.  Each class is sorted by asymptotic order,
-which is the order of its members' coefficient tuples read from the top,
-and its k - 1 adjacent pairs are certified; by transitivity that verifies
-comparability of every pair in the class (proof in `sort_class`).  The
-sorted classes concatenate, ascending by totient value, into the full
-chain.
+which is the order of its members' packed values Phi_n(2^w) (w = 8 for
+every class below index 26565), and its k - 1 adjacent pairs are
+certified; by transitivity that verifies comparability of every pair in
+the class (proof in `sort_class`).  The sorted classes concatenate,
+ascending by totient value, into the full chain.
 
 Classes are independent work units, run in one process in ascending
 totient order; one loop records, checkpoints and reports each, and the
@@ -43,7 +43,7 @@ from .comparator import (
     comparison_record,
     record_to_json,
 )
-from .cyclotomic import CycloCache, cyclo
+from .cyclotomic import CycloCache, pair_width
 
 CHECKPOINT_VERSION = 2  # checkpoint line format; a file of another version is refused
 
@@ -184,13 +184,18 @@ def sort_class(
 ) -> tuple[list[int], list[tuple[int, int, Certificate]]]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
 
-    Members are sorted by their coefficient tuples read from the top.
-    Both polynomials of a pair (a, b) are monic of degree phi_value, so
-    the first coefficient from the top where the tuples differ is the
-    leading coefficient of Phi_b - Phi_a, and a sorts first exactly when
-    it is positive: the asymptotic order, a strict total order, since
-    distinct indices have distinct polynomials.  A class of one member
-    builds no entry.  Then compare runs on the k - 1 adjacent pairs
+    Members are sorted by their packed values P_n = Phi_n(2^w), read
+    with their heights from the cache's entries (`CycloCache.packed_entry`,
+    made from the kernels' bytes; no coefficient tuple is built), at the
+    one width w = pair_width(2 * largest height in the class).  Every
+    pair (a, b) of the class then has heights summing to h with
+    4h < 2^w, so the sign of P_b - P_a is the leading sign of
+    Phi_b - Phi_a (`comparator` module docstring), and a sorts first
+    exactly when it is positive: the asymptotic order, a strict total
+    order, since distinct indices have distinct polynomials.  w is 8 for
+    every class below index 26565 (height 59); a taller class packs its
+    keys afresh at the wider width.  A class of one member builds no
+    entry.  Then compare runs on the k - 1 adjacent pairs
     (a, b), in order, and each (a, b, verdict, certificate) goes to
     cert_sink when one is given; nothing else keeps the certificates, so
     batch runs stay flat in memory.  Returns
@@ -219,7 +224,8 @@ def sort_class(
         raise ValueError("empty totient class")
     ordered = list(phi_class.members)
     if len(ordered) > 1:
-        ordered.sort(key=lambda n: cyclo(n, cache).coeffs[::-1])
+        width = pair_width(2 * max(cache.packed_entry(n)[2] for n in ordered))
+        ordered.sort(key=lambda n: cache.packed_entry(n, width)[0])
     incomparable: list[tuple[int, int, Certificate]] = []
     for a, b in zip(ordered, ordered[1:]):
         verdict, cert = compare(a, b, cache)

@@ -1,6 +1,6 @@
 import pytest
 
-from cycorder.cyclotomic import CycloCache
+from cycorder.cyclotomic import CycloCache, kernel_entry
 from cycorder.intpoly import IntPoly
 
 
@@ -12,8 +12,9 @@ def shared_cache() -> CycloCache:
 
 @pytest.fixture
 def fake_pair_cache() -> CycloCache:
-    """A cache holding t^2 under index 900001, t^2 + t - 3 under 900002,
-    t^2 + 2t - 4 under 900003 and t^2 + t - 2 under 900004.
+    """A cache holding, as kernel digits of their own, t^2 under index
+    900001, t^2 + t - 3 under 900002, t^2 + 2t - 4 under 900003 and
+    t^2 + t - 2 under 900004.
 
     No incomparable pair or tie is known among real indices, so the
     detection machinery is exercised on these non-cyclotomic stand-ins:
@@ -30,6 +31,7 @@ def fake_pair_cache() -> CycloCache:
         (900003, (-4, 2, 1)),
         (900004, (-2, 1, 1)),
     ):
-        poly = cache.polys[n] = IntPoly(coeffs)
+        cache.kernels[n] = kernel_entry(coeffs)
+        poly = IntPoly(coeffs)
         cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 17))
     return cache

@@ -214,17 +214,18 @@ def test_tall_pair_is_read_at_a_wider_packing():
     """Heights summing to 64 or more (no real index below 26565 has them)
     are read off values packed afresh at 16 bits; an entry of height 70
     keeps no 8-bit packed value at all."""
-    from cycorder.cyclotomic import CycloCache
+    from cycorder.cyclotomic import CycloCache, kernel_entry
     from cycorder.intpoly import IntPoly
 
     cache = CycloCache()
     a, b = 900001, 900002
     for n, coeffs in ((a, (3, -70, 0, 1)), (b, (-30, 5, 1, 1))):
-        poly = cache.polys[n] = IntPoly(coeffs)
+        cache.kernels[n] = kernel_entry(coeffs)
+        poly = IntPoly(coeffs)
         cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 100))
     # difference (b - a) is t^2 + 75t - 33, positive for every q >= 1
     v, cert = compare(a, b, cache)
-    assert cache.packed[a] == (None, 70) and cache.packed[b][1] == 30
+    assert cache.packed[a] == (None, 4, 70) and cache.packed[b][2] == 30
     assert v is Verdict.LESS
     assert (cert.threshold_c, cert.leading_sign, cert.checked_q_max) == (75, 1, 75)
     assert not cert.tie_witnesses and not cert.flip_witnesses

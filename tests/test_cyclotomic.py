@@ -11,8 +11,10 @@ from cycorder.cyclotomic import (
     cyclo,
     cyclo_moebius,
     eval_cyclo,
+    kernel_entry,
+    pair_width,
 )
-from cycorder.intpoly import IntPoly
+from cycorder.intpoly import IntPoly, digit_string, packed_value
 from cycorder.oracle import _horner
 
 
@@ -98,6 +100,7 @@ def test_cache_reuse_and_trim():
     p2 = cyclo(50, cache)
     eval_cyclo(50, 2, cache)
     cache.packed_entry(50)
+    assert set(cache.kernels) == {15, 5}  # the kernels of 360 and 50
     cache.trim()
     assert 360 not in cache
     assert 360 not in cache.packed and (360, 2) not in cache.evals
@@ -105,6 +108,7 @@ def test_cache_reuse_and_trim():
     assert 50 not in cache
     assert 50 not in cache.packed and (50, 2) not in cache.evals
     assert len(cache) == 0 and not cache.polys and not cache.packed and not cache.evals
+    assert not cache.kernels
     assert cyclo(360, cache) == p1
     assert cyclo(50, cache) == p2
 
@@ -129,15 +133,48 @@ def test_oracle_equivalence_to_3000(shared_cache, oracle_to_3000):
 
 
 def test_packed_entries_match_the_product_formula_to_3000():
-    """A third route: each entry's packed value at 2^8, read off its
-    coefficients, equals the integer product formula at q = 256."""
+    """A third route: each entry's packed value at 2^8, made from its
+    kernel's bytes, equals the integer product formula at q = 256 and the
+    packing of `cyclo`'s coefficients; the height it inherits from its
+    kernel is the entry's own (t -> +-t^e keeps the height)."""
     cache = CycloCache()
     for n in range(1, 3001):
-        cyclo(n, cache)
-        value, height = cache.packed_entry(n)
+        value, length, height = cache.packed_entry(n)
+        coeffs = cyclo(n, cache).coeffs
         assert height < 2 ** (PACK_WIDTH - 2), n  # every entry this small packs at width 8
+        assert height == max(map(abs, coeffs)), n
+        assert length == len(coeffs) == totient(n) + 1, n
+        assert value == packed_value(coeffs, PACK_WIDTH), n
         assert value == eval_cyclo(n, 2**PACK_WIDTH, cache), n
         cache.trim()
+
+
+def test_wide_packed_entries_match_the_coefficients():
+    """Entries packed wider than 8 bits, and entries of a kernel too tall
+    for a byte (40755 has height 359), against `cyclo`'s coefficients,
+    for each substitution: none, t -> -t, t -> t^3, t -> -t^2 and the
+    powers of two."""
+    cache = CycloCache()
+    for n in (1, 2, 16, 105, 210, 315, 420, 40755, 2 * 40755, 3 * 40755, 4 * 40755):
+        coeffs = cyclo(n, cache).coeffs
+        height = max(map(abs, coeffs))
+        value, length, kept = cache.packed_entry(n)
+        assert (length, kept) == (len(coeffs), height), n
+        assert (value is None) == (pair_width(height) > PACK_WIDTH), n
+        for width in (16, 24, pair_width(2 * height)):
+            assert cache.packed_entry(n, width) == (packed_value(coeffs, width), length, height), n
+        cache.trim()
+
+
+def test_kernel_entry_digit_widths():
+    """A kernel is kept in bytes (coefficient + 128) up to height 127 and
+    in wider digits from 128 on, -128 included; a mirrored lower half
+    gives the whole palindrome's entry."""
+    assert kernel_entry((-127, 0, 1)) == (bytes((1, 128, 129)), 127)
+    assert kernel_entry((-128, 0, 1)) == (digit_string((-128, 0, 1), 16), 128)
+    assert kernel_entry((1, -359, 7)) == (digit_string((1, -359, 7), 16), 359)
+    for half in ([1, -3, 5], [1, -200, 3]):
+        assert kernel_entry(half, mirror=True) == kernel_entry(half + half[-2::-1])
 
 
 def test_six_prime_kernel_builds():

@@ -10,10 +10,10 @@ import time
 import pytest
 
 import cycorder
-from cycorder.arith import totient
+from cycorder.arith import inverse_totient, totient
 from cycorder.cli import main
 from cycorder.comparator import Verdict, compare
-from cycorder.cyclotomic import CycloCache
+from cycorder.cyclotomic import CycloCache, cyclo, kernel_entry
 from cycorder.intpoly import IntPoly
 from cycorder.order import (
     CHECKPOINT_VERSION,
@@ -91,12 +91,13 @@ def test_sort_class_examples(shared_cache):
 
 
 def test_sort_class_orders_a_tall_pair():
-    """Stand-ins whose heights (70 and 30) sum to 64 or more sort by
-    their coefficients and certify at the wider packing."""
+    """Stand-ins whose heights (70 and 30) sum to 64 or more sort and
+    certify at the wider packing."""
     cache = CycloCache()
     a, b = 900001, 900002
     for n, coeffs in ((a, (3, -70, 0, 1)), (b, (-30, 5, 1, 1))):
-        poly = cache.polys[n] = IntPoly(coeffs)
+        cache.kernels[n] = kernel_entry(coeffs)
+        poly = IntPoly(coeffs)
         cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 100))
     evidence = []
     ordered, incomparable = sort_class(
@@ -106,6 +107,37 @@ def test_sort_class_orders_a_tall_pair():
     [(m, n, verdict, cert)] = evidence
     assert (m, n, verdict) == (a, b, Verdict.LESS)
     assert (cert.threshold_c, cert.leading_sign) == (75, 1)
+
+
+def test_sort_class_sorts_a_tall_class_at_its_wider_packing():
+    """Class 10560 below 40000 holds 26565 (height 59) and 16445 (height
+    8), so its sort key is packed at 16 bits and the sort meets pairs
+    whose heights sum to 67.  The order is the coefficient-tuple order
+    and every adjacent pair certifies LESS."""
+    members = [x for x in inverse_totient(10560) if x <= 40000]
+    assert len(members) == 96 and {16445, 26565} <= set(members)
+    evidence = []
+    ordered, incomparable = sort_class(
+        PhiClass(10560, members), CycloCache(), cert_sink=lambda *e: evidence.append(e)
+    )
+    cache = CycloCache()
+    assert ordered == sorted(members, key=lambda n: cyclo(n, cache).coeffs[::-1])
+    assert not incomparable and len(evidence) == 95
+    assert all(verdict is Verdict.LESS for _, _, verdict, _ in evidence)
+    verdict, cert = compare(16445, 26565, CycloCache())
+    assert verdict is Verdict.LESS
+    assert (cert.threshold_c, cert.leading_sign, cert.checked_q_max) == (63, 1, 63)
+    assert not cert.tie_witnesses and not cert.flip_witnesses
+
+
+def test_sort_class_builds_no_polynomial():
+    """Sorting and certifying reads kernels and packed values only: no
+    `IntPoly` is built on the verify path."""
+    cache = CycloCache()
+    for cls in phi_classes(2000):
+        sort_class(cls, cache)
+        assert not cache.polys, cls.phi_value
+    assert cache.kernels and cache.packed
 
 
 def test_sort_class_adjacent_pairs_are_less(shared_cache):
