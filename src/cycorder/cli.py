@@ -10,7 +10,9 @@ Exit codes:
     2   usage error (argparse, or an input above its size guard)
     3   an INCOMPARABLE pair was found (scriptable counterexample signal)
     4   checkpoint file rejected (hash chain, version or parameter mismatch)
-    130 interrupted; checkpointed progress is already flushed
+    130 interrupted; checkpointed progress is on disk: each class line is
+        flushed as the class finishes, and the file is synced after each
+        second of classes and when the run ends, fails or is interrupted
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ ascending by totient value, into the full chain.
 Classes are independent work units, run in one process in ascending
 totient order; one loop records, checkpoints and reports each, and the
 polynomial cache is emptied after every class.  The checkpoint is a
-hash-chained JSON-lines file, one line per class; loading verifies the
-chain.
+hash-chained JSON-lines file, one line per class, flushed as each class
+finishes and synced to disk after each second of classes and when the
+run ends; loading verifies the chain.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -30,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterable
@@ -46,6 +48,7 @@ from .comparator import (
 from .cyclotomic import CycloCache, pair_width
 
 CHECKPOINT_VERSION = 2  # checkpoint line format; a file of another version is refused
+CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
 
 
 class OrderingError(Exception):
@@ -296,6 +299,32 @@ class CheckpointFile:
     well-formed lines, another version or another range_max raises
     CheckpointError.  Classes are written in ascending totient order, so
     the classes on file are always the lowest ones.
+
+    The first `append` opens one append handle, kept until `close()`;
+    an instance used only to load opens none.  Each class line is
+    written and flushed at once, so it is in the operating system before
+    `build_chain` reports the class.  `os.fsync` runs in an `append`
+    that comes CHECKPOINT_SYNC_INTERVAL_S of wall time or more after the
+    handle was opened or last synced, and once more in `close()`, which
+    `build_chain` calls however its class loop ends.  Why no run loses
+    what its resume needs:
+
+    1. Process death (SIGKILL, a crash of the interpreter) loses no
+       flushed line: the kernel holds the file's data whether or not the
+       process lives, and every reported class was flushed first.
+    2. A normal end, an exception and Ctrl-C (KeyboardInterrupt) all
+       leave `build_chain` through `close()`, so the file is synced when
+       the run returns, fails or exits 130.
+    3. An operating-system crash or power loss can drop the lines
+       written since the last sync: classes begun and finished within
+       CHECKPOINT_SYNC_INTERVAL_S of it, about that much work.  They
+       are the highest classes on file, so a file that lost its tail is
+       still a prefix of the run, and resuming recomputes them; damage
+       anywhere but the final line makes the load fail (exit 4), never
+       resume wrongly.
+    4. A line cut short by any of these is a malformed final line, which
+       `_load` discards and cuts; an edited or reordered line still
+       breaks the hash chain.
     """
 
     def __init__(self, path: str, range_max: int):
@@ -304,6 +333,8 @@ class CheckpointFile:
         self.completed: dict[int, dict] = {}
         self._last_hash = ""
         self._last_phi = -1
+        self._fh = None  # the append handle, opened by the first append
+        self._synced_at = 0.0
         if os.path.exists(path) and os.path.getsize(path) > 0:
             self._load()
         else:
@@ -367,13 +398,29 @@ class CheckpointFile:
         rec = dict(summary)
         rec["kind"] = "class"
         rec["chain"] = _chain_hash(self._last_hash, rec)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+            self._synced_at = time.monotonic()
+        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._fh.flush()
+        now = time.monotonic()
+        if now - self._synced_at >= CHECKPOINT_SYNC_INTERVAL_S:
+            os.fsync(self._fh.fileno())
+            self._synced_at = now
         self._last_hash = rec["chain"]
         self._last_phi = rec["phi"]
         self.completed[rec["phi"]] = summary
+
+    def close(self) -> None:
+        """Sync and close the append handle, if `append` opened one."""
+        if self._fh is None:
+            return
+        try:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        finally:
+            self._fh.close()
+            self._fh = None
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +440,9 @@ def build_chain(
     """Sort {1..range_max} into the full chain, verifying comparability.
 
     Classes run in this process in ascending totient order, and one loop
-    records, checkpoints and reports (`progress`) each.  A later call
-    resumes after the last class on file.  `workers` is checked (>= 1)
+    records, checkpoints and reports (`progress`) each; the checkpoint is
+    synced and closed however the loop ends (`CheckpointFile`).  A later
+    call resumes after the last class on file.  `workers` is checked (>= 1)
     and has no effect: the run is one process, and existing callers that
     pass a worker count get the same results as before.
     """
@@ -407,14 +455,18 @@ def build_chain(
     total = len(classes)
 
     cache = CycloCache()
-    for cls in classes:
-        if cls.phi_value in summaries:
-            continue  # on file from an earlier run
-        summary = summaries[cls.phi_value] = _finish_class(cls, cache)
+    try:
+        for cls in classes:
+            if cls.phi_value in summaries:
+                continue  # on file from an earlier run
+            summary = summaries[cls.phi_value] = _finish_class(cls, cache)
+            if checkpoint is not None:
+                checkpoint.append(summary)
+            if progress is not None:
+                progress(len(summaries), total, summary)
+    finally:
         if checkpoint is not None:
-            checkpoint.append(summary)
-        if progress is not None:
-            progress(len(summaries), total, summary)
+            checkpoint.close()
 
     sequence: list[int] = []
     pair_count = 0

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -124,7 +125,7 @@ def test_verify_checkpoint_and_corruption(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "80", "--checkpoint", path)
     assert code == 0  # resume of a finished run
 
-    lines = open(path).read().splitlines(True)
+    lines = Path(path).read_text().splitlines(True)
     with open(path, "w") as fh:
         fh.writelines([lines[0]] + [lines[1].replace('"pair_count": ', '"pair_count": 9')] + lines[2:])
     code, out, err = run_cli(capsys, "verify", "80", "--checkpoint", path)

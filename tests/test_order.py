@@ -2,10 +2,12 @@ import hashlib
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -313,7 +315,7 @@ def test_conjecture2_outcomes():
 def test_checkpoint_resume_and_validation(tmp_path):
     path = str(tmp_path / "verify.ckpt")
     first = build_chain(200, workers=1, checkpoint_path=path)
-    lines = open(path).read().splitlines(True)
+    lines = Path(path).read_text().splitlines(True)
     assert len(lines) == first.class_count + 1
 
     resumed = build_chain(200, workers=1, checkpoint_path=path)
@@ -324,7 +326,7 @@ def test_checkpoint_resume_and_validation(tmp_path):
         fh.writelines(lines[:4])
     partial = build_chain(200, workers=1, checkpoint_path=path)
     assert partial == first
-    assert len(open(path).read().splitlines()) == first.class_count + 1
+    assert len(Path(path).read_text().splitlines()) == first.class_count + 1
 
     # interrupted (half-written) trailing line is tolerated
     with open(path, "w") as fh:
@@ -379,7 +381,7 @@ def test_checkpoint_is_offered_each_class_once(tmp_path, monkeypatch):
 def test_checkpoint_torn_tail_survives_two_resumes(tmp_path):
     path = str(tmp_path / "verify.ckpt")
     first = build_chain(60, workers=1, checkpoint_path=path)
-    intact = open(path).read()
+    intact = Path(path).read_text()
     lines = intact.splitlines(True)
 
     # half of line 5, then a complete line 5 whose newline never landed
@@ -389,7 +391,7 @@ def test_checkpoint_torn_tail_survives_two_resumes(tmp_path):
             fh.write(tail)
         assert build_chain(60, workers=1, checkpoint_path=path) == first
         assert build_chain(60, workers=1, checkpoint_path=path) == first
-        assert open(path).read() == intact
+        assert Path(path).read_text() == intact
 
 
 def test_checkpoint_parallel_matches_serial(tmp_path):
@@ -398,7 +400,7 @@ def test_checkpoint_parallel_matches_serial(tmp_path):
     r1 = build_chain(300, workers=1, checkpoint_path=p1)
     r2 = build_chain(300, workers=2, checkpoint_path=p2)
     assert r1 == r2
-    assert open(p1).read() == open(p2).read()
+    assert Path(p1).read_text() == Path(p2).read_text()
 
 
 def test_sequence_formats():
@@ -414,32 +416,47 @@ def test_sequence_formats():
     assert len(rows) == 21
 
 
+def _start_verify_5000(path: str, err) -> subprocess.Popen:
+    """Start `verify 5000 --checkpoint path` in a session of its own, with
+    stderr to the file `err`, and return once the checkpoint holds a class
+    line and stderr a progress line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycorder", "verify", "5000", "--checkpoint", path],
+        stdout=subprocess.DEVNULL, stderr=err, env=dict(os.environ, PYTHONPATH=src),
+        start_new_session=True,
+    )
+
+    def started() -> bool:
+        return (
+            os.path.exists(path)
+            and '"kind": "class"' in Path(path).read_text()
+            and "class phi=" in Path(err.name).read_text()
+        )
+
+    try:
+        deadline = time.monotonic() + 60
+        while not started():
+            assert proc.poll() is None, "verify ended before its first class line"
+            assert time.monotonic() < deadline, "no class line within 60 s"
+            time.sleep(0.005)
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    return proc
+
+
 def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
     """SIGINT to the process group of a `verify`, sent once the checkpoint
     holds a class line, ends it with exit 130 within 10 s; the checkpoint
     loads and resumes to the full report.  N = 5000 keeps the run going
-    for about a second after its first class line."""
+    for 0.8 to 1.0 s after its first class line (five runs on a 2-vCPU
+    x86-64 host, Python 3.11)."""
     path = str(tmp_path / "verify.ckpt")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-
-    def has_class_line() -> bool:
-        if not os.path.exists(path):
-            return False
-        with open(path) as fh:
-            return '"kind": "class"' in fh.read()
-
     with open(tmp_path / "stderr.txt", "w+") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cycorder", "verify", "5000", "--checkpoint", path],
-            stdout=subprocess.DEVNULL, stderr=err, env=env, start_new_session=True,
-        )
+        proc = _start_verify_5000(path, err)
         try:
-            deadline = time.monotonic() + 60
-            while not has_class_line():
-                assert proc.poll() is None, "verify ended before its first class line"
-                assert time.monotonic() < deadline, "no class line within 60 s"
-                time.sleep(0.005)
             os.killpg(proc.pid, signal.SIGINT)
             code = proc.wait(timeout=10)
         finally:
@@ -452,3 +469,75 @@ def test_ctrl_c_exits_130_and_keeps_the_checkpoint(tmp_path):
     assert "interrupted" in stderr
     assert CheckpointFile(path, 5000).completed
     assert build_chain(5000, workers=2, checkpoint_path=path) == build_chain(5000)
+
+
+def test_sigkill_loses_no_reported_class(tmp_path):
+    """SIGKILL, which runs no handler and no `close()`, sent once a
+    `verify` has a class line on file: every class whose progress line
+    reached stderr is in the checkpoint, because each line is flushed
+    before its class is reported, and the checkpoint loads and resumes
+    to the full report."""
+    path = str(tmp_path / "verify.ckpt")
+    with open(tmp_path / "stderr.txt", "w+") as err:
+        proc = _start_verify_5000(path, err)
+        os.killpg(proc.pid, signal.SIGKILL)
+        code = proc.wait(timeout=10)
+        err.seek(0)
+        stderr = err.read()
+    assert code == -signal.SIGKILL, stderr
+    reported = {int(phi) for phi in re.findall(r"^class phi=(\d+) .*\)$", stderr, re.M)}
+    assert reported
+    assert reported <= set(CheckpointFile(path, 5000).completed)
+    assert build_chain(5000, checkpoint_path=path) == build_chain(5000)
+
+
+def _count_fsyncs(monkeypatch) -> list[int]:
+    """Record the descriptor of every `os.fsync` the order module makes."""
+    syncs: list[int] = []
+    real_fsync = os.fsync
+
+    def fsync(fd: int) -> None:
+        syncs.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(cycorder.order.os, "fsync", fsync)
+    return syncs
+
+
+def test_checkpoint_syncs_at_most_once_a_second(tmp_path, monkeypatch):
+    """496 class lines, written in well under 10 s, take at least one
+    fsync (the one in `close()`) and fewer than 10."""
+    syncs = _count_fsyncs(monkeypatch)
+    report = build_chain(2000, checkpoint_path=str(tmp_path / "verify.ckpt"))
+    assert report.class_count == 496
+    assert 1 <= len(syncs) < 10
+
+
+def test_interrupted_build_syncs_and_closes_its_checkpoint(tmp_path, monkeypatch):
+    """A KeyboardInterrupt from `progress` at the 10th class leaves the
+    checkpoint synced after its 10th line and its handle closed; the
+    file loads with 10 classes and resumes to the full report."""
+    path = str(tmp_path / "verify.ckpt")
+    syncs = _count_fsyncs(monkeypatch)
+    opened: list[CheckpointFile] = []
+
+    class Recorded(CheckpointFile):
+        def __init__(self, *args):
+            super().__init__(*args)
+            opened.append(self)
+
+    monkeypatch.setattr(cycorder.order, "CheckpointFile", Recorded)
+    synced_before: list[int] = []
+
+    def progress(done: int, total: int, summary: dict) -> None:
+        if done == 10:
+            synced_before.append(len(syncs))
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        build_chain(2000, checkpoint_path=path, progress=progress)
+    [checkpoint] = opened
+    assert len(syncs) == synced_before[0] + 1
+    assert checkpoint._fh is None
+    assert len(CheckpointFile(path, 2000).completed) == 10
+    assert build_chain(2000, checkpoint_path=path) == build_chain(2000)
