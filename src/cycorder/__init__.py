@@ -6,7 +6,6 @@ from .comparator import (
     Certificate,
     Verdict,
     compare,
-    compare_fast,
     comparison_record,
     parse_comparison_record,
     record_to_json,
@@ -19,7 +18,7 @@ from .cyclotomic import (
     cyclo_moebius,
     eval_cyclo,
 )
-from .intpoly import ExactDivisionError, IntPoly
+from .intpoly import IntPoly
 from .order import (
     ChainReport,
     CheckpointError,
@@ -41,7 +40,6 @@ __all__ = [
     "ChainReport",
     "CheckpointError",
     "CycloCache",
-    "ExactDivisionError",
     "IncomparablePairError",
     "IntPoly",
     "NotLessError",
@@ -54,7 +52,6 @@ __all__ = [
     "check_mu_sandwich",
     "check_value_bounds",
     "compare",
-    "compare_fast",
     "comparison_record",
     "cyclo",
     "cyclo_moebius",

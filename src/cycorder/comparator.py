@@ -47,12 +47,8 @@ import enum
 import json
 from dataclasses import dataclass, field
 
-from .arith import moebius, radical, totient
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
-from .cyclotomic import cyclo  # noqa: F401  re-exported: D is cyclo(n, cache) - cyclo(m, cache)
-
-SHORTCUT_PHI_GAP = "phi-gap"  # different totients decide the pair outright
-SHORTCUT_ODD_DOUBLE = "odd-double"  # pair {k, 2k} with k odd, decided by mu(radical(k))
+from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyclo
 
 
 class Verdict(enum.Enum):
@@ -77,8 +73,8 @@ class Certificate:
 
     threshold_c     largest absolute coefficient of the difference
     leading_sign    sign of the difference's top coefficient (settles all
-                    q > threshold_c); 0 when the difference is zero or was
-                    never formed (shortcut verdicts)
+                    q > threshold_c); 0 only for EQUAL, where the
+                    difference is zero
     checked_q_max   largest q that was exhaustively evaluated; equals
                     max(threshold_c, 1) except when an incomparable verdict
                     needs the first asymptotic q as an explicit witness
@@ -206,36 +202,6 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     return verdict, Certificate(c, lead, checked, ties, flips)
 
 
-def compare_fast(
-    m: int, n: int, cache: CycloCache
-) -> tuple[Verdict, Certificate | str]:
-    """Comparison with the two proved shortcuts; agrees with `compare`.
-
-    A totient gap decides the pair without polynomial work (smaller totient
-    precedes).  A pair {k, 2k} with k odd is decided by the Moebius function
-    of the radical of k: +1 puts k first, -1 puts 2k first.  Anything else
-    delegates to `compare`.  Shortcut results carry a tag string instead of
-    a certificate.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"indices must be positive integers, got ({m}, {n})")
-    if m == n:
-        return compare(m, n, cache)
-    tm, tn = totient(m), totient(n)
-    if tm != tn:
-        return (Verdict.LESS if tm < tn else Verdict.GREATER), SHORTCUT_PHI_GAP
-    k = 0
-    if m % 2 == 1 and n == 2 * m:
-        k, k_first = m, Verdict.LESS
-    elif n % 2 == 1 and m == 2 * n:
-        k, k_first = n, Verdict.GREATER
-    if k:
-        # k precedes 2k iff mu(radical(k)) == 1
-        verdict = k_first if moebius(radical(k)) == 1 else k_first.flipped()
-        return verdict, SHORTCUT_ODD_DOUBLE
-    return compare(m, n, cache)
-
-
 # ---------------------------------------------------------------------------
 # wire format: one flat record per comparison, JSON-encodable
 # ---------------------------------------------------------------------------
@@ -253,36 +219,22 @@ _RECORD_FIELDS = (
 )
 
 
-def comparison_record(
-    m: int, n: int, verdict: Verdict, evidence: Certificate | str
-) -> dict:
+def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> dict:
     """Flat key-value record for one comparison.
 
-    Shortcut results (evidence is a tag string) carry zeroed certificate
-    fields; leading_sign 0 means "not computed".
+    `shortcut_tag` is always None; the field stays so that records, and
+    the certificate hashes taken over them, keep their bytes.
     """
-    if isinstance(evidence, Certificate):
-        return {
-            "verdict": verdict.value,
-            "m": m,
-            "n": n,
-            "threshold_c": evidence.threshold_c,
-            "leading_sign": evidence.leading_sign,
-            "checked_q_max": evidence.checked_q_max,
-            "tie_witnesses": list(evidence.tie_witnesses),
-            "flip_witnesses": list(evidence.flip_witnesses),
-            "shortcut_tag": None,
-        }
     return {
         "verdict": verdict.value,
         "m": m,
         "n": n,
-        "threshold_c": 0,
-        "leading_sign": 0,
-        "checked_q_max": 0,
-        "tie_witnesses": [],
-        "flip_witnesses": [],
-        "shortcut_tag": evidence,
+        "threshold_c": cert.threshold_c,
+        "leading_sign": cert.leading_sign,
+        "checked_q_max": cert.checked_q_max,
+        "tie_witnesses": list(cert.tie_witnesses),
+        "flip_witnesses": list(cert.flip_witnesses),
+        "shortcut_tag": None,
     }
 
 
@@ -300,11 +252,9 @@ def parse_comparison_record(text: str) -> dict:
     return rec
 
 
-def certificate_from_record(rec: dict) -> tuple[int, int, Verdict, Certificate | str]:
-    """Rebuild (m, n, verdict, evidence) from a parsed record."""
+def certificate_from_record(rec: dict) -> tuple[int, int, Verdict, Certificate]:
+    """Rebuild (m, n, verdict, certificate) from a parsed record."""
     verdict = Verdict(rec["verdict"])
-    if rec.get("shortcut_tag"):
-        return rec["m"], rec["n"], verdict, rec["shortcut_tag"]
     cert = Certificate(
         rec["threshold_c"],
         rec["leading_sign"],

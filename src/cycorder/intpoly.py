@@ -1,16 +1,18 @@
-"""Exact dense univariate polynomial arithmetic over the integers.
+"""Exact dense univariate integer polynomials and their fixed-width digit strings.
 
 An IntPoly is an immutable, normalized coefficient sequence: index i holds
 the coefficient of t^i, the last entry is nonzero, and the zero polynomial
 is the empty sequence.  Its degree is reported as None rather than a
 numeric sentinel.
 
-Multiplication and exact division are schoolbook: no construction route
-calls them (cyclotomic polynomials are built by their own linear passes),
-only tests and interactive use.  A division that leaves a remainder
-raises ExactDivisionError.  `digit_string` writes a coefficient sequence
-as fixed-width digits, the form in which the cache keeps kernels, and
-`packed_value` reads it as one big integer.
+The class carries what tests need to check the comparator against a
+polynomial reference: subtraction, exact evaluation, the split into
+positive and negative parts, the largest absolute coefficient and the
+palindrome test.  Construction builds coefficient lists by its own
+linear passes and comparison reads packed values, so neither does
+polynomial arithmetic here.  `digit_string` writes a coefficient
+sequence as fixed-width digits, the form in which the cache keeps
+kernels, and `packed_value` reads it as one big integer.
 
 IntPoly values are immutable after construction and all operations are
 pure.
@@ -20,10 +22,6 @@ from __future__ import annotations
 
 from itertools import repeat
 from typing import Iterable
-
-
-class ExactDivisionError(ArithmeticError):
-    """Raised when a supposedly exact polynomial division leaves a remainder."""
 
 
 def digit_string(coeffs, width: int) -> bytes:
@@ -51,46 +49,6 @@ def packed_value(coeffs, width: int) -> int:
     return int.from_bytes(digit_string(coeffs, width), "little") - int.from_bytes(
         shift * len(coeffs), "little"
     )
-
-
-def _mul_school(a, b) -> list[int]:
-    """Schoolbook product of two coefficient sequences; zero terms of a cost nothing."""
-    if not a or not b:
-        return []
-    lb = len(b)
-    res = [0] * (len(a) + lb - 1)
-    for i, c in enumerate(a):
-        if c:
-            res[i : i + lb] = [r + c * x for r, x in zip(res[i : i + lb], b)]
-    return res
-
-
-def _div_school(num, den) -> list[int]:
-    """Long division by a nonzero divisor; raises ExactDivisionError on any
-    nonzero remainder."""
-    dn = len(den)
-    lead = den[-1]
-    rem = list(num)
-    qlen = len(num) - dn + 1
-    if qlen <= 0:
-        if any(num):
-            raise ExactDivisionError("divisor degree exceeds dividend degree")
-        return []
-    quot = [0] * qlen
-    body = den[:-1]
-    for top in range(len(num) - 1, dn - 2, -1):
-        c = rem[top]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                raise ExactDivisionError("leading coefficient does not divide")
-            k = top - dn + 1
-            quot[k] = q
-            rem[top] = 0
-            rem[k:top] = [x - q * y for x, y in zip(rem[k:top], body)]
-    if any(rem):
-        raise ExactDivisionError("nonzero remainder")
-    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +102,6 @@ class IntPoly:
             terms.append(("- " if c < 0 else "+ " if terms else "") + term)
         return f"IntPoly({' '.join(terms)})"
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) >= len(b):
@@ -165,31 +114,12 @@ class IntPoly:
                 out[i] += c
         return IntPoly(out)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_mul_school(self.coeffs, other.coeffs))
-
-    def div_exact(self, other: "IntPoly") -> "IntPoly":
-        """Exact quotient self / other.
-
-        Raises ExactDivisionError if the division leaves a remainder (which
-        signals a logic bug in the caller, not bad user input) and
-        ZeroDivisionError for a zero divisor.
-        """
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        return IntPoly(_div_school(self.coeffs, other.coeffs))
-
     def eval_at(self, x: int) -> int:
         """Exact value of the polynomial at the integer x (Horner scheme)."""
         value = 0
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
-
-    __call__ = eval_at
 
     def split_pos_neg(self) -> tuple["IntPoly", "IntPoly"]:
         """Split into (a, b) with a - b = self, both with positive coefficients only.

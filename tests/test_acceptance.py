@@ -9,9 +9,9 @@ import random
 import time
 from contextlib import contextmanager
 
-from cycorder.arith import divisors, inverse_totient, totient
+from cycorder.arith import divisors, inverse_totient, moebius, radical, totient
 from cycorder.cli import main
-from cycorder.comparator import Verdict, compare, compare_fast
+from cycorder.comparator import Verdict, compare
 from cycorder.cyclotomic import (
     check_mu_sandwich,
     check_value_bounds,
@@ -126,20 +126,37 @@ def test_criterion_09_mu_sandwich(shared_cache):
                 assert check_mu_sandwich(m, q, shared_cache), (m, q)
 
 
+def proved_rule(m: int, n: int) -> Verdict | None:
+    """The verdict of the two proved facts, or None when neither applies.
+
+    Totient gap: the index of smaller totient comes first.  Odd double:
+    for odd k, k comes before 2k iff mu(rad k) = 1.
+    """
+    tm, tn = totient(m), totient(n)
+    if tm != tn:
+        return Verdict.LESS if tm < tn else Verdict.GREATER
+    if m % 2 == 1 and n == 2 * m:
+        return Verdict.LESS if moebius(radical(m)) == 1 else Verdict.GREATER
+    if n % 2 == 1 and m == 2 * n:
+        return Verdict.GREATER if moebius(radical(n)) == 1 else Verdict.LESS
+    return None
+
+
 def test_criterion_10_shortcut_soundness(shared_cache):
-    with criterion(10, "fast comparison equals full comparison, all pairs <= 300 plus random"):
-        for m in range(1, 301):
-            for n in range(1, 301):
-                vf, _ = compare_fast(m, n, shared_cache)
-                vc, _ = compare(m, n, shared_cache)
-                assert vf is vc, (m, n)
+    with criterion(10, "totient gap and odd double agree with compare, pairs <= 300 plus random"):
         rng = random.Random(20240)
-        for _ in range(1000):
-            m = rng.randint(1, 2000)
-            n = rng.randint(1, 2000)
-            vf, _ = compare_fast(m, n, shared_cache)
-            vc, _ = compare(m, n, shared_cache)
-            assert vf is vc, (m, n)
+        pairs = [(m, n) for m in range(1, 301) for n in range(1, 301)]
+        pairs += [(rng.randint(1, 2000), rng.randint(1, 2000)) for _ in range(1000)]
+        gaps = doubles = 0
+        for m, n in pairs:
+            rule = proved_rule(m, n)
+            if rule is not None:
+                assert compare(m, n, shared_cache)[0] is rule, (m, n)
+                if totient(m) == totient(n):
+                    doubles += 1
+                else:
+                    gaps += 1
+        assert (gaps, doubles) == (89229, 150)
 
 
 def test_criterion_11_equal_totient_difference_structure(shared_cache):

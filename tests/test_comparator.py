@@ -4,13 +4,9 @@ import pytest
 
 from cycorder.arith import totient
 from cycorder.comparator import (
-    SHORTCUT_ODD_DOUBLE,
-    SHORTCUT_PHI_GAP,
-    Certificate,
     Verdict,
     certificate_from_record,
     compare,
-    compare_fast,
     comparison_record,
     parse_comparison_record,
     record_to_json,
@@ -29,7 +25,7 @@ def verdicts300(shared_cache):
 
 
 def test_compare_worked_examples(shared_cache):
-    v, _ = compare(1, 2, shared_cache)
+    v, _ = compare(1, 2, shared_cache)  # the odd double k = 1: mu(1) = 1
     assert v is Verdict.LESS
 
     v, cert = compare(6, 4, shared_cache)
@@ -46,27 +42,24 @@ def test_compare_worked_examples(shared_cache):
     v, cert = compare(4, 3, shared_cache)
     assert v is Verdict.LESS and cert.threshold_c == 1 and cert.leading_sign == 1
 
-    with pytest.raises(ValueError):
-        compare(0, 1, shared_cache)
-
-
-def test_compare_fast_worked_examples(shared_cache):
-    v, tag = compare_fast(3, 10, shared_cache)
-    assert v is Verdict.LESS and tag == SHORTCUT_PHI_GAP
-
-    v, tag = compare_fast(9, 18, shared_cache)
-    assert v is Verdict.GREATER and tag == SHORTCUT_ODD_DOUBLE
-    v, tag = compare_fast(18, 9, shared_cache)
-    assert v is Verdict.LESS and tag == SHORTCUT_ODD_DOUBLE
-
-    # same totient, not an odd-double pair: falls through to the full procedure
-    v, evidence = compare_fast(5, 8, shared_cache)
-    assert v is Verdict.GREATER and isinstance(evidence, Certificate)
-    v, evidence = compare_fast(8, 5, shared_cache)
+    # a totient gap: the smaller totient comes first
+    v, _ = compare(3, 10, shared_cache)
     assert v is Verdict.LESS
 
-    v, tag = compare_fast(1, 2, shared_cache)
-    assert v is Verdict.LESS and tag == SHORTCUT_ODD_DOUBLE
+    # odd doubles {k, 2k}: k first iff mu(rad k) = 1
+    v, _ = compare(9, 18, shared_cache)
+    assert v is Verdict.GREATER
+    v, _ = compare(18, 9, shared_cache)
+    assert v is Verdict.LESS
+
+    # same totient, not an odd double
+    v, _ = compare(5, 8, shared_cache)
+    assert v is Verdict.GREATER
+    v, _ = compare(8, 5, shared_cache)
+    assert v is Verdict.LESS
+
+    with pytest.raises(ValueError):
+        compare(0, 1, shared_cache)
 
 
 def test_mixed_degree_certificate_matches_polynomial_difference(shared_cache):
@@ -93,24 +86,6 @@ def test_antisymmetry_and_diagonal(shared_cache, verdicts300):
     for m in range(1, 301):
         v, _ = compare(m, m, shared_cache)
         assert v is Verdict.EQUAL
-
-
-def test_shortcut_soundness_exhaustive(shared_cache, verdicts300):
-    for (m, n), (v, _) in verdicts300.items():
-        vf, _ = compare_fast(m, n, shared_cache)
-        assert vf is v, (m, n)
-        vr, _ = compare_fast(n, m, shared_cache)
-        assert vr is v.flipped(), (n, m)
-
-
-def test_shortcut_soundness_random(shared_cache):
-    rng = random.Random(8844)
-    for _ in range(1000):
-        m = rng.randint(1, 2000)
-        n = rng.randint(1, 2000)
-        vf, _ = compare_fast(m, n, shared_cache)
-        vc, _ = compare(m, n, shared_cache)
-        assert vf is vc, (m, n)
 
 
 def test_asymptotic_step_soundness(shared_cache):
@@ -243,13 +218,7 @@ def test_record_round_trip(shared_cache):
     assert cert2.threshold_c == cert.threshold_c
     assert cert2.leading_sign == cert.leading_sign
     assert cert2.checked_q_max == cert.checked_q_max
-
-    v, tag = compare_fast(3, 10, shared_cache)
-    rec = comparison_record(3, 10, v, tag)
-    parsed = parse_comparison_record(record_to_json(rec))
-    assert parsed == rec
-    m, n, v2, tag2 = certificate_from_record(parsed)
-    assert (m, n, v2, tag2) == (3, 10, v, SHORTCUT_PHI_GAP)
+    assert rec["shortcut_tag"] is None
 
     with pytest.raises(ValueError):
         parse_comparison_record('{"verdict": "LESS"}')
