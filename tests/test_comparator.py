@@ -42,6 +42,13 @@ def test_compare_worked_examples(shared_cache):
     v, cert = compare(4, 3, shared_cache)
     assert v is Verdict.LESS and cert.threshold_c == 1 and cert.leading_sign == 1
 
+    with pytest.raises(ValueError):
+        compare(0, 1, shared_cache)
+
+
+def test_compare_fast_worked_examples(shared_cache):
+    """Pairs the totient gap and the odd-double rule decide, and one pair that
+    neither decides; each verdict is read from compare, the one routine."""
     # a totient gap: the smaller totient comes first
     v, _ = compare(3, 10, shared_cache)
     assert v is Verdict.LESS
@@ -57,9 +64,6 @@ def test_compare_worked_examples(shared_cache):
     assert v is Verdict.GREATER
     v, _ = compare(8, 5, shared_cache)
     assert v is Verdict.LESS
-
-    with pytest.raises(ValueError):
-        compare(0, 1, shared_cache)
 
 
 def test_mixed_degree_certificate_matches_polynomial_difference(shared_cache):
