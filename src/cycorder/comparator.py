@@ -33,8 +33,9 @@ uncached, at the smallest multiple of 8 bits w with 4h < 2^w, and goes
 through the same reading.
 
 The certificate carries c, the leading sign and the finite evidence, not
-D itself: D and its split are recomputed from the two indices as
-`cyclo(n, cache) - cyclo(m, cache)` and `.split_pos_neg()`.
+D itself.  A reader who wants D's coefficients and its split rebuilds
+them from the two indices, as `cyclo(n, cache) - cyclo(m, cache)` and
+`.split_pos_neg()`; no comparison does.
 
 Ties (D(q) = 0 at some checked q) are compatible with the ordering, which
 is defined through "<="; they are recorded in the certificate rather than

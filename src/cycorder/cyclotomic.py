@@ -18,23 +18,24 @@ series of A. Arnold and M. Monagan, "Calculating cyclotomic polynomials",
 Math. Comp. 80 (2011)).  No entry is built from the coefficients of any
 entry other than its kernel's.
 
-A kernel's coefficients are used in two forms.  Comparisons and the
-class sort read `CycloCache.packed_entry`: the kernel is kept as bytes
-(coefficient + 128) with its height, and any index's value at 2^8 is made
-from those bytes by C-level slicing, one byte translation for s = -1 and
+A kernel is built once per cache and kept as bytes (coefficient + 128)
+with its height (`CycloCache.kernel`).  Comparisons and the class sort
+read `CycloCache.packed_entry`: any index's value at 2^8 is made from
+those bytes by C-level slicing, one byte translation for s = -1 and
 one `int.from_bytes`.  The substitution keeps the height, so every entry
-inherits its kernel's.  `cyclo` returns an `IntPoly` for callers that want
-the coefficients themselves (the `cyclo` command, tests); no comparison
-builds one.
+inherits its kernel's.  `cyclo` decodes the same bytes into an `IntPoly`
+for callers that want the coefficients (the `cyclo` command, tests).
 
 The oracle route, `cyclo_moebius`, applies the same identity to the full
-polynomials t^(n/d) - 1 with its own exact multiply and divide passes.  It
-never touches a cache and shares no code with `cyclo`, so the two routes
-cross-check each other (the test suite asserts coefficientwise equality).
+polynomials t^(n/d) - 1 with its own divisor loop and exact multiply and
+divide passes.  It never touches a cache and shares no code with `cyclo`,
+so the two routes cross-check each other (the test suite asserts
+coefficientwise equality).
 
 Values, `eval_cyclo`, come from the same product identity applied to
 integers: Phi_n(q) is a quotient of products of q^e - 1 (or q^e + 1 for
-even n), with no coefficient read.
+even n), with no coefficient read.  Kernels and values take their
+binomials from one Moebius split, `_moebius_split`.
 """
 
 from __future__ import annotations
@@ -105,33 +106,44 @@ def kernel_entry(coeffs, mirror: bool = False) -> tuple[bytes, int]:
     return digit_string(coeffs, _digit_width(height)), height
 
 
-def _kernel_digits_to_coeffs(digits: bytes, height: int) -> list[int]:
-    """The coefficients a `kernel_entry` was made from."""
+def _coefficients(n: int, cache: CycloCache) -> list[int]:
+    """Phi_n's coefficients: its kernel's digits decoded (8-bit ones in C,
+    the inverse of `kernel_entry`), with t -> s * t^e (`_kernel_of`; an
+    index whose own digits are in `cache.kernels` is read as is)."""
+    k, e, flip = (n, 1, False) if n in cache.kernels else _kernel_of(n)
+    digits, height = cache.kernel(k)
     width = _digit_width(height)
-    nbytes, shift = width // 8, 1 << (width - 1)
-    return [
-        int.from_bytes(digits[i : i + nbytes], "little") - shift
-        for i in range(0, len(digits), nbytes)
-    ]
+    if width == PACK_WIDTH:
+        base = array("b", digits.translate(_OFFSET)).tolist()
+    else:
+        step, shift = width // 8, 1 << (width - 1)
+        base = [int.from_bytes(digits[i : i + step], "little") - shift
+                for i in range(0, len(digits), step)]
+    coeffs = base
+    if e > 1:
+        coeffs = [0] * ((len(base) - 1) * e + 1)
+        coeffs[::e] = base
+    if flip:  # s = -1: the odd powers of the kernel change sign
+        coeffs[e :: 2 * e] = map(neg, base[1::2])
+    return coeffs
 
 
 class CycloCache:
-    """Per-run store of cyclotomic data: the polynomials `cyclo` returns,
-    the kernels comparisons read, each compared index's packed value, and
-    an evaluation memo keyed (n, q).
+    """Per-run store of cyclotomic data: the kernels, the polynomials
+    `cyclo` returned, each compared index's packed value, and an
+    evaluation memo keyed (n, q).
 
-    `polys` maps n to the `IntPoly` that `cyclo` built for it, and holds n
-    and its kernel (`cyclo`); `len(cache)` and `n in cache` count it.  No
-    comparison reads it.
-
-    `kernels` maps a kernel k to `kernel_entry(coefficients of Phi_k)`,
-    filled by `kernel`; 1 and 2 are stored as kernels too (t - 1 and
-    t + 1).  `packed[n]` is (value at 2^PACK_WIDTH, length, height) of
-    Phi_n, filled by `packed_entry` from the kernel's digits: length is
-    totient(n) + 1 and height the largest absolute coefficient, both the
-    kernel's under the substitution, and the value is None when the height
-    alone is too large for any pair to be read at PACK_WIDTH.  Everything
-    lives until `trim`, which a verification calls after each class.
+    `kernels`, the one store of coefficients, maps a kernel k to
+    `kernel_entry(coefficients of Phi_k)`, filled by `kernel`; 1 and 2 are
+    kernels too (t - 1 and t + 1).  `polys` maps only the indices passed
+    to `cyclo` to their `IntPoly`s; `len(cache)` and `n in cache` count
+    it, and no comparison reads it.  `packed[n]` is (value at
+    2^PACK_WIDTH, length, height) of Phi_n, filled by `packed_entry` from
+    the kernel's digits: length is totient(n) + 1 and height the largest
+    absolute coefficient, both the kernel's under the substitution, and
+    the value is None when the height alone is too large for any pair to
+    be read at PACK_WIDTH.  Everything lives until `trim`, which a
+    verification calls after each class.
     """
 
     __slots__ = ("polys", "kernels", "packed", "evals")
@@ -170,9 +182,8 @@ class CycloCache:
         are spread with stride e over a string of 0x80 bytes (coefficient
         0), s = -1 maps the odd powers' bytes through _NEG, and the string
         is read as one integer less the all-0x80 one.  That entry is kept
-        until `trim`.  A wider width (a tall pair or class) packs the
-        kernel's coefficients, with sign s, at width * e, which gives
-        Phi_n(2^width); that entry is not kept.
+        until `trim`.  A wider width (a tall pair or class) packs Phi_n's
+        decoded coefficients (`_coefficients`); that entry is not kept.
         """
         if width == PACK_WIDTH:
             entry = self.packed.get(n)
@@ -182,10 +193,7 @@ class CycloCache:
         digits, height = self.kernel(k)
         length = (len(digits) * 8 // _digit_width(height) - 1) * e + 1
         if width != PACK_WIDTH:
-            coeffs = _kernel_digits_to_coeffs(digits, height)
-            if flip:
-                coeffs[1::2] = map(neg, coeffs[1::2])
-            return packed_value(coeffs, width * e), length, height
+            return packed_value(_coefficients(n, self), width), length, height
         value = None
         # a pair read at PACK_WIDTH has both heights within pair_width's bound
         if pair_width(height) == PACK_WIDTH:
@@ -215,6 +223,16 @@ class CycloCache:
         self.evals.clear()
 
 
+def _moebius_split(top: int, primes: list[int]) -> tuple[list[int], list[int]]:
+    """The exponents top/d over the products d of distinct `primes`, split
+    into those with mu(d) = +1 and -1 (adding a prime to d flips mu).  For
+    n's primes and top = n: the d | n with mu(n/d) = +1 and -1."""
+    plus, minus = [top], []
+    for p in primes:
+        plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
+    return plus, minus
+
+
 def _kernel_half(n: int) -> list[int]:
     """The lower half of Phi_n's coefficients, t^0..t^(phi(n)/2), for an
     odd squarefree n > 1, by the truncated Moebius product; the whole
@@ -238,12 +256,14 @@ def _kernel_half(n: int) -> list[int]:
     coefficient Phi_n(0) = 1, so it is Phi_n and the coefficients form a
     palindrome of length phi(n) + 1 = 2h - 1.
     """
-    h = totient(n) // 2 + 1
+    primes = [p for p, _ in factorize(n)]
+    h = prod(p - 1 for p in primes) // 2 + 1  # phi(n) / 2 + 1 for squarefree n
+    numer, denom = _moebius_split(n, primes)
     s = [1] + [0] * (h - 1)
-    for d in divisors(n):
+    for d in sorted(numer + denom):  # ascending: the first d >= h ends the product
         if d >= h:
             break
-        if moebius(n // d) == 1:
+        if d in numer:
             s[d:] = map(sub, s[d:], s[:-d])
         elif d * d < h:
             for r in range(d):
@@ -255,33 +275,15 @@ def _kernel_half(n: int) -> list[int]:
 
 
 def cyclo(n: int, cache: CycloCache) -> IntPoly:
-    """The nth cyclotomic polynomial, built from its kernel and cached.
-
-    The kernel's entry with t replaced by s * t^e (module docstring);
-    only n and its kernel are stored.  The result is monic of degree
-    totient(n).
+    """The nth cyclotomic polynomial, decoded from its kernel's cached
+    entry (`_coefficients`) and cached under n alone.  The result is
+    monic of degree totient(n).
     """
     if n < 1:
         raise ValueError(f"index must be a positive integer, got {n}")
     poly = cache.polys.get(n)
-    if poly is not None:
-        return poly
-    k, e, flip = _kernel_of(n)
-    if k > 2:
-        kernel = cache.polys.get(k)
-        if kernel is None:
-            half = _kernel_half(k)
-            kernel = cache.polys[k] = IntPoly(half + half[-2::-1])
-        if n == k:
-            return kernel
-        base = kernel.coeffs
-    else:
-        base = _SMALL_BASES[k]  # not stored
-    coeffs = [0] * ((len(base) - 1) * e + 1)
-    coeffs[::e] = base
-    if flip:  # s = -1: the odd powers of the kernel change sign
-        coeffs[e :: 2 * e] = map(neg, base[1::2])
-    poly = cache.polys[n] = IntPoly(coeffs)
+    if poly is None:
+        poly = cache.polys[n] = IntPoly(_coefficients(n, cache))
     return poly
 
 
@@ -371,15 +373,11 @@ def eval_cyclo(n: int, q: int, cache: CycloCache) -> int:
     val = memo.get(key)
     if val is None:
         primes = [p for p, _ in factorize(n)]
-        if n % 2:
-            plus, one = [n], -1
-        else:
-            plus, one = [n // 2], 1
-            primes = primes[1:]
         # exponents n/d (n/(2d)) over the squarefree odd d, split by mu(d)
-        minus: list[int] = []
-        for p in primes:
-            plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
+        if n % 2:
+            (plus, minus), one = _moebius_split(n, primes), -1
+        else:
+            (plus, minus), one = _moebius_split(n // 2, primes[1:]), 1
         val, rem = divmod(prod([q**e + one for e in plus]), prod([q**e + one for e in minus]))
         if rem:
             raise ArithmeticError(f"internal: product formula for index {n} at q={q} is not exact")

@@ -64,11 +64,11 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        cs = tuple(coeffs)
         n = len(cs)
         while n and cs[n - 1] == 0:
             n -= 1
-        object.__setattr__(self, "coeffs", tuple(cs[:n]))
+        object.__setattr__(self, "coeffs", cs[:n])
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")

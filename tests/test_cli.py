@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -242,3 +243,20 @@ def test_workers_flag(capsys):
     assert code == 0
     serial = build_chain(60)
     assert out.splitlines() == [str(x) for x in serial.stable_prefix]
+
+
+def test_verify_5000_structured_output_and_checkpoint_bytes(capsys, tmp_path):
+    """`verify 5000 --format structured --checkpoint F` writes these exact
+    bytes.  F's class lines carry every `cert_hash`, so the digests pin
+    the sequence, the verdicts and every certificate record."""
+    path = tmp_path / "v.ckpt"
+    code, out, err = run_cli(capsys, "verify", "5000", "--format", "structured",
+                             "--checkpoint", str(path))
+    assert code == 0
+    digests = [hashlib.sha256(data).hexdigest()
+               for data in (out.encode(), path.read_bytes(), err.encode())]
+    assert digests == [
+        "b82ab30d59dd65d1ae34db3b161e9cd4e532b3602b078e6f4f09b9837717df19",
+        "f755a2d22459b1536089b300d58bcffc600306797ba2be07827ff09c4a81c9ab",
+        "3c3abdbe0bda19cf085a3b96f857fd23b43d248ffc12fd885d48db0914c8b3a1",
+    ]

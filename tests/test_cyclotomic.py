@@ -1,9 +1,11 @@
 import pytest
 
-from cycorder.arith import divisors, totient
+from cycorder import cyclotomic
+from cycorder.arith import divisors, factorize, moebius, totient
 from cycorder.cyclotomic import (
     PACK_WIDTH,
     CycloCache,
+    _moebius_split,
     _over_binomial,
     _times_binomial,
     check_mu_sandwich,
@@ -71,8 +73,7 @@ def test_eval_cyclo_matches_entry_to_2000(shared_cache):
     evaluation of the entry for n."""
     for n in range(1, 2001):
         cyclo(n, shared_cache)
-    fresh = CycloCache()
-    fresh.polys = dict(shared_cache.polys)  # same entries, empty memo
+    fresh = CycloCache()  # an empty memo
     for n in range(1, 2001):
         poly = cyclo(n, shared_cache)
         for q in (2, 3, 7):
@@ -114,12 +115,44 @@ def test_cache_reuse_and_trim():
 
 
 def test_cyclo_stores_only_the_index_and_its_kernel():
-    """Each entry comes from its kernel (the odd part of the radical) in
-    one substitution, with no radical entry on the way; 2^a needs none."""
-    for n, stored in ((360, {360, 15}), (16, {16}), (2 * 3**7, {2 * 3**7, 3})):
+    """Each entry is decoded from its kernel (the odd part of the radical)
+    in one substitution, with no radical entry on the way: `polys` gets n
+    alone and `kernels` the kernel alone, Phi_2 for the powers of two."""
+    for n, kernel in ((360, 15), (16, 2), (2 * 3**7, 3)):
         cache = CycloCache()
         assert cyclo(n, cache) == cyclo_moebius(n)
-        assert set(cache.polys) == stored, n
+        assert set(cache.polys) == {n}, n
+        assert set(cache.kernels) == {kernel}, n
+
+
+def test_each_kernel_is_built_once_for_both_readers(monkeypatch):
+    """`cyclo` and `packed_entry` read one kernel entry: on one cache, the
+    121 kernels of the indices up to 300 are built once each."""
+    built = []
+    build = cyclotomic._kernel_half
+    monkeypatch.setattr(cyclotomic, "_kernel_half", lambda k: built.append(k) or build(k))
+    cache = CycloCache()
+    for n in range(1, 301):
+        cyclo(n, cache)
+        cache.packed_entry(n)
+    assert len(built) == len(set(built)) == 121
+
+
+def test_moebius_split_matches_divisors_to_3000():
+    """The split shared by kernels and values: the d | n with
+    mu(n/d) = +1 and -1, and for even n the exponents n/(2d) over the odd
+    d | n with mu(d) = +1 and -1 that `eval_cyclo` raises q^e + 1 to."""
+    for n in range(1, 3001):
+        primes = [p for p, _ in factorize(n)]
+        plus, minus = _moebius_split(n, primes)
+        assert len(plus) == len(set(plus)) and len(minus) == len(set(minus)), n
+        assert set(plus) == {d for d in divisors(n) if moebius(n // d) == 1}, n
+        assert set(minus) == {d for d in divisors(n) if moebius(n // d) == -1}, n
+        if n % 2 == 0:
+            plus, minus = _moebius_split(n // 2, primes[1:])
+            odd = [d for d in divisors(n) if d % 2]
+            assert set(plus) == {n // (2 * d) for d in odd if moebius(d) == 1}, n
+            assert set(minus) == {n // (2 * d) for d in odd if moebius(d) == -1}, n
 
 
 def test_degree_law_to_2000(shared_cache):
@@ -151,18 +184,26 @@ def test_packed_entries_match_the_product_formula_to_3000():
 
 def test_wide_packed_entries_match_the_coefficients():
     """Entries packed wider than 8 bits, and entries of a kernel too tall
-    for a byte (40755 has height 359), against `cyclo`'s coefficients,
-    for each substitution: none, t -> -t, t -> t^3, t -> -t^2 and the
-    powers of two."""
+    for a byte (40755 has height 359), for each substitution: none,
+    t -> -t, t -> t^3, t -> -t^2 and the powers of two.  Every value is
+    checked against routes that share no code with the decoding: the
+    Moebius oracle's coefficients packed at that width (`cyclo` must give
+    those coefficients too), and the product formula at q = 2^width below
+    40755 (above it, that formula's big-integer division takes seconds per
+    value)."""
     cache = CycloCache()
     for n in (1, 2, 16, 105, 210, 315, 420, 40755, 2 * 40755, 3 * 40755, 4 * 40755):
-        coeffs = cyclo(n, cache).coeffs
+        coeffs = cyclo_moebius(n).coeffs
+        assert cyclo(n, cache).coeffs == coeffs, n
         height = max(map(abs, coeffs))
         value, length, kept = cache.packed_entry(n)
         assert (length, kept) == (len(coeffs), height), n
         assert (value is None) == (pair_width(height) > PACK_WIDTH), n
         for width in (16, 24, pair_width(2 * height)):
-            assert cache.packed_entry(n, width) == (packed_value(coeffs, width), length, height), n
+            wide = cache.packed_entry(n, width)
+            assert wide == (packed_value(coeffs, width), length, height), n
+            if n < 40755:
+                assert wide[0] == eval_cyclo(n, 2**width, cache), (n, width)
         cache.trim()
 
 

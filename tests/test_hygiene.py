@@ -1,5 +1,6 @@
 """Import hygiene of the package, checked with the standard library's
-`ast` module: no module imports a name it never uses, and the package's
+`ast` module: no module imports a name it never uses, every module-level
+private name is read somewhere in the package, and the package's
 `__all__` lists each public name once and every one resolves."""
 
 import ast
@@ -31,6 +32,35 @@ def used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level `_name` (not a dunder) a def, class or assignment
+    binds, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        private = (n for n in targets if n.startswith("_") and not n.startswith("__"))
+        names.update(dict.fromkeys(private, node.lineno))
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names read as a variable or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def declared_all(tree: ast.Module) -> list[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -49,6 +79,20 @@ def test_every_import_is_used_or_exported():
             if name not in kept and (path.stem, name) not in ALLOWED_UNUSED:
                 unused.append(f"{path.name}:{line}: {name}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_every_private_name_is_read():
+    """A helper left without a caller by a simplification fails here."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    dead = [
+        f"{name}:{line}: {priv}"
+        for name, tree in trees.items()
+        for priv, line in private_definitions(tree).items()
+        if priv not in read
+    ]
+    assert not dead, "defined but never read: " + ", ".join(dead)
 
 
 def test_package_all_resolves_once():
