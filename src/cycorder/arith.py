@@ -74,21 +74,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 rest //= p
                 e += 1
             out.append((p, e))
+    # the loop above stops early only with rest < p^2 < d^2, so this runs
+    # only past the whole sieve: odd trial division, every smaller prime
+    # already divided out
+    d = SMALL_PRIMES[-1] + 2
+    while d * d <= rest:
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            out.append((d, e))
+        d += 2
     if rest > 1:
-        if rest > _SIEVE_LIMIT * _SIEVE_LIMIT and not is_prime(rest):
-            d = SMALL_PRIMES[-1] + 2
-            while d * d <= rest:
-                if rest % d == 0:
-                    e = 0
-                    while rest % d == 0:
-                        rest //= d
-                        e += 1
-                    out.append((d, e))
-                d += 2
-            if rest > 1:
-                out.append((rest, 1))
-        else:
-            out.append((rest, 1))
+        out.append((rest, 1))
     return out
 
 

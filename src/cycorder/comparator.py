@@ -24,8 +24,9 @@ value at B = 2^w, and every |D_i| <= h = H_n + H_m.  While 4h < B:
   * the leading sign is the sign of X: below D's top nonzero coefficient
     the digits sum to at most h * (B^top - 1) / (B - 1) < B^top in
     absolute value;
-  * c is read off X by a handful of big-integer operations
-    (`difference_threshold`, which proves the test it applies).
+  * c is the first k = 1, 2, ... that passes a test of a few
+    big-integer operations on X (`difference_threshold`, which proves the
+    test and gives its cost).
 
 A pair whose heights sum to 64 or more (first possible at index 26565,
 whose entry has height 59) packs both entries afresh from their kernels,
@@ -97,8 +98,8 @@ def difference_threshold(x: int, width: int, length: int, bound: int) -> int:
     x is D's value at B = 2^width, D has at most `length` coefficients,
     each of absolute value at most `bound`, and 4 * bound < B.  Returns
     0 for x = 0, else the least k >= 1 with every |D_i| <= k, found by
-    doubling k up to `bound` (which passes; a failure there raises
-    ArithmeticError) and bisecting.
+    testing k = 1, 2, ... in turn; a failure at k = bound raises
+    ArithmeticError.
 
     Test for k.  With ONES = sum of B^i over i < length, the two
     operands x + k*ONES and k*ONES - x are the digit strings D_i + k and
@@ -106,40 +107,34 @@ def difference_threshold(x: int, width: int, length: int, bound: int) -> int:
 
         ((x + k*ONES) | (k*ONES - x)) & (ONES << (width - 1)) == 0
 
-    holds iff |D_i| <= k for every i.  Every digit lies in
-    [-(k + bound), k + bound] and k + bound <= 2 * bound < B/2.  If all
-    |D_i| <= k, both strings have digits in [0, 2k], below B/2: they are
-    the base-B digits of the operands and none sets its top bit
-    (bit width-1).  Otherwise one string has a negative digit.  Take the
-    lowest one, e < 0, at position i: below it every digit is
-    nonnegative and below B, so nothing borrows from position i, and
-    base-B digit i of the operand (floor semantics, which is what
-    Python's two's-complement `&` reads for a negative operand too) is
-    e + B, in (B/2, B): its top bit is set.  The search never tests a
-    k above `bound`, so the premise k + bound < B/2 holds throughout.
+    holds iff |D_i| <= k for every i.  The loop tests no k above
+    `bound`, so every digit lies in [-(k + bound), k + bound] with
+    k + bound <= 2 * bound < B/2.  If all |D_i| <= k, both strings have
+    digits in [0, 2k], below B/2: they are the base-B digits of the
+    operands and none sets its top bit (bit width-1).  Otherwise one
+    string has a negative digit.  Take the lowest one, e < 0, at
+    position i: below it every digit is nonnegative and below B, so
+    nothing borrows from position i, and base-B digit i of the operand
+    (floor semantics, which is what Python's two's-complement `&` reads
+    for a negative operand too) is e + B, in (B/2, B): its top bit is
+    set.
+
+    Cost.  The loop makes c tests, each a few big-integer operations on
+    `length` digits.  `compare` then evaluates D exactly at each of the
+    c - 1 points q in [2, c], and each evaluation costs more than a test.
     """
     if not x:
         return 0
     nbytes = width // 8
     ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * length, "little")
     top = ones << (width - 1)
-
-    lo, hi = 0, 1  # lo fails (or is 0), hi is the next candidate
-    while True:
-        shift = hi * ones
-        if not ((x + shift) | (shift - x)) & top:
-            break
-        if hi >= bound:
+    k, shift = 1, ones
+    while ((x + shift) | (shift - x)) & top:
+        if k >= bound:
             raise ArithmeticError(f"internal: a coefficient of the difference exceeds {bound}")
-        lo, hi = hi, min(2 * hi, bound)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        shift = mid * ones
-        if ((x + shift) | (shift - x)) & top:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        k += 1
+        shift += ones
+    return k
 
 
 def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:

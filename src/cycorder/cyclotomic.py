@@ -19,12 +19,14 @@ Math. Comp. 80 (2011)).  No entry is built from the coefficients of any
 entry other than its kernel's.
 
 A kernel is built once per cache and kept as bytes (coefficient + 128)
-with its height (`CycloCache.kernel`).  Comparisons and the class sort
-read `CycloCache.packed_entry`: any index's value at 2^8 is made from
-those bytes by C-level slicing, one byte translation for s = -1 and
-one `int.from_bytes`.  The substitution keeps the height, so every entry
-inherits its kernel's.  `cyclo` decodes the same bytes into an `IntPoly`
-for callers that want the coefficients (the `cyclo` command, tests).
+with its height (`CycloCache.kernel`); a kernel of height 128 or more,
+the first being 40755, is kept as its coefficient tuple instead.
+Comparisons and the class sort read `CycloCache.packed_entry`: any
+index's value at 2^8 is made from those bytes by C-level slicing, one
+byte translation for s = -1 and one `int.from_bytes`.  The substitution
+keeps the height, so every entry inherits its kernel's.  `cyclo` decodes
+the same entry into an `IntPoly` for callers that want the coefficients
+(the `cyclo` command, tests).
 
 The oracle route, `cyclo_moebius`, applies the same identity to the full
 polynomials t^(n/d) - 1 with its own divisor loop and exact multiply and
@@ -46,7 +48,7 @@ from math import prod
 from operator import add, neg, sub
 
 from .arith import divisors, factorize, moebius, radical, totient
-from .intpoly import IntPoly, digit_string, packed_value
+from .intpoly import IntPoly, packed_value
 
 PACK_WIDTH = 8  # bits per coefficient of the packed values the cache keeps
 # byte tables on digits c + 128 (_OFFSET maps c's two's-complement byte to it)
@@ -65,12 +67,6 @@ def pair_width(height: int) -> int:
     return max(PACK_WIDTH, -(-(4 * height).bit_length() // 8) * 8)
 
 
-def _digit_width(height: int) -> int:
-    """Smallest multiple of 8 bits w with height < 2^(w-1): the width of
-    the digits a kernel of this height is kept in."""
-    return -(-(height.bit_length() + 1) // 8) * 8
-
-
 def _kernel_of(n: int) -> tuple[int, int, bool]:
     """(k, e, flip) with Phi_n(t) = Phi_k(s * t^e), s = -1 exactly when flip.
 
@@ -82,10 +78,11 @@ def _kernel_of(n: int) -> tuple[int, int, bool]:
     return k, n // r, k < r
 
 
-def kernel_entry(coeffs, mirror: bool = False) -> tuple[bytes, int]:
-    """(digits, height) kept for a kernel: its coefficients as a
-    `digit_string` at `_digit_width(height)`, 8 bits (coefficient + 128)
-    for every kernel below 40755, and the largest absolute coefficient.
+def kernel_entry(coeffs, mirror: bool = False) -> tuple[bytes | tuple[int, ...], int]:
+    """(digits, height) kept for a kernel: its coefficients as bytes
+    (coefficient + 128) when its height is below 128, which holds for
+    every kernel below 40755, else as the tuple of its coefficients; and
+    the height, its largest absolute coefficient.
 
     With `mirror`, coeffs is the lower half of a palindrome, which goes on
     with coeffs[-2::-1] (the same height).  The byte route is C work: a
@@ -101,24 +98,20 @@ def kernel_entry(coeffs, mirror: bool = False) -> tuple[bytes, int]:
         height = max(digits.translate(_ABS))
     if height < 128:
         return (digits + digits[-2::-1] if mirror else digits), height
-    if mirror:
-        coeffs = [*coeffs, *coeffs[-2::-1]]
-    return digit_string(coeffs, _digit_width(height)), height
+    return tuple([*coeffs, *coeffs[-2::-1]] if mirror else coeffs), height
 
 
 def _coefficients(n: int, cache: CycloCache) -> list[int]:
-    """Phi_n's coefficients: its kernel's digits decoded (8-bit ones in C,
-    the inverse of `kernel_entry`), with t -> s * t^e (`_kernel_of`; an
-    index whose own digits are in `cache.kernels` is read as is)."""
+    """Phi_n's coefficients: its kernel's digits decoded (bytes in C, the
+    inverse of `kernel_entry`; a tall kernel's tuple as is), with
+    t -> s * t^e (`_kernel_of`; an index whose own digits are in
+    `cache.kernels` is read as is)."""
     k, e, flip = (n, 1, False) if n in cache.kernels else _kernel_of(n)
-    digits, height = cache.kernel(k)
-    width = _digit_width(height)
-    if width == PACK_WIDTH:
-        base = array("b", digits.translate(_OFFSET)).tolist()
+    digits = cache.kernel(k)[0]
+    if isinstance(digits, tuple):
+        base = list(digits)
     else:
-        step, shift = width // 8, 1 << (width - 1)
-        base = [int.from_bytes(digits[i : i + step], "little") - shift
-                for i in range(0, len(digits), step)]
+        base = array("b", digits.translate(_OFFSET)).tolist()
     coeffs = base
     if e > 1:
         coeffs = [0] * ((len(base) - 1) * e + 1)
@@ -134,23 +127,25 @@ class CycloCache:
     evaluation memo keyed (n, q).
 
     `kernels`, the one store of coefficients, maps a kernel k to
-    `kernel_entry(coefficients of Phi_k)`, filled by `kernel`; 1 and 2 are
-    kernels too (t - 1 and t + 1).  `polys` maps only the indices passed
-    to `cyclo` to their `IntPoly`s; `len(cache)` and `n in cache` count
-    it, and no comparison reads it.  `packed[n]` is (value at
-    2^PACK_WIDTH, length, height) of Phi_n, filled by `packed_entry` from
-    the kernel's digits: length is totient(n) + 1 and height the largest
-    absolute coefficient, both the kernel's under the substitution, and
-    the value is None when the height alone is too large for any pair to
-    be read at PACK_WIDTH.  Everything lives until `trim`, which a
-    verification calls after each class.
+    `kernel_entry(coefficients of Phi_k)`, filled by `kernel`: bytes
+    (coefficient + 128), or the coefficient tuple for a kernel of height
+    128 or more, with the height; 1 and 2 are kernels too (t - 1 and
+    t + 1).  `polys` maps only the indices passed to `cyclo` to their
+    `IntPoly`s; `len(cache)` and `n in cache` count it, and no comparison
+    reads it.  `packed[n]` is (value at 2^PACK_WIDTH, length, height) of
+    Phi_n, filled by `packed_entry` from the kernel's digits: length is
+    totient(n) + 1 and height the largest absolute coefficient, both the
+    kernel's under the substitution, and the value is None when the
+    height alone is too large for any pair to be read at PACK_WIDTH.
+    Everything lives until `trim`, which a verification calls after each
+    class.
     """
 
     __slots__ = ("polys", "kernels", "packed", "evals")
 
     def __init__(self) -> None:
         self.polys: dict[int, IntPoly] = {}
-        self.kernels: dict[int, tuple[bytes, int]] = {}
+        self.kernels: dict[int, tuple[bytes | tuple[int, ...], int]] = {}
         self.packed: dict[int, tuple[int | None, int, int]] = {}
         self.evals: dict[tuple[int, int], int] = {}
 
@@ -160,7 +155,7 @@ class CycloCache:
     def __len__(self) -> int:
         return len(self.polys)
 
-    def kernel(self, k: int) -> tuple[bytes, int]:
+    def kernel(self, k: int) -> tuple[bytes | tuple[int, ...], int]:
         """(digits, height) of the kernel k (or 1, or 2), built on first
         use from the lower half of its palindrome (`_kernel_half`)."""
         entry = self.kernels.get(k)
@@ -191,7 +186,7 @@ class CycloCache:
                 return entry
         k, e, flip = (n, 1, False) if n in self.kernels else _kernel_of(n)
         digits, height = self.kernel(k)
-        length = (len(digits) * 8 // _digit_width(height) - 1) * e + 1
+        length = (len(digits) - 1) * e + 1
         if width != PACK_WIDTH:
             return packed_value(_coefficients(n, self), width), length, height
         value = None

@@ -1,4 +1,4 @@
-"""Exact dense univariate integer polynomials and their fixed-width digit strings.
+"""Exact dense univariate integer polynomials and their values packed at 2^w.
 
 An IntPoly is an immutable, normalized coefficient sequence: index i holds
 the coefficient of t^i, the last entry is nonzero, and the zero polynomial
@@ -10,9 +10,9 @@ polynomial reference: subtraction, exact evaluation, the split into
 positive and negative parts, the largest absolute coefficient and the
 palindrome test.  Construction builds coefficient lists by its own
 linear passes and comparison reads packed values, so neither does
-polynomial arithmetic here.  `digit_string` writes a coefficient
-sequence as fixed-width digits, the form in which the cache keeps
-kernels, and `packed_value` reads it as one big integer.
+polynomial arithmetic here.  `packed_value` reads a coefficient
+sequence as one big integer, its value at a power of two, for entries
+packed wider than the cache's bytes.
 
 IntPoly values are immutable after construction and all operations are
 pure.
@@ -24,31 +24,25 @@ from itertools import repeat
 from typing import Iterable
 
 
-def digit_string(coeffs, width: int) -> bytes:
-    """The coefficients as unsigned little-endian digits of `width` bits,
-    each shifted by 2^(width-1), for |coefficients| < 2^(width-1).
-
-    C-level conversions, no Python loop at width 8.  Width must be a
-    multiple of 8; a coefficient that does not fit raises (ValueError from
-    `bytes`, OverflowError from `int.to_bytes`).
-    """
-    nbytes = width // 8
-    digits = map((1 << (width - 1)).__add__, coeffs)
-    if nbytes == 1:
-        return bytes(digits)
-    return b"".join(map(int.to_bytes, digits, repeat(nbytes), repeat("little")))
-
-
 def packed_value(coeffs, width: int) -> int:
     """The polynomial's value at 2^width, for |coefficients| < 2^(width-1).
 
-    The digit string is read as one integer and the shift is taken back
-    off as a second integer.
+    Each coefficient is shifted by 2^(width-1) into an unsigned
+    little-endian digit of `width` bits (C-level conversions, no Python
+    loop at width 8), the digit string is read as one integer, and the
+    shift is taken back off as a second integer.  Width must be a
+    multiple of 8; a coefficient that does not fit raises (ValueError
+    from `bytes`, OverflowError from `int.to_bytes`).
     """
-    shift = (1 << (width - 1)).to_bytes(width // 8, "little")
-    return int.from_bytes(digit_string(coeffs, width), "little") - int.from_bytes(
-        shift * len(coeffs), "little"
-    )
+    nbytes = width // 8
+    half = 1 << (width - 1)
+    digits = map(half.__add__, coeffs)
+    if nbytes == 1:
+        raw = bytes(digits)
+    else:
+        raw = b"".join(map(int.to_bytes, digits, repeat(nbytes), repeat("little")))
+    shift = half.to_bytes(nbytes, "little") * len(coeffs)
+    return int.from_bytes(raw, "little") - int.from_bytes(shift, "little")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,18 @@ def test_factorize_examples():
     assert factorize(9973) == [(9973, 1)]
 
 
+def test_factorize_beyond_the_sieve():
+    """Past the sieve's primes (all below 10^5) both functions go on by odd
+    trial division: 100003 and 100019 are the first two primes above it, and
+    9999399973 is the product that the sieve's largest prime, 99991,
+    leaves at 100003."""
+    assert factorize(10002200057) == [(100003, 1), (100019, 1)]
+    assert factorize(9999399973) == [(99991, 1), (100003, 1)]
+    assert is_prime(10000000019) and is_prime(10000000033)
+    assert not is_prime(10002200057) and not is_prime(9999399973)
+    assert factorize(10000000019) == [(10000000019, 1)]
+
+
 def test_factorize_rejects_zero():
     with pytest.raises(ValueError):
         factorize(0)

@@ -16,7 +16,7 @@ from cycorder.cyclotomic import (
     kernel_entry,
     pair_width,
 )
-from cycorder.intpoly import IntPoly, digit_string, packed_value
+from cycorder.intpoly import IntPoly, packed_value
 from cycorder.oracle import _horner
 
 
@@ -204,18 +204,29 @@ def test_wide_packed_entries_match_the_coefficients():
             assert wide == (packed_value(coeffs, width), length, height), n
             if n < 40755:
                 assert wide[0] == eval_cyclo(n, 2**width, cache), (n, width)
+        if n == 40755:
+            digits, kept = cache.kernels[40755]
+            assert type(digits) is tuple and len(digits) == 17281 and kept == 359
+            assert all(type(c) is int for c in digits)
         cache.trim()
 
 
 def test_kernel_entry_digit_widths():
     """A kernel is kept in bytes (coefficient + 128) up to height 127 and
-    in wider digits from 128 on, -128 included; a mirrored lower half
-    gives the whole palindrome's entry."""
+    as its coefficient tuple from 128 on, -128 included (it fits a signed
+    byte but not a digit c + 128); a mirrored lower half gives the whole
+    palindrome's entry in either format."""
     assert kernel_entry((-127, 0, 1)) == (bytes((1, 128, 129)), 127)
-    assert kernel_entry((-128, 0, 1)) == (digit_string((-128, 0, 1), 16), 128)
-    assert kernel_entry((1, -359, 7)) == (digit_string((1, -359, 7), 16), 359)
-    for half in ([1, -3, 5], [1, -200, 3]):
+    assert kernel_entry([127, -5]) == (bytes((255, 123)), 127)
+    assert kernel_entry((-128, 0, 1)) == ((-128, 0, 1), 128)
+    assert kernel_entry([1, -359, 7]) == ((1, -359, 7), 359)
+    for half, whole in (
+        ([1, -3, 5], bytes((129, 125, 133, 125, 129))),
+        ([1, -128, 3], (1, -128, 3, -128, 1)),
+        ([1, -200, 3], (1, -200, 3, -200, 1)),
+    ):
         assert kernel_entry(half, mirror=True) == kernel_entry(half + half[-2::-1])
+        assert kernel_entry(half, mirror=True)[0] == whole
 
 
 def test_six_prime_kernel_builds():

@@ -1,7 +1,9 @@
 """Import hygiene of the package, checked with the standard library's
 `ast` module: no module imports a name it never uses, every module-level
-private name is read somewhere in the package, and the package's
-`__all__` lists each public name once and every one resolves."""
+private name is read somewhere in the package, every public function
+and class is read somewhere in the package, the suite or the benchmark,
+and the package's `__all__` lists each public name once and every one
+resolves."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import cycorder
 
 SRC = Path(cycorder.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # comparator re-exports cyclo without using it: bench/spans.py wraps
 # comparator.cyclo to trace polynomial construction
@@ -93,6 +96,28 @@ def test_every_private_name_is_read():
         if priv not in read
     ]
     assert not dead, "defined but never read: " + ", ".join(dead)
+
+
+def test_every_public_definition_is_read():
+    """A public function or class left without a caller by a
+    simplification fails here.  A read inside its own definition (a
+    recursive call) does not count; a read in `tests/` or `bench/` does."""
+    paths = [*sorted(SRC.glob("*.py")), *sorted(ROOT.glob("tests/*.py")),
+             *sorted(ROOT.glob("bench/*.py"))]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    read_in = {path: read_names(tree) for path, tree in trees.items()}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            same = (read_names(stmt) for stmt in trees[path].body if stmt is not node)
+            others = (names for other, names in read_in.items() if other != path)
+            if not any(node.name in names for names in (*same, *others)):
+                unread.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not unread, "defined but never read: " + ", ".join(unread)
 
 
 def test_package_all_resolves_once():

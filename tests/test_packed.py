@@ -24,6 +24,8 @@ def coefficient_tuples(draw):
 @example((63,), (0,))  # the largest height read at PACK_WIDTH
 @example((63,), (-1,))  # the smallest one that needs a wider packing
 @example((0, 0, 10**6), (-(10**6), 0, 10**6))
+@example((70,), (0,))  # c = bound = 70: the search runs to its bound at 16 bits
+@example((-40, 5), (30, 5))  # D = -70 + 0t: the same, for a negative D
 @example((5, -2), (5, -2))  # equal operands: threshold 0, sign 0
 def test_difference_threshold_matches_coefficients(a, b):
     bound = max(map(abs, a)) + max(map(abs, b))
