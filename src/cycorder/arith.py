@@ -37,24 +37,14 @@ def _check_positive(n: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by sieve lookup or trial division."""
+    """Deterministic primality test: sieve lookup up to the sieve's
+    limit, above it whether n is its own factorization."""
     if n < 2:
         return False
     if n <= _SIEVE_LIMIT:
         i = bisect_left(SMALL_PRIMES, n)
         return i < len(SMALL_PRIMES) and SMALL_PRIMES[i] == n
-    for p in SMALL_PRIMES:
-        if p * p > n:
-            return True
-        if n % p == 0:
-            return False
-    # n exceeds the sieve's squared range; continue with odd trial division
-    d = SMALL_PRIMES[-1] + 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -28,19 +28,15 @@ def packed_value(coeffs, width: int) -> int:
     """The polynomial's value at 2^width, for |coefficients| < 2^(width-1).
 
     Each coefficient is shifted by 2^(width-1) into an unsigned
-    little-endian digit of `width` bits (C-level conversions, no Python
-    loop at width 8), the digit string is read as one integer, and the
-    shift is taken back off as a second integer.  Width must be a
-    multiple of 8; a coefficient that does not fit raises (ValueError
-    from `bytes`, OverflowError from `int.to_bytes`).
+    little-endian digit of `width` bits (C-level conversions), the digit
+    string is read as one integer, and the shift is taken back off as a
+    second integer.  Width must be a multiple of 8; a coefficient that
+    does not fit raises OverflowError from `int.to_bytes`.
     """
     nbytes = width // 8
     half = 1 << (width - 1)
     digits = map(half.__add__, coeffs)
-    if nbytes == 1:
-        raw = bytes(digits)
-    else:
-        raw = b"".join(map(int.to_bytes, digits, repeat(nbytes), repeat("little")))
+    raw = b"".join(map(int.to_bytes, digits, repeat(nbytes), repeat("little")))
     shift = half.to_bytes(nbytes, "little") * len(coeffs)
     return int.from_bytes(raw, "little") - int.from_bytes(shift, "little")
 

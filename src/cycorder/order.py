@@ -9,12 +9,13 @@ certified; by transitivity that verifies comparability of every pair in
 the class (proof in `sort_class`).  The sorted classes concatenate,
 ascending by totient value, into the full chain.
 
-Classes are independent work units, run in one process in ascending
-totient order; one loop records, checkpoints and reports each, and the
-polynomial cache is emptied after every class.  The checkpoint is a
-hash-chained JSON-lines file, one line per class, flushed as each class
-finishes and synced to disk after each second of classes and when the
-run ends; loading verifies the chain.
+Classes run in one process in ascending totient order; one loop
+records, checkpoints and reports each, and the polynomial cache is
+emptied after every class.  A class's summary is read off the comparison
+records its cert_hash covers; `ChainReport.from_record` builds the
+report.  The checkpoint is a hash-chained JSON-lines file, one line per
+class, flushed as each class finishes and synced to disk after each
+second of classes and when the run ends; loading verifies the chain.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -75,7 +76,7 @@ class IncomparablePairError(OrderingError):
 
 
 class CheckpointError(Exception):
-    """Checkpoint file is unusable: hash-chain mismatch or wrong parameters."""
+    """Checkpoint file is unusable: unopenable, hash-chain mismatch or wrong parameters."""
 
 
 @dataclass
@@ -136,16 +137,13 @@ class ChainReport:
 
     @classmethod
     def from_record(cls, rec: dict) -> "ChainReport":
-        incomparable = []
-        for r in rec["incomparable_pairs"]:
-            m, n, _, cert = certificate_from_record(r)
-            incomparable.append((m, n, cert))
+        parsed = map(certificate_from_record, rec["incomparable_pairs"])
         return cls(
             range_max=rec["range_max"],
             sequence=list(rec["sequence"]),
             class_count=rec["class_count"],
             pair_count=rec["pair_count"],
-            incomparable_pairs=incomparable,
+            incomparable_pairs=[(m, n, cert) for m, n, _, cert in parsed],
             tie_pairs=[tuple(t) for t in rec["tie_pairs"]],
             stable_prefix_len=rec["stable_prefix_len"],
             max_threshold_c=rec["max_threshold_c"],
@@ -247,32 +245,28 @@ def sort_class(
 
 
 def _finish_class(phi_class: PhiClass, cache: CycloCache) -> dict:
-    """Sort and summarize one class, then empty the cache."""
+    """Sort and summarize one class, then empty the cache.  The sink
+    builds each adjacent pair's `comparison_record` once, hashes its JSON
+    line into `cert_hash` and keeps it; the rest of the summary is read
+    off those records, so it says nothing the hash does not cover."""
     digest = hashlib.sha256()
-    ties: list[list[int]] = []
-    max_c = 0
+    records: list[dict] = []
 
     def sink(m: int, n: int, verdict: Verdict, cert: Certificate) -> None:
-        nonlocal max_c
-        digest.update(record_to_json(comparison_record(m, n, verdict, cert)).encode())
+        rec = comparison_record(m, n, verdict, cert)
+        digest.update(record_to_json(rec).encode())
         digest.update(b"\n")
-        if cert.threshold_c > max_c:
-            max_c = cert.threshold_c
-        for q in cert.tie_witnesses:
-            ties.append([m, n, q])
+        records.append(rec)
 
-    ordered, incomparable = sort_class(phi_class, cache, cert_sink=sink)
+    ordered, _ = sort_class(phi_class, cache, cert_sink=sink)
     cache.trim()
     return {
         "phi": phi_class.phi_value,
         "members": ordered,
-        "pair_count": len(ordered) - 1,
-        "max_threshold_c": max_c,
-        "ties": ties,
-        "incomparable": [
-            comparison_record(m, n, Verdict.INCOMPARABLE, cert)
-            for m, n, cert in incomparable
-        ],
+        "pair_count": len(records),
+        "max_threshold_c": max((r["threshold_c"] for r in records), default=0),
+        "ties": [[r["m"], r["n"], q] for r in records for q in r["tie_witnesses"]],
+        "incomparable": [r for r in records if r["verdict"] == Verdict.INCOMPARABLE.value],
         "cert_hash": digest.hexdigest(),
     }
 
@@ -341,11 +335,18 @@ class CheckpointFile:
             header = {"kind": "header", "version": CHECKPOINT_VERSION, "range_max": range_max}
             header["chain"] = _chain_hash("", header)
             self._last_hash = header["chain"]
-            with open(path, "w", encoding="utf-8") as fh:
+            with self._open("w") as fh:
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
 
+    def _open(self, mode: str):
+        """open(self.path, mode), with an OSError raised as CheckpointError."""
+        try:
+            return open(self.path, mode, encoding=None if "b" in mode else "utf-8")
+        except OSError as exc:
+            raise CheckpointError(f"{self.path}: cannot be opened: {exc.strerror or exc}") from exc
+
     def _load(self) -> None:
-        with open(self.path, "rb") as fh:
+        with self._open("rb") as fh:
             lines = fh.read().splitlines(keepends=True)
         parsed: list[dict] = []
         good_end = 0  # byte offset just past the last line kept
@@ -384,7 +385,7 @@ class CheckpointFile:
         # the next append must start on a fresh line: cut the torn tail's
         # bytes, or end a complete final line whose newline was never written
         if torn or not lines[-1].endswith(b"\n"):
-            with open(self.path, "r+b") as fh:
+            with self._open("r+b") as fh:
                 fh.truncate(good_end)
                 if not torn:
                     fh.seek(good_end)
@@ -399,7 +400,7 @@ class CheckpointFile:
         rec["kind"] = "class"
         rec["chain"] = _chain_hash(self._last_hash, rec)
         if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh = self._open("a")
             self._synced_at = time.monotonic()
         self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
         self._fh.flush()
@@ -442,17 +443,16 @@ def build_chain(
     Classes run in this process in ascending totient order, and one loop
     records, checkpoints and reports (`progress`) each; the checkpoint is
     synced and closed however the loop ends (`CheckpointFile`).  A later
-    call resumes after the last class on file.  `workers` is checked (>= 1)
-    and has no effect: the run is one process, and existing callers that
-    pass a worker count get the same results as before.
+    call resumes after the last class on file.  The summaries fold, in
+    class order, into one report record that `ChainReport.from_record`
+    reads.  `workers` is checked (>= 1) and otherwise ignored: the run is
+    one process, so any worker count gives the same results.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     classes = phi_classes(range_max)
     checkpoint = CheckpointFile(checkpoint_path, range_max) if checkpoint_path else None
-
     summaries: dict[int, dict] = dict(checkpoint.completed) if checkpoint else {}
-    total = len(classes)
 
     cache = CycloCache()
     try:
@@ -463,36 +463,23 @@ def build_chain(
             if checkpoint is not None:
                 checkpoint.append(summary)
             if progress is not None:
-                progress(len(summaries), total, summary)
+                progress(len(summaries), len(classes), summary)
     finally:
         if checkpoint is not None:
             checkpoint.close()
 
-    sequence: list[int] = []
-    pair_count = 0
-    max_c = 0
-    ties: list[tuple[int, int, int]] = []
-    incomparable: list[tuple[int, int, Certificate]] = []
-    for cls in classes:
-        s = summaries[cls.phi_value]
-        sequence.extend(s["members"])
-        pair_count += s["pair_count"]
-        max_c = max(max_c, s["max_threshold_c"])
-        ties.extend(tuple(t) for t in s["ties"])
-        for rec in s["incomparable"]:
-            m, n, _, cert = certificate_from_record(rec)
-            incomparable.append((m, n, cert))
-
-    return ChainReport(
-        range_max=range_max,
-        sequence=sequence,
-        class_count=total,
-        pair_count=pair_count,
-        incomparable_pairs=incomparable,
-        tie_pairs=ties,
-        stable_prefix_len=stable_prefix_length(classes, range_max),
-        max_threshold_c=max_c,
-    )
+    done = [summaries[cls.phi_value] for cls in classes]
+    record = {
+        "range_max": range_max,
+        "sequence": [x for s in done for x in s["members"]],
+        "class_count": len(done),
+        "pair_count": sum(s["pair_count"] for s in done),
+        "incomparable_pairs": [r for s in done for r in s["incomparable"]],
+        "tie_pairs": [t for s in done for t in s["ties"]],
+        "stable_prefix_len": stable_prefix_length(classes, range_max),
+        "max_threshold_c": max(s["max_threshold_c"] for s in done),
+    }
+    return ChainReport.from_record(record)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +534,7 @@ def check_conjecture2(i_max: int) -> list[PrecedesReport]:
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     cache = CycloCache()
-    reports = []
-    for i in range(1, i_max + 1):
-        reports.append(precedes(2 * 3**i, 3**i, cache))
-    return reports
+    return [precedes(2 * 3**i, 3**i, cache) for i in range(1, i_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,16 @@ def test_factorize_beyond_the_sieve():
     assert factorize(10000000019) == [(10000000019, 1)]
 
 
+def test_is_prime_at_the_sieve_limit():
+    """Up to the sieve's limit (10^5) is_prime looks the sieve up; above
+    it, n is prime when factorize returns n alone."""
+    assert is_prime(99991)  # the sieve's largest prime
+    assert not is_prime(100000)
+    assert not is_prime(100001) and factorize(100001) == [(11, 1), (9091, 1)]
+    assert is_prime(100003) and is_prime(100019)
+    assert not is_prime(100003**2) and factorize(100003**2) == [(100003, 2)]
+
+
 def test_factorize_rejects_zero():
     with pytest.raises(ValueError):
         factorize(0)

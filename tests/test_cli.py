@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cycorder
 from cycorder.cli import main
 from cycorder.comparator import parse_comparison_record
 from cycorder.order import ChainReport, build_chain
@@ -131,6 +135,22 @@ def test_verify_checkpoint_and_corruption(capsys, tmp_path):
         fh.writelines([lines[0]] + [lines[1].replace('"pair_count": ', '"pair_count": 9')] + lines[2:])
     code, out, err = run_cli(capsys, "verify", "80", "--checkpoint", path)
     assert code == 4 and "checkpoint error" in err
+
+
+@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+def test_unopenable_checkpoint_exits_4_without_a_traceback(tmp_path, where):
+    """A checkpoint path that cannot be opened ends the run as any other
+    unusable checkpoint does: one `checkpoint error` line and exit 4."""
+    path = tmp_path / "missing" / "v.ckpt" if where == "in a missing directory" else tmp_path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycorder", "verify", "10", "--checkpoint", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"checkpoint error: {path}: cannot be opened: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_verify_progress_lines(capsys):

@@ -14,7 +14,7 @@ import pytest
 import cycorder
 from cycorder.arith import inverse_totient, totient
 from cycorder.cli import main
-from cycorder.comparator import Verdict, compare
+from cycorder.comparator import Verdict, compare, comparison_record, record_to_json
 from cycorder.cyclotomic import CycloCache, cyclo, kernel_entry
 from cycorder.intpoly import IntPoly
 from cycorder.order import (
@@ -291,6 +291,54 @@ def test_tied_indices_match_an_all_pairs_scan(fake_pair_cache):
     assert summary["ties"] == [[a, b, 2], [b, c, 2]]
     assert summary["pair_count"] == 2 and not summary["incomparable"]
     assert {x for m, n, _ in summary["ties"] for x in (m, n)} == scan == {a, b, c}
+
+
+def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) -> None:
+    """Rebuild the records of the summary's adjacent pairs with `compare`
+    on `cache`: cert_hash is the sha256 of their JSON lines, and every
+    other field of the summary agrees with them."""
+    members = summary["members"]
+    records = [
+        comparison_record(a, b, *compare(a, b, cache)) for a, b in zip(members, members[1:])
+    ]
+    lines = "".join(record_to_json(r) + "\n" for r in records)
+    assert summary["cert_hash"] == hashlib.sha256(lines.encode()).hexdigest()
+    assert summary["pair_count"] == len(records) == len(members) - 1
+    assert summary["max_threshold_c"] == max([0] + [r["threshold_c"] for r in records])
+    assert summary["ties"] == [[r["m"], r["n"], q] for r in records for q in r["tie_witnesses"]]
+    assert summary["incomparable"] == [r for r in records if r["verdict"] == Verdict.INCOMPARABLE.value]
+
+
+def test_class_summaries_are_bound_to_their_hashed_records(shared_cache):
+    cache = CycloCache()
+    for cls in phi_classes(300):
+        summary = _finish_class(cls, cache)
+        assert summary["phi"] == cls.phi_value and sorted(summary["members"]) == cls.members
+        _assert_summary_is_bound_to_its_records(summary, shared_cache)
+
+
+def test_stand_in_summaries_are_bound_to_their_hashed_records(fake_pair_cache, monkeypatch):
+    """The incomparable class and the tied class of the stand-ins; each
+    pair's record is built once, by the certificate sink."""
+    built = []
+    record = cycorder.order.comparison_record
+    monkeypatch.setattr(
+        cycorder.order, "comparison_record", lambda *args: built.append(args[:2]) or record(*args)
+    )
+    a, b, c, d = 900001, 900002, 900003, 900004
+    for members in ([a, b], [a, c, d]):
+        work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
+        work.kernels.update(fake_pair_cache.kernels)
+        work.evals.update(fake_pair_cache.evals)
+        built.clear()
+        summary = _finish_class(PhiClass(2, members), work)
+        assert built == list(zip(summary["members"], summary["members"][1:]))
+        _assert_summary_is_bound_to_its_records(summary, fake_pair_cache)
+        if members == [a, b]:
+            [rec] = summary["incomparable"]
+            assert (rec["m"], rec["n"], summary["ties"]) == (a, b, [[a, b, 3]])  # 9 at q = 3
+        else:
+            assert summary["ties"] == [[a, d, 2], [d, c, 2]] and not summary["incomparable"]
 
 
 def test_precedes_surfaces_incomparable_distinctly(fake_pair_cache):
