@@ -11,7 +11,10 @@ because q^d * (q - 1) >= c * q^d > c * (q^d - 1); equivalently, after
 splitting D into its positive and negative parts A - B, the base-q digit
 string of A(q) beats B(q) once q exceeds every digit.  So the sign of
 D(q) equals the sign of D's leading coefficient for all q > c, and only
-q in [2, c] (empty when c <= 1) needs exhaustive evaluation.  The verdict
+the signs at q in [2, c] (none when c <= 1) remain.  Each is read off a
+window of D's top coefficients, which decides it whenever D(q) is far
+from zero; exact evaluation of both values at q is the fallback, and the
+only route that can find a tie (`compare` proves the rule).  The verdict
 plus those finitely many signs certify the infinite family of
 inequalities.
 
@@ -26,7 +29,9 @@ value at B = 2^w, and every |D_i| <= h = H_n + H_m.  While 4h < B:
     absolute value;
   * c is the first k = 1, 2, ... that passes a test of a few
     big-integer operations on X (`difference_threshold`, which proves the
-    test and gives its cost).
+    test and gives its cost);
+  * the last test's operand X + c*ONES has the base-B digits D_i + c,
+    so D's top coefficients are bytes of one integer.
 
 A pair whose heights sum to 64 or more (first possible at index 26565,
 whose entry has height 59) packs both entries afresh from their kernels,
@@ -51,6 +56,8 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
 from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyclo
+
+_WINDOW_CAP = 64  # widest window of D's top coefficients tried before exact evaluation
 
 
 class Verdict(enum.Enum):
@@ -92,12 +99,13 @@ class Certificate:
     flip_witnesses: list[int] = field(default_factory=list)
 
 
-def difference_threshold(x: int, width: int, length: int, bound: int) -> int:
-    """Largest absolute coefficient c of the difference D packed in x.
+def difference_threshold(x: int, width: int, length: int, bound: int) -> tuple[int, int]:
+    """Largest absolute coefficient c of the difference D packed in x,
+    and x + c*ONES.
 
     x is D's value at B = 2^width, D has at most `length` coefficients,
-    each of absolute value at most `bound`, and 4 * bound < B.  Returns
-    0 for x = 0, else the least k >= 1 with every |D_i| <= k, found by
+    each of absolute value at most `bound`, and 4 * bound < B.  c is 0
+    for x = 0, else the least k >= 1 with every |D_i| <= k, found by
     testing k = 1, 2, ... in turn; a failure at k = bound raises
     ArithmeticError.
 
@@ -117,14 +125,16 @@ def difference_threshold(x: int, width: int, length: int, bound: int) -> int:
     nothing borrows from position i, and base-B digit i of the operand
     (floor semantics, which is what Python's two's-complement `&` reads
     for a negative operand too) is e + B, in (B/2, B): its top bit is
-    set.
+    set.  So the passing test's first operand, x + c*ONES, which is
+    returned, has exactly the base-B digits D_i + c, each in [0, 2c],
+    in its low `length` digits and nothing above them.
 
     Cost.  The loop makes c tests, each a few big-integer operations on
-    `length` digits.  `compare` then evaluates D exactly at each of the
-    c - 1 points q in [2, c], and each evaluation costs more than a test.
+    `length` digits.  Handing back the last operand lets `compare` read
+    D's top coefficients without another pass over all of them.
     """
     if not x:
-        return 0
+        return 0, 0
     nbytes = width // 8
     ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * length, "little")
     top = ones << (width - 1)
@@ -134,19 +144,60 @@ def difference_threshold(x: int, width: int, length: int, bound: int) -> int:
             raise ArithmeticError(f"internal: a coefficient of the difference exceeds {bound}")
         k += 1
         shift += ones
-    return k
+    return k, x + shift
+
+
+def _window_sign(top: bytes | list[int], q: int, c: int) -> int:
+    """Sign of D(q) read off D's top coefficients, or 0 when no window
+    decides it.  top holds D_i + c for i = t, t - 1, ..., top first;
+    the windows are its first 8, 16, 32, ... entries, up to all of it
+    (`compare` proves the rule)."""
+    total, lo, hi = 0, 0, 8
+    while True:
+        for digit in top[lo:hi]:
+            total = total * q + digit - c
+        if (q - 1) * abs(total) >= c:
+            return 1 if total > 0 else -1
+        if hi >= len(top):
+            return 0
+        lo, hi = hi, 2 * hi
 
 
 def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     """Full comparison of indices m and n with certificate.
 
     Reads the threshold c and the leading sign of the difference D (value
-    at n minus value at m) off X = P_n - P_m, evaluates D exactly at every
-    q in [2, c], and settles all larger q by the leading-coefficient
+    at n minus value at m) off X = P_n - P_m, decides the sign of D(q) at
+    every q in [2, c], and settles all larger q by the leading-coefficient
     argument in the module docstring.  X, the length and the heights come
     from the cache's packed entries; X is read at PACK_WIDTH unless the
     two heights sum too high for it, and then both entries are packed
-    afresh at the pair's width.  No coefficient tuple is built.
+    afresh at the pair's width w.  No coefficient tuple is built.
+
+    The sign at q from D's top coefficients.  Let t be the top nonzero
+    index of D, take a window of L coefficients, s = t - L + 1 (or 0
+    when L > t), and T = sum over i >= s of D_i * q^(i - s).  Then
+    D(q) = q^s * T + R with R = sum over i < s of D_i * q^i, and every
+    |D_i| <= c gives
+
+        |R| <= c * (q^s - 1) / (q - 1) < c * q^s / (q - 1).
+
+    So if (q - 1) * |T| >= c, then q^s * |T| > |R|: D(q) is nonzero and
+    has the sign of T.  Windows of 8, 16, 32 and _WINDOW_CAP coefficients
+    are tried in turn (`_window_sign`) until one decides; a q that none
+    decides, including every q where D(q) = 0, is evaluated exactly as
+    eval_cyclo(n, q) - eval_cyclo(m, q).
+
+    Reading the window.  `difference_threshold` returns Y = X + c*ONES,
+    whose base-2^w digits are D_i + c: the top coefficients are bytes of
+    Y (w/8-byte digits on a tall pair), less c.  Their position t is
+    |X|.bit_length() // w.  With h = H_n + H_m and 4h < 2^w = B, so
+    h / (B - 1) <= 1/4, and |D_t| >= 1:
+
+        |X| >= B^t - h * (B^t - 1) / (B - 1) > (3/4) * B^t > 2^(w*t - 1),
+        |X| <= h * (B^(t + 1) - 1) / (B - 1) < B^(t + 1) / 4,
+
+    so |X| has between w*t and w*(t + 1) - 2 bits.
     """
     if m < 1 or n < 1:
         raise ValueError(f"indices must be positive integers, got ({m}, {n})")
@@ -164,15 +215,27 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     # distinct cyclotomic polynomials; the guard is against caller bugs
     if not x:
         raise ArithmeticError(f"internal: distinct indices {m}, {n} gave a zero difference")
-    c = difference_threshold(x, width, max(lm, ln), bound)
+    length = max(lm, ln)
+    c, y = difference_threshold(x, width, length, bound)
     lead = 1 if x > 0 else -1
     ties: list[int] = []
     first_neg = first_pos = 0
+    if c > 1:
+        nbytes = width // 8
+        t = x.bit_length() // width
+        s = max(0, t - _WINDOW_CAP + 1)
+        raw = y.to_bytes(length * nbytes, "little")[s * nbytes : (t + 1) * nbytes]
+        top = raw[::-1] if nbytes == 1 else [
+            int.from_bytes(raw[i - nbytes : i], "little") for i in range(len(raw), 0, -nbytes)
+        ]
     for q in range(2, c + 1):
-        v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
-        if v == 0:
+        sign = _window_sign(top, q, c)
+        if not sign:
+            v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
+            sign = (v > 0) - (v < 0)
+        if not sign:
             ties.append(q)
-        elif v < 0:
+        elif sign < 0:
             if not first_neg:
                 first_neg = q
         elif not first_pos:

@@ -101,23 +101,34 @@ def kernel_entry(coeffs, mirror: bool = False) -> tuple[bytes | tuple[int, ...],
     return tuple([*coeffs, *coeffs[-2::-1]] if mirror else coeffs), height
 
 
-def _coefficients(n: int, cache: CycloCache) -> list[int]:
-    """Phi_n's coefficients: its kernel's digits decoded (bytes in C, the
-    inverse of `kernel_entry`; a tall kernel's tuple as is), with
-    t -> s * t^e (`_kernel_of`; an index whose own digits are in
-    `cache.kernels` is read as is)."""
+def _spread(digits: bytes, e: int, flip: bool) -> bytearray:
+    """Phi_n's bytes (coefficient + 128) from its kernel's, under
+    t -> s * t^e, in C: the kernel's bytes go with stride e over a string
+    of 0x80 bytes (coefficient 0), and s = -1 maps the odd powers' bytes
+    through _NEG."""
+    raw = bytearray(b"\x80" * ((len(digits) - 1) * e + 1))
+    raw[::e] = digits
+    if flip:
+        raw[e :: 2 * e] = raw[e :: 2 * e].translate(_NEG)
+    return raw
+
+
+def _coefficients(n: int, cache: CycloCache) -> array | list[int]:
+    """Phi_n's coefficients from its kernel's digits, with t -> s * t^e
+    (`_kernel_of`; an index whose own digits are in `cache.kernels` is
+    read as is): a signed-byte array made in C from the `_spread` bytes
+    (the inverse of `kernel_entry`), or a list for a tall kernel's
+    tuple."""
     k, e, flip = (n, 1, False) if n in cache.kernels else _kernel_of(n)
     digits = cache.kernel(k)[0]
-    if isinstance(digits, tuple):
-        base = list(digits)
-    else:
-        base = array("b", digits.translate(_OFFSET)).tolist()
-    coeffs = base
+    if not isinstance(digits, tuple):
+        return array("b", _spread(digits, e, flip).translate(_OFFSET))
+    coeffs = list(digits)
     if e > 1:
-        coeffs = [0] * ((len(base) - 1) * e + 1)
-        coeffs[::e] = base
+        coeffs = [0] * ((len(digits) - 1) * e + 1)
+        coeffs[::e] = digits
     if flip:  # s = -1: the odd powers of the kernel change sign
-        coeffs[e :: 2 * e] = map(neg, base[1::2])
+        coeffs[e :: 2 * e] = map(neg, digits[1::2])
     return coeffs
 
 
@@ -137,8 +148,9 @@ class CycloCache:
     totient(n) + 1 and height the largest absolute coefficient, both the
     kernel's under the substitution, and the value is None when the
     height alone is too large for any pair to be read at PACK_WIDTH.
-    Everything lives until `trim`, which a verification calls after each
-    class.
+    `evals` is filled by `eval_cyclo`: the `cyclo N Q` command, the
+    `check_*` predicates, and `compare`'s exact fallback.  Everything
+    lives until `trim`, which a verification calls after each class.
     """
 
     __slots__ = ("polys", "kernels", "packed", "evals")
@@ -173,12 +185,11 @@ class CycloCache:
         Phi_n(t) = Phi_k(s * t^e) (`_kernel_of`; an index whose own digits
         are in `kernels` is read as is).  Neither substitution changes the
         height, and the length is (len(kernel) - 1) * e + 1.  At PACK_WIDTH
-        the value is C work on the kernel's bytes (coefficient + 128): they
-        are spread with stride e over a string of 0x80 bytes (coefficient
-        0), s = -1 maps the odd powers' bytes through _NEG, and the string
-        is read as one integer less the all-0x80 one.  That entry is kept
-        until `trim`.  A wider width (a tall pair or class) packs Phi_n's
-        decoded coefficients (`_coefficients`); that entry is not kept.
+        the value is C work on the kernel's bytes (coefficient + 128): the
+        `_spread` string is read as one integer less the all-0x80 one.
+        That entry is kept until `trim`.  A wider width (a tall pair or
+        class) packs Phi_n's decoded coefficients (`_coefficients`); that
+        entry is not kept.
         """
         if width == PACK_WIDTH:
             entry = self.packed.get(n)
@@ -192,12 +203,8 @@ class CycloCache:
         value = None
         # a pair read at PACK_WIDTH has both heights within pair_width's bound
         if pair_width(height) == PACK_WIDTH:
-            pad = b"\x80" * length
-            raw = bytearray(pad)
-            raw[::e] = digits
-            if flip:
-                raw[e :: 2 * e] = raw[e :: 2 * e].translate(_NEG)
-            value = int.from_bytes(raw, "little") - int.from_bytes(pad, "little")
+            raw = _spread(digits, e, flip)
+            value = int.from_bytes(raw, "little") - int.from_bytes(b"\x80" * length, "little")
         entry = self.packed[n] = (value, length, height)
         return entry
 
@@ -205,9 +212,10 @@ class CycloCache:
         """Drop every polynomial and kernel and clear both memos.
 
         In a verification only `order.sort_class` and `compare` fill the
-        cache, for the indices they read, and an index is read only inside
-        its own totient class, which is sorted once: no later class reads
-        a memo a class left.  An entry is built from no other entry than
+        cache, for the indices they read (`evals` only when a sign falls
+        back to exact evaluation), and an index is read only inside its
+        own totient class, which is sorted once: no later class reads a
+        memo a class left.  An entry is built from no other entry than
         its kernel's, so a later class rebuilds the few kernels it needs
         again, and the cache never holds more than one class's entries
         with their kernels.
@@ -271,8 +279,9 @@ def _kernel_half(n: int) -> list[int]:
 
 def cyclo(n: int, cache: CycloCache) -> IntPoly:
     """The nth cyclotomic polynomial, decoded from its kernel's cached
-    entry (`_coefficients`) and cached under n alone.  The result is
-    monic of degree totient(n).
+    entry (`_coefficients`) and cached under n alone, one byte per
+    coefficient below index 40755.  The result is monic of degree
+    totient(n).
     """
     if n < 1:
         raise ValueError(f"index must be a positive integer, got {n}")
@@ -357,9 +366,9 @@ def eval_cyclo(n: int, q: int, cache: CycloCache) -> int:
     The cost is two products of 2^(k-1) big integers each for k distinct
     odd primes, whatever the polynomial's density.  For many primes and
     large q this loses to Horner on the coefficients (n = 4290 at q = 10
-    took about 4 times as long); comparisons only evaluate at q <= c, a
-    small coefficient bound (at most 10 for indices up to 5000), where it
-    wins by 3 to 10 times.
+    took about 4 times as long).  `compare` calls it only for a q <= c
+    that the top coefficients of the difference leave undecided, which
+    includes every tie; no pair of a verification up to 20000 has one.
     """
     if q < 2:
         raise ValueError(f"the ordering is only defined over q >= 2, got q={q}")

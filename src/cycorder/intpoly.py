@@ -20,6 +20,7 @@ pure.
 
 from __future__ import annotations
 
+from array import array
 from itertools import repeat
 from typing import Iterable
 
@@ -47,29 +48,36 @@ def packed_value(coeffs, width: int) -> int:
 
 
 class IntPoly:
-    """Immutable dense integer polynomial, constant term first."""
+    """Immutable dense integer polynomial, constant term first.
 
-    __slots__ = ("coeffs",)
+    Coefficients given as an array are kept in a copy of it (`cyclo`
+    passes a signed-byte one, one byte per coefficient); any other
+    iterable is kept as a tuple.  `coeffs` reads either as a tuple.
+    """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("_data",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = tuple(coeffs)
+        cs = coeffs if isinstance(coeffs, array) else tuple(coeffs)
         n = len(cs)
         while n and cs[n - 1] == 0:
             n -= 1
-        object.__setattr__(self, "coeffs", cs[:n])
+        object.__setattr__(self, "_data", cs[:n])
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self._data)
+
+    @property
     def degree(self) -> int | None:
         """Degree of the polynomial, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._data) - 1 if self._data else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._data
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -78,11 +86,12 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        cs = self._data
+        if not cs:
             return "IntPoly(0)"
         terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if not c:
                 continue
             mag = abs(c)
@@ -107,7 +116,7 @@ class IntPoly:
     def eval_at(self, x: int) -> int:
         """Exact value of the polynomial at the integer x (Horner scheme)."""
         value = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self._data):
             value = value * x + c
         return value
 
@@ -117,13 +126,13 @@ class IntPoly:
         a keeps the positive coefficients, b the negated negative ones, so
         their supports are disjoint.
         """
-        pos = [c if c > 0 else 0 for c in self.coeffs]
-        neg = [-c if c < 0 else 0 for c in self.coeffs]
+        pos = [c if c > 0 else 0 for c in self._data]
+        neg = [-c if c < 0 else 0 for c in self._data]
         return IntPoly(pos), IntPoly(neg)
 
     def max_abs_coeff(self) -> int:
         """Largest absolute coefficient value; 0 for the zero polynomial."""
-        return max(map(abs, self.coeffs), default=0)
+        return max(map(abs, self._data), default=0)
 
     def is_self_reciprocal_up_to_power(self) -> bool:
         """True iff self = t^k * s(t) with s a palindrome (nonzero constant term).

@@ -182,7 +182,7 @@ def sort_class(
     cache: CycloCache,
     *,
     cert_sink: Callable[[int, int, Verdict, Certificate], None] | None = None,
-) -> tuple[list[int], list[tuple[int, int, Certificate]]]:
+) -> list[int]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
 
     Members are sorted by their packed values P_n = Phi_n(2^w), read
@@ -199,10 +199,10 @@ def sort_class(
     entry.  Then compare runs on the k - 1 adjacent pairs
     (a, b), in order, and each (a, b, verdict, certificate) goes to
     cert_sink when one is given; nothing else keeps the certificates, so
-    batch runs stay flat in memory.  Returns
-    (ordered_members, incomparable); an INCOMPARABLE pair is reported as
-    data, never raised.  Any other verdict but LESS contradicts the sort
-    and raises ArithmeticError.
+    batch runs stay flat in memory.  Returns the ordered members; an
+    INCOMPARABLE pair reaches cert_sink as data and is never raised.  Any
+    other verdict but LESS contradicts the sort and raises
+    ArithmeticError.
 
     Why k - 1 certificates prove what all k(k-1)/2 pairs would:
 
@@ -227,16 +227,13 @@ def sort_class(
     if len(ordered) > 1:
         width = pair_width(2 * max(cache.packed_entry(n)[2] for n in ordered))
         ordered.sort(key=lambda n: cache.packed_entry(n, width)[0])
-    incomparable: list[tuple[int, int, Certificate]] = []
     for a, b in zip(ordered, ordered[1:]):
         verdict, cert = compare(a, b, cache)
         if cert_sink is not None:
             cert_sink(a, b, verdict, cert)
-        if verdict is Verdict.INCOMPARABLE:
-            incomparable.append((a, b, cert))
-        elif verdict is not Verdict.LESS:
+        if verdict not in (Verdict.LESS, Verdict.INCOMPARABLE):
             raise ArithmeticError(f"internal: sorted neighbours {a}, {b} compare {verdict.value}")
-    return ordered, incomparable
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +255,7 @@ def _finish_class(phi_class: PhiClass, cache: CycloCache) -> dict:
         digest.update(b"\n")
         records.append(rec)
 
-    ordered, _ = sort_class(phi_class, cache, cert_sink=sink)
+    ordered = sort_class(phi_class, cache, cert_sink=sink)
     cache.trim()
     return {
         "phi": phi_class.phi_value,

@@ -22,7 +22,9 @@ def fake_pair_cache() -> CycloCache:
     ordered with all three equal to 4 at q = 2.  Their
     values at q <= 16 go into the evaluation memo, which `eval_cyclo`
     consults before the product formula (that would give the real
-    cyclotomic values of those indices).
+    cyclotomic values of those indices).  `compare` reads each sign off
+    the kernel digits first, and its exact fallback, which these pairs'
+    ties and near-ties reach, reads this memo.
     """
     cache = CycloCache()
     for n, coeffs in (

@@ -1,17 +1,22 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cycorder import comparator, order
 from cycorder.arith import totient
 from cycorder.comparator import (
     Verdict,
+    _window_sign,
     certificate_from_record,
     compare,
     comparison_record,
     parse_comparison_record,
     record_to_json,
 )
-from cycorder.cyclotomic import cyclo, eval_cyclo
+from cycorder.cyclotomic import CycloCache, cyclo, eval_cyclo, pair_width
+from cycorder.order import build_chain, phi_classes
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +231,145 @@ def test_record_round_trip(shared_cache):
 
     with pytest.raises(ValueError):
         parse_comparison_record('{"verdict": "LESS"}')
+
+
+# ---------------------------------------------------------------------------
+# the sign at q <= c from D's top coefficients (`compare` proves the rule)
+# ---------------------------------------------------------------------------
+
+
+def _exact_sign(m, n, q, cache):
+    v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
+    return (v > 0) - (v < 0)
+
+
+@pytest.fixture
+def window_log(monkeypatch):
+    """Every (q, sign) compare reads off a window, in call order."""
+    log = []
+
+    def logged(top, q, c):
+        sign = _window_sign(top, q, c)
+        log.append((q, sign))
+        return sign
+
+    monkeypatch.setattr(comparator, "_window_sign", logged)
+    return log
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """Every (n, q) compare evaluates exactly, in call order."""
+    calls = []
+
+    def counted(n, q, cache):
+        calls.append((n, q))
+        return eval_cyclo(n, q, cache)
+
+    monkeypatch.setattr(comparator, "eval_cyclo", counted)
+    return calls
+
+
+@st.composite
+def differences(draw):
+    """Coefficients of D, t^0 first, nonzero on top, often 0 below it."""
+    height = draw(st.integers(2, 12))
+    coeff = st.one_of(st.just(0), st.integers(-height, height))
+    low = draw(st.lists(coeff, max_size=90))
+    return tuple(low) + (draw(st.sampled_from((-1, 1, -height, height))),)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(differences())
+@example((-2,) * 10 + (-1,) * 7 + (1,))  # T = 1 at q = 2 in the window of 8; D(2) < 0
+@example((-2,) * 20 + (-1,) * 20 + (1,))  # the same for 8 and 16; 32 decides
+@example((-2,) * 5 + (-1,) * 70 + (1,))  # no window up to the cap decides
+@example((-3, 1))  # t - 3: s = 0, and a tie at q = 3
+def test_window_sign_is_exact_or_undecided(coeffs):
+    """Whatever the window reads is the sign of D(q); 0 only sends q on to
+    exact evaluation."""
+    c = max(map(abs, coeffs))
+    top = [d + c for d in reversed(coeffs[-comparator._WINDOW_CAP :])]
+    for q in range(2, c + 1):
+        value = sum(d * q**i for i, d in enumerate(coeffs))
+        assert _window_sign(top, q, c) in (0, (value > 0) - (value < 0)), q
+
+
+def test_window_signs_match_exact_signs_on_adjacent_pairs_to_5000(monkeypatch, window_log):
+    """Every sign the verify path reads at q <= c, for each adjacent pair of
+    build_chain(5000), is the sign of the exact difference, and none is
+    left to the fallback."""
+    pairs = {}
+
+    def logged_compare(m, n, cache):
+        start = len(window_log)
+        verdict, cert = compare(m, n, cache)
+        pairs[(m, n)] = (cert.threshold_c, window_log[start:])
+        return verdict, cert
+
+    monkeypatch.setattr(order, "compare", logged_compare)
+    build_chain(5000)
+    cache = CycloCache()
+    assert len(pairs) == 3855
+    for (m, n), (c, signs) in pairs.items():
+        assert [q for q, _ in signs] == list(range(2, c + 1)), (m, n)
+        for q, sign in signs:
+            assert sign == _exact_sign(m, n, q, cache), (m, n, q)
+
+
+def test_window_signs_match_exact_signs_on_every_pair_to_1000(shared_cache, window_log):
+    for cls in phi_classes(1000):
+        for i, m in enumerate(cls.members):
+            for n in cls.members[i + 1 :]:
+                window_log.clear()
+                _, cert = compare(m, n, shared_cache)
+                assert [q for q, _ in window_log] == list(range(2, cert.threshold_c + 1))
+                for q, sign in window_log:
+                    assert sign == _exact_sign(m, n, q, shared_cache), (m, n, q)
+
+
+def test_stand_ins_reach_the_exact_fallback(fake_pair_cache, eval_calls):
+    """A tie, and a sign the top coefficients cannot settle, go to exact
+    evaluation; the verdicts, ties and flips stay those of the exact
+    values."""
+    cache = fake_pair_cache
+    a, b, c, d = 900001, 900002, 900003, 900004  # t^2, t^2 + t - 3, t^2 + 2t - 4, t^2 + t - 2
+
+    # D = t - 3, c = 3: T = q - 3 is -1 at q = 2 and 0 at q = 3
+    v, cert = compare(a, b, cache)
+    assert v is Verdict.INCOMPARABLE
+    assert (cert.tie_witnesses, sorted(cert.flip_witnesses)) == ([3], [2, 4])
+    assert eval_calls == [(b, 2), (a, 2), (b, 3), (a, 3)]
+
+    # D = t - 2, c = 2: the tie at q = 2
+    eval_calls.clear()
+    for m, n in ((a, d), (d, c)):
+        v, cert = compare(m, n, cache)
+        assert v is Verdict.LESS and cert.tie_witnesses == [2] and not cert.flip_witnesses
+    assert eval_calls == [(d, 2), (a, 2), (c, 2), (d, 2)]
+
+    # D = 2t - 4, c = 4: the tie at q = 2 is evaluated; (q - 1) * |T| = 4
+    # decides q = 3 and 6, 12 decide q = 4 off the window
+    eval_calls.clear()
+    v, cert = compare(a, c, cache)
+    assert v is Verdict.LESS and cert.tie_witnesses == [2] and cert.threshold_c == 4
+    assert eval_calls == [(c, 2), (a, 2)]
+
+
+def test_build_chain_2000_evaluates_nothing(eval_calls):
+    report = build_chain(2000)
+    assert report.pair_count == 1504 and report.max_threshold_c >= 2
+    assert eval_calls == []
+
+
+def test_real_tall_pair_is_read_at_width_16(eval_calls):
+    """16445 and 26565 (heights 8 and 59) are read off 16-bit digits; the
+    window decides all 62 signs, and the record keeps its bytes."""
+    cache = CycloCache()
+    assert pair_width(cache.packed_entry(16445)[2] + cache.packed_entry(26565)[2]) == 16
+    verdict, cert = compare(16445, 26565, cache)
+    assert record_to_json(comparison_record(16445, 26565, verdict, cert)) == (
+        '{"checked_q_max":63,"flip_witnesses":[],"leading_sign":1,"m":16445,"n":26565,'
+        '"shortcut_tag":null,"threshold_c":63,"tie_witnesses":[],"verdict":"LESS"}'
+    )
+    assert eval_calls == []

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 from cycorder.cyclotomic import cyclo_moebius
 from cycorder.intpoly import IntPoly
@@ -13,6 +14,17 @@ def test_sub_examples():
     p = IntPoly([7, -1, 4])
     assert (p - p).is_zero()
     assert (IntPoly([1, 1, 1]) - IntPoly([1, 0, 1])).coeffs == (0, 1)
+
+
+def test_byte_array_coefficients_read_as_a_tuple():
+    source = array("b", [1, -128, 127, 0, 0])
+    p = IntPoly(source)
+    source[0] = 5  # the polynomial keeps a copy
+    assert p.coeffs == (1, -128, 127) and p.degree == 2
+    assert p == IntPoly([1, -128, 127]) and hash(p) == hash(IntPoly((1, -128, 127)))
+    assert IntPoly(array("b", [0, 0])).is_zero()
+    assert (p - IntPoly([1])).coeffs == (0, -128, 127) and p.eval_at(2) == 253
+    assert repr(p) == "IntPoly(127*t^2 - 128*t + 1)"
 
 
 def test_eval_examples():

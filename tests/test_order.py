@@ -76,18 +76,26 @@ def test_phi_classes_partition():
             assert all(totient(x) == cls.phi_value for x in cls.members)
 
 
+def _sort_with_evidence(phi_class, cache):
+    """sort_class's ordered members, with every (a, b, verdict, cert) its
+    cert_sink received."""
+    evidence = []
+    ordered = sort_class(phi_class, cache, cert_sink=lambda *e: evidence.append(e))
+    return ordered, evidence
+
+
+def _incomparable(evidence):
+    """The (a, b, cert) of the INCOMPARABLE pairs in sort_class evidence."""
+    return [(a, b, cert) for a, b, verdict, cert in evidence if verdict is Verdict.INCOMPARABLE]
+
+
 def test_sort_class_examples(shared_cache):
-    evidence = []
-    ordered, incomparable = sort_class(
-        PhiClass(2, [3, 4, 6]), shared_cache, cert_sink=lambda *e: evidence.append(e)
-    )
+    ordered, evidence = _sort_with_evidence(PhiClass(2, [3, 4, 6]), shared_cache)
     assert ordered == [6, 4, 3]
-    assert len(evidence) == 2 and not incomparable
-    ordered, _ = sort_class(PhiClass(4, [5, 8, 10, 12]), shared_cache)
-    assert ordered == [10, 12, 8, 5]
-    evidence = []
+    assert len(evidence) == 2 and not _incomparable(evidence)
+    assert sort_class(PhiClass(4, [5, 8, 10, 12]), shared_cache) == [10, 12, 8, 5]
     cache = CycloCache()
-    ordered, _ = sort_class(PhiClass(10, [11]), cache, cert_sink=lambda *e: evidence.append(e))
+    ordered, evidence = _sort_with_evidence(PhiClass(10, [11]), cache)
     assert ordered == [11] and not evidence
     assert 11 not in cache  # a class of one member builds no entry
 
@@ -101,11 +109,8 @@ def test_sort_class_orders_a_tall_pair():
         cache.kernels[n] = kernel_entry(coeffs)
         poly = IntPoly(coeffs)
         cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 100))
-    evidence = []
-    ordered, incomparable = sort_class(
-        PhiClass(3, [b, a]), cache, cert_sink=lambda *e: evidence.append(e)
-    )
-    assert ordered == [a, b] and not incomparable
+    ordered, evidence = _sort_with_evidence(PhiClass(3, [b, a]), cache)
+    assert ordered == [a, b] and not _incomparable(evidence)
     [(m, n, verdict, cert)] = evidence
     assert (m, n, verdict) == (a, b, Verdict.LESS)
     assert (cert.threshold_c, cert.leading_sign) == (75, 1)
@@ -118,13 +123,10 @@ def test_sort_class_sorts_a_tall_class_at_its_wider_packing():
     and every adjacent pair certifies LESS."""
     members = [x for x in inverse_totient(10560) if x <= 40000]
     assert len(members) == 96 and {16445, 26565} <= set(members)
-    evidence = []
-    ordered, incomparable = sort_class(
-        PhiClass(10560, members), CycloCache(), cert_sink=lambda *e: evidence.append(e)
-    )
+    ordered, evidence = _sort_with_evidence(PhiClass(10560, members), CycloCache())
     cache = CycloCache()
     assert ordered == sorted(members, key=lambda n: cyclo(n, cache).coeffs[::-1])
-    assert not incomparable and len(evidence) == 95
+    assert not _incomparable(evidence) and len(evidence) == 95
     assert all(verdict is Verdict.LESS for _, _, verdict, _ in evidence)
     verdict, cert = compare(16445, 26565, CycloCache())
     assert verdict is Verdict.LESS
@@ -144,8 +146,8 @@ def test_sort_class_builds_no_polynomial():
 
 def test_sort_class_adjacent_pairs_are_less(shared_cache):
     for cls in phi_classes(500):
-        ordered, incomparable = sort_class(cls, shared_cache)
-        assert not incomparable
+        ordered, evidence = _sort_with_evidence(cls, shared_cache)
+        assert not _incomparable(evidence)
         assert sorted(ordered) == cls.members
         for a, b in zip(ordered, ordered[1:]):
             v, _ = compare(a, b, shared_cache)
@@ -155,8 +157,8 @@ def test_sort_class_adjacent_pairs_are_less(shared_cache):
 def test_sort_class_order_holds_for_every_pair(shared_cache):
     # the all-pairs reference for the adjacent-pair certificates
     for cls in phi_classes(1000):
-        ordered, incomparable = sort_class(cls, shared_cache)
-        assert not incomparable
+        ordered, evidence = _sort_with_evidence(cls, shared_cache)
+        assert not _incomparable(evidence)
         assert sorted(ordered) == cls.members
         for i, a in enumerate(ordered):
             for b in ordered[i + 1 :]:
@@ -265,10 +267,8 @@ def test_precedes_blockers_match_full_scan(shared_cache):
 def test_sort_class_reports_incomparable_as_data(fake_pair_cache):
     cache = fake_pair_cache
     a, b = 900001, 900002  # t^2 and t^2 + t - 3
-    evidence = []
-    ordered, incomparable = sort_class(
-        PhiClass(2, [a, b]), cache, cert_sink=lambda *e: evidence.append(e)
-    )
+    ordered, evidence = _sort_with_evidence(PhiClass(2, [a, b]), cache)
+    incomparable = _incomparable(evidence)
     assert len(incomparable) == 1
     assert incomparable[0][0] == a and incomparable[0][1] == b
     assert sorted(ordered) == [a, b]  # still a permutation, order best-effort

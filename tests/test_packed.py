@@ -1,5 +1,6 @@
-"""The packed reading of a difference: threshold and leading sign off one
-integer, against the coefficient lists it stands for."""
+"""The packed reading of a difference: threshold, leading sign and the
+offset digits D_i + c off one integer, against the coefficient lists it
+stands for."""
 
 from itertools import zip_longest
 
@@ -34,13 +35,16 @@ def test_difference_threshold_matches_coefficients(a, b):
     assert width == PACK_WIDTH or 4 * bound >= 2 ** (width - 8)  # the smallest such width
     x = packed_value(a, width) - packed_value(b, width)
     diff = [u - v for u, v in zip_longest(a, b, fillvalue=0)]
-    assert difference_threshold(x, width, len(diff), bound) == max(map(abs, diff))
+    c, y = difference_threshold(x, width, len(diff), bound)
+    assert c == max(map(abs, diff))
+    # every D_i + c lies in [0, 2c], below 2^width: the sum is y's digit string
+    assert y == sum((d + c) << (width * i) for i, d in enumerate(diff))
     top = next((d for d in reversed(diff) if d), 0)
     assert (x > 0) - (x < 0) == (top > 0) - (top < 0)
 
 
 def test_difference_threshold_rejects_a_bound_below_the_coefficients():
     x = packed_value((1, 5), PACK_WIDTH) - packed_value((0, 1), PACK_WIDTH)  # D = 1 + 4t
-    assert difference_threshold(x, PACK_WIDTH, 2, 4) == 4
+    assert difference_threshold(x, PACK_WIDTH, 2, 4) == (4, (1 + 4) + (4 + 4) * 256)
     with pytest.raises(ArithmeticError):
         difference_threshold(x, PACK_WIDTH, 2, 3)
