@@ -1,9 +1,15 @@
 """Decide how the values of two cyclotomic polynomials relate across every
 integer q >= 2, producing a finite certificate.
 
-For indices m and n, let D be the polynomial for n minus the polynomial
-for m.  When D is nonzero, write c for the largest absolute coefficient
-of D and d for its degree.  For q >= c + 1,
+Two indices of unequal totient are ordered smaller totient first: the
+gap settles every q >= 3, and q = 2 too unless the totients differ by at
+most 2, when the two values at q = 2 are evaluated exactly (`compare`
+proves the rule).  No coefficient is read for such a pair.  The rest of
+this docstring is about indices of equal totient.
+
+For such indices m and n, let D be the polynomial for n minus the
+polynomial for m.  When D is nonzero, write c for the largest absolute
+coefficient of D and d for its degree.  For q >= c + 1,
 
     |D(q)| >= q^d - c*(q^(d-1) + ... + 1) > 0,
 
@@ -21,8 +27,9 @@ inequalities.
 D is never formed coefficient by coefficient.  The cache keeps each
 compared entry's value at 2^w (w = 8) as one integer P, with its length
 and its height H (largest absolute coefficient), all made from its
-kernel's bytes (`CycloCache.packed_entry`); then X = P_n - P_m is D's
-value at B = 2^w, and every |D_i| <= h = H_n + H_m.  While 4h < B:
+kernel's bytes (`CycloCache.packed_entry`); the two lengths are equal,
+phi + 1.  Then X = P_n - P_m is D's value at B = 2^w, and every
+|D_i| <= h = H_n + H_m.  While 4h < B:
 
   * the leading sign is the sign of X: below D's top nonzero coefficient
     the digits sum to at most h * (B^top - 1) / (B - 1) < B^top in
@@ -81,15 +88,24 @@ class Certificate:
     """Finite evidence for a verdict about infinitely many q.
 
     threshold_c     largest absolute coefficient of the difference
-    leading_sign    sign of the difference's top coefficient (settles all
-                    q > threshold_c); 0 only for EQUAL, where the
-                    difference is zero
+                    (settles all q > threshold_c); 0 on a totient-gap
+                    certificate, which reads no coefficient
+    leading_sign    sign of the difference's top coefficient; on a
+                    totient-gap certificate the sign of the side of
+                    higher totient (+1 when it is n); 0 only for EQUAL,
+                    where the difference is zero
     checked_q_max   largest q that was exhaustively evaluated; equals
                     max(threshold_c, 1) except when an incomparable verdict
-                    needs the first asymptotic q as an explicit witness
+                    needs the first asymptotic q as an explicit witness.
+                    On a totient-gap certificate it is 2 when q = 2 was
+                    evaluated, else 1 (3 for INCOMPARABLE)
     tie_witnesses   q values with exact equality of the two sides
+                    (only 2 on a totient-gap certificate)
     flip_witnesses  one q with positive and one with negative difference
                     (present exactly when the verdict is INCOMPARABLE)
+    shortcut_tag    "totient-gap" when the pair has unequal totients and
+                    the gap decided it (`compare` proves the rule), else
+                    None
     """
 
     threshold_c: int
@@ -97,14 +113,16 @@ class Certificate:
     checked_q_max: int
     tie_witnesses: list[int] = field(default_factory=list)
     flip_witnesses: list[int] = field(default_factory=list)
+    shortcut_tag: str | None = None
 
 
 def difference_threshold(x: int, width: int, length: int, bound: int) -> tuple[int, int]:
     """Largest absolute coefficient c of the difference D packed in x,
     and x + c*ONES.
 
-    x is D's value at B = 2^width, D has at most `length` coefficients,
-    each of absolute value at most `bound`, and 4 * bound < B.  c is 0
+    x is D's value at B = 2^width, D is the difference of two
+    polynomials of `length` coefficients each, every coefficient of D
+    has absolute value at most `bound`, and 4 * bound < B.  c is 0
     for x = 0, else the least k >= 1 with every |D_i| <= k, found by
     testing k = 1, 2, ... in turn; a failure at k = bound raises
     ArithmeticError.
@@ -147,6 +165,29 @@ def difference_threshold(x: int, width: int, length: int, bound: int) -> tuple[i
     return k, x + shift
 
 
+def _gap_compare(m: int, n: int, delta: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
+    """`compare` for indices of unequal totient, delta = phi(n) - phi(m):
+    smaller totient first, with the exact sign at q = 2 read when
+    |delta| <= 2 (`compare` proves the rule)."""
+    lead = 1 if delta > 0 else -1
+    verdict = Verdict.LESS if lead > 0 else Verdict.GREATER
+    checked, ties, flips = 1, [], []
+    if abs(delta) <= 2:
+        checked = 2
+        v = eval_cyclo(n, 2, cache) - eval_cyclo(m, 2, cache)
+        if not v:
+            ties = [2]
+        elif v * lead < 0:
+            # q = 2 contradicts the gap; q = 3, where the gap decides, is
+            # evaluated too, so that both witnesses are values at hand
+            v = eval_cyclo(n, 3, cache) - eval_cyclo(m, 3, cache)
+            if v * lead <= 0:
+                raise ArithmeticError(f"internal: the totient gap of {m}, {n} fails at q=3")
+            verdict, checked = Verdict.INCOMPARABLE, 3
+            flips = [3, 2] if lead > 0 else [2, 3]
+    return verdict, Certificate(0, lead, checked, ties, flips, "totient-gap")
+
+
 def _window_sign(top: bytes | list[int], q: int, c: int) -> int:
     """Sign of D(q) read off D's top coefficients, or 0 when no window
     decides it.  top holds D_i + c for i = t, t - 1, ..., top first;
@@ -166,13 +207,49 @@ def _window_sign(top: bytes | list[int], q: int, c: int) -> int:
 def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     """Full comparison of indices m and n with certificate.
 
-    Reads the threshold c and the leading sign of the difference D (value
-    at n minus value at m) off X = P_n - P_m, decides the sign of D(q) at
-    every q in [2, c], and settles all larger q by the leading-coefficient
-    argument in the module docstring.  X, the length and the heights come
-    from the cache's packed entries; X is read at PACK_WIDTH unless the
-    two heights sum too high for it, and then both entries are packed
-    afresh at the pair's width w.  No coefficient tuple is built.
+    The lengths of the cache's packed entries, phi + 1, tell whether the
+    totients differ.  If they do, the totient gap decides the pair
+    (`_gap_compare`, proof below).  If not, the threshold c and the
+    leading sign of the difference D (value at n minus value at m) are
+    read off X = P_n - P_m, the sign of D(q) is decided at every q in
+    [2, c], and all larger q are settled by the leading-coefficient
+    argument in the module docstring.  X and the heights come from the
+    packed entries; X is read at PACK_WIDTH unless the two heights sum
+    too high for it, and then both entries are packed afresh at the
+    pair's width w.  No coefficient tuple is built.
+
+    The totient gap.  For k >= 1 and q >= 2, Phi_k(q) is the product of
+    (q^d - 1)^mu(k/d) over d | k.  Write q^d - 1 = q^d * (1 - q^(-d)),
+    use that d * mu(k/d) sums to phi(k) over d | k, and expand
+    log(1 - q^(-d)) = -sum over i >= 1 of q^(-di)/i; collecting the
+    terms with di = j gives
+
+        log Phi_k(q) = phi(k) * log q - sum over j >= 1 of c_k(j) * q^(-j) / j,
+
+    where c_k(j), the sum of d * mu(k/d) over d | gcd(k, j), is
+    Ramanujan's sum (S. Ramanujan, 1918).  With g = gcd(k, j), Hoelder's
+    closed form (1936) is c_k(j) = mu(k/g) * phi(k) / phi(k/g), and
+    phi(k) <= g * phi(k/g), since the primes of k/g are among those of
+    k.  So |c_k(j)| <= g <= j, and
+
+        |log Phi_k(q) - phi(k) * log q| <= sum over j >= 1 of q^(-j) = 1/(q - 1).
+
+    Let a be the index of smaller totient, b the other, and
+    Delta = phi(b) - phi(a) >= 1.  Then
+
+        log Phi_b(q) - log Phi_a(q) >= Delta * log q - 2/(q - 1).
+
+    At q >= 3 this is positive for every Delta >= 1, because
+    log 3 > 1 >= 2/(q - 1).  At q = 2 it is positive when Delta >= 3,
+    because 2^3 = 8 > e^2.  So a precedes b, and only q = 2 with
+    Delta <= 2 is left, which is evaluated exactly: it may tie (2 and 6
+    both give 3).  The certificate has shortcut_tag "totient-gap",
+    threshold_c 0 (no coefficient is read), the sign of the side of
+    higher totient as leading_sign, and checked_q_max 2 when q = 2 was
+    evaluated, else 1.  The theorem that every pair is comparable is not
+    assumed: an exact sign at q = 2 against the gap makes the verdict
+    INCOMPARABLE, with q = 3 evaluated as the other witness, just as an
+    incomparable pair of equal totient names its first asymptotic q.
 
     The sign at q from D's top coefficients.  Let t be the top nonzero
     index of D, take a window of L coefficients, s = t - L + 1 (or 0
@@ -206,6 +283,8 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 
     xm, lm, hm = cache.packed_entry(m)
     xn, ln, hn = cache.packed_entry(n)
+    if lm != ln:
+        return _gap_compare(m, n, ln - lm, cache)
     bound = hm + hn
     width = pair_width(bound)
     if width != PACK_WIDTH:
@@ -215,8 +294,7 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     # distinct cyclotomic polynomials; the guard is against caller bugs
     if not x:
         raise ArithmeticError(f"internal: distinct indices {m}, {n} gave a zero difference")
-    length = max(lm, ln)
-    c, y = difference_threshold(x, width, length, bound)
+    c, y = difference_threshold(x, width, ln, bound)
     lead = 1 if x > 0 else -1
     ties: list[int] = []
     first_neg = first_pos = 0
@@ -224,7 +302,7 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
         nbytes = width // 8
         t = x.bit_length() // width
         s = max(0, t - _WINDOW_CAP + 1)
-        raw = y.to_bytes(length * nbytes, "little")[s * nbytes : (t + 1) * nbytes]
+        raw = y.to_bytes(ln * nbytes, "little")[s * nbytes : (t + 1) * nbytes]
         top = raw[::-1] if nbytes == 1 else [
             int.from_bytes(raw[i - nbytes : i], "little") for i in range(len(raw), 0, -nbytes)
         ]
@@ -281,8 +359,10 @@ _RECORD_FIELDS = (
 def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> dict:
     """Flat key-value record for one comparison.
 
-    `shortcut_tag` is always None; the field stays so that records, and
-    the certificate hashes taken over them, keep their bytes.
+    `shortcut_tag` is "totient-gap" on a pair of unequal totient and None
+    on every other, so the records of a verification, which compares
+    only indices of equal totient, and the certificate hashes taken over
+    them keep their bytes.
     """
     return {
         "verdict": verdict.value,
@@ -293,7 +373,7 @@ def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> di
         "checked_q_max": cert.checked_q_max,
         "tie_witnesses": list(cert.tie_witnesses),
         "flip_witnesses": list(cert.flip_witnesses),
-        "shortcut_tag": None,
+        "shortcut_tag": cert.shortcut_tag,
     }
 
 
@@ -320,5 +400,6 @@ def certificate_from_record(rec: dict) -> tuple[int, int, Verdict, Certificate]:
         rec["checked_q_max"],
         list(rec["tie_witnesses"]),
         list(rec["flip_witnesses"]),
+        rec["shortcut_tag"],
     )
     return rec["m"], rec["n"], verdict, cert

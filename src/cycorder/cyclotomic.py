@@ -149,7 +149,8 @@ class CycloCache:
     kernel's under the substitution, and the value is None when the
     height alone is too large for any pair to be read at PACK_WIDTH.
     `evals` is filled by `eval_cyclo`: the `cyclo N Q` command, the
-    `check_*` predicates, and `compare`'s exact fallback.  Everything
+    `check_*` predicates, `compare`'s exact fallback, and its values at
+    q = 2 for a pair whose totients differ by 1 or 2.  Everything
     lives until `trim`, which a verification calls after each class.
     """
 
@@ -366,9 +367,11 @@ def eval_cyclo(n: int, q: int, cache: CycloCache) -> int:
     The cost is two products of 2^(k-1) big integers each for k distinct
     odd primes, whatever the polynomial's density.  For many primes and
     large q this loses to Horner on the coefficients (n = 4290 at q = 10
-    took about 4 times as long).  `compare` calls it only for a q <= c
-    that the top coefficients of the difference leave undecided, which
-    includes every tie; no pair of a verification up to 20000 has one.
+    took about 4 times as long).  `compare` calls it at q = 2 for a pair
+    whose totients differ by 1 or 2, and for a pair of equal totient
+    only at a q <= c that the top coefficients of the difference leave
+    undecided, which includes every tie; no pair of a verification up to
+    20000 has one.
     """
     if q < 2:
         raise ValueError(f"the ordering is only defined over q >= 2, got q={q}")

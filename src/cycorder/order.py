@@ -1,13 +1,14 @@
 """Total-order construction and verification over ranges of indices.
 
-A totient gap already orders two indices (smaller totient first), so the
-range {1..N} splits into totient classes and only pairs inside one class
-need polynomial comparison.  Each class is sorted by asymptotic order,
-which is the order of its members' packed values Phi_n(2^w) (w = 8 for
-every class below index 26565), and its k - 1 adjacent pairs are
-certified; by transitivity that verifies comparability of every pair in
-the class (proof in `sort_class`).  The sorted classes concatenate,
-ascending by totient value, into the full chain.
+A totient gap already orders two indices, smaller totient first
+(`comparator.compare` proves it), so the range {1..N} splits into
+totient classes and only pairs inside one class need polynomial
+comparison.  Each class is sorted by asymptotic order, which is the
+order of its members' packed values Phi_n(2^w) (w = 8 for every class
+below index 26565), and its k - 1 adjacent pairs are certified; by
+transitivity that verifies comparability of every pair in the class
+(proof in `sort_class`).  The sorted classes concatenate, ascending by
+totient value, into the full chain.
 
 Classes run in one process in ascending totient order; one loop
 records, checkpoints and reports each, and the polynomial cache is
@@ -24,7 +25,7 @@ the report carries that stable prefix length.  Likewise `precedes` is
 decided relative to the totient band [totient(m), totient(n)], which is a
 complete reduction: any x between m and n in the order must satisfy
 totient(m) <= totient(x) <= totient(n), because a totient gap forces the
-order the other way.
+order the other way (proof in `comparator.compare`).
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ class ChainReport:
 
     When incomparable_pairs is empty, sequence is a permutation of
     1..range_max in which adjacent same-class pairs carry LESS
-    certificates and cross-class ordering follows the totient gap.
+    certificates and cross-class ordering follows the totient gap, which
+    `comparator.compare` proves.
     """
 
     range_max: int
@@ -489,7 +491,8 @@ def precedes(m: int, n: int, cache: CycloCache) -> PrecedesReport:
 
     Candidates are every index x (other than m, n) whose totient lies in
     [totient(m), totient(n)], a complete reduction: anything outside that
-    band is forced to one side of both m and n by its totient alone.
+    band is forced to one side of both m and n by its totient alone (the
+    totient gap, proved in `comparator.compare`).
     Raises NotLessError when m is not strictly below n, and
     IncomparablePairError if any needed comparison is INCOMPARABLE.
     """

@@ -60,6 +60,14 @@ def test_compare_certificate_round_trips(capsys):
     assert rec["threshold_c"] == 1 and rec["leading_sign"] == 1
     assert rec["checked_q_max"] == 1 and rec["shortcut_tag"] is None
 
+    # unequal totients: the gap decides, and Phi_2(2) = Phi_6(2) = 3 tie
+    code, out, _ = run_cli(capsys, "compare", "2", "6", "--certificate")
+    assert code == 0 and out.splitlines() == [
+        "LESS",
+        '{"checked_q_max":2,"flip_witnesses":[],"leading_sign":1,"m":2,"n":6,'
+        '"shortcut_tag":"totient-gap","threshold_c":0,"tie_witnesses":[2],"verdict":"LESS"}',
+    ]
+
 
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cycorder import comparator, order
 from cycorder.arith import totient
 from cycorder.comparator import (
+    Certificate,
     Verdict,
     _window_sign,
     certificate_from_record,
@@ -15,7 +16,9 @@ from cycorder.comparator import (
     parse_comparison_record,
     record_to_json,
 )
-from cycorder.cyclotomic import CycloCache, cyclo, eval_cyclo, pair_width
+from cycorder.cyclotomic import CycloCache, cyclo, eval_cyclo, kernel_entry, pair_width
+from cycorder.intpoly import IntPoly
+from cycorder.oracle import brute_compare
 from cycorder.order import build_chain, phi_classes
 
 
@@ -71,20 +74,106 @@ def test_compare_fast_worked_examples(shared_cache):
     assert v is Verdict.LESS
 
 
-def test_mixed_degree_certificate_matches_polynomial_difference(shared_cache):
-    """Operands of unequal length, in both orientations: the certificate's
-    threshold, leading sign and checked range are those of the IntPoly
-    difference."""
+def test_gap_verdicts_match_the_oracle_to_120(shared_cache):
+    """Every ordered pair m, n <= 120 of unequal totient: no exact sign over
+    q in [2, 6] goes against the verdict, the certificate lists as many
+    ties as the oracle counts, and a tie can only be at q = 2, which is
+    evaluated exactly when the totients differ by at most 2."""
     for m in range(1, 121):
-        for n in range(1, 121):
+        for n in range(m + 1, 121):
             if totient(m) == totient(n):
                 continue
-            d = cyclo(n, shared_cache) - cyclo(m, shared_cache)
-            c = d.max_abs_coeff()
-            _, cert = compare(m, n, shared_cache)
-            assert cert.threshold_c == c, (m, n)
-            assert cert.leading_sign == (1 if d.coeffs[-1] > 0 else -1), (m, n)
-            assert cert.checked_q_max == max(c, 1), (m, n)
+            signs = brute_compare(m, n, 6)
+            at_2 = brute_compare(m, n, 2)[0] if abs(totient(n) - totient(m)) <= 2 else 0
+            # (n, m) has the signs of (m, n) negated
+            for a, b, against in ((m, n, -1), (n, m, 1)):
+                delta = totient(b) - totient(a)
+                v, cert = compare(a, b, shared_cache)
+                assert v is (Verdict.LESS if delta > 0 else Verdict.GREATER), (a, b)
+                assert signs[against if delta > 0 else -against] == 0, (a, b, signs)
+                assert signs[0] == len(cert.tie_witnesses), (a, b, signs)
+                assert cert.shortcut_tag == "totient-gap" and cert.threshold_c == 0, (a, b)
+                if abs(delta) <= 2:
+                    assert cert.checked_q_max == 2, (a, b)
+                    assert at_2 == len(cert.tie_witnesses), (a, b)
+                else:
+                    assert cert.checked_q_max == 1 and not cert.tie_witnesses, (a, b)
+
+
+def test_gap_worked_examples(shared_cache, eval_calls):
+    """phi(2) = 1, phi(6) = 2: Phi_2(2) = Phi_6(2) = 3 ties.  phi(4) = 2,
+    phi(5) = 4: q = 2 is evaluated (5 < 31).  phi(3) = 2, phi(7) = 6: the
+    gap alone decides every q."""
+    v, cert = compare(2, 6, shared_cache)
+    assert v is Verdict.LESS
+    assert cert == Certificate(0, 1, 2, [2], [], "totient-gap")
+    v, cert = compare(6, 2, shared_cache)
+    assert v is Verdict.GREATER
+    assert cert == Certificate(0, -1, 2, [2], [], "totient-gap")
+    assert eval_calls == [(6, 2), (2, 2), (2, 2), (6, 2)]
+
+    eval_calls.clear()
+    v, cert = compare(4, 5, shared_cache)
+    assert v is Verdict.LESS
+    assert cert == Certificate(0, 1, 2, [], [], "totient-gap")
+    assert eval_calls == [(5, 2), (4, 2)]
+
+    eval_calls.clear()
+    v, cert = compare(3, 7, shared_cache)
+    assert v is Verdict.LESS
+    assert cert == Certificate(0, 1, 1, [], [], "totient-gap")
+    v, cert = compare(7, 3, shared_cache)
+    assert v is Verdict.GREATER and cert.leading_sign == -1 and cert.checked_q_max == 1
+    assert eval_calls == []
+
+
+def test_gap_contradicted_at_q2_is_incomparable(fake_pair_cache, eval_calls):
+    """Stand-ins of unequal length whose values at q = 2 go against the
+    gap: the verdict is INCOMPARABLE, with q = 3 evaluated as the witness
+    of the gap's sign.  A stand-in that also goes against it at q = 3,
+    where no cyclotomic pair can, raises."""
+    cache = fake_pair_cache
+    a, b, c = 900001, 900005, 900006  # t^2, t^3 - t^2 - 3, t^3 - t^2 - t - 10
+    for n, coeffs in ((b, (-3, 0, -1, 1)), (c, (-10, -1, -1, 1))):
+        cache.kernels[n] = kernel_entry(coeffs)
+        poly = IntPoly(coeffs)
+        cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 17))
+    # b - a is t^3 - 2t^2 - 3: -3 at q = 2, 6 at q = 3
+    v, cert = compare(a, b, cache)
+    assert v is Verdict.INCOMPARABLE
+    assert cert == Certificate(0, 1, 3, [], [3, 2], "totient-gap")
+    assert eval_calls == [(b, 2), (a, 2), (b, 3), (a, 3)]
+    rec = parse_comparison_record(record_to_json(comparison_record(a, b, v, cert)))
+    assert rec["shortcut_tag"] == "totient-gap"
+    assert certificate_from_record(rec) == (a, b, v, cert)
+
+    v, cert = compare(b, a, cache)
+    assert v is Verdict.INCOMPARABLE
+    assert cert == Certificate(0, -1, 3, [], [2, 3], "totient-gap")
+
+    # c - a is t^3 - 2t^2 - t - 10: negative at q = 2 and at q = 3
+    with pytest.raises(ArithmeticError):
+        compare(a, c, cache)
+
+
+def test_gap_pairs_form_no_packed_difference(shared_cache, monkeypatch):
+    """No pair of unequal totient reaches `difference_threshold`; a pair of
+    equal totient still does."""
+    calls = []
+    threshold = comparator.difference_threshold
+
+    def counted(*args):
+        calls.append(args)
+        return threshold(*args)
+
+    monkeypatch.setattr(comparator, "difference_threshold", counted)
+    for m in range(1, 121):
+        for n in range(1, 121):
+            if totient(m) != totient(n):
+                compare(m, n, shared_cache)
+    assert calls == []
+    compare(5, 8, shared_cache)
+    assert len(calls) == 1
 
 
 def test_antisymmetry_and_diagonal(shared_cache, verdicts300):
@@ -157,14 +246,31 @@ def test_transitivity_to_100(verdicts300):
                         assert la[c], (a, b, c)
 
 
-def test_certificate_invariants(verdicts300):
+def test_coefficient_certificate_invariants(verdicts300):
     for (m, n), (v, cert) in verdicts300.items():
+        if totient(m) != totient(n):
+            continue
+        assert cert.shortcut_tag is None
         assert cert.threshold_c >= 1
         assert cert.leading_sign in (-1, 1)
         assert cert.checked_q_max == max(cert.threshold_c, 1)
         assert not cert.flip_witnesses  # LESS/GREATER: no sign flip exists
         for q in cert.tie_witnesses:
             assert 2 <= q <= cert.checked_q_max
+
+
+def test_gap_certificate_invariants(verdicts300):
+    for (m, n), (v, cert) in verdicts300.items():
+        delta = totient(n) - totient(m)
+        if not delta:
+            continue
+        assert cert.shortcut_tag == "totient-gap"
+        assert cert.threshold_c == 0
+        assert cert.leading_sign == (1 if delta > 0 else -1)
+        assert cert.checked_q_max == (2 if abs(delta) <= 2 else 1)
+        assert not cert.flip_witnesses
+        assert cert.tie_witnesses in ([], [2])
+        assert not cert.tie_witnesses or cert.checked_q_max == 2
 
 
 def test_incomparable_verdict_synthetic(fake_pair_cache):
@@ -198,9 +304,6 @@ def test_tall_pair_is_read_at_a_wider_packing():
     """Heights summing to 64 or more (no real index below 26565 has them)
     are read off values packed afresh at 16 bits; an entry of height 70
     keeps no 8-bit packed value at all."""
-    from cycorder.cyclotomic import CycloCache, kernel_entry
-    from cycorder.intpoly import IntPoly
-
     cache = CycloCache()
     a, b = 900001, 900002
     for n, coeffs in ((a, (3, -70, 0, 1)), (b, (-30, 5, 1, 1))):
@@ -227,7 +330,15 @@ def test_record_round_trip(shared_cache):
     assert cert2.threshold_c == cert.threshold_c
     assert cert2.leading_sign == cert.leading_sign
     assert cert2.checked_q_max == cert.checked_q_max
-    assert rec["shortcut_tag"] is None
+    assert rec["shortcut_tag"] is None and cert2.shortcut_tag is None
+
+    v, cert = compare(2, 6, shared_cache)
+    rec = comparison_record(2, 6, v, cert)
+    assert record_to_json(rec) == (
+        '{"checked_q_max":2,"flip_witnesses":[],"leading_sign":1,"m":2,"n":6,'
+        '"shortcut_tag":"totient-gap","threshold_c":0,"tie_witnesses":[2],"verdict":"LESS"}'
+    )
+    assert certificate_from_record(parse_comparison_record(record_to_json(rec))) == (2, 6, v, cert)
 
     with pytest.raises(ValueError):
         parse_comparison_record('{"verdict": "LESS"}')
