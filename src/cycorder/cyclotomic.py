@@ -13,9 +13,13 @@ from Phi_2 = t + 1 instead: Phi_(2^a)(t) = t^e + 1.
 
 A kernel's polynomial is the Moebius product of binomials 1 - t^d over
 its divisors, formed as a power series truncated after its middle
-coefficient, with the upper half read off by palindromy (the sparse power
-series of A. Arnold and M. Monagan, "Calculating cyclotomic polynomials",
-Math. Comp. 80 (2011)).  No entry is built from the coefficients of any
+coefficient, with the upper half read off by palindromy (the truncated
+product of A. Arnold and M. Monagan, "Calculating cyclotomic
+polynomials", Math. Comp. 80 (2011)).  The series is one integer, its
+value at 2^w modulo 2^(w*h) (Kronecker substitution), with a digit width
+w proved before the product starts (`_kernel_series`): each factor is a
+shifted subtraction, or a few shifted additions, and the digits decode
+in C (`_kernel_digits`).  No entry is built from the coefficients of any
 entry other than its kernel's.
 
 A kernel is built once per cache and kept as bytes (coefficient + 128)
@@ -45,7 +49,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 from math import prod
-from operator import add, neg, sub
+from operator import neg, sub
 
 from .arith import divisors, factorize, moebius, radical, totient
 from .intpoly import IntPoly, packed_value
@@ -55,7 +59,6 @@ PACK_WIDTH = 8  # bits per coefficient of the packed values the cache keeps
 _NEG = bytes(-b & 0xFF for b in range(256))  # c + 128 -> -c + 128
 _OFFSET = bytes(b ^ 0x80 for b in range(256))
 _ABS = bytes(abs(b - 128) for b in range(256))  # c + 128 -> |c|
-_SMALL_BASES = {1: (-1, 1), 2: (1, 1)}  # Phi_1 and Phi_2, the bases _kernel_of gives besides kernels
 
 
 def pair_width(height: int) -> int:
@@ -78,27 +81,19 @@ def _kernel_of(n: int) -> tuple[int, int, bool]:
     return k, n // r, k < r
 
 
-def kernel_entry(coeffs, mirror: bool = False) -> tuple[bytes | tuple[int, ...], int]:
+def kernel_entry(coeffs) -> tuple[bytes | tuple[int, ...], int]:
     """(digits, height) kept for a kernel: its coefficients as bytes
-    (coefficient + 128) when its height is below 128, which holds for
-    every kernel below 40755, else as the tuple of its coefficients; and
-    the height, its largest absolute coefficient.
-
-    With `mirror`, coeffs is the lower half of a palindrome, which goes on
-    with coeffs[-2::-1] (the same height).  The byte route is C work: a
-    signed-byte array (it refuses a coefficient outside [-128, 127]),
-    shifted by one translation, and the height as the largest byte of a
-    second.
-    """
-    try:
-        digits = array("b", coeffs).tobytes().translate(_OFFSET)
-    except OverflowError:  # a coefficient outside [-128, 127]
-        height = max(map(abs, coeffs))
-    else:
-        height = max(digits.translate(_ABS))
+    (coefficient + 128) when its height, its largest absolute coefficient,
+    is below 128, which holds for every kernel below 40755, else as the
+    tuple of its coefficients; and the height."""
+    height = max(map(abs, coeffs))
     if height < 128:
-        return (digits + digits[-2::-1] if mirror else digits), height
-    return tuple([*coeffs, *coeffs[-2::-1]] if mirror else coeffs), height
+        return bytes([c + 128 for c in coeffs]), height
+    return tuple(coeffs), height
+
+
+# Phi_1 and Phi_2, the bases _kernel_of gives besides kernels
+_SMALL_BASES = {1: kernel_entry((-1, 1)), 2: kernel_entry((1, 1))}
 
 
 def _spread(digits: bytes, e: int, flip: bool) -> bytearray:
@@ -170,13 +165,10 @@ class CycloCache:
 
     def kernel(self, k: int) -> tuple[bytes | tuple[int, ...], int]:
         """(digits, height) of the kernel k (or 1, or 2), built on first
-        use from the lower half of its palindrome (`_kernel_half`)."""
+        use (`_kernel_series`, `_kernel_digits`)."""
         entry = self.kernels.get(k)
         if entry is None:
-            if k > 2:
-                entry = kernel_entry(_kernel_half(k), mirror=True)
-            else:
-                entry = kernel_entry(_SMALL_BASES[k])
+            entry = _kernel_digits(*_kernel_series(k)) if k > 2 else _SMALL_BASES[k]
             self.kernels[k] = entry
         return entry
 
@@ -237,45 +229,89 @@ def _moebius_split(top: int, primes: list[int]) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
-def _kernel_half(n: int) -> list[int]:
-    """The lower half of Phi_n's coefficients, t^0..t^(phi(n)/2), for an
-    odd squarefree n > 1, by the truncated Moebius product; the whole
-    polynomial is the palindrome half + half[-2::-1].
+def _kernel_series(k: int) -> tuple[int, int, int]:
+    """(S, w, h) for an odd squarefree k > 1: the lower half of Phi_k's
+    coefficients c_i, t^0..t^(h-1) with h = phi(k)/2 + 1, as one integer
+    S = sum of c_i * 2^(w*i) mod 2^(w*h), at a digit width w, a multiple
+    of 8, with 4 * |c_i| < 2^w.
 
-    Moebius inversion of t^n - 1 = prod over d | n of Phi_d(t) gives
-    Phi_n(t) = prod over d | n of (t^d - 1)^mu(n/d); for n > 1 the
+    Product.  Moebius inversion of t^k - 1 = prod over d | k of Phi_d(t)
+    gives Phi_k(t) = prod over d | k of (t^d - 1)^mu(k/d); for k > 1 the
     exponents sum to zero, so the signs cancel and
 
-        Phi_n(t) = prod over d | n of (1 - t^d)^mu(n/d)
+        Phi_k(t) = prod over d | k of (1 - t^d)^mu(k/d)
 
     in the integer power series, where every factor is a unit.  Reduction
-    modulo t^h, h = phi(n)/2 + 1, is a ring map, so the product can be
-    formed on truncated series: a factor with d >= h is 1, a factor
-    1 - t^d is one shifted subtraction, and 1 / (1 - t^d) = sum of t^(kd)
-    is a running sum with stride d, per residue class when d^2 < h (few
-    classes, long runs) and block by block otherwise (few blocks).  That
-    gives the coefficients of t^0..t^(h-1).  The rest follow by symmetry:
-    for n > 1, t^phi(n) * Phi_n(1/t) has the inverses of Phi_n's roots as
-    its roots, the same primitive nth roots of unity, and leading
-    coefficient Phi_n(0) = 1, so it is Phi_n and the coefficients form a
-    palindrome of length phi(n) + 1 = 2h - 1.
+    modulo t^h is a ring map, and so is t -> 2^w from Z[t]/(t^h) to the
+    integers modulo 2^(w*h), so the product can be formed on S, however
+    large the coefficients grow on the way: a factor with d >= h is 1, a
+    factor 1 - t^d is S - S * 2^(w*d), and 1/(1 - t^d), the sum of t^(j*d)
+    over j*d < h, is the product of 1 + t^step for step = d, 2d, 4d, ...
+    while step < h (the product of 1 + x^(2^i) over i < m is the sum of
+    x^j over j < 2^m, and the first step >= h ends it).  The rest follow by
+    symmetry: t^phi(k) * Phi_k(1/t) has the inverses of Phi_k's roots as
+    its roots, the same primitive kth roots of unity, and leading
+    coefficient Phi_k(0) = 1, so it is Phi_k, and the coefficients form a
+    palindrome of length phi(k) + 1 = 2h - 1.
+
+    Width.  Let num and den hold the d < h of the factors 1 - t^d and
+    1/(1 - t^d), and d0 = min den.  The product over num has absolute
+    coefficient sum at most 2^|num|.  The coefficient D_j, j < h, of the
+    product over den counts the tuples (k_d) of naturals with
+    sum of k_d * d = j; each k_d is at most (h - 1)/d, and once every k_d
+    but k_d0 is fixed, k_d0 is determined, so D_j is at most the product of
+    floor((h - 1)/d) + 1 over d != d0 (dropping any one d would do), below
+    2^(sum of their bit lengths).  So every |c_i| is below 2^bits, bits =
+    |num| + that sum, and w = 8 * ceil((bits + 2) / 8) gives
+    4 * |c_i| < 2^w.
     """
-    primes = [p for p, _ in factorize(n)]
-    h = prod(p - 1 for p in primes) // 2 + 1  # phi(n) / 2 + 1 for squarefree n
-    numer, denom = _moebius_split(n, primes)
-    s = [1] + [0] * (h - 1)
-    for d in sorted(numer + denom):  # ascending: the first d >= h ends the product
-        if d >= h:
-            break
-        if d in numer:
-            s[d:] = map(sub, s[d:], s[:-d])
-        elif d * d < h:
-            for r in range(d):
-                s[r::d] = accumulate(s[r::d])
-        else:
-            for j in range(d, h, d):
-                s[j : j + d] = map(add, s[j : j + d], s[j - d : j])
-    return s
+    primes = [p for p, _ in factorize(k)]
+    h = prod(p - 1 for p in primes) // 2 + 1  # phi(k) / 2 + 1 for squarefree k
+    numer, denom = _moebius_split(k, primes)
+    numer = [d for d in numer if d < h]
+    denom = sorted(d for d in denom if d < h)
+    bits = len(numer) + sum(((h - 1) // d + 1).bit_length() for d in denom[1:])
+    w = 8 * ((bits + 9) // 8)
+    mask = (1 << w * h) - 1
+    s = 1
+    for d in numer:
+        s = (s - (s << d * w)) & mask
+    for d in denom:
+        step = d
+        while step < h:
+            s = (s + (s << step * w)) & mask
+            step *= 2
+    return s, w, h
+
+
+def _kernel_digits(s: int, w: int, h: int) -> tuple[bytes | tuple[int, ...], int]:
+    """`kernel_entry` of the palindrome whose lower half has the base-2^w
+    digits c_i of S = s, as `_kernel_series` gives them (4 * |c_i| < 2^w,
+    w a multiple of 8), decoded in C.
+
+    R = (S + 128 * ONES) mod 2^(w*h), ONES = sum of 2^(w*i), has base-2^w
+    digits c_i + 128 when every c_i is in [-128, 127], so its bytes past
+    the first of each digit are zero.  Otherwise, at the first c_i outside
+    (no borrow or carry reaches it), digit i of R is c_i + 128, in
+    [256, 2^w), or c_i + 128 + 2^w > 3 * 2^(w-2) > 255 for c_i < -128
+    (w = 8 keeps |c_i| < 64), and one of those bytes is not zero.  So when they all
+    are, the first bytes are the lower half's bytes.  A kernel of height
+    128 or more reads c_i = digit - 2^(w-1) off S + 2^(w-1) * ONES
+    instead, whose digits lie in [0, 2^w).
+    """
+    nb, mask = w // 8, (1 << w * h) - 1  # bytes per digit
+    ones = int.from_bytes((b"\x01" + bytes(nb - 1)) * h, "little")
+    raw = ((s + 128 * ones) & mask).to_bytes(nb * h, "little")
+    digits, rest = raw[::nb], bytearray(raw)
+    del rest[::nb]  # the bytes past the first of each digit
+    if rest.count(0) == len(rest):
+        height = max(digits.translate(_ABS))
+        if height < 128:
+            return digits + digits[-2::-1], height
+    offset = 1 << (w - 1)
+    raw = ((s + offset * ones) & mask).to_bytes(nb * h, "little")
+    coeffs = [int.from_bytes(raw[i : i + nb], "little") - offset for i in range(0, nb * h, nb)]
+    return kernel_entry(coeffs + coeffs[-2::-1])
 
 
 def cyclo(n: int, cache: CycloCache) -> IntPoly:

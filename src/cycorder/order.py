@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import time
+from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterable
@@ -106,11 +107,13 @@ class ChainReport:
     When incomparable_pairs is empty, sequence is a permutation of
     1..range_max in which adjacent same-class pairs carry LESS
     certificates and cross-class ordering follows the totient gap, which
-    `comparator.compare` proves.
+    `comparator.compare` proves.  The sequence is kept compact, as an
+    `array("I")` (4 bytes an index, where a list of ints takes about 36);
+    `stable_prefix` is a list.
     """
 
     range_max: int
-    sequence: list[int]
+    sequence: array
     class_count: int
     pair_count: int
     incomparable_pairs: list[tuple[int, int, Certificate]] = field(default_factory=list)
@@ -120,7 +123,7 @@ class ChainReport:
 
     @property
     def stable_prefix(self) -> list[int]:
-        return self.sequence[: self.stable_prefix_len]
+        return self.sequence[: self.stable_prefix_len].tolist()
 
     def to_record(self) -> dict:
         return {
@@ -142,7 +145,7 @@ class ChainReport:
         parsed = map(certificate_from_record, rec["incomparable_pairs"])
         return cls(
             range_max=rec["range_max"],
-            sequence=list(rec["sequence"]),
+            sequence=array("I", rec["sequence"]),
             class_count=rec["class_count"],
             pair_count=rec["pair_count"],
             incomparable_pairs=[(m, n, cert) for m, n, _, cert in parsed],

@@ -5,6 +5,8 @@ from cycorder.arith import divisors, factorize, moebius, totient
 from cycorder.cyclotomic import (
     PACK_WIDTH,
     CycloCache,
+    _kernel_digits,
+    _kernel_series,
     _moebius_split,
     _over_binomial,
     _times_binomial,
@@ -129,8 +131,8 @@ def test_each_kernel_is_built_once_for_both_readers(monkeypatch):
     """`cyclo` and `packed_entry` read one kernel entry: on one cache, the
     121 kernels of the indices up to 300 are built once each."""
     built = []
-    build = cyclotomic._kernel_half
-    monkeypatch.setattr(cyclotomic, "_kernel_half", lambda k: built.append(k) or build(k))
+    build = cyclotomic._kernel_series
+    monkeypatch.setattr(cyclotomic, "_kernel_series", lambda k: built.append(k) or build(k))
     cache = CycloCache()
     for n in range(1, 301):
         cyclo(n, cache)
@@ -214,19 +216,50 @@ def test_wide_packed_entries_match_the_coefficients():
 def test_kernel_entry_digit_widths():
     """A kernel is kept in bytes (coefficient + 128) up to height 127 and
     as its coefficient tuple from 128 on, -128 included (it fits a signed
-    byte but not a digit c + 128); a mirrored lower half gives the whole
-    palindrome's entry in either format."""
+    byte but not a digit c + 128)."""
     assert kernel_entry((-127, 0, 1)) == (bytes((1, 128, 129)), 127)
     assert kernel_entry([127, -5]) == (bytes((255, 123)), 127)
     assert kernel_entry((-128, 0, 1)) == ((-128, 0, 1), 128)
     assert kernel_entry([1, -359, 7]) == ((1, -359, 7), 359)
-    for half, whole in (
-        ([1, -3, 5], bytes((129, 125, 133, 125, 129))),
-        ([1, -128, 3], (1, -128, 3, -128, 1)),
-        ([1, -200, 3], (1, -200, 3, -200, 1)),
-    ):
-        assert kernel_entry(half, mirror=True) == kernel_entry(half + half[-2::-1])
-        assert kernel_entry(half, mirror=True)[0] == whole
+
+
+def test_tall_kernel_decodes_from_signed_digits():
+    """40755, the first kernel of height 128 or more (359), is read off
+    its series as signed digits into its coefficient tuple."""
+    entry = _kernel_digits(*_kernel_series(40755))
+    assert entry == kernel_entry(cyclo_moebius(40755).coeffs)
+    assert type(entry[0]) is tuple and entry[1] == 359
+
+
+def test_kernel_digits_past_a_byte():
+    """Wide digits whose first bytes alone would pass for a short kernel's
+    (200 reads as 200 - 256 = -56, and -200 borrows) go to the tuple, and
+    so does -128, which fits a byte but not a digit c + 128."""
+    for half in ([1, 200, 1], [1, -200, 1], [1, -128, 1], [1, -127, 1]):
+        s = sum(c << 16 * i for i, c in enumerate(half)) % 2**48
+        assert _kernel_digits(s, 16, 3) == kernel_entry(half + half[-2::-1]), half
+
+
+def test_smallest_kernel_at_each_width_decodes():
+    """The first kernel at each digit width the bound assigns below 5000:
+    one byte a digit (3), the strided bytes of wider digits (105, 1155,
+    1785)."""
+    first = {}
+    for k in range(3, 5000, 2):
+        if all(e == 1 for _, e in factorize(k)):
+            first.setdefault(_kernel_series(k)[1], k)
+    assert first == {8: 3, 16: 105, 32: 1155, 40: 1785}
+    for k in first.values():
+        assert _kernel_digits(*_kernel_series(k)) == kernel_entry(cyclo_moebius(k).coeffs), k
+
+
+def test_width_bound_holds_to_3000(oracle_to_3000):
+    """For every kernel up to 3000 the oracle's height h satisfies
+    4 * h < 2^w at the width `_kernel_series` proves before its product."""
+    for k, poly in oracle_to_3000.items():
+        if k > 1 and k % 2 and all(e == 1 for _, e in factorize(k)):
+            height = max(map(abs, poly.coeffs))
+            assert 4 * height < 2 ** _kernel_series(k)[1], k
 
 
 def test_six_prime_kernel_builds():

@@ -175,10 +175,11 @@ def test_build_chain_2000_sequence_digest():
 
 def test_build_chain_small():
     rep = build_chain(6)
-    assert rep.sequence == [1, 2, 6, 4, 3, 5]
+    assert rep.sequence.typecode == "I"  # 4 bytes an index, not a list of ints
+    assert list(rep.sequence) == [1, 2, 6, 4, 3, 5]
     assert rep.stable_prefix == [1, 2, 6, 4, 3]
     rep = build_chain(1)
-    assert rep.sequence == [1]
+    assert list(rep.sequence) == [1]
     # the only class is still missing index 2, so no position is final yet
     assert rep.stable_prefix_len == 0
 
