@@ -1,15 +1,27 @@
 """Decide how the values of two cyclotomic polynomials relate across every
 integer q >= 2, producing a finite certificate.
 
-Two indices of unequal totient are ordered smaller totient first: the
-gap settles every q >= 3, and q = 2 too unless the totients differ by at
-most 2, when the two values at q = 2 are evaluated exactly (`compare`
-proves the rule).  No coefficient is read for such a pair.  The rest of
-this docstring is about indices of equal totient.
+Three routes decide a pair, each proved where it is defined:
 
-For such indices m and n, let D be the polynomial for n minus the
-polynomial for m.  When D is nonzero, write c for the largest absolute
-coefficient of D and d for its degree.  For q >= c + 1,
+  * indices of unequal totient, in `compare`: the totient gap orders the
+    pair, smaller totient first.  It settles every q >= 3, and q = 2 too
+    unless the totients differ by at most 2, when the two values at q = 2
+    are evaluated exactly (`_gap_compare`).  No coefficient is read.
+  * indices of equal totient in a verification (`order.sort_class`):
+    `ramanujan_compare`.  The low-order end of log Phi_n(q) has a closed
+    form, Ramanujan's sums, which orders the class and leaves only the q
+    below a small q* to check (q* <= 4 for every pair up to 20000).  No
+    coefficient is read, and no polynomial is built.
+  * indices of equal totient in `compare`, the route of the `compare`
+    command, `precedes` and `conjecture2`: the threshold c of the
+    difference of the two polynomials, read off their packed values.  Its
+    certificates carry c, which the command's printed records and the
+    benchmark's oracle check pin, so this route stays until they move.
+
+The rest of this docstring is about the third route.  For indices m and
+n of equal totient, let D be the polynomial for n minus the polynomial
+for m.  When D is nonzero, write c for the largest absolute coefficient
+of D and d for its degree.  For q >= c + 1,
 
     |D(q)| >= q^d - c*(q^(d-1) + ... + 1) > 0,
 
@@ -60,11 +72,17 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from math import gcd, lcm
+from operator import ne, sub
 
+from .arith import factorize
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
 from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyclo
 
 _WINDOW_CAP = 64  # widest window of D's top coefficients tried before exact evaluation
+_SUMS_WINDOWS = (8, 16, 32, 64)  # terms past j0 in the windows of `ramanujan_compare`
+_SUMS_BLOCK = 16  # terms a Ramanujan-sum sequence first grows to
 
 
 class Verdict(enum.Enum):
@@ -88,14 +106,15 @@ class Certificate:
     """Finite evidence for a verdict about infinitely many q.
 
     threshold_c     largest absolute coefficient of the difference
-                    (settles all q > threshold_c); 0 on a totient-gap
-                    certificate, which reads no coefficient
+                    (settles all q > threshold_c); 0 on a totient-gap or
+                    Ramanujan certificate, which reads no coefficient
     leading_sign    sign of the difference's top coefficient; on a
                     totient-gap certificate the sign of the side of
                     higher totient (+1 when it is n); 0 only for EQUAL,
                     where the difference is zero
     checked_q_max   largest q that was exhaustively evaluated; equals
-                    max(threshold_c, 1) except when an incomparable verdict
+                    max(threshold_c, 1), or max(q* - 1, 1) on a Ramanujan
+                    certificate, except when an incomparable verdict
                     needs the first asymptotic q as an explicit witness.
                     On a totient-gap certificate it is 2 when q = 2 was
                     evaluated, else 1 (3 for INCOMPARABLE)
@@ -104,8 +123,9 @@ class Certificate:
     flip_witnesses  one q with positive and one with negative difference
                     (present exactly when the verdict is INCOMPARABLE)
     shortcut_tag    "totient-gap" when the pair has unequal totients and
-                    the gap decided it (`compare` proves the rule), else
-                    None
+                    the gap decided it (`compare` proves the rule),
+                    "ramanujan" when Ramanujan's sums decided a pair of
+                    equal totient (`ramanujan_compare`), else None
     """
 
     threshold_c: int
@@ -340,6 +360,173 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 
 
 # ---------------------------------------------------------------------------
+# pairs of equal totient from Ramanujan's sums, for a verification
+# ---------------------------------------------------------------------------
+
+
+class RamanujanSums:
+    """The Ramanujan sums of one index n, negated, as a lazily extended
+    sort key: `terms[j - 1]` is -c_n(j).
+
+    By Hoelder's closed form (proved with the identity in `compare`),
+    c_n(j) = mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, j), which is 0
+    unless n/g is squarefree.  `_table` maps those 2^omega(n) values of g,
+    n/d for the squarefree d | n, to -c_n(j): adding a prime p to d flips
+    mu(d) and multiplies phi(d) by p - 1.  `extend` adds terms with
+    C-level `gcd` and dict lookups.  `phi` is phi(n).
+
+    For two indices of equal totient, a < b says that a.n precedes b.n
+    asymptotically: it is the lexicographic order of the terms, compared
+    up to their first difference (`ramanujan_compare` proves it).  Two
+    distinct indices m and n differ within lcm(m, n) terms, since c_n(j)
+    has period n in j.  At j = lcm(m, n) the sums are phi(m) and phi(n);
+    if those are equal and c_m(j) = c_n(j) for every j, then
+    log Phi_m(q) = log Phi_n(q) at every q >= 2 by the identity, so the
+    two polynomials agree at infinitely many points and m = n.
+    `first_difference` raises past that bound instead of searching on.
+    """
+
+    __slots__ = ("n", "phi", "terms", "_table")
+
+    def __init__(self, n: int):
+        primes = [p for p, _ in factorize(n)]
+        phi = n
+        for p in primes:
+            phi -= phi // p
+        table = {n: -phi}
+        for p in primes:
+            table.update([(g // p, -c // (p - 1)) for g, c in table.items()])
+        self.n, self.phi, self.terms, self._table = n, phi, [], table
+
+    def extend(self, length: int) -> None:
+        """Make `terms` hold at least its first `length` entries."""
+        have = len(self.terms)
+        if have < length:
+            gcds = map(gcd, repeat(self.n), range(have + 1, length + 1))
+            self.terms += map(self._table.get, gcds, repeat(0))
+
+    def first_difference(self, other: "RamanujanSums") -> int:
+        """The least j with c_n(j) != c_other(j); both sequences are
+        extended past it, doubling their length until they differ."""
+        if self.n == other.n:
+            raise ValueError(f"index {self.n} has no first difference with itself")
+        size = max(len(self.terms), len(other.terms), _SUMS_BLOCK)
+        while True:
+            self.extend(size)
+            other.extend(size)
+            j = next(compress(count(1), map(ne, self.terms, other.terms)), 0)
+            if j:
+                return j
+            if size >= lcm(self.n, other.n):  # a full common period: they never differ
+                raise ArithmeticError(f"internal: {self.n} and {other.n} have equal sums")
+            size *= 2
+
+    def __lt__(self, other: "RamanujanSums") -> bool:
+        a, b = self.terms, other.terms
+        if len(a) != len(b) or a == b:
+            j = self.first_difference(other)
+            return a[j - 1] < b[j - 1]
+        return a < b
+
+
+def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, q: int) -> int:
+    """Sign of the sum over j >= j0 of delta_j * q^(-j) / j, with
+    delta_j = c_a(j) - c_b(j), read off the windows J = j0 + 8, 16, 32
+    and 64, or 0 when none decides it (`ramanujan_compare` proves the
+    rule).  Each window extends both sequences only as far as it reads."""
+    for width in _SUMS_WINDOWS:
+        top = j0 + width
+        a.extend(top)
+        b.extend(top)
+        lam = lcm(*range(j0, top + 1))
+        total = 0
+        for j, d in enumerate(map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]), j0):
+            total = total * q + d * (lam // j)
+        if (q - 1) * abs(total) > 2 * lam:
+            return 1 if total > 0 else -1
+    return 0
+
+
+def ramanujan_compare(
+    a: RamanujanSums, b: RamanujanSums, cache: CycloCache
+) -> tuple[Verdict, Certificate]:
+    """`compare` for two distinct indices m = a.n and n = b.n of equal
+    totient, decided from their Ramanujan sums: no coefficient is read and
+    no polynomial is built.  The certificate has shortcut_tag "ramanujan",
+    threshold_c 0, the leading sign of Phi_n - Phi_m, and checked_q_max
+    max(q* - 1, 1) (q* below); a tie or a flip is recorded as in
+    `compare`.
+
+    Sign at q.  By the identity proved in `compare`, with phi(m) = phi(n),
+
+        log Phi_n(q) - log Phi_m(q) = sum over j >= 1 of delta_j * q^(-j) / j,
+        delta_j = c_m(j) - c_n(j),
+
+    and |delta_j| <= |c_m(j)| + |c_n(j)| <= 2j.  The sequences differ
+    (`RamanujanSums`); let j0 be the first j with delta_j != 0.  For
+    J >= j0 the terms past J sum to at most
+
+        sum over j > J of 2 * q^(-j) = 2 * q^(-J) / (q - 1)
+
+    in absolute value.  Take Lambda a common multiple of j0, ..., J and
+    A = sum over j0 <= j <= J of delta_j * (Lambda / j) * q^(J - j), so
+    that the terms up to J sum to A / (Lambda * q^J).  If
+    (q - 1) * |A| > 2 * Lambda, the whole sum has the sign of A, and so
+    has Phi_n(q) - Phi_m(q), log being increasing.  Scaling Lambda scales
+    A alike, so every common multiple gives the same test; lcm(j0..J) is
+    the smallest.
+
+    Order and threshold.  With J = j0, A = delta_j0 * Lambda / j0: every q
+    with (q - 1) * |delta_j0| > 2 * j0 takes the sign of delta_j0, the
+    leading sign, and m precedes n asymptotically exactly when
+    delta_j0 > 0, that is -c_m(j0) < -c_n(j0): the lexicographic order of
+    `RamanujanSums.terms`.  The least such q is
+    q* = floor(2 * j0 / |delta_j0|) + 2.  Each q in [2, q*) tries
+    J = j0 + 8, 16, 32 and 64 (`_sums_sign`), and a q none decides,
+    which includes every tie, is evaluated exactly.  The verdict, ties
+    and flips follow from those signs as in `compare`, with q* in the
+    place of its c + 1.
+    """
+    m, n = a.n, b.n
+    if a.phi != b.phi:
+        raise ValueError(f"indices {m} and {n} have unequal totients")
+    j0 = a.first_difference(b)
+    lead_delta = b.terms[j0 - 1] - a.terms[j0 - 1]  # c_m(j0) - c_n(j0): the terms are negated
+    lead = 1 if lead_delta > 0 else -1
+    settled = 2 * j0 // abs(lead_delta) + 2
+    ties: list[int] = []
+    first_neg = first_pos = 0
+    for q in range(2, settled):
+        sign = _sums_sign(a, b, j0, q)
+        if not sign:
+            v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
+            sign = (v > 0) - (v < 0)
+        if not sign:
+            ties.append(q)
+        elif sign < 0:
+            if not first_neg:
+                first_neg = q
+        elif not first_pos:
+            first_pos = q
+
+    checked = settled - 1  # q* >= 2
+    flips: list[int] = []
+    if lead > 0 and not first_neg:
+        verdict = Verdict.LESS
+    elif lead < 0 and not first_pos:
+        verdict = Verdict.GREATER
+    else:
+        verdict = Verdict.INCOMPARABLE
+        # one witness of each sign; q* stands for a sign seen only asymptotically
+        if not first_pos:
+            first_pos = checked = settled
+        if not first_neg:
+            first_neg = checked = settled
+        flips = [first_pos, first_neg]
+    return verdict, Certificate(0, lead, checked, ties, flips, "ramanujan")
+
+
+# ---------------------------------------------------------------------------
 # wire format: one flat record per comparison, JSON-encodable
 # ---------------------------------------------------------------------------
 
@@ -359,10 +546,9 @@ _RECORD_FIELDS = (
 def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> dict:
     """Flat key-value record for one comparison.
 
-    `shortcut_tag` is "totient-gap" on a pair of unequal totient and None
-    on every other, so the records of a verification, which compares
-    only indices of equal totient, and the certificate hashes taken over
-    them keep their bytes.
+    `shortcut_tag` names the route (`Certificate`): "totient-gap" on a
+    pair of unequal totient, "ramanujan" on each adjacent pair of a
+    verification, None on a pair of equal totient that `compare` decided.
     """
     return {
         "verdict": verdict.value,

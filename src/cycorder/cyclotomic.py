@@ -25,9 +25,11 @@ entry other than its kernel's.
 A kernel is built once per cache and kept as bytes (coefficient + 128)
 with its height (`CycloCache.kernel`); a kernel of height 128 or more,
 the first being 40755, is kept as its coefficient tuple instead.
-Comparisons and the class sort read `CycloCache.packed_entry`: any
-index's value at 2^8 is made from those bytes by C-level slicing, one
-byte translation for s = -1 and one `int.from_bytes`.  The substitution
+`comparator.compare` reads `CycloCache.packed_entry`: any index's value
+at 2^8 is made from those bytes by C-level slicing, one byte
+translation for s = -1 and one `int.from_bytes`.  A verification reads
+no entry: it sorts and certifies from Ramanujan's sums, and only its
+exact fallback, `eval_cyclo`, touches the cache.  The substitution
 keeps the height, so every entry inherits its kernel's.  `cyclo` decodes
 the same entry into an `IntPoly` for callers that want the coefficients
 (the `cyclo` command, tests).
@@ -144,9 +146,11 @@ class CycloCache:
     kernel's under the substitution, and the value is None when the
     height alone is too large for any pair to be read at PACK_WIDTH.
     `evals` is filled by `eval_cyclo`: the `cyclo N Q` command, the
-    `check_*` predicates, `compare`'s exact fallback, and its values at
-    q = 2 for a pair whose totients differ by 1 or 2.  Everything
-    lives until `trim`, which a verification calls after each class.
+    `check_*` predicates, the exact fallback of `compare` and of
+    `ramanujan_compare`, and `compare`'s values at q = 2 for a pair whose
+    totients differ by 1 or 2.  A verification fills `evals` only, and
+    only when a sign falls back to exact evaluation.  Everything lives
+    until `trim`, which a verification calls after each class.
     """
 
     __slots__ = ("polys", "kernels", "packed", "evals")
@@ -204,14 +208,12 @@ class CycloCache:
     def trim(self) -> None:
         """Drop every polynomial and kernel and clear both memos.
 
-        In a verification only `order.sort_class` and `compare` fill the
-        cache, for the indices they read (`evals` only when a sign falls
-        back to exact evaluation), and an index is read only inside its
-        own totient class, which is sorted once: no later class reads a
-        memo a class left.  An entry is built from no other entry than
-        its kernel's, so a later class rebuilds the few kernels it needs
-        again, and the cache never holds more than one class's entries
-        with their kernels.
+        In a verification only `ramanujan_compare` fills the cache, and
+        only `evals`, when a sign falls back to exact evaluation (no pair
+        up to 20000 does); an index is evaluated only inside its own
+        totient class, which is sorted once, so no later class reads a
+        memo a class left, and the cache never holds more than one
+        class's values.
         """
         self.polys.clear()
         self.kernels.clear()
@@ -406,8 +408,9 @@ def eval_cyclo(n: int, q: int, cache: CycloCache) -> int:
     took about 4 times as long).  `compare` calls it at q = 2 for a pair
     whose totients differ by 1 or 2, and for a pair of equal totient
     only at a q <= c that the top coefficients of the difference leave
-    undecided, which includes every tie; no pair of a verification up to
-    20000 has one.
+    undecided, which includes every tie; `ramanujan_compare` only at a
+    q < q* that its windows leave undecided, which no adjacent pair of a
+    verification up to 20000 has.
     """
     if q < 2:
         raise ValueError(f"the ordering is only defined over q >= 2, got q={q}")

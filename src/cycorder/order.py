@@ -2,21 +2,23 @@
 
 A totient gap already orders two indices, smaller totient first
 (`comparator.compare` proves it), so the range {1..N} splits into
-totient classes and only pairs inside one class need polynomial
-comparison.  Each class is sorted by asymptotic order, which is the
-order of its members' packed values Phi_n(2^w) (w = 8 for every class
-below index 26565), and its k - 1 adjacent pairs are certified; by
-transitivity that verifies comparability of every pair in the class
-(proof in `sort_class`).  The sorted classes concatenate, ascending by
-totient value, into the full chain.
+totient classes and only pairs inside one class need a closer look.
+Each class is sorted by asymptotic order, which is the lexicographic
+order of its members' negated Ramanujan sums (-c_n(1), -c_n(2), ...),
+and its k - 1 adjacent pairs are certified from those sums
+(`comparator.ramanujan_compare`); by transitivity that verifies
+comparability of every pair in the class (proof in `sort_class`).  No
+polynomial, kernel or packed value is built.  The sorted classes
+concatenate, ascending by totient value, into the full chain.
 
 Classes run in one process in ascending totient order; one loop
-records, checkpoints and reports each, and the polynomial cache is
-emptied after every class.  A class's summary is read off the comparison
-records its cert_hash covers; `ChainReport.from_record` builds the
-report.  The checkpoint is a hash-chained JSON-lines file, one line per
-class, flushed as each class finishes and synced to disk after each
-second of classes and when the run ends; loading verifies the chain.
+records, checkpoints and reports each, and the cache, which holds only
+the values an exact fallback evaluated, is emptied after every class.
+A class's summary is read off the comparison records its cert_hash
+covers; `ChainReport.from_record` builds the report.  The checkpoint
+is a hash-chained JSON-lines file, one line per class, flushed as each
+class finishes and synced to disk after each second of classes and
+when the run ends; loading verifies the chain.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -42,15 +44,17 @@ from typing import Callable, Iterable
 from .arith import inverse_totient, totient, totient_table
 from .comparator import (
     Certificate,
+    RamanujanSums,
     Verdict,
     certificate_from_record,
     compare,
     comparison_record,
+    ramanujan_compare,
     record_to_json,
 )
-from .cyclotomic import CycloCache, pair_width
+from .cyclotomic import CycloCache
 
-CHECKPOINT_VERSION = 2  # checkpoint line format; a file of another version is refused
+CHECKPOINT_VERSION = 3  # checkpoint line format; a file of another version is refused
 CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
 
 
@@ -119,7 +123,7 @@ class ChainReport:
     incomparable_pairs: list[tuple[int, int, Certificate]] = field(default_factory=list)
     tie_pairs: list[tuple[int, int, int]] = field(default_factory=list)
     stable_prefix_len: int = 0
-    max_threshold_c: int = 0
+    max_checked_q: int = 0
 
     @property
     def stable_prefix(self) -> list[int]:
@@ -137,7 +141,7 @@ class ChainReport:
             ],
             "tie_pairs": [list(t) for t in self.tie_pairs],
             "stable_prefix_len": self.stable_prefix_len,
-            "max_threshold_c": self.max_threshold_c,
+            "max_checked_q": self.max_checked_q,
         }
 
     @classmethod
@@ -151,7 +155,7 @@ class ChainReport:
             incomparable_pairs=[(m, n, cert) for m, n, _, cert in parsed],
             tie_pairs=[tuple(t) for t in rec["tie_pairs"]],
             stable_prefix_len=rec["stable_prefix_len"],
-            max_threshold_c=rec["max_threshold_c"],
+            max_checked_q=rec["max_checked_q"],
         )
 
 
@@ -190,24 +194,17 @@ def sort_class(
 ) -> list[int]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
 
-    Members are sorted by their packed values P_n = Phi_n(2^w), read
-    with their heights from the cache's entries (`CycloCache.packed_entry`,
-    made from the kernels' bytes; no coefficient tuple is built), at the
-    one width w = pair_width(2 * largest height in the class).  Every
-    pair (a, b) of the class then has heights summing to h with
-    4h < 2^w, so the sign of P_b - P_a is the leading sign of
-    Phi_b - Phi_a (`comparator` module docstring), and a sorts first
-    exactly when it is positive: the asymptotic order, a strict total
-    order, since distinct indices have distinct polynomials.  w is 8 for
-    every class below index 26565 (height 59); a taller class packs its
-    keys afresh at the wider width.  A class of one member builds no
-    entry.  Then compare runs on the k - 1 adjacent pairs
-    (a, b), in order, and each (a, b, verdict, certificate) goes to
+    Members are sorted by their negated Ramanujan sums, lexicographically
+    and lazily (`comparator.RamanujanSums`): that is the asymptotic
+    order, a strict total order, since distinct indices have distinct
+    polynomials.  Then `ramanujan_compare` runs on the k - 1 adjacent
+    pairs (a, b), in order, and each (a, b, verdict, certificate) goes to
     cert_sink when one is given; nothing else keeps the certificates, so
-    batch runs stay flat in memory.  Returns the ordered members; an
-    INCOMPARABLE pair reaches cert_sink as data and is never raised.  Any
-    other verdict but LESS contradicts the sort and raises
-    ArithmeticError.
+    batch runs stay flat in memory.  Neither step reads a coefficient, so
+    the cache receives only the values of an exact fallback.  Returns the
+    ordered members; an INCOMPARABLE pair reaches cert_sink as data and is
+    never raised.  Any other verdict but LESS contradicts the sort and
+    raises ArithmeticError.
 
     Why k - 1 certificates prove what all k(k-1)/2 pairs would:
 
@@ -228,17 +225,16 @@ def sort_class(
     """
     if not phi_class.members:
         raise ValueError("empty totient class")
-    ordered = list(phi_class.members)
-    if len(ordered) > 1:
-        width = pair_width(2 * max(cache.packed_entry(n)[2] for n in ordered))
-        ordered.sort(key=lambda n: cache.packed_entry(n, width)[0])
+    ordered = sorted(map(RamanujanSums, phi_class.members))
     for a, b in zip(ordered, ordered[1:]):
-        verdict, cert = compare(a, b, cache)
+        verdict, cert = ramanujan_compare(a, b, cache)
         if cert_sink is not None:
-            cert_sink(a, b, verdict, cert)
+            cert_sink(a.n, b.n, verdict, cert)
         if verdict not in (Verdict.LESS, Verdict.INCOMPARABLE):
-            raise ArithmeticError(f"internal: sorted neighbours {a}, {b} compare {verdict.value}")
-    return ordered
+            raise ArithmeticError(
+                f"internal: sorted neighbours {a.n}, {b.n} compare {verdict.value}"
+            )
+    return [s.n for s in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def _finish_class(phi_class: PhiClass, cache: CycloCache) -> dict:
         "phi": phi_class.phi_value,
         "members": ordered,
         "pair_count": len(records),
-        "max_threshold_c": max((r["threshold_c"] for r in records), default=0),
+        "max_checked_q": max((r["checked_q_max"] for r in records), default=0),
         "ties": [[r["m"], r["n"], q] for r in records for q in r["tie_witnesses"]],
         "incomparable": [r for r in records if r["verdict"] == Verdict.INCOMPARABLE.value],
         "cert_hash": digest.hexdigest(),
@@ -479,7 +475,7 @@ def build_chain(
         "incomparable_pairs": [r for s in done for r in s["incomparable"]],
         "tie_pairs": [t for s in done for t in s["ties"]],
         "stable_prefix_len": stable_prefix_length(classes, range_max),
-        "max_threshold_c": max(s["max_threshold_c"] for s in done),
+        "max_checked_q": max(s["max_checked_q"] for s in done),
     }
     return ChainReport.from_record(record)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from cycorder import comparator
 from cycorder.cyclotomic import CycloCache, kernel_entry
 from cycorder.intpoly import IntPoly
 
@@ -34,6 +35,28 @@ def fake_pair_cache() -> CycloCache:
         (900004, (-2, 1, 1)),
     ):
         cache.kernels[n] = kernel_entry(coeffs)
+        poly = IntPoly(coeffs)
+        cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 17))
+    return cache
+
+
+@pytest.fixture
+def stand_in_values(monkeypatch) -> CycloCache:
+    """A cache whose evaluation memo gives the indices 10, 8, 5 and 12 of
+    totient 4 the values at q <= 16 of t^2, t^2 + t - 3, t^2 + 2t - 4 and
+    t^2 + t - 2, with every window of `ramanujan_compare` left undecided.
+
+    A verification decides each sign from Ramanujan's sums, which no
+    stand-in can replace, and meets no incomparable pair or tie among
+    real indices.  So the real pairs keep their order (10, 12, 8, 5) and
+    their q* (4 for every pair named here), and each sign at q < q* falls
+    back to these stand-in values: 10 and 8 are incomparable (-1 at
+    q = 2, a tie at q = 3), and 10, 12, 5 are ordered with all three
+    equal to 4 at q = 2.
+    """
+    monkeypatch.setattr(comparator, "_sums_sign", lambda a, b, j0, q: 0)
+    cache = CycloCache()
+    for n, coeffs in ((10, (0, 0, 1)), (8, (-3, 1, 1)), (5, (-4, 2, 1)), (12, (-2, 1, 1))):
         poly = IntPoly(coeffs)
         cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 17))
     return cache

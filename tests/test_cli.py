@@ -284,7 +284,7 @@ def test_verify_5000_structured_output_and_checkpoint_bytes(capsys, tmp_path):
     digests = [hashlib.sha256(data).hexdigest()
                for data in (out.encode(), path.read_bytes(), err.encode())]
     assert digests == [
-        "b82ab30d59dd65d1ae34db3b161e9cd4e532b3602b078e6f4f09b9837717df19",
-        "f755a2d22459b1536089b300d58bcffc600306797ba2be07827ff09c4a81c9ab",
-        "3c3abdbe0bda19cf085a3b96f857fd23b43d248ffc12fd885d48db0914c8b3a1",
+        "d8c5d3e311d8ab7693dde418496686ff60d95157e734b030318860b806d6b349",
+        "1cbb166e8aab72b20479747fdaf7d97813c890dcd9051cde0207a8a2504589bc",
+        "f5d77c8992a606e334c690b6efcb8f894a259c5c7a64d73ea6e637389f45334b",
     ]

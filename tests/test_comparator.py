@@ -1,25 +1,29 @@
 import random
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycorder import comparator, order
-from cycorder.arith import totient
+from cycorder import comparator
+from cycorder.arith import divisors, moebius, totient
 from cycorder.comparator import (
     Certificate,
+    RamanujanSums,
     Verdict,
+    _sums_sign,
     _window_sign,
     certificate_from_record,
     compare,
     comparison_record,
     parse_comparison_record,
+    ramanujan_compare,
     record_to_json,
 )
 from cycorder.cyclotomic import CycloCache, cyclo, eval_cyclo, kernel_entry, pair_width
 from cycorder.intpoly import IntPoly
 from cycorder.oracle import brute_compare
-from cycorder.order import build_chain, phi_classes
+from cycorder.order import build_chain, phi_classes, sort_class
 
 
 @pytest.fixture(scope="module")
@@ -406,28 +410,6 @@ def test_window_sign_is_exact_or_undecided(coeffs):
         assert _window_sign(top, q, c) in (0, (value > 0) - (value < 0)), q
 
 
-def test_window_signs_match_exact_signs_on_adjacent_pairs_to_5000(monkeypatch, window_log):
-    """Every sign the verify path reads at q <= c, for each adjacent pair of
-    build_chain(5000), is the sign of the exact difference, and none is
-    left to the fallback."""
-    pairs = {}
-
-    def logged_compare(m, n, cache):
-        start = len(window_log)
-        verdict, cert = compare(m, n, cache)
-        pairs[(m, n)] = (cert.threshold_c, window_log[start:])
-        return verdict, cert
-
-    monkeypatch.setattr(order, "compare", logged_compare)
-    build_chain(5000)
-    cache = CycloCache()
-    assert len(pairs) == 3855
-    for (m, n), (c, signs) in pairs.items():
-        assert [q for q, _ in signs] == list(range(2, c + 1)), (m, n)
-        for q, sign in signs:
-            assert sign == _exact_sign(m, n, q, cache), (m, n, q)
-
-
 def test_window_signs_match_exact_signs_on_every_pair_to_1000(shared_cache, window_log):
     for cls in phi_classes(1000):
         for i, m in enumerate(cls.members):
@@ -469,7 +451,7 @@ def test_stand_ins_reach_the_exact_fallback(fake_pair_cache, eval_calls):
 
 def test_build_chain_2000_evaluates_nothing(eval_calls):
     report = build_chain(2000)
-    assert report.pair_count == 1504 and report.max_threshold_c >= 2
+    assert report.pair_count == 1504 and report.max_checked_q >= 2
     assert eval_calls == []
 
 
@@ -484,3 +466,141 @@ def test_real_tall_pair_is_read_at_width_16(eval_calls):
         '"shortcut_tag":null,"threshold_c":63,"tie_witnesses":[],"verdict":"LESS"}'
     )
     assert eval_calls == []
+
+
+# ---------------------------------------------------------------------------
+# pairs of equal totient from Ramanujan's sums (`ramanujan_compare` proves
+# the rules)
+# ---------------------------------------------------------------------------
+
+
+def _sum_by_definition(n, g):
+    """c_n(j) for gcd(n, j) = g: the sum of d * mu(n/d) over d | g."""
+    return sum(d * moebius(n // d) for d in divisors(g))
+
+
+def test_hoelder_form_matches_the_divisor_sum_to_3000():
+    """`RamanujanSums` reads c_n(j) off Hoelder's closed form; it equals
+    the defining divisor sum for every n <= 3000 and j <= 300."""
+    for n in range(1, 3001):
+        sums = RamanujanSums(n)
+        sums.extend(300)
+        by_gcd = {g: _sum_by_definition(n, g) for g in divisors(n)}
+        assert sums.terms[:300] == [-by_gcd[gcd(n, j)] for j in range(1, 301)], n
+        assert sums.phi == totient(n), n
+
+
+def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
+    """Every ordered pair of distinct indices of equal totient up to 300
+    gets compare's verdict, leading sign and ties, and checked_q_max
+    max(q* - 1, 1) with q* = floor(2 * j0 / |delta_j0|) + 2, j0 and
+    delta_j0 taken from the divisor-sum definition."""
+    by_phi = {}
+    for x in range(1, 301):
+        by_phi.setdefault(totient(x), []).append(x)
+    sums = {x: RamanujanSums(x) for x in range(1, 301)}
+    pairs = 0
+    for members in by_phi.values():
+        for m in members:
+            for n in members:
+                if m == n:
+                    continue
+                verdict, cert = ramanujan_compare(sums[m], sums[n], shared_cache)
+                want, reference = compare(m, n, shared_cache)
+                assert verdict is want, (m, n)
+                assert cert.leading_sign == reference.leading_sign, (m, n)
+                assert cert.tie_witnesses == reference.tie_witnesses, (m, n)
+                j0 = 1
+                while _sum_by_definition(m, gcd(m, j0)) == _sum_by_definition(n, gcd(n, j0)):
+                    j0 += 1
+                delta = _sum_by_definition(m, gcd(m, j0)) - _sum_by_definition(n, gcd(n, j0))
+                assert cert.leading_sign == (1 if delta > 0 else -1), (m, n)
+                assert cert.checked_q_max == max(2 * j0 // abs(delta) + 1, 1), (m, n)
+                assert (cert.threshold_c, cert.shortcut_tag) == (0, "ramanujan"), (m, n)
+                assert not cert.flip_witnesses, (m, n)
+                pairs += 1
+    assert pairs == 1468
+
+
+def test_ramanujan_compare_rejects_what_it_cannot_decide():
+    with pytest.raises(ValueError):
+        ramanujan_compare(RamanujanSums(5), RamanujanSums(7), CycloCache())  # totients 4, 6
+    with pytest.raises(ValueError):
+        ramanujan_compare(RamanujanSums(8), RamanujanSums(8), CycloCache())
+    # sums of 8 rigged to read as those of 4 agree over a full common
+    # period, lcm(4, 8) terms: the search stops there instead of looping
+    a, b = RamanujanSums(4), RamanujanSums(8)
+    b._table = {g: a._table.get(gcd(4, g), 0) for g in (1, 2, 4, 8)}
+    with pytest.raises(ArithmeticError):
+        a.first_difference(b)
+
+
+class _Terms:
+    """Stands in for `RamanujanSums` with a fixed list of negated terms."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def extend(self, length):
+        assert len(self.terms) >= length
+
+
+@st.composite
+def sum_sequences(draw):
+    """(j0, [delta_j0, ..., delta_(j0+64)], s): |delta_j| <= 2j, delta_j0
+    nonzero, and every delta_j past j0 + 64 equal to 2 * s * j."""
+    j0 = draw(st.integers(1, 600))
+    deltas = [draw(st.integers(-2 * j, 2 * j)) for j in range(j0, j0 + 65)]
+    deltas[0] = deltas[0] or 1
+    return j0, tuple(deltas), draw(st.sampled_from((-1, 0, 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(sum_sequences())
+# delta_j = 2j past j0 = 512, delta_j0 = -1023: the sum is positive at q = 2,
+# and the terms up to j0 + 8 read -1.5 / (q - 1), inside the tail bound
+@example((512, (-1023,) + tuple(2 * j for j in range(513, 577)), 1))
+@example((1, (1,) + tuple(-2 * j for j in range(2, 66)), -1))
+@example((3, (-2,) + (0,) * 64, 0))
+def test_sums_sign_is_exact_or_undecided(sequence):
+    """Whatever a window reads is the sign of the whole infinite sum;
+    0 only sends q on to exact evaluation."""
+    j0, deltas, s = sequence
+    top = j0 + 64
+    a, b = _Terms([0] * top), _Terms([0] * (j0 - 1) + list(deltas))
+    lam = lcm(*range(j0, top + 1))
+    for q in range(2, 9):
+        total = 0
+        for j, d in enumerate(deltas, j0):
+            total = total * q + d * (lam // j)
+        # the sum is (total / lam + 2 * s / (q - 1)) * q^(-top)
+        exact = (q - 1) * total + 2 * s * lam
+        assert _sums_sign(a, b, j0, q) in (0, (exact > 0) - (exact < 0)), q
+
+
+def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(monkeypatch, eval_calls):
+    """Every sign the verify path reads at q < q*, for each adjacent pair
+    of the classes up to 5000, is the sign of the exact difference, and
+    none is left to the fallback."""
+    log = []
+
+    def logged(a, b, j0, q):
+        sign = _sums_sign(a, b, j0, q)
+        log.append((a.n, b.n, q, sign))
+        return sign
+
+    monkeypatch.setattr(comparator, "_sums_sign", logged)
+    checked = []
+    for cls in phi_classes(5000):
+        sort_class(cls, CycloCache(), cert_sink=lambda m, n, v, cert: checked.append((m, n, cert)))
+    assert len(checked) == 3855 and eval_calls == []
+    signs = {}
+    for m, n, q, sign in log:
+        signs.setdefault((m, n), []).append((q, sign))
+    cache = CycloCache()
+    for m, n, cert in checked:
+        read = signs.pop((m, n), [])
+        assert [q for q, _ in read] == list(range(2, cert.checked_q_max + 1)), (m, n)
+        for q, sign in read:
+            assert sign == _exact_sign(m, n, q, cache), (m, n, q)
+    assert not signs
