@@ -1,22 +1,27 @@
 """Decide how the values of two cyclotomic polynomials relate across every
 integer q >= 2, producing a finite certificate.
 
-Three routes decide a pair, each proved where it is defined:
+Every route makes the claim finite in one way: it proves a bound `stop`
+such that every q >= stop gives the difference Phi_n(q) - Phi_m(q) its
+leading sign, and `_certify` decides the sign at each q in [2, stop).
+The routes differ only in the leading sign, `stop` and the fast sign
+test that `_certify` tries before exact evaluation:
 
   * indices of unequal totient, in `compare`: the totient gap orders the
     pair, smaller totient first.  It settles every q >= 3, and q = 2 too
-    unless the totients differ by at most 2, when the two values at q = 2
-    are evaluated exactly (`_gap_compare`).  No coefficient is read.
+    unless the totients differ by at most 2: stop is 3 then, else 2, and
+    there is no fast test.  No coefficient is read.
   * indices of equal totient in a verification (`order.sort_class`):
     `ramanujan_compare`.  The low-order end of log Phi_n(q) has a closed
-    form, Ramanujan's sums, which orders the class and leaves only the q
-    below a small q* to check (q* <= 4 for every pair up to 20000).  No
-    coefficient is read, and no polynomial is built.
+    form, Ramanujan's sums, which orders the class and gives stop = q*
+    (q* <= 4 for every pair up to 20000), with `_sums_sign` as the fast
+    test.  No coefficient is read, and no polynomial is built.
   * indices of equal totient in `compare`, the route of the `compare`
-    command, `precedes` and `conjecture2`: the threshold c of the
-    difference of the two polynomials, read off their packed values.  Its
-    certificates carry c, which the command's printed records and the
-    benchmark's oracle check pin, so this route stays until they move.
+    command, `precedes` and `conjecture2`: stop = c + 1 for the threshold
+    c of the difference of the two polynomials, read off their packed
+    values, with `_window_sign` as the fast test.  Its certificates carry
+    c, which the command's printed records and the benchmark's oracle
+    check pin, so this route stays until they move.
 
 The rest of this docstring is about the third route.  For indices m and
 n of equal totient, let D be the polynomial for n minus the polynomial
@@ -28,13 +33,10 @@ of D and d for its degree.  For q >= c + 1,
 because q^d * (q - 1) >= c * q^d > c * (q^d - 1); equivalently, after
 splitting D into its positive and negative parts A - B, the base-q digit
 string of A(q) beats B(q) once q exceeds every digit.  So the sign of
-D(q) equals the sign of D's leading coefficient for all q > c, and only
-the signs at q in [2, c] (none when c <= 1) remain.  Each is read off a
-window of D's top coefficients, which decides it whenever D(q) is far
-from zero; exact evaluation of both values at q is the fallback, and the
-only route that can find a tie (`compare` proves the rule).  The verdict
-plus those finitely many signs certify the infinite family of
-inequalities.
+D(q) equals the sign of D's leading coefficient for all q > c, so
+stop = c + 1, and only the signs at q in [2, c] (none when c <= 1)
+remain.  Each is read off a window of D's top coefficients, which
+decides it whenever D(q) is far from zero (`compare` proves the rule).
 
 D is never formed coefficient by coefficient.  The cache keeps each
 compared entry's value at 2^w (w = 8) as one integer P, with its length
@@ -62,15 +64,17 @@ D itself.  A reader who wants D's coefficients and its split rebuilds
 them from the two indices, as `cyclo(n, cache) - cyclo(m, cache)` and
 `.split_pos_neg()`; no comparison does.
 
-Ties (D(q) = 0 at some checked q) are compatible with the ordering, which
-is defined through "<="; they are recorded in the certificate rather than
-downgrading the verdict, so strictness can be audited separately.
+Ties (equal values at some checked q) are compatible with the ordering,
+which is defined through "<="; they are recorded in the certificate
+rather than downgrading the verdict, so strictness can be audited
+separately.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from math import gcd, lcm
@@ -80,8 +84,9 @@ from .arith import factorize
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
 from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyclo
 
-_WINDOW_CAP = 64  # widest window of D's top coefficients tried before exact evaluation
-_SUMS_WINDOWS = (8, 16, 32, 64)  # terms past j0 in the windows of `ramanujan_compare`
+# window lengths a fast sign test tries in turn before exact evaluation: D's
+# top coefficients in `_window_sign`, terms past j0 in `_sums_sign`
+_WINDOWS = (8, 16, 32, 64)
 _SUMS_BLOCK = 16  # terms a Ramanujan-sum sequence first grows to
 
 
@@ -108,18 +113,15 @@ class Certificate:
     threshold_c     largest absolute coefficient of the difference
                     (settles all q > threshold_c); 0 on a totient-gap or
                     Ramanujan certificate, which reads no coefficient
-    leading_sign    sign of the difference's top coefficient; on a
-                    totient-gap certificate the sign of the side of
-                    higher totient (+1 when it is n); 0 only for EQUAL,
-                    where the difference is zero
-    checked_q_max   largest q that was exhaustively evaluated; equals
-                    max(threshold_c, 1), or max(q* - 1, 1) on a Ramanujan
-                    certificate, except when an incomparable verdict
-                    needs the first asymptotic q as an explicit witness.
-                    On a totient-gap certificate it is 2 when q = 2 was
-                    evaluated, else 1 (3 for INCOMPARABLE)
+    leading_sign    sign of the difference at every q >= stop, the
+                    route's proved bound (`_certify`): that of its top
+                    coefficient, or on a totient-gap certificate of the
+                    side of higher totient (+1 when it is n); 0 only for
+                    EQUAL, where the difference is zero
+    checked_q_max   stop - 1, or stop when an INCOMPARABLE verdict names
+                    it as a witness (`_certify` proves the rule); 1 for
+                    EQUAL
     tie_witnesses   q values with exact equality of the two sides
-                    (only 2 on a totient-gap certificate)
     flip_witnesses  one q with positive and one with negative difference
                     (present exactly when the verdict is INCOMPARABLE)
     shortcut_tag    "totient-gap" when the pair has unequal totients and
@@ -185,55 +187,89 @@ def difference_threshold(x: int, width: int, length: int, bound: int) -> tuple[i
     return k, x + shift
 
 
-def _gap_compare(m: int, n: int, delta: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
-    """`compare` for indices of unequal totient, delta = phi(n) - phi(m):
-    smaller totient first, with the exact sign at q = 2 read when
-    |delta| <= 2 (`compare` proves the rule)."""
-    lead = 1 if delta > 0 else -1
-    verdict = Verdict.LESS if lead > 0 else Verdict.GREATER
-    checked, ties, flips = 1, [], []
-    if abs(delta) <= 2:
-        checked = 2
-        v = eval_cyclo(n, 2, cache) - eval_cyclo(m, 2, cache)
-        if not v:
-            ties = [2]
-        elif v * lead < 0:
-            # q = 2 contradicts the gap; q = 3, where the gap decides, is
-            # evaluated too, so that both witnesses are values at hand
-            v = eval_cyclo(n, 3, cache) - eval_cyclo(m, 3, cache)
-            if v * lead <= 0:
-                raise ArithmeticError(f"internal: the totient gap of {m}, {n} fails at q=3")
-            verdict, checked = Verdict.INCOMPARABLE, 3
-            flips = [3, 2] if lead > 0 else [2, 3]
-    return verdict, Certificate(0, lead, checked, ties, flips, "totient-gap")
+def _certify(
+    m: int,
+    n: int,
+    lead: int,
+    stop: int,
+    cache: CycloCache,
+    fast: Callable[..., int] | None = None,
+    args: tuple = (),
+) -> tuple[Verdict, int, list[int], list[int]]:
+    """Verdict, checked_q_max, ties and flips of indices m and n, given
+    that every q >= stop gives Phi_n(q) - Phi_m(q) the sign `lead` (each
+    route proves its own stop >= 2).
+
+    The sign at each q in [2, stop) is fast(*args, q) where that is
+    nonzero, each route proving its fast test exact wherever it decides;
+    else, and at every q when fast is None, it is the sign of
+    eval_cyclo(n, q) - eval_cyclo(m, q), n's value first.  So every tie
+    is found by exact evaluation.  With those signs, and `lead` at every
+    q >= stop, the pair is LESS when no q gives a negative sign, GREATER
+    when none gives a positive one, and otherwise INCOMPARABLE, with the
+    first positive q and then the first negative q as its flips.  A sign
+    against the lead occurs only below stop; the lead's sign occurs at
+    stop if not earlier, and then stop is its witness.  So checked_q_max,
+    the largest q whose sign the certificate names, is stop - 1, or stop
+    for an INCOMPARABLE verdict whose witness of the lead's sign is stop.
+    """
+    ties: list[int] = []
+    first_neg = first_pos = 0
+    for q in range(2, stop):
+        sign = fast(*args, q) if fast else 0
+        if not sign:
+            v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
+            sign = (v > 0) - (v < 0)
+        if not sign:
+            ties.append(q)
+        elif sign < 0:
+            if not first_neg:
+                first_neg = q
+        elif not first_pos:
+            first_pos = q
+
+    checked, flips = stop - 1, []
+    if lead > 0 and not first_neg:
+        verdict = Verdict.LESS
+    elif lead < 0 and not first_pos:
+        verdict = Verdict.GREATER
+    else:
+        verdict = Verdict.INCOMPARABLE
+        if not first_pos:
+            first_pos = checked = stop
+        if not first_neg:
+            first_neg = checked = stop
+        flips = [first_pos, first_neg]
+    return verdict, checked, ties, flips
 
 
-def _window_sign(top: bytes | list[int], q: int, c: int) -> int:
+def _window_sign(top: bytes | list[int], c: int, q: int) -> int:
     """Sign of D(q) read off D's top coefficients, or 0 when no window
     decides it.  top holds D_i + c for i = t, t - 1, ..., top first;
-    the windows are its first 8, 16, 32, ... entries, up to all of it
+    the windows are its first _WINDOWS entries, up to all of it
     (`compare` proves the rule)."""
-    total, lo, hi = 0, 0, 8
-    while True:
+    total, lo = 0, 0
+    for hi in _WINDOWS:
         for digit in top[lo:hi]:
             total = total * q + digit - c
         if (q - 1) * abs(total) >= c:
             return 1 if total > 0 else -1
         if hi >= len(top):
-            return 0
-        lo, hi = hi, 2 * hi
+            break
+        lo = hi
+    return 0
 
 
 def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     """Full comparison of indices m and n with certificate.
 
     The lengths of the cache's packed entries, phi + 1, tell whether the
-    totients differ.  If they do, the totient gap decides the pair
-    (`_gap_compare`, proof below).  If not, the threshold c and the
-    leading sign of the difference D (value at n minus value at m) are
-    read off X = P_n - P_m, the sign of D(q) is decided at every q in
-    [2, c], and all larger q are settled by the leading-coefficient
-    argument in the module docstring.  X and the heights come from the
+    totients differ.  If they do, the totient gap decides the pair (proof
+    below).  If not, the threshold c and the leading sign of the
+    difference D (value at n minus value at m) are read off
+    X = P_n - P_m, all q > c are settled by the leading-coefficient
+    argument in the module docstring, and `_certify` decides the sign of
+    D(q) at every q in [2, c].  X and the heights come from the
     packed entries; X is read at PACK_WIDTH unless the two heights sum
     too high for it, and then both entries are packed afresh at the
     pair's width w.  No coefficient tuple is built.
@@ -261,15 +297,15 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 
     At q >= 3 this is positive for every Delta >= 1, because
     log 3 > 1 >= 2/(q - 1).  At q = 2 it is positive when Delta >= 3,
-    because 2^3 = 8 > e^2.  So a precedes b, and only q = 2 with
-    Delta <= 2 is left, which is evaluated exactly: it may tie (2 and 6
-    both give 3).  The certificate has shortcut_tag "totient-gap",
-    threshold_c 0 (no coefficient is read), the sign of the side of
-    higher totient as leading_sign, and checked_q_max 2 when q = 2 was
-    evaluated, else 1.  The theorem that every pair is comparable is not
+    because 2^3 = 8 > e^2.  So a precedes b, and stop is 3 when
+    Delta <= 2, else 2: only q = 2 with Delta <= 2 is left, which is
+    evaluated exactly and may tie (2 and 6 both give 3).  The
+    certificate has shortcut_tag "totient-gap", threshold_c 0 (no
+    coefficient is read) and the sign of the side of higher totient as
+    leading_sign.  The theorem that every pair is comparable is not
     assumed: an exact sign at q = 2 against the gap makes the verdict
-    INCOMPARABLE, with q = 3 evaluated as the other witness, just as an
-    incomparable pair of equal totient names its first asymptotic q.
+    INCOMPARABLE, with stop = 3 as the other witness, whose value is
+    evaluated too so that both witnesses are values at hand.
 
     The sign at q from D's top coefficients.  Let t be the top nonzero
     index of D, take a window of L coefficients, s = t - L + 1 (or 0
@@ -280,10 +316,10 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
         |R| <= c * (q^s - 1) / (q - 1) < c * q^s / (q - 1).
 
     So if (q - 1) * |T| >= c, then q^s * |T| > |R|: D(q) is nonzero and
-    has the sign of T.  Windows of 8, 16, 32 and _WINDOW_CAP coefficients
-    are tried in turn (`_window_sign`) until one decides; a q that none
-    decides, including every q where D(q) = 0, is evaluated exactly as
-    eval_cyclo(n, q) - eval_cyclo(m, q).
+    has the sign of T.  Windows of 8, 16, 32 and 64 coefficients
+    (`_WINDOWS`) are tried in turn (`_window_sign`) until one decides; a
+    q that none decides, including every q where D(q) = 0, is evaluated
+    exactly.
 
     Reading the window.  `difference_threshold` returns Y = X + c*ONES,
     whose base-2^w digits are D_i + c: the top coefficients are bytes of
@@ -304,7 +340,13 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     xm, lm, hm = cache.packed_entry(m)
     xn, ln, hn = cache.packed_entry(n)
     if lm != ln:
-        return _gap_compare(m, n, ln - lm, cache)
+        lead = 1 if ln > lm else -1
+        verdict, checked, ties, flips = _certify(m, n, lead, 3 if abs(ln - lm) <= 2 else 2, cache)
+        if flips:  # INCOMPARABLE: the witness stop = 3, where the gap decides, is evaluated too
+            v = eval_cyclo(n, 3, cache) - eval_cyclo(m, 3, cache)
+            if v * lead <= 0:
+                raise ArithmeticError(f"internal: the totient gap of {m}, {n} fails at q=3")
+        return verdict, Certificate(0, lead, checked, ties, flips, "totient-gap")
     bound = hm + hn
     width = pair_width(bound)
     if width != PACK_WIDTH:
@@ -316,46 +358,16 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
         raise ArithmeticError(f"internal: distinct indices {m}, {n} gave a zero difference")
     c, y = difference_threshold(x, width, ln, bound)
     lead = 1 if x > 0 else -1
-    ties: list[int] = []
-    first_neg = first_pos = 0
+    top = b""  # no q in [2, c] to read when c <= 1
     if c > 1:
         nbytes = width // 8
         t = x.bit_length() // width
-        s = max(0, t - _WINDOW_CAP + 1)
+        s = max(0, t - _WINDOWS[-1] + 1)
         raw = y.to_bytes(ln * nbytes, "little")[s * nbytes : (t + 1) * nbytes]
         top = raw[::-1] if nbytes == 1 else [
             int.from_bytes(raw[i - nbytes : i], "little") for i in range(len(raw), 0, -nbytes)
         ]
-    for q in range(2, c + 1):
-        sign = _window_sign(top, q, c)
-        if not sign:
-            v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
-            sign = (v > 0) - (v < 0)
-        if not sign:
-            ties.append(q)
-        elif sign < 0:
-            if not first_neg:
-                first_neg = q
-        elif not first_pos:
-            first_pos = q
-
-    checked = max(c, 1)
-    if lead > 0 and not first_neg:
-        verdict = Verdict.LESS
-        flips: list[int] = []
-    elif lead < 0 and not first_pos:
-        verdict = Verdict.GREATER
-        flips = []
-    else:
-        verdict = Verdict.INCOMPARABLE
-        # need one witness of each sign; when a sign only occurs
-        # asymptotically, evaluate the first asymptotic q explicitly
-        if not first_pos:
-            first_pos = checked = c + 1
-        if not first_neg:
-            first_neg = checked = c + 1
-        flips = [first_pos, first_neg]
-
+    verdict, checked, ties, flips = _certify(m, n, lead, c + 1, cache, _window_sign, (top, c))
     return verdict, Certificate(c, lead, checked, ties, flips)
 
 
@@ -431,10 +443,10 @@ class RamanujanSums:
 
 def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, q: int) -> int:
     """Sign of the sum over j >= j0 of delta_j * q^(-j) / j, with
-    delta_j = c_a(j) - c_b(j), read off the windows J = j0 + 8, 16, 32
-    and 64, or 0 when none decides it (`ramanujan_compare` proves the
+    delta_j = c_a(j) - c_b(j), read off the windows J = j0 + w for w in
+    _WINDOWS, or 0 when none decides it (`ramanujan_compare` proves the
     rule).  Each window extends both sequences only as far as it reads."""
-    for width in _SUMS_WINDOWS:
+    for width in _WINDOWS:
         top = j0 + width
         a.extend(top)
         b.extend(top)
@@ -453,9 +465,8 @@ def ramanujan_compare(
     """`compare` for two distinct indices m = a.n and n = b.n of equal
     totient, decided from their Ramanujan sums: no coefficient is read and
     no polynomial is built.  The certificate has shortcut_tag "ramanujan",
-    threshold_c 0, the leading sign of Phi_n - Phi_m, and checked_q_max
-    max(q* - 1, 1) (q* below); a tie or a flip is recorded as in
-    `compare`.
+    threshold_c 0 and the leading sign of Phi_n - Phi_m; stop is q*
+    (below).
 
     Sign at q.  By the identity proved in `compare`, with phi(m) = phi(n),
 
@@ -481,11 +492,9 @@ def ramanujan_compare(
     leading sign, and m precedes n asymptotically exactly when
     delta_j0 > 0, that is -c_m(j0) < -c_n(j0): the lexicographic order of
     `RamanujanSums.terms`.  The least such q is
-    q* = floor(2 * j0 / |delta_j0|) + 2.  Each q in [2, q*) tries
-    J = j0 + 8, 16, 32 and 64 (`_sums_sign`), and a q none decides,
-    which includes every tie, is evaluated exactly.  The verdict, ties
-    and flips follow from those signs as in `compare`, with q* in the
-    place of its c + 1.
+    q* = floor(2 * j0 / |delta_j0|) + 2.  `_certify` decides each q in
+    [2, q*): `_sums_sign` tries J = j0 + 8, 16, 32 and 64 (`_WINDOWS`),
+    and a q none decides, which includes every tie, is evaluated exactly.
     """
     m, n = a.n, b.n
     if a.phi != b.phi:
@@ -493,36 +502,8 @@ def ramanujan_compare(
     j0 = a.first_difference(b)
     lead_delta = b.terms[j0 - 1] - a.terms[j0 - 1]  # c_m(j0) - c_n(j0): the terms are negated
     lead = 1 if lead_delta > 0 else -1
-    settled = 2 * j0 // abs(lead_delta) + 2
-    ties: list[int] = []
-    first_neg = first_pos = 0
-    for q in range(2, settled):
-        sign = _sums_sign(a, b, j0, q)
-        if not sign:
-            v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
-            sign = (v > 0) - (v < 0)
-        if not sign:
-            ties.append(q)
-        elif sign < 0:
-            if not first_neg:
-                first_neg = q
-        elif not first_pos:
-            first_pos = q
-
-    checked = settled - 1  # q* >= 2
-    flips: list[int] = []
-    if lead > 0 and not first_neg:
-        verdict = Verdict.LESS
-    elif lead < 0 and not first_pos:
-        verdict = Verdict.GREATER
-    else:
-        verdict = Verdict.INCOMPARABLE
-        # one witness of each sign; q* stands for a sign seen only asymptotically
-        if not first_pos:
-            first_pos = checked = settled
-        if not first_neg:
-            first_neg = checked = settled
-        flips = [first_pos, first_neg]
+    stop = 2 * j0 // abs(lead_delta) + 2  # q*
+    verdict, checked, ties, flips = _certify(m, n, lead, stop, cache, _sums_sign, (a, b, j0))
     return verdict, Certificate(0, lead, checked, ties, flips, "ramanujan")
 
 

@@ -349,6 +349,57 @@ def test_record_round_trip(shared_cache):
 
 
 # ---------------------------------------------------------------------------
+# the signs at q < stop, shared by every route (`_certify`)
+# ---------------------------------------------------------------------------
+
+# stop; the fast test's signs at q = 2, 3, ... (None: no fast test), and the
+# exact signs where it reads 0, both in units of the lead; checked_q_max;
+# ties; the witnesses against and with the lead's sign (None: no flip)
+_CERTIFY_CASES = [
+    (2, [], [], 1, [], None),  # nothing below stop
+    (5, [1, 1, 1], [], 4, [], None),  # every sign the lead's
+    (5, [1, 0, 0], [0, 1], 4, [3], None),  # a tie, and a sign only exact evaluation reads
+    (5, [0, 1, -1], [-1], 4, [], (2, 3)),  # against the lead, with it seen below stop
+    (4, [-1, 0], [0], 4, [3], (2, 4)),  # against the lead, with it seen only at stop
+    (3, None, [-1], 3, [], (2, 3)),  # no fast test, as for the totient gap
+]
+
+
+@pytest.mark.parametrize("lead", (1, -1))
+@pytest.mark.parametrize("stop, fast, exact, checked, ties, witnesses", _CERTIFY_CASES)
+def test_certify_decides_each_q_below_stop(
+    monkeypatch, lead, stop, fast, exact, checked, ties, witnesses
+):
+    """The verdict, checked_q_max, ties and flips follow from the signs
+    below stop and the lead's from stop on; exact evaluation, n's value
+    first, runs only where the fast test reads 0."""
+    m, n = 11, 13
+    reads = [0] * (stop - 2) if fast is None else fast
+    undecided = [q for q, sign in enumerate(reads, 2) if not sign]
+    differences = dict(zip(undecided, exact))
+    calls = []
+
+    def value(k, q, cache):
+        calls.append((k, q))
+        return lead * differences[q] if k == n else 0
+
+    monkeypatch.setattr(comparator, "eval_cyclo", value)
+    sign = None if fast is None else (lambda signs, q: lead * signs[q - 2])
+    verdict, got_checked, got_ties, flips = comparator._certify(
+        m, n, lead, stop, None, sign, (reads,)
+    )
+
+    assert calls == [(k, q) for q in undecided for k in (n, m)]
+    assert (got_checked, got_ties) == (checked, ties)
+    if witnesses is None:
+        assert verdict is (Verdict.LESS if lead > 0 else Verdict.GREATER) and flips == []
+    else:
+        against, along = witnesses
+        assert verdict is Verdict.INCOMPARABLE
+        assert flips == ([along, against] if lead > 0 else [against, along])
+
+
+# ---------------------------------------------------------------------------
 # the sign at q <= c from D's top coefficients (`compare` proves the rule)
 # ---------------------------------------------------------------------------
 
@@ -363,8 +414,8 @@ def window_log(monkeypatch):
     """Every (q, sign) compare reads off a window, in call order."""
     log = []
 
-    def logged(top, q, c):
-        sign = _window_sign(top, q, c)
+    def logged(top, c, q):
+        sign = _window_sign(top, c, q)
         log.append((q, sign))
         return sign
 
@@ -404,10 +455,10 @@ def test_window_sign_is_exact_or_undecided(coeffs):
     """Whatever the window reads is the sign of D(q); 0 only sends q on to
     exact evaluation."""
     c = max(map(abs, coeffs))
-    top = [d + c for d in reversed(coeffs[-comparator._WINDOW_CAP :])]
+    top = [d + c for d in reversed(coeffs[-comparator._WINDOWS[-1] :])]
     for q in range(2, c + 1):
         value = sum(d * q**i for i, d in enumerate(coeffs))
-        assert _window_sign(top, q, c) in (0, (value > 0) - (value < 0)), q
+        assert _window_sign(top, c, q) in (0, (value > 0) - (value < 0)), q
 
 
 def test_window_signs_match_exact_signs_on_every_pair_to_1000(shared_cache, window_log):
