@@ -1,5 +1,6 @@
-"""Elementary multiplicative number theory: factorization, totient (also
-as a table by sieve), Moebius, radical, divisors, and inverse totient.
+"""Elementary multiplicative number theory: factorization (also as a
+smallest-prime-factor table by sieve), totient (also as a table by
+sieve), Moebius, radical, divisors, and inverse totient.
 
 Everything here works on indices (the n of a cyclotomic polynomial), which
 stay small (~10^5) at verification scale, so factorization is plain trial
@@ -13,7 +14,9 @@ import time.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
+from math import isqrt
 
 _SIEVE_LIMIT = 100_000
 
@@ -79,6 +82,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if rest > 1:
         out.append((rest, 1))
     return out
+
+
+def smallest_prime_factors(limit: int) -> array:
+    """array("I") of length limit + 1 whose entry k >= 2 is the least
+    prime dividing k (entries 0 and 1 are 0 and 1), by one sieve.
+
+    Each prime p <= sqrt(limit), largest first, writes itself into every
+    multiple of p from p^2 on; a composite k is such a multiple of its
+    least prime p (k >= p^2), which writes last.  Primes keep k.
+    """
+    spf = array("I", range(limit + 1))
+    for p in reversed(SMALL_PRIMES[: bisect_right(SMALL_PRIMES, isqrt(limit))]):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
+    return spf
 
 
 def totient(n: int) -> int:

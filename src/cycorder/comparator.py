@@ -74,20 +74,21 @@ from __future__ import annotations
 
 import enum
 import json
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
+from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from operator import ne, sub
 
-from .arith import factorize
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
 from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyclo
 
 # window lengths a fast sign test tries in turn before exact evaluation: D's
 # top coefficients in `_window_sign`, terms past j0 in `_sums_sign`
 _WINDOWS = (8, 16, 32, 64)
-_SUMS_BLOCK = 16  # terms a Ramanujan-sum sequence first grows to
+_SUMS_BLOCK = 16  # terms a Ramanujan-sum sequence first grows to; a class sort's first key length
 
 
 class Verdict(enum.Enum):
@@ -104,6 +105,11 @@ class Verdict(enum.Enum):
         if self is Verdict.GREATER:
             return Verdict.LESS
         return self
+
+
+# the members bound once: each read through the class costs 120-150 ns on
+# Python 3.11, whose enum metaclass routes it through __getattr__
+_LESS, _GREATER, _INCOMPARABLE = Verdict.LESS, Verdict.GREATER, Verdict.INCOMPARABLE
 
 
 @dataclass
@@ -230,11 +236,11 @@ def _certify(
 
     checked, flips = stop - 1, []
     if lead > 0 and not first_neg:
-        verdict = Verdict.LESS
+        verdict = _LESS
     elif lead < 0 and not first_pos:
-        verdict = Verdict.GREATER
+        verdict = _GREATER
     else:
-        verdict = Verdict.INCOMPARABLE
+        verdict = _INCOMPARABLE
         if not first_pos:
             first_pos = checked = stop
         if not first_neg:
@@ -378,30 +384,38 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 
 class RamanujanSums:
     """The Ramanujan sums of one index n, negated, as a lazily extended
-    sort key: `terms[j - 1]` is -c_n(j).
+    list: `terms[j - 1]` is -c_n(j).
 
     By Hoelder's closed form (proved with the identity in `compare`),
     c_n(j) = mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, j), which is 0
     unless n/g is squarefree.  `_table` maps those 2^omega(n) values of g,
     n/d for the squarefree d | n, to -c_n(j): adding a prime p to d flips
-    mu(d) and multiplies phi(d) by p - 1.  `extend` adds terms with
-    C-level `gcd` and dict lookups.  `phi` is phi(n).
+    mu(d) and multiplies phi(d) by p - 1.  n's primes are read off `spf`,
+    a table of `arith.smallest_prime_factors` that covers n.  `extend`
+    adds terms with C-level `gcd` and dict lookups.  `phi` is phi(n).
 
-    For two indices of equal totient, a < b says that a.n precedes b.n
-    asymptotically: it is the lexicographic order of the terms, compared
-    up to their first difference (`ramanujan_compare` proves it).  Two
+    For two indices of equal totient, the lexicographic order of their
+    terms is their asymptotic order (`ramanujan_compare` proves it):
+    `order.sort_class` sorts a class on equal-length prefixes of the
+    terms, and `first_difference` finds where two of them part.  Two
     distinct indices m and n differ within lcm(m, n) terms, since c_n(j)
     has period n in j.  At j = lcm(m, n) the sums are phi(m) and phi(n);
     if those are equal and c_m(j) = c_n(j) for every j, then
     log Phi_m(q) = log Phi_n(q) at every q >= 2 by the identity, so the
     two polynomials agree at infinitely many points and m = n.
-    `first_difference` raises past that bound instead of searching on.
+    `first_difference` and the class sort raise past that bound instead
+    of searching on.
     """
 
     __slots__ = ("n", "phi", "terms", "_table")
 
-    def __init__(self, n: int):
-        primes = [p for p, _ in factorize(n)]
+    def __init__(self, n: int, spf: array):
+        primes, rest = [], n
+        while rest > 1:
+            p = spf[rest]
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
         phi = n
         for p in primes:
             phi -= phi // p
@@ -418,42 +432,44 @@ class RamanujanSums:
             self.terms += map(self._table.get, gcds, repeat(0))
 
     def first_difference(self, other: "RamanujanSums") -> int:
-        """The least j with c_n(j) != c_other(j); both sequences are
-        extended past it, doubling their length until they differ."""
+        """The least j with c_n(j) != c_other(j).  The terms both sides
+        already hold are scanned first; only while those agree are both
+        extended, to twice the shorter length (_SUMS_BLOCK from none), and
+        scanned again."""
         if self.n == other.n:
             raise ValueError(f"index {self.n} has no first difference with itself")
-        size = max(len(self.terms), len(other.terms), _SUMS_BLOCK)
+        size = min(len(self.terms), len(other.terms))
         while True:
-            self.extend(size)
-            other.extend(size)
             j = next(compress(count(1), map(ne, self.terms, other.terms)), 0)
             if j:
                 return j
             if size >= lcm(self.n, other.n):  # a full common period: they never differ
                 raise ArithmeticError(f"internal: {self.n} and {other.n} have equal sums")
-            size *= 2
-
-    def __lt__(self, other: "RamanujanSums") -> bool:
-        a, b = self.terms, other.terms
-        if len(a) != len(b) or a == b:
-            j = self.first_difference(other)
-            return a[j - 1] < b[j - 1]
-        return a < b
+            size = max(2 * size, _SUMS_BLOCK)
+            self.extend(size)
+            other.extend(size)
 
 
-def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, q: int) -> int:
+def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, windows: list, q: int) -> int:
     """Sign of the sum over j >= j0 of delta_j * q^(-j) / j, with
     delta_j = c_a(j) - c_b(j), read off the windows J = j0 + w for w in
     _WINDOWS, or 0 when none decides it (`ramanujan_compare` proves the
-    rule).  Each window extends both sequences only as far as it reads."""
-    for width in _WINDOWS:
-        top = j0 + width
-        a.extend(top)
-        b.extend(top)
-        lam = lcm(*range(j0, top + 1))
+    rule).  `windows` is the pair's memo, empty at its first q: entry i,
+    made when a q first reaches window i, holds Lambda = lcm(j0..J) and
+    delta_j * (Lambda / j) for j0 <= j <= J, and only then are both
+    sequences extended to J.  So a q costs one Horner pass per window."""
+    for i, width in enumerate(_WINDOWS):
+        if i == len(windows):
+            top = j0 + width
+            a.extend(top)
+            b.extend(top)
+            lam = lcm(*range(j0, top + 1))
+            deltas = map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top])
+            windows.append((lam, [d * (lam // j) for j, d in enumerate(deltas, j0)]))
+        lam, scaled = windows[i]
         total = 0
-        for j, d in enumerate(map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]), j0):
-            total = total * q + d * (lam // j)
+        for d in scaled:
+            total = total * q + d
         if (q - 1) * abs(total) > 2 * lam:
             return 1 if total > 0 else -1
     return 0
@@ -495,6 +511,8 @@ def ramanujan_compare(
     q* = floor(2 * j0 / |delta_j0|) + 2.  `_certify` decides each q in
     [2, q*): `_sums_sign` tries J = j0 + 8, 16, 32 and 64 (`_WINDOWS`),
     and a q none decides, which includes every tie, is evaluated exactly.
+    Lambda = lcm(j0..J) and the scaled delta_j are formed once per pair
+    and window, for the windows some q reaches.
     """
     m, n = a.n, b.n
     if a.phi != b.phi:
@@ -503,7 +521,7 @@ def ramanujan_compare(
     lead_delta = b.terms[j0 - 1] - a.terms[j0 - 1]  # c_m(j0) - c_n(j0): the terms are negated
     lead = 1 if lead_delta > 0 else -1
     stop = 2 * j0 // abs(lead_delta) + 2  # q*
-    verdict, checked, ties, flips = _certify(m, n, lead, stop, cache, _sums_sign, (a, b, j0))
+    verdict, checked, ties, flips = _certify(m, n, lead, stop, cache, _sums_sign, (a, b, j0, []))
     return verdict, Certificate(0, lead, checked, ties, flips, "ramanujan")
 
 
@@ -545,7 +563,26 @@ def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> di
 
 
 def record_to_json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    """json.dumps(record, sort_keys=True, separators=(",", ":")) for a
+    record of `comparison_record`'s fields (int fields, lists of ints, and
+    str or None), written field by field in sorted key order without the
+    general encoder; strings go through json's own ASCII escaper."""
+    tag = record["shortcut_tag"]
+    return (
+        '{"checked_q_max":%d,"flip_witnesses":%s,"leading_sign":%d,"m":%d,"n":%d,'
+        '"shortcut_tag":%s,"threshold_c":%d,"tie_witnesses":%s,"verdict":%s}'
+        % (
+            record["checked_q_max"],
+            str(record["flip_witnesses"]).replace(" ", ""),
+            record["leading_sign"],
+            record["m"],
+            record["n"],
+            "null" if tag is None else encode_basestring_ascii(tag),
+            record["threshold_c"],
+            str(record["tie_witnesses"]).replace(" ", ""),
+            encode_basestring_ascii(record["verdict"]),
+        )
+    )
 
 
 def parse_comparison_record(text: str) -> dict:

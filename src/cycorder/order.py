@@ -4,12 +4,15 @@ A totient gap already orders two indices, smaller totient first
 (`comparator.compare` proves it), so the range {1..N} splits into
 totient classes and only pairs inside one class need a closer look.
 Each class is sorted by asymptotic order, which is the lexicographic
-order of its members' negated Ramanujan sums (-c_n(1), -c_n(2), ...),
-and its k - 1 adjacent pairs are certified from those sums
-(`comparator.ramanujan_compare`); by transitivity that verifies
-comparability of every pair in the class (proof in `sort_class`).  No
-polynomial, kernel or packed value is built.  The sorted classes
-concatenate, ascending by totient value, into the full chain.
+order of its members' negated Ramanujan sums (-c_n(1), -c_n(2), ...):
+one sort on their first 16 terms, with each run of equal prefixes sorted
+again on twice as many (`sort_class` proves it).  Its k - 1 adjacent
+pairs are certified from those sums (`comparator.ramanujan_compare`);
+by transitivity that verifies comparability of every pair in the class
+(proof in `sort_class`).  No polynomial, kernel or packed value is
+built, and every index is factored from one smallest-prime-factor table
+per run.  The sorted classes concatenate, ascending by totient value,
+into the full chain.
 
 Classes run in one process in ascending totient order; one loop
 records, checkpoints and reports each, and the cache, which holds only
@@ -39,10 +42,13 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
+from math import lcm
+from operator import attrgetter
 from typing import Callable, Iterable
 
-from .arith import inverse_totient, totient, totient_table
+from .arith import inverse_totient, smallest_prime_factors, totient, totient_table
 from .comparator import (
+    _SUMS_BLOCK,
     Certificate,
     RamanujanSums,
     Verdict,
@@ -56,6 +62,8 @@ from .cyclotomic import CycloCache
 
 CHECKPOINT_VERSION = 3  # checkpoint line format; a file of another version is refused
 CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
+_NEIGHBOUR_VERDICTS = (Verdict.LESS, Verdict.INCOMPARABLE)  # what a sorted adjacent pair may get
+_TERMS = attrgetter("terms")
 
 
 class OrderingError(Exception):
@@ -186,25 +194,72 @@ def stable_prefix_length(classes: Iterable[PhiClass], range_max: int) -> int:
     return n
 
 
+def _prefix_sorted(run: list[RamanujanSums], size: int) -> list[RamanujanSums]:
+    """`run` in the lexicographic order of its members' terms, given that
+    none holds more than `size` terms: after `extend(size)` every key has
+    length `size`, so no key is a proper prefix of another (`sort_class`
+    proves the order)."""
+    for s in run:
+        s.extend(size)
+    run.sort(key=_TERMS)
+    ordered = []
+    for _, group in groupby(run, key=_TERMS):
+        group = list(group)
+        if len(group) > 1:
+            a, b = group[0], group[1]
+            if size >= lcm(a.n, b.n):  # a full common period: they never differ
+                raise ArithmeticError(f"internal: {a.n} and {b.n} have equal sums")
+            group = _prefix_sorted(group, 2 * size)
+        ordered += group
+    return ordered
+
+
 def sort_class(
     phi_class: PhiClass,
     cache: CycloCache,
     *,
     cert_sink: Callable[[int, int, Verdict, Certificate], None] | None = None,
+    spf: array | None = None,
 ) -> list[int]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
 
     Members are sorted by their negated Ramanujan sums, lexicographically
-    and lazily (`comparator.RamanujanSums`): that is the asymptotic
-    order, a strict total order, since distinct indices have distinct
-    polynomials.  Then `ramanujan_compare` runs on the k - 1 adjacent
-    pairs (a, b), in order, and each (a, b, verdict, certificate) goes to
-    cert_sink when one is given; nothing else keeps the certificates, so
-    batch runs stay flat in memory.  Neither step reads a coefficient, so
-    the cache receives only the values of an exact fallback.  Returns the
-    ordered members; an INCOMPARABLE pair reaches cert_sink as data and is
-    never raised.  Any other verdict but LESS contradicts the sort and
-    raises ArithmeticError.
+    (`comparator.RamanujanSums`, whose primes come from `spf`, a table of
+    `arith.smallest_prime_factors` covering the class; one is built when
+    none is given): that is the asymptotic order, a strict total order,
+    since distinct indices have distinct polynomials.  Then
+    `ramanujan_compare` runs on the k - 1 adjacent pairs (a, b), in
+    order, and each (a, b, verdict, certificate) goes to cert_sink when
+    one is given; nothing else keeps the certificates, so batch runs stay
+    flat in memory.  Neither step reads a coefficient, so the cache
+    receives only the values of an exact fallback; a class of one member
+    builds no sums at all.  Returns the ordered members; an INCOMPARABLE
+    pair reaches cert_sink as data and is never raised.  Any other
+    verdict but LESS contradicts the sort and raises ArithmeticError.
+
+    The sort (`_prefix_sorted`) extends every member to its first
+    L = _SUMS_BLOCK terms and sorts once on those lists, all of length L,
+    so the comparisons run in C; then each run of members with equal
+    prefixes is sorted the same way at 2L terms, and so on.  This gives
+    the lexicographic order:
+
+    1. Two members whose L-term prefixes differ have their first
+       difference inside them, so comparing the prefixes compares the
+       whole sequences: the sort orders every such pair rightly.
+    2. Members with equal prefixes stand together: with x before y
+       before z in the sorted list, prefix(x) <= prefix(y) <= prefix(z),
+       so prefix(x) = prefix(z) forces prefix(y) = prefix(x).  So the
+       list is a row of runs, each pair from two different runs rightly
+       ordered by 1, and re-sorting each run in its place keeps those
+       pairs; by induction on the re-sort, it orders each run's own
+       pairs rightly too.
+    3. The re-sorts end: a run is re-sorted only while two of its
+       members a, b agree on their first L terms, and L doubles each
+       time, so it stops before L reaches lcm(a.n, b.n), where distinct
+       indices differ (`RamanujanSums`), or raises there.
+
+    Adjacent members of the result differ within the terms both hold, so
+    `first_difference` reads each pair's j0 without extending either.
 
     Why k - 1 certificates prove what all k(k-1)/2 pairs would:
 
@@ -225,12 +280,16 @@ def sort_class(
     """
     if not phi_class.members:
         raise ValueError("empty totient class")
-    ordered = sorted(map(RamanujanSums, phi_class.members))
+    if len(phi_class.members) == 1:
+        return list(phi_class.members)  # no pair: no sum is read
+    if spf is None:
+        spf = smallest_prime_factors(max(phi_class.members))
+    ordered = _prefix_sorted([RamanujanSums(n, spf) for n in phi_class.members], _SUMS_BLOCK)
     for a, b in zip(ordered, ordered[1:]):
         verdict, cert = ramanujan_compare(a, b, cache)
         if cert_sink is not None:
             cert_sink(a.n, b.n, verdict, cert)
-        if verdict not in (Verdict.LESS, Verdict.INCOMPARABLE):
+        if verdict not in _NEIGHBOUR_VERDICTS:
             raise ArithmeticError(
                 f"internal: sorted neighbours {a.n}, {b.n} compare {verdict.value}"
             )
@@ -242,11 +301,12 @@ def sort_class(
 # ---------------------------------------------------------------------------
 
 
-def _finish_class(phi_class: PhiClass, cache: CycloCache) -> dict:
-    """Sort and summarize one class, then empty the cache.  The sink
-    builds each adjacent pair's `comparison_record` once, hashes its JSON
-    line into `cert_hash` and keeps it; the rest of the summary is read
-    off those records, so it says nothing the hash does not cover."""
+def _finish_class(phi_class: PhiClass, cache: CycloCache, spf: array) -> dict:
+    """Sort and summarize one class (`sort_class`, with `spf`), then
+    empty the cache.  The sink builds each adjacent pair's
+    `comparison_record` once, hashes its JSON line into `cert_hash` and
+    keeps it; the rest of the summary is read off those records, so it
+    says nothing the hash does not cover."""
     digest = hashlib.sha256()
     records: list[dict] = []
 
@@ -256,7 +316,7 @@ def _finish_class(phi_class: PhiClass, cache: CycloCache) -> dict:
         digest.update(b"\n")
         records.append(rec)
 
-    ordered = sort_class(phi_class, cache, cert_sink=sink)
+    ordered = sort_class(phi_class, cache, cert_sink=sink, spf=spf)
     cache.trim()
     return {
         "phi": phi_class.phi_value,
@@ -453,11 +513,12 @@ def build_chain(
     summaries: dict[int, dict] = dict(checkpoint.completed) if checkpoint else {}
 
     cache = CycloCache()
+    spf = smallest_prime_factors(range_max)
     try:
         for cls in classes:
             if cls.phi_value in summaries:
                 continue  # on file from an earlier run
-            summary = summaries[cls.phi_value] = _finish_class(cls, cache)
+            summary = summaries[cls.phi_value] = _finish_class(cls, cache, spf)
             if checkpoint is not None:
                 checkpoint.append(summary)
             if progress is not None:

@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd, lcm
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycorder import comparator
-from cycorder.arith import divisors, moebius, totient
+from cycorder.arith import divisors, moebius, smallest_prime_factors, totient
 from cycorder.comparator import (
     Certificate,
     RamanujanSums,
@@ -293,6 +294,7 @@ def test_incomparable_verdict_synthetic(fake_pair_cache):
     assert all(2 <= q <= cert.checked_q_max for q in cert.flip_witnesses)
 
     rec = comparison_record(a, b, v, cert)
+    assert record_to_json(rec) == _dumped(rec)
     parsed = parse_comparison_record(record_to_json(rec))
     assert parsed["verdict"] == "INCOMPARABLE"
     assert certificate_from_record(parsed)[2] is Verdict.INCOMPARABLE
@@ -324,9 +326,15 @@ def test_tall_pair_is_read_at_a_wider_packing():
     assert v is Verdict.GREATER and (cert.threshold_c, cert.leading_sign) == (75, -1)
 
 
+def _dumped(rec):
+    """The bytes `record_to_json` must write: the general encoder's."""
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
 def test_record_round_trip(shared_cache):
     v, cert = compare(6, 4, shared_cache)
     rec = comparison_record(6, 4, v, cert)
+    assert record_to_json(rec) == _dumped(rec)
     parsed = parse_comparison_record(record_to_json(rec))
     assert parsed == rec
     m, n, v2, cert2 = certificate_from_record(parsed)
@@ -338,7 +346,7 @@ def test_record_round_trip(shared_cache):
 
     v, cert = compare(2, 6, shared_cache)
     rec = comparison_record(2, 6, v, cert)
-    assert record_to_json(rec) == (
+    assert record_to_json(rec) == _dumped(rec) == (
         '{"checked_q_max":2,"flip_witnesses":[],"leading_sign":1,"m":2,"n":6,'
         '"shortcut_tag":"totient-gap","threshold_c":0,"tie_witnesses":[2],"verdict":"LESS"}'
     )
@@ -533,8 +541,9 @@ def _sum_by_definition(n, g):
 def test_hoelder_form_matches_the_divisor_sum_to_3000():
     """`RamanujanSums` reads c_n(j) off Hoelder's closed form; it equals
     the defining divisor sum for every n <= 3000 and j <= 300."""
+    spf = smallest_prime_factors(3000)
     for n in range(1, 3001):
-        sums = RamanujanSums(n)
+        sums = RamanujanSums(n, spf)
         sums.extend(300)
         by_gcd = {g: _sum_by_definition(n, g) for g in divisors(n)}
         assert sums.terms[:300] == [-by_gcd[gcd(n, j)] for j in range(1, 301)], n
@@ -549,7 +558,8 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
     by_phi = {}
     for x in range(1, 301):
         by_phi.setdefault(totient(x), []).append(x)
-    sums = {x: RamanujanSums(x) for x in range(1, 301)}
+    spf = smallest_prime_factors(300)
+    sums = {x: RamanujanSums(x, spf) for x in range(1, 301)}
     pairs = 0
     for members in by_phi.values():
         for m in members:
@@ -574,26 +584,29 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
 
 
 def test_ramanujan_compare_rejects_what_it_cannot_decide():
+    spf = smallest_prime_factors(8)
+    with pytest.raises(ValueError):  # totients 4 and 6
+        ramanujan_compare(RamanujanSums(5, spf), RamanujanSums(7, spf), CycloCache())
     with pytest.raises(ValueError):
-        ramanujan_compare(RamanujanSums(5), RamanujanSums(7), CycloCache())  # totients 4, 6
-    with pytest.raises(ValueError):
-        ramanujan_compare(RamanujanSums(8), RamanujanSums(8), CycloCache())
+        ramanujan_compare(RamanujanSums(8, spf), RamanujanSums(8, spf), CycloCache())
     # sums of 8 rigged to read as those of 4 agree over a full common
     # period, lcm(4, 8) terms: the search stops there instead of looping
-    a, b = RamanujanSums(4), RamanujanSums(8)
+    a, b = RamanujanSums(4, spf), RamanujanSums(8, spf)
     b._table = {g: a._table.get(gcd(4, g), 0) for g in (1, 2, 4, 8)}
     with pytest.raises(ArithmeticError):
         a.first_difference(b)
 
 
 class _Terms:
-    """Stands in for `RamanujanSums` with a fixed list of negated terms."""
+    """Stands in for `RamanujanSums` with a fixed list of negated terms;
+    `read` is the longest length an `extend` asked for."""
 
     def __init__(self, terms):
-        self.terms = terms
+        self.terms, self.read = terms, 0
 
     def extend(self, length):
         assert len(self.terms) >= length
+        self.read = max(self.read, length)
 
 
 @st.composite
@@ -615,18 +628,25 @@ def sum_sequences(draw):
 @example((3, (-2,) + (0,) * 64, 0))
 def test_sums_sign_is_exact_or_undecided(sequence):
     """Whatever a window reads is the sign of the whole infinite sum;
-    0 only sends q on to exact evaluation."""
+    0 only sends q on to exact evaluation.  One window memo serves the
+    pair's every q: each entry's Lambda is a common multiple of j0..J,
+    and the sequences are read only up to the widest window made."""
     j0, deltas, s = sequence
     top = j0 + 64
     a, b = _Terms([0] * top), _Terms([0] * (j0 - 1) + list(deltas))
     lam = lcm(*range(j0, top + 1))
+    windows = []
     for q in range(2, 9):
         total = 0
         for j, d in enumerate(deltas, j0):
             total = total * q + d * (lam // j)
         # the sum is (total / lam + 2 * s / (q - 1)) * q^(-top)
         exact = (q - 1) * total + 2 * s * lam
-        assert _sums_sign(a, b, j0, q) in (0, (exact > 0) - (exact < 0)), q
+        assert _sums_sign(a, b, j0, windows, q) in (0, (exact > 0) - (exact < 0)), q
+    for width, (lam_w, scaled) in zip(comparator._WINDOWS, windows):
+        assert len(scaled) == width + 1
+        assert all(lam_w % j == 0 for j in range(j0, j0 + width + 1)), width
+    assert a.read == b.read == j0 + comparator._WINDOWS[len(windows) - 1]
 
 
 def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(monkeypatch, eval_calls):
@@ -635,8 +655,8 @@ def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(monkeypatch, eva
     none is left to the fallback."""
     log = []
 
-    def logged(a, b, j0, q):
-        sign = _sums_sign(a, b, j0, q)
+    def logged(a, b, j0, windows, q):
+        sign = _sums_sign(a, b, j0, windows, q)
         log.append((a.n, b.n, q, sign))
         return sign
 

@@ -7,15 +7,17 @@ import signal
 import subprocess
 import sys
 import time
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
 
 import cycorder
 from cycorder import cyclotomic
-from cycorder.arith import inverse_totient, totient
+from cycorder.arith import inverse_totient, smallest_prime_factors, totient
 from cycorder.cli import main
 from cycorder.comparator import (
+    _SUMS_BLOCK,
     RamanujanSums,
     Verdict,
     compare,
@@ -33,6 +35,7 @@ from cycorder.order import (
     PhiClass,
     _chain_hash,
     _finish_class,
+    _prefix_sorted,
     build_chain,
     check_conjecture2,
     class_is_complete,
@@ -166,6 +169,68 @@ def test_sort_class_order_holds_for_every_pair(shared_cache):
                 assert v is Verdict.LESS, (a, b)
 
 
+def _first_difference_order(members, spf):
+    """members sorted by pairwise `first_difference`: the lexicographic
+    order of their negated Ramanujan sums, with no prefix key."""
+
+    def cmp(a, b):
+        j = a.first_difference(b)
+        return -1 if a.terms[j - 1] < b.terms[j - 1] else 1
+
+    return [s.n for s in sorted((RamanujanSums(n, spf) for n in members), key=cmp_to_key(cmp))]
+
+
+def test_prefix_sort_matches_pairwise_first_differences_to_5000():
+    spf = smallest_prime_factors(5000)
+    for cls in phi_classes(5000):
+        ordered = sort_class(cls, CycloCache(), spf=spf)
+        assert ordered == _first_difference_order(cls.members, spf), cls.phi_value
+
+
+def test_prefix_sort_refines_runs_of_equal_prefixes():
+    """256 and 384 (totient 128) first differ at j = 64: the sort on 16
+    terms and the re-sort of their run on 32 leave them equal, and the
+    re-sort on 64 parts them, in the order of their first difference."""
+    members = inverse_totient(128)
+    spf = smallest_prime_factors(max(members))
+    assert RamanujanSums(256, spf).first_difference(RamanujanSums(384, spf)) == 64
+    ordered = _prefix_sorted([RamanujanSums(n, spf) for n in members], _SUMS_BLOCK)
+    assert [s.n for s in ordered] == _first_difference_order(members, spf)
+    held = {s.n: len(s.terms) for s in ordered}
+    assert held[256] == held[384] == 4 * _SUMS_BLOCK
+
+
+def test_build_chain_5000_builds_at_most_105778_sum_terms(monkeypatch):
+    """Each member of a class of two or more is extended only as far as
+    the sort and its own pairs' windows read.  Extending both sides to
+    the longer one before every scan built 205,724 terms here, and
+    giving the 328 single-member classes sums too, 111,026."""
+    built = []
+    extend = RamanujanSums.extend
+
+    def counted(self, length):
+        have = len(self.terms)
+        extend(self, length)
+        built.append(len(self.terms) - have)
+
+    monkeypatch.setattr(RamanujanSums, "extend", counted)
+    assert build_chain(5000).pair_count == 3855
+    assert sum(built) <= 105_778
+
+
+def test_record_writer_matches_json_dumps_on_verify_5000(monkeypatch):
+    """`record_to_json` writes the general encoder's bytes for every
+    comparison record of a verification of {1..5000}."""
+    seen = []
+    monkeypatch.setattr(
+        cycorder.order, "record_to_json", lambda rec: seen.append(rec) or record_to_json(rec)
+    )
+    build_chain(5000)
+    assert len(seen) == 3855
+    for rec in seen:
+        assert record_to_json(rec) == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
 def test_build_chain_2000_sequence_digest():
     # the digest of the all-pairs code's output
     sequence = build_chain(2000).sequence
@@ -280,7 +345,8 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
     cache = stand_in_values
     a, b, c = 10, 12, 5  # t^2, t^2 + t - 2, t^2 + 2t - 4: all 4 at q = 2
     members = sorted((a, b, c))
-    sums = {x: RamanujanSums(x) for x in members}
+    spf = smallest_prime_factors(max(members))
+    sums = {x: RamanujanSums(x, spf) for x in members}
     scan = set()
     for i, m in enumerate(members):
         for n in members[i + 1 :]:
@@ -288,7 +354,7 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
             assert v is not Verdict.INCOMPARABLE
             if cert.tie_witnesses:
                 scan |= {m, n}
-    summary = _finish_class(PhiClass(4, members), cache)
+    summary = _finish_class(PhiClass(4, members), cache, spf)
     assert summary["members"] == [a, b, c]
     assert summary["ties"] == [[a, b, 2], [b, c, 2]]
     assert summary["pair_count"] == 2 and not summary["incomparable"]
@@ -298,13 +364,17 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
 def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) -> None:
     """Rebuild the records of the summary's adjacent pairs with
     `ramanujan_compare` on `cache`: cert_hash is the sha256 of their JSON
-    lines, and every other field of the summary agrees with them."""
+    lines, each the general encoder's bytes, and every other field of the
+    summary agrees with them."""
     members = summary["members"]
-    sums = {x: RamanujanSums(x) for x in members}
+    spf = smallest_prime_factors(max(members))
+    sums = {x: RamanujanSums(x, spf) for x in members}
     records = [
         comparison_record(a, b, *ramanujan_compare(sums[a], sums[b], cache))
         for a, b in zip(members, members[1:])
     ]
+    for r in records:
+        assert record_to_json(r) == json.dumps(r, sort_keys=True, separators=(",", ":"))
     lines = "".join(record_to_json(r) + "\n" for r in records)
     assert summary["cert_hash"] == hashlib.sha256(lines.encode()).hexdigest()
     assert summary["pair_count"] == len(records) == len(members) - 1
@@ -314,9 +384,9 @@ def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) ->
 
 
 def test_class_summaries_are_bound_to_their_hashed_records(shared_cache):
-    cache = CycloCache()
+    cache, spf = CycloCache(), smallest_prime_factors(300)
     for cls in phi_classes(300):
-        summary = _finish_class(cls, cache)
+        summary = _finish_class(cls, cache, spf)
         assert summary["phi"] == cls.phi_value and sorted(summary["members"]) == cls.members
         _assert_summary_is_bound_to_its_records(summary, shared_cache)
 
@@ -330,11 +400,12 @@ def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, m
         cycorder.order, "comparison_record", lambda *args: built.append(args[:2]) or record(*args)
     )
     a, b, c, d = 10, 8, 5, 12
+    spf = smallest_prime_factors(d)
     for members in ([a, b], [a, c, d]):
         work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
         work.evals.update(stand_in_values.evals)
         built.clear()
-        summary = _finish_class(PhiClass(4, members), work)
+        summary = _finish_class(PhiClass(4, members), work, spf)
         assert built == list(zip(summary["members"], summary["members"][1:]))
         _assert_summary_is_bound_to_its_records(summary, stand_in_values)
         if members == [a, b]:
