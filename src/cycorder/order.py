@@ -25,12 +25,14 @@ when the run ends; loading verifies the chain.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
-(class of value v is complete iff max(inverse_totient(v)) <= range_max);
-the report carries that stable prefix length.  Likewise `precedes` is
-decided relative to the totient band [totient(m), totient(n)], which is a
-complete reduction: any x between m and n in the order must satisfy
-totient(m) <= totient(x) <= totient(n), because a totient gap forces the
-order the other way (proof in `comparator.compare`).
+(no index above range_max has its totient); the report carries that
+stable prefix length, found from one totient sieve over (range_max,
+2 range_max] and a primorial bound on every index beyond it (proof in
+`stable_prefix_length`).  Likewise `precedes` is decided relative to the
+totient band [totient(m), totient(n)], which is a complete reduction: any
+x between m and n in the order must satisfy totient(m) <= totient(x) <=
+totient(n), because a totient gap forces the order the other way (proof
+in `comparator.compare`).
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable
 
-from .arith import inverse_totient, smallest_prime_factors, totient, totient_table
+from .arith import SMALL_PRIMES, inverse_totient, smallest_prime_factors, totient, totient_table
 from .comparator import (
     _SUMS_BLOCK,
     Certificate,
@@ -64,6 +66,7 @@ CHECKPOINT_VERSION = 3  # checkpoint line format; a file of another version is r
 CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
 _NEIGHBOUR_VERDICTS = (Verdict.LESS, Verdict.INCOMPARABLE)  # what a sorted adjacent pair may get
 _TERMS = attrgetter("terms")
+_LINE_FIELDS = itemgetter("cert_hash", "max_checked_q", "pair_count", "phi")  # for `_class_line`
 
 
 class OrderingError(Exception):
@@ -177,21 +180,49 @@ def phi_classes(range_max: int) -> list[PhiClass]:
     return [PhiClass(v, list(members)) for v, members in groupby(ordered, key=phi)]
 
 
-def class_is_complete(phi_value: int, range_max: int) -> bool:
-    """Whether no index above range_max shares this totient value."""
-    preimages = inverse_totient(phi_value)
-    return bool(preimages) and preimages[-1] <= range_max
+def _totient_floor(limit: int) -> int:
+    """A lower bound on totient(x) over every x > limit >= 1.
+
+    Let P_k be the product of the first k primes, F_k = totient(P_k), and
+    K the largest k with P_k <= limit.  An x with k distinct primes has
+    x >= P_k, and x / totient(x), the product of p / (p - 1) over its
+    primes, is at most P_k / F_k: its i-th smallest prime is at least the
+    i-th prime, and p / (p - 1) falls as p grows.  So totient(x) >=
+    x F_k / P_k.  For x > limit, when k <= K this is at least
+    (limit + 1) F_K / P_K, as P_k / F_k grows with k; when k > K it is at
+    least P_k F_k / P_k = F_k >= F_{K+1}.  Totients are integers, so the
+    bound is the lesser of the two, rounded up.
+    """
+    primorial = phi = 1
+    for p in SMALL_PRIMES:
+        if primorial * p > limit:
+            return min(-(-(limit + 1) * phi // primorial), phi * (p - 1))
+        primorial, phi = primorial * p, phi * (p - 1)
+    raise ArithmeticError(f"internal: no primorial above {limit}")
 
 
 def stable_prefix_length(classes: Iterable[PhiClass], range_max: int) -> int:
     """Entries before the first incomplete class keep their positions as the
-    range grows; everything at or after it may shift."""
-    n = 0
-    for cls in classes:
-        if not class_is_complete(cls.phi_value, range_max):
-            break
-        n += len(cls.members)
-    return n
+    range grows; everything at or after it may shift.
+
+    A class is incomplete when an index above range_max has its totient.
+    A sieve up to limit = 2 range_max gives `first`, the least class value
+    reached on (range_max, limit], or one past the largest class value if
+    none is (as at range_max = 2: totient(x) >= 2 for x >= 3).  If
+    `_totient_floor(limit) >= first`, no index above limit reaches a value
+    below `first` either, so the classes below `first` are complete and
+    the class of `first`, if any, is not: the prefix is their members.
+    Otherwise limit doubles; the floor grows without bound, so this ends.
+    The first sieve decides at every range_max up to 3000.
+    """
+    sizes = {cls.phi_value: len(cls.members) for cls in classes}
+    limit = 2 * range_max
+    while True:
+        reached = sizes.keys() & totient_table(limit)[range_max + 1 :]
+        first = min(reached, default=max(sizes) + 1)
+        if _totient_floor(limit) >= first:
+            return sum(size for v, size in sizes.items() if v < first)
+        limit *= 2
 
 
 def _prefix_sorted(run: list[RamanujanSums], size: int) -> list[RamanujanSums]:
@@ -339,13 +370,44 @@ def _chain_hash(prev_hex: str, body: dict) -> str:
     return hashlib.sha256((prev_hex + canonical).encode()).hexdigest()
 
 
+def _class_line(prev_hex: str, summary: dict) -> tuple[str, str]:
+    """(chain, line) for a class summary of `_finish_class`'s fields:
+    with rec = summary plus "kind": "class", chain is
+    `_chain_hash(prev_hex, rec)` and line is json.dumps(rec plus chain,
+    sort_keys=True).  Without incomparable records the fields (int, a hex
+    string and lists of ints) are written in sorted key order, once with
+    json's compact separators for the hash and once with its default ones
+    for the line; str() of a list of ints has the default ", " already.
+    """
+    if summary["incomparable"]:
+        rec = dict(summary, kind="class")
+        rec["chain"] = _chain_hash(prev_hex, rec)
+        return rec["chain"], json.dumps(rec, sort_keys=True)
+    cert, q, pairs, phi = _LINE_FIELDS(summary)
+    members, ties = str(summary["members"]), str(summary["ties"])
+    body = (
+        '{"cert_hash":"%s","incomparable":[],"kind":"class","max_checked_q":%d,'
+        '"members":%s,"pair_count":%d,"phi":%d,"ties":%s}'
+        % (cert, q, members.replace(" ", ""), pairs, phi, ties.replace(" ", ""))
+    )
+    chain = hashlib.sha256((prev_hex + body).encode()).hexdigest()
+    line = (
+        '{"cert_hash": "%s", "chain": "%s", "incomparable": [], "kind": "class", '
+        '"max_checked_q": %d, "members": %s, "pair_count": %d, "phi": %d, "ties": %s}'
+        % (cert, chain, q, members, pairs, phi, ties)
+    )
+    return chain, line
+
+
 class CheckpointFile:
     """Append-only resume file for long verification runs.
 
     Line 1 is a header carrying the format version (CHECKPOINT_VERSION)
     and range_max; each further line records one completed class.  Every
     line carries a chain hash over the previous line's hash plus its own
-    body, so silent edits or reordering are detected at load time.  A
+    body, so silent edits or reordering are detected at load time; a
+    class line and its hash are made from one set of field strings
+    (`_class_line`) and `_load` checks them with the general decoder.  A
     malformed trailing line (interrupted write) is discarded and cut from
     the file, so later appends start on a fresh line; a chain mismatch in
     well-formed lines, another version or another range_max raises
@@ -454,21 +516,19 @@ class CheckpointFile:
     def append(self, summary: dict) -> None:
         if summary["phi"] <= self._last_phi:
             return  # already on file
-        rec = dict(summary)
-        rec["kind"] = "class"
-        rec["chain"] = _chain_hash(self._last_hash, rec)
+        chain, line = _class_line(self._last_hash, summary)
         if self._fh is None:
             self._fh = self._open("a")
             self._synced_at = time.monotonic()
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._fh.write(line + "\n")
         self._fh.flush()
         now = time.monotonic()
         if now - self._synced_at >= CHECKPOINT_SYNC_INTERVAL_S:
             os.fsync(self._fh.fileno())
             self._synced_at = now
-        self._last_hash = rec["chain"]
-        self._last_phi = rec["phi"]
-        self.completed[rec["phi"]] = summary
+        self._last_hash = chain
+        self._last_phi = summary["phi"]
+        self.completed[summary["phi"]] = summary
 
     def close(self) -> None:
         """Sync and close the append handle, if `append` opened one."""
@@ -509,6 +569,8 @@ def build_chain(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     classes = phi_classes(range_max)
+    # before the class loop, so its sieve to 2 range_max is freed before the summaries grow
+    stable_len = stable_prefix_length(classes, range_max)
     checkpoint = CheckpointFile(checkpoint_path, range_max) if checkpoint_path else None
     summaries: dict[int, dict] = dict(checkpoint.completed) if checkpoint else {}
 
@@ -535,7 +597,7 @@ def build_chain(
         "pair_count": sum(s["pair_count"] for s in done),
         "incomparable_pairs": [r for s in done for r in s["incomparable"]],
         "tie_pairs": [t for s in done for t in s["ties"]],
-        "stable_prefix_len": stable_prefix_length(classes, range_max),
+        "stable_prefix_len": stable_len,
         "max_checked_q": max(s["max_checked_q"] for s in done),
     }
     return ChainReport.from_record(record)

@@ -10,7 +10,16 @@ import pytest
 import cycorder
 from cycorder.cli import main
 from cycorder.comparator import parse_comparison_record
-from cycorder.order import ChainReport, build_chain
+from cycorder.arith import smallest_prime_factors
+from cycorder.cyclotomic import CycloCache
+from cycorder.order import (
+    ChainReport,
+    CheckpointFile,
+    PhiClass,
+    _chain_hash,
+    _finish_class,
+    build_chain,
+)
 
 A206225_PREFIX = [1, 2, 6, 4, 3, 10, 12, 8, 5, 14, 18, 9, 7, 15, 20, 24, 16, 30, 22, 11]
 
@@ -288,3 +297,33 @@ def test_verify_5000_structured_output_and_checkpoint_bytes(capsys, tmp_path):
         "1cbb166e8aab72b20479747fdaf7d97813c890dcd9051cde0207a8a2504589bc",
         "f5d77c8992a606e334c690b6efcb8f894a259c5c7a64d73ea6e637389f45334b",
     ]
+    assert_lines_are_the_general_encoders(path.read_text().splitlines())
+
+
+def assert_lines_are_the_general_encoders(lines: list[str]) -> None:
+    """Each checkpoint line is json.dumps(rec, sort_keys=True) of what it
+    parses to, and each chain is `_chain_hash` over the previous chain and
+    the line's body."""
+    prev = ""
+    for line in lines:
+        rec = json.loads(line)
+        assert line == json.dumps(rec, sort_keys=True)
+        assert rec["chain"] == _chain_hash(prev, {k: v for k, v in rec.items() if k != "chain"})
+        prev = rec["chain"]
+
+
+def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp_path):
+    """The tied class of the stand-ins goes through the fixed-order writer,
+    the incomparable one through the general encoder; both lines resume."""
+    spf = smallest_prime_factors(12)
+    for members in ([10, 8], [10, 5, 12]):
+        work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
+        work.evals.update(stand_in_values.evals)
+        summary = _finish_class(PhiClass(4, members), work, spf)
+        assert summary["ties"] and bool(summary["incomparable"]) == (members == [10, 8])
+        path = str(tmp_path / f"{len(members)}.ckpt")
+        checkpoint = CheckpointFile(path, 12)
+        checkpoint.append(summary)
+        checkpoint.close()
+        assert_lines_are_the_general_encoders(Path(path).read_text().splitlines())
+        assert CheckpointFile(path, 12).completed == {4: dict(summary, kind="class")}

@@ -14,7 +14,7 @@ import pytest
 
 import cycorder
 from cycorder import cyclotomic
-from cycorder.arith import inverse_totient, smallest_prime_factors, totient
+from cycorder.arith import inverse_totient, smallest_prime_factors, totient, totient_table
 from cycorder.cli import main
 from cycorder.comparator import (
     _SUMS_BLOCK,
@@ -36,9 +36,9 @@ from cycorder.order import (
     _chain_hash,
     _finish_class,
     _prefix_sorted,
+    _totient_floor,
     build_chain,
     check_conjecture2,
-    class_is_complete,
     format_bfile,
     format_delimited,
     format_plain,
@@ -258,12 +258,64 @@ def test_build_chain_31_matches_sequence_start():
 
 
 def test_stable_prefix_rule():
-    classes = phi_classes(31)
-    assert class_is_complete(1, 31) and class_is_complete(8, 31)
-    assert not class_is_complete(12, 31)  # 36 shares totient 12
-    assert stable_prefix_length(classes, 31) == 20
-    assert stable_prefix_length(phi_classes(6), 6) == 5
-    assert stable_prefix_length(phi_classes(1), 1) == 0
+    for range_max, length in (
+        (1, 0),  # 2 shares totient 1
+        (2, 2),  # every class complete: no class value is reached above 2
+        (6, 5),
+        (31, 20),  # the classes below 12 are complete; 36 shares totient 12
+        (5000, 2208),
+        (20000, 8344),
+    ):
+        assert stable_prefix_length(phi_classes(range_max), range_max) == length, range_max
+
+
+def test_stable_prefix_matches_inverse_totient_to_500():
+    """The members of the classes before the first one that inverse_totient
+    shows an index above range_max has, for every range_max <= 500."""
+    largest: dict[int, int] = {}  # totient value -> its largest preimage
+    for range_max in range(1, 501):
+        classes = phi_classes(range_max)
+        expected = 0
+        for cls in classes:
+            v = cls.phi_value
+            if v not in largest:
+                largest[v] = inverse_totient(v)[-1]
+            if largest[v] > range_max:
+                break
+            expected += len(cls.members)
+        assert stable_prefix_length(classes, range_max) == expected, range_max
+
+
+def test_stable_prefix_widens_an_undecided_sieve(monkeypatch):
+    """A first sieve that finds no class value above 5000 cannot decide:
+    the floor above 10000 is below the largest class value, so a second
+    sieve, twice as long, runs and gives the right length."""
+    classes = phi_classes(5000)
+    sieved = []
+
+    def blind_first(limit: int) -> list[int]:
+        table = totient_table(limit)
+        if not sieved:
+            table[5001:] = [limit] * (limit - 5000)  # no class value is this large
+        sieved.append(limit)
+        return table
+
+    monkeypatch.setattr(cycorder.order, "totient_table", blind_first)
+    assert stable_prefix_length(classes, 5000) == 2208
+    assert sieved == [10000, 20000]
+
+
+def test_totient_floor_bounds_every_larger_index():
+    """`_totient_floor(limit)` is at most totient(x) for each x in
+    (limit, 12000], for every limit <= 3000: the least totient above 29,
+    totient(30) = 8, needs the F_{K+1} term."""
+    table = totient_table(12000)
+    least_above = table[:]  # least_above[x] = min(table[x:])
+    for x in range(len(table) - 2, 0, -1):
+        least_above[x] = min(table[x], least_above[x + 1])
+    for limit in range(1, 3001):
+        assert _totient_floor(limit) <= least_above[limit + 1], limit
+    assert _totient_floor(29) == 8 == least_above[30]
 
 
 def test_cross_class_pairs_follow_totient_gap(shared_cache):
