@@ -21,7 +21,8 @@ A class's summary is read off the comparison records its cert_hash
 covers; `ChainReport.from_record` builds the report.  The checkpoint
 is a hash-chained JSON-lines file, one line per class, flushed as each
 class finishes and synced to disk after each second of classes and
-when the run ends; loading verifies the chain.
+when the run ends; each line's chain covers its own bytes, which
+loading checks.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -45,7 +46,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .arith import SMALL_PRIMES, inverse_totient, smallest_prime_factors, totient, totient_table
@@ -62,11 +63,11 @@ from .comparator import (
 )
 from .cyclotomic import CycloCache
 
-CHECKPOINT_VERSION = 3  # checkpoint line format; a file of another version is refused
+CHECKPOINT_VERSION = 4  # checkpoint line format; a file of another version is refused
 CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
 _NEIGHBOUR_VERDICTS = (Verdict.LESS, Verdict.INCOMPARABLE)  # what a sorted adjacent pair may get
 _TERMS = attrgetter("terms")
-_LINE_FIELDS = itemgetter("cert_hash", "max_checked_q", "pair_count", "phi")  # for `_class_line`
+_CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
 
 
 class OrderingError(Exception):
@@ -365,38 +366,32 @@ def _finish_class(phi_class: PhiClass, cache: CycloCache, spf: array) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _chain_hash(prev_hex: str, body: dict) -> str:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256((prev_hex + canonical).encode()).hexdigest()
-
-
-def _class_line(prev_hex: str, summary: dict) -> tuple[str, str]:
-    """(chain, line) for a class summary of `_finish_class`'s fields:
-    with rec = summary plus "kind": "class", chain is
-    `_chain_hash(prev_hex, rec)` and line is json.dumps(rec plus chain,
-    sort_keys=True).  Without incomparable records the fields (int, a hex
-    string and lists of ints) are written in sorted key order, once with
-    json's compact separators for the hash and once with its default ones
-    for the line; str() of a list of ints has the default ", " already.
-    """
-    if summary["incomparable"]:
-        rec = dict(summary, kind="class")
-        rec["chain"] = _chain_hash(prev_hex, rec)
-        return rec["chain"], json.dumps(rec, sort_keys=True)
-    cert, q, pairs, phi = _LINE_FIELDS(summary)
-    members, ties = str(summary["members"]), str(summary["ties"])
-    body = (
-        '{"cert_hash":"%s","incomparable":[],"kind":"class","max_checked_q":%d,'
-        '"members":%s,"pair_count":%d,"phi":%d,"ties":%s}'
-        % (cert, q, members.replace(" ", ""), pairs, phi, ties.replace(" ", ""))
-    )
+def _line(prev_hex: str, body: str) -> tuple[str, str]:
+    """(chain, line) for `body`, a JSON object in compact sorted-key form:
+    chain is the sha256 of prev_hex + body, and line is body with the
+    field "chain": chain appended as its last, `_CHAIN_TAIL` characters."""
     chain = hashlib.sha256((prev_hex + body).encode()).hexdigest()
-    line = (
-        '{"cert_hash": "%s", "chain": "%s", "incomparable": [], "kind": "class", '
-        '"max_checked_q": %d, "members": %s, "pair_count": %d, "phi": %d, "ties": %s}'
-        % (cert, chain, q, members, pairs, phi, ties)
+    return chain, f'{body[:-1]},"chain":"{chain}"}}'
+
+
+def _class_body(summary: dict) -> str:
+    """json.dumps(summary plus "kind": "class", sort_keys=True,
+    separators=(",", ":")) for a summary of `_finish_class`'s fields (ints,
+    a hex string, lists of ints and comparison records), written field by
+    field; the records go through `record_to_json`."""
+    return (
+        '{"cert_hash":"%s","incomparable":[%s],"kind":"class","max_checked_q":%d,'
+        '"members":%s,"pair_count":%d,"phi":%d,"ties":%s}'
+        % (
+            summary["cert_hash"],
+            ",".join(map(record_to_json, summary["incomparable"])),
+            summary["max_checked_q"],
+            str(summary["members"]).replace(" ", ""),
+            summary["pair_count"],
+            summary["phi"],
+            str(summary["ties"]).replace(" ", ""),
+        )
     )
-    return chain, line
 
 
 class CheckpointFile:
@@ -404,15 +399,17 @@ class CheckpointFile:
 
     Line 1 is a header carrying the format version (CHECKPOINT_VERSION)
     and range_max; each further line records one completed class.  Every
-    line carries a chain hash over the previous line's hash plus its own
-    body, so silent edits or reordering are detected at load time; a
-    class line and its hash are made from one set of field strings
-    (`_class_line`) and `_load` checks them with the general decoder.  A
-    malformed trailing line (interrupted write) is discarded and cut from
-    the file, so later appends start on a fresh line; a chain mismatch in
-    well-formed lines, another version or another range_max raises
-    CheckpointError.  Classes are written in ascending totient order, so
-    the classes on file are always the lowest ones.
+    line is a JSON object in compact sorted-key form, the body, followed
+    by a last field "chain": the sha256 of the previous line's chain plus
+    the body's bytes (`_line`; "" before the header).  One writer makes
+    each body (`_class_body`), so the chain covers the bytes on file, and
+    `_load` checks it against them, parsing each line once: silent edits
+    or reordering are detected at load time.  A malformed trailing line
+    (interrupted write) is discarded and cut from the file, so later
+    appends start on a fresh line; a well-formed line that is not a JSON
+    object or breaks the chain, another version or another range_max
+    raises CheckpointError.  Classes are written in ascending totient
+    order, so the classes on file are always the lowest ones.
 
     The first `append` opens one append handle, kept until `close()`;
     an instance used only to load opens none.  Each class line is
@@ -452,11 +449,10 @@ class CheckpointFile:
         if os.path.exists(path) and os.path.getsize(path) > 0:
             self._load()
         else:
-            header = {"kind": "header", "version": CHECKPOINT_VERSION, "range_max": range_max}
-            header["chain"] = _chain_hash("", header)
-            self._last_hash = header["chain"]
+            header = '{"kind":"header","range_max":%d,"version":%d}' % (range_max, CHECKPOINT_VERSION)
+            self._last_hash, line = _line("", header)
             with self._open("w") as fh:
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
+                fh.write(line + "\n")
 
     def _open(self, mode: str):
         """open(self.path, mode), with an OSError raised as CheckpointError."""
@@ -468,39 +464,39 @@ class CheckpointFile:
     def _load(self) -> None:
         with self._open("rb") as fh:
             lines = fh.read().splitlines(keepends=True)
-        parsed: list[dict] = []
+        prev = None  # the chain of the last line kept; None until the header
         good_end = 0  # byte offset just past the last line kept
         torn = False
-        for i, line in enumerate(lines):
-            if line.strip():
-                try:
-                    parsed.append(json.loads(line))
-                except ValueError:
-                    if i == len(lines) - 1:
-                        torn = True  # interrupted final write; drop it
-                        break
-                    raise CheckpointError(f"{self.path}: malformed line {i + 1}")
-            good_end += len(line)
-        if not parsed or parsed[0].get("kind") != "header":
-            raise CheckpointError(f"{self.path}: missing header line")
-        header = parsed[0]
-        body = {k: v for k, v in header.items() if k != "chain"}
-        if _chain_hash("", body) != header.get("chain"):
-            raise CheckpointError(f"{self.path}: header hash mismatch")
-        for key, wanted in (("version", CHECKPOINT_VERSION), ("range_max", self.range_max)):
-            if header.get(key) != wanted:
-                raise CheckpointError(
-                    f"{self.path}: checkpoint has {key}={header.get(key)!r}, wanted {wanted}"
-                )
-        prev = header["chain"]
-        for i, rec in enumerate(parsed[1:], start=2):
-            body = {k: v for k, v in rec.items() if k != "chain"}
-            if _chain_hash(prev, body) != rec.get("chain"):
+        for i, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode().rstrip("\r\n")
+                rec = json.loads(line)
+            except ValueError:
+                if i == len(lines):
+                    torn = True  # interrupted final write; drop it
+                    break
+                raise CheckpointError(f"{self.path}: malformed line {i}")
+            if not isinstance(rec, dict):
+                raise CheckpointError(f"{self.path}: line {i} is not a JSON object")
+            if prev is None:  # the header: its version says how to read the rest
+                if rec.get("kind") != "header":
+                    raise CheckpointError(f"{self.path}: missing header line")
+                for key, wanted in (("version", CHECKPOINT_VERSION), ("range_max", self.range_max)):
+                    if rec.get(key) != wanted:
+                        raise CheckpointError(
+                            f"{self.path}: checkpoint has {key}={rec.get(key)!r}, wanted {wanted}"
+                        )
+                prev = ""
+            prev, expected = _line(prev, line[:-_CHAIN_TAIL] + "}")
+            if line != expected:
                 raise CheckpointError(f"{self.path}: hash chain mismatch at line {i}")
-            prev = rec["chain"]
+            del rec["chain"]  # the last field, as the line equals `expected`
             if rec.get("kind") == "class":
-                self.completed[rec["phi"]] = body
+                self.completed[rec["phi"]] = rec
                 self._last_phi = rec["phi"]
+            good_end += len(raw)
+        if prev is None:
+            raise CheckpointError(f"{self.path}: missing header line")
         self._last_hash = prev
         # the next append must start on a fresh line: cut the torn tail's
         # bytes, or end a complete final line whose newline was never written
@@ -516,7 +512,7 @@ class CheckpointFile:
     def append(self, summary: dict) -> None:
         if summary["phi"] <= self._last_phi:
             return  # already on file
-        chain, line = _class_line(self._last_hash, summary)
+        chain, line = _line(self._last_hash, _class_body(summary))
         if self._fh is None:
             self._fh = self._open("a")
             self._synced_at = time.monotonic()

@@ -16,7 +16,6 @@ from cycorder.order import (
     ChainReport,
     CheckpointFile,
     PhiClass,
-    _chain_hash,
     _finish_class,
     build_chain,
 )
@@ -148,10 +147,27 @@ def test_verify_checkpoint_and_corruption(capsys, tmp_path):
     assert code == 0  # resume of a finished run
 
     lines = Path(path).read_text().splitlines(True)
+    edited = lines[1].replace('"pair_count":', '"pair_count":9', 1)
+    assert edited != lines[1]
     with open(path, "w") as fh:
-        fh.writelines([lines[0]] + [lines[1].replace('"pair_count": ', '"pair_count": 9')] + lines[2:])
+        fh.writelines([lines[0], edited] + lines[2:])
     code, out, err = run_cli(capsys, "verify", "80", "--checkpoint", path)
-    assert code == 4 and "checkpoint error" in err
+    assert code == 4 and err == f"checkpoint error: {path}: hash chain mismatch at line 2\n"
+
+
+@pytest.mark.parametrize("line_no", [1, 2])
+def test_checkpoint_line_that_is_not_an_object_exits_4(capsys, tmp_path, line_no):
+    """A line that parses as JSON but is not an object is refused wherever
+    it stands, the final line included: only a line that does not parse
+    is dropped as torn."""
+    path = tmp_path / "v.ckpt"
+    assert run_cli(capsys, "verify", "30", "--checkpoint", str(path))[0] == 0
+    lines = path.read_text().splitlines(True)
+    lines[line_no - 1] = "[]\n" if line_no == 1 else "[1, 2]\n"
+    path.write_text("".join(lines[:line_no]))
+    code, out, err = run_cli(capsys, "verify", "30", "--checkpoint", str(path))
+    assert code == 4 and out == ""
+    assert err == f"checkpoint error: {path}: line {line_no} is not a JSON object\n"
 
 
 @pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
@@ -294,27 +310,31 @@ def test_verify_5000_structured_output_and_checkpoint_bytes(capsys, tmp_path):
                for data in (out.encode(), path.read_bytes(), err.encode())]
     assert digests == [
         "d8c5d3e311d8ab7693dde418496686ff60d95157e734b030318860b806d6b349",
-        "1cbb166e8aab72b20479747fdaf7d97813c890dcd9051cde0207a8a2504589bc",
+        "f1780799131972523473cbed2a26d2c4121184890b73a5d85272ae401893bbd2",
         "f5d77c8992a606e334c690b6efcb8f894a259c5c7a64d73ea6e637389f45334b",
     ]
-    assert_lines_are_the_general_encoders(path.read_text().splitlines())
+    assert_lines_are_compact_and_chained(path.read_bytes())
 
 
-def assert_lines_are_the_general_encoders(lines: list[str]) -> None:
-    """Each checkpoint line is json.dumps(rec, sort_keys=True) of what it
-    parses to, and each chain is `_chain_hash` over the previous chain and
-    the line's body."""
-    prev = ""
-    for line in lines:
+def assert_lines_are_compact_and_chained(data: bytes) -> None:
+    """Each checkpoint line is the compact sorted-key JSON of what it
+    parses to without its chain, followed by "chain" as its last field,
+    and each chain is the sha256 of the previous chain (none before the
+    header) plus those bytes.  Uses only hashlib and json."""
+    prev = b""
+    for line in data.splitlines():
         rec = json.loads(line)
-        assert line == json.dumps(rec, sort_keys=True)
-        assert rec["chain"] == _chain_hash(prev, {k: v for k, v in rec.items() if k != "chain"})
-        prev = rec["chain"]
+        chain = rec.pop("chain")
+        body = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+        assert line == body[:-1] + b',"chain":"' + chain.encode() + b'"}'
+        assert chain == hashlib.sha256(prev + body).hexdigest()
+        prev = chain.encode()
 
 
 def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp_path):
-    """The tied class of the stand-ins goes through the fixed-order writer,
-    the incomparable one through the general encoder; both lines resume."""
+    """The tied class of the stand-ins and the incomparable one, whose
+    records the line carries, are written in the same format; both
+    lines resume."""
     spf = smallest_prime_factors(12)
     for members in ([10, 8], [10, 5, 12]):
         work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
@@ -325,5 +345,5 @@ def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp
         checkpoint = CheckpointFile(path, 12)
         checkpoint.append(summary)
         checkpoint.close()
-        assert_lines_are_the_general_encoders(Path(path).read_text().splitlines())
+        assert_lines_are_compact_and_chained(Path(path).read_bytes())
         assert CheckpointFile(path, 12).completed == {4: dict(summary, kind="class")}

@@ -33,7 +33,6 @@ from cycorder.order import (
     CheckpointFile,
     NotLessError,
     PhiClass,
-    _chain_hash,
     _finish_class,
     _prefix_sorted,
     _totient_floor,
@@ -509,7 +508,8 @@ def test_checkpoint_resume_and_validation(tmp_path):
     assert build_chain(200, workers=1, checkpoint_path=path) == first
 
     # edited class content breaks the hash chain
-    bad = lines[2].replace('"members": [', '"members": [999, ', 1)
+    bad = lines[2].replace('"members":[', '"members":[999,', 1)
+    assert bad != lines[2]
     with open(path, "w") as fh:
         fh.writelines([lines[0], lines[1], bad] + lines[3:])
     with pytest.raises(CheckpointError):
@@ -522,20 +522,35 @@ def test_checkpoint_resume_and_validation(tmp_path):
         build_chain(300, workers=1, checkpoint_path=path)
 
 
+V3_HEADER_OF_VERIFY_30 = (
+    '{"chain": "eb7130659694e15cfcd8e1f766cc10fcca6e15319cac17d0ae50972243975a3c", '
+    '"kind": "header", "range_max": 30, "version": 3}'
+)
+
+
+def old_header_line(version: int, range_max: int) -> str:
+    """A header line as versions 1 to 3 wrote it: json's default separators,
+    sorted keys, and a chain over the compact form of the other fields."""
+    header = {"kind": "header", "version": version, "range_max": range_max}
+    body = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    header["chain"] = hashlib.sha256(body.encode()).hexdigest()
+    return json.dumps(header, sort_keys=True)
+
+
 def test_checkpoint_of_another_version_is_refused(tmp_path, capsys):
-    """A version-1 or version-2 header with a valid hash, as an older run
-    leaves behind, is refused by the library and by `verify` (exit 4)."""
+    """A header of version 1, 2 or 3 with a valid hash, in the spelling an
+    older run leaves behind, is refused by version, by the library and by
+    `verify` (exit 4)."""
+    assert old_header_line(3, 30) == V3_HEADER_OF_VERIFY_30
     path = str(tmp_path / "verify.ckpt")
-    for version in (1, 2):
-        header = {"kind": "header", "version": version, "range_max": 60}
-        header["chain"] = _chain_hash("", header)
+    for version in (1, 2, 3):
         with open(path, "w") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            fh.write(old_header_line(version, 30) + "\n")
         message = f"version={version}, wanted {CHECKPOINT_VERSION}"
         with pytest.raises(CheckpointError, match=message):
-            CheckpointFile(path, 60)
-        assert main(["verify", "60", "--checkpoint", path]) == 4
-        assert message in capsys.readouterr().err
+            CheckpointFile(path, 30)
+        assert main(["verify", "30", "--checkpoint", path]) == 4
+        assert capsys.readouterr().err == f"checkpoint error: {path}: checkpoint has {message}\n"
 
 
 def test_checkpoint_is_offered_each_class_once(tmp_path, monkeypatch):
@@ -605,7 +620,7 @@ def _start_verify_10000(path: str, err) -> subprocess.Popen:
     def started() -> bool:
         return (
             os.path.exists(path)
-            and '"kind": "class"' in Path(path).read_text()
+            and '"kind":"class"' in Path(path).read_text()
             and "class phi=" in Path(err.name).read_text()
         )
 
