@@ -48,7 +48,7 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 # running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
 # MAX_CYCLO_INDEX bounds `cyclo N`, both indices of `compare M N`, and
 # `chain N` and `verify N`, which certify every index up to N from its
-# Ramanujan sums (verify 20000: 0.5-0.9 s, verify 100000: 2.7-4.4 s, 44 MB).
+# Ramanujan sums (verify 20000: 0.7 s, 25 MB; verify 100000: 3.3-3.9 s, 45 MB).
 MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s
 # cyclo N Q bounds the bits of Phi_N(Q), fewer than (phi(N) + 1) * bit_length(Q).
 # At 2^18 the value took at most 0.6 s (N = 90090, 30030) and printing 0.1 s;

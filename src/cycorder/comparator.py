@@ -73,6 +73,7 @@ separately.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from array import array
 from collections.abc import Callable
@@ -80,15 +81,16 @@ from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from operator import ne, sub
+from operator import eq, ne, sub
 
+from .arith import smallest_prime_factors
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
 from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyclo
 
 # window lengths a fast sign test tries in turn before exact evaluation: D's
 # top coefficients in `_window_sign`, terms past j0 in `_sums_sign`
 _WINDOWS = (8, 16, 32, 64)
-_SUMS_BLOCK = 16  # terms a Ramanujan-sum sequence first grows to; a class sort's first key length
+_SUMS_BLOCK = 16  # terms of each index's row in a `SumsTable`; a class sort's first key length
 
 
 class Verdict(enum.Enum):
@@ -382,17 +384,90 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 # ---------------------------------------------------------------------------
 
 
+_MU_FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # 1 - mu to 1 - (-mu)
+_LANE_BIAS = 64  # what a `SumsTable` byte lane holds besides its term while it is summed
+_UNBIAS = bytes((v - _LANE_BIAS) % 256 for v in range(256))  # lane to the signed byte of -c_n(j)
+
+
+class SumsTable:
+    """The per-run table of a verification of {1..limit}: `spf`, a table
+    of `arith.smallest_prime_factors`, and `heads`, the first
+    L = _SUMS_BLOCK negated Ramanujan sums of every index n <= limit,
+    -c_n(j) at heads[n * L + j - 1], one signed byte each (row 0 is 0).
+
+    The terms are sieved from Ramanujan's definition, c_n(j) the sum of
+    d * mu(n/d) over d | gcd(n, j) (S. Ramanujan, 1918), for all n at
+    once, with C-level byte and integer operations only.  mu is sieved
+    as the bytes 1 - mu(n) from the primes of `spf` (its entries with
+    spf[p] == p): each flips mu at its multiples and zeroes it at the
+    multiples of its square.  With the bias b = _LANE_BIAS = 64 and
+    ONES the integer whose `size` little-endian bytes are all 1, for
+    each d <= L a row of `size` bytes holds b - d * mu(n/d) at every
+    multiple n of d and b elsewhere, each in [b - L, b + L], so
+
+        T_d = row as a little-endian integer - b * ONES
+            = sum over the multiples n of d of -d * mu(n/d) * 256^n.
+
+    Then for j <= L
+
+        b * ONES + sum over d | j of T_d = sum over n of (b - c_n(j)) * 256^n,
+
+    and since |c_n(j)| <= gcd(n, j) <= L (`compare` proves the first
+    bound), every coefficient lies in [b - L, b + L] = [48, 80]: the
+    sum's bytes are the lanes b - c_n(j), and `_UNBIAS` turns each into
+    the signed byte -c_n(j).  The sums are exact integer arithmetic, so
+    no bound on a partial one is needed.
+    """
+
+    __slots__ = ("spf", "heads")
+
+    def __init__(self, limit: int):
+        size = limit + 1
+        spf = smallest_prime_factors(limit)
+        mu = bytearray(size)  # byte n is 1 - mu(n), from mu = 1
+        for p in compress(range(2, size), map(eq, spf[2:], range(2, size))):
+            mu[p::p] = mu[p::p].translate(_MU_FLIP)
+            mu[p * p :: p * p] = b"\x01" * len(range(p * p, size, p * p))
+        bias, ones = _LANE_BIAS, int.from_bytes(b"\x01" * size, "little")
+        lanes = [bias * ones] * _SUMS_BLOCK  # lanes[j - 1] for term j
+        for d in range(1, _SUMS_BLOCK + 1):
+            row = bytearray([bias]) * size
+            # 1 - mu(k) = 0, 1 or 2 at byte k of mu becomes b - d * mu(k) at n = d * k
+            term = bytes.maketrans(b"\x00\x01\x02", bytes((bias - d, bias, bias + d)))
+            row[d::d] = mu[1 : limit // d + 1].translate(term)
+            t_d = int.from_bytes(row, "little") - bias * ones
+            for j in range(d, _SUMS_BLOCK + 1, d):
+                lanes[j - 1] += t_d
+        heads = array("b", bytes(_SUMS_BLOCK * size))
+        for j, lane in enumerate(lanes):
+            heads[j::_SUMS_BLOCK] = array("b", lane.to_bytes(size, "little").translate(_UNBIAS))
+        self.spf, self.heads = spf, heads
+
+
+def _hoelder_table(n: int, phi: int, primes: list[int]) -> dict[int, int]:
+    """{g: -c_n(j) for gcd(n, j) = g} over the g with n/g squarefree, by
+    Hoelder's closed form (`RamanujanSums`); every other g gives 0."""
+    table = {n: -phi}
+    for p in primes:
+        table.update([(g // p, -c // (p - 1)) for g, c in table.items()])
+    return table
+
+
 class RamanujanSums:
     """The Ramanujan sums of one index n, negated, as a lazily extended
     list: `terms[j - 1]` is -c_n(j).
 
-    By Hoelder's closed form (proved with the identity in `compare`),
-    c_n(j) = mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, j), which is 0
-    unless n/g is squarefree.  `_table` maps those 2^omega(n) values of g,
-    n/d for the squarefree d | n, to -c_n(j): adding a prime p to d flips
-    mu(d) and multiplies phi(d) by p - 1.  n's primes are read off `spf`,
-    a table of `arith.smallest_prime_factors` that covers n.  `extend`
-    adds terms with C-level `gcd` and dict lookups.  `phi` is phi(n).
+    `terms` starts as n's row of a `SumsTable` covering n, its first
+    _SUMS_BLOCK terms, sieved from Ramanujan's definition.  `extend`
+    adds the terms past them by Hoelder's closed form (proved with the
+    identity in `compare`), c_n(j) = mu(n/g) * phi(n) / phi(n/g) with
+    g = gcd(n, j), which is 0 unless n/g is squarefree.  `_table` maps
+    those 2^omega(n) values of g, n/d for the squarefree d | n, to
+    -c_n(j) (`_hoelder_table`): adding a prime p to d flips mu(d) and
+    multiplies phi(d) by p - 1.  It is built by the first `extend` past
+    the row, so a member no comparison reads past it builds none; then
+    terms come from C-level `gcd` and dict lookups.  n's primes are read
+    off the table's `spf`, and `phi` is phi(n).
 
     For two indices of equal totient, the lexicographic order of their
     terms is their asymptotic order (`ramanujan_compare` proves it):
@@ -407,10 +482,10 @@ class RamanujanSums:
     of searching on.
     """
 
-    __slots__ = ("n", "phi", "terms", "_table")
+    __slots__ = ("n", "phi", "terms", "_primes", "_table")
 
-    def __init__(self, n: int, spf: array):
-        primes, rest = [], n
+    def __init__(self, n: int, table: SumsTable):
+        spf, primes, rest = table.spf, [], n
         while rest > 1:
             p = spf[rest]
             primes.append(p)
@@ -419,23 +494,23 @@ class RamanujanSums:
         phi = n
         for p in primes:
             phi -= phi // p
-        table = {n: -phi}
-        for p in primes:
-            table.update([(g // p, -c // (p - 1)) for g, c in table.items()])
-        self.n, self.phi, self.terms, self._table = n, phi, [], table
+        start = n * _SUMS_BLOCK
+        self.n, self.phi, self.terms = n, phi, table.heads[start : start + _SUMS_BLOCK].tolist()
+        self._primes, self._table = primes, None
 
     def extend(self, length: int) -> None:
         """Make `terms` hold at least its first `length` entries."""
         have = len(self.terms)
         if have < length:
+            if self._table is None:
+                self._table = _hoelder_table(self.n, self.phi, self._primes)
             gcds = map(gcd, repeat(self.n), range(have + 1, length + 1))
             self.terms += map(self._table.get, gcds, repeat(0))
 
     def first_difference(self, other: "RamanujanSums") -> int:
         """The least j with c_n(j) != c_other(j).  The terms both sides
         already hold are scanned first; only while those agree are both
-        extended, to twice the shorter length (_SUMS_BLOCK from none), and
-        scanned again."""
+        extended, to twice the shorter length, and scanned again."""
         if self.n == other.n:
             raise ValueError(f"index {self.n} has no first difference with itself")
         size = min(len(self.terms), len(other.terms))
@@ -445,9 +520,15 @@ class RamanujanSums:
                 return j
             if size >= lcm(self.n, other.n):  # a full common period: they never differ
                 raise ArithmeticError(f"internal: {self.n} and {other.n} have equal sums")
-            size = max(2 * size, _SUMS_BLOCK)
+            size *= 2
             self.extend(size)
             other.extend(size)
+
+
+@functools.cache
+def _window_lcm(j0: int, top: int) -> int:
+    """lcm(j0, j0 + 1, ..., top), formed once per process for each window."""
+    return lcm(*range(j0, top + 1))
 
 
 def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, windows: list, q: int) -> int:
@@ -463,7 +544,7 @@ def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, windows: list, q: in
             top = j0 + width
             a.extend(top)
             b.extend(top)
-            lam = lcm(*range(j0, top + 1))
+            lam = _window_lcm(j0, top)
             deltas = map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top])
             windows.append((lam, [d * (lam // j) for j, d in enumerate(deltas, j0)]))
         lam, scaled = windows[i]
@@ -512,7 +593,8 @@ def ramanujan_compare(
     [2, q*): `_sums_sign` tries J = j0 + 8, 16, 32 and 64 (`_WINDOWS`),
     and a q none decides, which includes every tie, is evaluated exactly.
     Lambda = lcm(j0..J) and the scaled delta_j are formed once per pair
-    and window, for the windows some q reaches.
+    and window, for the windows some q reaches; Lambda depends on j0 and
+    J alone, so `_window_lcm` forms it once per (j0, J) in a process.
     """
     m, n = a.n, b.n
     if a.phi != b.phi:

@@ -10,9 +10,12 @@ again on twice as many (`sort_class` proves it).  Its k - 1 adjacent
 pairs are certified from those sums (`comparator.ramanujan_compare`);
 by transitivity that verifies comparability of every pair in the class
 (proof in `sort_class`).  No polynomial, kernel or packed value is
-built, and every index is factored from one smallest-prime-factor table
-per run.  The sorted classes concatenate, ascending by totient value,
-into the full chain.
+built.  One table per run (`comparator.SumsTable`) holds the
+smallest-prime-factor table every index is factored from and the first
+16 sums of every index, sieved from Ramanujan's definition; a member's
+later terms come from Hoelder's closed form, whose table it builds only
+when a comparison reads past its row.  The sorted classes concatenate,
+ascending by totient value, into the full chain.
 
 Classes run in one process in ascending totient order; one loop
 records, checkpoints and reports each, and the cache, which holds only
@@ -49,11 +52,12 @@ from math import lcm
 from operator import attrgetter
 from typing import Callable, Iterable
 
-from .arith import SMALL_PRIMES, inverse_totient, smallest_prime_factors, totient, totient_table
+from .arith import SMALL_PRIMES, inverse_totient, totient, totient_table
 from .comparator import (
     _SUMS_BLOCK,
     Certificate,
     RamanujanSums,
+    SumsTable,
     Verdict,
     certificate_from_record,
     compare,
@@ -66,6 +70,7 @@ from .cyclotomic import CycloCache
 CHECKPOINT_VERSION = 4  # checkpoint line format; a file of another version is refused
 CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
 _NEIGHBOUR_VERDICTS = (Verdict.LESS, Verdict.INCOMPARABLE)  # what a sorted adjacent pair may get
+_INCOMPARABLE_VALUE = Verdict.INCOMPARABLE.value  # a record's verdict, read off the enum once
 _TERMS = attrgetter("terms")
 _CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
 
@@ -251,26 +256,26 @@ def sort_class(
     cache: CycloCache,
     *,
     cert_sink: Callable[[int, int, Verdict, Certificate], None] | None = None,
-    spf: array | None = None,
+    table: SumsTable | None = None,
 ) -> list[int]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
 
     Members are sorted by their negated Ramanujan sums, lexicographically
-    (`comparator.RamanujanSums`, whose primes come from `spf`, a table of
-    `arith.smallest_prime_factors` covering the class; one is built when
-    none is given): that is the asymptotic order, a strict total order,
-    since distinct indices have distinct polynomials.  Then
-    `ramanujan_compare` runs on the k - 1 adjacent pairs (a, b), in
-    order, and each (a, b, verdict, certificate) goes to cert_sink when
-    one is given; nothing else keeps the certificates, so batch runs stay
-    flat in memory.  Neither step reads a coefficient, so the cache
-    receives only the values of an exact fallback; a class of one member
-    builds no sums at all.  Returns the ordered members; an INCOMPARABLE
+    (`comparator.RamanujanSums`, each started from its row of `table`, a
+    `comparator.SumsTable` covering the class, which holds every index's
+    first 16 terms; one is built when none is given): that is the
+    asymptotic order, a strict total order, since distinct indices have
+    distinct polynomials.  Then `ramanujan_compare` runs on the k - 1
+    adjacent pairs (a, b), in order, and each (a, b, verdict,
+    certificate) goes to cert_sink when one is given; nothing else keeps
+    the certificates, so batch runs stay flat in memory.  Neither step
+    reads a coefficient, so the cache receives only the values of an
+    exact fallback; a class of one member builds no sums at all.  Returns the ordered members; an INCOMPARABLE
     pair reaches cert_sink as data and is never raised.  Any other
     verdict but LESS contradicts the sort and raises ArithmeticError.
 
-    The sort (`_prefix_sorted`) extends every member to its first
-    L = _SUMS_BLOCK terms and sorts once on those lists, all of length L,
+    The sort (`_prefix_sorted`) sorts once on every member's first
+    L = _SUMS_BLOCK terms, its row of the table, all lists of length L,
     so the comparisons run in C; then each run of members with equal
     prefixes is sorted the same way at 2L terms, and so on.  This gives
     the lexicographic order:
@@ -314,9 +319,9 @@ def sort_class(
         raise ValueError("empty totient class")
     if len(phi_class.members) == 1:
         return list(phi_class.members)  # no pair: no sum is read
-    if spf is None:
-        spf = smallest_prime_factors(max(phi_class.members))
-    ordered = _prefix_sorted([RamanujanSums(n, spf) for n in phi_class.members], _SUMS_BLOCK)
+    if table is None:
+        table = SumsTable(max(phi_class.members))
+    ordered = _prefix_sorted([RamanujanSums(n, table) for n in phi_class.members], _SUMS_BLOCK)
     for a, b in zip(ordered, ordered[1:]):
         verdict, cert = ramanujan_compare(a, b, cache)
         if cert_sink is not None:
@@ -333,8 +338,8 @@ def sort_class(
 # ---------------------------------------------------------------------------
 
 
-def _finish_class(phi_class: PhiClass, cache: CycloCache, spf: array) -> dict:
-    """Sort and summarize one class (`sort_class`, with `spf`), then
+def _finish_class(phi_class: PhiClass, cache: CycloCache, table: SumsTable) -> dict:
+    """Sort and summarize one class (`sort_class`, with `table`), then
     empty the cache.  The sink builds each adjacent pair's
     `comparison_record` once, hashes its JSON line into `cert_hash` and
     keeps it; the rest of the summary is read off those records, so it
@@ -348,7 +353,7 @@ def _finish_class(phi_class: PhiClass, cache: CycloCache, spf: array) -> dict:
         digest.update(b"\n")
         records.append(rec)
 
-    ordered = sort_class(phi_class, cache, cert_sink=sink, spf=spf)
+    ordered = sort_class(phi_class, cache, cert_sink=sink, table=table)
     cache.trim()
     return {
         "phi": phi_class.phi_value,
@@ -356,7 +361,7 @@ def _finish_class(phi_class: PhiClass, cache: CycloCache, spf: array) -> dict:
         "pair_count": len(records),
         "max_checked_q": max((r["checked_q_max"] for r in records), default=0),
         "ties": [[r["m"], r["n"], q] for r in records for q in r["tie_witnesses"]],
-        "incomparable": [r for r in records if r["verdict"] == Verdict.INCOMPARABLE.value],
+        "incomparable": [r for r in records if r["verdict"] == _INCOMPARABLE_VALUE],
         "cert_hash": digest.hexdigest(),
     }
 
@@ -571,12 +576,12 @@ def build_chain(
     summaries: dict[int, dict] = dict(checkpoint.completed) if checkpoint else {}
 
     cache = CycloCache()
-    spf = smallest_prime_factors(range_max)
+    table = SumsTable(range_max)
     try:
         for cls in classes:
             if cls.phi_value in summaries:
                 continue  # on file from an earlier run
-            summary = summaries[cls.phi_value] = _finish_class(cls, cache, spf)
+            summary = summaries[cls.phi_value] = _finish_class(cls, cache, table)
             if checkpoint is not None:
                 checkpoint.append(summary)
             if progress is not None:

@@ -9,8 +9,7 @@ import pytest
 
 import cycorder
 from cycorder.cli import main
-from cycorder.comparator import parse_comparison_record
-from cycorder.arith import smallest_prime_factors
+from cycorder.comparator import SumsTable, parse_comparison_record
 from cycorder.cyclotomic import CycloCache
 from cycorder.order import (
     ChainReport,
@@ -335,11 +334,11 @@ def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp
     """The tied class of the stand-ins and the incomparable one, whose
     records the line carries, are written in the same format; both
     lines resume."""
-    spf = smallest_prime_factors(12)
+    table = SumsTable(12)
     for members in ([10, 8], [10, 5, 12]):
         work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
         work.evals.update(stand_in_values.evals)
-        summary = _finish_class(PhiClass(4, members), work, spf)
+        summary = _finish_class(PhiClass(4, members), work, table)
         assert summary["ties"] and bool(summary["incomparable"]) == (members == [10, 8])
         path = str(tmp_path / f"{len(members)}.ckpt")
         checkpoint = CheckpointFile(path, 12)

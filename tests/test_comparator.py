@@ -7,11 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycorder import comparator
-from cycorder.arith import divisors, moebius, smallest_prime_factors, totient
+from cycorder.arith import SMALL_PRIMES, divisors, factorize, moebius, totient
 from cycorder.comparator import (
+    _SUMS_BLOCK,
     Certificate,
     RamanujanSums,
+    SumsTable,
     Verdict,
+    _hoelder_table,
     _sums_sign,
     _window_sign,
     certificate_from_record,
@@ -539,15 +542,66 @@ def _sum_by_definition(n, g):
 
 
 def test_hoelder_form_matches_the_divisor_sum_to_3000():
-    """`RamanujanSums` reads c_n(j) off Hoelder's closed form; it equals
-    the defining divisor sum for every n <= 3000 and j <= 300."""
-    spf = smallest_prime_factors(3000)
+    """`RamanujanSums` reads its first 16 terms off the run's sieved rows
+    and the rest off Hoelder's closed form; they equal the defining
+    divisor sum for every n <= 3000 and j <= 300."""
+    table = SumsTable(3000)
     for n in range(1, 3001):
-        sums = RamanujanSums(n, spf)
+        sums = RamanujanSums(n, table)
         sums.extend(300)
         by_gcd = {g: _sum_by_definition(n, g) for g in divisors(n)}
         assert sums.terms[:300] == [-by_gcd[gcd(n, j)] for j in range(1, 301)], n
         assert sums.phi == totient(n), n
+
+
+def _hoelder_terms(n, length):
+    """-c_n(1), ..., -c_n(length) by Hoelder's closed form alone, with n's
+    primes from trial division rather than a sieve."""
+    table = _hoelder_table(n, totient(n), [p for p, _ in factorize(n)])
+    return [table.get(gcd(n, j), 0) for j in range(1, length + 1)]
+
+
+def _row(table, n):
+    return table.heads[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK].tolist()
+
+
+def test_sieved_rows_and_their_extension_match_hoelder_form_to_3000():
+    """Each sequence starts as its row, Hoelder's first 16 terms, with no
+    Hoelder table; the first extension past the row builds one and
+    continues the sequence where the row ends."""
+    table = SumsTable(3000)
+    assert _row(table, 0) == [0] * _SUMS_BLOCK
+    for n in range(1, 3001):
+        sums = RamanujanSums(n, table)
+        assert sums.terms == _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK), n
+        assert sums._table is None, n
+        sums.extend(64)
+        assert sums.terms == _hoelder_terms(n, 64), n
+
+
+def test_every_stored_term_fits_a_signed_byte():
+    """The rows are signed bytes, 16 an index, and every term keeps
+    |c_n(j)| <= gcd(n, j) <= 16, the bound the sieve's lanes rely on."""
+    limit = 20000
+    table = SumsTable(limit)
+    assert (table.heads.typecode, len(table.heads)) == ("b", _SUMS_BLOCK * (limit + 1))
+    for n in range(1, limit + 1):
+        row = _row(table, n)
+        assert all(abs(t) <= gcd(n, j) for j, t in enumerate(row, 1)), n
+
+
+def test_sieved_row_of_an_index_past_the_small_primes():
+    """100003 is a prime above SMALL_PRIMES[-1]: mu = -1 and c_p(j) = -1
+    for j < p, so its row reads 1 throughout; its primes, and those of
+    every other index, come from the table's own sieve."""
+    n = 100003
+    assert n > SMALL_PRIMES[-1] and factorize(n) == [(n, 1)]
+    table = SumsTable(n)
+    assert _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK) == [1] * _SUMS_BLOCK
+    assert _row(table, n - 1) == _hoelder_terms(n - 1, _SUMS_BLOCK)
+    sums = RamanujanSums(n, table)
+    sums.extend(64)
+    assert sums.phi == n - 1 and sums.terms == _hoelder_terms(n, 64)
 
 
 def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
@@ -558,8 +612,8 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
     by_phi = {}
     for x in range(1, 301):
         by_phi.setdefault(totient(x), []).append(x)
-    spf = smallest_prime_factors(300)
-    sums = {x: RamanujanSums(x, spf) for x in range(1, 301)}
+    table = SumsTable(300)
+    sums = {x: RamanujanSums(x, table) for x in range(1, 301)}
     pairs = 0
     for members in by_phi.values():
         for m in members:
@@ -584,15 +638,16 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
 
 
 def test_ramanujan_compare_rejects_what_it_cannot_decide():
-    spf = smallest_prime_factors(8)
+    table = SumsTable(8)
     with pytest.raises(ValueError):  # totients 4 and 6
-        ramanujan_compare(RamanujanSums(5, spf), RamanujanSums(7, spf), CycloCache())
+        ramanujan_compare(RamanujanSums(5, table), RamanujanSums(7, table), CycloCache())
     with pytest.raises(ValueError):
-        ramanujan_compare(RamanujanSums(8, spf), RamanujanSums(8, spf), CycloCache())
-    # sums of 8 rigged to read as those of 4 agree over a full common
-    # period, lcm(4, 8) terms: the search stops there instead of looping
-    a, b = RamanujanSums(4, spf), RamanujanSums(8, spf)
-    b._table = {g: a._table.get(gcd(4, g), 0) for g in (1, 2, 4, 8)}
+        ramanujan_compare(RamanujanSums(8, table), RamanujanSums(8, table), CycloCache())
+    # sums of 8 rigged to read as those of 4 agree over their rows, past a
+    # full common period, lcm(4, 8) terms: the search stops there instead
+    # of looping
+    a, b = RamanujanSums(4, table), RamanujanSums(8, table)
+    b.terms = list(a.terms)
     with pytest.raises(ArithmeticError):
         a.first_difference(b)
 

@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import cycorder
-from cycorder import cyclotomic
-from cycorder.arith import inverse_totient, smallest_prime_factors, totient, totient_table
+from cycorder import comparator, cyclotomic
+from cycorder.arith import inverse_totient, totient, totient_table
 from cycorder.cli import main
 from cycorder.comparator import (
     _SUMS_BLOCK,
     RamanujanSums,
+    SumsTable,
     Verdict,
     compare,
     comparison_record,
@@ -168,7 +169,7 @@ def test_sort_class_order_holds_for_every_pair(shared_cache):
                 assert v is Verdict.LESS, (a, b)
 
 
-def _first_difference_order(members, spf):
+def _first_difference_order(members, table):
     """members sorted by pairwise `first_difference`: the lexicographic
     order of their negated Ramanujan sums, with no prefix key."""
 
@@ -176,14 +177,14 @@ def _first_difference_order(members, spf):
         j = a.first_difference(b)
         return -1 if a.terms[j - 1] < b.terms[j - 1] else 1
 
-    return [s.n for s in sorted((RamanujanSums(n, spf) for n in members), key=cmp_to_key(cmp))]
+    return [s.n for s in sorted((RamanujanSums(n, table) for n in members), key=cmp_to_key(cmp))]
 
 
 def test_prefix_sort_matches_pairwise_first_differences_to_5000():
-    spf = smallest_prime_factors(5000)
+    table = SumsTable(5000)
     for cls in phi_classes(5000):
-        ordered = sort_class(cls, CycloCache(), spf=spf)
-        assert ordered == _first_difference_order(cls.members, spf), cls.phi_value
+        ordered = sort_class(cls, CycloCache(), table=table)
+        assert ordered == _first_difference_order(cls.members, table), cls.phi_value
 
 
 def test_prefix_sort_refines_runs_of_equal_prefixes():
@@ -191,19 +192,20 @@ def test_prefix_sort_refines_runs_of_equal_prefixes():
     terms and the re-sort of their run on 32 leave them equal, and the
     re-sort on 64 parts them, in the order of their first difference."""
     members = inverse_totient(128)
-    spf = smallest_prime_factors(max(members))
-    assert RamanujanSums(256, spf).first_difference(RamanujanSums(384, spf)) == 64
-    ordered = _prefix_sorted([RamanujanSums(n, spf) for n in members], _SUMS_BLOCK)
-    assert [s.n for s in ordered] == _first_difference_order(members, spf)
+    table = SumsTable(max(members))
+    assert RamanujanSums(256, table).first_difference(RamanujanSums(384, table)) == 64
+    ordered = _prefix_sorted([RamanujanSums(n, table) for n in members], _SUMS_BLOCK)
+    assert [s.n for s in ordered] == _first_difference_order(members, table)
     held = {s.n: len(s.terms) for s in ordered}
     assert held[256] == held[384] == 4 * _SUMS_BLOCK
 
 
 def test_build_chain_5000_builds_at_most_105778_sum_terms(monkeypatch):
-    """Each member of a class of two or more is extended only as far as
-    the sort and its own pairs' windows read.  Extending both sides to
-    the longer one before every scan built 205,724 terms here, and
-    giving the 328 single-member classes sums too, 111,026."""
+    """Each member of a class of two or more holds its 16-term row of the
+    run's table and is extended past it only as far as the sort and its
+    own pairs' windows read.  Extending both sides to the longer one
+    before every scan built 205,724 terms here, and giving the 328
+    single-member classes sums too, 111,026."""
     built = []
     extend = RamanujanSums.extend
 
@@ -214,7 +216,23 @@ def test_build_chain_5000_builds_at_most_105778_sum_terms(monkeypatch):
 
     monkeypatch.setattr(RamanujanSums, "extend", counted)
     assert build_chain(5000).pair_count == 3855
-    assert sum(built) <= 105_778
+    sorted_members = sum(len(cls.members) for cls in phi_classes(5000) if len(cls.members) > 1)
+    assert sorted_members == 4672
+    assert _SUMS_BLOCK * sorted_members + sum(built) <= 105_778
+
+
+def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(monkeypatch):
+    """A member's Hoelder table is built by its first extension past its
+    row, at most once; 1,481 of the 1,859 members sorted here are never
+    read past it."""
+    built = []
+    hoelder = comparator._hoelder_table
+    monkeypatch.setattr(
+        comparator, "_hoelder_table", lambda n, *rest: built.append(n) or hoelder(n, *rest)
+    )
+    assert build_chain(2000).pair_count == 1504
+    sorted_members = sum(len(cls.members) for cls in phi_classes(2000) if len(cls.members) > 1)
+    assert len(set(built)) == len(built) <= 378 < sorted_members == 1859
 
 
 def test_record_writer_matches_json_dumps_on_verify_5000(monkeypatch):
@@ -396,8 +414,8 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
     cache = stand_in_values
     a, b, c = 10, 12, 5  # t^2, t^2 + t - 2, t^2 + 2t - 4: all 4 at q = 2
     members = sorted((a, b, c))
-    spf = smallest_prime_factors(max(members))
-    sums = {x: RamanujanSums(x, spf) for x in members}
+    table = SumsTable(max(members))
+    sums = {x: RamanujanSums(x, table) for x in members}
     scan = set()
     for i, m in enumerate(members):
         for n in members[i + 1 :]:
@@ -405,7 +423,7 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
             assert v is not Verdict.INCOMPARABLE
             if cert.tie_witnesses:
                 scan |= {m, n}
-    summary = _finish_class(PhiClass(4, members), cache, spf)
+    summary = _finish_class(PhiClass(4, members), cache, table)
     assert summary["members"] == [a, b, c]
     assert summary["ties"] == [[a, b, 2], [b, c, 2]]
     assert summary["pair_count"] == 2 and not summary["incomparable"]
@@ -418,8 +436,8 @@ def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) ->
     lines, each the general encoder's bytes, and every other field of the
     summary agrees with them."""
     members = summary["members"]
-    spf = smallest_prime_factors(max(members))
-    sums = {x: RamanujanSums(x, spf) for x in members}
+    table = SumsTable(max(members))
+    sums = {x: RamanujanSums(x, table) for x in members}
     records = [
         comparison_record(a, b, *ramanujan_compare(sums[a], sums[b], cache))
         for a, b in zip(members, members[1:])
@@ -435,9 +453,9 @@ def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) ->
 
 
 def test_class_summaries_are_bound_to_their_hashed_records(shared_cache):
-    cache, spf = CycloCache(), smallest_prime_factors(300)
+    cache, table = CycloCache(), SumsTable(300)
     for cls in phi_classes(300):
-        summary = _finish_class(cls, cache, spf)
+        summary = _finish_class(cls, cache, table)
         assert summary["phi"] == cls.phi_value and sorted(summary["members"]) == cls.members
         _assert_summary_is_bound_to_its_records(summary, shared_cache)
 
@@ -451,12 +469,12 @@ def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, m
         cycorder.order, "comparison_record", lambda *args: built.append(args[:2]) or record(*args)
     )
     a, b, c, d = 10, 8, 5, 12
-    spf = smallest_prime_factors(d)
+    table = SumsTable(d)
     for members in ([a, b], [a, c, d]):
         work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
         work.evals.update(stand_in_values.evals)
         built.clear()
-        summary = _finish_class(PhiClass(4, members), work, spf)
+        summary = _finish_class(PhiClass(4, members), work, table)
         assert built == list(zip(summary["members"], summary["members"][1:]))
         _assert_summary_is_bound_to_its_records(summary, stand_in_values)
         if members == [a, b]:
