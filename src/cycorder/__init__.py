@@ -6,6 +6,7 @@ from .comparator import (
     Certificate,
     Verdict,
     compare,
+    comparison_line,
     comparison_record,
     parse_comparison_record,
     record_to_json,
@@ -52,6 +53,7 @@ __all__ = [
     "check_mu_sandwich",
     "check_value_bounds",
     "compare",
+    "comparison_line",
     "comparison_record",
     "cyclo",
     "cyclo_moebius",

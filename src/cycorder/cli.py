@@ -23,7 +23,7 @@ import json
 import sys
 
 from .arith import inverse_totient, totient
-from .comparator import Verdict, compare, comparison_record, record_to_json
+from .comparator import Verdict, compare, comparison_line
 from .cyclotomic import CycloCache, cyclo, eval_cyclo
 from .order import (
     CheckpointError,
@@ -48,7 +48,8 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 # running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
 # MAX_CYCLO_INDEX bounds `cyclo N`, both indices of `compare M N`, and
 # `chain N` and `verify N`, which certify every index up to N from its
-# Ramanujan sums (verify 20000: 0.7 s, 25 MB; verify 100000: 3.3-3.9 s, 45 MB).
+# Ramanujan sums (verify 20000: 0.4-0.5 s, 25.5 MB; verify 100000: 2.6-2.8 s,
+# 47.7 MB).
 MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s
 # cyclo N Q bounds the bits of Phi_N(Q), fewer than (phi(N) + 1) * bit_length(Q).
 # At 2^18 the value took at most 0.6 s (N = 90090, 30030) and printing 0.1 s;
@@ -164,7 +165,7 @@ def cmd_compare(m: int, n: int, emit_certificate: bool) -> int:
     verdict, cert = compare(m, n, cache)
     print(verdict.value)
     if emit_certificate:
-        print(record_to_json(comparison_record(m, n, verdict, cert)))
+        print(comparison_line(m, n, verdict, cert))
     return EXIT_INCOMPARABLE if verdict is Verdict.INCOMPARABLE else EXIT_OK
 
 
@@ -228,7 +229,7 @@ def cmd_verify(range_max: int, workers: int, checkpoint: str | None, fmt: str, v
     if report.incomparable_pairs:
         print("VERDICT INCOMPARABLE-PAIRS")
         for m, n, cert in report.incomparable_pairs:
-            print(record_to_json(comparison_record(m, n, Verdict.INCOMPARABLE, cert)))
+            print(comparison_line(m, n, Verdict.INCOMPARABLE, cert))
         return EXIT_INCOMPARABLE
     print("VERDICT TOTAL-ORDER")
     return EXIT_OK

@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from operator import eq, ne, sub
+from operator import eq, mul, ne, sub
 
 from .arith import smallest_prime_factors
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
@@ -90,7 +90,7 @@ from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyc
 # window lengths a fast sign test tries in turn before exact evaluation: D's
 # top coefficients in `_window_sign`, terms past j0 in `_sums_sign`
 _WINDOWS = (8, 16, 32, 64)
-_SUMS_BLOCK = 16  # terms of each index's row in a `SumsTable`; a class sort's first key length
+_SUMS_BLOCK = 32  # terms of each index's row in a `SumsTable`; a class sort's first key length
 
 
 class Verdict(enum.Enum):
@@ -385,6 +385,7 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 
 
 _MU_FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # 1 - mu to 1 - (-mu)
+_PRIME_MU = bytes.maketrans(b"\x01", b"\x02")  # a prime flag to 1 - mu(p) = 2
 _LANE_BIAS = 64  # what a `SumsTable` byte lane holds besides its term while it is summed
 _UNBIAS = bytes((v - _LANE_BIAS) % 256 for v in range(256))  # lane to the signed byte of -c_n(j)
 
@@ -400,10 +401,12 @@ class SumsTable:
     once, with C-level byte and integer operations only.  mu is sieved
     as the bytes 1 - mu(n) from the primes of `spf` (its entries with
     spf[p] == p): each flips mu at its multiples and zeroes it at the
-    multiples of its square.  With the bias b = _LANE_BIAS = 64 and
-    ONES the integer whose `size` little-endian bytes are all 1, for
-    each d <= L a row of `size` bytes holds b - d * mu(n/d) at every
-    multiple n of d and b elsewhere, each in [b - L, b + L], so
+    multiples of its square.  A prime p > limit / 2 has no multiple but
+    itself in range, and no smaller prime divides it, so all of those
+    are set to 1 - mu(p) = 2 in one step.  With the bias b = _LANE_BIAS
+    = 64 and ONES the integer whose `size` little-endian bytes are all
+    1, for each d <= L a row of `size` bytes holds b - d * mu(n/d) at
+    every multiple n of d and b elsewhere, each in [b - L, b + L], so
 
         T_d = row as a little-endian integer - b * ONES
             = sum over the multiples n of d of -d * mu(n/d) * 256^n.
@@ -413,40 +416,67 @@ class SumsTable:
         b * ONES + sum over d | j of T_d = sum over n of (b - c_n(j)) * 256^n,
 
     and since |c_n(j)| <= gcd(n, j) <= L (`compare` proves the first
-    bound), every coefficient lies in [b - L, b + L] = [48, 80]: the
+    bound), every coefficient lies in [b - L, b + L] = [32, 96]: the
     sum's bytes are the lanes b - c_n(j), and `_UNBIAS` turns each into
     the signed byte -c_n(j).  The sums are exact integer arithmetic, so
-    no bound on a partial one is needed.
+    no bound on a partial one is needed.  The lanes are summed one j at
+    a time, each written into `heads` at once, and T_d is kept only while
+    a lane still to come has d as a divisor, so besides the lane being
+    summed at most L / 2 row-sized integers are held.
     """
 
     __slots__ = ("spf", "heads")
 
     def __init__(self, limit: int):
-        size = limit + 1
+        size, half = limit + 1, max(2, limit // 2 + 1)
         spf = smallest_prime_factors(limit)
         mu = bytearray(size)  # byte n is 1 - mu(n), from mu = 1
-        for p in compress(range(2, size), map(eq, spf[2:], range(2, size))):
+        # the primes from half on, whose only multiple in range is themselves
+        mu[half:] = bytes(map(eq, spf[half:], range(half, size))).translate(_PRIME_MU)
+        for p in compress(range(2, half), map(eq, spf[2:half], range(2, half))):
             mu[p::p] = mu[p::p].translate(_MU_FLIP)
             mu[p * p :: p * p] = b"\x01" * len(range(p * p, size, p * p))
         bias, ones = _LANE_BIAS, int.from_bytes(b"\x01" * size, "little")
-        lanes = [bias * ones] * _SUMS_BLOCK  # lanes[j - 1] for term j
-        for d in range(1, _SUMS_BLOCK + 1):
-            row = bytearray([bias]) * size
-            # 1 - mu(k) = 0, 1 or 2 at byte k of mu becomes b - d * mu(k) at n = d * k
-            term = bytes.maketrans(b"\x00\x01\x02", bytes((bias - d, bias, bias + d)))
-            row[d::d] = mu[1 : limit // d + 1].translate(term)
-            t_d = int.from_bytes(row, "little") - bias * ones
-            for j in range(d, _SUMS_BLOCK + 1, d):
-                lanes[j - 1] += t_d
         heads = array("b", bytes(_SUMS_BLOCK * size))
-        for j, lane in enumerate(lanes):
-            heads[j::_SUMS_BLOCK] = array("b", lane.to_bytes(size, "little").translate(_UNBIAS))
+        held: dict[int, int] = {}  # T_d for the d whose multiples have lanes still to come
+        for j in range(1, _SUMS_BLOCK + 1):
+            row = bytearray([bias]) * size
+            # 1 - mu(k) = 0, 1 or 2 at byte k of mu becomes b - j * mu(k) at n = j * k
+            term = bytes.maketrans(b"\x00\x01\x02", bytes((bias - j, bias, bias + j)))
+            row[j::j] = mu[1 : limit // j + 1].translate(term)
+            row_sum = int.from_bytes(row, "little")  # b * ONES + T_j
+            lane = row_sum + sum(t_d for d, t_d in held.items() if j % d == 0)
+            lane_bytes = lane.to_bytes(size, "little").translate(_UNBIAS)
+            heads[j - 1 :: _SUMS_BLOCK] = array("b", lane_bytes)
+            for d in [d for d in held if j % d == 0 and j + d > _SUMS_BLOCK]:
+                del held[d]  # j was its last multiple up to L
+            if 2 * j <= _SUMS_BLOCK:
+                held[j] = row_sum - bias * ones
         self.spf, self.heads = spf, heads
+
+
+def _primes_of(n: int, spf: array) -> list[int]:
+    """The distinct primes of n, ascending, read off a smallest-prime-factor
+    table covering n."""
+    primes = []
+    while n > 1:
+        p = spf[n]
+        primes.append(p)
+        while n % p == 0:
+            n //= p
+    return primes
 
 
 def _hoelder_table(n: int, phi: int, primes: list[int]) -> dict[int, int]:
     """{g: -c_n(j) for gcd(n, j) = g} over the g with n/g squarefree, by
-    Hoelder's closed form (`RamanujanSums`); every other g gives 0."""
+    Hoelder's closed form (`RamanujanSums`); every other g gives 0.
+    `primes` are n's distinct primes; `phi`, which callers pass in, must
+    be phi(n) as those primes give it, or ValueError is raised."""
+    check = n
+    for p in primes:
+        check -= check // p
+    if check != phi:
+        raise ValueError(f"phi({n}) is {check}, not {phi}")
     table = {n: -phi}
     for p in primes:
         table.update([(g // p, -c // (p - 1)) for g, c in table.items()])
@@ -466,8 +496,11 @@ class RamanujanSums:
     -c_n(j) (`_hoelder_table`): adding a prime p to d flips mu(d) and
     multiplies phi(d) by p - 1.  It is built by the first `extend` past
     the row, so a member no comparison reads past it builds none; then
-    terms come from C-level `gcd` and dict lookups.  n's primes are read
-    off the table's `spf`, and `phi` is phi(n).
+    terms come from C-level `gcd` and dict lookups.  `phi` is phi(n),
+    which the caller knows (`order.sort_class` passes its class's
+    totient), so n is factored only when the table is built: its primes
+    are read off the table's `spf` then, and phi(n) is formed again from
+    them and checked against `phi`.
 
     For two indices of equal totient, the lexicographic order of their
     terms is their asymptotic order (`ramanujan_compare` proves it):
@@ -482,28 +515,19 @@ class RamanujanSums:
     of searching on.
     """
 
-    __slots__ = ("n", "phi", "terms", "_primes", "_table")
+    __slots__ = ("n", "phi", "terms", "_spf", "_table")
 
-    def __init__(self, n: int, table: SumsTable):
-        spf, primes, rest = table.spf, [], n
-        while rest > 1:
-            p = spf[rest]
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        phi = n
-        for p in primes:
-            phi -= phi // p
+    def __init__(self, n: int, table: SumsTable, phi: int):
         start = n * _SUMS_BLOCK
         self.n, self.phi, self.terms = n, phi, table.heads[start : start + _SUMS_BLOCK].tolist()
-        self._primes, self._table = primes, None
+        self._spf, self._table = table.spf, None
 
     def extend(self, length: int) -> None:
         """Make `terms` hold at least its first `length` entries."""
         have = len(self.terms)
         if have < length:
             if self._table is None:
-                self._table = _hoelder_table(self.n, self.phi, self._primes)
+                self._table = _hoelder_table(self.n, self.phi, _primes_of(self.n, self._spf))
             gcds = map(gcd, repeat(self.n), range(have + 1, length + 1))
             self.terms += map(self._table.get, gcds, repeat(0))
 
@@ -526,32 +550,28 @@ class RamanujanSums:
 
 
 @functools.cache
-def _window_lcm(j0: int, top: int) -> int:
-    """lcm(j0, j0 + 1, ..., top), formed once per process for each window."""
-    return lcm(*range(j0, top + 1))
+def _window_weights(j0: int, top: int, q: int) -> tuple[tuple[int, ...], int]:
+    """The weights (Lambda / j) * q^(top - j) for j = j0, ..., top and the
+    bound 2 * Lambda, with Lambda = lcm(j0..top), formed once per process
+    for each window and q (`ramanujan_compare`)."""
+    lam = lcm(*range(j0, top + 1))
+    return tuple(lam // j * q ** (top - j) for j in range(j0, top + 1)), 2 * lam
 
 
-def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, windows: list, q: int) -> int:
+def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, q: int) -> int:
     """Sign of the sum over j >= j0 of delta_j * q^(-j) / j, with
     delta_j = c_a(j) - c_b(j), read off the windows J = j0 + w for w in
     _WINDOWS, or 0 when none decides it (`ramanujan_compare` proves the
-    rule).  `windows` is the pair's memo, empty at its first q: entry i,
-    made when a q first reaches window i, holds Lambda = lcm(j0..J) and
-    delta_j * (Lambda / j) for j0 <= j <= J, and only then are both
-    sequences extended to J.  So a q costs one Horner pass per window."""
-    for i, width in enumerate(_WINDOWS):
-        if i == len(windows):
-            top = j0 + width
-            a.extend(top)
-            b.extend(top)
-            lam = _window_lcm(j0, top)
-            deltas = map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top])
-            windows.append((lam, [d * (lam // j) for j, d in enumerate(deltas, j0)]))
-        lam, scaled = windows[i]
-        total = 0
-        for d in scaled:
-            total = total * q + d
-        if (q - 1) * abs(total) > 2 * lam:
+    rule).  Both sequences are extended to J only when a q reaches that
+    window; each window is one C-level dot product of the deltas with
+    its weights (`_window_weights`)."""
+    for width in _WINDOWS:
+        top = j0 + width
+        a.extend(top)
+        b.extend(top)
+        weights, bound = _window_weights(j0, top, q)
+        total = sum(map(mul, map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]), weights))
+        if (q - 1) * abs(total) > bound:
             return 1 if total > 0 else -1
     return 0
 
@@ -576,13 +596,16 @@ def ramanujan_compare(
 
         sum over j > J of 2 * q^(-j) = 2 * q^(-J) / (q - 1)
 
-    in absolute value.  Take Lambda a common multiple of j0, ..., J and
-    A = sum over j0 <= j <= J of delta_j * (Lambda / j) * q^(J - j), so
-    that the terms up to J sum to A / (Lambda * q^J).  If
+    in absolute value.  Take Lambda a common multiple of j0, ..., J, the
+    integer weights w_j = (Lambda / j) * q^(J - j) and the dot product
+
+        A = sum over j0 <= j <= J of delta_j * w_j,
+
+    so that the terms up to J sum to A / (Lambda * q^J).  If
     (q - 1) * |A| > 2 * Lambda, the whole sum has the sign of A, and so
     has Phi_n(q) - Phi_m(q), log being increasing.  Scaling Lambda scales
-    A alike, so every common multiple gives the same test; lcm(j0..J) is
-    the smallest.
+    A and the bound alike, so every common multiple gives the same test;
+    lcm(j0..J) is the smallest.
 
     Order and threshold.  With J = j0, A = delta_j0 * Lambda / j0: every q
     with (q - 1) * |delta_j0| > 2 * j0 takes the sign of delta_j0, the
@@ -592,9 +615,9 @@ def ramanujan_compare(
     q* = floor(2 * j0 / |delta_j0|) + 2.  `_certify` decides each q in
     [2, q*): `_sums_sign` tries J = j0 + 8, 16, 32 and 64 (`_WINDOWS`),
     and a q none decides, which includes every tie, is evaluated exactly.
-    Lambda = lcm(j0..J) and the scaled delta_j are formed once per pair
-    and window, for the windows some q reaches; Lambda depends on j0 and
-    J alone, so `_window_lcm` forms it once per (j0, J) in a process.
+    The weights and the bound 2 * Lambda, with Lambda = lcm(j0..J), depend
+    on j0, J and q alone, not on the pair, so `_window_weights` forms them
+    once per (j0, J, q) in a process.
     """
     m, n = a.n, b.n
     if a.phi != b.phi:
@@ -603,7 +626,7 @@ def ramanujan_compare(
     lead_delta = b.terms[j0 - 1] - a.terms[j0 - 1]  # c_m(j0) - c_n(j0): the terms are negated
     lead = 1 if lead_delta > 0 else -1
     stop = 2 * j0 // abs(lead_delta) + 2  # q*
-    verdict, checked, ties, flips = _certify(m, n, lead, stop, cache, _sums_sign, (a, b, j0, []))
+    verdict, checked, ties, flips = _certify(m, n, lead, stop, cache, _sums_sign, (a, b, j0))
     return verdict, Certificate(0, lead, checked, ties, flips, "ramanujan")
 
 
@@ -644,27 +667,38 @@ def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> di
     }
 
 
-def record_to_json(record: dict) -> str:
-    """json.dumps(record, sort_keys=True, separators=(",", ":")) for a
-    record of `comparison_record`'s fields (int fields, lists of ints, and
-    str or None), written field by field in sorted key order without the
-    general encoder; strings go through json's own ASCII escaper."""
-    tag = record["shortcut_tag"]
+_VERDICT_JSON = {v: encode_basestring_ascii(v.value) for v in Verdict}
+
+
+def comparison_line(m: int, n: int, verdict: Verdict, cert: Certificate) -> str:
+    """The one writer of a comparison's JSON line:
+    json.dumps(comparison_record(m, n, verdict, cert), sort_keys=True,
+    separators=(",", ":")), written field by field in sorted key order
+    straight from the certificate (whose witnesses are lists of ints),
+    without building the record or calling the general encoder; the tag
+    goes through json's own ASCII escaper."""
+    tag = cert.shortcut_tag
     return (
         '{"checked_q_max":%d,"flip_witnesses":%s,"leading_sign":%d,"m":%d,"n":%d,'
         '"shortcut_tag":%s,"threshold_c":%d,"tie_witnesses":%s,"verdict":%s}'
         % (
-            record["checked_q_max"],
-            str(record["flip_witnesses"]).replace(" ", ""),
-            record["leading_sign"],
-            record["m"],
-            record["n"],
+            cert.checked_q_max,
+            str(cert.flip_witnesses).replace(" ", ""),
+            cert.leading_sign,
+            m,
+            n,
             "null" if tag is None else encode_basestring_ascii(tag),
-            record["threshold_c"],
-            str(record["tie_witnesses"]).replace(" ", ""),
-            encode_basestring_ascii(record["verdict"]),
+            cert.threshold_c,
+            str(cert.tie_witnesses).replace(" ", ""),
+            _VERDICT_JSON[verdict],
         )
     )
+
+
+def record_to_json(record: dict) -> str:
+    """json.dumps(record, sort_keys=True, separators=(",", ":")) for a
+    record of `comparison_record`'s fields, by `comparison_line`."""
+    return comparison_line(*certificate_from_record(record))
 
 
 def parse_comparison_record(text: str) -> dict:

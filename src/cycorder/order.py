@@ -5,27 +5,27 @@ A totient gap already orders two indices, smaller totient first
 totient classes and only pairs inside one class need a closer look.
 Each class is sorted by asymptotic order, which is the lexicographic
 order of its members' negated Ramanujan sums (-c_n(1), -c_n(2), ...):
-one sort on their first 16 terms, with each run of equal prefixes sorted
+one sort on their first 32 terms, with each run of equal prefixes sorted
 again on twice as many (`sort_class` proves it).  Its k - 1 adjacent
 pairs are certified from those sums (`comparator.ramanujan_compare`);
 by transitivity that verifies comparability of every pair in the class
 (proof in `sort_class`).  No polynomial, kernel or packed value is
-built.  One table per run (`comparator.SumsTable`) holds the
-smallest-prime-factor table every index is factored from and the first
-16 sums of every index, sieved from Ramanujan's definition; a member's
-later terms come from Hoelder's closed form, whose table it builds only
-when a comparison reads past its row.  The sorted classes concatenate,
-ascending by totient value, into the full chain.
+built.  One table per run (`comparator.SumsTable`) holds the first 32
+sums of every index, sieved from Ramanujan's definition, and a
+smallest-prime-factor table; a member's later terms come from Hoelder's
+closed form, whose table it builds, factoring the member off that
+table, only when a comparison reads past its row.  The sorted classes
+concatenate, ascending by totient value, into the full chain.
 
 Classes run in one process in ascending totient order; one loop
 records, checkpoints and reports each, and the cache, which holds only
 the values an exact fallback evaluated, is emptied after every class.
-A class's summary is read off the comparison records its cert_hash
-covers; `ChainReport.from_record` builds the report.  The checkpoint
-is a hash-chained JSON-lines file, one line per class, flushed as each
-class finishes and synced to disk after each second of classes and
-when the run ends; each line's chain covers its own bytes, which
-loading checks.
+A class's summary is read off the certificates whose lines its
+cert_hash covers; `ChainReport.from_record` builds the report.  The
+checkpoint is a hash-chained JSON-lines file, one line per class,
+flushed as each class finishes and synced to disk after each second of
+classes and when the run ends; each line's chain covers its own bytes,
+which loading checks.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -61,6 +61,7 @@ from .comparator import (
     Verdict,
     certificate_from_record,
     compare,
+    comparison_line,
     comparison_record,
     ramanujan_compare,
     record_to_json,
@@ -70,7 +71,7 @@ from .cyclotomic import CycloCache
 CHECKPOINT_VERSION = 4  # checkpoint line format; a file of another version is refused
 CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
 _NEIGHBOUR_VERDICTS = (Verdict.LESS, Verdict.INCOMPARABLE)  # what a sorted adjacent pair may get
-_INCOMPARABLE_VALUE = Verdict.INCOMPARABLE.value  # a record's verdict, read off the enum once
+_INCOMPARABLE = Verdict.INCOMPARABLE  # the member bound once, as in `comparator`
 _TERMS = attrgetter("terms")
 _CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
 
@@ -233,11 +234,9 @@ def stable_prefix_length(classes: Iterable[PhiClass], range_max: int) -> int:
 
 def _prefix_sorted(run: list[RamanujanSums], size: int) -> list[RamanujanSums]:
     """`run` in the lexicographic order of its members' terms, given that
-    none holds more than `size` terms: after `extend(size)` every key has
-    length `size`, so no key is a proper prefix of another (`sort_class`
-    proves the order)."""
-    for s in run:
-        s.extend(size)
+    each holds exactly `size` terms, so no key is a proper prefix of
+    another (`sort_class` proves the order); a run of equal keys is
+    extended to twice as many and sorted again."""
     run.sort(key=_TERMS)
     ordered = []
     for _, group in groupby(run, key=_TERMS):
@@ -246,6 +245,8 @@ def _prefix_sorted(run: list[RamanujanSums], size: int) -> list[RamanujanSums]:
             a, b = group[0], group[1]
             if size >= lcm(a.n, b.n):  # a full common period: they never differ
                 raise ArithmeticError(f"internal: {a.n} and {b.n} have equal sums")
+            for s in group:
+                s.extend(2 * size)
             group = _prefix_sorted(group, 2 * size)
         ordered += group
     return ordered
@@ -263,14 +264,17 @@ def sort_class(
     Members are sorted by their negated Ramanujan sums, lexicographically
     (`comparator.RamanujanSums`, each started from its row of `table`, a
     `comparator.SumsTable` covering the class, which holds every index's
-    first 16 terms; one is built when none is given): that is the
+    first 32 terms, and given the class's totient, so no member is
+    factored unless a comparison reads past its row; one table is built
+    when none is given): that is the
     asymptotic order, a strict total order, since distinct indices have
     distinct polynomials.  Then `ramanujan_compare` runs on the k - 1
     adjacent pairs (a, b), in order, and each (a, b, verdict,
     certificate) goes to cert_sink when one is given; nothing else keeps
     the certificates, so batch runs stay flat in memory.  Neither step
     reads a coefficient, so the cache receives only the values of an
-    exact fallback; a class of one member builds no sums at all.  Returns the ordered members; an INCOMPARABLE
+    exact fallback; a class of one member builds no sums at all.
+    Returns the ordered members; an INCOMPARABLE
     pair reaches cert_sink as data and is never raised.  Any other
     verdict but LESS contradicts the sort and raises ArithmeticError.
 
@@ -321,7 +325,8 @@ def sort_class(
         return list(phi_class.members)  # no pair: no sum is read
     if table is None:
         table = SumsTable(max(phi_class.members))
-    ordered = _prefix_sorted([RamanujanSums(n, table) for n in phi_class.members], _SUMS_BLOCK)
+    phi = phi_class.phi_value
+    ordered = _prefix_sorted([RamanujanSums(n, table, phi) for n in phi_class.members], _SUMS_BLOCK)
     for a, b in zip(ordered, ordered[1:]):
         verdict, cert = ramanujan_compare(a, b, cache)
         if cert_sink is not None:
@@ -340,29 +345,29 @@ def sort_class(
 
 def _finish_class(phi_class: PhiClass, cache: CycloCache, table: SumsTable) -> dict:
     """Sort and summarize one class (`sort_class`, with `table`), then
-    empty the cache.  The sink builds each adjacent pair's
-    `comparison_record` once, hashes its JSON line into `cert_hash` and
-    keeps it; the rest of the summary is read off those records, so it
-    says nothing the hash does not cover."""
-    digest = hashlib.sha256()
-    records: list[dict] = []
+    empty the cache.  The sink writes each adjacent pair's JSON line once,
+    with `comparison_line`, and keeps its certificate; `cert_hash` is the
+    sha256 of the class's lines, each ending in a newline, and the rest of
+    the summary is read off the same certificates, so it says nothing the
+    hash does not cover.  Only an INCOMPARABLE pair gets a record dict."""
+    lines: list[str] = []
+    pairs: list[tuple[int, int, Verdict, Certificate]] = []
 
     def sink(m: int, n: int, verdict: Verdict, cert: Certificate) -> None:
-        rec = comparison_record(m, n, verdict, cert)
-        digest.update(record_to_json(rec).encode())
-        digest.update(b"\n")
-        records.append(rec)
+        lines.append(comparison_line(m, n, verdict, cert))
+        pairs.append((m, n, verdict, cert))
 
     ordered = sort_class(phi_class, cache, cert_sink=sink, table=table)
     cache.trim()
+    lines.append("")  # so that the join ends every line in a newline
     return {
         "phi": phi_class.phi_value,
         "members": ordered,
-        "pair_count": len(records),
-        "max_checked_q": max((r["checked_q_max"] for r in records), default=0),
-        "ties": [[r["m"], r["n"], q] for r in records for q in r["tie_witnesses"]],
-        "incomparable": [r for r in records if r["verdict"] == _INCOMPARABLE_VALUE],
-        "cert_hash": digest.hexdigest(),
+        "pair_count": len(pairs),
+        "max_checked_q": max((cert.checked_q_max for *_, cert in pairs), default=0),
+        "ties": [[m, n, q] for m, n, _, cert in pairs for q in cert.tie_witnesses],
+        "incomparable": [comparison_record(*pair) for pair in pairs if pair[2] is _INCOMPARABLE],
+        "cert_hash": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
     }
 
 

@@ -54,7 +54,7 @@ def stand_in_values(monkeypatch) -> CycloCache:
     q = 2, a tie at q = 3), and 10, 12, 5 are ordered with all three
     equal to 4 at q = 2.
     """
-    monkeypatch.setattr(comparator, "_sums_sign", lambda a, b, j0, windows, q: 0)
+    monkeypatch.setattr(comparator, "_sums_sign", lambda a, b, j0, q: 0)
     cache = CycloCache()
     for n, coeffs in ((10, (0, 0, 1)), (8, (-3, 1, 1)), (5, (-4, 2, 1)), (12, (-2, 1, 1))):
         poly = IntPoly(coeffs)

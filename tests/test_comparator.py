@@ -19,6 +19,7 @@ from cycorder.comparator import (
     _window_sign,
     certificate_from_record,
     compare,
+    comparison_line,
     comparison_record,
     parse_comparison_record,
     ramanujan_compare,
@@ -359,6 +360,26 @@ def test_record_round_trip(shared_cache):
         parse_comparison_record('{"verdict": "LESS"}')
 
 
+@pytest.mark.parametrize("verdict", list(Verdict))
+@pytest.mark.parametrize(
+    "tag",
+    [None, "totient-gap", "ramanujan", 'a "quoted" t\u00e4g'],
+    ids=["untagged", "totient-gap", "ramanujan", "escaped"],
+)
+def test_comparison_line_is_the_general_encoders_line(verdict, tag):
+    """`comparison_line`, the one writer of the format, writes for every
+    verdict and tag the bytes json.dumps gives the record, with empty and
+    non-empty witness lists; `record_to_json` writes the same line."""
+    for ties, flips in (([], []), ([2], [4, 2]), ([2, 3, 17], []), ([], [3, 10])):
+        cert = Certificate(63, -1, 64, ties, flips, tag)
+        rec = comparison_record(16445, 26565, verdict, cert)
+        line = comparison_line(16445, 26565, verdict, cert)
+        assert line == _dumped(rec), (ties, flips)
+        assert record_to_json(rec) == line
+        parsed = certificate_from_record(parse_comparison_record(line))
+        assert parsed == (16445, 26565, verdict, cert)
+
+
 # ---------------------------------------------------------------------------
 # the signs at q < stop, shared by every route (`_certify`)
 # ---------------------------------------------------------------------------
@@ -542,12 +563,12 @@ def _sum_by_definition(n, g):
 
 
 def test_hoelder_form_matches_the_divisor_sum_to_3000():
-    """`RamanujanSums` reads its first 16 terms off the run's sieved rows
+    """`RamanujanSums` reads its first 32 terms off the run's sieved rows
     and the rest off Hoelder's closed form; they equal the defining
     divisor sum for every n <= 3000 and j <= 300."""
     table = SumsTable(3000)
     for n in range(1, 3001):
-        sums = RamanujanSums(n, table)
+        sums = RamanujanSums(n, table, totient(n))
         sums.extend(300)
         by_gcd = {g: _sum_by_definition(n, g) for g in divisors(n)}
         assert sums.terms[:300] == [-by_gcd[gcd(n, j)] for j in range(1, 301)], n
@@ -566,22 +587,27 @@ def _row(table, n):
 
 
 def test_sieved_rows_and_their_extension_match_hoelder_form_to_3000():
-    """Each sequence starts as its row, Hoelder's first 16 terms, with no
+    """Each sequence starts as its row, Hoelder's first 32 terms, with no
     Hoelder table; the first extension past the row builds one and
     continues the sequence where the row ends."""
     table = SumsTable(3000)
     assert _row(table, 0) == [0] * _SUMS_BLOCK
     for n in range(1, 3001):
-        sums = RamanujanSums(n, table)
+        sums = RamanujanSums(n, table, totient(n))
         assert sums.terms == _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK), n
         assert sums._table is None, n
         sums.extend(64)
         assert sums.terms == _hoelder_terms(n, 64), n
+    for limit in range(1, 12):  # the tables whose primes past limit / 2 start at 2
+        table = SumsTable(limit)
+        assert [_row(table, n) for n in range(1, limit + 1)] == [
+            _hoelder_terms(n, _SUMS_BLOCK) for n in range(1, limit + 1)
+        ], limit
 
 
 def test_every_stored_term_fits_a_signed_byte():
-    """The rows are signed bytes, 16 an index, and every term keeps
-    |c_n(j)| <= gcd(n, j) <= 16, the bound the sieve's lanes rely on."""
+    """The rows are signed bytes, 32 an index, and every term keeps
+    |c_n(j)| <= gcd(n, j) <= 32, the bound the sieve's lanes rely on."""
     limit = 20000
     table = SumsTable(limit)
     assert (table.heads.typecode, len(table.heads)) == ("b", _SUMS_BLOCK * (limit + 1))
@@ -599,9 +625,24 @@ def test_sieved_row_of_an_index_past_the_small_primes():
     table = SumsTable(n)
     assert _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK) == [1] * _SUMS_BLOCK
     assert _row(table, n - 1) == _hoelder_terms(n - 1, _SUMS_BLOCK)
-    sums = RamanujanSums(n, table)
+    sums = RamanujanSums(n, table, totient(n))
     sums.extend(64)
     assert sums.phi == n - 1 and sums.terms == _hoelder_terms(n, 64)
+
+
+def test_a_wrong_totient_raises_when_the_hoelder_table_is_built():
+    """`RamanujanSums` takes phi(n) from its caller and factors n only to
+    build its Hoelder table; phi(n) is formed again there from n's primes,
+    and a wrong value raises instead of giving wrong terms past the row."""
+    table = SumsTable(100)
+    for n, wrong in ((90, 25), (97, 97), (64, 16), (1, 2)):
+        right = RamanujanSums(n, table, totient(n))
+        sums = RamanujanSums(n, table, wrong)
+        assert sums.terms == right.terms  # the row reads no phi
+        with pytest.raises(ValueError, match=f"phi\\({n}\\) is {totient(n)}, not {wrong}"):
+            sums.extend(_SUMS_BLOCK + 1)
+        right.extend(_SUMS_BLOCK + 1)
+        assert right.terms == _hoelder_terms(n, _SUMS_BLOCK + 1), n
 
 
 def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
@@ -613,7 +654,7 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
     for x in range(1, 301):
         by_phi.setdefault(totient(x), []).append(x)
     table = SumsTable(300)
-    sums = {x: RamanujanSums(x, table) for x in range(1, 301)}
+    sums = {x: RamanujanSums(x, table, totient(x)) for x in range(1, 301)}
     pairs = 0
     for members in by_phi.values():
         for m in members:
@@ -640,13 +681,13 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
 def test_ramanujan_compare_rejects_what_it_cannot_decide():
     table = SumsTable(8)
     with pytest.raises(ValueError):  # totients 4 and 6
-        ramanujan_compare(RamanujanSums(5, table), RamanujanSums(7, table), CycloCache())
+        ramanujan_compare(RamanujanSums(5, table, 4), RamanujanSums(7, table, 6), CycloCache())
     with pytest.raises(ValueError):
-        ramanujan_compare(RamanujanSums(8, table), RamanujanSums(8, table), CycloCache())
+        ramanujan_compare(RamanujanSums(8, table, 4), RamanujanSums(8, table, 4), CycloCache())
     # sums of 8 rigged to read as those of 4 agree over their rows, past a
     # full common period, lcm(4, 8) terms: the search stops there instead
     # of looping
-    a, b = RamanujanSums(4, table), RamanujanSums(8, table)
+    a, b = RamanujanSums(4, table, 2), RamanujanSums(8, table, 4)
     b.terms = list(a.terms)
     with pytest.raises(ArithmeticError):
         a.first_difference(b)
@@ -683,25 +724,37 @@ def sum_sequences(draw):
 @example((3, (-2,) + (0,) * 64, 0))
 def test_sums_sign_is_exact_or_undecided(sequence):
     """Whatever a window reads is the sign of the whole infinite sum;
-    0 only sends q on to exact evaluation.  One window memo serves the
-    pair's every q: each entry's Lambda is a common multiple of j0..J,
-    and the sequences are read only up to the widest window made."""
+    0 only sends q on to exact evaluation.  Each memo entry a q reads
+    holds the weights (Lambda / j) * q^(J - j) for j0 <= j <= J and the
+    bound 2 * Lambda, with Lambda a common multiple of j0..J, and the
+    sequences are read only up to the widest window some q reached."""
     j0, deltas, s = sequence
     top = j0 + 64
     a, b = _Terms([0] * top), _Terms([0] * (j0 - 1) + list(deltas))
     lam = lcm(*range(j0, top + 1))
-    windows = []
+    widest = j0
     for q in range(2, 9):
         total = 0
         for j, d in enumerate(deltas, j0):
             total = total * q + d * (lam // j)
         # the sum is (total / lam + 2 * s / (q - 1)) * q^(-top)
         exact = (q - 1) * total + 2 * s * lam
-        assert _sums_sign(a, b, j0, windows, q) in (0, (exact > 0) - (exact < 0)), q
-    for width, (lam_w, scaled) in zip(comparator._WINDOWS, windows):
-        assert len(scaled) == width + 1
-        assert all(lam_w % j == 0 for j in range(j0, j0 + width + 1)), width
-    assert a.read == b.read == j0 + comparator._WINDOWS[len(windows) - 1]
+        sign = _sums_sign(a, b, j0, q)
+        assert sign in (0, (exact > 0) - (exact < 0)), q
+        for width in comparator._WINDOWS:
+            J = j0 + width
+            weights, bound = comparator._window_weights(j0, J, q)
+            lam_w, odd = divmod(bound, 2)
+            assert not odd and all(lam_w % j == 0 for j in range(j0, J + 1)), (q, width)
+            assert weights == tuple(lam_w // j * q ** (J - j) for j in range(j0, J + 1)), (q, width)
+            widest = max(widest, J)
+            a_w = sum(d * w for d, w in zip(deltas, weights))
+            if (q - 1) * abs(a_w) > bound:  # this window decides q, and no wider one is read
+                assert sign == (1 if a_w > 0 else -1), (q, width)
+                break
+        else:
+            assert sign == 0, q
+    assert a.read == b.read == widest
 
 
 def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(monkeypatch, eval_calls):
@@ -710,8 +763,8 @@ def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(monkeypatch, eva
     none is left to the fallback."""
     log = []
 
-    def logged(a, b, j0, windows, q):
-        sign = _sums_sign(a, b, j0, windows, q)
+    def logged(a, b, j0, q):
+        sign = _sums_sign(a, b, j0, q)
         log.append((a.n, b.n, q, sign))
         return sign
 

@@ -22,9 +22,9 @@ from cycorder.comparator import (
     SumsTable,
     Verdict,
     compare,
+    comparison_line,
     comparison_record,
     ramanujan_compare,
-    record_to_json,
 )
 from cycorder.cyclotomic import CycloCache, cyclo
 from cycorder.order import (
@@ -177,7 +177,8 @@ def _first_difference_order(members, table):
         j = a.first_difference(b)
         return -1 if a.terms[j - 1] < b.terms[j - 1] else 1
 
-    return [s.n for s in sorted((RamanujanSums(n, table) for n in members), key=cmp_to_key(cmp))]
+    sums = (RamanujanSums(n, table, totient(n)) for n in members)
+    return [s.n for s in sorted(sums, key=cmp_to_key(cmp))]
 
 
 def test_prefix_sort_matches_pairwise_first_differences_to_5000():
@@ -188,24 +189,24 @@ def test_prefix_sort_matches_pairwise_first_differences_to_5000():
 
 
 def test_prefix_sort_refines_runs_of_equal_prefixes():
-    """256 and 384 (totient 128) first differ at j = 64: the sort on 16
-    terms and the re-sort of their run on 32 leave them equal, and the
-    re-sort on 64 parts them, in the order of their first difference."""
+    """256 and 384 (totient 128) first differ at j = 64: the sort on 32
+    terms leaves them equal, and the re-sort of their run on 64 parts
+    them, in the order of their first difference."""
     members = inverse_totient(128)
     table = SumsTable(max(members))
-    assert RamanujanSums(256, table).first_difference(RamanujanSums(384, table)) == 64
-    ordered = _prefix_sorted([RamanujanSums(n, table) for n in members], _SUMS_BLOCK)
+    a, b = RamanujanSums(256, table, 128), RamanujanSums(384, table, 128)
+    assert a.first_difference(b) == 64
+    ordered = _prefix_sorted([RamanujanSums(n, table, totient(n)) for n in members], _SUMS_BLOCK)
     assert [s.n for s in ordered] == _first_difference_order(members, table)
     held = {s.n: len(s.terms) for s in ordered}
-    assert held[256] == held[384] == 4 * _SUMS_BLOCK
+    assert held[256] == held[384] == 2 * _SUMS_BLOCK
 
 
-def test_build_chain_5000_builds_at_most_105778_sum_terms(monkeypatch):
-    """Each member of a class of two or more holds its 16-term row of the
-    run's table and is extended past it only as far as the sort and its
-    own pairs' windows read.  Extending both sides to the longer one
-    before every scan built 205,724 terms here, and giving the 328
-    single-member classes sums too, 111,026."""
+def test_build_chain_5000_builds_at_most_18426_hoelder_terms(monkeypatch):
+    """Each member of a class of two or more holds its 32-term row of the
+    run's table and is extended past it by Hoelder's form only as far as
+    the sort and its own pairs' windows read.  With 16-term rows the same
+    run built 31,026 terms past them."""
     built = []
     extend = RamanujanSums.extend
 
@@ -216,15 +217,13 @@ def test_build_chain_5000_builds_at_most_105778_sum_terms(monkeypatch):
 
     monkeypatch.setattr(RamanujanSums, "extend", counted)
     assert build_chain(5000).pair_count == 3855
-    sorted_members = sum(len(cls.members) for cls in phi_classes(5000) if len(cls.members) > 1)
-    assert sorted_members == 4672
-    assert _SUMS_BLOCK * sorted_members + sum(built) <= 105_778
+    assert sum(built) <= 18_426 < 31_026
 
 
 def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(monkeypatch):
     """A member's Hoelder table is built by its first extension past its
-    row, at most once; 1,481 of the 1,859 members sorted here are never
-    read past it."""
+    row, at most once; 1,769 of the 1,859 members sorted here are never
+    read past it (1,481 with 16-term rows)."""
     built = []
     hoelder = comparator._hoelder_table
     monkeypatch.setattr(
@@ -232,20 +231,24 @@ def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(
     )
     assert build_chain(2000).pair_count == 1504
     sorted_members = sum(len(cls.members) for cls in phi_classes(2000) if len(cls.members) > 1)
-    assert len(set(built)) == len(built) <= 378 < sorted_members == 1859
+    assert len(set(built)) == len(built) <= 90 < sorted_members == 1859
 
 
 def test_record_writer_matches_json_dumps_on_verify_5000(monkeypatch):
-    """`record_to_json` writes the general encoder's bytes for every
-    comparison record of a verification of {1..5000}."""
+    """`comparison_line`, the one writer, writes the general encoder's
+    bytes for every comparison of a verification of {1..5000}."""
     seen = []
-    monkeypatch.setattr(
-        cycorder.order, "record_to_json", lambda rec: seen.append(rec) or record_to_json(rec)
-    )
+
+    def written(*pair):
+        line = comparison_line(*pair)
+        seen.append((pair, line))
+        return line
+
+    monkeypatch.setattr(cycorder.order, "comparison_line", written)
     build_chain(5000)
     assert len(seen) == 3855
-    for rec in seen:
-        assert record_to_json(rec) == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    for pair, line in seen:
+        assert line == json.dumps(comparison_record(*pair), sort_keys=True, separators=(",", ":"))
 
 
 def test_build_chain_2000_sequence_digest():
@@ -415,7 +418,7 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
     a, b, c = 10, 12, 5  # t^2, t^2 + t - 2, t^2 + 2t - 4: all 4 at q = 2
     members = sorted((a, b, c))
     table = SumsTable(max(members))
-    sums = {x: RamanujanSums(x, table) for x in members}
+    sums = {x: RamanujanSums(x, table, totient(x)) for x in members}
     scan = set()
     for i, m in enumerate(members):
         for n in members[i + 1 :]:
@@ -431,21 +434,23 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
 
 
 def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) -> None:
-    """Rebuild the records of the summary's adjacent pairs with
-    `ramanujan_compare` on `cache`: cert_hash is the sha256 of their JSON
-    lines, each the general encoder's bytes, and every other field of the
-    summary agrees with them."""
+    """Rebuild the certificates of the summary's adjacent pairs with
+    `ramanujan_compare` on `cache`: cert_hash is the sha256 of their lines
+    from `comparison_line`, each the general encoder's bytes for the
+    pair's record, and every other field of the summary agrees with the
+    records."""
     members = summary["members"]
     table = SumsTable(max(members))
-    sums = {x: RamanujanSums(x, table) for x in members}
-    records = [
-        comparison_record(a, b, *ramanujan_compare(sums[a], sums[b], cache))
-        for a, b in zip(members, members[1:])
+    sums = {x: RamanujanSums(x, table, totient(x)) for x in members}
+    pairs = [
+        (a, b, *ramanujan_compare(sums[a], sums[b], cache)) for a, b in zip(members, members[1:])
     ]
-    for r in records:
-        assert record_to_json(r) == json.dumps(r, sort_keys=True, separators=(",", ":"))
-    lines = "".join(record_to_json(r) + "\n" for r in records)
-    assert summary["cert_hash"] == hashlib.sha256(lines.encode()).hexdigest()
+    records = [comparison_record(*pair) for pair in pairs]
+    lines = [comparison_line(*pair) for pair in pairs]
+    for r, line in zip(records, lines):
+        assert line == json.dumps(r, sort_keys=True, separators=(",", ":"))
+    text = "".join(line + "\n" for line in lines)
+    assert summary["cert_hash"] == hashlib.sha256(text.encode()).hexdigest()
     assert summary["pair_count"] == len(records) == len(members) - 1
     assert summary["max_checked_q"] == max([0] + [r["checked_q_max"] for r in records])
     assert summary["ties"] == [[r["m"], r["n"], q] for r in records for q in r["tie_witnesses"]]
@@ -461,12 +466,18 @@ def test_class_summaries_are_bound_to_their_hashed_records(shared_cache):
 
 
 def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, monkeypatch):
-    """The incomparable class and the tied class of the stand-ins; each
-    pair's record is built once, by the certificate sink."""
-    built = []
-    record = cycorder.order.comparison_record
+    """The incomparable class and the tied class of the stand-ins; the
+    certificate sink writes each pair's line once, and builds a record
+    dict only for the incomparable pair."""
+    built, recorded = [], []
+    line, record = cycorder.order.comparison_line, cycorder.order.comparison_record
     monkeypatch.setattr(
-        cycorder.order, "comparison_record", lambda *args: built.append(args[:2]) or record(*args)
+        cycorder.order, "comparison_line", lambda *args: built.append(args[:2]) or line(*args)
+    )
+    monkeypatch.setattr(
+        cycorder.order,
+        "comparison_record",
+        lambda *args: recorded.append(args[:2]) or record(*args),
     )
     a, b, c, d = 10, 8, 5, 12
     table = SumsTable(d)
@@ -474,8 +485,10 @@ def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, m
         work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
         work.evals.update(stand_in_values.evals)
         built.clear()
+        recorded.clear()
         summary = _finish_class(PhiClass(4, members), work, table)
         assert built == list(zip(summary["members"], summary["members"][1:]))
+        assert recorded == [(r["m"], r["n"]) for r in summary["incomparable"]]
         _assert_summary_is_bound_to_its_records(summary, stand_in_values)
         if members == [a, b]:
             [rec] = summary["incomparable"]
