@@ -14,8 +14,12 @@ test that `_certify` tries before exact evaluation:
   * indices of equal totient in a verification (`order.sort_class`):
     `ramanujan_compare`.  The low-order end of log Phi_n(q) has a closed
     form, Ramanujan's sums, which orders the class and gives stop = q*
-    (q* <= 4 for every pair up to 20000), with `_sums_sign` as the fast
-    test.  No coefficient is read, and no polynomial is built.
+    (q* <= 4 for every adjacent pair of a verification up to 100000),
+    with `_sums_sign` as the fast test.  No coefficient is read, and no
+    polynomial is built.  An outcome whose signs the first window of sums
+    decides is a function of that window, so each distinct window is
+    decided once per run and its outcome, line template included, reused
+    (the run's memo, `SumsTable.outcomes`).
   * indices of equal totient in `compare`, the route of the `compare`
     command, `precedes` and `conjecture2`: stop = c + 1 for the threshold
     c of the difference of the two polynomials, read off their packed
@@ -423,9 +427,13 @@ class SumsTable:
     a time, each written into `heads` at once, and T_d is kept only while
     a lane still to come has d as a divisor, so besides the lane being
     summed at most L / 2 row-sized integers are held.
+
+    `outcomes` is the run's memo of adjacent-pair outcomes, keyed by first
+    window (`ramanujan_compare`); it starts empty with each table, so it
+    lives and dies with one run.
     """
 
-    __slots__ = ("spf", "heads")
+    __slots__ = ("limit", "spf", "heads", "outcomes")
 
     def __init__(self, limit: int):
         size, half = limit + 1, max(2, limit // 2 + 1)
@@ -452,7 +460,8 @@ class SumsTable:
                 del held[d]  # j was its last multiple up to L
             if 2 * j <= _SUMS_BLOCK:
                 held[j] = row_sum - bias * ones
-        self.spf, self.heads = spf, heads
+        self.limit, self.spf, self.heads = limit, spf, heads
+        self.outcomes: dict[tuple[int, ...], tuple[Verdict, Certificate, str]] = {}
 
 
 def _primes_of(n: int, spf: array) -> list[int]:
@@ -558,32 +567,49 @@ def _window_weights(j0: int, top: int, q: int) -> tuple[tuple[int, ...], int]:
     return tuple(lam // j * q ** (top - j) for j in range(j0, top + 1)), 2 * lam
 
 
+def _window_sum_sign(deltas, j0: int, top: int, q: int) -> int:
+    """Sign of the sum over j >= j0 of delta_j * q^(-j) / j read off the
+    window of `deltas`, delta_j0 up to delta_top, or 0 when the window
+    does not decide it (`ramanujan_compare` proves the rule): one C-level
+    dot product of the deltas with the window's weights
+    (`_window_weights`)."""
+    weights, bound = _window_weights(j0, top, q)
+    total = sum(map(mul, deltas, weights))
+    if (q - 1) * abs(total) > bound:
+        return 1 if total > 0 else -1
+    return 0
+
+
 def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, q: int) -> int:
     """Sign of the sum over j >= j0 of delta_j * q^(-j) / j, with
     delta_j = c_a(j) - c_b(j), read off the windows J = j0 + w for w in
-    _WINDOWS, or 0 when none decides it (`ramanujan_compare` proves the
-    rule).  Both sequences are extended to J only when a q reaches that
-    window; each window is one C-level dot product of the deltas with
-    its weights (`_window_weights`)."""
+    _WINDOWS, or 0 when none decides it (`_window_sum_sign`).  Both
+    sequences are extended to J only when a q reaches that window."""
     for width in _WINDOWS:
         top = j0 + width
         a.extend(top)
         b.extend(top)
-        weights, bound = _window_weights(j0, top, q)
-        total = sum(map(mul, map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]), weights))
-        if (q - 1) * abs(total) > bound:
-            return 1 if total > 0 else -1
+        sign = _window_sum_sign(map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]), j0, top, q)
+        if sign:
+            return sign
     return 0
 
 
 def ramanujan_compare(
-    a: RamanujanSums, b: RamanujanSums, cache: CycloCache
-) -> tuple[Verdict, Certificate]:
+    a: RamanujanSums,
+    b: RamanujanSums,
+    cache: CycloCache,
+    outcomes: dict[tuple[int, ...], tuple[Verdict, Certificate, str]],
+) -> tuple[Verdict, Certificate, str]:
     """`compare` for two distinct indices m = a.n and n = b.n of equal
     totient, decided from their Ramanujan sums: no coefficient is read and
-    no polynomial is built.  The certificate has shortcut_tag "ramanujan",
+    no polynomial is built.  Returns the verdict, the certificate and the
+    template of its line, `comparison_line(m, n, verdict, cert)` ==
+    template % (m, n).  The certificate has shortcut_tag "ramanujan",
     threshold_c 0 and the leading sign of Phi_n - Phi_m; stop is q*
-    (below).
+    (below).  `outcomes` is a memo of outcomes by first window (below),
+    read and filled here; a verification passes its run's
+    (`SumsTable.outcomes`), and a fresh dict gives the unmemoised outcome.
 
     Sign at q.  By the identity proved in `compare`, with phi(m) = phi(n),
 
@@ -618,16 +644,54 @@ def ramanujan_compare(
     The weights and the bound 2 * Lambda, with Lambda = lcm(j0..J), depend
     on j0, J and q alone, not on the pair, so `_window_weights` forms them
     once per (j0, J, q) in a process.
+
+    One outcome per first window.  Let J1 = j0 + 8, the first window, and
+    key = (j0, delta_j0, ..., delta_J1); a member's terms are extended to
+    J1 only when it holds fewer.  The lead and q* are functions of
+    (j0, delta_j0).  The first window's test at q reads the key's deltas
+    and the weights of (j0, J1, q), so its sign is a function of the key
+    and q (`_window_sum_sign`).  Suppose that sign is nonzero at every q in
+    [2, q*), and `_sums_sign`, which tries that window first, returned it
+    at each.  Then `_certify` was given a nonzero sign at every q < q*,
+    each a function of the key, evaluated nothing and found no tie, so
+    the verdict and checked_q_max = q* - 1 are functions of the key; so is
+    the certificate (threshold_c 0, the lead, no tie, the tag, and no flip
+    unless INCOMPARABLE), and so is its line but for the fields m and n,
+    which the template leaves as %d.  Every pair with that key has that
+    outcome, and such an outcome, unless INCOMPARABLE, is stored under its
+    key and handed to each later pair with the key without reading a sign.
+    Any other outcome, one whose signs came in part from a wider window or
+    from exact evaluation (so every tie), and every INCOMPARABLE one, may
+    depend on more than the key and is not stored.  The signs `_sums_sign`
+    returned are compared with the first window's own, so a stand-in fast
+    test that leaves every q to exact evaluation stores nothing.  A stored
+    certificate is shared by all the pairs with its key; no code mutates a
+    certificate once made.
     """
     m, n = a.n, b.n
     if a.phi != b.phi:
         raise ValueError(f"indices {m} and {n} have unequal totients")
     j0 = a.first_difference(b)
-    lead_delta = b.terms[j0 - 1] - a.terms[j0 - 1]  # c_m(j0) - c_n(j0): the terms are negated
+    top = j0 + _WINDOWS[0]
+    if len(a.terms) < top:
+        a.extend(top)
+    if len(b.terms) < top:
+        b.extend(top)
+    key = (j0, *map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]))
+    outcome = outcomes.get(key)
+    if outcome is not None:
+        return outcome
+    lead_delta = key[1]  # c_m(j0) - c_n(j0): the terms are negated
     lead = 1 if lead_delta > 0 else -1
     stop = 2 * j0 // abs(lead_delta) + 2  # q*
-    verdict, checked, ties, flips = _certify(m, n, lead, stop, cache, _sums_sign, (a, b, j0))
-    return verdict, Certificate(0, lead, checked, ties, flips, "ramanujan")
+    signs = {q: _sums_sign(a, b, j0, q) for q in range(2, stop)}
+    verdict, checked, ties, flips = _certify(m, n, lead, stop, cache, signs.get)
+    cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
+    outcome = verdict, cert, _line_template(verdict, cert)
+    first = {q: _window_sum_sign(key[1:], j0, top, q) for q in signs}
+    if verdict is not _INCOMPARABLE and 0 not in first.values() and signs == first:
+        outcomes[key] = outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -670,29 +734,34 @@ def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> di
 _VERDICT_JSON = {v: encode_basestring_ascii(v.value) for v in Verdict}
 
 
-def comparison_line(m: int, n: int, verdict: Verdict, cert: Certificate) -> str:
-    """The one writer of a comparison's JSON line:
-    json.dumps(comparison_record(m, n, verdict, cert), sort_keys=True,
-    separators=(",", ":")), written field by field in sorted key order
-    straight from the certificate (whose witnesses are lists of ints),
-    without building the record or calling the general encoder; the tag
-    goes through json's own ASCII escaper."""
+def _line_template(verdict: Verdict, cert: Certificate) -> str:
+    """`comparison_line` with %d for m and n, every other % doubled: the
+    line is template % (m, n)."""
     tag = cert.shortcut_tag
     return (
-        '{"checked_q_max":%d,"flip_witnesses":%s,"leading_sign":%d,"m":%d,"n":%d,'
+        '{"checked_q_max":%d,"flip_witnesses":%s,"leading_sign":%d,"m":%%d,"n":%%d,'
         '"shortcut_tag":%s,"threshold_c":%d,"tie_witnesses":%s,"verdict":%s}'
         % (
             cert.checked_q_max,
             str(cert.flip_witnesses).replace(" ", ""),
             cert.leading_sign,
-            m,
-            n,
-            "null" if tag is None else encode_basestring_ascii(tag),
+            "null" if tag is None else encode_basestring_ascii(tag).replace("%", "%%"),
             cert.threshold_c,
             str(cert.tie_witnesses).replace(" ", ""),
             _VERDICT_JSON[verdict],
         )
     )
+
+
+def comparison_line(m: int, n: int, verdict: Verdict, cert: Certificate) -> str:
+    """The one writer of a comparison's JSON line:
+    json.dumps(comparison_record(m, n, verdict, cert), sort_keys=True,
+    separators=(",", ":")), written field by field in sorted key order
+    straight from the certificate (whose witnesses are lists of ints) into
+    a template (`_line_template`) that m and n complete, without building
+    the record or calling the general encoder; the tag goes through json's
+    own ASCII escaper."""
+    return _line_template(verdict, cert) % (m, n)
 
 
 def record_to_json(record: dict) -> str:

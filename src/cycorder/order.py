@@ -14,8 +14,13 @@ built.  One table per run (`comparator.SumsTable`) holds the first 32
 sums of every index, sieved from Ramanujan's definition, and a
 smallest-prime-factor table; a member's later terms come from Hoelder's
 closed form, whose table it builds, factoring the member off that
-table, only when a comparison reads past its row.  The sorted classes
-concatenate, ascending by totient value, into the full chain.
+table, only when a comparison reads past its row.  The table also holds
+the run's memo of pair outcomes: a pair whose first window of sums,
+(j0, delta_j0, ..., delta_j0+8), an earlier pair of the run already had
+takes that pair's verdict, certificate and line template, which
+`ramanujan_compare` proves sound, instead of reading its signs again.
+The sorted classes concatenate, ascending by totient value, into the
+full chain.
 
 Classes run in one process in ascending totient order; one loop
 records, checkpoints and reports each, and the cache, which holds only
@@ -61,7 +66,6 @@ from .comparator import (
     Verdict,
     certificate_from_record,
     compare,
-    comparison_line,
     comparison_record,
     ramanujan_compare,
     record_to_json,
@@ -256,7 +260,7 @@ def sort_class(
     phi_class: PhiClass,
     cache: CycloCache,
     *,
-    cert_sink: Callable[[int, int, Verdict, Certificate], None] | None = None,
+    cert_sink: Callable[[int, int, Verdict, Certificate, str], None] | None = None,
     table: SumsTable | None = None,
 ) -> list[int]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
@@ -266,12 +270,16 @@ def sort_class(
     `comparator.SumsTable` covering the class, which holds every index's
     first 32 terms, and given the class's totient, so no member is
     factored unless a comparison reads past its row; one table is built
-    when none is given): that is the
+    when none is given, and a table that does not cover the class raises
+    ValueError before any sum is built): that is the
     asymptotic order, a strict total order, since distinct indices have
     distinct polynomials.  Then `ramanujan_compare` runs on the k - 1
-    adjacent pairs (a, b), in order, and each (a, b, verdict,
-    certificate) goes to cert_sink when one is given; nothing else keeps
-    the certificates, so batch runs stay flat in memory.  Neither step
+    adjacent pairs (a, b), in order, with the table's memo of outcomes,
+    and each (a, b, verdict, certificate, line template) goes to
+    cert_sink when one is given; the pair's line is template % (a, b).
+    A certificate from the memo is shared with other pairs and must not
+    be mutated.  Nothing else keeps the certificates of pairs the memo
+    does not hold, so batch runs stay flat in memory.  Neither step
     reads a coefficient, so the cache receives only the values of an
     exact fallback; a class of one member builds no sums at all.
     Returns the ordered members; an INCOMPARABLE
@@ -323,14 +331,17 @@ def sort_class(
         raise ValueError("empty totient class")
     if len(phi_class.members) == 1:
         return list(phi_class.members)  # no pair: no sum is read
+    largest = max(phi_class.members)
     if table is None:
-        table = SumsTable(max(phi_class.members))
-    phi = phi_class.phi_value
+        table = SumsTable(largest)
+    elif largest > table.limit:
+        raise ValueError(f"the sums table covers indices up to {table.limit}, not {largest}")
+    phi, outcomes = phi_class.phi_value, table.outcomes
     ordered = _prefix_sorted([RamanujanSums(n, table, phi) for n in phi_class.members], _SUMS_BLOCK)
     for a, b in zip(ordered, ordered[1:]):
-        verdict, cert = ramanujan_compare(a, b, cache)
+        verdict, cert, template = ramanujan_compare(a, b, cache, outcomes)
         if cert_sink is not None:
-            cert_sink(a.n, b.n, verdict, cert)
+            cert_sink(a.n, b.n, verdict, cert, template)
         if verdict not in _NEIGHBOUR_VERDICTS:
             raise ArithmeticError(
                 f"internal: sorted neighbours {a.n}, {b.n} compare {verdict.value}"
@@ -346,15 +357,16 @@ def sort_class(
 def _finish_class(phi_class: PhiClass, cache: CycloCache, table: SumsTable) -> dict:
     """Sort and summarize one class (`sort_class`, with `table`), then
     empty the cache.  The sink writes each adjacent pair's JSON line once,
-    with `comparison_line`, and keeps its certificate; `cert_hash` is the
-    sha256 of the class's lines, each ending in a newline, and the rest of
-    the summary is read off the same certificates, so it says nothing the
-    hash does not cover.  Only an INCOMPARABLE pair gets a record dict."""
+    as its template % (m, n), which is `comparator.comparison_line`'s
+    line, and keeps its certificate; `cert_hash` is the sha256 of the
+    class's lines, each ending in a newline, and the rest of the summary
+    is read off the same certificates, so it says nothing the hash does
+    not cover.  Only an INCOMPARABLE pair gets a record dict."""
     lines: list[str] = []
     pairs: list[tuple[int, int, Verdict, Certificate]] = []
 
-    def sink(m: int, n: int, verdict: Verdict, cert: Certificate) -> None:
-        lines.append(comparison_line(m, n, verdict, cert))
+    def sink(m: int, n: int, verdict: Verdict, cert: Certificate, template: str) -> None:
+        lines.append(template % (m, n))
         pairs.append((m, n, verdict, cert))
 
     ordered = sort_class(phi_class, cache, cert_sink=sink, table=table)

@@ -44,7 +44,8 @@ def fake_pair_cache() -> CycloCache:
 def stand_in_values(monkeypatch) -> CycloCache:
     """A cache whose evaluation memo gives the indices 10, 8, 5 and 12 of
     totient 4 the values at q <= 16 of t^2, t^2 + t - 3, t^2 + 2t - 4 and
-    t^2 + t - 2, with every window of `ramanujan_compare` left undecided.
+    t^2 + t - 2, with every window of `ramanujan_compare` left undecided,
+    so that no outcome enters a table's memo.
 
     A verification decides each sign from Ramanujan's sums, which no
     stand-in can replace, and meets no incomparable pair or tie among

@@ -339,6 +339,7 @@ def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp
         work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
         work.evals.update(stand_in_values.evals)
         summary = _finish_class(PhiClass(4, members), work, table)
+        assert not table.outcomes  # every window undecided: nothing is memoised
         assert summary["ties"] and bool(summary["incomparable"]) == (members == [10, 8])
         path = str(tmp_path / f"{len(members)}.ckpt")
         checkpoint = CheckpointFile(path, 12)

@@ -10,13 +10,16 @@ from cycorder import comparator
 from cycorder.arith import SMALL_PRIMES, divisors, factorize, moebius, totient
 from cycorder.comparator import (
     _SUMS_BLOCK,
+    _WINDOWS,
     Certificate,
     RamanujanSums,
     SumsTable,
     Verdict,
+    _certify,
     _hoelder_table,
     _sums_sign,
     _window_sign,
+    _window_sum_sign,
     certificate_from_record,
     compare,
     comparison_line,
@@ -363,8 +366,8 @@ def test_record_round_trip(shared_cache):
 @pytest.mark.parametrize("verdict", list(Verdict))
 @pytest.mark.parametrize(
     "tag",
-    [None, "totient-gap", "ramanujan", 'a "quoted" t\u00e4g'],
-    ids=["untagged", "totient-gap", "ramanujan", "escaped"],
+    [None, "totient-gap", "ramanujan", 'a "quoted" t\u00e4g', "100% %d"],
+    ids=["untagged", "totient-gap", "ramanujan", "escaped", "percent"],
 )
 def test_comparison_line_is_the_general_encoders_line(verdict, tag):
     """`comparison_line`, the one writer of the format, writes for every
@@ -649,19 +652,22 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
     """Every ordered pair of distinct indices of equal totient up to 300
     gets compare's verdict, leading sign and ties, and checked_q_max
     max(q* - 1, 1) with q* = floor(2 * j0 / |delta_j0|) + 2, j0 and
-    delta_j0 taken from the divisor-sum definition."""
+    delta_j0 taken from the divisor-sum definition, through one memo of
+    outcomes shared by all the pairs; each line template completes to the
+    pair's `comparison_line`."""
     by_phi = {}
     for x in range(1, 301):
         by_phi.setdefault(totient(x), []).append(x)
     table = SumsTable(300)
     sums = {x: RamanujanSums(x, table, totient(x)) for x in range(1, 301)}
-    pairs = 0
+    pairs, outcomes = 0, {}
     for members in by_phi.values():
         for m in members:
             for n in members:
                 if m == n:
                     continue
-                verdict, cert = ramanujan_compare(sums[m], sums[n], shared_cache)
+                verdict, cert, template = ramanujan_compare(sums[m], sums[n], shared_cache, outcomes)
+                assert template % (m, n) == comparison_line(m, n, verdict, cert), (m, n)
                 want, reference = compare(m, n, shared_cache)
                 assert verdict is want, (m, n)
                 assert cert.leading_sign == reference.leading_sign, (m, n)
@@ -681,9 +687,9 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
 def test_ramanujan_compare_rejects_what_it_cannot_decide():
     table = SumsTable(8)
     with pytest.raises(ValueError):  # totients 4 and 6
-        ramanujan_compare(RamanujanSums(5, table, 4), RamanujanSums(7, table, 6), CycloCache())
+        ramanujan_compare(RamanujanSums(5, table, 4), RamanujanSums(7, table, 6), CycloCache(), {})
     with pytest.raises(ValueError):
-        ramanujan_compare(RamanujanSums(8, table, 4), RamanujanSums(8, table, 4), CycloCache())
+        ramanujan_compare(RamanujanSums(8, table, 4), RamanujanSums(8, table, 4), CycloCache(), {})
     # sums of 8 rigged to read as those of 4 agree over their rows, past a
     # full common period, lcm(4, 8) terms: the search stops there instead
     # of looping
@@ -691,6 +697,28 @@ def test_ramanujan_compare_rejects_what_it_cannot_decide():
     b.terms = list(a.terms)
     with pytest.raises(ArithmeticError):
         a.first_difference(b)
+
+
+def test_only_an_outcome_the_first_window_decides_is_memoised():
+    """Sums rigged to delta_1 = 1, so q* = 4: with delta_2 = -8 the first
+    window reads a sign against the lead at q = 2 and q = 3, and the
+    INCOMPARABLE outcome it decides alone is not stored; with delta_2 = 0
+    the LESS outcome is stored under its key and handed, the same
+    objects, to the next pair with that key."""
+    table, cache = SumsTable(12), CycloCache()
+    for second, want in ((-8, Verdict.INCOMPARABLE), (0, Verdict.LESS)):
+        a, b = RamanujanSums(5, table, 4), RamanujanSums(8, table, 4)
+        a.terms, b.terms = [0] * 100, [1, second] + [0] * 98
+        outcomes = {}
+        outcome = ramanujan_compare(a, b, cache, outcomes)
+        assert outcome[0] is want and outcome[2] % (5, 8) == comparison_line(5, 8, *outcome[:2])
+        if want is Verdict.INCOMPARABLE:
+            assert outcome[1].flip_witnesses == [4, 2] and not outcomes
+        else:
+            assert outcomes == {(1, 1, second) + (0,) * 7: outcome}
+            c, d = RamanujanSums(10, table, 4), RamanujanSums(12, table, 4)
+            c.terms, d.terms = list(a.terms), list(b.terms)
+            assert all(x is y for x, y in zip(ramanujan_compare(c, d, cache, outcomes), outcome))
 
 
 class _Terms:
@@ -757,29 +785,67 @@ def test_sums_sign_is_exact_or_undecided(sequence):
     assert a.read == b.read == widest
 
 
-def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(monkeypatch, eval_calls):
-    """Every sign the verify path reads at q < q*, for each adjacent pair
-    of the classes up to 5000, is the sign of the exact difference, and
-    none is left to the fallback."""
-    log = []
+def _first_window(a, b):
+    """j0 and the deltas delta_j0, ..., delta_J of the first window,
+    J = j0 + 8, of the pair of sums (a, b)."""
+    j0 = a.first_difference(b)
+    top = j0 + _WINDOWS[0]
+    a.extend(top)
+    b.extend(top)
+    return j0, [b.terms[j] - a.terms[j] for j in range(j0 - 1, top)]
 
-    def logged(a, b, j0, q):
-        sign = _sums_sign(a, b, j0, q)
-        log.append((a.n, b.n, q, sign))
-        return sign
 
-    monkeypatch.setattr(comparator, "_sums_sign", logged)
-    checked = []
-    for cls in phi_classes(5000):
-        sort_class(cls, CycloCache(), cert_sink=lambda m, n, v, cert: checked.append((m, n, cert)))
-    assert len(checked) == 3855 and eval_calls == []
-    signs = {}
-    for m, n, q, sign in log:
-        signs.setdefault((m, n), []).append((q, sign))
+def _verified_pairs(range_max, table):
+    """(m, n, verdict, cert, template) of every adjacent pair of the
+    classes up to range_max, in the order a verification with `table`
+    certifies them."""
+    pairs = []
+    for cls in phi_classes(range_max):
+        sort_class(cls, CycloCache(), cert_sink=lambda *pair: pairs.append(pair), table=table)
+    return pairs
+
+
+def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(eval_calls):
+    """A verification of {1..5000} evaluates nothing exactly.  For each of
+    its 3,855 adjacent pairs, served by the memo or not, every sign its
+    certificate rests on at q < q*, the first window's sign at each q, is
+    nonzero, is the sign `_sums_sign` reads, and is the sign of the exact
+    difference."""
+    table = SumsTable(5000)
+    pairs = _verified_pairs(5000, table)
+    assert len(pairs) == 3855 and eval_calls == []
     cache = CycloCache()
-    for m, n, cert in checked:
-        read = signs.pop((m, n), [])
-        assert [q for q, _ in read] == list(range(2, cert.checked_q_max + 1)), (m, n)
-        for q, sign in read:
-            assert sign == _exact_sign(m, n, q, cache), (m, n, q)
-    assert not signs
+    for m, n, _, cert, _ in pairs:
+        a, b = RamanujanSums(m, table, totient(m)), RamanujanSums(n, table, totient(n))
+        j0, deltas = _first_window(a, b)
+        assert cert.checked_q_max == 2 * j0 // abs(deltas[0]) + 1, (m, n)
+        for q in range(2, cert.checked_q_max + 1):
+            sign = _window_sum_sign(deltas, j0, j0 + _WINDOWS[0], q)
+            assert sign != 0 and sign == _sums_sign(a, b, j0, q) == _exact_sign(m, n, q, cache), (m, n, q)
+
+
+def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
+    """Each adjacent pair of a verification of {1..5000} gets, through the
+    run's memo, the verdict, certificate and line the unmemoised path
+    gives it: `_certify` with `_sums_sign`, then `comparison_line`.  The
+    3,855 pairs have 447 distinct first windows (j0, delta_j0..delta_j0+8),
+    each stored by its first pair and handed, the same objects, to the
+    other 3,408."""
+    table, fresh = SumsTable(5000), SumsTable(5000)
+    pairs = _verified_pairs(5000, table)
+    assert len(pairs) == 3855
+    cache, keys = CycloCache(), set()
+    for m, n, verdict, cert, template in pairs:
+        a, b = RamanujanSums(m, fresh, totient(m)), RamanujanSums(n, fresh, totient(n))
+        j0, deltas = _first_window(a, b)
+        lead = 1 if deltas[0] > 0 else -1
+        stop = 2 * j0 // abs(deltas[0]) + 2
+        want, checked, ties, flips = _certify(m, n, lead, stop, cache, _sums_sign, (a, b, j0))
+        want_cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
+        assert (verdict, cert) == (want, want_cert), (m, n)
+        assert template % (m, n) == comparison_line(m, n, want, want_cert), (m, n)
+        key = (j0, *deltas)
+        stored = table.outcomes[key]
+        assert stored[0] is verdict and stored[1] is cert and stored[2] is template, (m, n)
+        keys.add(key)
+    assert len(keys) == len(table.outcomes) == 447

@@ -88,9 +88,15 @@ def test_phi_classes_partition():
 
 def _sort_with_evidence(phi_class, cache):
     """sort_class's ordered members, with every (a, b, verdict, cert) its
-    cert_sink received."""
+    cert_sink received; the template given with each completes to the
+    pair's `comparison_line`."""
     evidence = []
-    ordered = sort_class(phi_class, cache, cert_sink=lambda *e: evidence.append(e))
+
+    def sink(a, b, verdict, cert, template):
+        assert template % (a, b) == comparison_line(a, b, verdict, cert), (a, b)
+        evidence.append((a, b, verdict, cert))
+
+    ordered = sort_class(phi_class, cache, cert_sink=sink)
     return ordered, evidence
 
 
@@ -108,6 +114,43 @@ def test_sort_class_examples(shared_cache):
     ordered, evidence = _sort_with_evidence(PhiClass(10, [11]), cache)
     assert ordered == [11] and not evidence
     assert 11 not in cache  # a class of one member builds no entry
+
+
+def test_sort_class_refuses_a_table_that_does_not_cover_the_class(monkeypatch):
+    """The class of totient 24 in {1..100} reaches 90: a table sieved to
+    89 or to 10 raises ValueError before any member's sums are built, and
+    one sieved to 90 sorts it."""
+    cls = next(c for c in phi_classes(100) if c.phi_value == 24)
+    assert max(cls.members) == 90
+    built = []
+    sums = cycorder.order.RamanujanSums
+    monkeypatch.setattr(cycorder.order, "RamanujanSums", lambda *args: built.append(args) or sums(*args))
+    for limit in (10, 89):
+        with pytest.raises(ValueError, match=f"covers indices up to {limit}, not 90"):
+            sort_class(cls, CycloCache(), table=SumsTable(limit))
+    assert not built
+    assert sort_class(cls, CycloCache(), table=SumsTable(90)) == sort_class(cls, CycloCache())
+
+
+def test_each_run_starts_from_an_empty_memo(monkeypatch):
+    """Two verifications of {1..5000} in one process give equal reports.
+    Each sorts its classes with its own table, whose memo of pair
+    outcomes is empty when its first class is sorted and holds one entry
+    per distinct first window, 447, when the run ends."""
+    tables, at_start = [], []
+    sort = cycorder.order.sort_class
+
+    def recorded(phi_class, cache, *, cert_sink, table):
+        if not tables or tables[-1] is not table:
+            tables.append(table)
+            at_start.append(len(table.outcomes))
+        return sort(phi_class, cache, cert_sink=cert_sink, table=table)
+
+    monkeypatch.setattr(cycorder.order, "sort_class", recorded)
+    first, second = build_chain(5000).to_record(), build_chain(5000).to_record()
+    assert first == second
+    assert len(tables) == 2 and at_start == [0, 0]
+    assert [len(t.outcomes) for t in tables] == [447, 447]
 
 
 def test_sort_class_sorts_a_tall_class_at_its_wider_packing():
@@ -235,20 +278,34 @@ def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(
 
 
 def test_record_writer_matches_json_dumps_on_verify_5000(monkeypatch):
-    """`comparison_line`, the one writer, writes the general encoder's
-    bytes for every comparison of a verification of {1..5000}."""
-    seen = []
+    """The lines a verification of {1..5000} hashes, each a template
+    completed with the pair's m and n, are the general encoder's bytes for
+    the pairs' records: every class's cert_hash is the sha256 of
+    json.dumps of its adjacent pairs' records, each ending in a newline,
+    over all 3,855 pairs."""
+    pairs = {}
+    sort = cycorder.order.sort_class
 
-    def written(*pair):
-        line = comparison_line(*pair)
-        seen.append((pair, line))
-        return line
+    def recorded(phi_class, cache, *, cert_sink, table):
+        got = pairs[phi_class.phi_value] = []
 
-    monkeypatch.setattr(cycorder.order, "comparison_line", written)
-    build_chain(5000)
-    assert len(seen) == 3855
-    for pair, line in seen:
-        assert line == json.dumps(comparison_record(*pair), sort_keys=True, separators=(",", ":"))
+        def sink(*pair):
+            got.append(pair[:4])
+            cert_sink(*pair)
+
+        return sort(phi_class, cache, cert_sink=sink, table=table)
+
+    counted = []
+
+    def check(done, total, summary):
+        dumped = (json.dumps(comparison_record(*p), sort_keys=True, separators=(",", ":")) for p in pairs.pop(summary["phi"]))
+        text = "".join(line + "\n" for line in dumped)
+        assert summary["cert_hash"] == hashlib.sha256(text.encode()).hexdigest(), summary["phi"]
+        counted.append(summary["pair_count"])
+
+    monkeypatch.setattr(cycorder.order, "sort_class", recorded)
+    build_chain(5000, progress=check)
+    assert sum(counted) == 3855 and not pairs
 
 
 def test_build_chain_2000_sequence_digest():
@@ -422,11 +479,12 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
     scan = set()
     for i, m in enumerate(members):
         for n in members[i + 1 :]:
-            v, cert = ramanujan_compare(sums[m], sums[n], cache)
+            v, cert, _ = ramanujan_compare(sums[m], sums[n], cache, {})
             assert v is not Verdict.INCOMPARABLE
             if cert.tie_witnesses:
                 scan |= {m, n}
     summary = _finish_class(PhiClass(4, members), cache, table)
+    assert not table.outcomes  # every window undecided: nothing is memoised
     assert summary["members"] == [a, b, c]
     assert summary["ties"] == [[a, b, 2], [b, c, 2]]
     assert summary["pair_count"] == 2 and not summary["incomparable"]
@@ -435,7 +493,7 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
 
 def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) -> None:
     """Rebuild the certificates of the summary's adjacent pairs with
-    `ramanujan_compare` on `cache`: cert_hash is the sha256 of their lines
+    `ramanujan_compare` on `cache`, unmemoised: cert_hash is the sha256 of their lines
     from `comparison_line`, each the general encoder's bytes for the
     pair's record, and every other field of the summary agrees with the
     records."""
@@ -443,7 +501,8 @@ def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) ->
     table = SumsTable(max(members))
     sums = {x: RamanujanSums(x, table, totient(x)) for x in members}
     pairs = [
-        (a, b, *ramanujan_compare(sums[a], sums[b], cache)) for a, b in zip(members, members[1:])
+        (a, b, *ramanujan_compare(sums[a], sums[b], cache, {})[:2])
+        for a, b in zip(members, members[1:])
     ]
     records = [comparison_record(*pair) for pair in pairs]
     lines = [comparison_line(*pair) for pair in pairs]
@@ -466,13 +525,14 @@ def test_class_summaries_are_bound_to_their_hashed_records(shared_cache):
 
 
 def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, monkeypatch):
-    """The incomparable class and the tied class of the stand-ins; the
-    certificate sink writes each pair's line once, and builds a record
-    dict only for the incomparable pair."""
+    """The incomparable class and the tied class of the stand-ins; every
+    window is left undecided, so the memo stays empty and each pair's line
+    template is built once, and the certificate sink builds a record dict
+    only for the incomparable pair."""
     built, recorded = [], []
-    line, record = cycorder.order.comparison_line, cycorder.order.comparison_record
+    template, record = comparator._line_template, cycorder.order.comparison_record
     monkeypatch.setattr(
-        cycorder.order, "comparison_line", lambda *args: built.append(args[:2]) or line(*args)
+        comparator, "_line_template", lambda *args: built.append(args[0]) or template(*args)
     )
     monkeypatch.setattr(
         cycorder.order,
@@ -487,7 +547,7 @@ def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, m
         built.clear()
         recorded.clear()
         summary = _finish_class(PhiClass(4, members), work, table)
-        assert built == list(zip(summary["members"], summary["members"][1:]))
+        assert len(built) == summary["pair_count"] == len(members) - 1 and not table.outcomes
         assert recorded == [(r["m"], r["n"]) for r in summary["incomparable"]]
         _assert_summary_is_bound_to_its_records(summary, stand_in_values)
         if members == [a, b]:
