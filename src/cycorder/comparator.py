@@ -5,7 +5,9 @@ Every route makes the claim finite in one way: it proves a bound `stop`
 such that every q >= stop gives the difference Phi_n(q) - Phi_m(q) its
 leading sign, and `_certify` decides the sign at each q in [2, stop).
 The routes differ only in the leading sign, `stop` and the fast sign
-test that `_certify` tries before exact evaluation:
+test that `_certify` tries before exact evaluation.  A fast test reads
+one window of _WINDOW = 8 terms; its sign is exact wherever it is
+nonzero, and a q it leaves at 0 is evaluated exactly:
 
   * indices of unequal totient, in `compare`: the totient gap orders the
     pair, smaller totient first.  It settles every q >= 3, and q = 2 too
@@ -15,17 +17,18 @@ test that `_certify` tries before exact evaluation:
     `ramanujan_compare`.  The low-order end of log Phi_n(q) has a closed
     form, Ramanujan's sums, which orders the class and gives stop = q*
     (q* <= 4 for every adjacent pair of a verification up to 100000),
-    with `_sums_sign` as the fast test.  No coefficient is read, and no
-    polynomial is built.  An outcome whose signs the first window of sums
-    decides is a function of that window, so each distinct window is
-    decided once per run and its outcome, line template included, reused
-    (the run's memo, `SumsTable.outcomes`).
+    with the sums' window (`_window_sum_sign`) as the fast test.
+    No coefficient is read, and no polynomial is built.  An outcome whose
+    signs that window decides is a function of the window, so each
+    distinct window is decided once per run and its outcome, line
+    template included, reused (the run's memo, `SumsTable.outcomes`).
   * indices of equal totient in `compare`, the route of the `compare`
     command, `precedes` and `conjecture2`: stop = c + 1 for the threshold
     c of the difference of the two polynomials, read off their packed
-    values, with `_window_sign` as the fast test.  Its certificates carry
-    c, which the command's printed records and the benchmark's oracle
-    check pin, so this route stays until they move.
+    values, with the difference's top coefficients (`_window_sign`) as
+    the fast test.  Its certificates carry c, which the command's printed
+    records and the benchmark's oracle check pin, so this route stays
+    until they move.
 
 The rest of this docstring is about the third route.  For indices m and
 n of equal totient, let D be the polynomial for n minus the polynomial
@@ -91,9 +94,9 @@ from .arith import smallest_prime_factors
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
 from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyclo
 
-# window lengths a fast sign test tries in turn before exact evaluation: D's
-# top coefficients in `_window_sign`, terms past j0 in `_sums_sign`
-_WINDOWS = (8, 16, 32, 64)
+# the one window a fast sign test reads before exact evaluation: D's top
+# coefficients in `_window_sign`, terms past j0 in `_window_sum_sign`
+_WINDOW = 8
 _SUMS_BLOCK = 32  # terms of each index's row in a `SumsTable`; a class sort's first key length
 
 
@@ -205,15 +208,14 @@ def _certify(
     lead: int,
     stop: int,
     cache: CycloCache,
-    fast: Callable[..., int] | None = None,
-    args: tuple = (),
+    fast: Callable[[int], int] | None = None,
 ) -> tuple[Verdict, int, list[int], list[int]]:
     """Verdict, checked_q_max, ties and flips of indices m and n, given
     that every q >= stop gives Phi_n(q) - Phi_m(q) the sign `lead` (each
     route proves its own stop >= 2).
 
-    The sign at each q in [2, stop) is fast(*args, q) where that is
-    nonzero, each route proving its fast test exact wherever it decides;
+    The sign at each q in [2, stop) is fast(q) where that is nonzero,
+    each route proving its fast test exact wherever it decides;
     else, and at every q when fast is None, it is the sign of
     eval_cyclo(n, q) - eval_cyclo(m, q), n's value first.  So every tie
     is found by exact evaluation.  With those signs, and `lead` at every
@@ -228,7 +230,7 @@ def _certify(
     ties: list[int] = []
     first_neg = first_pos = 0
     for q in range(2, stop):
-        sign = fast(*args, q) if fast else 0
+        sign = fast(q) if fast else 0
         if not sign:
             v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
             sign = (v > 0) - (v < 0)
@@ -256,19 +258,14 @@ def _certify(
 
 
 def _window_sign(top: bytes | list[int], c: int, q: int) -> int:
-    """Sign of D(q) read off D's top coefficients, or 0 when no window
-    decides it.  top holds D_i + c for i = t, t - 1, ..., top first;
-    the windows are its first _WINDOWS entries, up to all of it
-    (`compare` proves the rule)."""
-    total, lo = 0, 0
-    for hi in _WINDOWS:
-        for digit in top[lo:hi]:
-            total = total * q + digit - c
-        if (q - 1) * abs(total) >= c:
-            return 1 if total > 0 else -1
-        if hi >= len(top):
-            break
-        lo = hi
+    """Sign of D(q) read off D's top coefficients, or 0 when they do not
+    decide it.  top holds D_i + c for i = t, t - 1, ..., s, top first,
+    the window of at most _WINDOW entries (`compare` proves the rule)."""
+    total = 0
+    for digit in top:
+        total = total * q + digit - c
+    if (q - 1) * abs(total) >= c:
+        return 1 if total > 0 else -1
     return 0
 
 
@@ -328,10 +325,9 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
         |R| <= c * (q^s - 1) / (q - 1) < c * q^s / (q - 1).
 
     So if (q - 1) * |T| >= c, then q^s * |T| > |R|: D(q) is nonzero and
-    has the sign of T.  Windows of 8, 16, 32 and 64 coefficients
-    (`_WINDOWS`) are tried in turn (`_window_sign`) until one decides; a
-    q that none decides, including every q where D(q) = 0, is evaluated
-    exactly.
+    has the sign of T.  The window is L = _WINDOW = 8 coefficients
+    (`_window_sign`, read once per q); a q it does not decide, including
+    every q where D(q) = 0, is evaluated exactly.
 
     Reading the window.  `difference_threshold` returns Y = X + c*ONES,
     whose base-2^w digits are D_i + c: the top coefficients are bytes of
@@ -374,12 +370,13 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
     if c > 1:
         nbytes = width // 8
         t = x.bit_length() // width
-        s = max(0, t - _WINDOWS[-1] + 1)
+        s = max(0, t - _WINDOW + 1)
         raw = y.to_bytes(ln * nbytes, "little")[s * nbytes : (t + 1) * nbytes]
         top = raw[::-1] if nbytes == 1 else [
             int.from_bytes(raw[i - nbytes : i], "little") for i in range(len(raw), 0, -nbytes)
         ]
-    verdict, checked, ties, flips = _certify(m, n, lead, c + 1, cache, _window_sign, (top, c))
+    fast = functools.partial(_window_sign, top, c)
+    verdict, checked, ties, flips = _certify(m, n, lead, c + 1, cache, fast)
     return verdict, Certificate(c, lead, checked, ties, flips)
 
 
@@ -428,7 +425,7 @@ class SumsTable:
     a lane still to come has d as a divisor, so besides the lane being
     summed at most L / 2 row-sized integers are held.
 
-    `outcomes` is the run's memo of adjacent-pair outcomes, keyed by first
+    `outcomes` is the run's memo of adjacent-pair outcomes, keyed by its
     window (`ramanujan_compare`); it starts empty with each table, so it
     lives and dies with one run.
     """
@@ -559,46 +556,31 @@ class RamanujanSums:
 
 
 @functools.cache
-def _window_weights(j0: int, top: int, q: int) -> tuple[tuple[int, ...], int]:
-    """The weights (Lambda / j) * q^(top - j) for j = j0, ..., top and the
-    bound 2 * Lambda, with Lambda = lcm(j0..top), formed once per process
-    for each window and q (`ramanujan_compare`)."""
+def _window_weights(j0: int, q: int) -> tuple[tuple[int, ...], int]:
+    """The weights (Lambda / j) * q^(J - j) for j = j0, ..., J and the
+    bound 2 * Lambda, with J = j0 + _WINDOW and Lambda = lcm(j0..J),
+    formed once per process for each j0 and q (`ramanujan_compare`)."""
+    top = j0 + _WINDOW
     lam = lcm(*range(j0, top + 1))
     return tuple(lam // j * q ** (top - j) for j in range(j0, top + 1)), 2 * lam
 
 
-def _window_sum_sign(deltas, j0: int, top: int, q: int) -> int:
+def _window_sum_sign(deltas, j0: int, q: int) -> int:
     """Sign of the sum over j >= j0 of delta_j * q^(-j) / j read off the
-    window of `deltas`, delta_j0 up to delta_top, or 0 when the window
-    does not decide it (`ramanujan_compare` proves the rule): one C-level
-    dot product of the deltas with the window's weights
+    window of `deltas`, delta_j0 up to delta_(j0 + _WINDOW), or 0 when the
+    window does not decide it (`ramanujan_compare` proves the rule): one
+    C-level dot product of the deltas with the window's weights
     (`_window_weights`)."""
-    weights, bound = _window_weights(j0, top, q)
+    weights, bound = _window_weights(j0, q)
     total = sum(map(mul, deltas, weights))
     if (q - 1) * abs(total) > bound:
         return 1 if total > 0 else -1
     return 0
 
 
-def _sums_sign(a: RamanujanSums, b: RamanujanSums, j0: int, q: int) -> int:
-    """Sign of the sum over j >= j0 of delta_j * q^(-j) / j, with
-    delta_j = c_a(j) - c_b(j), read off the windows J = j0 + w for w in
-    _WINDOWS, or 0 when none decides it (`_window_sum_sign`).  Both
-    sequences are extended to J only when a q reaches that window."""
-    for width in _WINDOWS:
-        top = j0 + width
-        a.extend(top)
-        b.extend(top)
-        sign = _window_sum_sign(map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]), j0, top, q)
-        if sign:
-            return sign
-    return 0
-
-
 def ramanujan_compare(
     a: RamanujanSums,
     b: RamanujanSums,
-    cache: CycloCache,
     outcomes: dict[tuple[int, ...], tuple[Verdict, Certificate, str]],
 ) -> tuple[Verdict, Certificate, str]:
     """`compare` for two distinct indices m = a.n and n = b.n of equal
@@ -607,9 +589,11 @@ def ramanujan_compare(
     template of its line, `comparison_line(m, n, verdict, cert)` ==
     template % (m, n).  The certificate has shortcut_tag "ramanujan",
     threshold_c 0 and the leading sign of Phi_n - Phi_m; stop is q*
-    (below).  `outcomes` is a memo of outcomes by first window (below),
+    (below).  `outcomes` is a memo of outcomes by window (below),
     read and filled here; a verification passes its run's
     (`SumsTable.outcomes`), and a fresh dict gives the unmemoised outcome.
+    An exact fallback evaluates into a `CycloCache` of its own, made for
+    the pair and dropped with it.
 
     Sign at q.  By the identity proved in `compare`, with phi(m) = phi(n),
 
@@ -638,21 +622,19 @@ def ramanujan_compare(
     leading sign, and m precedes n asymptotically exactly when
     delta_j0 > 0, that is -c_m(j0) < -c_n(j0): the lexicographic order of
     `RamanujanSums.terms`.  The least such q is
-    q* = floor(2 * j0 / |delta_j0|) + 2.  `_certify` decides each q in
-    [2, q*): `_sums_sign` tries J = j0 + 8, 16, 32 and 64 (`_WINDOWS`),
-    and a q none decides, which includes every tie, is evaluated exactly.
-    The weights and the bound 2 * Lambda, with Lambda = lcm(j0..J), depend
-    on j0, J and q alone, not on the pair, so `_window_weights` forms them
-    once per (j0, J, q) in a process.
+    q* = floor(2 * j0 / |delta_j0|) + 2.  Each q in [2, q*) is tested once
+    on the window J = j0 + _WINDOW (`_window_sum_sign`), and `_certify`
+    takes those signs, evaluating exactly each q the window leaves at 0,
+    which includes every tie.  The weights and the bound 2 * Lambda, with
+    Lambda = lcm(j0..J), depend on j0 and q alone, not on the pair, so
+    `_window_weights` forms them once per (j0, q) in a process.
 
-    One outcome per first window.  Let J1 = j0 + 8, the first window, and
-    key = (j0, delta_j0, ..., delta_J1); a member's terms are extended to
-    J1 only when it holds fewer.  The lead and q* are functions of
-    (j0, delta_j0).  The first window's test at q reads the key's deltas
-    and the weights of (j0, J1, q), so its sign is a function of the key
-    and q (`_window_sum_sign`).  Suppose that sign is nonzero at every q in
-    [2, q*), and `_sums_sign`, which tries that window first, returned it
-    at each.  Then `_certify` was given a nonzero sign at every q < q*,
+    One outcome per window.  Let key = (j0, delta_j0, ..., delta_J); a
+    member's terms are extended to J only when it holds fewer.  The lead
+    and q* are functions of (j0, delta_j0), and the window's sign at q
+    reads the key's deltas and the weights of (j0, q), so it is a
+    function of the key and q.  Suppose it is nonzero at every q in
+    [2, q*).  Then `_certify` was given a nonzero sign at every q < q*,
     each a function of the key, evaluated nothing and found no tie, so
     the verdict and checked_q_max = q* - 1 are functions of the key; so is
     the certificate (threshold_c 0, the lead, no tie, the tag, and no flip
@@ -660,19 +642,17 @@ def ramanujan_compare(
     which the template leaves as %d.  Every pair with that key has that
     outcome, and such an outcome, unless INCOMPARABLE, is stored under its
     key and handed to each later pair with the key without reading a sign.
-    Any other outcome, one whose signs came in part from a wider window or
-    from exact evaluation (so every tie), and every INCOMPARABLE one, may
-    depend on more than the key and is not stored.  The signs `_sums_sign`
-    returned are compared with the first window's own, so a stand-in fast
-    test that leaves every q to exact evaluation stores nothing.  A stored
-    certificate is shared by all the pairs with its key; no code mutates a
-    certificate once made.
+    An outcome with a q the window leaves at 0, decided there by exact
+    evaluation (so every tie), and every INCOMPARABLE one, may depend on
+    more than the key and is not stored.  A stored certificate is shared
+    by all the pairs with its key; no code mutates a certificate once
+    made.
     """
     m, n = a.n, b.n
     if a.phi != b.phi:
         raise ValueError(f"indices {m} and {n} have unequal totients")
     j0 = a.first_difference(b)
-    top = j0 + _WINDOWS[0]
+    top = j0 + _WINDOW
     if len(a.terms) < top:
         a.extend(top)
     if len(b.terms) < top:
@@ -681,15 +661,14 @@ def ramanujan_compare(
     outcome = outcomes.get(key)
     if outcome is not None:
         return outcome
-    lead_delta = key[1]  # c_m(j0) - c_n(j0): the terms are negated
-    lead = 1 if lead_delta > 0 else -1
-    stop = 2 * j0 // abs(lead_delta) + 2  # q*
-    signs = {q: _sums_sign(a, b, j0, q) for q in range(2, stop)}
-    verdict, checked, ties, flips = _certify(m, n, lead, stop, cache, signs.get)
+    deltas = key[1:]
+    lead = 1 if deltas[0] > 0 else -1  # c_m(j0) - c_n(j0): the terms are negated
+    stop = 2 * j0 // abs(deltas[0]) + 2  # q*
+    signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
+    verdict, checked, ties, flips = _certify(m, n, lead, stop, CycloCache(), signs.get)
     cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
     outcome = verdict, cert, _line_template(verdict, cert)
-    first = {q: _window_sum_sign(key[1:], j0, top, q) for q in signs}
-    if verdict is not _INCOMPARABLE and 0 not in first.values() and signs == first:
+    if verdict is not _INCOMPARABLE and 0 not in signs.values():
         outcomes[key] = outcome
     return outcome
 
@@ -771,8 +750,12 @@ def record_to_json(record: dict) -> str:
 
 
 def parse_comparison_record(text: str) -> dict:
-    """Inverse of record_to_json for comparison records; validates the shape."""
+    """Inverse of record_to_json for comparison records; validates the
+    shape, raising ValueError on text that is not a JSON object with
+    every field and a known verdict."""
     rec = json.loads(text)
+    if not isinstance(rec, dict):
+        raise ValueError("comparison record is not a JSON object")
     missing = [f for f in _RECORD_FIELDS if f not in rec]
     if missing:
         raise ValueError(f"comparison record missing fields: {missing}")

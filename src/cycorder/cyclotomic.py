@@ -148,9 +148,9 @@ class CycloCache:
     `evals` is filled by `eval_cyclo`: the `cyclo N Q` command, the
     `check_*` predicates, the exact fallback of `compare` and of
     `ramanujan_compare`, and `compare`'s values at q = 2 for a pair whose
-    totients differ by 1 or 2.  A verification fills `evals` only, and
-    only when a sign falls back to exact evaluation.  Everything lives
-    until `trim`, which a verification calls after each class.
+    totients differ by 1 or 2.  A verification holds no cache: only an
+    exact fallback of `ramanujan_compare` makes one, for its pair alone.
+    Everything lives until `trim` or until the cache is dropped.
     """
 
     __slots__ = ("polys", "kernels", "packed", "evals")
@@ -208,13 +208,9 @@ class CycloCache:
     def trim(self) -> None:
         """Drop every polynomial and kernel and clear both memos.
 
-        In a verification only `ramanujan_compare` fills the cache, and
-        only `evals`, when a sign falls back to exact evaluation (no pair
-        up to 20000 does); an index is evaluated only inside its own
-        totient class, which is sorted once, so no later class reads a
-        memo a class left, and the cache never holds more than one
-        class's values.
-        """
+        No code in the package calls it: a verification holds no cache,
+        and the exact fallback of `ramanujan_compare` drops its own with
+        the pair.  The benchmark's layer wrappers still time it."""
         self.polys.clear()
         self.kernels.clear()
         self.packed.clear()
@@ -409,8 +405,8 @@ def eval_cyclo(n: int, q: int, cache: CycloCache) -> int:
     whose totients differ by 1 or 2, and for a pair of equal totient
     only at a q <= c that the top coefficients of the difference leave
     undecided, which includes every tie; `ramanujan_compare` only at a
-    q < q* that its windows leave undecided, which no adjacent pair of a
-    verification up to 20000 has.
+    q < q* that its window leaves undecided, which no adjacent pair of a
+    verification up to 100000 has.
     """
     if q < 2:
         raise ValueError(f"the ordering is only defined over q >= 2, got q={q}")

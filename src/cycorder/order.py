@@ -15,16 +15,18 @@ sums of every index, sieved from Ramanujan's definition, and a
 smallest-prime-factor table; a member's later terms come from Hoelder's
 closed form, whose table it builds, factoring the member off that
 table, only when a comparison reads past its row.  The table also holds
-the run's memo of pair outcomes: a pair whose first window of sums,
+the run's memo of pair outcomes: a pair whose window of sums,
 (j0, delta_j0, ..., delta_j0+8), an earlier pair of the run already had
 takes that pair's verdict, certificate and line template, which
 `ramanujan_compare` proves sound, instead of reading its signs again.
 The sorted classes concatenate, ascending by totient value, into the
 full chain.
 
-Classes run in one process in ascending totient order; one loop
-records, checkpoints and reports each, and the cache, which holds only
-the values an exact fallback evaluated, is emptied after every class.
+Classes run in one process in ascending totient order, and one loop
+records, checkpoints and reports each.  The run holds no `CycloCache`:
+an exact fallback, which no adjacent pair up to 100000 reaches, evaluates
+into one of its own that dies with the pair
+(`comparator.ramanujan_compare`).
 A class's summary is read off the certificates whose lines its
 cert_hash covers; `ChainReport.from_record` builds the report.  The
 checkpoint is a hash-chained JSON-lines file, one line per class,
@@ -258,10 +260,9 @@ def _prefix_sorted(run: list[RamanujanSums], size: int) -> list[RamanujanSums]:
 
 def sort_class(
     phi_class: PhiClass,
-    cache: CycloCache,
+    table: SumsTable | None = None,
     *,
     cert_sink: Callable[[int, int, Verdict, Certificate, str], None] | None = None,
-    table: SumsTable | None = None,
 ) -> list[int]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
 
@@ -280,11 +281,11 @@ def sort_class(
     A certificate from the memo is shared with other pairs and must not
     be mutated.  Nothing else keeps the certificates of pairs the memo
     does not hold, so batch runs stay flat in memory.  Neither step
-    reads a coefficient, so the cache receives only the values of an
-    exact fallback; a class of one member builds no sums at all.
-    Returns the ordered members; an INCOMPARABLE
-    pair reaches cert_sink as data and is never raised.  Any other
-    verdict but LESS contradicts the sort and raises ArithmeticError.
+    reads a coefficient, and no cache is taken: an exact fallback keeps
+    its values only for its pair.  A class of one member builds no sums
+    at all.  Returns the ordered members; an INCOMPARABLE pair reaches
+    cert_sink as data and is never raised.  Any other verdict but LESS
+    contradicts the sort and raises ArithmeticError.
 
     The sort (`_prefix_sorted`) sorts once on every member's first
     L = _SUMS_BLOCK terms, its row of the table, all lists of length L,
@@ -339,7 +340,7 @@ def sort_class(
     phi, outcomes = phi_class.phi_value, table.outcomes
     ordered = _prefix_sorted([RamanujanSums(n, table, phi) for n in phi_class.members], _SUMS_BLOCK)
     for a, b in zip(ordered, ordered[1:]):
-        verdict, cert, template = ramanujan_compare(a, b, cache, outcomes)
+        verdict, cert, template = ramanujan_compare(a, b, outcomes)
         if cert_sink is not None:
             cert_sink(a.n, b.n, verdict, cert, template)
         if verdict not in _NEIGHBOUR_VERDICTS:
@@ -354,9 +355,10 @@ def sort_class(
 # ---------------------------------------------------------------------------
 
 
-def _finish_class(phi_class: PhiClass, cache: CycloCache, table: SumsTable) -> dict:
-    """Sort and summarize one class (`sort_class`, with `table`), then
-    empty the cache.  The sink writes each adjacent pair's JSON line once,
+def _finish_class(phi_class: PhiClass, table: SumsTable) -> dict:
+    """Sort and summarize one class (`sort_class`, with `table`, passed as
+    its second positional argument, the form `bench/spans.py`'s `sort`
+    wrapper forwards).  The sink writes each adjacent pair's JSON line once,
     as its template % (m, n), which is `comparator.comparison_line`'s
     line, and keeps its certificate; `cert_hash` is the sha256 of the
     class's lines, each ending in a newline, and the rest of the summary
@@ -369,8 +371,7 @@ def _finish_class(phi_class: PhiClass, cache: CycloCache, table: SumsTable) -> d
         lines.append(template % (m, n))
         pairs.append((m, n, verdict, cert))
 
-    ordered = sort_class(phi_class, cache, cert_sink=sink, table=table)
-    cache.trim()
+    ordered = sort_class(phi_class, table, cert_sink=sink)
     lines.append("")  # so that the join ends every line in a newline
     return {
         "phi": phi_class.phi_value,
@@ -592,13 +593,12 @@ def build_chain(
     checkpoint = CheckpointFile(checkpoint_path, range_max) if checkpoint_path else None
     summaries: dict[int, dict] = dict(checkpoint.completed) if checkpoint else {}
 
-    cache = CycloCache()
     table = SumsTable(range_max)
     try:
         for cls in classes:
             if cls.phi_value in summaries:
                 continue  # on file from an earlier run
-            summary = summaries[cls.phi_value] = _finish_class(cls, cache, table)
+            summary = summaries[cls.phi_value] = _finish_class(cls, table)
             if checkpoint is not None:
                 checkpoint.append(summary)
             if progress is not None:

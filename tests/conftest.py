@@ -41,11 +41,12 @@ def fake_pair_cache() -> CycloCache:
 
 
 @pytest.fixture
-def stand_in_values(monkeypatch) -> CycloCache:
-    """A cache whose evaluation memo gives the indices 10, 8, 5 and 12 of
-    totient 4 the values at q <= 16 of t^2, t^2 + t - 3, t^2 + 2t - 4 and
-    t^2 + t - 2, with every window of `ramanujan_compare` left undecided,
-    so that no outcome enters a table's memo.
+def stand_in_values(monkeypatch) -> None:
+    """Exact evaluation in `comparator` that gives the indices 10, 8, 5
+    and 12 of totient 4 the values at q <= 16 of t^2, t^2 + t - 3,
+    t^2 + 2t - 4 and t^2 + t - 2, and every other (n, q) its real value,
+    with the window of `ramanujan_compare` left undecided at every q, so
+    that no outcome enters a table's memo.
 
     A verification decides each sign from Ramanujan's sums, which no
     stand-in can replace, and meets no incomparable pair or tie among
@@ -55,9 +56,15 @@ def stand_in_values(monkeypatch) -> CycloCache:
     q = 2, a tie at q = 3), and 10, 12, 5 are ordered with all three
     equal to 4 at q = 2.
     """
-    monkeypatch.setattr(comparator, "_sums_sign", lambda a, b, j0, q: 0)
-    cache = CycloCache()
+    values = {}
     for n, coeffs in ((10, (0, 0, 1)), (8, (-3, 1, 1)), (5, (-4, 2, 1)), (12, (-2, 1, 1))):
         poly = IntPoly(coeffs)
-        cache.evals.update(((n, q), poly.eval_at(q)) for q in range(2, 17))
-    return cache
+        values.update(((n, q), poly.eval_at(q)) for q in range(2, 17))
+    exact = comparator.eval_cyclo
+
+    def stand_in(n, q, cache):
+        value = values.get((n, q))
+        return exact(n, q, cache) if value is None else value
+
+    monkeypatch.setattr(comparator, "_window_sum_sign", lambda deltas, j0, q: 0)
+    monkeypatch.setattr(comparator, "eval_cyclo", stand_in)

@@ -10,7 +10,6 @@ import pytest
 import cycorder
 from cycorder.cli import main
 from cycorder.comparator import SumsTable, parse_comparison_record
-from cycorder.cyclotomic import CycloCache
 from cycorder.order import (
     ChainReport,
     CheckpointFile,
@@ -336,9 +335,7 @@ def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp
     lines resume."""
     table = SumsTable(12)
     for members in ([10, 8], [10, 5, 12]):
-        work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
-        work.evals.update(stand_in_values.evals)
-        summary = _finish_class(PhiClass(4, members), work, table)
+        summary = _finish_class(PhiClass(4, members), table)
         assert not table.outcomes  # every window undecided: nothing is memoised
         assert summary["ties"] and bool(summary["incomparable"]) == (members == [10, 8])
         path = str(tmp_path / f"{len(members)}.ckpt")

@@ -10,14 +10,13 @@ from cycorder import comparator
 from cycorder.arith import SMALL_PRIMES, divisors, factorize, moebius, totient
 from cycorder.comparator import (
     _SUMS_BLOCK,
-    _WINDOWS,
+    _WINDOW,
     Certificate,
     RamanujanSums,
     SumsTable,
     Verdict,
     _certify,
     _hoelder_table,
-    _sums_sign,
     _window_sign,
     _window_sum_sign,
     certificate_from_record,
@@ -363,6 +362,16 @@ def test_record_round_trip(shared_cache):
         parse_comparison_record('{"verdict": "LESS"}')
 
 
+@pytest.mark.parametrize(
+    "text", ["5", "null", json.dumps(" ".join(comparator._RECORD_FIELDS))], ids=["int", "null", "string"]
+)
+def test_a_record_that_is_not_a_json_object_is_refused(text):
+    """JSON that parses to a number, null or a string naming every field
+    is refused with ValueError, not a TypeError from reading it."""
+    with pytest.raises(ValueError, match="comparison record is not a JSON object"):
+        parse_comparison_record(text)
+
+
 @pytest.mark.parametrize("verdict", list(Verdict))
 @pytest.mark.parametrize(
     "tag",
@@ -419,10 +428,8 @@ def test_certify_decides_each_q_below_stop(
         return lead * differences[q] if k == n else 0
 
     monkeypatch.setattr(comparator, "eval_cyclo", value)
-    sign = None if fast is None else (lambda signs, q: lead * signs[q - 2])
-    verdict, got_checked, got_ties, flips = comparator._certify(
-        m, n, lead, stop, None, sign, (reads,)
-    )
+    sign = None if fast is None else (lambda q: lead * reads[q - 2])
+    verdict, got_checked, got_ties, flips = comparator._certify(m, n, lead, stop, None, sign)
 
     assert calls == [(k, q) for q in undecided for k in (n, m)]
     assert (got_checked, got_ties) == (checked, ties)
@@ -482,21 +489,34 @@ def differences(draw):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(differences())
-@example((-2,) * 10 + (-1,) * 7 + (1,))  # T = 1 at q = 2 in the window of 8; D(2) < 0
-@example((-2,) * 20 + (-1,) * 20 + (1,))  # the same for 8 and 16; 32 decides
-@example((-2,) * 5 + (-1,) * 70 + (1,))  # no window up to the cap decides
+@example((-2,) * 10 + (-1,) * 7 + (1,))  # T = 1 at q = 2 in the window; D(2) < 0
+@example((-2,) * 20 + (-1,) * 20 + (1,))  # the same; only 32 terms would decide
+@example((-2,) * 5 + (-1,) * 70 + (1,))  # no window up to 64 terms would decide
 @example((-3, 1))  # t - 3: s = 0, and a tie at q = 3
 def test_window_sign_is_exact_or_undecided(coeffs):
-    """Whatever the window reads is the sign of D(q); 0 only sends q on to
-    exact evaluation."""
+    """Whatever the window of 8 top coefficients reads is the sign of
+    D(q); 0 only sends q on to exact evaluation."""
     c = max(map(abs, coeffs))
-    top = [d + c for d in reversed(coeffs[-comparator._WINDOWS[-1] :])]
+    top = [d + c for d in reversed(coeffs[-_WINDOW:])]
     for q in range(2, c + 1):
         value = sum(d * q**i for i, d in enumerate(coeffs))
         assert _window_sign(top, c, q) in (0, (value > 0) - (value < 0)), q
 
 
-def test_window_signs_match_exact_signs_on_every_pair_to_1000(shared_cache, window_log):
+@pytest.mark.parametrize("coeffs", [(-2,) * 10 + (-1,) * 7 + (1,), (-2,) * 20 + (-1,) * 20 + (1,)])
+def test_a_sign_only_a_wider_window_decides_reads_0(coeffs):
+    """D(2) < 0 for both differences, but their top 8 coefficients read
+    T = 1 at q = 2, with (q - 1) * |T| < c = 2: the window leaves q = 2
+    to exact evaluation (a window of 16, or of 32, would decide it)."""
+    top = [d + 2 for d in reversed(coeffs[-_WINDOW:])]
+    assert sum(d * 2**i for i, d in enumerate(coeffs)) < 0
+    assert _window_sign(top, 2, 2) == 0
+
+
+def test_window_signs_match_exact_signs_on_every_pair_to_1000(shared_cache, window_log, eval_calls):
+    """Every pair of equal totient up to 1000 reads each q in [2, c] off
+    its window once, each sign is nonzero and exact, and `compare`
+    evaluates nothing."""
     for cls in phi_classes(1000):
         for i, m in enumerate(cls.members):
             for n in cls.members[i + 1 :]:
@@ -505,6 +525,7 @@ def test_window_signs_match_exact_signs_on_every_pair_to_1000(shared_cache, wind
                 assert [q for q, _ in window_log] == list(range(2, cert.threshold_c + 1))
                 for q, sign in window_log:
                     assert sign == _exact_sign(m, n, q, shared_cache), (m, n, q)
+    assert eval_calls == []
 
 
 def test_stand_ins_reach_the_exact_fallback(fake_pair_cache, eval_calls):
@@ -666,7 +687,7 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
             for n in members:
                 if m == n:
                     continue
-                verdict, cert, template = ramanujan_compare(sums[m], sums[n], shared_cache, outcomes)
+                verdict, cert, template = ramanujan_compare(sums[m], sums[n], outcomes)
                 assert template % (m, n) == comparison_line(m, n, verdict, cert), (m, n)
                 want, reference = compare(m, n, shared_cache)
                 assert verdict is want, (m, n)
@@ -687,9 +708,9 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
 def test_ramanujan_compare_rejects_what_it_cannot_decide():
     table = SumsTable(8)
     with pytest.raises(ValueError):  # totients 4 and 6
-        ramanujan_compare(RamanujanSums(5, table, 4), RamanujanSums(7, table, 6), CycloCache(), {})
+        ramanujan_compare(RamanujanSums(5, table, 4), RamanujanSums(7, table, 6), {})
     with pytest.raises(ValueError):
-        ramanujan_compare(RamanujanSums(8, table, 4), RamanujanSums(8, table, 4), CycloCache(), {})
+        ramanujan_compare(RamanujanSums(8, table, 4), RamanujanSums(8, table, 4), {})
     # sums of 8 rigged to read as those of 4 agree over their rows, past a
     # full common period, lcm(4, 8) terms: the search stops there instead
     # of looping
@@ -705,12 +726,12 @@ def test_only_an_outcome_the_first_window_decides_is_memoised():
     INCOMPARABLE outcome it decides alone is not stored; with delta_2 = 0
     the LESS outcome is stored under its key and handed, the same
     objects, to the next pair with that key."""
-    table, cache = SumsTable(12), CycloCache()
+    table = SumsTable(12)
     for second, want in ((-8, Verdict.INCOMPARABLE), (0, Verdict.LESS)):
         a, b = RamanujanSums(5, table, 4), RamanujanSums(8, table, 4)
         a.terms, b.terms = [0] * 100, [1, second] + [0] * 98
         outcomes = {}
-        outcome = ramanujan_compare(a, b, cache, outcomes)
+        outcome = ramanujan_compare(a, b, outcomes)
         assert outcome[0] is want and outcome[2] % (5, 8) == comparison_line(5, 8, *outcome[:2])
         if want is Verdict.INCOMPARABLE:
             assert outcome[1].flip_witnesses == [4, 2] and not outcomes
@@ -718,19 +739,25 @@ def test_only_an_outcome_the_first_window_decides_is_memoised():
             assert outcomes == {(1, 1, second) + (0,) * 7: outcome}
             c, d = RamanujanSums(10, table, 4), RamanujanSums(12, table, 4)
             c.terms, d.terms = list(a.terms), list(b.terms)
-            assert all(x is y for x, y in zip(ramanujan_compare(c, d, cache, outcomes), outcome))
+            assert all(x is y for x, y in zip(ramanujan_compare(c, d, outcomes), outcome))
 
 
-class _Terms:
-    """Stands in for `RamanujanSums` with a fixed list of negated terms;
-    `read` is the longest length an `extend` asked for."""
-
-    def __init__(self, terms):
-        self.terms, self.read = terms, 0
-
-    def extend(self, length):
-        assert len(self.terms) >= length
-        self.read = max(self.read, length)
+def test_an_outcome_with_a_sign_the_window_leaves_at_0_is_not_memoised(eval_calls):
+    """Sums rigged to delta_1 = 1 and delta_2 = -4, so q* = 4: the window
+    sums to 0 at q = 2 and reads the lead's sign at q = 3.  Only q = 2 is
+    evaluated exactly, n's value first; Phi_5(2) = 31 > Phi_8(2) = 17
+    gives the lead's sign there too, and the LESS outcome, which rests on
+    an exact value, is not stored."""
+    table = SumsTable(8)
+    a, b = RamanujanSums(8, table, 4), RamanujanSums(5, table, 4)
+    a.terms, b.terms = [0] * 100, [1, -4] + [0] * 98
+    deltas = (1, -4) + (0,) * (_WINDOW - 1)
+    assert [_window_sum_sign(deltas, 1, q) for q in (2, 3)] == [0, 1]
+    outcomes = {}
+    verdict, cert, _ = ramanujan_compare(a, b, outcomes)
+    assert verdict is Verdict.LESS and (cert.checked_q_max, cert.tie_witnesses) == (3, [])
+    assert eval_calls == [(5, 2), (8, 2)]
+    assert not outcomes
 
 
 @st.composite
@@ -751,45 +778,36 @@ def sum_sequences(draw):
 @example((1, (1,) + tuple(-2 * j for j in range(2, 66)), -1))
 @example((3, (-2,) + (0,) * 64, 0))
 def test_sums_sign_is_exact_or_undecided(sequence):
-    """Whatever a window reads is the sign of the whole infinite sum;
-    0 only sends q on to exact evaluation.  Each memo entry a q reads
-    holds the weights (Lambda / j) * q^(J - j) for j0 <= j <= J and the
-    bound 2 * Lambda, with Lambda a common multiple of j0..J, and the
-    sequences are read only up to the widest window some q reached."""
+    """Whatever the window j0..j0 + 8 reads is the sign of the whole
+    infinite sum; 0 only sends q on to exact evaluation.  The memo entry
+    each q reads holds the weights (Lambda / j) * q^(J - j) for
+    j0 <= j <= J = j0 + 8 and the bound 2 * Lambda, with Lambda a common
+    multiple of j0..J, and the window decides exactly when
+    (q - 1) * |A| > 2 * Lambda for their dot product A with the deltas."""
     j0, deltas, s = sequence
-    top = j0 + 64
-    a, b = _Terms([0] * top), _Terms([0] * (j0 - 1) + list(deltas))
+    top, J = j0 + 64, j0 + _WINDOW
     lam = lcm(*range(j0, top + 1))
-    widest = j0
     for q in range(2, 9):
         total = 0
         for j, d in enumerate(deltas, j0):
             total = total * q + d * (lam // j)
         # the sum is (total / lam + 2 * s / (q - 1)) * q^(-top)
         exact = (q - 1) * total + 2 * s * lam
-        sign = _sums_sign(a, b, j0, q)
+        sign = _window_sum_sign(deltas[: _WINDOW + 1], j0, q)
         assert sign in (0, (exact > 0) - (exact < 0)), q
-        for width in comparator._WINDOWS:
-            J = j0 + width
-            weights, bound = comparator._window_weights(j0, J, q)
-            lam_w, odd = divmod(bound, 2)
-            assert not odd and all(lam_w % j == 0 for j in range(j0, J + 1)), (q, width)
-            assert weights == tuple(lam_w // j * q ** (J - j) for j in range(j0, J + 1)), (q, width)
-            widest = max(widest, J)
-            a_w = sum(d * w for d, w in zip(deltas, weights))
-            if (q - 1) * abs(a_w) > bound:  # this window decides q, and no wider one is read
-                assert sign == (1 if a_w > 0 else -1), (q, width)
-                break
-        else:
-            assert sign == 0, q
-    assert a.read == b.read == widest
+        weights, bound = comparator._window_weights(j0, q)
+        lam_w, odd = divmod(bound, 2)
+        assert not odd and all(lam_w % j == 0 for j in range(j0, J + 1)), q
+        assert weights == tuple(lam_w // j * q ** (J - j) for j in range(j0, J + 1)), q
+        a_w = sum(d * w for d, w in zip(deltas, weights))
+        assert sign == ((1 if a_w > 0 else -1) if (q - 1) * abs(a_w) > bound else 0), q
 
 
 def _first_window(a, b):
     """j0 and the deltas delta_j0, ..., delta_J of the first window,
     J = j0 + 8, of the pair of sums (a, b)."""
     j0 = a.first_difference(b)
-    top = j0 + _WINDOWS[0]
+    top = j0 + _WINDOW
     a.extend(top)
     b.extend(top)
     return j0, [b.terms[j] - a.terms[j] for j in range(j0 - 1, top)]
@@ -801,16 +819,16 @@ def _verified_pairs(range_max, table):
     certifies them."""
     pairs = []
     for cls in phi_classes(range_max):
-        sort_class(cls, CycloCache(), cert_sink=lambda *pair: pairs.append(pair), table=table)
+        sort_class(cls, table, cert_sink=lambda *pair: pairs.append(pair))
     return pairs
 
 
 def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(eval_calls):
     """A verification of {1..5000} evaluates nothing exactly.  For each of
     its 3,855 adjacent pairs, served by the memo or not, every sign its
-    certificate rests on at q < q*, the first window's sign at each q, is
-    nonzero, is the sign `_sums_sign` reads, and is the sign of the exact
-    difference."""
+    certificate rests on at q < q*, the window's sign at each q, is
+    nonzero and is the sign of the exact difference, so `_certify` fed
+    those signs gives the outcome it gives with every q evaluated."""
     table = SumsTable(5000)
     pairs = _verified_pairs(5000, table)
     assert len(pairs) == 3855 and eval_calls == []
@@ -818,19 +836,22 @@ def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(eval_calls):
     for m, n, _, cert, _ in pairs:
         a, b = RamanujanSums(m, table, totient(m)), RamanujanSums(n, table, totient(n))
         j0, deltas = _first_window(a, b)
-        assert cert.checked_q_max == 2 * j0 // abs(deltas[0]) + 1, (m, n)
-        for q in range(2, cert.checked_q_max + 1):
-            sign = _window_sum_sign(deltas, j0, j0 + _WINDOWS[0], q)
-            assert sign != 0 and sign == _sums_sign(a, b, j0, q) == _exact_sign(m, n, q, cache), (m, n, q)
+        lead, stop = (1 if deltas[0] > 0 else -1), 2 * j0 // abs(deltas[0]) + 2
+        assert cert.checked_q_max == stop - 1, (m, n)
+        signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
+        for q, sign in signs.items():
+            assert sign != 0 and sign == _exact_sign(m, n, q, cache), (m, n, q)
+        fed = _certify(m, n, lead, stop, cache, signs.get)
+        assert fed == _certify(m, n, lead, stop, cache), (m, n)
 
 
 def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
     """Each adjacent pair of a verification of {1..5000} gets, through the
     run's memo, the verdict, certificate and line the unmemoised path
-    gives it: `_certify` with `_sums_sign`, then `comparison_line`.  The
-    3,855 pairs have 447 distinct first windows (j0, delta_j0..delta_j0+8),
-    each stored by its first pair and handed, the same objects, to the
-    other 3,408."""
+    gives it: `_certify` fed the window's sign at each q, then
+    `comparison_line`.  The 3,855 pairs have 447 distinct windows
+    (j0, delta_j0..delta_j0+8), each stored by its first pair and handed,
+    the same objects, to the other 3,408."""
     table, fresh = SumsTable(5000), SumsTable(5000)
     pairs = _verified_pairs(5000, table)
     assert len(pairs) == 3855
@@ -840,7 +861,8 @@ def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
         j0, deltas = _first_window(a, b)
         lead = 1 if deltas[0] > 0 else -1
         stop = 2 * j0 // abs(deltas[0]) + 2
-        want, checked, ties, flips = _certify(m, n, lead, stop, cache, _sums_sign, (a, b, j0))
+        signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
+        want, checked, ties, flips = _certify(m, n, lead, stop, cache, signs.get)
         want_cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
         assert (verdict, cert) == (want, want_cert), (m, n)
         assert template % (m, n) == comparison_line(m, n, want, want_cert), (m, n)

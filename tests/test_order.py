@@ -86,7 +86,7 @@ def test_phi_classes_partition():
             assert all(totient(x) == cls.phi_value for x in cls.members)
 
 
-def _sort_with_evidence(phi_class, cache):
+def _sort_with_evidence(phi_class):
     """sort_class's ordered members, with every (a, b, verdict, cert) its
     cert_sink received; the template given with each completes to the
     pair's `comparison_line`."""
@@ -96,7 +96,7 @@ def _sort_with_evidence(phi_class, cache):
         assert template % (a, b) == comparison_line(a, b, verdict, cert), (a, b)
         evidence.append((a, b, verdict, cert))
 
-    ordered = sort_class(phi_class, cache, cert_sink=sink)
+    ordered = sort_class(phi_class, cert_sink=sink)
     return ordered, evidence
 
 
@@ -105,15 +105,16 @@ def _incomparable(evidence):
     return [(a, b, cert) for a, b, verdict, cert in evidence if verdict is Verdict.INCOMPARABLE]
 
 
-def test_sort_class_examples(shared_cache):
-    ordered, evidence = _sort_with_evidence(PhiClass(2, [3, 4, 6]), shared_cache)
+def test_sort_class_examples(monkeypatch):
+    ordered, evidence = _sort_with_evidence(PhiClass(2, [3, 4, 6]))
     assert ordered == [6, 4, 3]
     assert len(evidence) == 2 and not _incomparable(evidence)
-    assert sort_class(PhiClass(4, [5, 8, 10, 12]), shared_cache) == [10, 12, 8, 5]
-    cache = CycloCache()
-    ordered, evidence = _sort_with_evidence(PhiClass(10, [11]), cache)
+    assert sort_class(PhiClass(4, [5, 8, 10, 12])) == [10, 12, 8, 5]
+    built = []
+    monkeypatch.setattr(cycorder.order, "SumsTable", lambda *args: built.append(args))
+    ordered, evidence = _sort_with_evidence(PhiClass(10, [11]))
     assert ordered == [11] and not evidence
-    assert 11 not in cache  # a class of one member builds no entry
+    assert not built  # a class of one member builds nothing
 
 
 def test_sort_class_refuses_a_table_that_does_not_cover_the_class(monkeypatch):
@@ -127,9 +128,9 @@ def test_sort_class_refuses_a_table_that_does_not_cover_the_class(monkeypatch):
     monkeypatch.setattr(cycorder.order, "RamanujanSums", lambda *args: built.append(args) or sums(*args))
     for limit in (10, 89):
         with pytest.raises(ValueError, match=f"covers indices up to {limit}, not 90"):
-            sort_class(cls, CycloCache(), table=SumsTable(limit))
+            sort_class(cls, SumsTable(limit))
     assert not built
-    assert sort_class(cls, CycloCache(), table=SumsTable(90)) == sort_class(cls, CycloCache())
+    assert sort_class(cls, SumsTable(90)) == sort_class(cls)
 
 
 def test_each_run_starts_from_an_empty_memo(monkeypatch):
@@ -140,11 +141,11 @@ def test_each_run_starts_from_an_empty_memo(monkeypatch):
     tables, at_start = [], []
     sort = cycorder.order.sort_class
 
-    def recorded(phi_class, cache, *, cert_sink, table):
+    def recorded(phi_class, table, *, cert_sink):
         if not tables or tables[-1] is not table:
             tables.append(table)
             at_start.append(len(table.outcomes))
-        return sort(phi_class, cache, cert_sink=cert_sink, table=table)
+        return sort(phi_class, table, cert_sink=cert_sink)
 
     monkeypatch.setattr(cycorder.order, "sort_class", recorded)
     first, second = build_chain(5000).to_record(), build_chain(5000).to_record()
@@ -160,7 +161,7 @@ def test_sort_class_sorts_a_tall_class_at_its_wider_packing():
     certifies LESS."""
     members = [x for x in inverse_totient(10560) if x <= 40000]
     assert len(members) == 96 and {16445, 26565} <= set(members)
-    ordered, evidence = _sort_with_evidence(PhiClass(10560, members), CycloCache())
+    ordered, evidence = _sort_with_evidence(PhiClass(10560, members))
     cache = CycloCache()
     assert ordered == sorted(members, key=lambda n: cyclo(n, cache).coeffs[::-1])
     assert not _incomparable(evidence) and len(evidence) == 95
@@ -171,13 +172,26 @@ def test_sort_class_sorts_a_tall_class_at_its_wider_packing():
     assert not cert.tie_witnesses and not cert.flip_witnesses
 
 
-def test_sort_class_builds_no_polynomial():
-    """Sorting and certifying reads Ramanujan's sums only: no `IntPoly`,
-    kernel or packed value is built on the verify path."""
-    cache = CycloCache()
+def test_sort_class_builds_no_polynomial(monkeypatch):
+    """Sorting and certifying reads Ramanujan's sums only: every
+    `CycloCache` the verify path makes, one for each pair the memo does
+    not serve, for its exact fallback alone, stays empty, with no
+    `IntPoly`, kernel, packed value or value in it."""
+    made = []
+
+    class Recorded(CycloCache):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(comparator, "CycloCache", Recorded)
+    table = SumsTable(2000)
     for cls in phi_classes(2000):
-        sort_class(cls, cache)
-        assert not cache.polys and not cache.kernels and not cache.packed, cls.phi_value
+        sort_class(cls, table)
+    assert len(made) == len(table.outcomes) == 314
+    assert not any(c.polys or c.kernels or c.packed or c.evals for c in made)
 
 
 def test_build_chain_5000_builds_no_kernel(monkeypatch):
@@ -192,7 +206,7 @@ def test_build_chain_5000_builds_no_kernel(monkeypatch):
 
 def test_sort_class_adjacent_pairs_are_less(shared_cache):
     for cls in phi_classes(500):
-        ordered, evidence = _sort_with_evidence(cls, shared_cache)
+        ordered, evidence = _sort_with_evidence(cls)
         assert not _incomparable(evidence)
         assert sorted(ordered) == cls.members
         for a, b in zip(ordered, ordered[1:]):
@@ -203,7 +217,7 @@ def test_sort_class_adjacent_pairs_are_less(shared_cache):
 def test_sort_class_order_holds_for_every_pair(shared_cache):
     # the all-pairs reference for the adjacent-pair certificates
     for cls in phi_classes(1000):
-        ordered, evidence = _sort_with_evidence(cls, shared_cache)
+        ordered, evidence = _sort_with_evidence(cls)
         assert not _incomparable(evidence)
         assert sorted(ordered) == cls.members
         for i, a in enumerate(ordered):
@@ -227,7 +241,7 @@ def _first_difference_order(members, table):
 def test_prefix_sort_matches_pairwise_first_differences_to_5000():
     table = SumsTable(5000)
     for cls in phi_classes(5000):
-        ordered = sort_class(cls, CycloCache(), table=table)
+        ordered = sort_class(cls, table)
         assert ordered == _first_difference_order(cls.members, table), cls.phi_value
 
 
@@ -286,14 +300,14 @@ def test_record_writer_matches_json_dumps_on_verify_5000(monkeypatch):
     pairs = {}
     sort = cycorder.order.sort_class
 
-    def recorded(phi_class, cache, *, cert_sink, table):
+    def recorded(phi_class, table, *, cert_sink):
         got = pairs[phi_class.phi_value] = []
 
         def sink(*pair):
             got.append(pair[:4])
             cert_sink(*pair)
 
-        return sort(phi_class, cache, cert_sink=sink, table=table)
+        return sort(phi_class, table, cert_sink=sink)
 
     counted = []
 
@@ -460,9 +474,8 @@ def test_precedes_blockers_match_full_scan(shared_cache):
 
 
 def test_sort_class_reports_incomparable_as_data(stand_in_values):
-    cache = stand_in_values
     a, b = 10, 8  # t^2 and t^2 + t - 3
-    ordered, evidence = _sort_with_evidence(PhiClass(4, [a, b]), cache)
+    ordered, evidence = _sort_with_evidence(PhiClass(4, [a, b]))
     incomparable = _incomparable(evidence)
     assert len(incomparable) == 1
     assert incomparable[0][0] == a and incomparable[0][1] == b
@@ -471,7 +484,6 @@ def test_sort_class_reports_incomparable_as_data(stand_in_values):
 
 
 def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
-    cache = stand_in_values
     a, b, c = 10, 12, 5  # t^2, t^2 + t - 2, t^2 + 2t - 4: all 4 at q = 2
     members = sorted((a, b, c))
     table = SumsTable(max(members))
@@ -479,11 +491,11 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
     scan = set()
     for i, m in enumerate(members):
         for n in members[i + 1 :]:
-            v, cert, _ = ramanujan_compare(sums[m], sums[n], cache, {})
+            v, cert, _ = ramanujan_compare(sums[m], sums[n], {})
             assert v is not Verdict.INCOMPARABLE
             if cert.tie_witnesses:
                 scan |= {m, n}
-    summary = _finish_class(PhiClass(4, members), cache, table)
+    summary = _finish_class(PhiClass(4, members), table)
     assert not table.outcomes  # every window undecided: nothing is memoised
     assert summary["members"] == [a, b, c]
     assert summary["ties"] == [[a, b, 2], [b, c, 2]]
@@ -491,9 +503,9 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
     assert {x for m, n, _ in summary["ties"] for x in (m, n)} == scan == {a, b, c}
 
 
-def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) -> None:
+def _assert_summary_is_bound_to_its_records(summary: dict) -> None:
     """Rebuild the certificates of the summary's adjacent pairs with
-    `ramanujan_compare` on `cache`, unmemoised: cert_hash is the sha256 of their lines
+    `ramanujan_compare`, unmemoised: cert_hash is the sha256 of their lines
     from `comparison_line`, each the general encoder's bytes for the
     pair's record, and every other field of the summary agrees with the
     records."""
@@ -501,7 +513,7 @@ def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) ->
     table = SumsTable(max(members))
     sums = {x: RamanujanSums(x, table, totient(x)) for x in members}
     pairs = [
-        (a, b, *ramanujan_compare(sums[a], sums[b], cache, {})[:2])
+        (a, b, *ramanujan_compare(sums[a], sums[b], {})[:2])
         for a, b in zip(members, members[1:])
     ]
     records = [comparison_record(*pair) for pair in pairs]
@@ -516,12 +528,12 @@ def _assert_summary_is_bound_to_its_records(summary: dict, cache: CycloCache) ->
     assert summary["incomparable"] == [r for r in records if r["verdict"] == Verdict.INCOMPARABLE.value]
 
 
-def test_class_summaries_are_bound_to_their_hashed_records(shared_cache):
-    cache, table = CycloCache(), SumsTable(300)
+def test_class_summaries_are_bound_to_their_hashed_records():
+    table = SumsTable(300)
     for cls in phi_classes(300):
-        summary = _finish_class(cls, cache, table)
+        summary = _finish_class(cls, table)
         assert summary["phi"] == cls.phi_value and sorted(summary["members"]) == cls.members
-        _assert_summary_is_bound_to_its_records(summary, shared_cache)
+        _assert_summary_is_bound_to_its_records(summary)
 
 
 def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, monkeypatch):
@@ -542,14 +554,12 @@ def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, m
     a, b, c, d = 10, 8, 5, 12
     table = SumsTable(d)
     for members in ([a, b], [a, c, d]):
-        work = CycloCache()  # _finish_class empties its cache; the fixture's stays whole
-        work.evals.update(stand_in_values.evals)
         built.clear()
         recorded.clear()
-        summary = _finish_class(PhiClass(4, members), work, table)
+        summary = _finish_class(PhiClass(4, members), table)
         assert len(built) == summary["pair_count"] == len(members) - 1 and not table.outcomes
         assert recorded == [(r["m"], r["n"]) for r in summary["incomparable"]]
-        _assert_summary_is_bound_to_its_records(summary, stand_in_values)
+        _assert_summary_is_bound_to_its_records(summary)
         if members == [a, b]:
             [rec] = summary["incomparable"]
             assert (rec["m"], rec["n"], summary["ties"]) == (a, b, [[a, b, 3]])  # 9 at q = 3
