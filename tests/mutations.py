@@ -10,18 +10,19 @@ copy.  A mutant survives when its tests all pass.
 
 Run from anywhere, with pytest and hypothesis installed:
 
-    python tests/mutations.py            # every row
-    python tests/mutations.py -k memo    # rows whose name contains "memo"
+    python tests/mutations.py
 
+A mutant is killed only when pytest runs and reports a failed test.
 The exit status is 0 when every mutant is killed, and 1 when one
-survives, a snippet does not occur exactly once, or a test run fails to
-start or to pass on the unchanged copy.  The file is not a test module,
-so pytest does not collect it.  It uses the standard library only.
+survives, a snippet does not occur exactly once, the mutated module
+cannot be imported, pytest stops with any other status, or the named
+tests do not pass on the unchanged copy.  The file is not a test
+module, so pytest does not collect it.  It uses the standard library
+only.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -34,16 +35,24 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-_WRONG_IMPORT = 64  # the runner's exit status when the package is not the copy's
-# import the package before pytest starts, and refuse to run unless it
-# comes from the copy, so that no installed or cached copy is tested
+_NOT_IMPORTED = 64  # the runner's exit status when the module cannot be imported from the copy
+# import pytest and the mutated module before pytest starts; a module
+# that fails to import, or that comes from anywhere but the copy (an
+# installed or cached package), stops the run with _NOT_IMPORTED, so
+# that it never reads as pytest's "tests failed"
 _RUNNER = (
-    "import os, sys, cycorder, pytest\n"
+    "import importlib, os, sys, traceback\n"
+    "try:\n"
+    "    import pytest\n"
+    "    module = importlib.import_module(sys.argv[2])\n"
+    "except Exception:\n"
+    "    traceback.print_exc()\n"
+    f"    sys.exit({_NOT_IMPORTED})\n"
     "src = os.path.join(os.path.abspath(sys.argv[1]), '')\n"
-    "if not os.path.abspath(cycorder.__file__).startswith(src):\n"
-    "    print(f'imported cycorder from {cycorder.__file__}, not from {sys.argv[1]}', file=sys.stderr)\n"
-    f"    sys.exit({_WRONG_IMPORT})\n"
-    "sys.exit(pytest.main(sys.argv[2:]))\n"
+    "if not os.path.abspath(module.__file__).startswith(src):\n"
+    "    print(f'imported {sys.argv[2]} from {module.__file__}, not from {sys.argv[1]}', file=sys.stderr)\n"
+    f"    sys.exit({_NOT_IMPORTED})\n"
+    "sys.exit(pytest.main(sys.argv[3:]))\n"
 )
 
 
@@ -147,56 +156,52 @@ def _copy_src(into: Path) -> Path:
     return src
 
 
-def _run_tests(src: Path, tests: tuple[str, ...]) -> int:
-    """pytest's exit status for `tests` with the package imported from
-    `src`; no bytecode or pytest cache is written."""
+def _run_tests(src: Path, module: str, tests: tuple[str, ...]) -> int:
+    """pytest's exit status for `tests` with `module` imported from
+    `src` first, or _NOT_IMPORTED; no bytecode or pytest cache is
+    written."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-c", _RUNNER, str(src), "-q", "-x", "-p", "no:cacheprovider", *tests]
+    argv = [sys.executable, "-c", _RUNNER, str(src), module, "-q", "-x", "-p", "no:cacheprovider", *tests]
     done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode not in (0, 1) and done.stderr:
         print(done.stderr.rstrip(), file=sys.stderr)
     return done.returncode
 
 
-def _mutate(src: Path, mutant: Mutant) -> str | None:
-    """Apply `mutant` to the copy at `src`; an error message when its
-    snippet does not occur exactly once."""
+def check(mutant: Mutant, into: Path) -> str | None:
+    """Apply `mutant` to a copy of src/ made under `into` and run its
+    tests there: None when they run and fail (the mutant is killed),
+    else what went wrong."""
+    src = _copy_src(into)
     path = src / mutant.file
     text = path.read_text()
     found = text.count(mutant.snippet)
     if found != 1:
         return f"snippet occurs {found} times in {mutant.file}"
     path.write_text(text.replace(mutant.snippet, mutant.replacement))
-    return None
+    module = mutant.file.removesuffix(".py").replace("/", ".")
+    status = _run_tests(src, module, mutant.tests)
+    if status == _NOT_IMPORTED:
+        return f"{module} cannot be imported from the copy"
+    return {0: "SURVIVED", 1: None}.get(status, f"tests did not run (pytest exit {status})")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", default="", help="run only the rows whose name contains this")
-    args = parser.parse_args(argv)
-    rows = [m for m in MUTANTS if args.k in m.name]
-    if not rows:
-        print(f"no mutant matches {args.k!r}", file=sys.stderr)
-        return 1
+def main() -> int:
     start, failed = time.monotonic(), []
     with tempfile.TemporaryDirectory(prefix="mutations-") as tmp:
-        tests = tuple(dict.fromkeys(t for m in rows for t in m.tests))
-        status = _run_tests(_copy_src(Path(tmp) / "unchanged"), tests)
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        status = _run_tests(_copy_src(Path(tmp) / "unchanged"), "cycorder", tests)
         if status != 0:
-            print(f"FAILED: the named tests do not pass on unchanged code (pytest exit {status})")
+            print(f"FAILED: the named tests do not pass on unchanged code (exit {status})")
             return 1
-        for i, mutant in enumerate(rows):
-            src = _copy_src(Path(tmp) / str(i))
-            error = _mutate(src, mutant)
-            if error is None:
-                status = _run_tests(src, mutant.tests)
-                error = {0: "SURVIVED", 1: None}.get(status, f"tests did not run (pytest exit {status})")
+        for i, mutant in enumerate(MUTANTS):
+            error = check(mutant, Path(tmp) / str(i))
             print(f"{'killed' if error is None else 'FAILED'}: {mutant.name}" + (f": {error}" if error else ""))
             if error is not None:
                 failed.append(mutant.name)
-            shutil.rmtree(src.parent)
+            shutil.rmtree(Path(tmp) / str(i))
     elapsed = time.monotonic() - start
-    print(f"{len(rows) - len(failed)} of {len(rows)} mutants killed in {elapsed:.1f} s")
+    print(f"{len(MUTANTS) - len(failed)} of {len(MUTANTS)} mutants killed in {elapsed:.1f} s")
     return 1 if failed else 0
 
 
