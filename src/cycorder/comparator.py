@@ -14,14 +14,16 @@ nonzero, and a q it leaves at 0 is evaluated exactly:
     unless the totients differ by at most 2: stop is 3 then, else 2, and
     there is no fast test.  No coefficient is read.
   * indices of equal totient in a verification (`order.sort_class`):
-    `ramanujan_compare`.  The low-order end of log Phi_n(q) has a closed
-    form, Ramanujan's sums, which orders the class and gives stop = q*
-    (q* <= 4 for every adjacent pair of a verification up to 100000),
-    with the sums' window (`_window_sum_sign`) as the fast test.
-    No coefficient is read, and no polynomial is built.  An outcome whose
-    signs that window decides is a function of the window, so each
-    distinct window is decided once per run and its outcome, line
-    template included, reused (the run's memo, `SumsTable.outcomes`).
+    `ramanujan_compare`, which `certify_class` applies to a whole class
+    at once from its members' rows of sums.  The low-order end of
+    log Phi_n(q) has a closed form, Ramanujan's sums, which orders the
+    class and gives stop = q* (q* <= 4 for every adjacent pair of a
+    verification up to 100000), with the sums' window
+    (`_window_sum_sign`) as the fast test.  No coefficient is read, and
+    no polynomial is built.  An outcome whose signs that window decides
+    is a function of the window, so each distinct window is decided once
+    per run and its outcome, line template included, reused (the run's
+    memo, `SumsTable.outcomes`).
   * indices of equal totient in `compare`, the route of the `compare`
     command, `precedes` and `conjecture2`: stop = c + 1 for the threshold
     c of the difference of the two polynomials, read off their packed
@@ -85,10 +87,10 @@ import json
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, count, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from operator import eq, mul, ne, sub
+from operator import attrgetter, eq, mul, ne, sub
 
 from .arith import smallest_prime_factors
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
@@ -98,6 +100,7 @@ from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyc
 # coefficients in `_window_sign`, terms past j0 in `_window_sum_sign`
 _WINDOW = 8
 _SUMS_BLOCK = 32  # terms of each index's row in a `SumsTable`; a class sort's first key length
+_TERMS = attrgetter("terms")
 
 
 class Verdict(enum.Enum):
@@ -207,7 +210,7 @@ def _certify(
     n: int,
     lead: int,
     stop: int,
-    cache: CycloCache,
+    cache: CycloCache | None,
     fast: Callable[[int], int] | None = None,
 ) -> tuple[Verdict, int, list[int], list[int]]:
     """Verdict, checked_q_max, ties and flips of indices m and n, given
@@ -217,11 +220,13 @@ def _certify(
     The sign at each q in [2, stop) is fast(q) where that is nonzero,
     each route proving its fast test exact wherever it decides;
     else, and at every q when fast is None, it is the sign of
-    eval_cyclo(n, q) - eval_cyclo(m, q), n's value first.  So every tie
-    is found by exact evaluation.  With those signs, and `lead` at every
-    q >= stop, the pair is LESS when no q gives a negative sign, GREATER
-    when none gives a positive one, and otherwise INCOMPARABLE, with the
-    first positive q and then the first negative q as its flips.  A sign
+    eval_cyclo(n, q) - eval_cyclo(m, q), n's value first, evaluated into
+    `cache` or, when that is None, into a `CycloCache` made at the first
+    such q.  So every tie is found by exact evaluation.  With those
+    signs, and `lead` at every q >= stop, the pair is LESS when no q
+    gives a negative sign, GREATER when none gives a positive one, and
+    otherwise INCOMPARABLE, with the first positive q and then the first
+    negative q as its flips.  A sign
     against the lead occurs only below stop; the lead's sign occurs at
     stop if not earlier, and then stop is its witness.  So checked_q_max,
     the largest q whose sign the certificate names, is stop - 1, or stop
@@ -232,6 +237,8 @@ def _certify(
     for q in range(2, stop):
         sign = fast(q) if fast else 0
         if not sign:
+            if cache is None:
+                cache = CycloCache()
             v = eval_cyclo(n, q, cache) - eval_cyclo(m, q, cache)
             sign = (v > 0) - (v < 0)
         if not sign:
@@ -387,15 +394,17 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 
 _MU_FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # 1 - mu to 1 - (-mu)
 _PRIME_MU = bytes.maketrans(b"\x01", b"\x02")  # a prime flag to 1 - mu(p) = 2
-_LANE_BIAS = 64  # what a `SumsTable` byte lane holds besides its term while it is summed
-_UNBIAS = bytes((v - _LANE_BIAS) % 256 for v in range(256))  # lane to the signed byte of -c_n(j)
+_LANE_BIAS = 64  # b: a `SumsTable` lane holds b - c_n(j), in [32, 96]
 
 
 class SumsTable:
     """The per-run table of a verification of {1..limit}: `spf`, a table
-    of `arith.smallest_prime_factors`, and `heads`, the first
-    L = _SUMS_BLOCK negated Ramanujan sums of every index n <= limit,
-    -c_n(j) at heads[n * L + j - 1], one signed byte each (row 0 is 0).
+    of `arith.smallest_prime_factors`, and `lanes`, the first
+    L = _SUMS_BLOCK Ramanujan sums of every index n <= limit as bytes,
+    the lane b - c_n(j) at lanes[n * L + j - 1] with the bias
+    b = _LANE_BIAS = 64 (row 0 reads b throughout, the term 0).  An
+    index's row of L bytes is its `RamanujanSums` start and its sort key
+    (`certify_class`).
 
     The terms are sieved from Ramanujan's definition, c_n(j) the sum of
     d * mu(n/d) over d | gcd(n, j) (S. Ramanujan, 1918), for all n at
@@ -404,10 +413,10 @@ class SumsTable:
     spf[p] == p): each flips mu at its multiples and zeroes it at the
     multiples of its square.  A prime p > limit / 2 has no multiple but
     itself in range, and no smaller prime divides it, so all of those
-    are set to 1 - mu(p) = 2 in one step.  With the bias b = _LANE_BIAS
-    = 64 and ONES the integer whose `size` little-endian bytes are all
-    1, for each d <= L a row of `size` bytes holds b - d * mu(n/d) at
-    every multiple n of d and b elsewhere, each in [b - L, b + L], so
+    are set to 1 - mu(p) = 2 in one step.  With ONES the integer whose
+    `size` little-endian bytes are all 1, for each d <= L a row of
+    `size` bytes holds b - d * mu(n/d) at every multiple n of d and b
+    elsewhere, each in [b - L, b + L], so
 
         T_d = row as a little-endian integer - b * ONES
             = sum over the multiples n of d of -d * mu(n/d) * 256^n.
@@ -418,19 +427,19 @@ class SumsTable:
 
     and since |c_n(j)| <= gcd(n, j) <= L (`compare` proves the first
     bound), every coefficient lies in [b - L, b + L] = [32, 96]: the
-    sum's bytes are the lanes b - c_n(j), and `_UNBIAS` turns each into
-    the signed byte -c_n(j).  The sums are exact integer arithmetic, so
-    no bound on a partial one is needed.  The lanes are summed one j at
-    a time, each written into `heads` at once, and T_d is kept only while
-    a lane still to come has d as a divisor, so besides the lane being
-    summed at most L / 2 row-sized integers are held.
+    sum's bytes are the lanes b - c_n(j).  The sums are exact integer
+    arithmetic, so no bound on a partial one is needed.  The lanes are
+    summed one j at a time, each written into `lanes` at once, and T_d
+    is kept only while a lane still to come has d as a divisor, so
+    besides the lane being summed at most L / 2 row-sized integers are
+    held.
 
     `outcomes` is the run's memo of adjacent-pair outcomes, keyed by its
-    window (`ramanujan_compare`); it starts empty with each table, so it
-    lives and dies with one run.
+    window (`ramanujan_compare`, `certify_class`); it starts empty with
+    each table, so it lives and dies with one run.
     """
 
-    __slots__ = ("limit", "spf", "heads", "outcomes")
+    __slots__ = ("limit", "spf", "lanes", "outcomes")
 
     def __init__(self, limit: int):
         size, half = limit + 1, max(2, limit // 2 + 1)
@@ -442,7 +451,7 @@ class SumsTable:
             mu[p::p] = mu[p::p].translate(_MU_FLIP)
             mu[p * p :: p * p] = b"\x01" * len(range(p * p, size, p * p))
         bias, ones = _LANE_BIAS, int.from_bytes(b"\x01" * size, "little")
-        heads = array("b", bytes(_SUMS_BLOCK * size))
+        lanes = bytearray(_SUMS_BLOCK * size)
         held: dict[int, int] = {}  # T_d for the d whose multiples have lanes still to come
         for j in range(1, _SUMS_BLOCK + 1):
             row = bytearray([bias]) * size
@@ -451,14 +460,13 @@ class SumsTable:
             row[j::j] = mu[1 : limit // j + 1].translate(term)
             row_sum = int.from_bytes(row, "little")  # b * ONES + T_j
             lane = row_sum + sum(t_d for d, t_d in held.items() if j % d == 0)
-            lane_bytes = lane.to_bytes(size, "little").translate(_UNBIAS)
-            heads[j - 1 :: _SUMS_BLOCK] = array("b", lane_bytes)
+            lanes[j - 1 :: _SUMS_BLOCK] = lane.to_bytes(size, "little")
             for d in [d for d in held if j % d == 0 and j + d > _SUMS_BLOCK]:
                 del held[d]  # j was its last multiple up to L
             if 2 * j <= _SUMS_BLOCK:
                 held[j] = row_sum - bias * ones
-        self.limit, self.spf, self.heads = limit, spf, heads
-        self.outcomes: dict[tuple[int, ...], tuple[Verdict, Certificate, str]] = {}
+        self.limit, self.spf, self.lanes = limit, spf, bytes(lanes)
+        self.outcomes: dict[tuple[int, int], tuple[Verdict, Certificate, str]] = {}
 
 
 def _primes_of(n: int, spf: array) -> list[int]:
@@ -494,38 +502,39 @@ class RamanujanSums:
     list: `terms[j - 1]` is -c_n(j).
 
     `terms` starts as n's row of a `SumsTable` covering n, its first
-    _SUMS_BLOCK terms, sieved from Ramanujan's definition.  `extend`
-    adds the terms past them by Hoelder's closed form (proved with the
-    identity in `compare`), c_n(j) = mu(n/g) * phi(n) / phi(n/g) with
-    g = gcd(n, j), which is 0 unless n/g is squarefree.  `_table` maps
-    those 2^omega(n) values of g, n/d for the squarefree d | n, to
-    -c_n(j) (`_hoelder_table`): adding a prime p to d flips mu(d) and
-    multiplies phi(d) by p - 1.  It is built by the first `extend` past
-    the row, so a member no comparison reads past it builds none; then
-    terms come from C-level `gcd` and dict lookups.  `phi` is phi(n),
-    which the caller knows (`order.sort_class` passes its class's
-    totient), so n is factored only when the table is built: its primes
-    are read off the table's `spf` then, and phi(n) is formed again from
-    them and checked against `phi`.
+    _SUMS_BLOCK terms, sieved from Ramanujan's definition, each lane
+    less the bias.  `extend` adds the terms past them by Hoelder's
+    closed form (proved with the identity in `compare`),
+    c_n(j) = mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, j), which is 0
+    unless n/g is squarefree.  `_table` maps those 2^omega(n) values of
+    g, n/d for the squarefree d | n, to -c_n(j) (`_hoelder_table`):
+    adding a prime p to d flips mu(d) and multiplies phi(d) by p - 1.
+    It is built by the first `extend` past the row, so a member no
+    comparison reads past it builds none; then terms come from C-level
+    `gcd` and dict lookups.  `phi` is phi(n), which the caller knows
+    (`certify_class` passes its class's totient), so n is factored only
+    when the table is built: its primes are read off the table's `spf`
+    then, and phi(n) is formed again from them and checked against `phi`.
 
     For two indices of equal totient, the lexicographic order of their
     terms is their asymptotic order (`ramanujan_compare` proves it):
-    `order.sort_class` sorts a class on equal-length prefixes of the
-    terms, and `first_difference` finds where two of them part.  Two
-    distinct indices m and n differ within lcm(m, n) terms, since c_n(j)
-    has period n in j.  At j = lcm(m, n) the sums are phi(m) and phi(n);
-    if those are equal and c_m(j) = c_n(j) for every j, then
+    `_prefix_sorted` sorts a run of equal rows on equal-length prefixes
+    of the terms, and `first_difference` finds where two of them part.
+    Two distinct indices m and n differ within lcm(m, n) terms, since
+    c_n(j) has period n in j.  At j = lcm(m, n) the sums are phi(m) and
+    phi(n); if those are equal and c_m(j) = c_n(j) for every j, then
     log Phi_m(q) = log Phi_n(q) at every q >= 2 by the identity, so the
     two polynomials agree at infinitely many points and m = n.
-    `first_difference` and the class sort raise past that bound instead
-    of searching on.
+    `first_difference` and `_prefix_sorted` raise past that bound
+    instead of searching on.
     """
 
     __slots__ = ("n", "phi", "terms", "_spf", "_table")
 
     def __init__(self, n: int, table: SumsTable, phi: int):
         start = n * _SUMS_BLOCK
-        self.n, self.phi, self.terms = n, phi, table.heads[start : start + _SUMS_BLOCK].tolist()
+        row = table.lanes[start : start + _SUMS_BLOCK]
+        self.n, self.phi, self.terms = n, phi, list(map(sub, row, repeat(_LANE_BIAS)))
         self._spf, self._table = table.spf, None
 
     def extend(self, length: int) -> None:
@@ -592,8 +601,8 @@ def ramanujan_compare(
     (below).  `outcomes` is a memo of outcomes by window (below),
     read and filled here; a verification passes its run's
     (`SumsTable.outcomes`), and a fresh dict gives the unmemoised outcome.
-    An exact fallback evaluates into a `CycloCache` of its own, made for
-    the pair and dropped with it.
+    An exact fallback evaluates into a `CycloCache` of its own, made at
+    the pair's first exact evaluation and dropped with the pair.
 
     Sign at q.  By the identity proved in `compare`, with phi(m) = phi(n),
 
@@ -646,7 +655,17 @@ def ramanujan_compare(
     evaluation (so every tie), and every INCOMPARABLE one, may depend on
     more than the key and is not stored.  A stored certificate is shared
     by all the pairs with its key; no code mutates a certificate once
-    made.
+    made.  `_window_outcome` decides a window the memo does not hold.
+
+    `certify_class` reads the window of a pair with j0 <= _LAST_ROW_J0
+    off the two members' rows and keys it (j0, W) instead, with W the
+    deltas as one balanced base-256 number (`_row_key`).  Within the
+    rows |delta_j| <= 64 < 128, so W determines its digits, and (j0, W)
+    and (j0, delta_j0, ..., delta_J) name the same windows; the two
+    forms are tuples of unequal length, never equal.  A verification
+    gives every pair with j0 <= _LAST_ROW_J0 the first form and every
+    other pair this function's, so each window has one key in a run's
+    memo.
     """
     m, n = a.n, b.n
     if a.phi != b.phi:
@@ -658,19 +677,200 @@ def ramanujan_compare(
     if len(b.terms) < top:
         b.extend(top)
     key = (j0, *map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]))
-    outcome = outcomes.get(key)
-    if outcome is not None:
-        return outcome
-    deltas = key[1:]
+    return outcomes.get(key) or _window_outcome(m, n, j0, key[1:], key, outcomes)
+
+
+def _window_outcome(
+    m: int,
+    n: int,
+    j0: int,
+    deltas,
+    key: tuple[int, ...],
+    outcomes: dict[tuple[int, ...], tuple[Verdict, Certificate, str]],
+) -> tuple[Verdict, Certificate, str]:
+    """The outcome of the pair (m, n) of equal totient whose first window
+    is j0 and `deltas`, delta_j0 up to delta_(j0 + _WINDOW), stored in the
+    memo `outcomes` under `key` when the window decides every q alone and
+    the verdict is not INCOMPARABLE (`ramanujan_compare` proves each
+    step).  Both routes of a verification, `ramanujan_compare` and the
+    rows of `certify_class`, decide a window the memo does not hold here."""
     lead = 1 if deltas[0] > 0 else -1  # c_m(j0) - c_n(j0): the terms are negated
     stop = 2 * j0 // abs(deltas[0]) + 2  # q*
     signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
-    verdict, checked, ties, flips = _certify(m, n, lead, stop, CycloCache(), signs.get)
+    verdict, checked, ties, flips = _certify(m, n, lead, stop, None, signs.get)
     cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
     outcome = verdict, cert, _line_template(verdict, cert)
     if verdict is not _INCOMPARABLE and 0 not in signs.values():
         outcomes[key] = outcome
     return outcome
+
+
+_LAST_ROW_J0 = _SUMS_BLOCK - _WINDOW  # 24: the last j0 whose window J = j0 + 8 lies in a row
+# j0 by the bit length of two rows' XOR (`_row_key`); equal rows, 0 bits, read as one past the row
+_FIRST_LANE = (_SUMS_BLOCK + 1, *(_SUMS_BLOCK - (bl - 1) // 8 for bl in range(1, 8 * _SUMS_BLOCK + 1)))
+# by j0: the bits s of the lanes past the window, and half their place, 2^(s - 1), 0 at s = 0
+_SHIFT = tuple(8 * max(0, _LAST_ROW_J0 - j0) for j0 in range(_SUMS_BLOCK + 2))
+_HALF = tuple(1 << s >> 1 for s in _SHIFT)
+
+
+def _row_key(a: int, b: int) -> tuple[int, int]:
+    """(j0, W) for two rows a <= b of a `SumsTable`, each as a big-endian
+    integer: j0 is the first lane where they differ (_SUMS_BLOCK + 1 for
+    equal rows), and when j0 <= _LAST_ROW_J0, (j0, W) is the memo key of
+    the pair's window; past that W has no meaning.
+
+    Let the rows hold the lanes a_j = 64 - c_m(j) and b_j = 64 - c_n(j),
+    j = 1..L (L = _SUMS_BLOCK), so that a = sum over j of
+    a_j * 256^(L - j), b likewise, and delta_j = b_j - a_j =
+    c_m(j) - c_n(j), the deltas of `ramanujan_compare`.  Every lane lies
+    in [32, 96], so |delta_j| <= 64.
+
+    j0 from the XOR.  The lanes are the base-256 digits of a and b, so
+    digit L - j of a ^ b is a_j ^ b_j: 0 for j < j0 and nonzero at
+    j = j0.  The highest set bit of a ^ b is then one of bits
+    8(L - j0) .. 8(L - j0) + 7, so with bl its bit length,
+    (bl - 1) // 8 = L - j0 and j0 = L - (bl - 1) // 8 (`_FIRST_LANE`).
+    Equal rows XOR to 0, of bit length 0.
+
+    W by one rounded shift.  For j0 <= L - _WINDOW let J = j0 + _WINDOW
+    and s = 8(L - J) >= 0 (`_SHIFT`).  With delta_j = 0 below j0,
+
+        D = b - a = W * 2^s + R,  W = sum over j0 <= j <= J of delta_j * 256^(J - j),
+                                  R = sum over J < j <= L of delta_j * 256^(L - j).
+
+    |R| <= 64 * (2^s - 1) / 255 < 2^(s - 1) when s > 0, and R = 0 when
+    s = 0, where the half h (`_HALF`) is 0.  So 0 <= R + h < 2^s, and
+    (D + h) >> s, the floor of (D + h) / 2^s, is W exactly: the window
+    delta_j0..delta_J as a balanced base-256 number, whose digits lie in
+    [-64, 64].  Two windows with one W are one window: at the lowest
+    place where two such digit strings differed, their values would
+    differ by a nonzero multiple of that place smaller than 256 times
+    it, with every lower digit equal, so the values differ.  So (j0, W)
+    is injective on windows.
+    """
+    j0 = _FIRST_LANE[(a ^ b).bit_length()]
+    return j0, (b - a + _HALF[j0]) >> _SHIFT[j0]
+
+
+def _prefix_sorted(run: list[RamanujanSums], size: int) -> list[RamanujanSums]:
+    """`run` in the lexicographic order of its members' terms, given that
+    each holds exactly `size` terms, so no key is a proper prefix of
+    another (`certify_class` proves the order); a run of equal keys is
+    extended to twice as many and sorted again."""
+    run.sort(key=_TERMS)
+    ordered = []
+    for _, group in groupby(run, key=_TERMS):
+        group = list(group)
+        if len(group) > 1:
+            a, b = group[0], group[1]
+            if size >= lcm(a.n, b.n):  # a full common period: they never differ
+                raise ArithmeticError(f"internal: {a.n} and {b.n} have equal sums")
+            for s in group:
+                s.extend(2 * size)
+            group = _prefix_sorted(group, 2 * size)
+        ordered += group
+    return ordered
+
+
+def certify_class(
+    members: list[int], phi: int, table: SumsTable
+) -> tuple[list[int], list[tuple[Verdict, Certificate, str]]]:
+    """A class of totient `phi`, its `members` covered by `table`, in
+    asymptotic order, with the outcomes (verdict, certificate, line
+    template) of its k - 1 adjacent pairs in order, each the one
+    `ramanujan_compare` gives the pair with the run's memo
+    (`table.outcomes`).
+
+    The class is sorted once on its members' rows, 32-byte slices of
+    `table.lanes`, with no sums object per member; each run of equal
+    rows is sorted again on longer prefixes of its members' sums
+    (`_prefix_sorted`).  Each adjacent pair's j0 and memo key are read
+    off the two rows (`_row_key`).  A pair with j0 <= _LAST_ROW_J0
+    whose key the memo lacks has its window read off the rows and
+    decided by `_window_outcome`.  The interior pairs of a run of equal
+    rows, and each pair with j0 > _LAST_ROW_J0, whose window leaves the
+    row, go through `ramanujan_compare`; `RamanujanSums` objects are
+    built only for the members of those pairs and of the runs, one for
+    each.
+
+    1. The rows sort as the sums.  A row holds the lanes 64 - c_n(j),
+       j = 1..32, each in [32, 96] (`SumsTable`), and bytes compare
+       lexicographically by unsigned value; adding 64 keeps the order of
+       the terms -c_n(j), so rows compare as the 32-term prefixes of the
+       negated sums.  Pairs (row, n) compare by row first.
+    2. The prefix sort gives the lexicographic order of the whole
+       sequences.  Two members whose rows differ have their first
+       difference inside them, so the sort orders every such pair
+       rightly.  Members with equal rows stand together: with x before y
+       before z, row(x) <= row(y) <= row(z), so row(x) = row(z) forces
+       row(y) = row(x).  So the list is a row of runs, each pair from two
+       different runs rightly ordered, and re-sorting each run in its
+       place keeps those pairs; `_prefix_sorted` orders each run's own
+       pairs the same way at 2L terms, 4L, and so on, and ends: a run is
+       re-sorted only while two of its members a, b agree on their first
+       L terms, and L doubles each time, so it stops before L reaches
+       lcm(a.n, b.n), where distinct indices differ (`RamanujanSums`), or
+       raises there.  That lexicographic order is the asymptotic order
+       (`ramanujan_compare`).
+    3. The outcome of each pair with unequal rows and j0 <= _LAST_ROW_J0
+       is `ramanujan_compare`'s.  Its j0 is the first difference of the
+       two sequences, which lies in the rows, and its window ends at
+       j0 + 8 <= 32, inside the rows too, so the deltas read off the rows
+       are those `ramanujan_compare` would take, and (j0, W) names that
+       window alone (`_row_key`).  A memo entry under that key was
+       stored by a pair with the same window, whose outcome is this
+       pair's (`ramanujan_compare`), and a miss goes through the same
+       `_window_outcome`.
+    4. The border pairs of a re-sorted run keep their row-read j0 and
+       key.  Every member of a run has the same row, and the re-sort
+       only permutes the run's members among the run's places.  The pair
+       across a run's border still joins a member of the run to the
+       member beside the run, whose row is the other row of the pair as
+       before; j0 and W are functions of the two rows alone.
+
+    Each outcome is `ramanujan_compare`'s, so the ordered pairs' lines,
+    and each certificate, are those of a pair-by-pair run.  A sorted pair
+    precedes asymptotically, so its verdict is LESS or INCOMPARABLE; any
+    other contradicts the sort and raises ArithmeticError.
+    """
+    lanes, memo = table.lanes, table.outcomes
+    keyed = sorted([(lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK], n) for n in members])
+    rows = [row for row, _ in keyed]
+    ordered = [n for _, n in keyed]
+    sums: dict[int, RamanujanSums] = {}
+
+    def sums_of(x: int) -> RamanujanSums:
+        if x not in sums:
+            sums[x] = RamanujanSums(x, table, phi)
+        return sums[x]
+
+    if len(set(rows)) < len(rows):  # runs of equal rows
+        start = 0
+        for _, run in groupby(rows):
+            end = start + len(list(run))
+            if end - start > 1:
+                run_sums = [sums_of(x) for x in ordered[start:end]]
+                ordered[start:end] = [s.n for s in _prefix_sorted(run_sums, _SUMS_BLOCK)]
+            start = end
+    values = [int.from_bytes(row, "big") for row in rows]
+    outcomes = []
+    for i, (a, b) in enumerate(zip(values, values[1:])):
+        key = _row_key(a, b)
+        j0 = key[0]
+        if j0 > _LAST_ROW_J0:  # the window leaves the row
+            outcome = ramanujan_compare(sums_of(ordered[i]), sums_of(ordered[i + 1]), memo)
+        else:
+            outcome = memo.get(key)
+            if outcome is None:
+                window = slice(j0 - 1, j0 + _WINDOW)
+                deltas = tuple(map(sub, rows[i + 1][window], rows[i][window]))
+                outcome = _window_outcome(ordered[i], ordered[i + 1], j0, deltas, key, memo)
+        if outcome[0] is not _LESS and outcome[0] is not _INCOMPARABLE:
+            raise ArithmeticError(
+                f"internal: sorted neighbours {ordered[i]}, {ordered[i + 1]} compare {outcome[0].value}"
+            )
+        outcomes.append(outcome)
+    return ordered, outcomes
 
 
 # ---------------------------------------------------------------------------

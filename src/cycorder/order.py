@@ -4,29 +4,32 @@ A totient gap already orders two indices, smaller totient first
 (`comparator.compare` proves it), so the range {1..N} splits into
 totient classes and only pairs inside one class need a closer look.
 Each class is sorted by asymptotic order, which is the lexicographic
-order of its members' negated Ramanujan sums (-c_n(1), -c_n(2), ...):
-one sort on their first 32 terms, with each run of equal prefixes sorted
-again on twice as many (`sort_class` proves it).  Its k - 1 adjacent
-pairs are certified from those sums (`comparator.ramanujan_compare`);
-by transitivity that verifies comparability of every pair in the class
+order of its members' negated Ramanujan sums (-c_n(1), -c_n(2), ...),
+and its k - 1 adjacent pairs are certified from those sums; by
+transitivity that verifies comparability of every pair in the class
 (proof in `sort_class`).  No polynomial, kernel or packed value is
 built.  One table per run (`comparator.SumsTable`) holds the first 32
-sums of every index, sieved from Ramanujan's definition, and a
-smallest-prime-factor table; a member's later terms come from Hoelder's
-closed form, whose table it builds, factoring the member off that
-table, only when a comparison reads past its row.  The table also holds
-the run's memo of pair outcomes: a pair whose window of sums,
-(j0, delta_j0, ..., delta_j0+8), an earlier pair of the run already had
-takes that pair's verdict, certificate and line template, which
-`ramanujan_compare` proves sound, instead of reading its signs again.
-The sorted classes concatenate, ascending by totient value, into the
-full chain.
+sums of every index as a row of biased byte lanes, sieved from
+Ramanujan's definition, and a smallest-prime-factor table.
+`comparator.certify_class` sorts a class once on its members' rows,
+reads each adjacent pair's first difference j0 and its window of sums,
+(j0, delta_j0, ..., delta_j0+8), off the two rows, and asks the run's
+memo of pair outcomes, which the table also holds, for the window: a
+pair whose window an earlier pair of the run already had takes that
+pair's verdict, certificate and line template, which
+`comparator.ramanujan_compare` proves sound, instead of reading its
+signs again.  A member's sums are built as an object, with its later
+terms from Hoelder's closed form, whose table it builds, factoring the
+member off the smallest-prime-factor table, only when its row does not
+settle a pair: in a run of equal rows, which is sorted again on longer
+prefixes, or in a pair whose window leaves the row.  The sorted classes
+concatenate, ascending by totient value, into the full chain.
 
 Classes run in one process in ascending totient order, and one loop
 records, checkpoints and reports each.  The run holds no `CycloCache`:
-an exact fallback, which no adjacent pair up to 100000 reaches, evaluates
-into one of its own that dies with the pair
-(`comparator.ramanujan_compare`).
+an exact fallback, which no adjacent pair up to 100000 reaches, would
+make one at its first evaluation, for its pair alone
+(`comparator._certify`).
 A class's summary is read off the certificates whose lines its
 cert_hash covers; `ChainReport.from_record` builds the report.  The
 checkpoint is a hash-chained JSON-lines file, one line per class,
@@ -55,30 +58,25 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
-from math import lcm
-from operator import attrgetter
 from typing import Callable, Iterable
 
 from .arith import SMALL_PRIMES, inverse_totient, totient, totient_table
 from .comparator import (
-    _SUMS_BLOCK,
     Certificate,
-    RamanujanSums,
     SumsTable,
     Verdict,
     certificate_from_record,
+    certify_class,
     compare,
     comparison_record,
-    ramanujan_compare,
     record_to_json,
 )
 from .cyclotomic import CycloCache
 
 CHECKPOINT_VERSION = 4  # checkpoint line format; a file of another version is refused
 CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
-_NEIGHBOUR_VERDICTS = (Verdict.LESS, Verdict.INCOMPARABLE)  # what a sorted adjacent pair may get
 _INCOMPARABLE = Verdict.INCOMPARABLE  # the member bound once, as in `comparator`
-_TERMS = attrgetter("terms")
+_EMPTY_HASH = hashlib.sha256(b"").hexdigest()  # the cert_hash of a class of one member
 _CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
 
 
@@ -238,78 +236,34 @@ def stable_prefix_length(classes: Iterable[PhiClass], range_max: int) -> int:
         limit *= 2
 
 
-def _prefix_sorted(run: list[RamanujanSums], size: int) -> list[RamanujanSums]:
-    """`run` in the lexicographic order of its members' terms, given that
-    each holds exactly `size` terms, so no key is a proper prefix of
-    another (`sort_class` proves the order); a run of equal keys is
-    extended to twice as many and sorted again."""
-    run.sort(key=_TERMS)
-    ordered = []
-    for _, group in groupby(run, key=_TERMS):
-        group = list(group)
-        if len(group) > 1:
-            a, b = group[0], group[1]
-            if size >= lcm(a.n, b.n):  # a full common period: they never differ
-                raise ArithmeticError(f"internal: {a.n} and {b.n} have equal sums")
-            for s in group:
-                s.extend(2 * size)
-            group = _prefix_sorted(group, 2 * size)
-        ordered += group
-    return ordered
-
-
 def sort_class(
     phi_class: PhiClass,
     table: SumsTable | None = None,
     *,
-    cert_sink: Callable[[int, int, Verdict, Certificate, str], None] | None = None,
+    cert_sink: Callable[[list[int], list[tuple[Verdict, Certificate, str]]], None] | None = None,
 ) -> list[int]:
     """Sort one class by asymptotic order and certify its adjacent pairs.
 
-    Members are sorted by their negated Ramanujan sums, lexicographically
-    (`comparator.RamanujanSums`, each started from its row of `table`, a
-    `comparator.SumsTable` covering the class, which holds every index's
-    first 32 terms, and given the class's totient, so no member is
-    factored unless a comparison reads past its row; one table is built
-    when none is given, and a table that does not cover the class raises
-    ValueError before any sum is built): that is the
-    asymptotic order, a strict total order, since distinct indices have
-    distinct polynomials.  Then `ramanujan_compare` runs on the k - 1
-    adjacent pairs (a, b), in order, with the table's memo of outcomes,
-    and each (a, b, verdict, certificate, line template) goes to
-    cert_sink when one is given; the pair's line is template % (a, b).
-    A certificate from the memo is shared with other pairs and must not
-    be mutated.  Nothing else keeps the certificates of pairs the memo
-    does not hold, so batch runs stay flat in memory.  Neither step
-    reads a coefficient, and no cache is taken: an exact fallback keeps
-    its values only for its pair.  A class of one member builds no sums
-    at all.  Returns the ordered members; an INCOMPARABLE pair reaches
+    `table` is a `comparator.SumsTable` covering the class, which holds
+    every index's first 32 Ramanujan sums and the run's memo of pair
+    outcomes; one table is built when none is given, and a table that
+    does not cover the class raises ValueError before any row is read.
+    `comparator.certify_class` sorts the members by their negated
+    Ramanujan sums, lexicographically, which is the asymptotic order, a
+    strict total order, since distinct indices have distinct
+    polynomials, and gives each of the k - 1 adjacent pairs (a, b), in
+    order, the outcome (verdict, certificate, line template) that
+    `comparator.ramanujan_compare` gives it with the table's memo; the
+    pair's line is template % (a, b).  cert_sink, when one is given, is
+    called once with the ordered members and the list of outcomes.  A
+    certificate from the memo is shared with other pairs and must not be
+    mutated.  Nothing else keeps the certificates of pairs the memo does
+    not hold, so batch runs stay flat in memory.  No coefficient is
+    read, and no cache is taken: an exact fallback keeps its values only
+    for its pair.  A class of one member reads no row and makes no sink
+    call.  Returns the ordered members; an INCOMPARABLE pair reaches
     cert_sink as data and is never raised.  Any other verdict but LESS
     contradicts the sort and raises ArithmeticError.
-
-    The sort (`_prefix_sorted`) sorts once on every member's first
-    L = _SUMS_BLOCK terms, its row of the table, all lists of length L,
-    so the comparisons run in C; then each run of members with equal
-    prefixes is sorted the same way at 2L terms, and so on.  This gives
-    the lexicographic order:
-
-    1. Two members whose L-term prefixes differ have their first
-       difference inside them, so comparing the prefixes compares the
-       whole sequences: the sort orders every such pair rightly.
-    2. Members with equal prefixes stand together: with x before y
-       before z in the sorted list, prefix(x) <= prefix(y) <= prefix(z),
-       so prefix(x) = prefix(z) forces prefix(y) = prefix(x).  So the
-       list is a row of runs, each pair from two different runs rightly
-       ordered by 1, and re-sorting each run in its place keeps those
-       pairs; by induction on the re-sort, it orders each run's own
-       pairs rightly too.
-    3. The re-sorts end: a run is re-sorted only while two of its
-       members a, b agree on their first L terms, and L doubles each
-       time, so it stops before L reaches lcm(a.n, b.n), where distinct
-       indices differ (`RamanujanSums`), or raises there.
-
-    Adjacent members of the result differ within the terms both hold, so
-    `first_difference` reads each pair's j0 without extending either.
 
     Why k - 1 certificates prove what all k(k-1)/2 pairs would:
 
@@ -337,17 +291,10 @@ def sort_class(
         table = SumsTable(largest)
     elif largest > table.limit:
         raise ValueError(f"the sums table covers indices up to {table.limit}, not {largest}")
-    phi, outcomes = phi_class.phi_value, table.outcomes
-    ordered = _prefix_sorted([RamanujanSums(n, table, phi) for n in phi_class.members], _SUMS_BLOCK)
-    for a, b in zip(ordered, ordered[1:]):
-        verdict, cert, template = ramanujan_compare(a, b, outcomes)
-        if cert_sink is not None:
-            cert_sink(a.n, b.n, verdict, cert, template)
-        if verdict not in _NEIGHBOUR_VERDICTS:
-            raise ArithmeticError(
-                f"internal: sorted neighbours {a.n}, {b.n} compare {verdict.value}"
-            )
-    return [s.n for s in ordered]
+    ordered, outcomes = certify_class(phi_class.members, phi_class.phi_value, table)
+    if cert_sink is not None:
+        cert_sink(ordered, outcomes)
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +305,31 @@ def sort_class(
 def _finish_class(phi_class: PhiClass, table: SumsTable) -> dict:
     """Sort and summarize one class (`sort_class`, with `table`, passed as
     its second positional argument, the form `bench/spans.py`'s `sort`
-    wrapper forwards).  The sink writes each adjacent pair's JSON line once,
-    as its template % (m, n), which is `comparator.comparison_line`'s
-    line, and keeps its certificate; `cert_hash` is the sha256 of the
-    class's lines, each ending in a newline, and the rest of the summary
-    is read off the same certificates, so it says nothing the hash does
-    not cover.  Only an INCOMPARABLE pair gets a record dict."""
-    lines: list[str] = []
-    pairs: list[tuple[int, int, Verdict, Certificate]] = []
-
-    def sink(m: int, n: int, verdict: Verdict, cert: Certificate, template: str) -> None:
+    wrapper forwards).  The sink keeps the class's outcomes, and one pass
+    over them writes each adjacent pair's JSON line, its template % (m, n),
+    which is `comparator.comparison_line`'s line, and reads the rest of
+    the summary off the same certificates.  `cert_hash` is the sha256 of
+    the class's lines, each ending in a newline (of empty text for a
+    class of one member), so the summary says nothing the hash does not
+    cover.  Only an INCOMPARABLE pair gets a record dict."""
+    outcomes: list[tuple[Verdict, Certificate, str]] = []
+    ordered = sort_class(phi_class, table, cert_sink=lambda _, got: outcomes.extend(got))
+    lines, ties, incomparable, max_checked_q = [], [], [], 0
+    for m, n, (verdict, cert, template) in zip(ordered, ordered[1:], outcomes):
         lines.append(template % (m, n))
-        pairs.append((m, n, verdict, cert))
-
-    ordered = sort_class(phi_class, table, cert_sink=sink)
+        max_checked_q = max(max_checked_q, cert.checked_q_max)
+        ties += [[m, n, q] for q in cert.tie_witnesses]
+        if verdict is _INCOMPARABLE:
+            incomparable.append(comparison_record(m, n, verdict, cert))
     lines.append("")  # so that the join ends every line in a newline
     return {
         "phi": phi_class.phi_value,
         "members": ordered,
-        "pair_count": len(pairs),
-        "max_checked_q": max((cert.checked_q_max for *_, cert in pairs), default=0),
-        "ties": [[m, n, q] for m, n, _, cert in pairs for q in cert.tie_witnesses],
-        "incomparable": [comparison_record(*pair) for pair in pairs if pair[2] is _INCOMPARABLE],
-        "cert_hash": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        "pair_count": len(outcomes),
+        "max_checked_q": max_checked_q,
+        "ties": ties,
+        "incomparable": incomparable,
+        "cert_hash": hashlib.sha256("\n".join(lines).encode()).hexdigest() if outcomes else _EMPTY_HASH,
     }
 
 

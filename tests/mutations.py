@@ -106,6 +106,27 @@ MUTANTS = (
         (T_COMPARATOR + "test_memoised_outcomes_equal_unmemoised_ones_to_5000",),
     ),
     Mutant(
+        "row key: j0 read one lane off",
+        COMPARATOR,
+        "_SUMS_BLOCK - (bl - 1) // 8 for bl in",
+        "_SUMS_BLOCK - (bl + 7) // 8 for bl in",
+        (T_COMPARATOR + "test_row_key_reads_the_first_difference_and_the_window",),
+    ),
+    Mutant(
+        "row key: the rounding half dropped, a plain floor shift",
+        COMPARATOR,
+        "return j0, (b - a + _HALF[j0]) >> _SHIFT[j0]",
+        "return j0, (b - a) >> _SHIFT[j0]",
+        (T_COMPARATOR + "test_row_key_reads_the_first_difference_and_the_window",),
+    ),
+    Mutant(
+        "row key: s one lane short",
+        COMPARATOR,
+        "8 * max(0, _LAST_ROW_J0 - j0) for j0",
+        "8 * max(0, _LAST_ROW_J0 - j0 - 1) for j0",
+        (T_COMPARATOR + "test_row_key_reads_the_first_difference_and_the_window",),
+    ),
+    Mutant(
         "ramanujan_compare: q* one too low",
         COMPARATOR,
         "stop = 2 * j0 // abs(deltas[0]) + 2  # q*",

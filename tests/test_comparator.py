@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from cycorder import comparator
 from cycorder.arith import SMALL_PRIMES, divisors, factorize, moebius, totient
 from cycorder.comparator import (
+    _LANE_BIAS,
+    _LAST_ROW_J0,
     _SUMS_BLOCK,
     _WINDOW,
     Certificate,
@@ -17,6 +19,7 @@ from cycorder.comparator import (
     Verdict,
     _certify,
     _hoelder_table,
+    _row_key,
     _window_sign,
     _window_sum_sign,
     certificate_from_record,
@@ -605,7 +608,8 @@ def _hoelder_terms(n, length):
 
 
 def _row(table, n):
-    return table.heads[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK].tolist()
+    """-c_n(1), ..., -c_n(32): n's row of lanes, less the bias."""
+    return [lane - _LANE_BIAS for lane in table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK]]
 
 
 def test_sieved_rows_and_their_extension_match_hoelder_form_to_3000():
@@ -628,11 +632,13 @@ def test_sieved_rows_and_their_extension_match_hoelder_form_to_3000():
 
 
 def test_every_stored_term_fits_a_signed_byte():
-    """The rows are signed bytes, 32 an index, and every term keeps
-    |c_n(j)| <= gcd(n, j) <= 32, the bound the sieve's lanes rely on."""
+    """The rows are bytes, 32 an index, each lane 64 - c_n(j) in [32, 96],
+    and every term keeps |c_n(j)| <= gcd(n, j) <= 32, the bound the
+    sieve's lanes and the class sort's row keys rely on."""
     limit = 20000
     table = SumsTable(limit)
-    assert (table.heads.typecode, len(table.heads)) == ("b", _SUMS_BLOCK * (limit + 1))
+    assert type(table.lanes) is bytes and len(table.lanes) == _SUMS_BLOCK * (limit + 1)
+    assert (min(table.lanes), max(table.lanes)) == (_LANE_BIAS - _SUMS_BLOCK, _LANE_BIAS + _SUMS_BLOCK)
     for n in range(1, limit + 1):
         row = _row(table, n)
         assert all(abs(t) <= gcd(n, j) for j, t in enumerate(row, 1)), n
@@ -801,6 +807,51 @@ def test_sums_sign_is_exact_or_undecided(sequence):
         assert sign == ((1 if a_w > 0 else -1) if (q - 1) * abs(a_w) > bound else 0), q
 
 
+@st.composite
+def row_pairs(draw):
+    """Two distinct rows of 32 lanes in [32, 96], as bytes, the lesser
+    first, equal before a drawn first difference j0 and free after it."""
+    lanes = st.lists(st.integers(32, 96), min_size=_SUMS_BLOCK, max_size=_SUMS_BLOCK)
+    a, tail = draw(lanes), draw(lanes)
+    j0 = draw(st.integers(1, _SUMS_BLOCK))
+    lane = draw(st.integers(32, 96).filter(lambda v: v != a[j0 - 1]))
+    b = a[: j0 - 1] + [lane] + tail[j0:]
+    return tuple(sorted((bytes(a), bytes(b))))
+
+
+def _balanced_digits(w, count):
+    """The `count` base-256 digits in [-128, 128) of w, top first."""
+    digits = []
+    for _ in range(count):
+        digit = (w + 128) % 256 - 128
+        digits.append(digit)
+        w = (w - digit) // 256
+    assert w == 0
+    return digits[::-1]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(row_pairs())
+# delta_1 = 1 with every delta past the window at -64, the most negative tail,
+# which a plain floor shift reads one low; and j0 = 24, whose window ends the row
+@example((bytes([64] * 9 + [96] * 23), bytes([65] + [64] * 8 + [32] * 23)))
+@example((bytes([64] * 23 + [64] + [96] * 8), bytes([64] * 23 + [65] + [32] * 8)))
+def test_row_key_reads_the_first_difference_and_the_window(pair):
+    """For two distinct rows, as big-endian integers, the bit length of
+    their XOR gives the first lane where they differ; for j0 <= 24 the
+    rounded shift of their difference is the window delta_j0..delta_j0+8
+    as a base-256 number, exactly, and its balanced digits give the window
+    back, so two different windows never share a key."""
+    a, b = pair
+    j0, w = _row_key(int.from_bytes(a, "big"), int.from_bytes(b, "big"))
+    assert j0 == next(j for j, (x, y) in enumerate(zip(a, b), 1) if x != y)
+    if j0 <= _LAST_ROW_J0:
+        deltas = [b[j] - a[j] for j in range(j0 - 1, j0 + _WINDOW)]
+        assert w == sum(d * 256 ** (j0 + _WINDOW - j) for j, d in enumerate(deltas, j0))
+        assert _balanced_digits(w, _WINDOW + 1) == deltas
+    assert _row_key(int.from_bytes(a, "big"), int.from_bytes(a, "big"))[0] == _SUMS_BLOCK + 1
+
+
 def _first_window(a, b):
     """j0 and the deltas delta_j0, ..., delta_J of the first window,
     J = j0 + 8, of the pair of sums (a, b)."""
@@ -816,8 +867,12 @@ def _verified_pairs(range_max, table):
     classes up to range_max, in the order a verification with `table`
     certifies them."""
     pairs = []
+
+    def sink(ordered, outcomes):
+        pairs.extend((m, n, *o) for m, n, o in zip(ordered, ordered[1:], outcomes))
+
     for cls in phi_classes(range_max):
-        sort_class(cls, table, cert_sink=lambda *pair: pairs.append(pair))
+        sort_class(cls, table, cert_sink=sink)
     return pairs
 
 
@@ -849,7 +904,9 @@ def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
     gives it: `_certify` fed the window's sign at each q, then
     `comparison_line`.  The 3,855 pairs have 447 distinct windows
     (j0, delta_j0..delta_j0+8), each stored by its first pair and handed,
-    the same objects, to the other 3,408."""
+    the same objects, to the other 3,408: under (j0, W), the deltas as
+    one base-256 number, when j0 <= 24, where the window lies in the
+    rows, and under (j0, *deltas) past that."""
     table, fresh = SumsTable(5000), SumsTable(5000)
     pairs = _verified_pairs(5000, table)
     assert len(pairs) == 3855
@@ -864,7 +921,10 @@ def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
         want_cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
         assert (verdict, cert) == (want, want_cert), (m, n)
         assert template % (m, n) == comparison_line(m, n, want, want_cert), (m, n)
-        key = (j0, *deltas)
+        if j0 <= _LAST_ROW_J0:
+            key = (j0, sum(d * 256 ** (_WINDOW - i) for i, d in enumerate(deltas)))
+        else:
+            key = (j0, *deltas)
         stored = table.outcomes[key]
         assert stored[0] is verdict and stored[1] is cert and stored[2] is template, (m, n)
         keys.add(key)

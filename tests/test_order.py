@@ -17,10 +17,12 @@ from cycorder import comparator, cyclotomic
 from cycorder.arith import inverse_totient, totient, totient_table
 from cycorder.cli import main
 from cycorder.comparator import (
+    _LAST_ROW_J0,
     _SUMS_BLOCK,
     RamanujanSums,
     SumsTable,
     Verdict,
+    _prefix_sorted,
     compare,
     comparison_line,
     comparison_record,
@@ -35,7 +37,6 @@ from cycorder.order import (
     NotLessError,
     PhiClass,
     _finish_class,
-    _prefix_sorted,
     _totient_floor,
     build_chain,
     check_conjecture2,
@@ -87,16 +88,21 @@ def test_phi_classes_partition():
 
 
 def _sort_with_evidence(phi_class):
-    """sort_class's ordered members, with every (a, b, verdict, cert) its
-    cert_sink received; the template given with each completes to the
-    pair's `comparison_line`."""
-    evidence = []
+    """sort_class's ordered members, with every (a, b, verdict, cert) of
+    the outcomes its cert_sink received in its one call, with the same
+    ordered members; the template given with each completes to the pair's
+    `comparison_line`."""
+    evidence, calls = [], []
 
-    def sink(a, b, verdict, cert, template):
-        assert template % (a, b) == comparison_line(a, b, verdict, cert), (a, b)
-        evidence.append((a, b, verdict, cert))
+    def sink(ordered, outcomes):
+        calls.append(list(ordered))
+        assert len(outcomes) == len(ordered) - 1
+        for a, b, (verdict, cert, template) in zip(ordered, ordered[1:], outcomes):
+            assert template % (a, b) == comparison_line(a, b, verdict, cert), (a, b)
+            evidence.append((a, b, verdict, cert))
 
     ordered = sort_class(phi_class, cert_sink=sink)
+    assert calls == ([ordered] if len(ordered) > 1 else [])
     return ordered, evidence
 
 
@@ -119,17 +125,17 @@ def test_sort_class_examples(monkeypatch):
 
 def test_sort_class_refuses_a_table_that_does_not_cover_the_class(monkeypatch):
     """The class of totient 24 in {1..100} reaches 90: a table sieved to
-    89 or to 10 raises ValueError before any member's sums are built, and
+    89 or to 10 raises ValueError before any member's row is read, and
     one sieved to 90 sorts it."""
     cls = next(c for c in phi_classes(100) if c.phi_value == 24)
     assert max(cls.members) == 90
-    built = []
-    sums = cycorder.order.RamanujanSums
-    monkeypatch.setattr(cycorder.order, "RamanujanSums", lambda *args: built.append(args) or sums(*args))
+    read = []
+    certify = cycorder.order.certify_class
+    monkeypatch.setattr(cycorder.order, "certify_class", lambda *args: read.append(args) or certify(*args))
     for limit in (10, 89):
         with pytest.raises(ValueError, match=f"covers indices up to {limit}, not 90"):
             sort_class(cls, SumsTable(limit))
-    assert not built
+    assert not read
     assert sort_class(cls, SumsTable(90)) == sort_class(cls)
 
 
@@ -173,10 +179,10 @@ def test_sort_class_sorts_a_tall_class_at_its_wider_packing():
 
 
 def test_sort_class_builds_no_polynomial(monkeypatch):
-    """Sorting and certifying reads Ramanujan's sums only: every
-    `CycloCache` the verify path makes, one for each pair the memo does
-    not serve, for its exact fallback alone, stays empty, with no
-    `IntPoly`, kernel, packed value or value in it."""
+    """Sorting and certifying reads Ramanujan's sums only: a `CycloCache`
+    is made only at a pair's first exact evaluation, and no adjacent pair
+    up to 2000 reaches one, so none is made, while the run's memo holds
+    its 314 windows."""
     made = []
 
     class Recorded(CycloCache):
@@ -190,8 +196,7 @@ def test_sort_class_builds_no_polynomial(monkeypatch):
     table = SumsTable(2000)
     for cls in phi_classes(2000):
         sort_class(cls, table)
-    assert len(made) == len(table.outcomes) == 314
-    assert not any(c.polys or c.kernels or c.packed or c.evals for c in made)
+    assert not made and len(table.outcomes) == 314
 
 
 def test_build_chain_5000_builds_no_kernel(monkeypatch):
@@ -259,6 +264,52 @@ def test_prefix_sort_refines_runs_of_equal_prefixes():
     assert held[256] == held[384] == 2 * _SUMS_BLOCK
 
 
+@pytest.mark.parametrize(
+    "phi, limit, pair, case",
+    [
+        (2520, 5000, (2623, 2627), "run at the start"),
+        (128, 5000, (256, 384), "run in the middle"),
+        (294, 5000, (343, 686), "run that is the whole class"),
+        (5460, 20000, (11218, 11266), "run at the end"),
+        (192, 5000, (576, 720), "j0 = 24"),
+        (100, 5000, (250, 125), "j0 = 25"),
+    ],
+)
+def test_class_sort_covers_both_routes(phi, limit, pair, case):
+    """The class of totient `phi` in {1..limit} has `pair` as adjacent
+    members in the case named: a run of two equal rows, whose members are
+    sorted again on their sums and whose interior pair goes through
+    `ramanujan_compare`, at the class's start, in its middle, as the whole
+    class or at its end; or a pair of unequal rows whose first difference
+    j0 is 24, the last whose window lies in the rows, or 25, whose window
+    leaves them.  The class's order is the order of pairwise first
+    differences, and each outcome is unmemoised `ramanujan_compare`'s."""
+    members = [x for x in inverse_totient(phi) if x <= limit]
+    table = SumsTable(limit)
+    outcomes = []
+    ordered = sort_class(PhiClass(phi, members), table, cert_sink=lambda _, got: outcomes.extend(got))
+    assert ordered == _first_difference_order(members, table)
+    rows = [table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in ordered]
+    i = min(map(ordered.index, pair))
+    assert {ordered[i], ordered[i + 1]} == set(pair)
+    if case.startswith("j0"):
+        j0 = next(j for j, (x, y) in enumerate(zip(rows[i], rows[i + 1]), 1) if x != y)
+        assert j0 == int(case[-2:]) and _LAST_ROW_J0 == 24
+    else:
+        assert [k for k, row in enumerate(rows) if row == rows[i]] == [i, i + 1]
+        place = {
+            "run at the start": i == 0 < len(ordered) - 2,
+            "run in the middle": 0 < i < len(ordered) - 2,
+            "run that is the whole class": len(ordered) == 2,
+            "run at the end": 0 < i == len(ordered) - 2,
+        }
+        assert place[case]
+    sums = {x: RamanujanSums(x, table, phi) for x in members}
+    assert len(outcomes) == len(ordered) - 1
+    for a, b, outcome in zip(ordered, ordered[1:], outcomes):
+        assert outcome == ramanujan_compare(sums[a], sums[b], {}), (a, b)
+
+
 def test_build_chain_5000_builds_at_most_18426_hoelder_terms(monkeypatch):
     """Each member of a class of two or more holds its 32-term row of the
     run's table and is extended past it by Hoelder's form only as far as
@@ -303,9 +354,9 @@ def test_record_writer_matches_json_dumps_on_verify_5000(monkeypatch):
     def recorded(phi_class, table, *, cert_sink):
         got = pairs[phi_class.phi_value] = []
 
-        def sink(*pair):
-            got.append(pair[:4])
-            cert_sink(*pair)
+        def sink(ordered, outcomes):
+            got.extend((m, n, *o[:2]) for m, n, o in zip(ordered, ordered[1:], outcomes))
+            cert_sink(ordered, outcomes)
 
         return sort(phi_class, table, cert_sink=sink)
 
