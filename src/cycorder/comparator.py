@@ -15,7 +15,8 @@ nonzero, and a q it leaves at 0 is evaluated exactly:
     there is no fast test.  No coefficient is read.
   * indices of equal totient in a verification (`order.sort_class`):
     `ramanujan_compare`, which `certify_class` applies to a whole class
-    at once from its members' rows of sums.  The low-order end of
+    at once: one sort on its members' rows of sums, with the sums' first
+    difference breaking ties of rows.  The low-order end of
     log Phi_n(q) has a closed form, Ramanujan's sums, which orders the
     class and gives stop = q* (q* <= 4 for every adjacent pair of a
     verification up to 100000), with the sums' window
@@ -87,10 +88,10 @@ import json
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress, count, groupby, repeat
+from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from operator import attrgetter, eq, mul, ne, sub
+from operator import eq, mul, ne, sub
 
 from .arith import smallest_prime_factors
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
@@ -99,8 +100,7 @@ from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyc
 # the one window a fast sign test reads before exact evaluation: D's top
 # coefficients in `_window_sign`, terms past j0 in `_window_sum_sign`
 _WINDOW = 8
-_SUMS_BLOCK = 32  # terms of each index's row in a `SumsTable`; a class sort's first key length
-_TERMS = attrgetter("terms")
+_SUMS_BLOCK = 32  # terms of each index's row in a `SumsTable`; a class sort's first key
 
 
 class Verdict(enum.Enum):
@@ -517,16 +517,14 @@ class RamanujanSums:
     then, and phi(n) is formed again from them and checked against `phi`.
 
     For two indices of equal totient, the lexicographic order of their
-    terms is their asymptotic order (`ramanujan_compare` proves it):
-    `_prefix_sorted` sorts a run of equal rows on equal-length prefixes
-    of the terms, and `first_difference` finds where two of them part.
-    Two distinct indices m and n differ within lcm(m, n) terms, since
-    c_n(j) has period n in j.  At j = lcm(m, n) the sums are phi(m) and
-    phi(n); if those are equal and c_m(j) = c_n(j) for every j, then
+    terms is their asymptotic order (`ramanujan_compare` proves it), and
+    `first_difference` finds where two of them part.  Two distinct
+    indices m and n differ within lcm(m, n) terms, since c_n(j) has
+    period n in j.  At j = lcm(m, n) the sums are phi(m) and phi(n); if
+    those are equal and c_m(j) = c_n(j) for every j, then
     log Phi_m(q) = log Phi_n(q) at every q >= 2 by the identity, so the
     two polynomials agree at infinitely many points and m = n.
-    `first_difference` and `_prefix_sorted` raise past that bound
-    instead of searching on.
+    `first_difference` raises past that bound instead of searching on.
     """
 
     __slots__ = ("n", "phi", "terms", "_spf", "_table")
@@ -708,9 +706,8 @@ def _window_outcome(
 _LAST_ROW_J0 = _SUMS_BLOCK - _WINDOW  # 24: the last j0 whose window J = j0 + 8 lies in a row
 # j0 by the bit length of two rows' XOR (`_row_key`); equal rows, 0 bits, read as one past the row
 _FIRST_LANE = (_SUMS_BLOCK + 1, *(_SUMS_BLOCK - (bl - 1) // 8 for bl in range(1, 8 * _SUMS_BLOCK + 1)))
-# by j0: the bits s of the lanes past the window, and half their place, 2^(s - 1), 0 at s = 0
+# by j0: the bits s of the lanes past the window
 _SHIFT = tuple(8 * max(0, _LAST_ROW_J0 - j0) for j0 in range(_SUMS_BLOCK + 2))
-_HALF = tuple(1 << s >> 1 for s in _SHIFT)
 
 
 def _row_key(a: int, b: int) -> tuple[int, int]:
@@ -732,44 +729,24 @@ def _row_key(a: int, b: int) -> tuple[int, int]:
     (bl - 1) // 8 = L - j0 and j0 = L - (bl - 1) // 8 (`_FIRST_LANE`).
     Equal rows XOR to 0, of bit length 0.
 
-    W by one rounded shift.  For j0 <= L - _WINDOW let J = j0 + _WINDOW
-    and s = 8(L - J) >= 0 (`_SHIFT`).  With delta_j = 0 below j0,
+    W by two exact shifts.  For j0 <= L - _WINDOW let J = j0 + _WINDOW
+    and s = 8(L - J) >= 0 (`_SHIFT`).  The lanes past J are a's low s
+    bits, so a >> s, the floor of a / 2^s, drops exactly those lanes and
+    is the sum over j <= J of a_j * 256^(J - j); b >> s likewise.  With
+    delta_j = 0 below j0, their difference is
 
-        D = b - a = W * 2^s + R,  W = sum over j0 <= j <= J of delta_j * 256^(J - j),
-                                  R = sum over J < j <= L of delta_j * 256^(L - j).
+        W = sum over j0 <= j <= J of delta_j * 256^(J - j),
 
-    |R| <= 64 * (2^s - 1) / 255 < 2^(s - 1) when s > 0, and R = 0 when
-    s = 0, where the half h (`_HALF`) is 0.  So 0 <= R + h < 2^s, and
-    (D + h) >> s, the floor of (D + h) / 2^s, is W exactly: the window
-    delta_j0..delta_J as a balanced base-256 number, whose digits lie in
-    [-64, 64].  Two windows with one W are one window: at the lowest
-    place where two such digit strings differed, their values would
-    differ by a nonzero multiple of that place smaller than 256 times
-    it, with every lower digit equal, so the values differ.  So (j0, W)
-    is injective on windows.
+    the window delta_j0..delta_J as a balanced base-256 number, whose
+    digits lie in [-64, 64].  Two windows with one W are one window: at
+    the lowest place where two such digit strings differed, their values
+    would differ by a nonzero multiple of that place smaller than 256
+    times it, with every lower digit equal, so the values differ.  So
+    (j0, W) is injective on windows.
     """
     j0 = _FIRST_LANE[(a ^ b).bit_length()]
-    return j0, (b - a + _HALF[j0]) >> _SHIFT[j0]
-
-
-def _prefix_sorted(run: list[RamanujanSums], size: int) -> list[RamanujanSums]:
-    """`run` in the lexicographic order of its members' terms, given that
-    each holds exactly `size` terms, so no key is a proper prefix of
-    another (`certify_class` proves the order); a run of equal keys is
-    extended to twice as many and sorted again."""
-    run.sort(key=_TERMS)
-    ordered = []
-    for _, group in groupby(run, key=_TERMS):
-        group = list(group)
-        if len(group) > 1:
-            a, b = group[0], group[1]
-            if size >= lcm(a.n, b.n):  # a full common period: they never differ
-                raise ArithmeticError(f"internal: {a.n} and {b.n} have equal sums")
-            for s in group:
-                s.extend(2 * size)
-            group = _prefix_sorted(group, 2 * size)
-        ordered += group
-    return ordered
+    s = _SHIFT[j0]
+    return j0, (b >> s) - (a >> s)
 
 
 def certify_class(
@@ -781,52 +758,42 @@ def certify_class(
     `ramanujan_compare` gives the pair with the run's memo
     (`table.outcomes`).
 
-    The class is sorted once on its members' rows, 32-byte slices of
-    `table.lanes`, with no sums object per member; each run of equal
-    rows is sorted again on longer prefixes of its members' sums
-    (`_prefix_sorted`).  Each adjacent pair's j0 and memo key are read
-    off the two rows (`_row_key`).  A pair with j0 <= _LAST_ROW_J0
-    whose key the memo lacks has its window read off the rows and
-    decided by `_window_outcome`.  The interior pairs of a run of equal
-    rows, and each pair with j0 > _LAST_ROW_J0, whose window leaves the
-    row, go through `ramanujan_compare`; `RamanujanSums` objects are
-    built only for the members of those pairs and of the runs, one for
-    each.
+    The class is sorted once, on (row, tie_break(n)): n's row, a 32-byte
+    slice of `table.lanes`, then `later`, the first difference of the two
+    members' sums, which runs only where rows tie, once for each ordered
+    pair of members (`known`).  Each adjacent pair's
+    j0 and memo key are read off the two rows (`_row_key`).  A pair with
+    j0 <= _LAST_ROW_J0 whose key the memo lacks has its window read off
+    the rows and decided by `_window_outcome`.  Each other pair, whose
+    window leaves the row (equal rows among them), goes through
+    `ramanujan_compare`.  `RamanujanSums` objects are built only for the
+    members of tied rows and of those pairs, one for each.
 
     1. The rows sort as the sums.  A row holds the lanes 64 - c_n(j),
        j = 1..32, each in [32, 96] (`SumsTable`), and bytes compare
        lexicographically by unsigned value; adding 64 keeps the order of
        the terms -c_n(j), so rows compare as the 32-term prefixes of the
-       negated sums.  Pairs (row, n) compare by row first.
-    2. The prefix sort gives the lexicographic order of the whole
-       sequences.  Two members whose rows differ have their first
-       difference inside them, so the sort orders every such pair
-       rightly.  Members with equal rows stand together: with x before y
-       before z, row(x) <= row(y) <= row(z), so row(x) = row(z) forces
-       row(y) = row(x).  So the list is a row of runs, each pair from two
-       different runs rightly ordered, and re-sorting each run in its
-       place keeps those pairs; `_prefix_sorted` orders each run's own
-       pairs the same way at 2L terms, 4L, and so on, and ends: a run is
-       re-sorted only while two of its members a, b agree on their first
-       L terms, and L doubles each time, so it stops before L reaches
-       lcm(a.n, b.n), where distinct indices differ (`RamanujanSums`), or
-       raises there.  That lexicographic order is the asymptotic order
-       (`ramanujan_compare`).
-    3. The outcome of each pair with unequal rows and j0 <= _LAST_ROW_J0
-       is `ramanujan_compare`'s.  Its j0 is the first difference of the
-       two sequences, which lies in the rows, and its window ends at
-       j0 + 8 <= 32, inside the rows too, so the deltas read off the rows
-       are those `ramanujan_compare` would take, and (j0, W) names that
-       window alone (`_row_key`).  A memo entry under that key was
-       stored by a pair with the same window, whose outcome is this
-       pair's (`ramanujan_compare`), and a miss goes through the same
-       `_window_outcome`.
-    4. The border pairs of a re-sorted run keep their row-read j0 and
-       key.  Every member of a run has the same row, and the re-sort
-       only permutes the run's members among the run's places.  The pair
-       across a run's border still joins a member of the run to the
-       member beside the run, whose row is the other row of the pair as
-       before; j0 and W are functions of the two rows alone.
+       negated sums.
+    2. The sort gives the lexicographic order of the whole sequences.
+       `later(x, y)` is -c_x(j) - (-c_y(j)) at the first j where the two
+       sequences part, which `first_difference` finds, and where two
+       distinct indices of one class always part (`RamanujanSums`): its
+       sign is the lexicographic order of the whole sequences, a strict
+       total order, so `functools.cmp_to_key` gives a consistent key.
+       Tuples compare by row first.  Two members whose rows differ have
+       their first difference inside them, so the rows order them as
+       the sequences do; two with equal rows are ordered by `later`.  So
+       the tuples sort in the lexicographic order of the sequences, which
+       is the asymptotic order (`ramanujan_compare`).
+    3. The outcome of each pair with j0 <= _LAST_ROW_J0 is
+       `ramanujan_compare`'s.  Its rows differ, so its j0 is the first
+       difference of the two sequences, which lies in the rows, and its
+       window ends at j0 + 8 <= 32, inside the rows too, so the deltas
+       read off the rows are those `ramanujan_compare` would take, and
+       (j0, W) names that window alone (`_row_key`).  A memo entry under
+       that key was stored by a pair with the same window, whose outcome
+       is this pair's (`ramanujan_compare`), and a miss goes through the
+       same `_window_outcome`.
 
     Each outcome is `ramanujan_compare`'s, so the ordered pairs' lines,
     and each certificate, are those of a pair-by-pair run.  A sorted pair
@@ -834,9 +801,6 @@ def certify_class(
     other contradicts the sort and raises ArithmeticError.
     """
     lanes, memo = table.lanes, table.outcomes
-    keyed = sorted([(lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK], n) for n in members])
-    rows = [row for row, _ in keyed]
-    ordered = [n for _, n in keyed]
     sums: dict[int, RamanujanSums] = {}
 
     def sums_of(x: int) -> RamanujanSums:
@@ -844,14 +808,20 @@ def certify_class(
             sums[x] = RamanujanSums(x, table, phi)
         return sums[x]
 
-    if len(set(rows)) < len(rows):  # runs of equal rows
-        start = 0
-        for _, run in groupby(rows):
-            end = start + len(list(run))
-            if end - start > 1:
-                run_sums = [sums_of(x) for x in ordered[start:end]]
-                ordered[start:end] = [s.n for s in _prefix_sorted(run_sums, _SUMS_BLOCK)]
-            start = end
+    # a tuple comparison asks `later` twice per tie of rows, for == and then <
+    known: dict[tuple[int, int], int] = {}
+
+    def later(x: int, y: int) -> int:
+        if (x, y) not in known:
+            a, b = sums_of(x), sums_of(y)
+            j = a.first_difference(b)
+            known[x, y] = a.terms[j - 1] - b.terms[j - 1]
+        return known[x, y]
+
+    tie_break = functools.cmp_to_key(later)
+    keyed = sorted([(lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK], tie_break(n)) for n in members])
+    rows = [row for row, _ in keyed]
+    ordered = [k.obj for _, k in keyed]
     values = [int.from_bytes(row, "big") for row in rows]
     outcomes = []
     for i, (a, b) in enumerate(zip(values, values[1:])):

@@ -12,6 +12,7 @@ built.  One table per run (`comparator.SumsTable`) holds the first 32
 sums of every index as a row of biased byte lanes, sieved from
 Ramanujan's definition, and a smallest-prime-factor table.
 `comparator.certify_class` sorts a class once on its members' rows,
+breaking ties of rows by the first difference of the members' sums,
 reads each adjacent pair's first difference j0 and its window of sums,
 (j0, delta_j0, ..., delta_j0+8), off the two rows, and asks the run's
 memo of pair outcomes, which the table also holds, for the window: a
@@ -21,9 +22,9 @@ pair's verdict, certificate and line template, which
 signs again.  A member's sums are built as an object, with its later
 terms from Hoelder's closed form, whose table it builds, factoring the
 member off the smallest-prime-factor table, only when its row does not
-settle a pair: in a run of equal rows, which is sorted again on longer
-prefixes, or in a pair whose window leaves the row.  The sorted classes
-concatenate, ascending by totient value, into the full chain.
+settle a pair: when its row ties another in the sort, or in a pair whose
+window leaves the row.  The sorted classes concatenate, ascending by
+totient value, into the full chain.
 
 Classes run in one process in ascending totient order, and one loop
 records, checkpoints and reports each.  The run holds no `CycloCache`:
@@ -78,6 +79,8 @@ CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint
 _INCOMPARABLE = Verdict.INCOMPARABLE  # the member bound once, as in `comparator`
 _EMPTY_HASH = hashlib.sha256(b"").hexdigest()  # the cert_hash of a class of one member
 _CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
+# the fields `_class_body` writes; a class line on file lacking one is refused
+_CLASS_FIELDS = frozenset(("cert_hash", "incomparable", "kind", "max_checked_q", "members", "pair_count", "phi", "ties"))
 
 
 class OrderingError(Exception):
@@ -104,7 +107,7 @@ class IncomparablePairError(OrderingError):
 
 
 class CheckpointError(Exception):
-    """Checkpoint file is unusable: unopenable, hash-chain mismatch or wrong parameters."""
+    """Checkpoint file is unusable: unopenable, hash-chain mismatch, wrong parameters or a class not the run's."""
 
 
 @dataclass
@@ -249,9 +252,10 @@ def sort_class(
     outcomes; one table is built when none is given, and a table that
     does not cover the class raises ValueError before any row is read.
     `comparator.certify_class` sorts the members by their negated
-    Ramanujan sums, lexicographically, which is the asymptotic order, a
-    strict total order, since distinct indices have distinct
-    polynomials, and gives each of the k - 1 adjacent pairs (a, b), in
+    Ramanujan sums, lexicographically, in one sort on their rows with the
+    sums' first difference breaking ties of rows.  That is the asymptotic
+    order, a strict total order, since distinct indices have distinct
+    polynomials.  It gives each of the k - 1 adjacent pairs (a, b), in
     order, the outcome (verdict, certificate, line template) that
     `comparator.ramanujan_compare` gives it with the table's memo; the
     pair's line is template % (a, b).  cert_sink, when one is given, is
@@ -381,7 +385,9 @@ class CheckpointFile:
     appends start on a fresh line; a well-formed line that is not a JSON
     object or breaks the chain, another version or another range_max
     raises CheckpointError.  Classes are written in ascending totient
-    order, so the classes on file are always the lowest ones.
+    order, so the classes on file are always the lowest ones.  A class
+    line that lacks a field `_class_body` writes, or whose phi is not an
+    int, is refused too.
 
     The first `append` opens one append handle, kept until `close()`;
     an instance used only to load opens none.  Each class line is
@@ -464,6 +470,11 @@ class CheckpointFile:
                 raise CheckpointError(f"{self.path}: hash chain mismatch at line {i}")
             del rec["chain"]  # the last field, as the line equals `expected`
             if rec.get("kind") == "class":
+                missing = _CLASS_FIELDS.difference(rec)
+                if missing:
+                    raise CheckpointError(f"{self.path}: class line {i} lacks {', '.join(sorted(missing))}")
+                if type(rec["phi"]) is not int:
+                    raise CheckpointError(f"{self.path}: class line {i} has phi {rec['phi']!r}")
                 self.completed[rec["phi"]] = rec
                 self._last_phi = rec["phi"]
             good_end += len(raw)
@@ -517,6 +528,20 @@ class CheckpointFile:
 ProgressFn = Callable[[int, int, dict], None]
 
 
+def _resumed_summaries(checkpoint: CheckpointFile, classes: list[PhiClass]) -> dict[int, dict]:
+    """The summaries on file, once each is checked to be one of `classes`,
+    its members in some order and its pair_count k - 1, or CheckpointError:
+    the hash chain shows a line unchanged since it was written, not that
+    its class is this run's."""
+    members_of = {cls.phi_value: cls.members for cls in classes}
+    for phi, summary in checkpoint.completed.items():
+        members, on_file = members_of.get(phi), summary["members"]
+        ints = isinstance(on_file, list) and all(type(x) is int for x in on_file)
+        if not (members and ints and sorted(on_file) == members and summary["pair_count"] == len(members) - 1):
+            raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not a class of {{1..{checkpoint.range_max}}}")
+    return dict(checkpoint.completed)
+
+
 def build_chain(
     range_max: int,
     workers: int = 1,
@@ -529,10 +554,12 @@ def build_chain(
     Classes run in this process in ascending totient order, and one loop
     records, checkpoints and reports (`progress`) each; the checkpoint is
     synced and closed however the loop ends (`CheckpointFile`).  A later
-    call resumes after the last class on file.  The summaries fold, in
-    class order, into one report record that `ChainReport.from_record`
-    reads.  `workers` is checked (>= 1) and otherwise ignored: the run is
-    one process, so any worker count gives the same results.
+    call resumes after the last class on file, once each class there is
+    checked to be one of this run (`_resumed_summaries`).  The summaries
+    fold, in class order, into one report record that
+    `ChainReport.from_record` reads.  `workers` is checked (>= 1) and
+    otherwise ignored: the run is one process, so any worker count gives
+    the same results.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -540,7 +567,7 @@ def build_chain(
     # before the class loop, so its sieve to 2 range_max is freed before the summaries grow
     stable_len = stable_prefix_length(classes, range_max)
     checkpoint = CheckpointFile(checkpoint_path, range_max) if checkpoint_path else None
-    summaries: dict[int, dict] = dict(checkpoint.completed) if checkpoint else {}
+    summaries = _resumed_summaries(checkpoint, classes) if checkpoint else {}
 
     table = SumsTable(range_max)
     try:

@@ -113,10 +113,10 @@ MUTANTS = (
         (T_COMPARATOR + "test_row_key_reads_the_first_difference_and_the_window",),
     ),
     Mutant(
-        "row key: the rounding half dropped, a plain floor shift",
+        "row key: the difference shifted instead of the two rows",
         COMPARATOR,
-        "return j0, (b - a + _HALF[j0]) >> _SHIFT[j0]",
-        "return j0, (b - a) >> _SHIFT[j0]",
+        "return j0, (b >> s) - (a >> s)",
+        "return j0, (b - a) >> s",
         (T_COMPARATOR + "test_row_key_reads_the_first_difference_and_the_window",),
     ),
     Mutant(
@@ -153,6 +153,41 @@ MUTANTS = (
         'mu[p * p :: p * p] = b"\\x01" * len(range(p * p, size, p * p))',
         "pass",
         (T_COMPARATOR + "test_sieved_rows_and_their_extension_match_hoelder_form_to_3000",),
+    ),
+    Mutant(
+        "sums sieve: the d = j term skipped",
+        COMPARATOR,
+        "lane = row_sum + sum(",
+        "lane = bias * ones + sum(",
+        (T_COMPARATOR + "test_sieved_rows_and_their_extension_match_hoelder_form_to_3000",),
+    ),
+    Mutant(
+        "sums sieve: the sign of d * mu(n/d) flipped",
+        COMPARATOR,
+        "bytes((bias - j, bias, bias + j))",
+        "bytes((bias + j, bias, bias - j))",
+        (T_COMPARATOR + "test_sieved_rows_and_their_extension_match_hoelder_form_to_3000",),
+    ),
+    Mutant(
+        "Hoelder table: the sign flip of mu dropped",
+        COMPARATOR,
+        "(g // p, -c // (p - 1))",
+        "(g // p, c // (p - 1))",
+        (T_COMPARATOR + "test_sieved_rows_and_their_extension_match_hoelder_form_to_3000",),
+    ),
+    Mutant(
+        "first difference: j0 read one too high",
+        COMPARATOR,
+        "compress(count(1), map(ne",
+        "compress(count(2), map(ne",
+        (T_COMPARATOR + "test_ramanujan_verdicts_match_compare_to_300",),
+    ),
+    Mutant(
+        "class sort: the tie-break's sign flipped",
+        COMPARATOR,
+        "known[x, y] = a.terms[j - 1] - b.terms[j - 1]",
+        "known[x, y] = b.terms[j - 1] - a.terms[j - 1]",
+        (T_ORDER + "test_prefix_sort_matches_pairwise_first_differences_to_5000",),
     ),
     Mutant(
         "stable prefix: the F_{K+1} term dropped from _totient_floor",

@@ -833,14 +833,15 @@ def _balanced_digits(w, count):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(row_pairs())
 # delta_1 = 1 with every delta past the window at -64, the most negative tail,
-# which a plain floor shift reads one low; and j0 = 24, whose window ends the row
+# which a shift of the difference, (b - a) >> s, reads one low; and j0 = 24,
+# whose window ends the row
 @example((bytes([64] * 9 + [96] * 23), bytes([65] + [64] * 8 + [32] * 23)))
 @example((bytes([64] * 23 + [64] + [96] * 8), bytes([64] * 23 + [65] + [32] * 8)))
 def test_row_key_reads_the_first_difference_and_the_window(pair):
     """For two distinct rows, as big-endian integers, the bit length of
     their XOR gives the first lane where they differ; for j0 <= 24 the
-    rounded shift of their difference is the window delta_j0..delta_j0+8
-    as a base-256 number, exactly, and its balanced digits give the window
+    difference of their two shifts is the window delta_j0..delta_j0+8 as
+    a base-256 number, exactly, and its balanced digits give the window
     back, so two different windows never share a key."""
     a, b = pair
     j0, w = _row_key(int.from_bytes(a, "big"), int.from_bytes(b, "big"))

@@ -22,7 +22,6 @@ from cycorder.comparator import (
     RamanujanSums,
     SumsTable,
     Verdict,
-    _prefix_sorted,
     compare,
     comparison_line,
     comparison_record,
@@ -250,18 +249,32 @@ def test_prefix_sort_matches_pairwise_first_differences_to_5000():
         assert ordered == _first_difference_order(cls.members, table), cls.phi_value
 
 
-def test_prefix_sort_refines_runs_of_equal_prefixes():
-    """256 and 384 (totient 128) first differ at j = 64: the sort on 32
-    terms leaves them equal, and the re-sort of their run on 64 parts
-    them, in the order of their first difference."""
+def test_prefix_sort_refines_runs_of_equal_prefixes(monkeypatch):
+    """256 and 384 (totient 128) first differ at j = 64: their 32-term
+    rows tie, and the sort's tie-break parts them, in the order of their
+    first difference.  The sort extends both to 64 terms; their pair's
+    window then reads up to j = 72."""
     members = inverse_totient(128)
     table = SumsTable(max(members))
     a, b = RamanujanSums(256, table, 128), RamanujanSums(384, table, 128)
     assert a.first_difference(b) == 64
-    ordered = _prefix_sorted([RamanujanSums(n, table, totient(n)) for n in members], _SUMS_BLOCK)
-    assert [s.n for s in ordered] == _first_difference_order(members, table)
-    held = {s.n: len(s.terms) for s in ordered}
+    built, held = [], {}
+    compare_sums = comparator.ramanujan_compare
+
+    def recorded(*args):
+        built.append(RamanujanSums(*args))
+        return built[-1]
+
+    def compared(a, b, memo):
+        held.update({s.n: len(s.terms) for s in (a, b)})
+        return compare_sums(a, b, memo)
+
+    monkeypatch.setattr(comparator, "RamanujanSums", recorded)
+    monkeypatch.setattr(comparator, "ramanujan_compare", compared)
+    ordered = sort_class(PhiClass(128, members), table)
+    assert ordered == _first_difference_order(members, table)
     assert held[256] == held[384] == 2 * _SUMS_BLOCK
+    assert {s.n: len(s.terms) for s in built if s.n in (256, 384)} == {256: 72, 384: 72}
 
 
 @pytest.mark.parametrize(
@@ -277,8 +290,8 @@ def test_prefix_sort_refines_runs_of_equal_prefixes():
 )
 def test_class_sort_covers_both_routes(phi, limit, pair, case):
     """The class of totient `phi` in {1..limit} has `pair` as adjacent
-    members in the case named: a run of two equal rows, whose members are
-    sorted again on their sums and whose interior pair goes through
+    members in the case named: a run of two equal rows, whose members the
+    sort's tie-break orders by their sums and whose pair goes through
     `ramanujan_compare`, at the class's start, in its middle, as the whole
     class or at its end; or a pair of unequal rows whose first difference
     j0 is 24, the last whose window lies in the rows, or 25, whose window
@@ -331,15 +344,21 @@ def test_build_chain_5000_builds_at_most_18426_hoelder_terms(monkeypatch):
 def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(monkeypatch):
     """A member's Hoelder table is built by its first extension past its
     row, at most once; 1,769 of the 1,859 members sorted here are never
-    read past it (1,481 with 16-term rows)."""
-    built = []
+    read past it (1,481 with 16-term rows).  A member's `RamanujanSums`
+    object is built only when its row ties another's in the sort or its
+    pair's window leaves the row: exactly 90, one for each such member,
+    so the tie-break runs on no pair of rows that differ."""
+    built, made = [], []
     hoelder = comparator._hoelder_table
     monkeypatch.setattr(
         comparator, "_hoelder_table", lambda n, *rest: built.append(n) or hoelder(n, *rest)
     )
+    init = RamanujanSums.__init__
+    monkeypatch.setattr(RamanujanSums, "__init__", lambda self, *args: made.append(args[0]) or init(self, *args))
     assert build_chain(2000).pair_count == 1504
     sorted_members = sum(len(cls.members) for cls in phi_classes(2000) if len(cls.members) > 1)
     assert len(set(built)) == len(built) <= 90 < sorted_members == 1859
+    assert len(set(made)) == len(made) == 90
 
 
 def test_record_writer_matches_json_dumps_on_verify_5000(monkeypatch):
@@ -659,19 +678,86 @@ def test_checkpoint_resume_and_validation(tmp_path):
         fh.write(lines[4][: len(lines[4]) // 2])
     assert build_chain(200, workers=1, checkpoint_path=path) == first
 
-    # edited class content breaks the hash chain
-    bad = lines[2].replace('"members":[', '"members":[999,', 1)
-    assert bad != lines[2]
-    with open(path, "w") as fh:
-        fh.writelines([lines[0], lines[1], bad] + lines[3:])
-    with pytest.raises(CheckpointError):
-        build_chain(200, workers=1, checkpoint_path=path)
+    # edited class content breaks the hash chain, whether or not the
+    # class still reads as one of the run's
+    for field, edited in (('"members":[', '"members":[999,'), ('"max_checked_q":', '"max_checked_q":9')):
+        bad = lines[2].replace(field, edited, 1)
+        assert bad != lines[2]
+        with open(path, "w") as fh:
+            fh.writelines([lines[0], lines[1], bad] + lines[3:])
+        with pytest.raises(CheckpointError, match="hash chain mismatch at line 3"):
+            build_chain(200, workers=1, checkpoint_path=path)
 
     # range mismatch is rejected
     with open(path, "w") as fh:
         fh.writelines(lines)
     with pytest.raises(CheckpointError):
         build_chain(300, workers=1, checkpoint_path=path)
+
+
+def _rechained(lines, phi, edit):
+    """`lines` of a checkpoint with `edit` applied to the record of the
+    class of totient `phi`, and every chain hash recomputed over the
+    compact sorted-key bodies, as a writer that meant the edit would."""
+    out, prev = [], ""
+    for line in lines:
+        rec = json.loads(line)
+        del rec["chain"]
+        if rec.get("phi") == phi and rec["kind"] == "class":
+            edit(rec)
+        body = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        prev = hashlib.sha256((prev + body).encode()).hexdigest()
+        out.append(f'{body[:-1]},"chain":"{prev}"}}\n')
+    return out
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda rec: rec.update(members=[6, 6, 6]), "class 2 on file is not a class of {1..30}", id="members"
+        ),
+        pytest.param(
+            lambda rec: rec.update(members=[6, 4, 3.0]), "class 2 on file is not a class of {1..30}", id="float"
+        ),
+        pytest.param(
+            lambda rec: rec.update(pair_count=1), "class 2 on file is not a class of {1..30}", id="pair_count"
+        ),
+        pytest.param(lambda rec: rec.update(phi=3), "class 3 on file is not a class of {1..30}", id="phi"),
+        pytest.param(lambda rec: rec.update(phi=[2]), "class line 3 has phi [2]", id="phi-list"),
+        pytest.param(lambda rec: rec.pop("phi"), "class line 3 lacks phi", id="no-phi"),
+        pytest.param(
+            lambda rec: [rec.pop(f) for f in ("ties", "members")], "class line 3 lacks members, ties", id="no-members"
+        ),
+    ],
+)
+def test_a_class_line_that_is_not_the_runs_is_refused(tmp_path, capsys, edit, message):
+    """A class line of a `verify 30` checkpoint edited and rechained, so
+    that its hash chain holds, is refused by the library and by `verify`
+    (exit 4) when it lacks a field, or when its class is not one of the
+    run's: another totient, members that are not the class's in some
+    order (here [6, 6, 6] for the class {3, 4, 6}, which would report a
+    sequence without 3 and 4), or a pair_count other than k - 1."""
+    path = tmp_path / "verify.ckpt"
+    build_chain(30, checkpoint_path=str(path))
+    path.write_text("".join(_rechained(path.read_text().splitlines(), 2, edit)))
+    crafted = path.read_text()
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        build_chain(30, checkpoint_path=str(path))
+    assert main(["verify", "30", "--checkpoint", str(path), "--format", "structured"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"checkpoint error: {path}: {message}\n"
+    assert path.read_text() == crafted
+
+
+def test_a_rechained_checkpoint_left_as_written_resumes(tmp_path):
+    """`_rechained` with no edit gives back the file byte for byte, so
+    each refusal above is the edit's."""
+    path = tmp_path / "verify.ckpt"
+    first = build_chain(30, checkpoint_path=str(path))
+    intact = path.read_text()
+    assert "".join(_rechained(intact.splitlines(), 2, lambda rec: None)) == intact
+    assert build_chain(30, checkpoint_path=str(path)) == first
 
 
 V3_HEADER_OF_VERIFY_30 = (
