@@ -14,17 +14,19 @@ nonzero, and a q it leaves at 0 is evaluated exactly:
     unless the totients differ by at most 2: stop is 3 then, else 2, and
     there is no fast test.  No coefficient is read.
   * indices of equal totient in a verification (`order.sort_class`):
-    `ramanujan_compare`, which `certify_class` applies to a whole class
-    at once: one sort on its members' rows of sums, with the sums' first
-    difference breaking ties of rows.  The low-order end of
+    `ramanujan_compare`, which `order.sort_class` applies to a whole
+    class at once: one sort on its members' rows of sums, with the sums'
+    first difference breaking ties of rows.  The low-order end of
     log Phi_n(q) has a closed form, Ramanujan's sums, which orders the
     class and gives stop = q* (q* <= 4 for every adjacent pair of a
     verification up to 100000), with the sums' window
     (`_window_sum_sign`) as the fast test.  No coefficient is read, and
-    no polynomial is built.  An outcome whose signs that window decides
-    is a function of the window, so each distinct window is decided once
-    per run and its outcome, line template included, reused (the run's
-    memo, `SumsTable.outcomes`).
+    no polynomial is built.  An outcome whose window reads the lead's
+    sign at every q < q* is a function of (lead, q*) alone, so it is
+    built once per process for each of the two (`_agreeing_outcome`),
+    line template included, and the run's memo (`SumsTable.outcomes`)
+    hands it to each later pair with the same window without reading a
+    sign.
   * indices of equal totient in `compare`, the route of the `compare`
     command, `precedes` and `conjecture2`: stop = c + 1 for the threshold
     c of the difference of the two polynomials, read off their packed
@@ -404,7 +406,7 @@ class SumsTable:
     the lane b - c_n(j) at lanes[n * L + j - 1] with the bias
     b = _LANE_BIAS = 64 (row 0 reads b throughout, the term 0).  An
     index's row of L bytes is its `RamanujanSums` start and its sort key
-    (`certify_class`).
+    (`order.sort_class`).
 
     The terms are sieved from Ramanujan's definition, c_n(j) the sum of
     d * mu(n/d) over d | gcd(n, j) (S. Ramanujan, 1918), for all n at
@@ -435,8 +437,8 @@ class SumsTable:
     held.
 
     `outcomes` is the run's memo of adjacent-pair outcomes, keyed by its
-    window (`ramanujan_compare`, `certify_class`); it starts empty with
-    each table, so it lives and dies with one run.
+    window (`ramanujan_compare`, `order.sort_class`); it starts empty
+    with each table, so it lives and dies with one run.
     """
 
     __slots__ = ("limit", "spf", "lanes", "outcomes")
@@ -512,7 +514,7 @@ class RamanujanSums:
     It is built by the first `extend` past the row, so a member no
     comparison reads past it builds none; then terms come from C-level
     `gcd` and dict lookups.  `phi` is phi(n), which the caller knows
-    (`certify_class` passes its class's totient), so n is factored only
+    (`order.sort_class` passes its class's totient), so n is factored only
     when the table is built: its primes are read off the table's `spf`
     then, and phi(n) is formed again from them and checked against `phi`.
 
@@ -636,26 +638,32 @@ def ramanujan_compare(
     Lambda = lcm(j0..J), depend on j0 and q alone, not on the pair, so
     `_window_weights` forms them once per (j0, q) in a process.
 
-    One outcome per window.  Let key = (j0, delta_j0, ..., delta_J); a
-    member's terms are extended to J only when it holds fewer.  The lead
+    One outcome per (lead, q*).  Let key = (j0, delta_j0, ..., delta_J);
+    a member's terms are extended to J only when it holds fewer.  The lead
     and q* are functions of (j0, delta_j0), and the window's sign at q
     reads the key's deltas and the weights of (j0, q), so it is a
-    function of the key and q.  Suppose it is nonzero at every q in
-    [2, q*).  Then `_certify` was given a nonzero sign at every q < q*,
-    each a function of the key, evaluated nothing and found no tie, so
-    the verdict and checked_q_max = q* - 1 are functions of the key; so is
-    the certificate (threshold_c 0, the lead, no tie, the tag, and no flip
-    unless INCOMPARABLE), and so is its line but for the fields m and n,
-    which the template leaves as %d.  Every pair with that key has that
-    outcome, and such an outcome, unless INCOMPARABLE, is stored under its
-    key and handed to each later pair with the key without reading a sign.
-    An outcome with a q the window leaves at 0, decided there by exact
-    evaluation (so every tie), and every INCOMPARABLE one, may depend on
-    more than the key and is not stored.  A stored certificate is shared
-    by all the pairs with its key; no code mutates a certificate once
-    made.  `_window_outcome` decides a window the memo does not hold.
+    function of the key and q.  `_window_outcome` reads those signs at
+    q = 2, ..., q* - 1 in order and stops at the first that is not the
+    lead's.  Suppose none is: then `_certify`, given the lead's sign at
+    every q < q*, evaluates nothing and finds no tie and no sign against
+    the lead, so the verdict is LESS for the lead +1 and GREATER for -1,
+    with checked_q_max = q* - 1 and no flip.  The certificate (threshold_c
+    0, the lead, q* - 1, no tie, no flip, the tag) and its line, but for
+    the fields m and n, which the template leaves as %d, are then
+    functions of (lead, q*) alone.  `_agreeing_outcome` builds that
+    outcome once per (lead, q*) in a process, by the same `_certify`,
+    `Certificate` and `_line_template`, and every such pair takes it; it
+    is stored in the memo under the pair's key and handed to each later
+    pair with the key without reading a sign.  A window with a sign
+    against the lead at some q < q* (so an INCOMPARABLE verdict), or with
+    a q it leaves at 0, decided there by exact evaluation (so every tie),
+    may have an outcome that depends on more than (lead, q*) and the key:
+    `_certify` decides it from the window's sign at each q, and it is not
+    stored.  So the memo holds only shared outcomes, each LESS or GREATER
+    with no tie; no code mutates a certificate once made.
+    `_window_outcome` decides a window the memo does not hold.
 
-    `certify_class` reads the window of a pair with j0 <= _LAST_ROW_J0
+    `order.sort_class` reads the window of a pair with j0 <= _LAST_ROW_J0
     off the two members' rows and keys it (j0, W) instead, with W the
     deltas as one balanced base-256 number (`_row_key`).  Within the
     rows |delta_j| <= 64 < 128, so W determines its digits, and (j0, W)
@@ -687,20 +695,42 @@ def _window_outcome(
     outcomes: dict[tuple[int, ...], tuple[Verdict, Certificate, str]],
 ) -> tuple[Verdict, Certificate, str]:
     """The outcome of the pair (m, n) of equal totient whose first window
-    is j0 and `deltas`, delta_j0 up to delta_(j0 + _WINDOW), stored in the
-    memo `outcomes` under `key` when the window decides every q alone and
-    the verdict is not INCOMPARABLE (`ramanujan_compare` proves each
-    step).  Both routes of a verification, `ramanujan_compare` and the
-    rows of `certify_class`, decide a window the memo does not hold here."""
+    is j0 and `deltas`, delta_j0 up to delta_(j0 + _WINDOW): when the
+    window reads the lead's sign at every q < q*, the outcome of
+    (lead, q*) (`_agreeing_outcome`), stored in the memo `outcomes` under
+    `key`; else `_certify`'s from the window's sign at each q, not stored
+    (`ramanujan_compare` proves each step).  Both routes of a
+    verification, `ramanujan_compare` and the rows of `order.sort_class`,
+    decide a window the memo does not hold here."""
     lead = 1 if deltas[0] > 0 else -1  # c_m(j0) - c_n(j0): the terms are negated
     stop = 2 * j0 // abs(deltas[0]) + 2  # q*
-    signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
-    verdict, checked, ties, flips = _certify(m, n, lead, stop, None, signs.get)
-    cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
-    outcome = verdict, cert, _line_template(verdict, cert)
-    if verdict is not _INCOMPARABLE and 0 not in signs.values():
-        outcomes[key] = outcome
+    for q in range(2, stop):
+        if _window_sum_sign(deltas, j0, q) != lead:
+            return _ramanujan_outcome(m, n, lead, stop, functools.partial(_window_sum_sign, deltas, j0))
+    outcomes[key] = outcome = _agreeing_outcome(lead, stop)
     return outcome
+
+
+def _ramanujan_outcome(
+    m: int, n: int, lead: int, stop: int, fast: Callable[[int], int]
+) -> tuple[Verdict, Certificate, str]:
+    """The verdict, certificate and line template `_certify` gives the pair
+    (m, n) of equal totient from its lead, q* = stop and the fast test
+    `fast`, with no cache: an exact evaluation makes its own."""
+    verdict, checked, ties, flips = _certify(m, n, lead, stop, None, fast)
+    cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
+    return verdict, cert, _line_template(verdict, cert)
+
+
+@functools.cache
+def _agreeing_outcome(lead: int, stop: int) -> tuple[Verdict, Certificate, str]:
+    """The outcome of every pair whose window reads the sign `lead` at each
+    q in [2, stop), stop its q*, a function of the two alone
+    (`ramanujan_compare`): `_ramanujan_outcome` given that sign at each q,
+    built once per process for each (lead, q*).  `_certify` reads m and n
+    only to evaluate, which a nonzero sign at every q spares, so both are
+    given as 0."""
+    return _ramanujan_outcome(0, 0, lead, stop, lambda q: lead)
 
 
 _LAST_ROW_J0 = _SUMS_BLOCK - _WINDOW  # 24: the last j0 whose window J = j0 + 8 lies in a row
@@ -747,100 +777,6 @@ def _row_key(a: int, b: int) -> tuple[int, int]:
     j0 = _FIRST_LANE[(a ^ b).bit_length()]
     s = _SHIFT[j0]
     return j0, (b >> s) - (a >> s)
-
-
-def certify_class(
-    members: list[int], phi: int, table: SumsTable
-) -> tuple[list[int], list[tuple[Verdict, Certificate, str]]]:
-    """A class of totient `phi`, its `members` covered by `table`, in
-    asymptotic order, with the outcomes (verdict, certificate, line
-    template) of its k - 1 adjacent pairs in order, each the one
-    `ramanujan_compare` gives the pair with the run's memo
-    (`table.outcomes`).
-
-    The class is sorted once, on (row, tie_break(n)): n's row, a 32-byte
-    slice of `table.lanes`, then `later`, the first difference of the two
-    members' sums, which runs only where rows tie, once for each ordered
-    pair of members (`known`).  Each adjacent pair's
-    j0 and memo key are read off the two rows (`_row_key`).  A pair with
-    j0 <= _LAST_ROW_J0 whose key the memo lacks has its window read off
-    the rows and decided by `_window_outcome`.  Each other pair, whose
-    window leaves the row (equal rows among them), goes through
-    `ramanujan_compare`.  `RamanujanSums` objects are built only for the
-    members of tied rows and of those pairs, one for each.
-
-    1. The rows sort as the sums.  A row holds the lanes 64 - c_n(j),
-       j = 1..32, each in [32, 96] (`SumsTable`), and bytes compare
-       lexicographically by unsigned value; adding 64 keeps the order of
-       the terms -c_n(j), so rows compare as the 32-term prefixes of the
-       negated sums.
-    2. The sort gives the lexicographic order of the whole sequences.
-       `later(x, y)` is -c_x(j) - (-c_y(j)) at the first j where the two
-       sequences part, which `first_difference` finds, and where two
-       distinct indices of one class always part (`RamanujanSums`): its
-       sign is the lexicographic order of the whole sequences, a strict
-       total order, so `functools.cmp_to_key` gives a consistent key.
-       Tuples compare by row first.  Two members whose rows differ have
-       their first difference inside them, so the rows order them as
-       the sequences do; two with equal rows are ordered by `later`.  So
-       the tuples sort in the lexicographic order of the sequences, which
-       is the asymptotic order (`ramanujan_compare`).
-    3. The outcome of each pair with j0 <= _LAST_ROW_J0 is
-       `ramanujan_compare`'s.  Its rows differ, so its j0 is the first
-       difference of the two sequences, which lies in the rows, and its
-       window ends at j0 + 8 <= 32, inside the rows too, so the deltas
-       read off the rows are those `ramanujan_compare` would take, and
-       (j0, W) names that window alone (`_row_key`).  A memo entry under
-       that key was stored by a pair with the same window, whose outcome
-       is this pair's (`ramanujan_compare`), and a miss goes through the
-       same `_window_outcome`.
-
-    Each outcome is `ramanujan_compare`'s, so the ordered pairs' lines,
-    and each certificate, are those of a pair-by-pair run.  A sorted pair
-    precedes asymptotically, so its verdict is LESS or INCOMPARABLE; any
-    other contradicts the sort and raises ArithmeticError.
-    """
-    lanes, memo = table.lanes, table.outcomes
-    sums: dict[int, RamanujanSums] = {}
-
-    def sums_of(x: int) -> RamanujanSums:
-        if x not in sums:
-            sums[x] = RamanujanSums(x, table, phi)
-        return sums[x]
-
-    # a tuple comparison asks `later` twice per tie of rows, for == and then <
-    known: dict[tuple[int, int], int] = {}
-
-    def later(x: int, y: int) -> int:
-        if (x, y) not in known:
-            a, b = sums_of(x), sums_of(y)
-            j = a.first_difference(b)
-            known[x, y] = a.terms[j - 1] - b.terms[j - 1]
-        return known[x, y]
-
-    tie_break = functools.cmp_to_key(later)
-    keyed = sorted([(lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK], tie_break(n)) for n in members])
-    rows = [row for row, _ in keyed]
-    ordered = [k.obj for _, k in keyed]
-    values = [int.from_bytes(row, "big") for row in rows]
-    outcomes = []
-    for i, (a, b) in enumerate(zip(values, values[1:])):
-        key = _row_key(a, b)
-        j0 = key[0]
-        if j0 > _LAST_ROW_J0:  # the window leaves the row
-            outcome = ramanujan_compare(sums_of(ordered[i]), sums_of(ordered[i + 1]), memo)
-        else:
-            outcome = memo.get(key)
-            if outcome is None:
-                window = slice(j0 - 1, j0 + _WINDOW)
-                deltas = tuple(map(sub, rows[i + 1][window], rows[i][window]))
-                outcome = _window_outcome(ordered[i], ordered[i + 1], j0, deltas, key, memo)
-        if outcome[0] is not _LESS and outcome[0] is not _INCOMPARABLE:
-            raise ArithmeticError(
-                f"internal: sorted neighbours {ordered[i]}, {ordered[i + 1]} compare {outcome[0].value}"
-            )
-        outcomes.append(outcome)
-    return ordered, outcomes
 
 
 # ---------------------------------------------------------------------------

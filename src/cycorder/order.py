@@ -11,20 +11,17 @@ transitivity that verifies comparability of every pair in the class
 built.  One table per run (`comparator.SumsTable`) holds the first 32
 sums of every index as a row of biased byte lanes, sieved from
 Ramanujan's definition, and a smallest-prime-factor table.
-`comparator.certify_class` sorts a class once on its members' rows,
-breaking ties of rows by the first difference of the members' sums,
-reads each adjacent pair's first difference j0 and its window of sums,
-(j0, delta_j0, ..., delta_j0+8), off the two rows, and asks the run's
-memo of pair outcomes, which the table also holds, for the window: a
-pair whose window an earlier pair of the run already had takes that
-pair's verdict, certificate and line template, which
-`comparator.ramanujan_compare` proves sound, instead of reading its
-signs again.  A member's sums are built as an object, with its later
-terms from Hoelder's closed form, whose table it builds, factoring the
-member off the smallest-prime-factor table, only when its row does not
-settle a pair: when its row ties another in the sort, or in a pair whose
-window leaves the row.  The sorted classes concatenate, ascending by
-totient value, into the full chain.
+`sort_class`, the one per-class step, sorts a class on its members'
+rows and, in one pass over its adjacent pairs, reads each pair's window
+of sums off the two rows, takes the pair's outcome from the run's memo,
+which the table also holds, or decides the window
+(`comparator.ramanujan_compare` proves both sound), writes the pair's
+line and adds it to the class's summary.  A member's sums are built as
+an object, with its later terms from Hoelder's closed form, whose table
+it builds, factoring the member off the smallest-prime-factor table,
+only when its row does not settle a pair: when its row ties another in
+the sort, or in a pair whose window leaves the row.  The sorted classes
+concatenate, ascending by totient value, into the full chain.
 
 Classes run in one process in ascending totient order, and one loop
 records, checkpoints and reports each.  The run holds no `CycloCache`:
@@ -36,16 +33,19 @@ cert_hash covers; `ChainReport.from_record` builds the report.  The
 checkpoint is a hash-chained JSON-lines file, one line per class,
 flushed as each class finishes and synced to disk after each second of
 classes and when the run ends; each line's chain covers its own bytes,
-which loading checks.
+which loading checks.  A resumed run checks each class on file against
+the run's table: its members, and their order, rows that never
+decrease with each pair of equal rows parted by its sums.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
 (no index above range_max has its totient); the report carries that
-stable prefix length, found from one totient sieve over (range_max,
-2 range_max] and a primorial bound on every index beyond it (proof in
-`stable_prefix_length`).  Likewise `precedes` is decided relative to the
-totient band [totient(m), totient(n)], which is a complete reduction: any
-x between m and n in the order must satisfy totient(m) <= totient(x) <=
+stable prefix length, found from the run's one totient sieve, to
+2 range_max, which also gives the classes, and a primorial bound on
+every index beyond it (proof in `stable_prefix_length`).  Likewise
+`precedes` is decided relative to the totient band
+[totient(m), totient(n)], which is a complete reduction: any x between
+m and n in the order must satisfy totient(m) <= totient(x) <=
 totient(n), because a totient gap forces the order the other way (proof
 in `comparator.compare`).
 """
@@ -58,25 +58,33 @@ import os
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from itertools import groupby
-from typing import Callable, Iterable
+from operator import sub
+from typing import Callable, Iterable, Sequence
 
 from .arith import SMALL_PRIMES, inverse_totient, totient, totient_table
 from .comparator import (
+    _LAST_ROW_J0,
+    _SUMS_BLOCK,
+    _WINDOW,
     Certificate,
+    RamanujanSums,
     SumsTable,
     Verdict,
+    _row_key,
+    _window_outcome,
     certificate_from_record,
-    certify_class,
     compare,
     comparison_record,
+    ramanujan_compare,
     record_to_json,
 )
 from .cyclotomic import CycloCache
 
 CHECKPOINT_VERSION = 4  # checkpoint line format; a file of another version is refused
 CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint's appends
-_INCOMPARABLE = Verdict.INCOMPARABLE  # the member bound once, as in `comparator`
+_LESS, _INCOMPARABLE = Verdict.LESS, Verdict.INCOMPARABLE  # the members bound once, as in `comparator`
 _EMPTY_HASH = hashlib.sha256(b"").hexdigest()  # the cert_hash of a class of one member
 _CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
 # the fields `_class_body` writes; a class line on file lacking one is refused
@@ -184,11 +192,13 @@ class ChainReport:
         )
 
 
-def phi_classes(range_max: int) -> list[PhiClass]:
-    """Partition {1..range_max} into totient classes, ascending by value."""
+def phi_classes(range_max: int, phi_table: Sequence[int] | None = None) -> list[PhiClass]:
+    """Partition {1..range_max} into totient classes, ascending by value.
+    `phi_table`, the totients from 0 to range_max or past it, as
+    `totient_table` gives them, is sieved when not given."""
     if range_max < 1:
         raise ValueError(f"range_max must be >= 1, got {range_max}")
-    phi = totient_table(range_max).__getitem__
+    phi = (phi_table or totient_table(range_max)).__getitem__
     # a stable sort keeps each class's members ascending
     ordered = sorted(range(1, range_max + 1), key=phi)
     return [PhiClass(v, list(members)) for v, members in groupby(ordered, key=phi)]
@@ -215,7 +225,7 @@ def _totient_floor(limit: int) -> int:
     raise ArithmeticError(f"internal: no primorial above {limit}")
 
 
-def stable_prefix_length(classes: Iterable[PhiClass], range_max: int) -> int:
+def stable_prefix_length(classes: Iterable[PhiClass], range_max: int, phi_table: Sequence[int] | None = None) -> int:
     """Entries before the first incomplete class keep their positions as the
     range grows; everything at or after it may shift.
 
@@ -227,114 +237,170 @@ def stable_prefix_length(classes: Iterable[PhiClass], range_max: int) -> int:
     below `first` either, so the classes below `first` are complete and
     the class of `first`, if any, is not: the prefix is their members.
     Otherwise limit doubles; the floor grows without bound, so this ends.
-    The first sieve decides at every range_max up to 3000.
+    The first sieve decides at every range_max up to 3000.  `phi_table`,
+    the totients from 0 on that `build_chain` shares with `phi_classes`,
+    is read instead of a sieve wherever it reaches the limit.
     """
     sizes = {cls.phi_value: len(cls.members) for cls in classes}
     limit = 2 * range_max
     while True:
-        reached = sizes.keys() & totient_table(limit)[range_max + 1 :]
+        phi = phi_table if phi_table is not None and len(phi_table) > limit else totient_table(limit)
+        reached = sizes.keys() & phi[range_max + 1 : limit + 1]
         first = min(reached, default=max(sizes) + 1)
         if _totient_floor(limit) >= first:
             return sum(size for v, size in sizes.items() if v < first)
         limit *= 2
 
 
-def sort_class(
-    phi_class: PhiClass,
-    table: SumsTable | None = None,
-    *,
-    cert_sink: Callable[[list[int], list[tuple[Verdict, Certificate, str]]], None] | None = None,
-) -> list[int]:
-    """Sort one class by asymptotic order and certify its adjacent pairs.
+def _later(a: RamanujanSums, b: RamanujanSums) -> int:
+    """-c_a(j) - (-c_b(j)) at the first j where the sums of two distinct
+    members of one class part (`RamanujanSums.first_difference`):
+    negative exactly when a comes first in the lexicographic order of the
+    negated sums."""
+    j = a.first_difference(b)
+    return a.terms[j - 1] - b.terms[j - 1]
+
+
+def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
+    """Sort one class by asymptotic order, certify its adjacent pairs and
+    summarize them: the one per-class step of a verification.
 
     `table` is a `comparator.SumsTable` covering the class, which holds
     every index's first 32 Ramanujan sums and the run's memo of pair
     outcomes; one table is built when none is given, and a table that
-    does not cover the class raises ValueError before any row is read.
-    `comparator.certify_class` sorts the members by their negated
-    Ramanujan sums, lexicographically, in one sort on their rows with the
-    sums' first difference breaking ties of rows.  That is the asymptotic
-    order, a strict total order, since distinct indices have distinct
-    polynomials.  It gives each of the k - 1 adjacent pairs (a, b), in
-    order, the outcome (verdict, certificate, line template) that
-    `comparator.ramanujan_compare` gives it with the table's memo; the
-    pair's line is template % (a, b).  cert_sink, when one is given, is
-    called once with the ordered members and the list of outcomes.  A
-    certificate from the memo is shared with other pairs and must not be
-    mutated.  Nothing else keeps the certificates of pairs the memo does
-    not hold, so batch runs stay flat in memory.  No coefficient is
-    read, and no cache is taken: an exact fallback keeps its values only
-    for its pair.  A class of one member reads no row and makes no sink
-    call.  Returns the ordered members; an INCOMPARABLE pair reaches
-    cert_sink as data and is never raised.  Any other verdict but LESS
-    contradicts the sort and raises ArithmeticError.
+    does not cover the class raises ValueError before any pair is keyed.
+    Returns the class's summary, which `build_chain` folds into its report
+    and `CheckpointFile` writes: `phi`; `members`, in asymptotic order;
+    `pair_count`, k - 1; `max_checked_q`, the largest checked_q_max of
+    the adjacent pairs' certificates (0 for a class of one member);
+    `ties`, [a, b, q] for each tie witness q of each adjacent pair
+    (a, b); `incomparable`, the `comparison_record` of each INCOMPARABLE
+    adjacent pair, the only pairs that get a record dict; and
+    `cert_hash`, the sha256 of the adjacent pairs' lines, in order, each
+    `comparator.comparison_line` of its pair and ending in a newline (of
+    empty text for a class of one member), so the summary says nothing
+    the hash does not cover.  An INCOMPARABLE pair is data, never
+    raised; any other verdict but LESS contradicts the sort and raises
+    ArithmeticError.  No coefficient is read, and no cache is taken: an
+    exact fallback keeps its values only for its pair.  A class of one
+    member reads no row.
+
+    The members are sorted once on their rows, each read as one
+    big-endian integer once per member; where rows tie, each run of
+    equal rows is sorted again by `_later`.  Then one loop over the k - 1
+    adjacent pairs reads each pair's j0 and memo key off the two rows
+    (`_row_key`), takes its outcome (verdict, certificate, line template)
+    from the run's memo (`table.outcomes`) or, for a pair with
+    j0 <= _LAST_ROW_J0 whose key the memo lacks, from its window read off
+    the rows (`comparator._window_outcome`), or, for a pair whose window
+    leaves the rows (equal rows among them), from
+    `comparator.ramanujan_compare`; writes the pair's line,
+    template % (a, b); and adds the pair to the summary.  A member's
+    `RamanujanSums` object is built only for a run of equal rows or a
+    pair whose window leaves the rows, one for each member.
+
+    Why this is the asymptotic order, and each outcome the pair's:
+
+    1. The rows sort as the sums.  A row holds the lanes 64 - c_n(j),
+       j = 1..32, each in [32, 96] (`SumsTable`), as the base-256 digits
+       of its integer, first lane highest, so integers compare as the
+       rows do lexicographically; adding 64 keeps the order of the terms
+       -c_n(j), so rows compare as the 32-term prefixes of the negated
+       sums.
+    2. The sort gives the lexicographic order of the whole sequences.
+       Two members whose rows differ have their first difference inside
+       them, so the rows order them as the sequences do.  Members with
+       equal rows are adjacent after the first sort, and `_later`, whose
+       sign is the lexicographic order of the whole sequences, a strict
+       total order (two distinct indices of one class always part,
+       `RamanujanSums`), orders each run of them.  That order is the
+       asymptotic order (`comparator.ramanujan_compare`).
+    3. The outcome of each pair with j0 <= _LAST_ROW_J0 is
+       `ramanujan_compare`'s.  Its rows differ, so its j0 is the first
+       difference of the two sequences, which lies in the rows, and its
+       window ends at j0 + 8 <= 32, inside the rows too, so the deltas
+       read off the rows are those `ramanujan_compare` would take, and
+       (j0, W) names that window alone (`_row_key`).  A memo entry under
+       that key was stored by a pair with the same window, whose outcome
+       is this pair's (`ramanujan_compare`), and a miss goes through the
+       same `_window_outcome`.
 
     Why k - 1 certificates prove what all k(k-1)/2 pairs would:
 
-    1. LESS means Phi_a(q) <= Phi_b(q) at every integer q >= 2, a
+    4. LESS means Phi_a(q) <= Phi_b(q) at every integer q >= 2, a
        transitive relation, so LESS certificates on every adjacent pair
        chain to every pair of the class: the class is totally ordered.
-    2. a LESS b implies that a precedes b asymptotically, since the
+    5. a LESS b implies that a precedes b asymptotically, since the
        difference is nonzero and its sign for large q is its leading sign.
        So a total order on the class is contained in the asymptotic
        order and, both being total, equals it.  Hence the class has an
        incomparable pair exactly when some adjacent pair is not LESS, and
        the verdict keeps its meaning.
-    3. In a totally ordered class, Phi_a(q) = Phi_c(q) with a before c
+    6. In a totally ordered class, Phi_a(q) = Phi_c(q) with a before c
        forces Phi_a(q) <= Phi_b(q) <= Phi_c(q) = Phi_a(q) for every b
        between them, so each adjacent pair from a to c ties at q.  The
        set of indices in some tied pair is therefore the set of indices
        in some tied adjacent pair.
     """
-    if not phi_class.members:
+    members, phi = phi_class.members, phi_class.phi_value
+    if not members:
         raise ValueError("empty totient class")
-    if len(phi_class.members) == 1:
-        return list(phi_class.members)  # no pair: no sum is read
-    largest = max(phi_class.members)
+    summary = {
+        "phi": phi,
+        "members": list(members),
+        "pair_count": len(members) - 1,
+        "max_checked_q": 0,
+        "ties": [],
+        "incomparable": [],
+        "cert_hash": _EMPTY_HASH,
+    }
+    if len(members) == 1:
+        return summary  # no pair: no sum is read
+    largest = max(members)
     if table is None:
         table = SumsTable(largest)
     elif largest > table.limit:
         raise ValueError(f"the sums table covers indices up to {table.limit}, not {largest}")
-    ordered, outcomes = certify_class(phi_class.members, phi_class.phi_value, table)
-    if cert_sink is not None:
-        cert_sink(ordered, outcomes)
-    return ordered
+    lanes, memo, sums = table.lanes, table.outcomes, {}
 
+    def sums_of(x: int) -> RamanujanSums:
+        if x not in sums:
+            sums[x] = RamanujanSums(x, table, phi)
+        return sums[x]
 
-# ---------------------------------------------------------------------------
-# per-class summaries (shared by build_chain and the checkpoint file)
-# ---------------------------------------------------------------------------
-
-
-def _finish_class(phi_class: PhiClass, table: SumsTable) -> dict:
-    """Sort and summarize one class (`sort_class`, with `table`, passed as
-    its second positional argument, the form `bench/spans.py`'s `sort`
-    wrapper forwards).  The sink keeps the class's outcomes, and one pass
-    over them writes each adjacent pair's JSON line, its template % (m, n),
-    which is `comparator.comparison_line`'s line, and reads the rest of
-    the summary off the same certificates.  `cert_hash` is the sha256 of
-    the class's lines, each ending in a newline (of empty text for a
-    class of one member), so the summary says nothing the hash does not
-    cover.  Only an INCOMPARABLE pair gets a record dict."""
-    outcomes: list[tuple[Verdict, Certificate, str]] = []
-    ordered = sort_class(phi_class, table, cert_sink=lambda _, got: outcomes.extend(got))
-    lines, ties, incomparable, max_checked_q = [], [], [], 0
-    for m, n, (verdict, cert, template) in zip(ordered, ordered[1:], outcomes):
-        lines.append(template % (m, n))
-        max_checked_q = max(max_checked_q, cert.checked_q_max)
-        ties += [[m, n, q] for q in cert.tie_witnesses]
-        if verdict is _INCOMPARABLE:
-            incomparable.append(comparison_record(m, n, verdict, cert))
+    row = {n: int.from_bytes(lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK], "big") for n in members}
+    ordered = sorted(members, key=row.__getitem__)
+    if len(set(row.values())) < len(ordered):  # some rows tie: order each run by the sums
+        tie_break = cmp_to_key(lambda x, y: _later(sums_of(x), sums_of(y)))
+        ordered = [x for _, run in groupby(ordered, row.__getitem__) for x in sorted(run, key=tie_break)]
+    lines, ties, incomparable, max_checked_q = [], summary["ties"], summary["incomparable"], 0
+    a = ordered[0]
+    for b in ordered[1:]:
+        key = _row_key(row[a], row[b])
+        j0 = key[0]
+        if j0 > _LAST_ROW_J0:  # the window leaves the row
+            outcome = ramanujan_compare(sums_of(a), sums_of(b), memo)
+        else:
+            outcome = memo.get(key)
+            if outcome is None:
+                sa, sb = a * _SUMS_BLOCK + j0 - 1, b * _SUMS_BLOCK + j0 - 1
+                deltas = tuple(map(sub, lanes[sb : sb + _WINDOW + 1], lanes[sa : sa + _WINDOW + 1]))
+                outcome = _window_outcome(a, b, j0, deltas, key, memo)
+        verdict, cert, template = outcome
+        if verdict is not _LESS:
+            if verdict is not _INCOMPARABLE:
+                raise ArithmeticError(f"internal: sorted neighbours {a}, {b} compare {verdict.value}")
+            incomparable.append(comparison_record(a, b, verdict, cert))
+        lines.append(template % (a, b))
+        if cert.checked_q_max > max_checked_q:
+            max_checked_q = cert.checked_q_max
+        if cert.tie_witnesses:
+            ties += [[a, b, q] for q in cert.tie_witnesses]
+        a = b
     lines.append("")  # so that the join ends every line in a newline
-    return {
-        "phi": phi_class.phi_value,
-        "members": ordered,
-        "pair_count": len(outcomes),
-        "max_checked_q": max_checked_q,
-        "ties": ties,
-        "incomparable": incomparable,
-        "cert_hash": hashlib.sha256("\n".join(lines).encode()).hexdigest() if outcomes else _EMPTY_HASH,
-    }
+    cert_hash = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    summary.update(members=ordered, max_checked_q=max_checked_q, cert_hash=cert_hash)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +418,7 @@ def _line(prev_hex: str, body: str) -> tuple[str, str]:
 
 def _class_body(summary: dict) -> str:
     """json.dumps(summary plus "kind": "class", sort_keys=True,
-    separators=(",", ":")) for a summary of `_finish_class`'s fields (ints,
+    separators=(",", ":")) for a summary of `sort_class`'s fields (ints,
     a hex string, lists of ints and comparison records), written field by
     field; the records go through `record_to_json`."""
     return (
@@ -528,17 +594,32 @@ class CheckpointFile:
 ProgressFn = Callable[[int, int, dict], None]
 
 
-def _resumed_summaries(checkpoint: CheckpointFile, classes: list[PhiClass]) -> dict[int, dict]:
+def _in_asymptotic_order(members: list[int], phi: int, table: SumsTable) -> bool:
+    """Whether `members`, of the class of totient `phi`, stand in
+    asymptotic order: no adjacent pair's rows decrease, and `_later` puts
+    each adjacent pair of equal rows first to last (steps 1 and 2 of
+    `sort_class`).  No certificate is read."""
+    rows = [table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in members]
+    for a, b, row_a, row_b in zip(members, members[1:], rows, rows[1:]):
+        if row_a > row_b or row_a == row_b and _later(RamanujanSums(a, table, phi), RamanujanSums(b, table, phi)) > 0:
+            return False
+    return True
+
+
+def _resumed_summaries(checkpoint: CheckpointFile, classes: list[PhiClass], table: SumsTable) -> dict[int, dict]:
     """The summaries on file, once each is checked to be one of `classes`,
-    its members in some order and its pair_count k - 1, or CheckpointError:
-    the hash chain shows a line unchanged since it was written, not that
-    its class is this run's."""
+    its members in asymptotic order (`_in_asymptotic_order`, off the run's
+    `table`) and its pair_count k - 1, or CheckpointError: the hash chain
+    shows a line unchanged since it was written, not that its class is
+    this run's or that its order was verified."""
     members_of = {cls.phi_value: cls.members for cls in classes}
     for phi, summary in checkpoint.completed.items():
         members, on_file = members_of.get(phi), summary["members"]
         ints = isinstance(on_file, list) and all(type(x) is int for x in on_file)
         if not (members and ints and sorted(on_file) == members and summary["pair_count"] == len(members) - 1):
             raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not a class of {{1..{checkpoint.range_max}}}")
+        if not _in_asymptotic_order(on_file, phi, table):
+            raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not in asymptotic order")
     return dict(checkpoint.completed)
 
 
@@ -555,26 +636,31 @@ def build_chain(
     records, checkpoints and reports (`progress`) each; the checkpoint is
     synced and closed however the loop ends (`CheckpointFile`).  A later
     call resumes after the last class on file, once each class there is
-    checked to be one of this run (`_resumed_summaries`).  The summaries
-    fold, in class order, into one report record that
-    `ChainReport.from_record` reads.  `workers` is checked (>= 1) and
-    otherwise ignored: the run is one process, so any worker count gives
-    the same results.
+    checked to be one of this run, in the order this run would give it
+    (`_resumed_summaries`).  The summaries (`sort_class`) fold, in class
+    order, into one report record that `ChainReport.from_record` reads.
+    One totient sieve to 2 range_max, held as an `array("I")`, gives
+    both the classes and the stable prefix.  `workers` is checked (>= 1) and otherwise ignored:
+    the run is one process, so any worker count gives the same results.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    classes = phi_classes(range_max)
-    # before the class loop, so its sieve to 2 range_max is freed before the summaries grow
-    stable_len = stable_prefix_length(classes, range_max)
+    # an array, not the sieve's list of ints, which would be freed among the
+    # classes' objects and leave its memory scattered (at 100000 the list
+    # raised peak RSS from 44 to 49 MB)
+    phi_table = array("I", totient_table(2 * range_max))
+    classes = phi_classes(range_max, phi_table)
+    # before the class loop, so the sieve is freed before the summaries grow
+    stable_len = stable_prefix_length(classes, range_max, phi_table)
+    del phi_table
     checkpoint = CheckpointFile(checkpoint_path, range_max) if checkpoint_path else None
-    summaries = _resumed_summaries(checkpoint, classes) if checkpoint else {}
-
     table = SumsTable(range_max)
+    summaries = _resumed_summaries(checkpoint, classes, table) if checkpoint else {}
     try:
         for cls in classes:
             if cls.phi_value in summaries:
                 continue  # on file from an earlier run
-            summary = summaries[cls.phi_value] = _finish_class(cls, table)
+            summary = summaries[cls.phi_value] = sort_class(cls, table)
             if checkpoint is not None:
                 checkpoint.append(summary)
             if progress is not None:

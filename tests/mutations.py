@@ -85,17 +85,17 @@ MUTANTS = (
         (T_COMPARATOR + "test_window_sign_is_exact_or_undecided",),
     ),
     Mutant(
-        "memo: an outcome with a sign the window leaves at 0 is stored",
+        "shared outcome: a sign the window leaves at 0 still takes it, and is stored",
         COMPARATOR,
-        "if verdict is not _INCOMPARABLE and 0 not in signs.values():",
-        "if verdict is not _INCOMPARABLE:",
+        "if _window_sum_sign(deltas, j0, q) != lead:",
+        "if _window_sum_sign(deltas, j0, q) == -lead:",
         (T_COMPARATOR + "test_an_outcome_with_a_sign_the_window_leaves_at_0_is_not_memoised",),
     ),
     Mutant(
-        "memo: INCOMPARABLE outcomes are stored",
+        "shared outcome: a sign against the lead still takes it, and is stored",
         COMPARATOR,
-        "if verdict is not _INCOMPARABLE and 0 not in signs.values():",
-        "if 0 not in signs.values():",
+        "if _window_sum_sign(deltas, j0, q) != lead:",
+        "if not _window_sum_sign(deltas, j0, q):",
         (T_COMPARATOR + "test_only_an_outcome_the_first_window_decides_is_memoised",),
     ),
     Mutant(
@@ -134,6 +134,13 @@ MUTANTS = (
         (T_COMPARATOR + "test_ramanujan_verdicts_match_compare_to_300",),
     ),
     Mutant(
+        "ramanujan_compare: the factor 2 dropped from q*",
+        COMPARATOR,
+        "stop = 2 * j0 // abs(deltas[0]) + 2  # q*",
+        "stop = j0 // abs(deltas[0]) + 2  # q*",
+        (T_COMPARATOR + "test_ramanujan_verdicts_match_compare_to_300",),
+    ),
+    Mutant(
         "_certify: the lead's sign taken where the fast test reads 0",
         COMPARATOR,
         "sign = fast(q) if fast else 0",
@@ -145,6 +152,13 @@ MUTANTS = (
         COMPARATOR,
         "3 if abs(ln - lm) <= 2 else 2",
         "3 if abs(ln - lm) <= 1 else 2",
+        (T_COMPARATOR + "test_gap_verdicts_match_the_oracle_to_120",),
+    ),
+    Mutant(
+        "totient gap: stop moved from 3 to 2, so q = 2 is never checked",
+        COMPARATOR,
+        "3 if abs(ln - lm) <= 2 else 2",
+        "2 if abs(ln - lm) <= 2 else 2",
         (T_COMPARATOR + "test_gap_verdicts_match_the_oracle_to_120",),
     ),
     Mutant(
@@ -176,6 +190,13 @@ MUTANTS = (
         (T_COMPARATOR + "test_sieved_rows_and_their_extension_match_hoelder_form_to_3000",),
     ),
     Mutant(
+        "Hoelder's form: mu(n/g) replaced by mu(g)",
+        COMPARATOR,
+        "    return table\n",
+        "    from .arith import moebius\n    return {g: moebius(g) * moebius(n // g) * c for g, c in table.items()}\n",
+        (T_COMPARATOR + "test_hoelder_form_matches_the_divisor_sum_to_3000",),
+    ),
+    Mutant(
         "first difference: j0 read one too high",
         COMPARATOR,
         "compress(count(1), map(ne",
@@ -183,11 +204,32 @@ MUTANTS = (
         (T_COMPARATOR + "test_ramanujan_verdicts_match_compare_to_300",),
     ),
     Mutant(
-        "class sort: the tie-break's sign flipped",
+        "first difference: j0 read one too low",
         COMPARATOR,
-        "known[x, y] = a.terms[j - 1] - b.terms[j - 1]",
-        "known[x, y] = b.terms[j - 1] - a.terms[j - 1]",
+        "compress(count(1), map(ne",
+        "compress(count(0), map(ne",
+        (T_COMPARATOR + "test_ramanujan_verdicts_match_compare_to_300",),
+    ),
+    Mutant(
+        "class sort: the tie-break's sign flipped",
+        ORDER,
+        "return a.terms[j - 1] - b.terms[j - 1]",
+        "return b.terms[j - 1] - a.terms[j - 1]",
         (T_ORDER + "test_prefix_sort_matches_pairwise_first_differences_to_5000",),
+    ),
+    Mutant(
+        "resume: rows on file that decrease not checked",
+        ORDER,
+        "if row_a > row_b or row_a == row_b and _later(",
+        "if False or row_a == row_b and _later(",
+        (T_ORDER + "test_a_class_line_that_is_not_the_runs_is_refused[order]",),
+    ),
+    Mutant(
+        "resume: a pair of equal rows on file not checked",
+        ORDER,
+        "if row_a > row_b or row_a == row_b and _later(",
+        "if row_a > row_b or False and _later(",
+        (T_ORDER + "test_a_swap_inside_a_run_of_equal_rows_is_refused",),
     ),
     Mutant(
         "stable prefix: the F_{K+1} term dropped from _totient_floor",

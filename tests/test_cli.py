@@ -14,8 +14,8 @@ from cycorder.order import (
     ChainReport,
     CheckpointFile,
     PhiClass,
-    _finish_class,
     build_chain,
+    sort_class,
 )
 
 A206225_PREFIX = [1, 2, 6, 4, 3, 10, 12, 8, 5, 14, 18, 9, 7, 15, 20, 24, 16, 30, 22, 11]
@@ -335,7 +335,7 @@ def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp
     lines resume."""
     table = SumsTable(12)
     for members in ([10, 8], [10, 5, 12]):
-        summary = _finish_class(PhiClass(4, members), table)
+        summary = sort_class(PhiClass(4, members), table)
         assert not table.outcomes  # every window undecided: nothing is memoised
         assert summary["ties"] and bool(summary["incomparable"]) == (members == [10, 8])
         path = str(tmp_path / f"{len(members)}.ckpt")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from math import gcd, lcm
@@ -863,18 +864,21 @@ def _first_window(a, b):
     return j0, [b.terms[j] - a.terms[j] for j in range(j0 - 1, top)]
 
 
-def _verified_pairs(range_max, table):
-    """(m, n, verdict, cert, template) of every adjacent pair of the
-    classes up to range_max, in the order a verification with `table`
-    certifies them."""
-    pairs = []
+def _verified_summaries(range_max, table):
+    """The summary `sort_class` gives each class up to range_max with
+    `table`, in the order a verification sorts them."""
+    return [sort_class(cls, table) for cls in phi_classes(range_max)]
 
-    def sink(ordered, outcomes):
-        pairs.extend((m, n, *o) for m, n, o in zip(ordered, ordered[1:], outcomes))
 
-    for cls in phi_classes(range_max):
-        sort_class(cls, table, cert_sink=sink)
-    return pairs
+def _adjacent_pairs(summary):
+    """The adjacent pairs (m, n) of a summary's members, in order."""
+    members = summary["members"]
+    return list(zip(members, members[1:]))
+
+
+def _hash_of(lines):
+    """A cert_hash: the sha256 of `lines`, each ending in a newline."""
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
 def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(eval_calls):
@@ -882,21 +886,26 @@ def test_sums_signs_match_exact_signs_on_adjacent_pairs_to_5000(eval_calls):
     its 3,855 adjacent pairs, served by the memo or not, every sign its
     certificate rests on at q < q*, the window's sign at each q, is
     nonzero and is the sign of the exact difference, so `_certify` fed
-    those signs gives the outcome it gives with every q evaluated."""
+    those signs gives the outcome it gives with every q evaluated; each
+    class's cert_hash covers the lines of those outcomes."""
     table = SumsTable(5000)
-    pairs = _verified_pairs(5000, table)
-    assert len(pairs) == 3855 and eval_calls == []
+    summaries = _verified_summaries(5000, table)
+    assert sum(s["pair_count"] for s in summaries) == 3855 and eval_calls == []
     cache = CycloCache()
-    for m, n, _, cert, _ in pairs:
-        a, b = RamanujanSums(m, table, totient(m)), RamanujanSums(n, table, totient(n))
-        j0, deltas = _first_window(a, b)
-        lead, stop = (1 if deltas[0] > 0 else -1), 2 * j0 // abs(deltas[0]) + 2
-        assert cert.checked_q_max == stop - 1, (m, n)
-        signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
-        for q, sign in signs.items():
-            assert sign != 0 and sign == _exact_sign(m, n, q, cache), (m, n, q)
-        fed = _certify(m, n, lead, stop, cache, signs.get)
-        assert fed == _certify(m, n, lead, stop, cache), (m, n)
+    for summary in summaries:
+        lines = []
+        for m, n in _adjacent_pairs(summary):
+            a, b = RamanujanSums(m, table, totient(m)), RamanujanSums(n, table, totient(n))
+            j0, deltas = _first_window(a, b)
+            lead, stop = (1 if deltas[0] > 0 else -1), 2 * j0 // abs(deltas[0]) + 2
+            signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
+            for q, sign in signs.items():
+                assert sign != 0 and sign == _exact_sign(m, n, q, cache), (m, n, q)
+            verdict, checked, ties, flips = fed = _certify(m, n, lead, stop, cache, signs.get)
+            assert fed == _certify(m, n, lead, stop, cache), (m, n)
+            assert checked == stop - 1, (m, n)
+            lines.append(comparison_line(m, n, verdict, Certificate(0, lead, checked, ties, flips, "ramanujan")))
+        assert summary["cert_hash"] == _hash_of(lines), summary["phi"]
 
 
 def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
@@ -904,29 +913,66 @@ def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
     run's memo, the verdict, certificate and line the unmemoised path
     gives it: `_certify` fed the window's sign at each q, then
     `comparison_line`.  The 3,855 pairs have 447 distinct windows
-    (j0, delta_j0..delta_j0+8), each stored by its first pair and handed,
-    the same objects, to the other 3,408: under (j0, W), the deltas as
-    one base-256 number, when j0 <= 24, where the window lies in the
-    rows, and under (j0, *deltas) past that."""
+    (j0, delta_j0..delta_j0+8), each stored by its first pair, under
+    (j0, W), the deltas as one base-256 number, when j0 <= 24, where the
+    window lies in the rows, and under (j0, *deltas) past that; each
+    class's cert_hash covers the stored templates completed with its
+    pairs.  Every window reads the lead's sign at each q < q*, so the memo
+    holds the same objects, the outcome of (lead, q*), under many keys:
+    two of them, LESS with q* = 3 and with q* = 4."""
     table, fresh = SumsTable(5000), SumsTable(5000)
-    pairs = _verified_pairs(5000, table)
-    assert len(pairs) == 3855
+    summaries = _verified_summaries(5000, table)
     cache, keys = CycloCache(), set()
-    for m, n, verdict, cert, template in pairs:
-        a, b = RamanujanSums(m, fresh, totient(m)), RamanujanSums(n, fresh, totient(n))
-        j0, deltas = _first_window(a, b)
-        lead = 1 if deltas[0] > 0 else -1
-        stop = 2 * j0 // abs(deltas[0]) + 2
-        signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
-        want, checked, ties, flips = _certify(m, n, lead, stop, cache, signs.get)
-        want_cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
-        assert (verdict, cert) == (want, want_cert), (m, n)
-        assert template % (m, n) == comparison_line(m, n, want, want_cert), (m, n)
-        if j0 <= _LAST_ROW_J0:
-            key = (j0, sum(d * 256 ** (_WINDOW - i) for i, d in enumerate(deltas)))
-        else:
-            key = (j0, *deltas)
-        stored = table.outcomes[key]
-        assert stored[0] is verdict and stored[1] is cert and stored[2] is template, (m, n)
-        keys.add(key)
+    for summary in summaries:
+        lines = []
+        for m, n in _adjacent_pairs(summary):
+            a, b = RamanujanSums(m, fresh, totient(m)), RamanujanSums(n, fresh, totient(n))
+            j0, deltas = _first_window(a, b)
+            lead = 1 if deltas[0] > 0 else -1
+            stop = 2 * j0 // abs(deltas[0]) + 2
+            signs = {q: _window_sum_sign(deltas, j0, q) for q in range(2, stop)}
+            want, checked, ties, flips = _certify(m, n, lead, stop, cache, signs.get)
+            want_cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
+            if j0 <= _LAST_ROW_J0:
+                key = (j0, sum(d * 256 ** (_WINDOW - i) for i, d in enumerate(deltas)))
+            else:
+                key = (j0, *deltas)
+            verdict, cert, template = table.outcomes[key]
+            assert (verdict, cert) == (want, want_cert), (m, n)
+            assert template % (m, n) == comparison_line(m, n, want, want_cert), (m, n)
+            lines.append(template % (m, n))
+            keys.add(key)
+        assert summary["cert_hash"] == _hash_of(lines), summary["phi"]
     assert len(keys) == len(table.outcomes) == 447
+    shared = {id(o): o for o in table.outcomes.values()}
+    assert sorted((o[0], o[1].checked_q_max + 1) for o in shared.values()) == [(Verdict.LESS, 3), (Verdict.LESS, 4)]
+    for o in shared.values():
+        assert o is comparator._agreeing_outcome(o[1].leading_sign, o[1].checked_q_max + 1)
+
+
+def test_shared_outcomes_equal_what_certify_builds_from_exact_values_to_5000():
+    """Every adjacent pair of every class up to 5000 has a window that
+    reads the lead's sign at each q < q*, and so takes the outcome shared
+    by (lead, q*), the same objects for every pair with those two.  That
+    outcome is what `_certify` builds for the pair from exact values at
+    every q < q*: the same verdict and certificate, and a template that
+    completes to the pair's line, which the class's cert_hash covers."""
+    table = SumsTable(5000)
+    cache, pairs = CycloCache(), 0
+    for summary in _verified_summaries(5000, table):
+        lines = []
+        for m, n in _adjacent_pairs(summary):
+            a, b = RamanujanSums(m, table, totient(m)), RamanujanSums(n, table, totient(n))
+            j0, deltas = _first_window(a, b)
+            lead, stop = (1 if deltas[0] > 0 else -1), 2 * j0 // abs(deltas[0]) + 2
+            assert all(_window_sum_sign(deltas, j0, q) == lead for q in range(2, stop)), (m, n)
+            shared = comparator._agreeing_outcome(lead, stop)
+            assert ramanujan_compare(a, b, {}) is shared, (m, n)
+            verdict, checked, ties, flips = _certify(m, n, lead, stop, cache)
+            cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
+            assert shared[:2] == (verdict, cert), (m, n)
+            assert shared[2] % (m, n) == comparison_line(m, n, verdict, cert), (m, n)
+            lines.append(shared[2] % (m, n))
+            pairs += 1
+        assert summary["cert_hash"] == _hash_of(lines), summary["phi"]
+    assert pairs == 3855

@@ -35,7 +35,6 @@ from cycorder.order import (
     CheckpointFile,
     NotLessError,
     PhiClass,
-    _finish_class,
     _totient_floor,
     build_chain,
     check_conjecture2,
@@ -87,22 +86,12 @@ def test_phi_classes_partition():
 
 
 def _sort_with_evidence(phi_class):
-    """sort_class's ordered members, with every (a, b, verdict, cert) of
-    the outcomes its cert_sink received in its one call, with the same
-    ordered members; the template given with each completes to the pair's
-    `comparison_line`."""
-    evidence, calls = [], []
-
-    def sink(ordered, outcomes):
-        calls.append(list(ordered))
-        assert len(outcomes) == len(ordered) - 1
-        for a, b, (verdict, cert, template) in zip(ordered, ordered[1:], outcomes):
-            assert template % (a, b) == comparison_line(a, b, verdict, cert), (a, b)
-            evidence.append((a, b, verdict, cert))
-
-    ordered = sort_class(phi_class, cert_sink=sink)
-    assert calls == ([ordered] if len(ordered) > 1 else [])
-    return ordered, evidence
+    """The members in the order of the summary `sort_class` returns for
+    the class, with (a, b, verdict, cert) for each adjacent pair, which
+    that summary is bound to (`_assert_summary_is_bound_to_its_records`):
+    its cert_hash covers each pair's line."""
+    summary = sort_class(phi_class)
+    return summary["members"], _assert_summary_is_bound_to_its_records(summary)
 
 
 def _incomparable(evidence):
@@ -114,7 +103,7 @@ def test_sort_class_examples(monkeypatch):
     ordered, evidence = _sort_with_evidence(PhiClass(2, [3, 4, 6]))
     assert ordered == [6, 4, 3]
     assert len(evidence) == 2 and not _incomparable(evidence)
-    assert sort_class(PhiClass(4, [5, 8, 10, 12])) == [10, 12, 8, 5]
+    assert sort_class(PhiClass(4, [5, 8, 10, 12]))["members"] == [10, 12, 8, 5]
     built = []
     monkeypatch.setattr(cycorder.order, "SumsTable", lambda *args: built.append(args))
     ordered, evidence = _sort_with_evidence(PhiClass(10, [11]))
@@ -124,13 +113,13 @@ def test_sort_class_examples(monkeypatch):
 
 def test_sort_class_refuses_a_table_that_does_not_cover_the_class(monkeypatch):
     """The class of totient 24 in {1..100} reaches 90: a table sieved to
-    89 or to 10 raises ValueError before any member's row is read, and
-    one sieved to 90 sorts it."""
+    89 or to 10 raises ValueError before any pair is keyed, and one
+    sieved to 90 sorts it."""
     cls = next(c for c in phi_classes(100) if c.phi_value == 24)
     assert max(cls.members) == 90
     read = []
-    certify = cycorder.order.certify_class
-    monkeypatch.setattr(cycorder.order, "certify_class", lambda *args: read.append(args) or certify(*args))
+    row_key = cycorder.order._row_key
+    monkeypatch.setattr(cycorder.order, "_row_key", lambda *args: read.append(args) or row_key(*args))
     for limit in (10, 89):
         with pytest.raises(ValueError, match=f"covers indices up to {limit}, not 90"):
             sort_class(cls, SumsTable(limit))
@@ -146,11 +135,11 @@ def test_each_run_starts_from_an_empty_memo(monkeypatch):
     tables, at_start = [], []
     sort = cycorder.order.sort_class
 
-    def recorded(phi_class, table, *, cert_sink):
+    def recorded(phi_class, table):
         if not tables or tables[-1] is not table:
             tables.append(table)
             at_start.append(len(table.outcomes))
-        return sort(phi_class, table, cert_sink=cert_sink)
+        return sort(phi_class, table)
 
     monkeypatch.setattr(cycorder.order, "sort_class", recorded)
     first, second = build_chain(5000).to_record(), build_chain(5000).to_record()
@@ -245,7 +234,7 @@ def _first_difference_order(members, table):
 def test_prefix_sort_matches_pairwise_first_differences_to_5000():
     table = SumsTable(5000)
     for cls in phi_classes(5000):
-        ordered = sort_class(cls, table)
+        ordered = sort_class(cls, table)["members"]
         assert ordered == _first_difference_order(cls.members, table), cls.phi_value
 
 
@@ -269,9 +258,9 @@ def test_prefix_sort_refines_runs_of_equal_prefixes(monkeypatch):
         held.update({s.n: len(s.terms) for s in (a, b)})
         return compare_sums(a, b, memo)
 
-    monkeypatch.setattr(comparator, "RamanujanSums", recorded)
-    monkeypatch.setattr(comparator, "ramanujan_compare", compared)
-    ordered = sort_class(PhiClass(128, members), table)
+    monkeypatch.setattr(cycorder.order, "RamanujanSums", recorded)
+    monkeypatch.setattr(cycorder.order, "ramanujan_compare", compared)
+    ordered = sort_class(PhiClass(128, members), table)["members"]
     assert ordered == _first_difference_order(members, table)
     assert held[256] == held[384] == 2 * _SUMS_BLOCK
     assert {s.n: len(s.terms) for s in built if s.n in (256, 384)} == {256: 72, 384: 72}
@@ -296,11 +285,12 @@ def test_class_sort_covers_both_routes(phi, limit, pair, case):
     class or at its end; or a pair of unequal rows whose first difference
     j0 is 24, the last whose window lies in the rows, or 25, whose window
     leaves them.  The class's order is the order of pairwise first
-    differences, and each outcome is unmemoised `ramanujan_compare`'s."""
+    differences, and the summary's cert_hash covers each pair's line from
+    unmemoised `ramanujan_compare`."""
     members = [x for x in inverse_totient(phi) if x <= limit]
     table = SumsTable(limit)
-    outcomes = []
-    ordered = sort_class(PhiClass(phi, members), table, cert_sink=lambda _, got: outcomes.extend(got))
+    summary = sort_class(PhiClass(phi, members), table)
+    ordered = summary["members"]
     assert ordered == _first_difference_order(members, table)
     rows = [table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in ordered]
     i = min(map(ordered.index, pair))
@@ -317,10 +307,7 @@ def test_class_sort_covers_both_routes(phi, limit, pair, case):
             "run at the end": 0 < i == len(ordered) - 2,
         }
         assert place[case]
-    sums = {x: RamanujanSums(x, table, phi) for x in members}
-    assert len(outcomes) == len(ordered) - 1
-    for a, b, outcome in zip(ordered, ordered[1:], outcomes):
-        assert outcome == ramanujan_compare(sums[a], sums[b], {}), (a, b)
+    _assert_summary_is_bound_to_its_records(summary, table)
 
 
 def test_build_chain_5000_builds_at_most_18426_hoelder_terms(monkeypatch):
@@ -361,35 +348,19 @@ def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(
     assert len(set(made)) == len(made) == 90
 
 
-def test_record_writer_matches_json_dumps_on_verify_5000(monkeypatch):
+def test_record_writer_matches_json_dumps_on_verify_5000():
     """The lines a verification of {1..5000} hashes, each a template
     completed with the pair's m and n, are the general encoder's bytes for
     the pairs' records: every class's cert_hash is the sha256 of
     json.dumps of its adjacent pairs' records, each ending in a newline,
     over all 3,855 pairs."""
-    pairs = {}
-    sort = cycorder.order.sort_class
-
-    def recorded(phi_class, table, *, cert_sink):
-        got = pairs[phi_class.phi_value] = []
-
-        def sink(ordered, outcomes):
-            got.extend((m, n, *o[:2]) for m, n, o in zip(ordered, ordered[1:], outcomes))
-            cert_sink(ordered, outcomes)
-
-        return sort(phi_class, table, cert_sink=sink)
-
-    counted = []
+    table, counted = SumsTable(5000), []
 
     def check(done, total, summary):
-        dumped = (json.dumps(comparison_record(*p), sort_keys=True, separators=(",", ":")) for p in pairs.pop(summary["phi"]))
-        text = "".join(line + "\n" for line in dumped)
-        assert summary["cert_hash"] == hashlib.sha256(text.encode()).hexdigest(), summary["phi"]
-        counted.append(summary["pair_count"])
+        counted.append(len(_assert_summary_is_bound_to_its_records(summary, table)))
 
-    monkeypatch.setattr(cycorder.order, "sort_class", recorded)
     build_chain(5000, progress=check)
-    assert sum(counted) == 3855 and not pairs
+    assert sum(counted) == 3855
 
 
 def test_build_chain_2000_sequence_digest():
@@ -565,7 +536,7 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
             assert v is not Verdict.INCOMPARABLE
             if cert.tie_witnesses:
                 scan |= {m, n}
-    summary = _finish_class(PhiClass(4, members), table)
+    summary = sort_class(PhiClass(4, members), table)
     assert not table.outcomes  # every window undecided: nothing is memoised
     assert summary["members"] == [a, b, c]
     assert summary["ties"] == [[a, b, 2], [b, c, 2]]
@@ -573,15 +544,18 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
     assert {x for m, n, _ in summary["ties"] for x in (m, n)} == scan == {a, b, c}
 
 
-def _assert_summary_is_bound_to_its_records(summary: dict) -> None:
+def _assert_summary_is_bound_to_its_records(summary: dict, table: SumsTable | None = None) -> list:
     """Rebuild the certificates of the summary's adjacent pairs with
-    `ramanujan_compare`, unmemoised: cert_hash is the sha256 of their lines
-    from `comparison_line`, each the general encoder's bytes for the
-    pair's record, and every other field of the summary agrees with the
-    records."""
+    `ramanujan_compare`, unmemoised, off `table` (one covering the class
+    is built when none is given and the class has a pair): cert_hash is
+    the sha256 of their lines from `comparison_line`, each the general
+    encoder's bytes for the pair's record, and every other field of the
+    summary agrees with the records.  Returns (a, b, verdict, cert) for
+    each adjacent pair, in order."""
     members = summary["members"]
-    table = SumsTable(max(members))
-    sums = {x: RamanujanSums(x, table, totient(x)) for x in members}
+    if len(members) > 1 and table is None:
+        table = SumsTable(max(members))
+    sums = {x: RamanujanSums(x, table, totient(x)) for x in members} if len(members) > 1 else {}
     pairs = [
         (a, b, *ramanujan_compare(sums[a], sums[b], {})[:2])
         for a, b in zip(members, members[1:])
@@ -596,12 +570,13 @@ def _assert_summary_is_bound_to_its_records(summary: dict) -> None:
     assert summary["max_checked_q"] == max([0] + [r["checked_q_max"] for r in records])
     assert summary["ties"] == [[r["m"], r["n"], q] for r in records for q in r["tie_witnesses"]]
     assert summary["incomparable"] == [r for r in records if r["verdict"] == Verdict.INCOMPARABLE.value]
+    return pairs
 
 
 def test_class_summaries_are_bound_to_their_hashed_records():
     table = SumsTable(300)
     for cls in phi_classes(300):
-        summary = _finish_class(cls, table)
+        summary = sort_class(cls, table)
         assert summary["phi"] == cls.phi_value and sorted(summary["members"]) == cls.members
         _assert_summary_is_bound_to_its_records(summary)
 
@@ -609,8 +584,8 @@ def test_class_summaries_are_bound_to_their_hashed_records():
 def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, monkeypatch):
     """The incomparable class and the tied class of the stand-ins; every
     window is left undecided, so the memo stays empty and each pair's line
-    template is built once, and the certificate sink builds a record dict
-    only for the incomparable pair."""
+    template is built once, and `sort_class` builds a record dict only
+    for the incomparable pair."""
     built, recorded = [], []
     template, record = comparator._line_template, cycorder.order.comparison_record
     monkeypatch.setattr(
@@ -626,7 +601,7 @@ def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, m
     for members in ([a, b], [a, c, d]):
         built.clear()
         recorded.clear()
-        summary = _finish_class(PhiClass(4, members), table)
+        summary = sort_class(PhiClass(4, members), table)
         assert len(built) == summary["pair_count"] == len(members) - 1 and not table.outcomes
         assert recorded == [(r["m"], r["n"]) for r in summary["incomparable"]]
         _assert_summary_is_bound_to_its_records(summary)
@@ -723,6 +698,9 @@ def _rechained(lines, phi, edit):
         pytest.param(
             lambda rec: rec.update(pair_count=1), "class 2 on file is not a class of {1..30}", id="pair_count"
         ),
+        pytest.param(
+            lambda rec: rec.update(members=[3, 4, 6]), "class 2 on file is not in asymptotic order", id="order"
+        ),
         pytest.param(lambda rec: rec.update(phi=3), "class 3 on file is not a class of {1..30}", id="phi"),
         pytest.param(lambda rec: rec.update(phi=[2]), "class line 3 has phi [2]", id="phi-list"),
         pytest.param(lambda rec: rec.pop("phi"), "class line 3 lacks phi", id="no-phi"),
@@ -737,7 +715,9 @@ def test_a_class_line_that_is_not_the_runs_is_refused(tmp_path, capsys, edit, me
     (exit 4) when it lacks a field, or when its class is not one of the
     run's: another totient, members that are not the class's in some
     order (here [6, 6, 6] for the class {3, 4, 6}, which would report a
-    sequence without 3 and 4), or a pair_count other than k - 1."""
+    sequence without 3 and 4), or a pair_count other than k - 1; or when
+    its members are not in the order the run verifies (here [3, 4, 6],
+    whose rows decrease: the verified order is 6, 4, 3)."""
     path = tmp_path / "verify.ckpt"
     build_chain(30, checkpoint_path=str(path))
     path.write_text("".join(_rechained(path.read_text().splitlines(), 2, edit)))
@@ -745,6 +725,30 @@ def test_a_class_line_that_is_not_the_runs_is_refused(tmp_path, capsys, edit, me
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         build_chain(30, checkpoint_path=str(path))
     assert main(["verify", "30", "--checkpoint", str(path), "--format", "structured"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"checkpoint error: {path}: {message}\n"
+    assert path.read_text() == crafted
+
+
+def test_a_swap_inside_a_run_of_equal_rows_is_refused(tmp_path, capsys):
+    """The class of totient 162 in {1..500} is 326, 486, 243, 163, where
+    486 and 243 have equal rows, which the sort parts by the first
+    difference of their sums.  A `verify 500` checkpoint whose line for
+    that class swaps the two, rechained, has rows that never decrease, so
+    only that first difference refuses it, in the library and in `verify`
+    (exit 4)."""
+    path = tmp_path / "verify.ckpt"
+    build_chain(500, checkpoint_path=str(path))
+    lines = path.read_text().splitlines()
+    [on_file] = [json.loads(line)["members"] for line in lines if '"phi":162,' in line]
+    table = SumsTable(500)
+    assert on_file == [326, 486, 243, 163]
+    assert len({table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in (486, 243)}) == 1
+    path.write_text("".join(_rechained(lines, 162, lambda rec: rec.update(members=[326, 243, 486, 163]))))
+    crafted, message = path.read_text(), "class 162 on file is not in asymptotic order"
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        build_chain(500, checkpoint_path=str(path))
+    assert main(["verify", "500", "--checkpoint", str(path), "--format", "structured"]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err == f"checkpoint error: {path}: {message}\n"
     assert path.read_text() == crafted
