@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from math import isqrt
 
 _SIEVE_LIMIT = 100_000
@@ -28,7 +29,7 @@ def _build_sieve(limit: int) -> tuple[int, ...]:
         if flags[p]:
             start = p * p
             flags[start :: p] = b"\x00" * len(range(start, limit + 1, p))
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(compress(range(limit + 1), flags))
 
 
 SMALL_PRIMES: tuple[int, ...] = _build_sieve(_SIEVE_LIMIT)

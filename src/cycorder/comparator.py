@@ -816,6 +816,31 @@ def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> di
     }
 
 
+_RECORD_INTS = ("checked_q_max", "leading_sign", "m", "n", "threshold_c")  # the int fields of a record
+_VERDICT_VALUES = tuple(v.value for v in Verdict)  # a tuple: an unhashable verdict is no member, not a TypeError
+
+
+def _int_list(value, length: int | None = None) -> bool:
+    """Whether `value` is a list of ints, never bools, of `length` items
+    when a length is given."""
+    return type(value) is list and all(type(x) is int for x in value) and length in (None, len(value))
+
+
+def _well_formed_record(value) -> bool:
+    """Whether `value` has exactly the fields of a `comparison_record`,
+    each of the type it writes: ints (never bools), lists of ints, a
+    known verdict, and a str or None for the tag."""
+    return (
+        type(value) is dict
+        and value.keys() == set(_RECORD_FIELDS)
+        and value["verdict"] in _VERDICT_VALUES
+        and all(type(value[f]) is int for f in _RECORD_INTS)
+        and _int_list(value["tie_witnesses"])
+        and _int_list(value["flip_witnesses"])
+        and (value["shortcut_tag"] is None or type(value["shortcut_tag"]) is str)
+    )
+
+
 _VERDICT_JSON = {v: encode_basestring_ascii(v.value) for v in Verdict}
 
 
@@ -856,16 +881,15 @@ def record_to_json(record: dict) -> str:
 
 
 def parse_comparison_record(text: str) -> dict:
-    """Inverse of record_to_json for comparison records; validates the
-    shape, raising ValueError on text that is not a JSON object with
-    every field and a known verdict."""
+    """Inverse of record_to_json for comparison records; raises ValueError
+    on text that is not a JSON object, or one without exactly a record's
+    fields, each of the type `comparison_record` writes
+    (`_well_formed_record`)."""
     rec = json.loads(text)
     if not isinstance(rec, dict):
         raise ValueError("comparison record is not a JSON object")
-    missing = [f for f in _RECORD_FIELDS if f not in rec]
-    if missing:
-        raise ValueError(f"comparison record missing fields: {missing}")
-    Verdict(rec["verdict"])
+    if not _well_formed_record(rec):
+        raise ValueError(f"comparison record is ill-formed: {text}")
     return rec
 
 

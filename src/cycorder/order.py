@@ -33,9 +33,10 @@ cert_hash covers; `ChainReport.from_record` builds the report.  The
 checkpoint is a hash-chained JSON-lines file, one line per class,
 flushed as each class finishes and synced to disk after each second of
 classes and when the run ends; each line's chain covers its own bytes,
-which loading checks.  A resumed run checks each class on file against
-the run's table: its members, and their order, rows that never
-decrease with each pair of equal rows parted by its sums.
+which loading checks with the type of each field.  A resumed run checks
+each class on file against the run's table: its members, and their
+order, which must be the run's own sort of the class (`_class_order`,
+the sort `sort_class` runs).
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -72,7 +73,9 @@ from .comparator import (
     RamanujanSums,
     SumsTable,
     Verdict,
+    _int_list,
     _row_key,
+    _well_formed_record,
     _window_outcome,
     certificate_from_record,
     compare,
@@ -89,6 +92,23 @@ _EMPTY_HASH = hashlib.sha256(b"").hexdigest()  # the cert_hash of a class of one
 _CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
 # the fields `_class_body` writes; a class line on file lacking one is refused
 _CLASS_FIELDS = frozenset(("cert_hash", "incomparable", "kind", "max_checked_q", "members", "pair_count", "phi", "ties"))
+
+
+def _ill_typed_field(rec: dict) -> str | None:
+    """The first field of the class line `rec`, kind and members aside
+    (`_resumed_summaries` checks the members), whose value is not of the
+    type `_class_body` writes, or None."""
+    for key in ("phi", "pair_count", "max_checked_q"):
+        if type(rec[key]) is not int:
+            return key
+    ties, records, cert_hash = rec["ties"], rec["incomparable"], rec["cert_hash"]
+    if type(ties) is not list or ties and not all(_int_list(t, 3) for t in ties):
+        return "ties"
+    if type(records) is not list or records and not all(map(_well_formed_record, records)):
+        return "incomparable"
+    if type(cert_hash) is not str or len(cert_hash) != 64 or cert_hash.strip("0123456789abcdef"):
+        return "cert_hash"
+    return None
 
 
 class OrderingError(Exception):
@@ -252,13 +272,33 @@ def stable_prefix_length(classes: Iterable[PhiClass], range_max: int, phi_table:
         limit *= 2
 
 
-def _later(a: RamanujanSums, b: RamanujanSums) -> int:
-    """-c_a(j) - (-c_b(j)) at the first j where the sums of two distinct
-    members of one class part (`RamanujanSums.first_difference`):
-    negative exactly when a comes first in the lexicographic order of the
-    negated sums."""
-    j = a.first_difference(b)
-    return a.terms[j - 1] - b.terms[j - 1]
+def _class_order(
+    members: list[int], phi: int, table: SumsTable
+) -> tuple[list[int], dict[int, bytes], Callable[[int], RamanujanSums]]:
+    """(order, rows, sums_of) for members of the class of totient `phi`:
+    the members in asymptotic order (`sort_class` proves it), each one's
+    row of `table`, and a member's `RamanujanSums`, each built at its
+    first call and kept: the sort calls it for the members of each run of
+    equal rows alone."""
+    lanes, sums = table.lanes, {}
+
+    def sums_of(x: int) -> RamanujanSums:
+        if x not in sums:
+            sums[x] = RamanujanSums(x, table, phi)
+        return sums[x]
+
+    rows = {n: lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in members}
+    order = sorted(members, key=rows.__getitem__)
+    if len(set(rows.values())) < len(order):  # some rows tie: order each run by the sums
+
+        def later(x: int, y: int) -> int:
+            a, b = sums_of(x), sums_of(y)
+            j = a.first_difference(b)
+            return a.terms[j - 1] - b.terms[j - 1]
+
+        tie_break = cmp_to_key(later)
+        order = [x for _, run in groupby(order, rows.__getitem__) for x in sorted(run, key=tie_break)]
+    return order, rows, sums_of
 
 
 def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
@@ -285,10 +325,13 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     exact fallback keeps its values only for its pair.  A class of one
     member reads no row.
 
-    The members are sorted once on their rows, each read as one
-    big-endian integer once per member; where rows tie, each run of
-    equal rows is sorted again by `_later`.  Then one loop over the k - 1
-    adjacent pairs reads each pair's j0 and memo key off the two rows
+    `_class_order`, the run's own sort of the class, which also checks a
+    resumed class (`_resumed_summaries`), sorts the members once on their
+    rows; where rows tie, each run of equal rows is sorted again by the
+    tie-break -c_a(j) - (-c_b(j)) at the first j where the sums of a and
+    b part (`RamanujanSums.first_difference`).  Then one loop over the
+    k - 1 adjacent pairs reads each pair's j0 and memo key off the two
+    rows, each read as one big-endian integer once per member
     (`_row_key`), takes its outcome (verdict, certificate, line template)
     from the run's memo (`table.outcomes`) or, for a pair with
     j0 <= _LAST_ROW_J0 whose key the memo lacks, from its window read off
@@ -297,22 +340,22 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     `comparator.ramanujan_compare`; writes the pair's line,
     template % (a, b); and adds the pair to the summary.  A member's
     `RamanujanSums` object is built only for a run of equal rows or a
-    pair whose window leaves the rows, one for each member.
+    pair whose window leaves the rows, once for each member: the loop
+    reads the objects the sort built.
 
     Why this is the asymptotic order, and each outcome the pair's:
 
     1. The rows sort as the sums.  A row holds the lanes 64 - c_n(j),
-       j = 1..32, each in [32, 96] (`SumsTable`), as the base-256 digits
-       of its integer, first lane highest, so integers compare as the
-       rows do lexicographically; adding 64 keeps the order of the terms
+       j = 1..32, each in [32, 96] (`SumsTable`), as bytes, which compare
+       lexicographically; adding 64 keeps the order of the terms
        -c_n(j), so rows compare as the 32-term prefixes of the negated
        sums.
     2. The sort gives the lexicographic order of the whole sequences.
        Two members whose rows differ have their first difference inside
        them, so the rows order them as the sequences do.  Members with
-       equal rows are adjacent after the first sort, and `_later`, whose
-       sign is the lexicographic order of the whole sequences, a strict
-       total order (two distinct indices of one class always part,
+       equal rows are adjacent after the first sort, and the tie-break,
+       whose sign is the lexicographic order of the whole sequences, a
+       strict total order (two distinct indices of one class always part,
        `RamanujanSums`), orders each run of them.  That order is the
        asymptotic order (`comparator.ramanujan_compare`).
     3. The outcome of each pair with j0 <= _LAST_ROW_J0 is
@@ -361,22 +404,14 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
         table = SumsTable(largest)
     elif largest > table.limit:
         raise ValueError(f"the sums table covers indices up to {table.limit}, not {largest}")
-    lanes, memo, sums = table.lanes, table.outcomes, {}
-
-    def sums_of(x: int) -> RamanujanSums:
-        if x not in sums:
-            sums[x] = RamanujanSums(x, table, phi)
-        return sums[x]
-
-    row = {n: int.from_bytes(lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK], "big") for n in members}
-    ordered = sorted(members, key=row.__getitem__)
-    if len(set(row.values())) < len(ordered):  # some rows tie: order each run by the sums
-        tie_break = cmp_to_key(lambda x, y: _later(sums_of(x), sums_of(y)))
-        ordered = [x for _, run in groupby(ordered, row.__getitem__) for x in sorted(run, key=tie_break)]
+    ordered, rows, sums_of = _class_order(members, phi, table)
+    lanes, memo, from_bytes = table.lanes, table.outcomes, int.from_bytes
     lines, ties, incomparable, max_checked_q = [], summary["ties"], summary["incomparable"], 0
     a = ordered[0]
+    row_a = from_bytes(rows[a], "big")
     for b in ordered[1:]:
-        key = _row_key(row[a], row[b])
+        row_b = from_bytes(rows[b], "big")
+        key = _row_key(row_a, row_b)
         j0 = key[0]
         if j0 > _LAST_ROW_J0:  # the window leaves the row
             outcome = ramanujan_compare(sums_of(a), sums_of(b), memo)
@@ -396,7 +431,7 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
             max_checked_q = cert.checked_q_max
         if cert.tie_witnesses:
             ties += [[a, b, q] for q in cert.tie_witnesses]
-        a = b
+        a, row_a = b, row_b
     lines.append("")  # so that the join ends every line in a newline
     cert_hash = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     summary.update(members=ordered, max_checked_q=max_checked_q, cert_hash=cert_hash)
@@ -452,8 +487,8 @@ class CheckpointFile:
     object or breaks the chain, another version or another range_max
     raises CheckpointError.  Classes are written in ascending totient
     order, so the classes on file are always the lowest ones.  A class
-    line that lacks a field `_class_body` writes, or whose phi is not an
-    int, is refused too.
+    line that lacks a field `_class_body` writes, or has one of another
+    type than it writes (`_ill_typed_field`), is refused too.
 
     The first `append` opens one append handle, kept until `close()`;
     an instance used only to load opens none.  Each class line is
@@ -539,8 +574,9 @@ class CheckpointFile:
                 missing = _CLASS_FIELDS.difference(rec)
                 if missing:
                     raise CheckpointError(f"{self.path}: class line {i} lacks {', '.join(sorted(missing))}")
-                if type(rec["phi"]) is not int:
-                    raise CheckpointError(f"{self.path}: class line {i} has phi {rec['phi']!r}")
+                key = _ill_typed_field(rec)
+                if key is not None:
+                    raise CheckpointError(f"{self.path}: class line {i} has {key} {rec[key]!r}")
                 self.completed[rec["phi"]] = rec
                 self._last_phi = rec["phi"]
             good_end += len(raw)
@@ -594,31 +630,21 @@ class CheckpointFile:
 ProgressFn = Callable[[int, int, dict], None]
 
 
-def _in_asymptotic_order(members: list[int], phi: int, table: SumsTable) -> bool:
-    """Whether `members`, of the class of totient `phi`, stand in
-    asymptotic order: no adjacent pair's rows decrease, and `_later` puts
-    each adjacent pair of equal rows first to last (steps 1 and 2 of
-    `sort_class`).  No certificate is read."""
-    rows = [table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in members]
-    for a, b, row_a, row_b in zip(members, members[1:], rows, rows[1:]):
-        if row_a > row_b or row_a == row_b and _later(RamanujanSums(a, table, phi), RamanujanSums(b, table, phi)) > 0:
-            return False
-    return True
-
-
 def _resumed_summaries(checkpoint: CheckpointFile, classes: list[PhiClass], table: SumsTable) -> dict[int, dict]:
     """The summaries on file, once each is checked to be one of `classes`,
-    its members in asymptotic order (`_in_asymptotic_order`, off the run's
-    `table`) and its pair_count k - 1, or CheckpointError: the hash chain
-    shows a line unchanged since it was written, not that its class is
-    this run's or that its order was verified."""
+    its members in the order the run's own sort of the class gives them
+    (`_class_order`, off the run's `table`) and its pair_count k - 1, or
+    CheckpointError: the hash chain shows a line unchanged since it was
+    written, not that its class is this run's or that its order was
+    verified."""
     members_of = {cls.phi_value: cls.members for cls in classes}
     for phi, summary in checkpoint.completed.items():
         members, on_file = members_of.get(phi), summary["members"]
-        ints = isinstance(on_file, list) and all(type(x) is int for x in on_file)
-        if not (members and ints and sorted(on_file) == members and summary["pair_count"] == len(members) - 1):
+        if not (members and _int_list(on_file) and sorted(on_file) == members and summary["pair_count"] == len(members) - 1):
             raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not a class of {{1..{checkpoint.range_max}}}")
-        if not _in_asymptotic_order(on_file, phi, table):
+        # on_file is a permutation of members and the order a strict total one, so
+        # sorting on_file gives the run's; timsort then compares only adjacent pairs
+        if len(on_file) > 1 and _class_order(on_file, phi, table)[0] != on_file:
             raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not in asymptotic order")
     return dict(checkpoint.completed)
 

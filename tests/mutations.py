@@ -220,15 +220,15 @@ MUTANTS = (
     Mutant(
         "resume: rows on file that decrease not checked",
         ORDER,
-        "if row_a > row_b or row_a == row_b and _later(",
-        "if False or row_a == row_b and _later(",
+        "_class_order(on_file, phi, table)[0] != on_file:",
+        "(lambda order, rows, _: order != sorted(on_file, key=rows.get))(*_class_order(on_file, phi, table)):",
         (T_ORDER + "test_a_class_line_that_is_not_the_runs_is_refused[order]",),
     ),
     Mutant(
         "resume: a pair of equal rows on file not checked",
         ORDER,
-        "if row_a > row_b or row_a == row_b and _later(",
-        "if row_a > row_b or False and _later(",
+        "_class_order(on_file, phi, table)[0] != on_file:",
+        "(lambda order, rows, _: [*map(rows.get, order)] != [*map(rows.get, on_file)])(*_class_order(on_file, phi, table)):",
         (T_ORDER + "test_a_swap_inside_a_run_of_equal_rows_is_refused",),
     ),
     Mutant(

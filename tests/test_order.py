@@ -707,17 +707,30 @@ def _rechained(lines, phi, edit):
         pytest.param(
             lambda rec: [rec.pop(f) for f in ("ties", "members")], "class line 3 lacks members, ties", id="no-members"
         ),
+        pytest.param(
+            lambda rec: rec.update(max_checked_q="3"), "class line 3 has max_checked_q '3'", id="max_checked_q-str"
+        ),
+        pytest.param(lambda rec: rec.update(ties=[[1]]), "class line 3 has ties [[1]]", id="ties-short"),
+        pytest.param(
+            lambda rec: rec.update(incomparable=[{"x": 1}]),
+            "class line 3 has incomparable [{'x': 1}]",
+            id="incomparable-not-a-record",
+        ),
+        pytest.param(lambda rec: rec.update(cert_hash=5), "class line 3 has cert_hash 5", id="cert_hash-int"),
     ],
 )
 def test_a_class_line_that_is_not_the_runs_is_refused(tmp_path, capsys, edit, message):
     """A class line of a `verify 30` checkpoint edited and rechained, so
     that its hash chain holds, is refused by the library and by `verify`
-    (exit 4) when it lacks a field, or when its class is not one of the
-    run's: another totient, members that are not the class's in some
-    order (here [6, 6, 6] for the class {3, 4, 6}, which would report a
+    (exit 4) when it lacks a field, or holds one of another type than a
+    run writes (a str for an int, a tie that is not [a, b, q], an
+    incomparable entry that is no comparison record, a cert_hash that is
+    not 64 hex digits), or when its class is not one of the run's:
+    another totient, members that are not the class's in some order
+    (here [6, 6, 6] for the class {3, 4, 6}, which would report a
     sequence without 3 and 4), or a pair_count other than k - 1; or when
-    its members are not in the order the run verifies (here [3, 4, 6],
-    whose rows decrease: the verified order is 6, 4, 3)."""
+    its members are not in the order the run's own sort of the class
+    gives (here [3, 4, 6], whose rows decrease: that order is 6, 4, 3)."""
     path = tmp_path / "verify.ckpt"
     build_chain(30, checkpoint_path=str(path))
     path.write_text("".join(_rechained(path.read_text().splitlines(), 2, edit)))
@@ -752,6 +765,25 @@ def test_a_swap_inside_a_run_of_equal_rows_is_refused(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == f"checkpoint error: {path}: {message}\n"
     assert path.read_text() == crafted
+
+
+def test_a_full_resume_builds_each_members_sums_at_most_once(tmp_path, monkeypatch):
+    """A resume of a finished `verify 768` checkpoint checks each class on
+    file with the run's own sort of the class, which builds a member's
+    `RamanujanSums` once for the class, however many of its pairs read
+    it.  768 is the least N whose classes hold a run of three equal rows:
+    512, 640 and 768, of totient 256, where the middle member is in two
+    pairs that only the sums part."""
+    path = tmp_path / "verify.ckpt"
+    first = build_chain(768, checkpoint_path=str(path))
+    table = SumsTable(768)
+    assert len({table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in (512, 640, 768)}) == 1
+    built = []
+    init = RamanujanSums.__init__
+    monkeypatch.setattr(RamanujanSums, "__init__", lambda sums, n, *args: built.append(n) or init(sums, n, *args))
+    assert build_chain(768, checkpoint_path=str(path)) == first
+    assert {512, 640, 768} <= set(built)
+    assert len(built) == len(set(built))
 
 
 def test_a_rechained_checkpoint_left_as_written_resumes(tmp_path):
