@@ -102,7 +102,7 @@ from .cyclotomic import cyclo  # noqa: F401  bench/spans.py wraps comparator.cyc
 # the one window a fast sign test reads before exact evaluation: D's top
 # coefficients in `_window_sign`, terms past j0 in `_window_sum_sign`
 _WINDOW = 8
-_SUMS_BLOCK = 32  # terms of each index's row in a `SumsTable`; a class sort's first key
+_SUMS_BLOCK = 64  # terms of each index's row in a `SumsTable`; a class sort's first key
 
 
 class Verdict(enum.Enum):
@@ -396,7 +396,7 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 
 _MU_FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # 1 - mu to 1 - (-mu)
 _PRIME_MU = bytes.maketrans(b"\x01", b"\x02")  # a prime flag to 1 - mu(p) = 2
-_LANE_BIAS = 64  # b: a `SumsTable` lane holds b - c_n(j), in [32, 96]
+_LANE_BIAS = 64  # b: a `SumsTable` lane holds b - c_n(j), in [0, 128]
 
 
 class SumsTable:
@@ -418,7 +418,7 @@ class SumsTable:
     are set to 1 - mu(p) = 2 in one step.  With ONES the integer whose
     `size` little-endian bytes are all 1, for each d <= L a row of
     `size` bytes holds b - d * mu(n/d) at every multiple n of d and b
-    elsewhere, each in [b - L, b + L], so
+    elsewhere, each in [b - L, b + L] = [0, 128], one unsigned byte, so
 
         T_d = row as a little-endian integer - b * ONES
             = sum over the multiples n of d of -d * mu(n/d) * 256^n.
@@ -428,9 +428,11 @@ class SumsTable:
         b * ONES + sum over d | j of T_d = sum over n of (b - c_n(j)) * 256^n,
 
     and since |c_n(j)| <= gcd(n, j) <= L (`compare` proves the first
-    bound), every coefficient lies in [b - L, b + L] = [32, 96]: the
-    sum's bytes are the lanes b - c_n(j).  The sums are exact integer
-    arithmetic, so no bound on a partial one is needed.  The lanes are
+    bound), every coefficient lies in [b - L, b + L] = [0, 128], a digit
+    of base 256: the sum's bytes are the lanes b - c_n(j).  The bound is
+    reached: c_384(64) = 64 and c_128(64) = -64 give the lanes 0 and
+    128.  The sums are exact integer arithmetic, so no bound on a
+    partial one is needed.  The lanes are
     summed one j at a time, each written into `lanes` at once, and T_d
     is kept only while a lane still to come has d as a divisor, so
     besides the lane being summed at most L / 2 row-sized integers are
@@ -665,13 +667,13 @@ def ramanujan_compare(
 
     `order.sort_class` reads the window of a pair with j0 <= _LAST_ROW_J0
     off the two members' rows and keys it (j0, W) instead, with W the
-    deltas as one balanced base-256 number (`_row_key`).  Within the
-    rows |delta_j| <= 64 < 128, so W determines its digits, and (j0, W)
-    and (j0, delta_j0, ..., delta_J) name the same windows; the two
-    forms are tuples of unequal length, never equal.  A verification
-    gives every pair with j0 <= _LAST_ROW_J0 the first form and every
-    other pair this function's, so each window has one key in a run's
-    memo.
+    deltas as one balanced base-256 number (`_row_key`).  Such a window
+    ends at J <= 63, where |delta_j| <= 2j <= 126 < 128, so W determines
+    its digits, and (j0, W) and (j0, delta_j0, ..., delta_J) name the
+    same windows; the two forms are tuples of unequal length, never
+    equal.  A verification gives every pair with j0 <= _LAST_ROW_J0 the
+    first form and every other pair this function's, so each window has
+    one key in a run's memo.
     """
     m, n = a.n, b.n
     if a.phi != b.phi:
@@ -733,11 +735,13 @@ def _agreeing_outcome(lead: int, stop: int) -> tuple[Verdict, Certificate, str]:
     return _ramanujan_outcome(0, 0, lead, stop, lambda q: lead)
 
 
-_LAST_ROW_J0 = _SUMS_BLOCK - _WINDOW  # 24: the last j0 whose window J = j0 + 8 lies in a row
+# 55: the last j0 whose window J = j0 + 8 ends before lane 64, the first where
+# |delta_j| can reach 128 and (j0, W) stop naming one window (`_row_key`)
+_LAST_ROW_J0 = _SUMS_BLOCK - _WINDOW - 1
 # j0 by the bit length of two rows' XOR (`_row_key`); equal rows, 0 bits, read as one past the row
 _FIRST_LANE = (_SUMS_BLOCK + 1, *(_SUMS_BLOCK - (bl - 1) // 8 for bl in range(1, 8 * _SUMS_BLOCK + 1)))
-# by j0: the bits s of the lanes past the window
-_SHIFT = tuple(8 * max(0, _LAST_ROW_J0 - j0) for j0 in range(_SUMS_BLOCK + 2))
+# by j0: the bits s = 8(L - J) of the lanes past the window
+_SHIFT = tuple(8 * max(0, _SUMS_BLOCK - _WINDOW - j0) for j0 in range(_SUMS_BLOCK + 2))
 
 
 def _row_key(a: int, b: int) -> tuple[int, int]:
@@ -747,10 +751,11 @@ def _row_key(a: int, b: int) -> tuple[int, int]:
     the pair's window; past that W has no meaning.
 
     Let the rows hold the lanes a_j = 64 - c_m(j) and b_j = 64 - c_n(j),
-    j = 1..L (L = _SUMS_BLOCK), so that a = sum over j of
+    j = 1..L (L = _SUMS_BLOCK = 64), so that a = sum over j of
     a_j * 256^(L - j), b likewise, and delta_j = b_j - a_j =
     c_m(j) - c_n(j), the deltas of `ramanujan_compare`.  Every lane lies
-    in [32, 96], so |delta_j| <= 64.
+    in [0, 128] (`SumsTable`), and |c_n(j)| <= gcd(n, j) <= j, so
+    |delta_j| <= 2j: at most 126 for j <= 63, and 128 at j = 64.
 
     j0 from the XOR.  The lanes are the base-256 digits of a and b, so
     digit L - j of a ^ b is a_j ^ b_j: 0 for j < j0 and nonzero at
@@ -767,12 +772,16 @@ def _row_key(a: int, b: int) -> tuple[int, int]:
 
         W = sum over j0 <= j <= J of delta_j * 256^(J - j),
 
-    the window delta_j0..delta_J as a balanced base-256 number, whose
-    digits lie in [-64, 64].  Two windows with one W are one window: at
-    the lowest place where two such digit strings differed, their values
-    would differ by a nonzero multiple of that place smaller than 256
-    times it, with every lower digit equal, so the values differ.  So
-    (j0, W) is injective on windows.
+    the window delta_j0..delta_J as a balanced base-256 number.  For
+    j0 <= _LAST_ROW_J0, J <= 63 and its digits lie in [-126, 126].  Two
+    windows with one W are one window: at the lowest place 256^k where
+    two such digit strings differed, by e with 0 < |e| <= 252 < 256, the
+    values would differ by 256^k * (e + 256 * X) for some integer X,
+    which is not 0 as 256 does not divide e.  So (j0, W) is injective
+    on windows.  It is not at j0 = 56, whose window ends at J = 64,
+    where delta_64 = 128 (lanes 0 and 128) and -128 are both possible:
+    the deltas ..., 0, 128 and ..., 1, -128 at J - 1 and J give one W.
+    So the row route ends at _LAST_ROW_J0 = 55.
     """
     j0 = _FIRST_LANE[(a ^ b).bit_length()]
     s = _SHIFT[j0]

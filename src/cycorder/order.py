@@ -8,7 +8,7 @@ order of its members' negated Ramanujan sums (-c_n(1), -c_n(2), ...),
 and its k - 1 adjacent pairs are certified from those sums; by
 transitivity that verifies comparability of every pair in the class
 (proof in `sort_class`).  No polynomial, kernel or packed value is
-built.  One table per run (`comparator.SumsTable`) holds the first 32
+built.  One table per run (`comparator.SumsTable`) holds the first 64
 sums of every index as a row of biased byte lanes, sieved from
 Ramanujan's definition, and a smallest-prime-factor table.
 `sort_class`, the one per-class step, sorts a class on its members'
@@ -20,7 +20,8 @@ line and adds it to the class's summary.  A member's sums are built as
 an object, with its later terms from Hoelder's closed form, whose table
 it builds, factoring the member off the smallest-prime-factor table,
 only when its row does not settle a pair: when its row ties another in
-the sort, or in a pair whose window leaves the row.  The sorted classes
+the sort, or in a pair whose first difference lies past lane 55, so
+that its window reaches lane 64 or leaves the row.  The sorted classes
 concatenate, ascending by totient value, into the full chain.
 
 Classes run in one process in ascending totient order, and one loop
@@ -306,7 +307,7 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     summarize them: the one per-class step of a verification.
 
     `table` is a `comparator.SumsTable` covering the class, which holds
-    every index's first 32 Ramanujan sums and the run's memo of pair
+    every index's first 64 Ramanujan sums and the run's memo of pair
     outcomes; one table is built when none is given, and a table that
     does not cover the class raises ValueError before any pair is keyed.
     Returns the class's summary, which `build_chain` folds into its report
@@ -335,20 +336,20 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     (`_row_key`), takes its outcome (verdict, certificate, line template)
     from the run's memo (`table.outcomes`) or, for a pair with
     j0 <= _LAST_ROW_J0 whose key the memo lacks, from its window read off
-    the rows (`comparator._window_outcome`), or, for a pair whose window
-    leaves the rows (equal rows among them), from
-    `comparator.ramanujan_compare`; writes the pair's line,
-    template % (a, b); and adds the pair to the summary.  A member's
-    `RamanujanSums` object is built only for a run of equal rows or a
-    pair whose window leaves the rows, once for each member: the loop
-    reads the objects the sort built.
+    the rows (`comparator._window_outcome`), or, for a pair with
+    j0 > _LAST_ROW_J0, whose window ends at lane 64 or past the rows
+    (equal rows among them), from `comparator.ramanujan_compare`; writes
+    the pair's line, template % (a, b); and adds the pair to the
+    summary.  A member's `RamanujanSums` object is built only for a run
+    of equal rows or a pair with j0 > _LAST_ROW_J0, once for each
+    member: the loop reads the objects the sort built.
 
     Why this is the asymptotic order, and each outcome the pair's:
 
     1. The rows sort as the sums.  A row holds the lanes 64 - c_n(j),
-       j = 1..32, each in [32, 96] (`SumsTable`), as bytes, which compare
+       j = 1..64, each in [0, 128] (`SumsTable`), as bytes, which compare
        lexicographically; adding 64 keeps the order of the terms
-       -c_n(j), so rows compare as the 32-term prefixes of the negated
+       -c_n(j), so rows compare as the 64-term prefixes of the negated
        sums.
     2. The sort gives the lexicographic order of the whole sequences.
        Two members whose rows differ have their first difference inside
@@ -361,12 +362,13 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     3. The outcome of each pair with j0 <= _LAST_ROW_J0 is
        `ramanujan_compare`'s.  Its rows differ, so its j0 is the first
        difference of the two sequences, which lies in the rows, and its
-       window ends at j0 + 8 <= 32, inside the rows too, so the deltas
+       window ends at j0 + 8 <= 63, inside the rows too, so the deltas
        read off the rows are those `ramanujan_compare` would take, and
-       (j0, W) names that window alone (`_row_key`).  A memo entry under
-       that key was stored by a pair with the same window, whose outcome
-       is this pair's (`ramanujan_compare`), and a miss goes through the
-       same `_window_outcome`.
+       (j0, W) names that window alone (`_row_key`, whose proof needs
+       the window to end before lane 64).  A memo entry under that key
+       was stored by a pair with the same window, whose outcome is this
+       pair's (`ramanujan_compare`), and a miss goes through the same
+       `_window_outcome`.
 
     Why k - 1 certificates prove what all k(k-1)/2 pairs would:
 
@@ -413,7 +415,7 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
         row_b = from_bytes(rows[b], "big")
         key = _row_key(row_a, row_b)
         j0 = key[0]
-        if j0 > _LAST_ROW_J0:  # the window leaves the row
+        if j0 > _LAST_ROW_J0:  # the window ends at lane 64 or past the row
             outcome = ramanujan_compare(sums_of(a), sums_of(b), memo)
         else:
             outcome = memo.get(key)

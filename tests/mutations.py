@@ -122,9 +122,19 @@ MUTANTS = (
     Mutant(
         "row key: s one lane short",
         COMPARATOR,
-        "8 * max(0, _LAST_ROW_J0 - j0) for j0",
-        "8 * max(0, _LAST_ROW_J0 - j0 - 1) for j0",
+        "8 * max(0, _SUMS_BLOCK - _WINDOW - j0) for j0",
+        "8 * max(0, _SUMS_BLOCK - _WINDOW - j0 - 1) for j0",
         (T_COMPARATOR + "test_row_key_reads_the_first_difference_and_the_window",),
+    ),
+    Mutant(
+        "row route: j0 = 56, whose window ends at lane 64, keyed off the rows",
+        COMPARATOR,
+        "_LAST_ROW_J0 = _SUMS_BLOCK - _WINDOW - 1\n",
+        "_LAST_ROW_J0 = _SUMS_BLOCK - _WINDOW\n",
+        (
+            T_COMPARATOR + "test_row_key_reads_the_first_difference_and_the_window",
+            T_COMPARATOR + "test_two_windows_ending_at_lane_64_share_a_row_key",
+        ),
     ),
     Mutant(
         "ramanujan_compare: q* one too low",

@@ -589,7 +589,7 @@ def _sum_by_definition(n, g):
 
 
 def test_hoelder_form_matches_the_divisor_sum_to_3000():
-    """`RamanujanSums` reads its first 32 terms off the run's sieved rows
+    """`RamanujanSums` reads its first 64 terms off the run's sieved rows
     and the rest off Hoelder's closed form; they equal the defining
     divisor sum for every n <= 3000 and j <= 300."""
     table = SumsTable(3000)
@@ -609,22 +609,22 @@ def _hoelder_terms(n, length):
 
 
 def _row(table, n):
-    """-c_n(1), ..., -c_n(32): n's row of lanes, less the bias."""
+    """-c_n(1), ..., -c_n(64): n's row of lanes, less the bias."""
     return [lane - _LANE_BIAS for lane in table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK]]
 
 
 def test_sieved_rows_and_their_extension_match_hoelder_form_to_3000():
-    """Each sequence starts as its row, Hoelder's first 32 terms, with no
-    Hoelder table; the first extension past the row builds one and
-    continues the sequence where the row ends."""
+    """Each sequence starts as its row, Hoelder's first 64 terms, with no
+    Hoelder table; the first extension past the row, to 128 terms, builds
+    one and continues the sequence where the row ends."""
     table = SumsTable(3000)
     assert _row(table, 0) == [0] * _SUMS_BLOCK
     for n in range(1, 3001):
         sums = RamanujanSums(n, table, totient(n))
         assert sums.terms == _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK), n
         assert sums._table is None, n
-        sums.extend(64)
-        assert sums.terms == _hoelder_terms(n, 64), n
+        sums.extend(2 * _SUMS_BLOCK)
+        assert sums.terms == _hoelder_terms(n, 2 * _SUMS_BLOCK), n
     for limit in range(1, 12):  # the tables whose primes past limit / 2 start at 2
         table = SumsTable(limit)
         assert [_row(table, n) for n in range(1, limit + 1)] == [
@@ -633,9 +633,9 @@ def test_sieved_rows_and_their_extension_match_hoelder_form_to_3000():
 
 
 def test_every_stored_term_fits_a_signed_byte():
-    """The rows are bytes, 32 an index, each lane 64 - c_n(j) in [32, 96],
-    and every term keeps |c_n(j)| <= gcd(n, j) <= 32, the bound the
-    sieve's lanes and the class sort's row keys rely on."""
+    """The rows are bytes, 64 an index, each lane 64 - c_n(j) in [0, 128],
+    both ends reached, and every term keeps |c_n(j)| <= gcd(n, j) <= 64,
+    the bound the sieve's lanes and the class sort's row keys rely on."""
     limit = 20000
     table = SumsTable(limit)
     assert type(table.lanes) is bytes and len(table.lanes) == _SUMS_BLOCK * (limit + 1)
@@ -655,8 +655,8 @@ def test_sieved_row_of_an_index_past_the_small_primes():
     assert _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK) == [1] * _SUMS_BLOCK
     assert _row(table, n - 1) == _hoelder_terms(n - 1, _SUMS_BLOCK)
     sums = RamanujanSums(n, table, totient(n))
-    sums.extend(64)
-    assert sums.phi == n - 1 and sums.terms == _hoelder_terms(n, 64)
+    sums.extend(2 * _SUMS_BLOCK)
+    assert sums.phi == n - 1 and sums.terms == _hoelder_terms(n, 2 * _SUMS_BLOCK)
 
 
 def test_a_wrong_totient_raises_when_the_hoelder_table_is_built():
@@ -808,16 +808,27 @@ def test_sums_sign_is_exact_or_undecided(sequence):
         assert sign == ((1 if a_w > 0 else -1) if (q - 1) * abs(a_w) > bound else 0), q
 
 
+def _lane(j):
+    """A lane j of a row, 64 - c_n(j) with |c_n(j)| <= j: [0, 128] at j = 64."""
+    return st.integers(_LANE_BIAS - j, _LANE_BIAS + j)
+
+
 @st.composite
 def row_pairs(draw):
-    """Two distinct rows of 32 lanes in [32, 96], as bytes, the lesser
-    first, equal before a drawn first difference j0 and free after it."""
-    lanes = st.lists(st.integers(32, 96), min_size=_SUMS_BLOCK, max_size=_SUMS_BLOCK)
-    a, tail = draw(lanes), draw(lanes)
+    """Two distinct rows of 64 lanes, each lane j in [64 - j, 64 + j], as
+    bytes, the lesser first, equal before a drawn first difference j0 and
+    free after it."""
+    lanes = st.tuples(*map(_lane, range(1, _SUMS_BLOCK + 1)))
+    a, tail = list(draw(lanes)), draw(lanes)
     j0 = draw(st.integers(1, _SUMS_BLOCK))
-    lane = draw(st.integers(32, 96).filter(lambda v: v != a[j0 - 1]))
-    b = a[: j0 - 1] + [lane] + tail[j0:]
+    lane = draw(_lane(j0).filter(lambda v: v != a[j0 - 1]))
+    b = a[: j0 - 1] + [lane] + list(tail[j0:])
     return tuple(sorted((bytes(a), bytes(b))))
+
+
+def _lanes_from(j, sign):
+    """The lanes 64 + sign * k for k = j..64, each at an end of its range."""
+    return [_LANE_BIAS + sign * k for k in range(j, _SUMS_BLOCK + 1)]
 
 
 def _balanced_digits(w, count):
@@ -833,14 +844,17 @@ def _balanced_digits(w, count):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(row_pairs())
-# delta_1 = 1 with every delta past the window at -64, the most negative tail,
-# which a shift of the difference, (b - a) >> s, reads one low; and j0 = 24,
-# whose window ends the row
-@example((bytes([64] * 9 + [96] * 23), bytes([65] + [64] * 8 + [32] * 23)))
-@example((bytes([64] * 23 + [64] + [96] * 8), bytes([64] * 23 + [65] + [32] * 8)))
+# delta_1 = 1 with every delta past the window at -2j, the most negative tail,
+# which a shift of the difference, (b - a) >> s, reads one low; j0 = 55, whose
+# window ends at lane 63 with deltas down to -126 and drops delta_64 = -128;
+# and j0 = 56, whose window ends at lane 64 with delta_64 = 128, a balanced
+# digit the key cannot give back, so j0 = 56 is past the row route
+@example((bytes([64] * 9 + _lanes_from(10, 1)), bytes([65] + [64] * 8 + _lanes_from(10, -1))))
+@example((bytes([64] * 55 + _lanes_from(56, 1)), bytes([64] * 54 + [65] + _lanes_from(56, -1))))
+@example((bytes([64] * 63 + [0]), bytes([64] * 55 + [65] + [64] * 7 + [128])))
 def test_row_key_reads_the_first_difference_and_the_window(pair):
     """For two distinct rows, as big-endian integers, the bit length of
-    their XOR gives the first lane where they differ; for j0 <= 24 the
+    their XOR gives the first lane where they differ; for j0 <= 55 the
     difference of their two shifts is the window delta_j0..delta_j0+8 as
     a base-256 number, exactly, and its balanced digits give the window
     back, so two different windows never share a key."""
@@ -852,6 +866,24 @@ def test_row_key_reads_the_first_difference_and_the_window(pair):
         assert w == sum(d * 256 ** (j0 + _WINDOW - j) for j, d in enumerate(deltas, j0))
         assert _balanced_digits(w, _WINDOW + 1) == deltas
     assert _row_key(int.from_bytes(a, "big"), int.from_bytes(a, "big"))[0] == _SUMS_BLOCK + 1
+
+
+def test_two_windows_ending_at_lane_64_share_a_row_key():
+    """Why the row route ends at j0 = 55.  Lane 64 reaches both ends of
+    [0, 128] (c_384(64) = 64, c_128(64) = -64), so delta_64 can be 128
+    or -128, and two distinct windows of j0 = 56, which end at J = 64,
+    one with the deltas 0, 128 at J - 1 and J and one with 1, -128, have
+    one W: 128 = 256 - 128.  The key (j0, W) would hand the first's
+    outcome to the second, so j0 = 56 is past _LAST_ROW_J0."""
+    table = SumsTable(384)
+    assert (table.lanes[384 * _SUMS_BLOCK + 63], table.lanes[128 * _SUMS_BLOCK + 63]) == (0, 128)
+    first = (bytes([64] * 63 + [0]), bytes([64] * 55 + [65] + [64] * 7 + [128]))
+    second = (bytes([64] * 63 + [128]), bytes([64] * 55 + [65] + [64] * 6 + [65, 0]))
+    windows = [[y - x for x, y in zip(a[55:], b[55:])] for a, b in (first, second)]
+    assert windows == [[1] + [0] * 7 + [128], [1] + [0] * 6 + [1, -128]]
+    (j0, w), key = (_row_key(int.from_bytes(a, "big"), int.from_bytes(b, "big")) for a, b in (first, second))
+    assert key == (j0, w) == (56, 256**8 + 128)
+    assert j0 == _LAST_ROW_J0 + 1
 
 
 def _first_window(a, b):
@@ -914,8 +946,9 @@ def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
     gives it: `_certify` fed the window's sign at each q, then
     `comparison_line`.  The 3,855 pairs have 447 distinct windows
     (j0, delta_j0..delta_j0+8), each stored by its first pair, under
-    (j0, W), the deltas as one base-256 number, when j0 <= 24, where the
-    window lies in the rows, and under (j0, *deltas) past that; each
+    (j0, W), the deltas as one base-256 number, when j0 <= 55, where the
+    window ends before lane 64 of the rows (419 windows; 372 with 32-term
+    rows, up to j0 = 24), and under (j0, *deltas) past that; each
     class's cert_hash covers the stored templates completed with its
     pairs.  Every window reads the lead's sign at each q < q*, so the memo
     holds the same objects, the outcome of (lead, q*), under many keys:
@@ -944,6 +977,7 @@ def test_memoised_outcomes_equal_unmemoised_ones_to_5000():
             keys.add(key)
         assert summary["cert_hash"] == _hash_of(lines), summary["phi"]
     assert len(keys) == len(table.outcomes) == 447
+    assert sum(len(key) == 2 for key in keys) == 419
     shared = {id(o): o for o in table.outcomes.values()}
     assert sorted((o[0], o[1].checked_q_max + 1) for o in shared.values()) == [(Verdict.LESS, 3), (Verdict.LESS, 4)]
     for o in shared.values():

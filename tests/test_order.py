@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -94,6 +95,11 @@ def _sort_with_evidence(phi_class):
     return summary["members"], _assert_summary_is_bound_to_its_records(summary)
 
 
+def _lanes(table, n):
+    """n's row of `table`: its first _SUMS_BLOCK lanes, as bytes."""
+    return table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK]
+
+
 def _incomparable(evidence):
     """The (a, b, cert) of the INCOMPARABLE pairs in sort_class evidence."""
     return [(a, b, cert) for a, b, verdict, cert in evidence if verdict is Verdict.INCOMPARABLE]
@@ -131,7 +137,8 @@ def test_each_run_starts_from_an_empty_memo(monkeypatch):
     """Two verifications of {1..5000} in one process give equal reports.
     Each sorts its classes with its own table, whose memo of pair
     outcomes is empty when its first class is sorted and holds one entry
-    per distinct first window, 447, when the run ends."""
+    per distinct first window, 447, when the run ends: 419 keyed off the
+    rows, j0 <= 55, and 28 off the sums (372 and 75 with 32-term rows)."""
     tables, at_start = [], []
     sort = cycorder.order.sort_class
 
@@ -146,6 +153,7 @@ def test_each_run_starts_from_an_empty_memo(monkeypatch):
     assert first == second
     assert len(tables) == 2 and at_start == [0, 0]
     assert [len(t.outcomes) for t in tables] == [447, 447]
+    assert [sum(len(key) == 2 for key in t.outcomes) for t in tables] == [419, 419]
 
 
 def test_sort_class_sorts_a_tall_class_at_its_wider_packing():
@@ -170,7 +178,8 @@ def test_sort_class_builds_no_polynomial(monkeypatch):
     """Sorting and certifying reads Ramanujan's sums only: a `CycloCache`
     is made only at a pair's first exact evaluation, and no adjacent pair
     up to 2000 reaches one, so none is made, while the run's memo holds
-    its 314 windows."""
+    its 314 windows: 307 keyed off the rows and 7 off the sums (290 and
+    24 with 32-term rows)."""
     made = []
 
     class Recorded(CycloCache):
@@ -185,6 +194,7 @@ def test_sort_class_builds_no_polynomial(monkeypatch):
     for cls in phi_classes(2000):
         sort_class(cls, table)
     assert not made and len(table.outcomes) == 314
+    assert sum(len(key) == 2 for key in table.outcomes) == 307
 
 
 def test_build_chain_5000_builds_no_kernel(monkeypatch):
@@ -239,14 +249,14 @@ def test_prefix_sort_matches_pairwise_first_differences_to_5000():
 
 
 def test_prefix_sort_refines_runs_of_equal_prefixes(monkeypatch):
-    """256 and 384 (totient 128) first differ at j = 64: their 32-term
+    """512 and 768 (totient 256) first differ at j = 128: their 64-term
     rows tie, and the sort's tie-break parts them, in the order of their
-    first difference.  The sort extends both to 64 terms; their pair's
-    window then reads up to j = 72."""
-    members = inverse_totient(128)
+    first difference.  The sort extends both to 128 terms; their pair's
+    window then reads up to j = 136."""
+    members = inverse_totient(256)
     table = SumsTable(max(members))
-    a, b = RamanujanSums(256, table, 128), RamanujanSums(384, table, 128)
-    assert a.first_difference(b) == 64
+    a, b = RamanujanSums(512, table, 256), RamanujanSums(768, table, 256)
+    assert a.terms == b.terms and a.first_difference(b) == 128
     built, held = [], {}
     compare_sums = comparator.ramanujan_compare
 
@@ -260,44 +270,50 @@ def test_prefix_sort_refines_runs_of_equal_prefixes(monkeypatch):
 
     monkeypatch.setattr(cycorder.order, "RamanujanSums", recorded)
     monkeypatch.setattr(cycorder.order, "ramanujan_compare", compared)
-    ordered = sort_class(PhiClass(128, members), table)["members"]
+    ordered = sort_class(PhiClass(256, members), table)["members"]
     assert ordered == _first_difference_order(members, table)
-    assert held[256] == held[384] == 2 * _SUMS_BLOCK
-    assert {s.n: len(s.terms) for s in built if s.n in (256, 384)} == {256: 72, 384: 72}
+    assert held[512] == held[768] == 2 * _SUMS_BLOCK
+    assert {s.n: len(s.terms) for s in built if s.n in (512, 768)} == {512: 136, 768: 136}
 
 
-@pytest.mark.parametrize(
-    "phi, limit, pair, case",
-    [
-        (2520, 5000, (2623, 2627), "run at the start"),
-        (128, 5000, (256, 384), "run in the middle"),
-        (294, 5000, (343, 686), "run that is the whole class"),
-        (5460, 20000, (11218, 11266), "run at the end"),
-        (192, 5000, (576, 720), "j0 = 24"),
-        (100, 5000, (250, 125), "j0 = 25"),
-    ],
-)
-def test_class_sort_covers_both_routes(phi, limit, pair, case):
+_ROUTE_CASES = [
+    ("run at the start", 8976, 20000, (9167, 9179)),
+    ("run in the middle", 256, 5000, (512, 768)),
+    ("run that is the whole class", 1210, 5000, (1331, 2662)),
+    ("run at the end", 8844, 20000, (13467, 17956)),
+    ("last j0 of the row route", 2200, 20000, (3025, 6050)),
+    ("first j0 past the row route", 672, 5000, (1568, 2352)),
+]
+
+
+@pytest.mark.parametrize("case, phi, limit, pair", _ROUTE_CASES, ids=[case for case, *_ in _ROUTE_CASES])
+def test_class_sort_covers_both_routes(case, phi, limit, pair, monkeypatch):
     """The class of totient `phi` in {1..limit} has `pair` as adjacent
     members in the case named: a run of two equal rows, whose members the
     sort's tie-break orders by their sums and whose pair goes through
     `ramanujan_compare`, at the class's start, in its middle, as the whole
     class or at its end; or a pair of unequal rows whose first difference
-    j0 is 24, the last whose window lies in the rows, or 25, whose window
-    leaves them.  The class's order is the order of pairwise first
-    differences, and the summary's cert_hash covers each pair's line from
-    unmemoised `ramanujan_compare`."""
+    j0 is 55, the last whose window ends before lane 64 and is read off
+    the rows, or 56, whose window ends at lane 64 and goes through
+    `ramanujan_compare`.  The class's order is the order of pairwise
+    first differences, and the summary's cert_hash covers each pair's line
+    from unmemoised `ramanujan_compare`."""
     members = [x for x in inverse_totient(phi) if x <= limit]
     table = SumsTable(limit)
+    routed, compare_sums = [], cycorder.order.ramanujan_compare
+    monkeypatch.setattr(
+        cycorder.order, "ramanujan_compare", lambda a, b, memo: routed.append({a.n, b.n}) or compare_sums(a, b, memo)
+    )
     summary = sort_class(PhiClass(phi, members), table)
     ordered = summary["members"]
     assert ordered == _first_difference_order(members, table)
-    rows = [table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in ordered]
+    rows = [_lanes(table, n) for n in ordered]
     i = min(map(ordered.index, pair))
     assert {ordered[i], ordered[i + 1]} == set(pair)
-    if case.startswith("j0"):
+    assert (set(pair) in routed) == (case != "last j0 of the row route")
+    if "j0" in case:
         j0 = next(j for j, (x, y) in enumerate(zip(rows[i], rows[i + 1]), 1) if x != y)
-        assert j0 == int(case[-2:]) and _LAST_ROW_J0 == 24
+        assert _LAST_ROW_J0 == 55 and j0 == (55 if case.startswith("last") else 56)
     else:
         assert [k for k, row in enumerate(rows) if row == rows[i]] == [i, i + 1]
         place = {
@@ -311,10 +327,11 @@ def test_class_sort_covers_both_routes(phi, limit, pair, case):
 
 
 def test_build_chain_5000_builds_at_most_18426_hoelder_terms(monkeypatch):
-    """Each member of a class of two or more holds its 32-term row of the
+    """Each member of a class of two or more holds its 64-term row of the
     run's table and is extended past it by Hoelder's form only as far as
-    the sort and its own pairs' windows read.  With 16-term rows the same
-    run built 31,026 terms past them."""
+    the sort and its own pairs' windows read: 10,913 terms.  With 32-term
+    rows the same run built 18,426 terms past them, and with 16-term rows
+    31,026."""
     built = []
     extend = RamanujanSums.extend
 
@@ -325,16 +342,17 @@ def test_build_chain_5000_builds_at_most_18426_hoelder_terms(monkeypatch):
 
     monkeypatch.setattr(RamanujanSums, "extend", counted)
     assert build_chain(5000).pair_count == 3855
-    assert sum(built) <= 18_426 < 31_026
+    assert sum(built) <= 10_913 < 18_426 < 31_026
 
 
 def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(monkeypatch):
     """A member's Hoelder table is built by its first extension past its
-    row, at most once; 1,769 of the 1,859 members sorted here are never
-    read past it (1,481 with 16-term rows).  A member's `RamanujanSums`
-    object is built only when its row ties another's in the sort or its
-    pair's window leaves the row: exactly 90, one for each such member,
-    so the tie-break runs on no pair of rows that differ."""
+    row, at most once; 1,836 of the 1,859 members sorted here are never
+    read past it (1,769 with 32-term rows, 1,481 with 16-term rows).  A
+    member's `RamanujanSums` object is built only when its row ties
+    another's in the sort or its pair's first difference lies past lane
+    55: exactly 23 (90 with 32-term rows), one for each such member, so
+    the tie-break runs on no pair of rows that differ."""
     built, made = [], []
     hoelder = comparator._hoelder_table
     monkeypatch.setattr(
@@ -344,8 +362,8 @@ def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(
     monkeypatch.setattr(RamanujanSums, "__init__", lambda self, *args: made.append(args[0]) or init(self, *args))
     assert build_chain(2000).pair_count == 1504
     sorted_members = sum(len(cls.members) for cls in phi_classes(2000) if len(cls.members) > 1)
-    assert len(set(built)) == len(built) <= 90 < sorted_members == 1859
-    assert len(set(made)) == len(made) == 90
+    assert len(set(built)) == len(built) <= 23 < sorted_members == 1859
+    assert len(set(made)) == len(made) == 23
 
 
 def test_record_writer_matches_json_dumps_on_verify_5000():
@@ -756,7 +774,7 @@ def test_a_swap_inside_a_run_of_equal_rows_is_refused(tmp_path, capsys):
     [on_file] = [json.loads(line)["members"] for line in lines if '"phi":162,' in line]
     table = SumsTable(500)
     assert on_file == [326, 486, 243, 163]
-    assert len({table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in (486, 243)}) == 1
+    assert len({_lanes(table, n) for n in (486, 243)}) == 1
     path.write_text("".join(_rechained(lines, 162, lambda rec: rec.update(members=[326, 243, 486, 163]))))
     crafted, message = path.read_text(), "class 162 on file is not in asymptotic order"
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
@@ -768,21 +786,25 @@ def test_a_swap_inside_a_run_of_equal_rows_is_refused(tmp_path, capsys):
 
 
 def test_a_full_resume_builds_each_members_sums_at_most_once(tmp_path, monkeypatch):
-    """A resume of a finished `verify 768` checkpoint checks each class on
-    file with the run's own sort of the class, which builds a member's
+    """A resume of a finished `verify 1536` checkpoint checks each class
+    on file with the run's own sort of the class, which builds a member's
     `RamanujanSums` once for the class, however many of its pairs read
-    it.  768 is the least N whose classes hold a run of three equal rows:
-    512, 640 and 768, of totient 256, where the middle member is in two
-    pairs that only the sums part."""
+    it.  1536 is the least N whose classes hold a run of three equal rows:
+    1280, 1536 and 1024, of totient 512, where the middle member is in
+    two pairs that only the sums part."""
     path = tmp_path / "verify.ckpt"
-    first = build_chain(768, checkpoint_path=str(path))
-    table = SumsTable(768)
-    assert len({table.lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in (512, 640, 768)}) == 1
+    first = build_chain(1536, checkpoint_path=str(path))
+    assert [x for x in first.sequence if x in (1024, 1280, 1536)] == [1280, 1536, 1024]
+    table = SumsTable(1536)
+    assert len({_lanes(table, n) for n in (1024, 1280, 1536)}) == 1
+    below = SumsTable(1535)
+    rows = Counter((cls.phi_value, _lanes(below, n)) for cls in phi_classes(1535) for n in cls.members)
+    assert max(rows.values()) == 2
     built = []
     init = RamanujanSums.__init__
     monkeypatch.setattr(RamanujanSums, "__init__", lambda sums, n, *args: built.append(n) or init(sums, n, *args))
-    assert build_chain(768, checkpoint_path=str(path)) == first
-    assert {512, 640, 768} <= set(built)
+    assert build_chain(1536, checkpoint_path=str(path)) == first
+    assert {1024, 1280, 1536} <= set(built)
     assert len(built) == len(set(built))
 
 
