@@ -48,8 +48,8 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 # running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
 # MAX_CYCLO_INDEX bounds `cyclo N`, both indices of `compare M N`, and
 # `chain N` and `verify N`, which certify every index up to N from its
-# Ramanujan sums (verify 20000: 0.31-0.45 s, 26.0 MB; verify 100000
-# --format structured: 1.75-2.16 s, 49.4 MB, of which the sums table's
+# Ramanujan sums (verify 20000: 0.23-0.45 s, 26.0 MB; verify 100000
+# --format structured: 0.88-1.55 s, 48.1 MB, of which the sums table's
 # 64-byte rows take 6.4 MB).
 MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s
 # cyclo N Q bounds the bits of Phi_N(Q), fewer than (phi(N) + 1) * bit_length(Q).

@@ -86,14 +86,15 @@ from __future__ import annotations
 
 import enum
 import functools
+import io
 import json
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, count, filterfalse
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
-from operator import eq, mul, ne, sub
+from operator import eq, mul, ne
 
 from .arith import smallest_prime_factors
 from .cyclotomic import PACK_WIDTH, CycloCache, eval_cyclo, pair_width
@@ -397,6 +398,7 @@ def compare(m: int, n: int, cache: CycloCache) -> tuple[Verdict, Certificate]:
 _MU_FLIP = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # 1 - mu to 1 - (-mu)
 _PRIME_MU = bytes.maketrans(b"\x01", b"\x02")  # a prime flag to 1 - mu(p) = 2
 _LANE_BIAS = 64  # b: a `SumsTable` lane holds b - c_n(j), in [0, 128]
+_ROWS_PER_BLOCK = 1 << 16  # indices whose rows `SumsTable` writes into its lanes at once
 
 
 class SumsTable:
@@ -409,34 +411,38 @@ class SumsTable:
     (`order.sort_class`).
 
     The terms are sieved from Ramanujan's definition, c_n(j) the sum of
-    d * mu(n/d) over d | gcd(n, j) (S. Ramanujan, 1918), for all n at
-    once, with C-level byte and integer operations only.  mu is sieved
-    as the bytes 1 - mu(n) from the primes of `spf` (its entries with
-    spf[p] == p): each flips mu at its multiples and zeroes it at the
-    multiples of its square.  A prime p > limit / 2 has no multiple but
-    itself in range, and no smaller prime divides it, so all of those
-    are set to 1 - mu(p) = 2 in one step.  With ONES the integer whose
-    `size` little-endian bytes are all 1, for each d <= L a row of
-    `size` bytes holds b - d * mu(n/d) at every multiple n of d and b
-    elsewhere, each in [b - L, b + L] = [0, 128], one unsigned byte, so
+    d * mu(n/d) over d | gcd(n, j) (S. Ramanujan, 1918), for a block of
+    indices lo <= n < hi at a time (_ROWS_PER_BLOCK of them, the last
+    block shorter), with C-level byte and integer operations only.  mu
+    is sieved once, as the bytes 1 - mu(n), from the primes of `spf`
+    (its entries with spf[p] == p): each flips mu at its multiples and
+    zeroes it at the multiples of its square.  A prime p > limit / 2 has
+    no multiple but itself in range, and no smaller prime divides it, so
+    all of those are set to 1 - mu(p) = 2 in one step.  In a block, with ONES the
+    integer whose hi - lo little-endian bytes are all 1, for each d <= L
+    a row of hi - lo bytes holds at byte n - lo the value b - d * mu(n/d)
+    at every multiple n >= 1 of d and b elsewhere, each in
+    [b - L, b + L] = [0, 128], one unsigned byte, so
 
         T_d = row as a little-endian integer - b * ONES
-            = sum over the multiples n of d of -d * mu(n/d) * 256^n.
+            = sum over the multiples n >= 1 of d of -d * mu(n/d) * 256^(n - lo).
 
     Then for j <= L
 
-        b * ONES + sum over d | j of T_d = sum over n of (b - c_n(j)) * 256^n,
+        b * ONES + sum over d | j of T_d = sum over n of (b - c_n(j)) * 256^(n - lo),
 
     and since |c_n(j)| <= gcd(n, j) <= L (`compare` proves the first
     bound), every coefficient lies in [b - L, b + L] = [0, 128], a digit
     of base 256: the sum's bytes are the lanes b - c_n(j).  The bound is
     reached: c_384(64) = 64 and c_128(64) = -64 give the lanes 0 and
     128.  The sums are exact integer arithmetic, so no bound on a
-    partial one is needed.  The lanes are
-    summed one j at a time, each written into `lanes` at once, and T_d
-    is kept only while a lane still to come has d as a divisor, so
-    besides the lane being summed at most L / 2 row-sized integers are
-    held.
+    partial one is needed.  A block's lanes are summed one j at a time,
+    each written at once into the block's rows, and T_d is kept only
+    while a lane still to come has d as a divisor, so at most L / 2 of
+    its integers are held.  Each block's rows are written in turn into
+    one buffer of the lanes' full size, which becomes `lanes` without a
+    copy, so building the table holds one copy of the lanes and one
+    block's work.
 
     `outcomes` is the run's memo of adjacent-pair outcomes, keyed by its
     window (`ramanujan_compare`, `order.sort_class`); it starts empty
@@ -454,22 +460,31 @@ class SumsTable:
         for p in compress(range(2, half), map(eq, spf[2:half], range(2, half))):
             mu[p::p] = mu[p::p].translate(_MU_FLIP)
             mu[p * p :: p * p] = b"\x01" * len(range(p * p, size, p * p))
-        bias, ones = _LANE_BIAS, int.from_bytes(b"\x01" * size, "little")
-        lanes = bytearray(_SUMS_BLOCK * size)
-        held: dict[int, int] = {}  # T_d for the d whose multiples have lanes still to come
-        for j in range(1, _SUMS_BLOCK + 1):
-            row = bytearray([bias]) * size
-            # 1 - mu(k) = 0, 1 or 2 at byte k of mu becomes b - j * mu(k) at n = j * k
-            term = bytes.maketrans(b"\x00\x01\x02", bytes((bias - j, bias, bias + j)))
-            row[j::j] = mu[1 : limit // j + 1].translate(term)
-            row_sum = int.from_bytes(row, "little")  # b * ONES + T_j
-            lane = row_sum + sum(t_d for d, t_d in held.items() if j % d == 0)
-            lanes[j - 1 :: _SUMS_BLOCK] = lane.to_bytes(size, "little")
-            for d in [d for d in held if j % d == 0 and j + d > _SUMS_BLOCK]:
-                del held[d]  # j was its last multiple up to L
-            if 2 * j <= _SUMS_BLOCK:
-                held[j] = row_sum - bias * ones
-        self.limit, self.spf, self.lanes = limit, spf, bytes(lanes)
+        bias = _LANE_BIAS
+        # by j: 1 - mu(k) = 0, 1 or 2 at byte k of mu becomes b - j * mu(k) at n = j * k
+        terms = [bytes.maketrans(b"\x00\x01\x02", bytes((bias - j, bias, bias + j))) for j in range(_SUMS_BLOCK + 1)]
+        # one zeroed buffer of the lanes' full size, written in place, becomes
+        # `lanes` without a copy; grown by appends, its reallocations would
+        # leave freed copies in the heap (a run at 10^6 peaked 12 MB higher)
+        buffer = io.BytesIO(bytes(_SUMS_BLOCK * size))
+        for lo in range(0, size, _ROWS_PER_BLOCK):  # the rows of the indices lo <= n < hi
+            hi = min(size, lo + _ROWS_PER_BLOCK)
+            width, ones = hi - lo, int.from_bytes(b"\x01" * (hi - lo), "little")
+            rows = bytearray(_SUMS_BLOCK * width)
+            held: dict[int, int] = {}  # T_d for the d whose multiples have lanes still to come
+            for j in range(1, _SUMS_BLOCK + 1):
+                row = bytearray([bias]) * width
+                k = max(1, -(-lo // j))  # the least k >= 1 with j * k >= lo
+                row[j * k - lo :: j] = mu[k : (hi - 1) // j + 1].translate(terms[j])
+                row_sum = int.from_bytes(row, "little")  # b * ONES + T_j
+                lane = row_sum + sum(t_d for d, t_d in held.items() if j % d == 0)
+                rows[j - 1 :: _SUMS_BLOCK] = lane.to_bytes(width, "little")
+                for d in [d for d in held if j % d == 0 and j + d > _SUMS_BLOCK]:
+                    del held[d]  # j was its last multiple up to L
+                if 2 * j <= _SUMS_BLOCK:
+                    held[j] = row_sum - bias * ones
+            buffer.write(rows)
+        self.limit, self.spf, self.lanes = limit, spf, buffer.getvalue()
         self.outcomes: dict[tuple[int, int], tuple[Verdict, Certificate, str]] = {}
 
 
@@ -502,68 +517,83 @@ def _hoelder_table(n: int, phi: int, primes: list[int]) -> dict[int, int]:
 
 
 class RamanujanSums:
-    """The Ramanujan sums of one index n, negated, as a lazily extended
-    list: `terms[j - 1]` is -c_n(j).
+    """The Ramanujan sums of one index n, negated: `term(j)` is -c_n(j).
 
-    `terms` starts as n's row of a `SumsTable` covering n, its first
-    _SUMS_BLOCK terms, sieved from Ramanujan's definition, each lane
-    less the bias.  `extend` adds the terms past them by Hoelder's
-    closed form (proved with the identity in `compare`),
-    c_n(j) = mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, j), which is 0
-    unless n/g is squarefree.  `_table` maps those 2^omega(n) values of
-    g, n/d for the squarefree d | n, to -c_n(j) (`_hoelder_table`):
-    adding a prime p to d flips mu(d) and multiplies phi(d) by p - 1.
-    It is built by the first `extend` past the row, so a member no
-    comparison reads past it builds none; then terms come from C-level
-    `gcd` and dict lookups.  `phi` is phi(n), which the caller knows
-    (`order.sort_class` passes its class's totient), so n is factored only
-    when the table is built: its primes are read off the table's `spf`
+    `row` is n's row of a `SumsTable` covering n, its first
+    L = _SUMS_BLOCK lanes b - c_n(j), sieved from Ramanujan's definition;
+    a term j <= L is its lane less the bias b.  A term past the row is
+    read on its own by Hoelder's closed form (proved with the identity in
+    `compare`), c_n(j) = mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, j),
+    which is 0 unless n/g is squarefree: one C-level `gcd` and one lookup
+    in `hoelder()`, the map of those 2^omega(n) values of g, n/d for the
+    squarefree d | n, to -c_n(j) (`_hoelder_table`: adding a prime p to d
+    flips mu(d) and multiplies phi(d) by p - 1).  The map is built at the
+    first read past the row, so a member no comparison reads past it
+    builds none.  `phi` is phi(n), which the caller knows
+    (`order.sort_class` passes its class's totient), so n is factored
+    only when the map is built: its primes are read off the table's `spf`
     then, and phi(n) is formed again from them and checked against `phi`.
 
     For two indices of equal totient, the lexicographic order of their
     terms is their asymptotic order (`ramanujan_compare` proves it), and
     `first_difference` finds where two of them part.  Two distinct
-    indices m and n differ within lcm(m, n) terms, since c_n(j) has
-    period n in j.  At j = lcm(m, n) the sums are phi(m) and phi(n); if
-    those are equal and c_m(j) = c_n(j) for every j, then
-    log Phi_m(q) = log Phi_n(q) at every q >= 2 by the identity, so the
-    two polynomials agree at infinitely many points and m = n.
-    `first_difference` raises past that bound instead of searching on.
+    indices m and n do part: c_n(j) has period n in j, so if the sums
+    agreed at every j <= lcm(m, n) they would agree at every j, and then
+    log Phi_m(q) = log Phi_n(q) at every q >= 2 by the identity (phi(m)
+    and phi(n) are the sums at j = lcm(m, n)), so the two polynomials
+    would agree at infinitely many points and m = n.
+
+    The first difference divides lcm(m, n).  c_n(j) depends on j only
+    through gcd(n, j), the definition's sum running over d | gcd(n, j).
+    Let j0 be the least j with c_m(j) != c_n(j), M = lcm(m, n) and
+    g = gcd(j0, M).  As m | M, gcd(m, g) = gcd(gcd(m, M), j0) =
+    gcd(m, j0), and likewise gcd(n, g) = gcd(n, j0), so
+    c_m(g) = c_m(j0) != c_n(j0) = c_n(g): the sums already differ at
+    g <= j0, so g = j0, and j0 | M.  Past two equal rows, j0 is therefore
+    the least divisor d > L of M with c_m(d) != c_n(d).  `first_difference`
+    finds it in one lazy scan of d = L + 1, ..., M that keeps the
+    divisors of M (C-level `filterfalse` on the remainders of M), reads
+    two terms at each divisor alone and stops at j0; the scan runs out
+    only for sums that are not those of two distinct indices, and then
+    ArithmeticError is raised.
     """
 
-    __slots__ = ("n", "phi", "terms", "_spf", "_table")
+    __slots__ = ("n", "phi", "row", "_spf", "_table")
 
     def __init__(self, n: int, table: SumsTable, phi: int):
         start = n * _SUMS_BLOCK
-        row = table.lanes[start : start + _SUMS_BLOCK]
-        self.n, self.phi, self.terms = n, phi, list(map(sub, row, repeat(_LANE_BIAS)))
+        self.n, self.phi, self.row = n, phi, table.lanes[start : start + _SUMS_BLOCK]
         self._spf, self._table = table.spf, None
 
-    def extend(self, length: int) -> None:
-        """Make `terms` hold at least its first `length` entries."""
-        have = len(self.terms)
-        if have < length:
-            if self._table is None:
-                self._table = _hoelder_table(self.n, self.phi, _primes_of(self.n, self._spf))
-            gcds = map(gcd, repeat(self.n), range(have + 1, length + 1))
-            self.terms += map(self._table.get, gcds, repeat(0))
+    def hoelder(self) -> dict[int, int]:
+        """{g: -c_n(j) for gcd(n, j) = g}, built at the first call
+        (`_hoelder_table`); every g it lacks gives 0."""
+        if self._table is None:
+            self._table = _hoelder_table(self.n, self.phi, _primes_of(self.n, self._spf))
+        return self._table
+
+    def term(self, j: int) -> int:
+        """-c_n(j): lane j of the row less the bias or, past the row,
+        Hoelder's form at gcd(n, j)."""
+        if j <= _SUMS_BLOCK:
+            return self.row[j - 1] - _LANE_BIAS
+        return self.hoelder().get(gcd(self.n, j), 0)
 
     def first_difference(self, other: "RamanujanSums") -> int:
-        """The least j with c_n(j) != c_other(j).  The terms both sides
-        already hold are scanned first; only while those agree are both
-        extended, to twice the shorter length, and scanned again."""
-        if self.n == other.n:
-            raise ValueError(f"index {self.n} has no first difference with itself")
-        size = min(len(self.terms), len(other.terms))
-        while True:
-            j = next(compress(count(1), map(ne, self.terms, other.terms)), 0)
-            if j:
-                return j
-            if size >= lcm(self.n, other.n):  # a full common period: they never differ
-                raise ArithmeticError(f"internal: {self.n} and {other.n} have equal sums")
-            size *= 2
-            self.extend(size)
-            other.extend(size)
+        """The least j with c_n(j) != c_other(j): the first lane where the
+        two rows differ, or, past two equal rows, the least divisor of
+        lcm(n, other.n) where the sums differ (proof above)."""
+        m, n = self.n, other.n
+        if m == n:
+            raise ValueError(f"index {m} has no first difference with itself")
+        if self.row != other.row:
+            return next(compress(count(1), map(ne, self.row, other.row)))
+        common = lcm(m, n)
+        terms_m, terms_n = self.hoelder(), other.hoelder()
+        for d in filterfalse(common.__mod__, range(_SUMS_BLOCK + 1, common + 1)):
+            if terms_m.get(gcd(m, d), 0) != terms_n.get(gcd(n, d), 0):
+                return d
+        raise ArithmeticError(f"internal: {m} and {n} have equal sums")
 
 
 @functools.cache
@@ -592,11 +622,14 @@ def _window_sum_sign(deltas, j0: int, q: int) -> int:
 def ramanujan_compare(
     a: RamanujanSums,
     b: RamanujanSums,
+    j0: int,
     outcomes: dict[tuple[int, ...], tuple[Verdict, Certificate, str]],
 ) -> tuple[Verdict, Certificate, str]:
     """`compare` for two distinct indices m = a.n and n = b.n of equal
-    totient, decided from their Ramanujan sums: no coefficient is read and
-    no polynomial is built.  Returns the verdict, the certificate and the
+    totient whose sums first differ at j0 (`RamanujanSums.first_difference`,
+    which `order.sort_class` reads off two rows that differ instead),
+    decided from their Ramanujan sums: no coefficient is read and no
+    polynomial is built.  Returns the verdict, the certificate and the
     template of its line, `comparison_line(m, n, verdict, cert)` ==
     template % (m, n).  The certificate has shortcut_tag "ramanujan",
     threshold_c 0 and the leading sign of Phi_n - Phi_m; stop is q*
@@ -632,7 +665,7 @@ def ramanujan_compare(
     with (q - 1) * |delta_j0| > 2 * j0 takes the sign of delta_j0, the
     leading sign, and m precedes n asymptotically exactly when
     delta_j0 > 0, that is -c_m(j0) < -c_n(j0): the lexicographic order of
-    `RamanujanSums.terms`.  The least such q is
+    the negated sums, `RamanujanSums.term`.  The least such q is
     q* = floor(2 * j0 / |delta_j0|) + 2.  Each q in [2, q*) is tested once
     on the window J = j0 + _WINDOW (`_window_sum_sign`), and `_certify`
     takes those signs, evaluating exactly each q the window leaves at 0,
@@ -640,9 +673,12 @@ def ramanujan_compare(
     Lambda = lcm(j0..J), depend on j0 and q alone, not on the pair, so
     `_window_weights` forms them once per (j0, q) in a process.
 
-    One outcome per (lead, q*).  Let key = (j0, delta_j0, ..., delta_J);
-    a member's terms are extended to J only when it holds fewer.  The lead
-    and q* are functions of (j0, delta_j0), and the window's sign at q
+    The window's terms.  Each of its 2 * (_WINDOW + 1) terms is read on
+    its own (`RamanujanSums.term`), off the row up to lane 64 and by
+    Hoelder's form past it.
+
+    One outcome per (lead, q*).  Let key = (j0, delta_j0, ..., delta_J).
+    The lead and q* are functions of (j0, delta_j0), and the window's sign at q
     reads the key's deltas and the weights of (j0, q), so it is a
     function of the key and q.  `_window_outcome` reads those signs at
     q = 2, ..., q* - 1 in order and stops at the first that is not the
@@ -678,13 +714,7 @@ def ramanujan_compare(
     m, n = a.n, b.n
     if a.phi != b.phi:
         raise ValueError(f"indices {m} and {n} have unequal totients")
-    j0 = a.first_difference(b)
-    top = j0 + _WINDOW
-    if len(a.terms) < top:
-        a.extend(top)
-    if len(b.terms) < top:
-        b.extend(top)
-    key = (j0, *map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]))
+    key = (j0, *[b.term(j) - a.term(j) for j in range(j0, j0 + _WINDOW + 1)])
     return outcomes.get(key) or _window_outcome(m, n, j0, key[1:], key, outcomes)
 
 

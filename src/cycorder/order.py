@@ -17,12 +17,16 @@ of sums off the two rows, takes the pair's outcome from the run's memo,
 which the table also holds, or decides the window
 (`comparator.ramanujan_compare` proves both sound), writes the pair's
 line and adds it to the class's summary.  A member's sums are built as
-an object, with its later terms from Hoelder's closed form, whose table
-it builds, factoring the member off the smallest-prime-factor table,
-only when its row does not settle a pair: when its row ties another in
-the sort, or in a pair whose first difference lies past lane 55, so
-that its window reaches lane 64 or leaves the row.  The sorted classes
-concatenate, ascending by totient value, into the full chain.
+an object only when its row does not settle a pair: when its row ties
+another in the sort, or in a pair whose first difference lies past lane
+55, so that its window reaches lane 64 or leaves the row.  The object
+reads each term past the row on its own by Hoelder's closed form, from
+a table it builds once, factoring the member off the smallest-prime-
+factor table; past two equal rows, the first difference of two members
+is the least divisor of the lcm of the two where their sums differ
+(`comparator.RamanujanSums`), so only those divisors are read.  The
+sorted classes concatenate, ascending by totient value, into the full
+chain.
 
 Classes run in one process in ascending totient order, and one loop
 records, checkpoints and reports each.  The run holds no `CycloCache`:
@@ -275,13 +279,18 @@ def stable_prefix_length(classes: Iterable[PhiClass], range_max: int, phi_table:
 
 def _class_order(
     members: list[int], phi: int, table: SumsTable
-) -> tuple[list[int], dict[int, bytes], Callable[[int], RamanujanSums]]:
-    """(order, rows, sums_of) for members of the class of totient `phi`:
-    the members in asymptotic order (`sort_class` proves it), each one's
-    row of `table`, and a member's `RamanujanSums`, each built at its
-    first call and kept: the sort calls it for the members of each run of
-    equal rows alone."""
-    lanes, sums = table.lanes, {}
+) -> tuple[list[int], dict[int, bytes], Callable[[int], RamanujanSums], dict[tuple[int, int], int]]:
+    """(order, rows, sums_of, firsts) for members of the class of totient
+    `phi`: the members in asymptotic order (`sort_class` proves it), each
+    one's row of `table`, a member's `RamanujanSums`, each built at its
+    first call and kept (the sort calls it for the members of each run of
+    equal rows alone), and the first difference of each pair of equal
+    rows that the tie-break compared, under (x, y) and (y, x).  Those
+    pairs include every pair of equal rows adjacent in `order`: a
+    comparison sort of distinct keys compares each two keys adjacent in
+    its output, since were it not to compare them, swapping the two would
+    leave every comparison it made, and so its output, as it was."""
+    lanes, sums, firsts = table.lanes, {}, {}
 
     def sums_of(x: int) -> RamanujanSums:
         if x not in sums:
@@ -294,12 +303,12 @@ def _class_order(
 
         def later(x: int, y: int) -> int:
             a, b = sums_of(x), sums_of(y)
-            j = a.first_difference(b)
-            return a.terms[j - 1] - b.terms[j - 1]
+            j = firsts[x, y] = firsts[y, x] = a.first_difference(b)
+            return a.term(j) - b.term(j)
 
         tie_break = cmp_to_key(later)
         order = [x for _, run in groupby(order, rows.__getitem__) for x in sorted(run, key=tie_break)]
-    return order, rows, sums_of
+    return order, rows, sums_of, firsts
 
 
 def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
@@ -330,7 +339,8 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     resumed class (`_resumed_summaries`), sorts the members once on their
     rows; where rows tie, each run of equal rows is sorted again by the
     tie-break -c_a(j) - (-c_b(j)) at the first j where the sums of a and
-    b part (`RamanujanSums.first_difference`).  Then one loop over the
+    b part, the least divisor of lcm(a, b) past the rows where they
+    differ (`RamanujanSums.first_difference`).  Then one loop over the
     k - 1 adjacent pairs reads each pair's j0 and memo key off the two
     rows, each read as one big-endian integer once per member
     (`_row_key`), takes its outcome (verdict, certificate, line template)
@@ -338,9 +348,10 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     j0 <= _LAST_ROW_J0 whose key the memo lacks, from its window read off
     the rows (`comparator._window_outcome`), or, for a pair with
     j0 > _LAST_ROW_J0, whose window ends at lane 64 or past the rows
-    (equal rows among them), from `comparator.ramanujan_compare`; writes
-    the pair's line, template % (a, b); and adds the pair to the
-    summary.  A member's `RamanujanSums` object is built only for a run
+    (equal rows among them), from `comparator.ramanujan_compare`, given
+    the j0 read off the rows or, for equal rows, the one the tie-break
+    found; writes the pair's line, template % (a, b); and adds the pair
+    to the summary.  A member's `RamanujanSums` object is built only for a run
     of equal rows or a pair with j0 > _LAST_ROW_J0, once for each
     member: the loop reads the objects the sort built.
 
@@ -406,7 +417,7 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
         table = SumsTable(largest)
     elif largest > table.limit:
         raise ValueError(f"the sums table covers indices up to {table.limit}, not {largest}")
-    ordered, rows, sums_of = _class_order(members, phi, table)
+    ordered, rows, sums_of, firsts = _class_order(members, phi, table)
     lanes, memo, from_bytes = table.lanes, table.outcomes, int.from_bytes
     lines, ties, incomparable, max_checked_q = [], summary["ties"], summary["incomparable"], 0
     a = ordered[0]
@@ -416,7 +427,9 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
         key = _row_key(row_a, row_b)
         j0 = key[0]
         if j0 > _LAST_ROW_J0:  # the window ends at lane 64 or past the row
-            outcome = ramanujan_compare(sums_of(a), sums_of(b), memo)
+            if j0 > _SUMS_BLOCK:  # equal rows, which the tie-break compared
+                j0 = firsts[a, b]
+            outcome = ramanujan_compare(sums_of(a), sums_of(b), j0, memo)
         else:
             outcome = memo.get(key)
             if outcome is None:

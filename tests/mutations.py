@@ -101,8 +101,8 @@ MUTANTS = (
     Mutant(
         "memo: the key one delta short",
         COMPARATOR,
-        "key = (j0, *map(sub, b.terms[j0 - 1 : top], a.terms[j0 - 1 : top]))",
-        "key = (j0, *map(sub, b.terms[j0 - 1 : top - 1], a.terms[j0 - 1 : top - 1]))",
+        "for j in range(j0, j0 + _WINDOW + 1)])",
+        "for j in range(j0, j0 + _WINDOW)])",
         (T_COMPARATOR + "test_memoised_outcomes_equal_unmemoised_ones_to_5000",),
     ),
     Mutant(
@@ -193,6 +193,13 @@ MUTANTS = (
         (T_COMPARATOR + "test_sieved_rows_and_their_extension_match_hoelder_form_to_3000",),
     ),
     Mutant(
+        "sums sieve: a block's first multiple of j taken below the block",
+        COMPARATOR,
+        "k = max(1, -(-lo // j))",
+        "k = max(1, lo // j)",
+        (T_COMPARATOR + "test_sieved_row_of_an_index_past_the_small_primes",),
+    ),
+    Mutant(
         "Hoelder table: the sign flip of mu dropped",
         COMPARATOR,
         "(g // p, -c // (p - 1))",
@@ -221,24 +228,38 @@ MUTANTS = (
         (T_COMPARATOR + "test_ramanujan_verdicts_match_compare_to_300",),
     ),
     Mutant(
+        "first difference past the rows: divisors of m scanned instead of lcm(m, n)",
+        COMPARATOR,
+        "filterfalse(common.__mod__, range(",
+        "filterfalse(m.__mod__, range(",
+        (T_ORDER + "test_prefix_sort_matches_pairwise_first_differences_to_5000",),
+    ),
+    Mutant(
+        "first difference past the rows: c_n read at d instead of gcd(n, d)",
+        COMPARATOR,
+        "terms_n.get(gcd(n, d), 0)",
+        "terms_n.get(d, 0)",
+        (T_COMPARATOR + "test_the_divisor_scan_reads_each_side_at_its_own_gcd",),
+    ),
+    Mutant(
         "class sort: the tie-break's sign flipped",
         ORDER,
-        "return a.terms[j - 1] - b.terms[j - 1]",
-        "return b.terms[j - 1] - a.terms[j - 1]",
+        "return a.term(j) - b.term(j)",
+        "return b.term(j) - a.term(j)",
         (T_ORDER + "test_prefix_sort_matches_pairwise_first_differences_to_5000",),
     ),
     Mutant(
         "resume: rows on file that decrease not checked",
         ORDER,
         "_class_order(on_file, phi, table)[0] != on_file:",
-        "(lambda order, rows, _: order != sorted(on_file, key=rows.get))(*_class_order(on_file, phi, table)):",
+        "(lambda order, rows, *_: order != sorted(on_file, key=rows.get))(*_class_order(on_file, phi, table)):",
         (T_ORDER + "test_a_class_line_that_is_not_the_runs_is_refused[order]",),
     ),
     Mutant(
         "resume: a pair of equal rows on file not checked",
         ORDER,
         "_class_order(on_file, phi, table)[0] != on_file:",
-        "(lambda order, rows, _: [*map(rows.get, order)] != [*map(rows.get, on_file)])(*_class_order(on_file, phi, table)):",
+        "(lambda order, rows, *_: [*map(rows.get, order)] != [*map(rows.get, on_file)])(*_class_order(on_file, phi, table)):",
         (T_ORDER + "test_a_swap_inside_a_run_of_equal_rows_is_refused",),
     ),
     Mutant(

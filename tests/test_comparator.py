@@ -588,6 +588,11 @@ def _sum_by_definition(n, g):
     return sum(d * moebius(n // d) for d in divisors(g))
 
 
+def _terms(sums, length):
+    """-c_n(1), ..., -c_n(length) as `sums` reads them, one term at a time."""
+    return [sums.term(j) for j in range(1, length + 1)]
+
+
 def test_hoelder_form_matches_the_divisor_sum_to_3000():
     """`RamanujanSums` reads its first 64 terms off the run's sieved rows
     and the rest off Hoelder's closed form; they equal the defining
@@ -595,9 +600,8 @@ def test_hoelder_form_matches_the_divisor_sum_to_3000():
     table = SumsTable(3000)
     for n in range(1, 3001):
         sums = RamanujanSums(n, table, totient(n))
-        sums.extend(300)
         by_gcd = {g: _sum_by_definition(n, g) for g in divisors(n)}
-        assert sums.terms[:300] == [-by_gcd[gcd(n, j)] for j in range(1, 301)], n
+        assert _terms(sums, 300) == [-by_gcd[gcd(n, j)] for j in range(1, 301)], n
         assert sums.phi == totient(n), n
 
 
@@ -614,17 +618,18 @@ def _row(table, n):
 
 
 def test_sieved_rows_and_their_extension_match_hoelder_form_to_3000():
-    """Each sequence starts as its row, Hoelder's first 64 terms, with no
-    Hoelder table; the first extension past the row, to 128 terms, builds
-    one and continues the sequence where the row ends."""
+    """Each sequence reads its first 64 terms off its row, Hoelder's first
+    64 terms, with no Hoelder table; the first read past the row, here up
+    to 128 terms, builds one and continues the sequence where the row
+    ends."""
     table = SumsTable(3000)
     assert _row(table, 0) == [0] * _SUMS_BLOCK
     for n in range(1, 3001):
         sums = RamanujanSums(n, table, totient(n))
-        assert sums.terms == _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK), n
+        assert _terms(sums, _SUMS_BLOCK) == _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK), n
         assert sums._table is None, n
-        sums.extend(2 * _SUMS_BLOCK)
-        assert sums.terms == _hoelder_terms(n, 2 * _SUMS_BLOCK), n
+        assert _terms(sums, 2 * _SUMS_BLOCK) == _hoelder_terms(n, 2 * _SUMS_BLOCK), n
+        assert sums._table is not None, n
     for limit in range(1, 12):  # the tables whose primes past limit / 2 start at 2
         table = SumsTable(limit)
         assert [_row(table, n) for n in range(1, limit + 1)] == [
@@ -648,15 +653,18 @@ def test_every_stored_term_fits_a_signed_byte():
 def test_sieved_row_of_an_index_past_the_small_primes():
     """100003 is a prime above SMALL_PRIMES[-1]: mu = -1 and c_p(j) = -1
     for j < p, so its row reads 1 throughout; its primes, and those of
-    every other index, come from the table's own sieve."""
+    every other index, come from the table's own sieve.  The table sums
+    its rows in blocks of 65536 indices, and the rows on both sides of
+    the first block's end are Hoelder's too."""
     n = 100003
     assert n > SMALL_PRIMES[-1] and factorize(n) == [(n, 1)]
     table = SumsTable(n)
     assert _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK) == [1] * _SUMS_BLOCK
-    assert _row(table, n - 1) == _hoelder_terms(n - 1, _SUMS_BLOCK)
+    assert comparator._ROWS_PER_BLOCK == 65536
+    for m in (n - 1, *range(65536 - 70, 65536 + 70)):
+        assert _row(table, m) == _hoelder_terms(m, _SUMS_BLOCK), m
     sums = RamanujanSums(n, table, totient(n))
-    sums.extend(2 * _SUMS_BLOCK)
-    assert sums.phi == n - 1 and sums.terms == _hoelder_terms(n, 2 * _SUMS_BLOCK)
+    assert sums.phi == n - 1 and _terms(sums, 2 * _SUMS_BLOCK) == _hoelder_terms(n, 2 * _SUMS_BLOCK)
 
 
 def test_a_wrong_totient_raises_when_the_hoelder_table_is_built():
@@ -667,20 +675,39 @@ def test_a_wrong_totient_raises_when_the_hoelder_table_is_built():
     for n, wrong in ((90, 25), (97, 97), (64, 16), (1, 2)):
         right = RamanujanSums(n, table, totient(n))
         sums = RamanujanSums(n, table, wrong)
-        assert sums.terms == right.terms  # the row reads no phi
+        assert _terms(sums, _SUMS_BLOCK) == _terms(right, _SUMS_BLOCK)  # the row reads no phi
         with pytest.raises(ValueError, match=f"phi\\({n}\\) is {totient(n)}, not {wrong}"):
-            sums.extend(_SUMS_BLOCK + 1)
-        right.extend(_SUMS_BLOCK + 1)
-        assert right.terms == _hoelder_terms(n, _SUMS_BLOCK + 1), n
+            sums.term(_SUMS_BLOCK + 1)
+        assert _terms(right, _SUMS_BLOCK + 1) == _hoelder_terms(n, _SUMS_BLOCK + 1), n
+
+
+def test_the_divisor_scan_reads_each_side_at_its_own_gcd():
+    """Past equal rows, `first_difference` reads c_n(d) at gcd(n, d).  On
+    genuine sums, reading it at d itself, 0 when n does not divide d,
+    would give the same j0: if c_m(d) = c_n(d) != 0 at such a divisor d of
+    lcm(m, n), then at d / p, for a prime p that divides d more often than
+    n, c_n is unchanged and c_m is not, so the sums part before d.  So
+    the sums are rigged: m's row made n's and m's terms past it 0.  Then
+    j0 is the least divisor d > 64 of lcm(m, n) with c_n(d) != 0, here 80
+    for (80, 96) and 72 for (96, 90), neither dividing n."""
+    table = SumsTable(96)
+    for m, n, j0 in ((80, 96, 80), (96, 90, 72)):
+        a, b = RamanujanSums(m, table, totient(m)), RamanujanSums(n, table, totient(n))
+        a.row, a._table = b.row, {}
+        assert n % j0 and lcm(m, n) % j0 == 0
+        assert a.first_difference(b) == j0 == min(
+            d for d in divisors(lcm(m, n)) if d > _SUMS_BLOCK and _sum_by_definition(n, gcd(n, d))
+        ), (m, n)
 
 
 def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
     """Every ordered pair of distinct indices of equal totient up to 300
     gets compare's verdict, leading sign and ties, and checked_q_max
     max(q* - 1, 1) with q* = floor(2 * j0 / |delta_j0|) + 2, j0 and
-    delta_j0 taken from the divisor-sum definition, through one memo of
-    outcomes shared by all the pairs; each line template completes to the
-    pair's `comparison_line`."""
+    delta_j0 taken from the divisor-sum definition, where
+    `first_difference` finds the same j0, through one memo of outcomes
+    shared by all the pairs; each line template completes to the pair's
+    `comparison_line`."""
     by_phi = {}
     for x in range(1, 301):
         by_phi.setdefault(totient(x), []).append(x)
@@ -692,16 +719,17 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
             for n in members:
                 if m == n:
                     continue
-                verdict, cert, template = ramanujan_compare(sums[m], sums[n], outcomes)
+                j0 = 1
+                while _sum_by_definition(m, gcd(m, j0)) == _sum_by_definition(n, gcd(n, j0)):
+                    j0 += 1
+                delta = _sum_by_definition(m, gcd(m, j0)) - _sum_by_definition(n, gcd(n, j0))
+                assert sums[m].first_difference(sums[n]) == j0, (m, n)
+                verdict, cert, template = ramanujan_compare(sums[m], sums[n], j0, outcomes)
                 assert template % (m, n) == comparison_line(m, n, verdict, cert), (m, n)
                 want, reference = compare(m, n, shared_cache)
                 assert verdict is want, (m, n)
                 assert cert.leading_sign == reference.leading_sign, (m, n)
                 assert cert.tie_witnesses == reference.tie_witnesses, (m, n)
-                j0 = 1
-                while _sum_by_definition(m, gcd(m, j0)) == _sum_by_definition(n, gcd(n, j0)):
-                    j0 += 1
-                delta = _sum_by_definition(m, gcd(m, j0)) - _sum_by_definition(n, gcd(n, j0))
                 assert cert.leading_sign == (1 if delta > 0 else -1), (m, n)
                 assert cert.checked_q_max == max(2 * j0 // abs(delta) + 1, 1), (m, n)
                 assert (cert.threshold_c, cert.shortcut_tag) == (0, "ramanujan"), (m, n)
@@ -713,20 +741,26 @@ def test_ramanujan_verdicts_match_compare_to_300(shared_cache):
 def test_ramanujan_compare_rejects_what_it_cannot_decide():
     table = SumsTable(8)
     with pytest.raises(ValueError):  # totients 4 and 6
-        ramanujan_compare(RamanujanSums(5, table, 4), RamanujanSums(7, table, 6), {})
+        ramanujan_compare(RamanujanSums(5, table, 4), RamanujanSums(7, table, 6), 1, {})
     with pytest.raises(ValueError):
-        ramanujan_compare(RamanujanSums(8, table, 4), RamanujanSums(8, table, 4), {})
-    # sums of 8 rigged to read as those of 4 agree over their rows, past a
-    # full common period, lcm(4, 8) terms: the search stops there instead
-    # of looping
-    a, b = RamanujanSums(4, table, 2), RamanujanSums(8, table, 4)
-    b.terms = list(a.terms)
-    with pytest.raises(ArithmeticError):
+        RamanujanSums(8, table, 4).first_difference(RamanujanSums(8, table, 4))
+    # sums of 80 and 96 rigged to one row and to 0 past it agree at every
+    # divisor of lcm(80, 96) = 480 above the rows: the scan stops at 480
+    # instead of looping
+    table = SumsTable(96)
+    a, b = RamanujanSums(80, table, 32), RamanujanSums(96, table, 32)
+    a._table, b._table, b.row = {}, {}, a.row
+    with pytest.raises(ArithmeticError, match="80 and 96 have equal sums"):
         a.first_difference(b)
 
 
+def _rigged_row(*terms):
+    """A row whose terms are `terms`, then 0 up to lane 64."""
+    return bytes(_LANE_BIAS + t for t in terms + (0,) * (_SUMS_BLOCK - len(terms)))
+
+
 def test_only_an_outcome_the_first_window_decides_is_memoised():
-    """Sums rigged to delta_1 = 1, so q* = 4: with delta_2 = -8 the first
+    """Rows rigged to delta_1 = 1, so q* = 4: with delta_2 = -8 the first
     window reads a sign against the lead at q = 2 and q = 3, and the
     INCOMPARABLE outcome it decides alone is not stored; with delta_2 = 0
     the LESS outcome is stored under its key and handed, the same
@@ -734,32 +768,32 @@ def test_only_an_outcome_the_first_window_decides_is_memoised():
     table = SumsTable(12)
     for second, want in ((-8, Verdict.INCOMPARABLE), (0, Verdict.LESS)):
         a, b = RamanujanSums(5, table, 4), RamanujanSums(8, table, 4)
-        a.terms, b.terms = [0] * 100, [1, second] + [0] * 98
+        a.row, b.row = _rigged_row(), _rigged_row(1, second)
         outcomes = {}
-        outcome = ramanujan_compare(a, b, outcomes)
+        outcome = ramanujan_compare(a, b, 1, outcomes)
         assert outcome[0] is want and outcome[2] % (5, 8) == comparison_line(5, 8, *outcome[:2])
         if want is Verdict.INCOMPARABLE:
             assert outcome[1].flip_witnesses == [4, 2] and not outcomes
         else:
             assert outcomes == {(1, 1, second) + (0,) * 7: outcome}
             c, d = RamanujanSums(10, table, 4), RamanujanSums(12, table, 4)
-            c.terms, d.terms = list(a.terms), list(b.terms)
-            assert all(x is y for x, y in zip(ramanujan_compare(c, d, outcomes), outcome))
+            c.row, d.row = a.row, b.row
+            assert all(x is y for x, y in zip(ramanujan_compare(c, d, 1, outcomes), outcome))
 
 
 def test_an_outcome_with_a_sign_the_window_leaves_at_0_is_not_memoised(eval_calls):
-    """Sums rigged to delta_1 = 1 and delta_2 = -4, so q* = 4: the window
+    """Rows rigged to delta_1 = 1 and delta_2 = -4, so q* = 4: the window
     sums to 0 at q = 2 and reads the lead's sign at q = 3.  Only q = 2 is
     evaluated exactly, n's value first; Phi_5(2) = 31 > Phi_8(2) = 17
     gives the lead's sign there too, and the LESS outcome, which rests on
     an exact value, is not stored."""
     table = SumsTable(8)
     a, b = RamanujanSums(8, table, 4), RamanujanSums(5, table, 4)
-    a.terms, b.terms = [0] * 100, [1, -4] + [0] * 98
+    a.row, b.row = _rigged_row(), _rigged_row(1, -4)
     deltas = (1, -4) + (0,) * (_WINDOW - 1)
     assert [_window_sum_sign(deltas, 1, q) for q in (2, 3)] == [0, 1]
     outcomes = {}
-    verdict, cert, _ = ramanujan_compare(a, b, outcomes)
+    verdict, cert, _ = ramanujan_compare(a, b, 1, outcomes)
     assert verdict is Verdict.LESS and (cert.checked_q_max, cert.tie_witnesses) == (3, [])
     assert eval_calls == [(5, 2), (8, 2)]
     assert not outcomes
@@ -890,10 +924,7 @@ def _first_window(a, b):
     """j0 and the deltas delta_j0, ..., delta_J of the first window,
     J = j0 + 8, of the pair of sums (a, b)."""
     j0 = a.first_difference(b)
-    top = j0 + _WINDOW
-    a.extend(top)
-    b.extend(top)
-    return j0, [b.terms[j] - a.terms[j] for j in range(j0 - 1, top)]
+    return j0, [b.term(j) - a.term(j) for j in range(j0, j0 + _WINDOW + 1)]
 
 
 def _verified_summaries(range_max, table):
@@ -1001,7 +1032,7 @@ def test_shared_outcomes_equal_what_certify_builds_from_exact_values_to_5000():
             lead, stop = (1 if deltas[0] > 0 else -1), 2 * j0 // abs(deltas[0]) + 2
             assert all(_window_sum_sign(deltas, j0, q) == lead for q in range(2, stop)), (m, n)
             shared = comparator._agreeing_outcome(lead, stop)
-            assert ramanujan_compare(a, b, {}) is shared, (m, n)
+            assert ramanujan_compare(a, b, j0, {}) is shared, (m, n)
             verdict, checked, ties, flips = _certify(m, n, lead, stop, cache)
             cert = Certificate(0, lead, checked, ties, flips, "ramanujan")
             assert shared[:2] == (verdict, cert), (m, n)

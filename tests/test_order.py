@@ -8,7 +8,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,7 @@ from cycorder.order import (
     sort_class,
     stable_prefix_length,
 )
+from test_comparator import _sum_by_definition
 
 A206225_PREFIX = [1, 2, 6, 4, 3, 10, 12, 8, 5, 14, 18, 9, 7, 15, 20, 24, 16, 30, 22, 11]
 
@@ -229,51 +231,97 @@ def test_sort_class_order_holds_for_every_pair(shared_cache):
                 assert v is Verdict.LESS, (a, b)
 
 
-def _first_difference_order(members, table):
-    """members sorted by pairwise `first_difference`: the lexicographic
-    order of their negated Ramanujan sums, with no prefix key."""
+@cache
+def _negated_sum(n, j):
+    """-c_n(j) from the divisor-sum definition (`_sum_by_definition`)."""
+    return -_sum_by_definition(n, gcd(n, j))
 
-    def cmp(a, b):
-        j = a.first_difference(b)
-        return -1 if a.terms[j - 1] < b.terms[j - 1] else 1
 
-    sums = (RamanujanSums(n, table, totient(n)) for n in members)
-    return [s.n for s in sorted(sums, key=cmp_to_key(cmp))]
+def _first_difference_order(members):
+    """(order, firsts): members sorted by the lexicographic order of their
+    negated Ramanujan sums, each pair compared by scanning j = 1, 2, ...
+    over the divisor-sum definition until the two part, with no row, no
+    lemma and no Hoelder's form; and the first difference j0 of each pair
+    the sort compared, under (m, n) with m < n."""
+    firsts = {}
+
+    def cmp(m, n):
+        j = 1
+        while _negated_sum(m, j) == _negated_sum(n, j):
+            j += 1
+        firsts[min(m, n), max(m, n)] = j
+        return -1 if _negated_sum(m, j) < _negated_sum(n, j) else 1
+
+    return sorted(members, key=cmp_to_key(cmp)), firsts
 
 
 def test_prefix_sort_matches_pairwise_first_differences_to_5000():
+    """Every class up to 5000 sorts to the order of the definition's
+    sums (`_first_difference_order`).  Of the pairs that order compares,
+    each tied pair, whose rows are equal, has its first difference j0
+    past lane 64 and dividing lcm(m, n), and `first_difference` gives
+    every pair's j0, from either side: 53 tied pairs, j0 up to 729."""
     table = SumsTable(5000)
+    tied, largest = 0, 0
     for cls in phi_classes(5000):
         ordered = sort_class(cls, table)["members"]
-        assert ordered == _first_difference_order(cls.members, table), cls.phi_value
+        want, firsts = _first_difference_order(cls.members)
+        assert ordered == want, cls.phi_value
+        for (m, n), j0 in firsts.items():
+            a, b = RamanujanSums(m, table, cls.phi_value), RamanujanSums(n, table, cls.phi_value)
+            assert a.first_difference(b) == b.first_difference(a) == j0, (m, n)
+            if a.row == b.row:
+                assert j0 > _SUMS_BLOCK and lcm(m, n) % j0 == 0, (m, n)
+                tied, largest = tied + 1, max(largest, j0)
+    assert (tied, largest) == (53, 729)
 
 
 def test_prefix_sort_refines_runs_of_equal_prefixes(monkeypatch):
-    """512 and 768 (totient 256) first differ at j = 128: their 64-term
-    rows tie, and the sort's tie-break parts them, in the order of their
-    first difference.  The sort extends both to 128 terms; their pair's
-    window then reads up to j = 136."""
+    """512 and 768 (totient 256) first differ at j = 128, a divisor of
+    lcm(512, 768) = 1536: their 64-term rows tie, and the sort's
+    tie-break parts them, in the order of their first difference.  Past
+    the rows, each member builds its Hoelder table once and reads it 12
+    times for their pair: at 96 and 128, the divisors of 1536 in
+    (64, 128], in the tie-break's one scan for j0, whose j0 the pair's
+    window takes too, and as single terms at j0 = 128 for the tie-break's
+    sign and at j = 128..136 for the pair's window.  The sort puts 640
+    before 768, whose rows first differ at j0 = 64: that pair's window
+    reads 8 single terms past the rows, at j = 65..72, and scans
+    nothing."""
     members = inverse_totient(256)
     table = SumsTable(max(members))
     a, b = RamanujanSums(512, table, 256), RamanujanSums(768, table, 256)
-    assert a.terms == b.terms and a.first_difference(b) == 128
-    built, held = [], {}
-    compare_sums = comparator.ramanujan_compare
+    assert a.row == b.row and a.first_difference(b) == 128
+    reads, terms = Counter(), set()
+    hoelder, term = comparator._hoelder_table, RamanujanSums.term
 
-    def recorded(*args):
-        built.append(RamanujanSums(*args))
-        return built[-1]
+    class Read(dict):
+        """n's Hoelder table, counting its reads."""
 
-    def compared(a, b, memo):
-        held.update({s.n: len(s.terms) for s in (a, b)})
-        return compare_sums(a, b, memo)
+        def get(self, g, default=None):
+            reads[self.n] += 1
+            return dict.get(self, g, default)
 
-    monkeypatch.setattr(cycorder.order, "RamanujanSums", recorded)
-    monkeypatch.setattr(cycorder.order, "ramanujan_compare", compared)
+    def built(n, *rest):
+        assert n not in reads  # once per member
+        reads[n], read = 0, Read(hoelder(n, *rest))
+        read.n = n
+        return read
+
+    def recorded(sums, j):
+        if j > _SUMS_BLOCK:
+            terms.add((sums.n, j))
+        return term(sums, j)
+
+    monkeypatch.setattr(comparator, "_hoelder_table", built)
+    monkeypatch.setattr(RamanujanSums, "term", recorded)
     ordered = sort_class(PhiClass(256, members), table)["members"]
-    assert ordered == _first_difference_order(members, table)
-    assert held[512] == held[768] == 2 * _SUMS_BLOCK
-    assert {s.n: len(s.terms) for s in built if s.n in (512, 768)} == {512: 136, 768: 136}
+    assert ordered == _first_difference_order(members)[0]
+    assert ordered[ordered.index(768) - 1 : ordered.index(768) + 2] == [640, 768, 512]
+    assert reads == {512: 12, 768: 12 + 8, 640: 8}
+    assert terms == {(n, j) for n in (512, 768) for j in range(128, 137)} | {
+        (n, j) for n in (640, 768) for j in range(65, 73)
+    }
 
 
 _ROUTE_CASES = [
@@ -295,26 +343,34 @@ def test_class_sort_covers_both_routes(case, phi, limit, pair, monkeypatch):
     class or at its end; or a pair of unequal rows whose first difference
     j0 is 55, the last whose window ends before lane 64 and is read off
     the rows, or 56, whose window ends at lane 64 and goes through
-    `ramanujan_compare`.  The class's order is the order of pairwise
-    first differences, and the summary's cert_hash covers each pair's line
-    from unmemoised `ramanujan_compare`."""
+    `ramanujan_compare` with the j0 read off the rows, where a pair of
+    equal rows takes the j0 the tie-break found.  The class's order is the order of
+    the definition's sums (`_first_difference_order`), and the summary's
+    cert_hash covers each pair's line from unmemoised
+    `ramanujan_compare`."""
     members = [x for x in inverse_totient(phi) if x <= limit]
     table = SumsTable(limit)
-    routed, compare_sums = [], cycorder.order.ramanujan_compare
-    monkeypatch.setattr(
-        cycorder.order, "ramanujan_compare", lambda a, b, memo: routed.append({a.n, b.n}) or compare_sums(a, b, memo)
-    )
+    routed, compare_sums = {}, cycorder.order.ramanujan_compare
+
+    def recorded(a, b, j0, memo):
+        routed[frozenset((a.n, b.n))] = j0
+        return compare_sums(a, b, j0, memo)
+
+    monkeypatch.setattr(cycorder.order, "ramanujan_compare", recorded)
     summary = sort_class(PhiClass(phi, members), table)
     ordered = summary["members"]
-    assert ordered == _first_difference_order(members, table)
+    assert ordered == _first_difference_order(members)[0]
     rows = [_lanes(table, n) for n in ordered]
     i = min(map(ordered.index, pair))
     assert {ordered[i], ordered[i + 1]} == set(pair)
-    assert (set(pair) in routed) == (case != "last j0 of the row route")
+    assert (frozenset(pair) in routed) == (case != "last j0 of the row route")
+    firsts = cycorder.order._class_order(members, phi, table)[3]
     if "j0" in case:
         j0 = next(j for j, (x, y) in enumerate(zip(rows[i], rows[i + 1]), 1) if x != y)
         assert _LAST_ROW_J0 == 55 and j0 == (55 if case.startswith("last") else 56)
+        assert routed.get(frozenset(pair), j0) == j0
     else:
+        assert routed[frozenset(pair)] == firsts[pair] > _SUMS_BLOCK
         assert [k for k, row in enumerate(rows) if row == rows[i]] == [i, i + 1]
         place = {
             "run at the start": i == 0 < len(ordered) - 2,
@@ -327,27 +383,28 @@ def test_class_sort_covers_both_routes(case, phi, limit, pair, monkeypatch):
 
 
 def test_build_chain_5000_builds_at_most_18426_hoelder_terms(monkeypatch):
-    """Each member of a class of two or more holds its 64-term row of the
-    run's table and is extended past it by Hoelder's form only as far as
-    the sort and its own pairs' windows read: 10,913 terms.  With 32-term
-    rows the same run built 18,426 terms past them, and with 16-term rows
-    31,026."""
-    built = []
-    extend = RamanujanSums.extend
+    """Each member of a class of two or more reads its first 64 terms off
+    its row of the run's table, and past it reads its Hoelder table one
+    term at a time: at the divisors of lcm(m, n) that a scan for j0
+    passes and in the windows of the pairs past the row route, 1,568
+    reads.  Term lists doubled to 2 j0 held 10,913 terms past the same
+    rows, 18,426 past 32-term rows and 31,026 past 16-term rows."""
+    reads = []
+    hoelder = comparator._hoelder_table
 
-    def counted(self, length):
-        have = len(self.terms)
-        extend(self, length)
-        built.append(len(self.terms) - have)
+    class Read(dict):
+        def get(self, g, default=None):
+            reads.append(g)
+            return dict.get(self, g, default)
 
-    monkeypatch.setattr(RamanujanSums, "extend", counted)
+    monkeypatch.setattr(comparator, "_hoelder_table", lambda *args: Read(hoelder(*args)))
     assert build_chain(5000).pair_count == 3855
-    assert sum(built) <= 10_913 < 18_426 < 31_026
+    assert len(reads) == 1_568 < 10_913 < 18_426 < 31_026
 
 
 def test_build_chain_2000_builds_hoelder_tables_for_fewer_members_than_it_sorts(monkeypatch):
-    """A member's Hoelder table is built by its first extension past its
-    row, at most once; 1,836 of the 1,859 members sorted here are never
+    """A member's Hoelder table is built by its first read past its row,
+    at most once; 1,836 of the 1,859 members sorted here are never
     read past it (1,769 with 32-term rows, 1,481 with 16-term rows).  A
     member's `RamanujanSums` object is built only when its row ties
     another's in the sort or its pair's first difference lies past lane
@@ -550,7 +607,7 @@ def test_tied_indices_match_an_all_pairs_scan(stand_in_values):
     scan = set()
     for i, m in enumerate(members):
         for n in members[i + 1 :]:
-            v, cert, _ = ramanujan_compare(sums[m], sums[n], {})
+            v, cert, _ = ramanujan_compare(sums[m], sums[n], sums[m].first_difference(sums[n]), {})
             assert v is not Verdict.INCOMPARABLE
             if cert.tie_witnesses:
                 scan |= {m, n}
@@ -575,7 +632,7 @@ def _assert_summary_is_bound_to_its_records(summary: dict, table: SumsTable | No
         table = SumsTable(max(members))
     sums = {x: RamanujanSums(x, table, totient(x)) for x in members} if len(members) > 1 else {}
     pairs = [
-        (a, b, *ramanujan_compare(sums[a], sums[b], {})[:2])
+        (a, b, *ramanujan_compare(sums[a], sums[b], sums[a].first_difference(sums[b]), {})[:2])
         for a, b in zip(members, members[1:])
     ]
     records = [comparison_record(*pair) for pair in pairs]
