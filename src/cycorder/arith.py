@@ -4,35 +4,42 @@ sieve), Moebius, radical, divisors, and inverse totient.
 
 Everything here works on indices (the n of a cyclotomic polynomial), which
 stay small (~10^5) at verification scale, so factorization is plain trial
-division backed by a precomputed prime sieve.  Coefficients and polynomial
+division by the primes of a sieve.  Coefficients and polynomial
 evaluations elsewhere in the package use Python's arbitrary-precision
 integers; the machine-word assumption applies to indices only.
 
-All functions are pure, and the prime sieve is an immutable tuple built at
-import time.
+All functions are pure.  Importing the module sieves nothing: `primes_to`
+sieves to the least power of two above its argument at the first call
+for that power, and keeps the tuple for the life of the process.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from functools import cache
 from itertools import compress
 from math import isqrt
 
-_SIEVE_LIMIT = 100_000
+_SIEVE_LIMIT = 100_000  # is_prime looks n up to here; factorize sieves primes to min(sqrt(n), here)
 
 
-def _build_sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
+@cache
+def _primes_below(bound: int) -> tuple[int, ...]:
+    flags = bytearray(b"\x01") * bound
+    flags[0:2] = b"\x00\x00"  # compress stops at bound, so bound = 1 gives ()
+    for p in range(2, isqrt(bound - 1) + 1):
         if flags[p]:
             start = p * p
-            flags[start :: p] = b"\x00" * len(range(start, limit + 1, p))
-    return tuple(compress(range(limit + 1), flags))
+            flags[start :: p] = b"\x00" * len(range(start, bound, p))
+    return tuple(compress(range(bound), flags))
 
 
-SMALL_PRIMES: tuple[int, ...] = _build_sieve(_SIEVE_LIMIT)
+def primes_to(n: int) -> tuple[int, ...]:
+    """The primes below the least power of two above n >= 0, ascending:
+    every prime <= n, and none >= 2n.  Sieving by power of two keeps one
+    tuple per power however many n ask."""
+    return _primes_below(1 << n.bit_length())
 
 
 def _check_positive(n: int) -> None:
@@ -41,25 +48,29 @@ def _check_positive(n: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: sieve lookup up to the sieve's
-    limit, above it whether n is its own factorization."""
+    """Deterministic primality test: for n <= 10^5 a lookup in
+    `primes_to(n)`, above it whether n is its own factorization."""
     if n < 2:
         return False
     if n <= _SIEVE_LIMIT:
-        i = bisect_left(SMALL_PRIMES, n)
-        return i < len(SMALL_PRIMES) and SMALL_PRIMES[i] == n
+        primes = primes_to(n)
+        i = bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
     return factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as (prime, exponent) pairs, primes ascending.
 
-    factorize(1) is the empty list (empty product).
+    factorize(1) is the empty list (empty product).  Trial division runs
+    over `primes_to(min(isqrt(n), 10^5))`, which covers every prime up to
+    sqrt(n) for n <= 10^10, and by odd d past those primes for larger n.
     """
     _check_positive(n)
     out: list[tuple[int, int]] = []
     rest = n
-    for p in SMALL_PRIMES:
+    primes = primes_to(min(isqrt(n), _SIEVE_LIMIT))
+    for p in primes:
         if p * p > rest:
             break
         if rest % p == 0:
@@ -68,10 +79,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 rest //= p
                 e += 1
             out.append((p, e))
-    # the loop above stops early only with rest < p^2 < d^2, so this runs
-    # only past the whole sieve: odd trial division, every smaller prime
-    # already divided out
-    d = SMALL_PRIMES[-1] + 2
+    # odd trial division past the primes, every smaller prime already
+    # divided out; the loop above stops early only with rest < p^2 < d^2,
+    # and once the primes pass sqrt(n) rest is 1 or prime, so this finds
+    # a factor only for n above the square of 10^5
+    d = primes[-1] + 2 if primes else 3
     while d * d <= rest:
         if rest % d == 0:
             e = 0
@@ -89,12 +101,13 @@ def smallest_prime_factors(limit: int) -> array:
     """array("I") of length limit + 1 whose entry k >= 2 is the least
     prime dividing k (entries 0 and 1 are 0 and 1), by one sieve.
 
-    Each prime p <= sqrt(limit), largest first, writes itself into every
-    multiple of p from p^2 on; a composite k is such a multiple of its
-    least prime p (k >= p^2), which writes last.  Primes keep k.
+    Each prime p of `primes_to(sqrt(limit))`, largest first, writes
+    itself into every multiple of p from p^2 on (none when p^2 > limit);
+    a composite k is such a multiple of its least prime p (k >= p^2),
+    which writes last.  Primes keep k.
     """
     spf = array("I", range(limit + 1))
-    for p in reversed(SMALL_PRIMES[: bisect_right(SMALL_PRIMES, isqrt(limit))]):
+    for p in reversed(primes_to(isqrt(limit))):
         spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
     return spf
 

@@ -58,7 +58,9 @@ MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s
 MAX_CYCLO_VALUE_BITS = 2**18
 MAX_CONJECTURE2_I = 12  # polynomials of degree 2*3^(I-1); I = 12 takes ~1 s
 MAX_INVTOT_VALUE = 10**9  # V = 2615348736000 has 4.7 million preimages (36 s)
-MAX_PHI_INDEX = 10**10  # the sieve bound squared; above it factorize may trial-divide for hours
+# phi N divides N by primes sieved on demand to sqrt(N), or to 10^5 at most;
+# above (10^5)^2 it trial-divides past them, for hours at the largest N
+MAX_PHI_INDEX = 10**10
 
 
 def _oversized(name: str, value: int, bound: int) -> bool:

@@ -69,7 +69,7 @@ from itertools import groupby
 from operator import sub
 from typing import Callable, Iterable, Sequence
 
-from .arith import SMALL_PRIMES, inverse_totient, totient, totient_table
+from .arith import inverse_totient, primes_to, totient, totient_table
 from .comparator import (
     _LAST_ROW_J0,
     _SUMS_BLOCK,
@@ -243,7 +243,7 @@ def _totient_floor(limit: int) -> int:
     bound is the lesser of the two, rounded up.
     """
     primorial = phi = 1
-    for p in SMALL_PRIMES:
+    for p in primes_to(127):  # their primorial is above 10^48, past every feasible limit
         if primorial * p > limit:
             return min(-(-(limit + 1) * phi // primorial), phi * (p - 1))
         primorial, phi = primorial * p, phi * (p - 1)

@@ -64,12 +64,21 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
+ARITH = "cycorder/arith.py"
 COMPARATOR = "cycorder/comparator.py"
 ORDER = "cycorder/order.py"
+T_ARITH = "tests/test_arith.py::"
 T_COMPARATOR = "tests/test_comparator.py::"
 T_ORDER = "tests/test_order.py::"
 
 MUTANTS = (
+    Mutant(
+        "prime sieve: the power-of-two bound one bit too low",
+        ARITH,
+        "return _primes_below(1 << n.bit_length())",
+        "return _primes_below(1 << (n.bit_length() - 1))",
+        (T_ARITH + "test_primes_to_holds_every_prime_up_to_n_and_none_from_2n",),
+    ),
     Mutant(
         "window weights: the factor 2 dropped from the tail bound",
         COMPARATOR,

@@ -1,17 +1,38 @@
+import os
 import random
-from math import gcd
+import subprocess
+import sys
+from bisect import bisect_left, bisect_right
+from itertools import takewhile
+from math import gcd, isqrt
 
 import pytest
 
+import cycorder
 from cycorder.arith import (
     divisors,
     factorize,
     inverse_totient,
     is_prime,
     moebius,
+    primes_to,
     radical,
     totient,
 )
+
+
+def _factorize_by_trial_division(n):
+    """factorize's reference: divide by every d >= 2 in turn."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    return out + [(n, 1)] * (n > 1)
 
 
 def test_factorize_examples():
@@ -22,25 +43,74 @@ def test_factorize_examples():
 
 
 def test_factorize_beyond_the_sieve():
-    """Past the sieve's primes (all below 10^5) both functions go on by odd
-    trial division: 100003 and 100019 are the first two primes above it, and
-    9999399973 is the product that the sieve's largest prime, 99991,
-    leaves at 100003."""
+    """From sqrt(n) = 65536 on factorize divides by the primes below
+    2^17 = 131072, and above 10^10 = (10^5)^2 goes on by odd trial
+    division past them: 100003 and 100019, the first two primes above
+    10^5, and 99991, the last below it, are sieved; so is 131071, the
+    last below 2^17, and 131101 and 131111, the first two past it, are
+    found by trial division alone."""
     assert factorize(10002200057) == [(100003, 1), (100019, 1)]
     assert factorize(9999399973) == [(99991, 1), (100003, 1)]
+    assert factorize(17183539171) == [(131071, 1), (131101, 1)]
+    assert factorize(17188783211) == [(131101, 1), (131111, 1)]
+    assert factorize(131101**2) == [(131101, 2)]
     assert is_prime(10000000019) and is_prime(10000000033)
-    assert not is_prime(10002200057) and not is_prime(9999399973)
+    assert not is_prime(10002200057) and not is_prime(9999399973) and not is_prime(17188783211)
     assert factorize(10000000019) == [(10000000019, 1)]
 
 
 def test_is_prime_at_the_sieve_limit():
-    """Up to the sieve's limit (10^5) is_prime looks the sieve up; above
-    it, n is prime when factorize returns n alone."""
-    assert is_prime(99991)  # the sieve's largest prime
+    """Up to 10^5 is_prime looks n up in primes_to(n), the primes below
+    the least power of two above n; above 10^5, n is prime when factorize
+    returns n alone."""
+    assert is_prime(99991)  # the largest prime it looks up
     assert not is_prime(100000)
     assert not is_prime(100001) and factorize(100001) == [(11, 1), (9091, 1)]
     assert is_prime(100003) and is_prime(100019)
     assert not is_prime(100003**2) and factorize(100003**2) == [(100003, 2)]
+
+
+def test_primes_to_holds_every_prime_up_to_n_and_none_from_2n():
+    """primes_to(n) starts the primes, found by trial division, with no
+    gap: it holds every prime <= n and none >= 2n, for every n <= 5000
+    and on both sides of each power of two up to 2^17."""
+    primes = []
+    for n in range(2, 1 << 18):
+        if all(n % p for p in takewhile(isqrt(n).__ge__, primes)):
+            primes.append(n)
+    around_powers = [(1 << k) + d for k in range(1, 18) for d in (-1, 0, 1)]
+    for n in [*range(5001), *around_powers]:
+        got = primes_to(n)
+        assert got == tuple(primes[: len(got)]), n
+        assert bisect_right(primes, n) <= len(got) <= bisect_left(primes, 2 * n), n
+
+
+def test_factorize_and_is_prime_match_trial_division():
+    """Every n up to 20000, and the cases past 10^5 of the tests above."""
+    past = (100001, 100003, 100019, 131071, 131072, 131101, 100003**2, 131101**2)
+    large = (9999399973, 9999999967, 10000000019, 10000000033, 10002200057, 17183539171, 17188783211)
+    for n in (*range(1, 20001), *past, *large):
+        expected = _factorize_by_trial_division(n)
+        assert factorize(n) == expected, n
+        assert is_prime(n) == (expected == [(n, 1)]), n
+
+
+def test_importing_the_package_and_its_cli_sieves_no_primes():
+    """A fresh interpreter that imports cycorder and cycorder.cli has not
+    sieved: the first call for each power of two does."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
+    code = (
+        "import cycorder, cycorder.cli\n"
+        "from cycorder.arith import _primes_below, primes_to\n"
+        "print(_primes_below.cache_info().currsize, end=' ')\n"
+        "primes_to(99999)\n"
+        "print(_primes_below.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True,
+    )
+    assert done.stdout == "0 1\n"
 
 
 def test_factorize_rejects_zero():

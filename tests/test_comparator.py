@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycorder import comparator
-from cycorder.arith import SMALL_PRIMES, divisors, factorize, moebius, totient
+from cycorder.arith import divisors, factorize, moebius, totient
 from cycorder.comparator import (
     _LANE_BIAS,
     _LAST_ROW_J0,
@@ -651,13 +651,14 @@ def test_every_stored_term_fits_a_signed_byte():
 
 
 def test_sieved_row_of_an_index_past_the_small_primes():
-    """100003 is a prime above SMALL_PRIMES[-1]: mu = -1 and c_p(j) = -1
-    for j < p, so its row reads 1 throughout; its primes, and those of
-    every other index, come from the table's own sieve.  The table sums
-    its rows in blocks of 65536 indices, and the rows on both sides of
-    the first block's end are Hoelder's too."""
+    """100003 is a prime above 10^5, past is_prime's lookup in the
+    sieved primes: mu = -1 and c_p(j) = -1 for j < p, so its row reads 1
+    throughout; its primes, and those of every other index, come from
+    the table's own sieve.  The table sums its rows in blocks of 65536
+    indices, and the rows on both sides of the first block's end are
+    Hoelder's too."""
     n = 100003
-    assert n > SMALL_PRIMES[-1] and factorize(n) == [(n, 1)]
+    assert n > 10**5 and factorize(n) == [(n, 1)]
     table = SumsTable(n)
     assert _row(table, n) == _hoelder_terms(n, _SUMS_BLOCK) == [1] * _SUMS_BLOCK
     assert comparator._ROWS_PER_BLOCK == 65536

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cycorder
-from cycorder import comparator, cyclotomic
+from cycorder import arith, comparator, cyclotomic
 from cycorder.arith import inverse_totient, totient, totient_table
 from cycorder.cli import main
 from cycorder.comparator import (
@@ -207,6 +207,18 @@ def test_build_chain_5000_builds_no_kernel(monkeypatch):
     assert calls == []
     cyclo(105, CycloCache())  # the counter sees a build
     assert calls == [105]
+
+
+def test_build_chain_5000_sieves_no_prime_above_128(monkeypatch):
+    """The run's table of least prime factors reads the primes to
+    sqrt(5000) = 70, and `_totient_floor` those to 127: each asks for the
+    primes below 128, and no sieve is keyed by anything but a power of 2."""
+    bounds = []
+    sieve = arith._primes_below
+    monkeypatch.setattr(arith, "_primes_below", lambda bound: bounds.append(bound) or sieve(bound))
+    assert build_chain(5000).pair_count == 3855
+    assert bounds and max(bounds) == 128
+    assert all(bound & (bound - 1) == 0 for bound in bounds)
 
 
 def test_sort_class_adjacent_pairs_are_less(shared_cache):
