@@ -9,8 +9,8 @@ Exit codes:
     1   runtime failure
     2   usage error (argparse, or an input above its size guard)
     3   an INCOMPARABLE pair was found (scriptable counterexample signal)
-    4   checkpoint file rejected (hash chain, version or parameter mismatch)
-        or cannot be opened
+    4   checkpoint file rejected (hash chain, version or parameter mismatch,
+        or a class line other than the run's own) or cannot be opened
     130 interrupted; checkpointed progress is on disk: each class line is
         flushed as the class finishes, and the file is synced after each
         second of classes and when the run ends, fails or is interrupted

@@ -90,7 +90,6 @@ import io
 import json
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import compress, count, filterfalse
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
@@ -127,8 +126,26 @@ class Verdict(enum.Enum):
 _LESS, _GREATER, _INCOMPARABLE = Verdict.LESS, Verdict.GREATER, Verdict.INCOMPARABLE
 
 
-@dataclass
-class Certificate:
+class _Record:
+    """A base for plain record classes, each of which declares its fields
+    as `__slots__`, in order, and an `__init__`: == holds for the same
+    class with equal fields (NotImplemented against any other type),
+    the repr is the one a dataclass prints, and no instance is hashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self.__slots__] == [getattr(other, f) for f in self.__slots__]
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Certificate(_Record):
     """Finite evidence for a verdict about infinitely many q.
 
     threshold_c     largest absolute coefficient of the difference
@@ -144,19 +161,29 @@ class Certificate:
                     EQUAL
     tie_witnesses   q values with exact equality of the two sides
     flip_witnesses  one q with positive and one with negative difference
-                    (present exactly when the verdict is INCOMPARABLE)
+                    (present exactly when the verdict is INCOMPARABLE);
+                    each list is a new empty one when not given
     shortcut_tag    "totient-gap" when the pair has unequal totients and
                     the gap decided it (`compare` proves the rule),
                     "ramanujan" when Ramanujan's sums decided a pair of
                     equal totient (`ramanujan_compare`), else None
     """
 
-    threshold_c: int
-    leading_sign: int
-    checked_q_max: int
-    tie_witnesses: list[int] = field(default_factory=list)
-    flip_witnesses: list[int] = field(default_factory=list)
-    shortcut_tag: str | None = None
+    __slots__ = ("threshold_c", "leading_sign", "checked_q_max", "tie_witnesses", "flip_witnesses", "shortcut_tag")
+
+    def __init__(
+        self,
+        threshold_c: int,
+        leading_sign: int,
+        checked_q_max: int,
+        tie_witnesses: list[int] | None = None,
+        flip_witnesses: list[int] | None = None,
+        shortcut_tag: str | None = None,
+    ):
+        self.threshold_c, self.leading_sign, self.checked_q_max = threshold_c, leading_sign, checked_q_max
+        self.tie_witnesses = [] if tie_witnesses is None else tie_witnesses
+        self.flip_witnesses = [] if flip_witnesses is None else flip_witnesses
+        self.shortcut_tag = shortcut_tag
 
 
 def difference_threshold(x: int, width: int, length: int, bound: int) -> tuple[int, int]:
@@ -859,10 +886,9 @@ _RECORD_INTS = ("checked_q_max", "leading_sign", "m", "n", "threshold_c")  # the
 _VERDICT_VALUES = tuple(v.value for v in Verdict)  # a tuple: an unhashable verdict is no member, not a TypeError
 
 
-def _int_list(value, length: int | None = None) -> bool:
-    """Whether `value` is a list of ints, never bools, of `length` items
-    when a length is given."""
-    return type(value) is list and all(type(x) is int for x in value) and length in (None, len(value))
+def _int_list(value) -> bool:
+    """Whether `value` is a list of ints, never bools."""
+    return type(value) is list and all(type(x) is int for x in value)
 
 
 def _well_formed_record(value) -> bool:

@@ -38,10 +38,11 @@ cert_hash covers; `ChainReport.from_record` builds the report.  The
 checkpoint is a hash-chained JSON-lines file, one line per class,
 flushed as each class finishes and synced to disk after each second of
 classes and when the run ends; each line's chain covers its own bytes,
-which loading checks with the type of each field.  A resumed run checks
-each class on file against the run's table: its members, and their
-order, which must be the run's own sort of the class (`_class_order`,
-the sort `sort_class` runs).
+which loading checks.  A resumed run sorts and certifies each class on
+file again (`sort_class`), refuses a line that is not the text its own
+summary would write, and reports only its own summaries: a checkpoint
+saves no work on resume, and stands as a cross-check of the run and a
+record that survives Ctrl-C and the death of the process.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -63,8 +64,7 @@ import json
 import os
 import time
 from array import array
-from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from itertools import groupby
 from operator import sub
 from typing import Callable, Iterable, Sequence
@@ -78,9 +78,9 @@ from .comparator import (
     RamanujanSums,
     SumsTable,
     Verdict,
+    _Record,
     _int_list,
     _row_key,
-    _well_formed_record,
     _window_outcome,
     certificate_from_record,
     compare,
@@ -97,23 +97,6 @@ _EMPTY_HASH = hashlib.sha256(b"").hexdigest()  # the cert_hash of a class of one
 _CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
 # the fields `_class_body` writes; a class line on file lacking one is refused
 _CLASS_FIELDS = frozenset(("cert_hash", "incomparable", "kind", "max_checked_q", "members", "pair_count", "phi", "ties"))
-
-
-def _ill_typed_field(rec: dict) -> str | None:
-    """The first field of the class line `rec`, kind and members aside
-    (`_resumed_summaries` checks the members), whose value is not of the
-    type `_class_body` writes, or None."""
-    for key in ("phi", "pair_count", "max_checked_q"):
-        if type(rec[key]) is not int:
-            return key
-    ties, records, cert_hash = rec["ties"], rec["incomparable"], rec["cert_hash"]
-    if type(ties) is not list or ties and not all(_int_list(t, 3) for t in ties):
-        return "ties"
-    if type(records) is not list or records and not all(map(_well_formed_record, records)):
-        return "incomparable"
-    if type(cert_hash) is not str or len(cert_hash) != 64 or cert_hash.strip("0123456789abcdef"):
-        return "cert_hash"
-    return None
 
 
 class OrderingError(Exception):
@@ -143,27 +126,25 @@ class CheckpointError(Exception):
     """Checkpoint file is unusable: unopenable, hash-chain mismatch, wrong parameters or a class not the run's."""
 
 
-@dataclass
-class PhiClass:
+class PhiClass(_Record):
     """All indices in range sharing one totient value, ascending."""
 
-    phi_value: int
-    members: list[int]
+    __slots__ = ("phi_value", "members")
+
+    def __init__(self, phi_value: int, members: list[int]):
+        self.phi_value, self.members = phi_value, members
 
 
-@dataclass
-class PrecedesReport:
+class PrecedesReport(_Record):
     """Outcome of an immediate-successor check between two indices."""
 
-    m: int
-    n: int
-    holds: bool
-    candidates_examined: list[int]
-    blockers: list[int]
+    __slots__ = ("m", "n", "holds", "candidates_examined", "blockers")
+
+    def __init__(self, m: int, n: int, holds: bool, candidates_examined: list[int], blockers: list[int]):
+        self.m, self.n, self.holds, self.candidates_examined, self.blockers = m, n, holds, candidates_examined, blockers
 
 
-@dataclass
-class ChainReport:
+class ChainReport(_Record):
     """The verified chain over {1..range_max} with evidence summary.
 
     When incomparable_pairs is empty, sequence is a permutation of
@@ -171,17 +152,30 @@ class ChainReport:
     certificates and cross-class ordering follows the totient gap, which
     `comparator.compare` proves.  The sequence is kept compact, as an
     `array("I")` (4 bytes an index, where a list of ints takes about 36);
-    `stable_prefix` is a list.
+    `stable_prefix` is a list.  incomparable_pairs and tie_pairs are each
+    a new empty list when not given.
     """
 
-    range_max: int
-    sequence: array
-    class_count: int
-    pair_count: int
-    incomparable_pairs: list[tuple[int, int, Certificate]] = field(default_factory=list)
-    tie_pairs: list[tuple[int, int, int]] = field(default_factory=list)
-    stable_prefix_len: int = 0
-    max_checked_q: int = 0
+    __slots__ = (
+        "range_max", "sequence", "class_count", "pair_count",
+        "incomparable_pairs", "tie_pairs", "stable_prefix_len", "max_checked_q",
+    )
+
+    def __init__(
+        self,
+        range_max: int,
+        sequence: array,
+        class_count: int,
+        pair_count: int,
+        incomparable_pairs: list[tuple[int, int, Certificate]] | None = None,
+        tie_pairs: list[tuple[int, int, int]] | None = None,
+        stable_prefix_len: int = 0,
+        max_checked_q: int = 0,
+    ):
+        self.range_max, self.sequence, self.class_count, self.pair_count = range_max, sequence, class_count, pair_count
+        self.incomparable_pairs = [] if incomparable_pairs is None else incomparable_pairs
+        self.tie_pairs = [] if tie_pairs is None else tie_pairs
+        self.stable_prefix_len, self.max_checked_q = stable_prefix_len, max_checked_q
 
     @property
     def stable_prefix(self) -> list[int]:
@@ -335,9 +329,8 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     exact fallback keeps its values only for its pair.  A class of one
     member reads no row.
 
-    `_class_order`, the run's own sort of the class, which also checks a
-    resumed class (`_resumed_summaries`), sorts the members once on their
-    rows; where rows tie, each run of equal rows is sorted again by the
+    `_class_order`, the run's own sort of the class, sorts the members
+    once on their rows; where rows tie, each run of equal rows is sorted again by the
     tie-break -c_a(j) - (-c_b(j)) at the first j where the sums of a and
     b part, the least divisor of lcm(a, b) past the rows where they
     differ (`RamanujanSums.first_difference`).  Then one loop over the
@@ -502,8 +495,8 @@ class CheckpointFile:
     object or breaks the chain, another version or another range_max
     raises CheckpointError.  Classes are written in ascending totient
     order, so the classes on file are always the lowest ones.  A class
-    line that lacks a field `_class_body` writes, or has one of another
-    type than it writes (`_ill_typed_field`), is refused too.
+    line that lacks a field `_class_body` writes, or whose phi is not an
+    int, is refused too; `_resumed_summaries` checks the rest of it.
 
     The first `append` opens one append handle, kept until `close()`;
     an instance used only to load opens none.  Each class line is
@@ -536,6 +529,7 @@ class CheckpointFile:
         self.path = path
         self.range_max = range_max
         self.completed: dict[int, dict] = {}
+        self.line_of: dict[int, int] = {}  # the line number of each class loaded from the file
         self._last_hash = ""
         self._last_phi = -1
         self._fh = None  # the append handle, opened by the first append
@@ -589,10 +583,10 @@ class CheckpointFile:
                 missing = _CLASS_FIELDS.difference(rec)
                 if missing:
                     raise CheckpointError(f"{self.path}: class line {i} lacks {', '.join(sorted(missing))}")
-                key = _ill_typed_field(rec)
-                if key is not None:
-                    raise CheckpointError(f"{self.path}: class line {i} has {key} {rec[key]!r}")
+                if type(rec["phi"]) is not int:
+                    raise CheckpointError(f"{self.path}: class line {i} has phi {rec['phi']!r}")
                 self.completed[rec["phi"]] = rec
+                self.line_of[rec["phi"]] = i
                 self._last_phi = rec["phi"]
             good_end += len(raw)
         if prev is None:
@@ -646,22 +640,27 @@ ProgressFn = Callable[[int, int, dict], None]
 
 
 def _resumed_summaries(checkpoint: CheckpointFile, classes: list[PhiClass], table: SumsTable) -> dict[int, dict]:
-    """The summaries on file, once each is checked to be one of `classes`,
-    its members in the order the run's own sort of the class gives them
-    (`_class_order`, off the run's `table`) and its pair_count k - 1, or
-    CheckpointError: the hash chain shows a line unchanged since it was
-    written, not that its class is this run's or that its order was
-    verified."""
-    members_of = {cls.phi_value: cls.members for cls in classes}
-    for phi, summary in checkpoint.completed.items():
-        members, on_file = members_of.get(phi), summary["members"]
-        if not (members and _int_list(on_file) and sorted(on_file) == members and summary["pair_count"] == len(members) - 1):
+    """The run's own summary (`sort_class`, off the run's `table`) of each
+    class on file, once each line there is checked to be one of
+    `classes`, with pair_count k - 1, and to hold, as compact sorted-key
+    JSON, the very text `_class_body` writes for that summary; else
+    CheckpointError.  The hash chain shows a line unchanged since it was
+    written, not what wrote it: anyone can recompute the chain.  Text,
+    not values, is compared, since 3.0 == 3 and True == 1 in Python."""
+    of_phi, summaries = {cls.phi_value: cls for cls in classes}, {}
+    dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    for phi, rec in checkpoint.completed.items():
+        cls, on_file = of_phi.get(phi), rec["members"]
+        if not (cls and _int_list(on_file) and sorted(on_file) == cls.members and rec["pair_count"] == len(on_file) - 1):
             raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not a class of {{1..{checkpoint.range_max}}}")
-        # on_file is a permutation of members and the order a strict total one, so
-        # sorting on_file gives the run's; timsort then compares only adjacent pairs
-        if len(on_file) > 1 and _class_order(on_file, phi, table)[0] != on_file:
-            raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not in asymptotic order")
-    return dict(checkpoint.completed)
+        fresh = summaries[phi] = sort_class(cls, table)
+        if dumps(rec) != _class_body(fresh):
+            if on_file != fresh["members"]:
+                raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not in asymptotic order")
+            ref = dict(fresh, kind="class")
+            key = next(k for k in sorted(rec) if k not in ref or dumps(rec[k]) != dumps(ref[k]))
+            raise CheckpointError(f"{checkpoint.path}: class line {checkpoint.line_of[phi]} has {key} {rec[key]!r}")
+    return summaries
 
 
 def build_chain(
@@ -677,7 +676,7 @@ def build_chain(
     records, checkpoints and reports (`progress`) each; the checkpoint is
     synced and closed however the loop ends (`CheckpointFile`).  A later
     call resumes after the last class on file, once each class there is
-    checked to be one of this run, in the order this run would give it
+    sorted again and its line checked to be the one this run would write
     (`_resumed_summaries`).  The summaries (`sort_class`) fold, in class
     order, into one report record that `ChainReport.from_record` reads.
     One totient sieve to 2 range_max, held as an `array("I")`, gives

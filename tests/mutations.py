@@ -70,6 +70,7 @@ ORDER = "cycorder/order.py"
 T_ARITH = "tests/test_arith.py::"
 T_COMPARATOR = "tests/test_comparator.py::"
 T_ORDER = "tests/test_order.py::"
+T_RECORDS = "tests/test_records.py::"
 
 MUTANTS = (
     Mutant(
@@ -258,20 +259,6 @@ MUTANTS = (
         (T_ORDER + "test_prefix_sort_matches_pairwise_first_differences_to_5000",),
     ),
     Mutant(
-        "resume: rows on file that decrease not checked",
-        ORDER,
-        "_class_order(on_file, phi, table)[0] != on_file:",
-        "(lambda order, rows, *_: order != sorted(on_file, key=rows.get))(*_class_order(on_file, phi, table)):",
-        (T_ORDER + "test_a_class_line_that_is_not_the_runs_is_refused[order]",),
-    ),
-    Mutant(
-        "resume: a pair of equal rows on file not checked",
-        ORDER,
-        "_class_order(on_file, phi, table)[0] != on_file:",
-        "(lambda order, rows, *_: [*map(rows.get, order)] != [*map(rows.get, on_file)])(*_class_order(on_file, phi, table)):",
-        (T_ORDER + "test_a_swap_inside_a_run_of_equal_rows_is_refused",),
-    ),
-    Mutant(
         "stable prefix: the F_{K+1} term dropped from _totient_floor",
         ORDER,
         "return min(-(-(limit + 1) * phi // primorial), phi * (p - 1))",
@@ -284,6 +271,38 @@ MUTANTS = (
         "            if line != expected:\n",
         "            if False:\n",
         (T_ORDER + "test_checkpoint_resume_and_validation",),
+    ),
+    Mutant(
+        "checkpoint: a resumed class line not compared with the run's own",
+        ORDER,
+        "        if dumps(rec) != _class_body(fresh):\n",
+        "        if False:\n",
+        (
+            T_ORDER + "test_a_forged_class_line_is_refused",
+            T_ORDER + "test_a_class_line_that_is_not_the_runs_is_refused[order]",
+            T_ORDER + "test_a_swap_inside_a_run_of_equal_rows_is_refused",
+        ),
+    ),
+    Mutant(
+        "checkpoint: a resumed class line compared by value, not as text",
+        ORDER,
+        "        if dumps(rec) != _class_body(fresh):\n",
+        '        if rec != dict(fresh, kind="class"):\n',
+        (T_ORDER + "test_a_forged_class_line_is_refused[max_checked_q-float]",),
+    ),
+    Mutant(
+        "records: == reads only the first field",
+        COMPARATOR,
+        "return [getattr(self, f) for f in self.__slots__] == [getattr(other, f) for f in self.__slots__]",
+        "return [getattr(self, f) for f in self.__slots__[:1]] == [getattr(other, f) for f in self.__slots__[:1]]",
+        (T_RECORDS + "test_a_change_in_any_field_breaks_equality",),
+    ),
+    Mutant(
+        "records: one default list shared by every certificate",
+        COMPARATOR,
+        "        tie_witnesses: list[int] | None = None,\n",
+        "        tie_witnesses: list[int] | None = [],\n",
+        (T_RECORDS + "test_default_lists_are_fresh",),
     ),
 )
 

@@ -854,6 +854,54 @@ def test_a_swap_inside_a_run_of_equal_rows_is_refused(tmp_path, capsys):
     assert path.read_text() == crafted
 
 
+FORGED_RECORD = {
+    "checked_q_max": 7,
+    "flip_witnesses": [2, 3],
+    "leading_sign": 1,
+    "m": 10,
+    "n": 12,
+    "shortcut_tag": "ramanujan",
+    "threshold_c": 0,
+    "tie_witnesses": [],
+    "verdict": "INCOMPARABLE",
+}
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        pytest.param({"ties": [[10, 12, 2]]}, "ties", id="ties"),
+        pytest.param({"incomparable": [FORGED_RECORD]}, "incomparable", id="incomparable"),
+        pytest.param({"incomparable": [FORGED_RECORD], "max_checked_q": 7}, "incomparable", id="incomparable-and-q"),
+        pytest.param({"max_checked_q": 7}, "max_checked_q", id="max_checked_q"),
+        pytest.param({"max_checked_q": 3.0}, "max_checked_q", id="max_checked_q-float"),
+        pytest.param({"cert_hash": "0" * 64}, "cert_hash", id="cert_hash"),
+    ],
+)
+def test_a_forged_class_line_is_refused(tmp_path, capsys, changes, key):
+    """The line of the class of totient 4 ({5, 8, 10, 12}, line 4) of a
+    `verify 30` checkpoint, with well-typed values the run does not
+    write and its chain recomputed, is refused by the library and by
+    `verify` (exit 4): forged ties, a forged INCOMPARABLE record for
+    (10, 12), with or without the max_checked_q of 7 it claims, a
+    max_checked_q of 7 alone or of 3.0 (== 3, the run's, in Python, but
+    not the text the run writes), and a cert_hash of 64 zeros.  A resume
+    sorts and certifies the class again, so the run's own summary, not
+    the line, would be reported."""
+    path = tmp_path / "verify.ckpt"
+    build_chain(30, checkpoint_path=str(path))
+    lines = path.read_text().splitlines()
+    assert '"phi":4,' in lines[3] and '"max_checked_q":3,' in lines[3] and '"ties":[]' in lines[3]
+    path.write_text("".join(_rechained(lines, 4, lambda rec: rec.update(changes))))
+    crafted, message = path.read_text(), f"class line 4 has {key} {changes[key]!r}"
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        build_chain(30, checkpoint_path=str(path))
+    assert main(["verify", "30", "--checkpoint", str(path), "--format", "structured"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"checkpoint error: {path}: {message}\n"
+    assert path.read_text() == crafted
+
+
 def test_a_full_resume_builds_each_members_sums_at_most_once(tmp_path, monkeypatch):
     """A resume of a finished `verify 1536` checkpoint checks each class
     on file with the run's own sort of the class, which builds a member's
