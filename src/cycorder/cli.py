@@ -10,7 +10,8 @@ Exit codes:
     2   usage error (argparse, or an input above its size guard)
     3   an INCOMPARABLE pair was found (scriptable counterexample signal)
     4   checkpoint file rejected (hash chain, version or parameter mismatch,
-        or a class line other than the run's own) or cannot be opened
+        or class lines that are not the run's first lines, byte for byte)
+        or cannot be opened
     130 interrupted; checkpointed progress is on disk: each class line is
         flushed as the class finishes, and the file is synced after each
         second of classes and when the run ends, fails or is interrupted
@@ -48,8 +49,8 @@ FORMATS = ("plain", "structured", "oeis-bfile", "delimited")
 # running for hours or exhausting memory (times on a 2-vCPU x86-64 host).
 # MAX_CYCLO_INDEX bounds `cyclo N`, both indices of `compare M N`, and
 # `chain N` and `verify N`, which certify every index up to N from its
-# Ramanujan sums (verify 20000: 0.23-0.45 s, 26.0 MB; verify 100000
-# --format structured: 0.88-1.55 s, 48.1 MB, of which the sums table's
+# Ramanujan sums (verify 20000: 0.22-0.29 s, 23.0 MB; verify 100000
+# --format structured: 0.87-1.14 s, 38.9 MB, of which the sums table's
 # 64-byte rows take 6.4 MB).
 MAX_CYCLO_INDEX = 100_000  # cyclo N below it < 0.1 s
 # cyclo N Q bounds the bits of Phi_N(Q), fewer than (phi(N) + 1) * bit_length(Q).

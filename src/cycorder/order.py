@@ -29,20 +29,18 @@ sorted classes concatenate, ascending by totient value, into the full
 chain.
 
 Classes run in one process in ascending totient order, and one loop
-records, checkpoints and reports each.  The run holds no `CycloCache`:
-an exact fallback, which no adjacent pair up to 100000 reaches, would
-make one at its first evaluation, for its pair alone
-(`comparator._certify`).
-A class's summary is read off the certificates whose lines its
-cert_hash covers; `ChainReport.from_record` builds the report.  The
-checkpoint is a hash-chained JSON-lines file, one line per class,
-flushed as each class finishes and synced to disk after each second of
-classes and when the run ends; each line's chain covers its own bytes,
-which loading checks.  A resumed run sorts and certifies each class on
-file again (`sort_class`), refuses a line that is not the text its own
-summary would write, and reports only its own summaries: a checkpoint
-saves no work on resume, and stands as a cross-check of the run and a
-record that survives Ctrl-C and the death of the process.
+sorts, checkpoints and reports each and folds its summary, read off the
+certificates whose lines its cert_hash covers, into the report.  The
+run holds no `CycloCache`: an exact fallback, which no adjacent pair up
+to 100000 reaches, would make one at its first evaluation, for its pair
+alone (`comparator._certify`).  The checkpoint is a hash-chained
+JSON-lines file, one line per class, flushed as each class finishes and
+synced to disk after each second of classes and when the run ends; each
+line's chain covers its own bytes, which loading checks.  A resume is
+the run itself: the class lines on file must be the run's first lines,
+byte for byte, and the run appends the rest.  A checkpoint saves no
+work on resume, and stands as a cross-check of the run and a record
+that survives Ctrl-C and the death of the process.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -64,7 +62,7 @@ import json
 import os
 import time
 from array import array
-from functools import cmp_to_key, partial
+from functools import cmp_to_key
 from itertools import groupby
 from operator import sub
 from typing import Callable, Iterable, Sequence
@@ -79,7 +77,6 @@ from .comparator import (
     SumsTable,
     Verdict,
     _Record,
-    _int_list,
     _row_key,
     _window_outcome,
     certificate_from_record,
@@ -95,8 +92,6 @@ CHECKPOINT_SYNC_INTERVAL_S = 1.0  # wall time between two fsyncs of a checkpoint
 _LESS, _INCOMPARABLE = Verdict.LESS, Verdict.INCOMPARABLE  # the members bound once, as in `comparator`
 _EMPTY_HASH = hashlib.sha256(b"").hexdigest()  # the cert_hash of a class of one member
 _CHAIN_TAIL = len(',"chain":"' + 64 * "0" + '"}')  # what `_line` puts after a body's last field
-# the fields `_class_body` writes; a class line on file lacking one is refused
-_CLASS_FIELDS = frozenset(("cert_hash", "incomparable", "kind", "max_checked_q", "members", "pair_count", "phi", "ties"))
 
 
 class OrderingError(Exception):
@@ -493,10 +488,11 @@ class CheckpointFile:
     (interrupted write) is discarded and cut from the file, so later
     appends start on a fresh line; a well-formed line that is not a JSON
     object or breaks the chain, another version or another range_max
-    raises CheckpointError.  Classes are written in ascending totient
-    order, so the classes on file are always the lowest ones.  A class
-    line that lacks a field `_class_body` writes, or whose phi is not an
-    int, is refused too; `_resumed_summaries` checks the rest of it.
+    raises CheckpointError.  `completed` holds the body of each line the
+    file held after its header when loaded, in file order; `build_chain`
+    requires them to be the run's first class lines, byte for byte.
+    Classes are written in ascending totient order, so the classes on
+    file are always the lowest ones.
 
     The first `append` opens one append handle, kept until `close()`;
     an instance used only to load opens none.  Each class line is
@@ -528,10 +524,8 @@ class CheckpointFile:
     def __init__(self, path: str, range_max: int):
         self.path = path
         self.range_max = range_max
-        self.completed: dict[int, dict] = {}
-        self.line_of: dict[int, int] = {}  # the line number of each class loaded from the file
+        self.completed: list[str] = []  # the body of each class line loaded, in file order
         self._last_hash = ""
-        self._last_phi = -1
         self._fh = None  # the append handle, opened by the first append
         self._synced_at = 0.0
         if os.path.exists(path) and os.path.getsize(path) > 0:
@@ -566,6 +560,7 @@ class CheckpointFile:
                 raise CheckpointError(f"{self.path}: malformed line {i}")
             if not isinstance(rec, dict):
                 raise CheckpointError(f"{self.path}: line {i} is not a JSON object")
+            body = line[:-_CHAIN_TAIL] + "}"
             if prev is None:  # the header: its version says how to read the rest
                 if rec.get("kind") != "header":
                     raise CheckpointError(f"{self.path}: missing header line")
@@ -575,19 +570,11 @@ class CheckpointFile:
                             f"{self.path}: checkpoint has {key}={rec.get(key)!r}, wanted {wanted}"
                         )
                 prev = ""
-            prev, expected = _line(prev, line[:-_CHAIN_TAIL] + "}")
+            else:
+                self.completed.append(body)
+            prev, expected = _line(prev, body)
             if line != expected:
                 raise CheckpointError(f"{self.path}: hash chain mismatch at line {i}")
-            del rec["chain"]  # the last field, as the line equals `expected`
-            if rec.get("kind") == "class":
-                missing = _CLASS_FIELDS.difference(rec)
-                if missing:
-                    raise CheckpointError(f"{self.path}: class line {i} lacks {', '.join(sorted(missing))}")
-                if type(rec["phi"]) is not int:
-                    raise CheckpointError(f"{self.path}: class line {i} has phi {rec['phi']!r}")
-                self.completed[rec["phi"]] = rec
-                self.line_of[rec["phi"]] = i
-                self._last_phi = rec["phi"]
             good_end += len(raw)
         if prev is None:
             raise CheckpointError(f"{self.path}: missing header line")
@@ -604,8 +591,6 @@ class CheckpointFile:
                 os.fsync(fh.fileno())
 
     def append(self, summary: dict) -> None:
-        if summary["phi"] <= self._last_phi:
-            return  # already on file
         chain, line = _line(self._last_hash, _class_body(summary))
         if self._fh is None:
             self._fh = self._open("a")
@@ -617,8 +602,6 @@ class CheckpointFile:
             os.fsync(self._fh.fileno())
             self._synced_at = now
         self._last_hash = chain
-        self._last_phi = summary["phi"]
-        self.completed[summary["phi"]] = summary
 
     def close(self) -> None:
         """Sync and close the append handle, if `append` opened one."""
@@ -639,30 +622,6 @@ class CheckpointFile:
 ProgressFn = Callable[[int, int, dict], None]
 
 
-def _resumed_summaries(checkpoint: CheckpointFile, classes: list[PhiClass], table: SumsTable) -> dict[int, dict]:
-    """The run's own summary (`sort_class`, off the run's `table`) of each
-    class on file, once each line there is checked to be one of
-    `classes`, with pair_count k - 1, and to hold, as compact sorted-key
-    JSON, the very text `_class_body` writes for that summary; else
-    CheckpointError.  The hash chain shows a line unchanged since it was
-    written, not what wrote it: anyone can recompute the chain.  Text,
-    not values, is compared, since 3.0 == 3 and True == 1 in Python."""
-    of_phi, summaries = {cls.phi_value: cls for cls in classes}, {}
-    dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    for phi, rec in checkpoint.completed.items():
-        cls, on_file = of_phi.get(phi), rec["members"]
-        if not (cls and _int_list(on_file) and sorted(on_file) == cls.members and rec["pair_count"] == len(on_file) - 1):
-            raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not a class of {{1..{checkpoint.range_max}}}")
-        fresh = summaries[phi] = sort_class(cls, table)
-        if dumps(rec) != _class_body(fresh):
-            if on_file != fresh["members"]:
-                raise CheckpointError(f"{checkpoint.path}: class {phi} on file is not in asymptotic order")
-            ref = dict(fresh, kind="class")
-            key = next(k for k in sorted(rec) if k not in ref or dumps(rec[k]) != dumps(ref[k]))
-            raise CheckpointError(f"{checkpoint.path}: class line {checkpoint.line_of[phi]} has {key} {rec[key]!r}")
-    return summaries
-
-
 def build_chain(
     range_max: int,
     workers: int = 1,
@@ -673,15 +632,20 @@ def build_chain(
     """Sort {1..range_max} into the full chain, verifying comparability.
 
     Classes run in this process in ascending totient order, and one loop
-    records, checkpoints and reports (`progress`) each; the checkpoint is
-    synced and closed however the loop ends (`CheckpointFile`).  A later
-    call resumes after the last class on file, once each class there is
-    sorted again and its line checked to be the one this run would write
-    (`_resumed_summaries`).  The summaries (`sort_class`) fold, in class
-    order, into one report record that `ChainReport.from_record` reads.
-    One totient sieve to 2 range_max, held as an `array("I")`, gives
-    both the classes and the stable prefix.  `workers` is checked (>= 1) and otherwise ignored:
-    the run is one process, so any worker count gives the same results.
+    sorts and certifies each (`sort_class`) and folds its summary into the
+    report.  With a checkpoint, the class lines on file must be the run's
+    first lines, byte for byte: while the loop is on a class whose line is
+    on file, that line must be the text `_class_body` writes for the
+    run's summary, and a file with more class lines than the run has
+    classes is refused, each with CheckpointError.  The hash chain shows
+    a line unchanged since it was written, not what wrote it: anyone can
+    recompute the chain.  Past the file, the loop appends each class's
+    line and then reports the class (`progress`); the checkpoint is
+    synced and closed however the loop ends (`CheckpointFile`).  One
+    totient sieve to 2 range_max, held as an `array("I")`, gives both the
+    classes and the stable prefix.  `workers` is checked (>= 1) and
+    otherwise ignored: the run is one process, so any worker count gives
+    the same results.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -690,37 +654,40 @@ def build_chain(
     # raised peak RSS from 44 to 49 MB)
     phi_table = array("I", totient_table(2 * range_max))
     classes = phi_classes(range_max, phi_table)
-    # before the class loop, so the sieve is freed before the summaries grow
+    # before the class loop, so the sieve is freed before the report grows
     stable_len = stable_prefix_length(classes, range_max, phi_table)
     del phi_table
-    checkpoint = CheckpointFile(checkpoint_path, range_max) if checkpoint_path else None
+    checkpoint = CheckpointFile(checkpoint_path, range_max) if checkpoint_path is not None else None
+    on_file = checkpoint.completed if checkpoint is not None else []
+    if len(on_file) > len(classes):
+        raise CheckpointError(
+            f"{checkpoint_path}: {len(on_file)} class lines on file, but {{1..{range_max}}} has {len(classes)} classes"
+        )
     table = SumsTable(range_max)
-    summaries = _resumed_summaries(checkpoint, classes, table) if checkpoint else {}
+    sequence, pair_count, ties, incomparable, max_checked_q = array("I"), 0, [], [], 0
     try:
-        for cls in classes:
-            if cls.phi_value in summaries:
-                continue  # on file from an earlier run
-            summary = summaries[cls.phi_value] = sort_class(cls, table)
-            if checkpoint is not None:
-                checkpoint.append(summary)
-            if progress is not None:
-                progress(len(summaries), len(classes), summary)
+        for i, cls in enumerate(classes):
+            summary = sort_class(cls, table)
+            if i < len(on_file):
+                if on_file[i] != _class_body(summary):
+                    raise CheckpointError(
+                        f"{checkpoint_path}: line {i + 2} is not the run's line for the class of totient {cls.phi_value}"
+                    )
+            else:
+                if checkpoint is not None:
+                    checkpoint.append(summary)
+                if progress is not None:
+                    progress(i + 1, len(classes), summary)
+            sequence.extend(summary["members"])
+            pair_count += summary["pair_count"]
+            ties += map(tuple, summary["ties"])
+            incomparable += [(m, n, cert) for m, n, _, cert in map(certificate_from_record, summary["incomparable"])]
+            if summary["max_checked_q"] > max_checked_q:
+                max_checked_q = summary["max_checked_q"]
     finally:
         if checkpoint is not None:
             checkpoint.close()
-
-    done = [summaries[cls.phi_value] for cls in classes]
-    record = {
-        "range_max": range_max,
-        "sequence": [x for s in done for x in s["members"]],
-        "class_count": len(done),
-        "pair_count": sum(s["pair_count"] for s in done),
-        "incomparable_pairs": [r for s in done for r in s["incomparable"]],
-        "tie_pairs": [t for s in done for t in s["ties"]],
-        "stable_prefix_len": stable_len,
-        "max_checked_q": max(s["max_checked_q"] for s in done),
-    }
-    return ChainReport.from_record(record)
+    return ChainReport(range_max, sequence, len(classes), pair_count, incomparable, ties, stable_len, max_checked_q)
 
 
 # ---------------------------------------------------------------------------

@@ -275,20 +275,21 @@ MUTANTS = (
     Mutant(
         "checkpoint: a resumed class line not compared with the run's own",
         ORDER,
-        "        if dumps(rec) != _class_body(fresh):\n",
-        "        if False:\n",
+        "                if on_file[i] != _class_body(summary):\n",
+        "                if False:\n",
         (
             T_ORDER + "test_a_forged_class_line_is_refused",
             T_ORDER + "test_a_class_line_that_is_not_the_runs_is_refused[order]",
             T_ORDER + "test_a_swap_inside_a_run_of_equal_rows_is_refused",
+            T_ORDER + "test_class_lines_out_of_the_runs_order_are_refused[dropped]",
         ),
     ),
     Mutant(
-        "checkpoint: a resumed class line compared by value, not as text",
+        "checkpoint: more class lines on file than the run has classes",
         ORDER,
-        "        if dumps(rec) != _class_body(fresh):\n",
-        '        if rec != dict(fresh, kind="class"):\n',
-        (T_ORDER + "test_a_forged_class_line_is_refused[max_checked_q-float]",),
+        "    if len(on_file) > len(classes):\n",
+        "    if False:\n",
+        (T_ORDER + "test_class_lines_out_of_the_runs_order_are_refused[duplicated]",),
     ),
     Mutant(
         "records: == reads only the first field",

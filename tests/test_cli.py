@@ -168,11 +168,12 @@ def test_checkpoint_line_that_is_not_an_object_exits_4(capsys, tmp_path, line_no
     assert err == f"checkpoint error: {path}: line {line_no} is not a JSON object\n"
 
 
-@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+@pytest.mark.parametrize("where", ["in a missing directory", "a directory", "empty"])
 def test_unopenable_checkpoint_exits_4_without_a_traceback(tmp_path, where):
     """A checkpoint path that cannot be opened ends the run as any other
-    unusable checkpoint does: one `checkpoint error` line and exit 4."""
-    path = tmp_path / "missing" / "v.ckpt" if where == "in a missing directory" else tmp_path
+    unusable checkpoint does: one `checkpoint error` line and exit 4.  An
+    empty path is one too, not a run without a checkpoint."""
+    path = {"in a missing directory": tmp_path / "missing" / "v.ckpt", "a directory": tmp_path, "empty": ""}[where]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cycorder.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "cycorder", "verify", "10", "--checkpoint", str(path)],
@@ -343,4 +344,4 @@ def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp
         checkpoint.append(summary)
         checkpoint.close()
         assert_lines_are_compact_and_chained(Path(path).read_bytes())
-        assert CheckpointFile(path, 12).completed == {4: dict(summary, kind="class")}
+        assert [json.loads(body) for body in CheckpointFile(path, 12).completed] == [dict(summary, kind="class")]

@@ -774,53 +774,73 @@ def _rechained(lines, phi, edit):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit",
     [
-        pytest.param(
-            lambda rec: rec.update(members=[6, 6, 6]), "class 2 on file is not a class of {1..30}", id="members"
-        ),
-        pytest.param(
-            lambda rec: rec.update(members=[6, 4, 3.0]), "class 2 on file is not a class of {1..30}", id="float"
-        ),
-        pytest.param(
-            lambda rec: rec.update(pair_count=1), "class 2 on file is not a class of {1..30}", id="pair_count"
-        ),
-        pytest.param(
-            lambda rec: rec.update(members=[3, 4, 6]), "class 2 on file is not in asymptotic order", id="order"
-        ),
-        pytest.param(lambda rec: rec.update(phi=3), "class 3 on file is not a class of {1..30}", id="phi"),
-        pytest.param(lambda rec: rec.update(phi=[2]), "class line 3 has phi [2]", id="phi-list"),
-        pytest.param(lambda rec: rec.pop("phi"), "class line 3 lacks phi", id="no-phi"),
-        pytest.param(
-            lambda rec: [rec.pop(f) for f in ("ties", "members")], "class line 3 lacks members, ties", id="no-members"
-        ),
-        pytest.param(
-            lambda rec: rec.update(max_checked_q="3"), "class line 3 has max_checked_q '3'", id="max_checked_q-str"
-        ),
-        pytest.param(lambda rec: rec.update(ties=[[1]]), "class line 3 has ties [[1]]", id="ties-short"),
-        pytest.param(
-            lambda rec: rec.update(incomparable=[{"x": 1}]),
-            "class line 3 has incomparable [{'x': 1}]",
-            id="incomparable-not-a-record",
-        ),
-        pytest.param(lambda rec: rec.update(cert_hash=5), "class line 3 has cert_hash 5", id="cert_hash-int"),
+        pytest.param(lambda rec: rec.update(members=[6, 6, 6]), id="members"),
+        pytest.param(lambda rec: rec.update(members=[6, 4, 3.0]), id="float"),
+        pytest.param(lambda rec: rec.update(pair_count=1), id="pair_count"),
+        pytest.param(lambda rec: rec.update(members=[3, 4, 6]), id="order"),
+        pytest.param(lambda rec: rec.update(phi=3), id="phi"),
+        pytest.param(lambda rec: rec.update(phi=[2]), id="phi-list"),
+        pytest.param(lambda rec: rec.pop("phi"), id="no-phi"),
+        pytest.param(lambda rec: [rec.pop(f) for f in ("ties", "members")], id="no-members"),
+        pytest.param(lambda rec: rec.update(max_checked_q="3"), id="max_checked_q-str"),
+        pytest.param(lambda rec: rec.update(ties=[[1]]), id="ties-short"),
+        pytest.param(lambda rec: rec.update(incomparable=[{"x": 1}]), id="incomparable-not-a-record"),
+        pytest.param(lambda rec: rec.update(cert_hash=5), id="cert_hash-int"),
     ],
 )
-def test_a_class_line_that_is_not_the_runs_is_refused(tmp_path, capsys, edit, message):
+def test_a_class_line_that_is_not_the_runs_is_refused(tmp_path, capsys, edit):
     """A class line of a `verify 30` checkpoint edited and rechained, so
     that its hash chain holds, is refused by the library and by `verify`
     (exit 4) when it lacks a field, or holds one of another type than a
     run writes (a str for an int, a tie that is not [a, b, q], an
     incomparable entry that is no comparison record, a cert_hash that is
-    not 64 hex digits), or when its class is not one of the run's:
-    another totient, members that are not the class's in some order
-    (here [6, 6, 6] for the class {3, 4, 6}, which would report a
-    sequence without 3 and 4), or a pair_count other than k - 1; or when
-    its members are not in the order the run's own sort of the class
-    gives (here [3, 4, 6], whose rows decrease: that order is 6, 4, 3)."""
+    not 64 hex digits), or when its class is not the run's: another
+    totient, members that are not the class's in some order (here
+    [6, 6, 6] for the class {3, 4, 6}, which would report a sequence
+    without 3 and 4), or a pair_count other than k - 1; or when its
+    members are not in the order the run's own sort of the class gives
+    (here [3, 4, 6], whose rows decrease: that order is 6, 4, 3).  Each
+    is line 3, the run's line for the class of totient 2, in any other
+    text."""
     path = tmp_path / "verify.ckpt"
     build_chain(30, checkpoint_path=str(path))
     path.write_text("".join(_rechained(path.read_text().splitlines(), 2, edit)))
+    crafted, message = path.read_text(), "line 3 is not the run's line for the class of totient 2"
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
+        build_chain(30, checkpoint_path=str(path))
+    assert main(["verify", "30", "--checkpoint", str(path), "--format", "structured"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"checkpoint error: {path}: {message}\n"
+    assert path.read_text() == crafted
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda lines: lines[:2] + lines[3:], "line 3 is not the run's line for the class of totient 2",
+                     id="dropped"),
+        pytest.param(lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
+                     "line 3 is not the run's line for the class of totient 2", id="swapped"),
+        pytest.param(lambda lines: lines + lines[-1:], "13 class lines on file, but {1..30} has 12 classes",
+                     id="duplicated"),
+    ],
+)
+def test_class_lines_out_of_the_runs_order_are_refused(tmp_path, capsys, change, message):
+    """A `verify 30` checkpoint, 12 class lines, rechained with line 3
+    (the class of totient 2) dropped, with lines 3 and 4 swapped, or with
+    its last class line twice, is refused by the library and by `verify`
+    (exit 4) and left as it was: the class lines on file must be the
+    run's first lines, in the run's order, and no more of them than the
+    run has classes.  A resume that looked each class up by its totient
+    took the first two files as runs cut short, and rewrote none of the
+    lines out of place."""
+    path = tmp_path / "verify.ckpt"
+    build_chain(30, checkpoint_path=str(path))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 13 and '"phi":2,' in lines[2] and '"phi":4,' in lines[3]
+    path.write_text("".join(_rechained(change(lines), 2, lambda rec: None)))
     crafted = path.read_text()
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         build_chain(30, checkpoint_path=str(path))
@@ -840,12 +860,12 @@ def test_a_swap_inside_a_run_of_equal_rows_is_refused(tmp_path, capsys):
     path = tmp_path / "verify.ckpt"
     build_chain(500, checkpoint_path=str(path))
     lines = path.read_text().splitlines()
-    [on_file] = [json.loads(line)["members"] for line in lines if '"phi":162,' in line]
+    [line_no] = [i for i, line in enumerate(lines, start=1) if '"phi":162,' in line]
+    assert json.loads(lines[line_no - 1])["members"] == [326, 486, 243, 163]
     table = SumsTable(500)
-    assert on_file == [326, 486, 243, 163]
     assert len({_lanes(table, n) for n in (486, 243)}) == 1
     path.write_text("".join(_rechained(lines, 162, lambda rec: rec.update(members=[326, 243, 486, 163]))))
-    crafted, message = path.read_text(), "class 162 on file is not in asymptotic order"
+    crafted, message = path.read_text(), f"line {line_no} is not the run's line for the class of totient 162"
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         build_chain(500, checkpoint_path=str(path))
     assert main(["verify", "500", "--checkpoint", str(path), "--format", "structured"]) == 4
@@ -868,17 +888,17 @@ FORGED_RECORD = {
 
 
 @pytest.mark.parametrize(
-    "changes, key",
+    "changes",
     [
-        pytest.param({"ties": [[10, 12, 2]]}, "ties", id="ties"),
-        pytest.param({"incomparable": [FORGED_RECORD]}, "incomparable", id="incomparable"),
-        pytest.param({"incomparable": [FORGED_RECORD], "max_checked_q": 7}, "incomparable", id="incomparable-and-q"),
-        pytest.param({"max_checked_q": 7}, "max_checked_q", id="max_checked_q"),
-        pytest.param({"max_checked_q": 3.0}, "max_checked_q", id="max_checked_q-float"),
-        pytest.param({"cert_hash": "0" * 64}, "cert_hash", id="cert_hash"),
+        pytest.param({"ties": [[10, 12, 2]]}, id="ties"),
+        pytest.param({"incomparable": [FORGED_RECORD]}, id="incomparable"),
+        pytest.param({"incomparable": [FORGED_RECORD], "max_checked_q": 7}, id="incomparable-and-q"),
+        pytest.param({"max_checked_q": 7}, id="max_checked_q"),
+        pytest.param({"max_checked_q": 3.0}, id="max_checked_q-float"),
+        pytest.param({"cert_hash": "0" * 64}, id="cert_hash"),
     ],
 )
-def test_a_forged_class_line_is_refused(tmp_path, capsys, changes, key):
+def test_a_forged_class_line_is_refused(tmp_path, capsys, changes):
     """The line of the class of totient 4 ({5, 8, 10, 12}, line 4) of a
     `verify 30` checkpoint, with well-typed values the run does not
     write and its chain recomputed, is refused by the library and by
@@ -893,7 +913,7 @@ def test_a_forged_class_line_is_refused(tmp_path, capsys, changes, key):
     lines = path.read_text().splitlines()
     assert '"phi":4,' in lines[3] and '"max_checked_q":3,' in lines[3] and '"ties":[]' in lines[3]
     path.write_text("".join(_rechained(lines, 4, lambda rec: rec.update(changes))))
-    crafted, message = path.read_text(), f"class line 4 has {key} {changes[key]!r}"
+    crafted, message = path.read_text(), "line 4 is not the run's line for the class of totient 4"
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: {message}")):
         build_chain(30, checkpoint_path=str(path))
     assert main(["verify", "30", "--checkpoint", str(path), "--format", "structured"]) == 4
@@ -1090,7 +1110,7 @@ def test_sigkill_loses_no_reported_class(tmp_path):
     assert code == -signal.SIGKILL, stderr
     reported = {int(phi) for phi in re.findall(r"^class phi=(\d+) .*\)$", stderr, re.M)}
     assert reported
-    assert reported <= set(CheckpointFile(path, 10000).completed)
+    assert reported <= {json.loads(body)["phi"] for body in CheckpointFile(path, 10000).completed}
     assert build_chain(10000, checkpoint_path=path) == build_chain(10000)
 
 
