@@ -12,21 +12,21 @@ built.  One table per run (`comparator.SumsTable`) holds the first 64
 sums of every index as a row of biased byte lanes, sieved from
 Ramanujan's definition, and a smallest-prime-factor table.
 `sort_class`, the one per-class step, sorts a class on its members'
-rows and, in one pass over its adjacent pairs, reads each pair's window
-of sums off the two rows, takes the pair's outcome from the run's memo,
-which the table also holds, or decides the window
-(`comparator.ramanujan_compare` proves both sound), writes the pair's
-line and adds it to the class's summary.  A member's sums are built as
-an object only when its row does not settle a pair: when its row ties
-another in the sort, or in a pair whose first difference lies past lane
-55, so that its window reaches lane 64 or leaves the row.  The object
-reads each term past the row on its own by Hoelder's closed form, from
-a table it builds once, factoring the member off the smallest-prime-
-factor table; past two equal rows, the first difference of two members
-is the least divisor of the lcm of the two where their sums differ
-(`comparator.RamanujanSums`), so only those divisors are read.  The
-sorted classes concatenate, ascending by totient value, into the full
-chain.
+rows, each read once as one big-endian integer, and, in one pass over
+its adjacent pairs, reads each pair's window of sums off the two rows'
+integers, takes the pair's outcome from the run's memo, which the table
+also holds, or decides the window (`comparator.ramanujan_compare` proves
+both sound), writes the pair's line and adds it to the class's summary.
+A member's sums are built as an object only when its row does not settle
+a pair: when its row ties another in the sort, or in a pair whose first
+difference lies past lane 55, so that its window reaches lane 64 or
+leaves the row.  The object reads each term past the row on its own by
+Hoelder's closed form, from a table it builds once, factoring the member
+off the smallest-prime-factor table; past two equal rows, the first
+difference of two members is the least divisor of the lcm of the two
+where their sums differ (`comparator.RamanujanSums`), so only those
+divisors are read.  The sorted classes concatenate, ascending by totient
+value, into the full chain.
 
 Classes run in one process in ascending totient order, and one loop
 sorts, checkpoints and reports each and folds its summary, read off the
@@ -36,11 +36,12 @@ to 100000 reaches, would make one at its first evaluation, for its pair
 alone (`comparator._certify`).  The checkpoint is a hash-chained
 JSON-lines file, one line per class, flushed as each class finishes and
 synced to disk after each second of classes and when the run ends; each
-line's chain covers its own bytes, which loading checks.  A resume is
-the run itself: the class lines on file must be the run's first lines,
-byte for byte, and the run appends the rest.  A checkpoint saves no
-work on resume, and stands as a cross-check of the run and a record
-that survives Ctrl-C and the death of the process.
+line's chain covers its own bytes, which loading checks, reading the
+file one line at a time.  A resume is the run itself: the class lines on
+file must be the run's first lines, byte for byte, and the run appends
+the rest.  A checkpoint saves no work on resume, and stands as a
+cross-check of the run and a record that survives Ctrl-C and the death
+of the process.
 
 A finite chain can only claim positions in the infinite sequence for
 entries whose totient class is already complete below the range bound
@@ -266,40 +267,6 @@ def stable_prefix_length(classes: Iterable[PhiClass], range_max: int, phi_table:
         limit *= 2
 
 
-def _class_order(
-    members: list[int], phi: int, table: SumsTable
-) -> tuple[list[int], dict[int, bytes], Callable[[int], RamanujanSums], dict[tuple[int, int], int]]:
-    """(order, rows, sums_of, firsts) for members of the class of totient
-    `phi`: the members in asymptotic order (`sort_class` proves it), each
-    one's row of `table`, a member's `RamanujanSums`, each built at its
-    first call and kept (the sort calls it for the members of each run of
-    equal rows alone), and the first difference of each pair of equal
-    rows that the tie-break compared, under (x, y) and (y, x).  Those
-    pairs include every pair of equal rows adjacent in `order`: a
-    comparison sort of distinct keys compares each two keys adjacent in
-    its output, since were it not to compare them, swapping the two would
-    leave every comparison it made, and so its output, as it was."""
-    lanes, sums, firsts = table.lanes, {}, {}
-
-    def sums_of(x: int) -> RamanujanSums:
-        if x not in sums:
-            sums[x] = RamanujanSums(x, table, phi)
-        return sums[x]
-
-    rows = {n: lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK] for n in members}
-    order = sorted(members, key=rows.__getitem__)
-    if len(set(rows.values())) < len(order):  # some rows tie: order each run by the sums
-
-        def later(x: int, y: int) -> int:
-            a, b = sums_of(x), sums_of(y)
-            j = firsts[x, y] = firsts[y, x] = a.first_difference(b)
-            return a.term(j) - b.term(j)
-
-        tie_break = cmp_to_key(later)
-        order = [x for _, run in groupby(order, rows.__getitem__) for x in sorted(run, key=tie_break)]
-    return order, rows, sums_of, firsts
-
-
 def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     """Sort one class by asymptotic order, certify its adjacent pairs and
     summarize them: the one per-class step of a verification.
@@ -324,32 +291,33 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     exact fallback keeps its values only for its pair.  A class of one
     member reads no row.
 
-    `_class_order`, the run's own sort of the class, sorts the members
-    once on their rows; where rows tie, each run of equal rows is sorted again by the
-    tie-break -c_a(j) - (-c_b(j)) at the first j where the sums of a and
-    b part, the least divisor of lcm(a, b) past the rows where they
-    differ (`RamanujanSums.first_difference`).  Then one loop over the
-    k - 1 adjacent pairs reads each pair's j0 and memo key off the two
-    rows, each read as one big-endian integer once per member
-    (`_row_key`), takes its outcome (verdict, certificate, line template)
-    from the run's memo (`table.outcomes`) or, for a pair with
-    j0 <= _LAST_ROW_J0 whose key the memo lacks, from its window read off
-    the rows (`comparator._window_outcome`), or, for a pair with
-    j0 > _LAST_ROW_J0, whose window ends at lane 64 or past the rows
-    (equal rows among them), from `comparator.ramanujan_compare`, given
-    the j0 read off the rows or, for equal rows, the one the tie-break
-    found; writes the pair's line, template % (a, b); and adds the pair
-    to the summary.  A member's `RamanujanSums` object is built only for a run
-    of equal rows or a pair with j0 > _LAST_ROW_J0, once for each
-    member: the loop reads the objects the sort built.
+    The class sorts once on its members' rows, each read once as one
+    big-endian integer, and each run of equal rows again by the tie-break
+    -c_a(j) - (-c_b(j)) at the first j where the sums of a and b part
+    (`RamanujanSums.first_difference`: the least divisor of lcm(a, b)
+    past the rows where they differ), kept in `firsts`.  One loop over
+    the k - 1 adjacent pairs then reads each pair's j0 and memo key off
+    the two rows' integers (`_row_key`) and takes its outcome (verdict,
+    certificate, line template) from the run's memo (`table.outcomes`);
+    or, for j0 <= _LAST_ROW_J0, from its window read off the rows
+    (`comparator._window_outcome`); or, for j0 > _LAST_ROW_J0, whose
+    window ends at lane 64 or past the rows, from
+    `comparator.ramanujan_compare` at the j0 read off the rows or, for
+    equal rows, the one in `firsts`.  It writes the pair's line,
+    template % (a, b), and adds the pair to the summary.  A member's
+    `RamanujanSums` object is built only for a run of equal rows or a
+    pair with j0 > _LAST_ROW_J0, once: the loop reads the objects the
+    sort built.
 
     Why this is the asymptotic order, and each outcome the pair's:
 
     1. The rows sort as the sums.  A row holds the lanes 64 - c_n(j),
-       j = 1..64, each in [0, 128] (`SumsTable`), as bytes, which compare
-       lexicographically; adding 64 keeps the order of the terms
-       -c_n(j), so rows compare as the 64-term prefixes of the negated
-       sums.
+       j = 1..64, each in [0, 128] (`SumsTable`), as 64 bytes; read as a
+       big-endian integer, lane j weighs 256^(64 - j), so two rows'
+       integers compare as their first differing lane does, which is the
+       lexicographic order of the bytes, and equal integers are equal
+       rows.  Adding 64 keeps the order of the terms -c_n(j), so rows
+       compare as the 64-term prefixes of the negated sums.
     2. The sort gives the lexicographic order of the whole sequences.
        Two members whose rows differ have their first difference inside
        them, so the rows order them as the sequences do.  Members with
@@ -358,7 +326,17 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
        strict total order (two distinct indices of one class always part,
        `RamanujanSums`), orders each run of them.  That order is the
        asymptotic order (`comparator.ramanujan_compare`).
-    3. The outcome of each pair with j0 <= _LAST_ROW_J0 is
+    3. Each pair with j0 > _LAST_ROW_J0 is given its first difference,
+       so its outcome is `ramanujan_compare`'s.  Rows that differ hold it
+       (step 2).  For equal rows it is in `firsts`: the two members are
+       adjacent in the sorted output of their run, and a comparison sort
+       of distinct keys compares every two keys adjacent in its output
+       (were it not to compare them, swapping the two would leave every
+       comparison it made, and so its output, as it was), so the
+       tie-break stored their j0.  Were it missing, the lookup would
+       raise KeyError rather than read a window at lane 65, where the
+       two sums may still agree.
+    4. The outcome of each pair with j0 <= _LAST_ROW_J0 is
        `ramanujan_compare`'s.  Its rows differ, so its j0 is the first
        difference of the two sequences, which lies in the rows, and its
        window ends at j0 + 8 <= 63, inside the rows too, so the deltas
@@ -371,16 +349,16 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
 
     Why k - 1 certificates prove what all k(k-1)/2 pairs would:
 
-    4. LESS means Phi_a(q) <= Phi_b(q) at every integer q >= 2, a
+    5. LESS means Phi_a(q) <= Phi_b(q) at every integer q >= 2, a
        transitive relation, so LESS certificates on every adjacent pair
        chain to every pair of the class: the class is totally ordered.
-    5. a LESS b implies that a precedes b asymptotically, since the
+    6. a LESS b implies that a precedes b asymptotically, since the
        difference is nonzero and its sign for large q is its leading sign.
        So a total order on the class is contained in the asymptotic
        order and, both being total, equals it.  Hence the class has an
        incomparable pair exactly when some adjacent pair is not LESS, and
        the verdict keeps its meaning.
-    6. In a totally ordered class, Phi_a(q) = Phi_c(q) with a before c
+    7. In a totally ordered class, Phi_a(q) = Phi_c(q) with a before c
        forces Phi_a(q) <= Phi_b(q) <= Phi_c(q) = Phi_a(q) for every b
        between them, so each adjacent pair from a to c ties at q.  The
        set of indices in some tied pair is therefore the set of indices
@@ -405,19 +383,32 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
         table = SumsTable(largest)
     elif largest > table.limit:
         raise ValueError(f"the sums table covers indices up to {table.limit}, not {largest}")
-    ordered, rows, sums_of, firsts = _class_order(members, phi, table)
-    lanes, memo, from_bytes = table.lanes, table.outcomes, int.from_bytes
+    lanes, memo = table.lanes, table.outcomes
+    sums, firsts = {}, {}
+
+    def sums_of(x: int) -> RamanujanSums:
+        if x not in sums:
+            sums[x] = RamanujanSums(x, table, phi)
+        return sums[x]
+
+    rows = {n: int.from_bytes(lanes[n * _SUMS_BLOCK : (n + 1) * _SUMS_BLOCK], "big") for n in members}
+    ordered = sorted(members, key=rows.__getitem__)
+    if len(set(rows.values())) < len(ordered):  # some rows tie: order each run by the sums
+
+        def later(x: int, y: int) -> int:
+            a, b = sums_of(x), sums_of(y)
+            j = firsts[x, y] = firsts[y, x] = a.first_difference(b)
+            return a.term(j) - b.term(j)
+
+        tie_break = cmp_to_key(later)
+        ordered = [x for _, run in groupby(ordered, rows.__getitem__) for x in sorted(run, key=tie_break)]
     lines, ties, incomparable, max_checked_q = [], summary["ties"], summary["incomparable"], 0
     a = ordered[0]
-    row_a = from_bytes(rows[a], "big")
     for b in ordered[1:]:
-        row_b = from_bytes(rows[b], "big")
-        key = _row_key(row_a, row_b)
+        key = _row_key(rows[a], rows[b])
         j0 = key[0]
-        if j0 > _LAST_ROW_J0:  # the window ends at lane 64 or past the row
-            if j0 > _SUMS_BLOCK:  # equal rows, which the tie-break compared
-                j0 = firsts[a, b]
-            outcome = ramanujan_compare(sums_of(a), sums_of(b), j0, memo)
+        if j0 > _LAST_ROW_J0:  # the window ends at lane 64 or past the row; equal rows take the tie-break's j0
+            outcome = ramanujan_compare(sums_of(a), sums_of(b), firsts[a, b] if j0 > _SUMS_BLOCK else j0, memo)
         else:
             outcome = memo.get(key)
             if outcome is None:
@@ -434,7 +425,7 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
             max_checked_q = cert.checked_q_max
         if cert.tie_witnesses:
             ties += [[a, b, q] for q in cert.tie_witnesses]
-        a, row_a = b, row_b
+        a = b
     lines.append("")  # so that the join ends every line in a newline
     cert_hash = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     summary.update(members=ordered, max_checked_q=max_checked_q, cert_hash=cert_hash)
@@ -483,12 +474,16 @@ class CheckpointFile:
     by a last field "chain": the sha256 of the previous line's chain plus
     the body's bytes (`_line`; "" before the header).  One writer makes
     each body (`_class_body`), so the chain covers the bytes on file, and
-    `_load` checks it against them, parsing each line once: silent edits
-    or reordering are detected at load time.  A malformed trailing line
-    (interrupted write) is discarded and cut from the file, so later
-    appends start on a fresh line; a well-formed line that is not a JSON
-    object or breaks the chain, another version or another range_max
-    raises CheckpointError.  `completed` holds the body of each line the
+    `_load` checks it against them, reading the file one line at a time
+    and parsing each line once: silent edits or reordering are detected
+    at load time.  The loader reads one line ahead, which tells whether
+    the line it checks is the final one, and keeps of the file only the
+    bodies in `completed`, never its bytes whole.  A malformed final line
+    (interrupted write) is discarded and cut from the file, and a
+    complete final line that lacks its newline gets one, so later appends
+    start on a fresh line; a malformed line before the last, a
+    well-formed line that is not a JSON object or breaks the chain,
+    another version or another range_max raises CheckpointError.  `completed` holds the body of each line the
     file held after its header when loaded, in file order; `build_chain`
     requires them to be the run's first class lines, byte for byte.
     Classes are written in ascending totient order, so the classes on
@@ -544,44 +539,45 @@ class CheckpointFile:
             raise CheckpointError(f"{self.path}: cannot be opened: {exc.strerror or exc}") from exc
 
     def _load(self) -> None:
-        with self._open("rb") as fh:
-            lines = fh.read().splitlines(keepends=True)
         prev = None  # the chain of the last line kept; None until the header
         good_end = 0  # byte offset just past the last line kept
-        torn = False
-        for i, raw in enumerate(lines, start=1):
-            try:
-                line = raw.decode().rstrip("\r\n")
-                rec = json.loads(line)
-            except ValueError:
-                if i == len(lines):
-                    torn = True  # interrupted final write; drop it
-                    break
-                raise CheckpointError(f"{self.path}: malformed line {i}")
-            if not isinstance(rec, dict):
-                raise CheckpointError(f"{self.path}: line {i} is not a JSON object")
-            body = line[:-_CHAIN_TAIL] + "}"
-            if prev is None:  # the header: its version says how to read the rest
-                if rec.get("kind") != "header":
-                    raise CheckpointError(f"{self.path}: missing header line")
-                for key, wanted in (("version", CHECKPOINT_VERSION), ("range_max", self.range_max)):
-                    if rec.get(key) != wanted:
-                        raise CheckpointError(
-                            f"{self.path}: checkpoint has {key}={rec.get(key)!r}, wanted {wanted}"
-                        )
-                prev = ""
-            else:
-                self.completed.append(body)
-            prev, expected = _line(prev, body)
-            if line != expected:
-                raise CheckpointError(f"{self.path}: hash chain mismatch at line {i}")
-            good_end += len(raw)
+        with self._open("rb") as fh:
+            # one line of lookahead tells the final line, which alone may be torn
+            i, raw, after = 1, fh.readline(), fh.readline()
+            while raw:
+                try:
+                    line = raw.decode().rstrip("\r\n")
+                    rec = json.loads(line)
+                except ValueError:
+                    if not after:
+                        break  # interrupted final write; drop it
+                    raise CheckpointError(f"{self.path}: malformed line {i}")
+                if not isinstance(rec, dict):
+                    raise CheckpointError(f"{self.path}: line {i} is not a JSON object")
+                body = line[:-_CHAIN_TAIL] + "}"
+                if prev is None:  # the header: its version says how to read the rest
+                    if rec.get("kind") != "header":
+                        raise CheckpointError(f"{self.path}: missing header line")
+                    for key, wanted in (("version", CHECKPOINT_VERSION), ("range_max", self.range_max)):
+                        if rec.get(key) != wanted:
+                            raise CheckpointError(
+                                f"{self.path}: checkpoint has {key}={rec.get(key)!r}, wanted {wanted}"
+                            )
+                    prev = ""
+                else:
+                    self.completed.append(body)
+                prev, expected = _line(prev, body)
+                if line != expected:
+                    raise CheckpointError(f"{self.path}: hash chain mismatch at line {i}")
+                good_end += len(raw)
+                i, kept, raw, after = i + 1, raw, after, fh.readline()
         if prev is None:
             raise CheckpointError(f"{self.path}: missing header line")
         self._last_hash = prev
         # the next append must start on a fresh line: cut the torn tail's
         # bytes, or end a complete final line whose newline was never written
-        if torn or not lines[-1].endswith(b"\n"):
+        torn = bool(raw)
+        if torn or not kept.endswith(b"\n"):
             with self._open("r+b") as fh:
                 fh.truncate(good_end)
                 if not torn:

@@ -259,6 +259,18 @@ MUTANTS = (
         (T_ORDER + "test_prefix_sort_matches_pairwise_first_differences_to_5000",),
     ),
     Mutant(
+        "class sort: equal rows given the j0 read off the rows, not the tie-break's",
+        ORDER,
+        "firsts[a, b] if j0 > _SUMS_BLOCK else j0",
+        "j0",
+        (
+            T_ORDER + "test_class_sort_covers_both_routes[run at the start]",
+            T_ORDER + "test_class_sort_covers_both_routes[run in the middle]",
+            T_ORDER + "test_class_sort_covers_both_routes[run that is the whole class]",
+            T_ORDER + "test_class_sort_covers_both_routes[run at the end]",
+        ),
+    ),
+    Mutant(
         "stable prefix: the F_{K+1} term dropped from _totient_floor",
         ORDER,
         "return min(-(-(limit + 1) * phi // primorial), phi * (p - 1))",
@@ -268,9 +280,16 @@ MUTANTS = (
     Mutant(
         "checkpoint: the chain hash not checked on load",
         ORDER,
-        "            if line != expected:\n",
-        "            if False:\n",
+        "                if line != expected:\n",
+        "                if False:\n",
         (T_ORDER + "test_checkpoint_resume_and_validation",),
+    ),
+    Mutant(
+        "checkpoint: a malformed line before the last taken for a torn tail",
+        ORDER,
+        "                    if not after:\n",
+        "                    if True:\n",
+        (T_ORDER + "test_a_malformed_inner_line_is_refused_without_reading_the_file_whole",),
     ),
     Mutant(
         "checkpoint: a resumed class line not compared with the run's own",

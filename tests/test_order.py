@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from functools import cache, cmp_to_key
 from math import gcd, lcm
@@ -356,10 +357,11 @@ def test_class_sort_covers_both_routes(case, phi, limit, pair, monkeypatch):
     j0 is 55, the last whose window ends before lane 64 and is read off
     the rows, or 56, whose window ends at lane 64 and goes through
     `ramanujan_compare` with the j0 read off the rows, where a pair of
-    equal rows takes the j0 the tie-break found.  The class's order is the order of
-    the definition's sums (`_first_difference_order`), and the summary's
-    cert_hash covers each pair's line from unmemoised
-    `ramanujan_compare`."""
+    equal rows takes the j0 the tie-break found: the first difference by
+    the divisor-sum definition, which `first_difference` gives from
+    either side.  The class's order is the order of the definition's sums
+    (`_first_difference_order`), and the summary's cert_hash covers each
+    pair's line from unmemoised `ramanujan_compare`."""
     members = [x for x in inverse_totient(phi) if x <= limit]
     table = SumsTable(limit)
     routed, compare_sums = {}, cycorder.order.ramanujan_compare
@@ -371,18 +373,19 @@ def test_class_sort_covers_both_routes(case, phi, limit, pair, monkeypatch):
     monkeypatch.setattr(cycorder.order, "ramanujan_compare", recorded)
     summary = sort_class(PhiClass(phi, members), table)
     ordered = summary["members"]
-    assert ordered == _first_difference_order(members)[0]
+    want, firsts = _first_difference_order(members)
+    assert ordered == want
     rows = [_lanes(table, n) for n in ordered]
     i = min(map(ordered.index, pair))
     assert {ordered[i], ordered[i + 1]} == set(pair)
     assert (frozenset(pair) in routed) == (case != "last j0 of the row route")
-    firsts = cycorder.order._class_order(members, phi, table)[3]
     if "j0" in case:
         j0 = next(j for j, (x, y) in enumerate(zip(rows[i], rows[i + 1]), 1) if x != y)
         assert _LAST_ROW_J0 == 55 and j0 == (55 if case.startswith("last") else 56)
         assert routed.get(frozenset(pair), j0) == j0
     else:
-        assert routed[frozenset(pair)] == firsts[pair] > _SUMS_BLOCK
+        a, b = (RamanujanSums(n, table, phi) for n in pair)
+        assert routed[frozenset(pair)] == firsts[pair] == a.first_difference(b) == b.first_difference(a) > _SUMS_BLOCK
         assert [k for k, row in enumerate(rows) if row == rows[i]] == [i, i + 1]
         place = {
             "run at the start": i == 0 < len(ordered) - 2,
@@ -1015,6 +1018,29 @@ def test_checkpoint_torn_tail_survives_two_resumes(tmp_path):
         assert build_chain(60, workers=1, checkpoint_path=path) == first
         assert build_chain(60, workers=1, checkpoint_path=path) == first
         assert Path(path).read_text() == intact
+
+
+def test_a_malformed_inner_line_is_refused_without_reading_the_file_whole(tmp_path):
+    """A checkpoint of about 20 MB whose line 2 is not JSON, followed by
+    20,000 lines of 1 KB, is refused at line 2, a malformed line that is
+    not the final one, and left as it was; the loader reads it one line
+    at a time, so the refusal's peak of traced memory stays far below
+    the file's size (42.5 MB when the file was read whole and split)."""
+    path = tmp_path / "verify.ckpt"
+    CheckpointFile(str(path), 30)
+    with open(path, "a") as fh:
+        fh.write("not json\n")
+        fh.writelines(["x" * 1023 + "\n"] * 20_000)
+    before = path.read_bytes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="malformed line 2$"):
+            CheckpointFile(str(path), 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(before) > 20_000_000 > 20 * peak
+    assert path.read_bytes() == before
 
 
 def test_checkpoint_parallel_matches_serial(tmp_path):
