@@ -8,8 +8,6 @@ from .comparator import (
     compare,
     comparison_line,
     comparison_record,
-    parse_comparison_record,
-    record_to_json,
 )
 from .cyclotomic import (
     CycloCache,
@@ -62,11 +60,9 @@ __all__ = [
     "factorize",
     "inverse_totient",
     "moebius",
-    "parse_comparison_record",
     "phi_classes",
     "precedes",
     "radical",
-    "record_to_json",
     "sort_class",
     "totient",
 ]

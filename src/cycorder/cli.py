@@ -11,7 +11,7 @@ Exit codes:
     3   an INCOMPARABLE pair was found (scriptable counterexample signal)
     4   checkpoint file rejected (hash chain, version or parameter mismatch,
         or class lines that are not the run's first lines, byte for byte)
-        or cannot be opened
+        or cannot be opened or written
     130 interrupted; checkpointed progress is on disk: each class line is
         flushed as the class finishes, and the file is synced after each
         second of classes and when the run ends, fails or is interrupted

@@ -87,7 +87,6 @@ from __future__ import annotations
 import enum
 import functools
 import io
-import json
 from array import array
 from collections.abc import Callable
 from itertools import compress, count, filterfalse
@@ -849,18 +848,6 @@ def _row_key(a: int, b: int) -> tuple[int, int]:
 # wire format: one flat record per comparison, JSON-encodable
 # ---------------------------------------------------------------------------
 
-_RECORD_FIELDS = (
-    "verdict",
-    "m",
-    "n",
-    "threshold_c",
-    "leading_sign",
-    "checked_q_max",
-    "tie_witnesses",
-    "flip_witnesses",
-    "shortcut_tag",
-)
-
 
 def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> dict:
     """Flat key-value record for one comparison.
@@ -880,30 +867,6 @@ def comparison_record(m: int, n: int, verdict: Verdict, cert: Certificate) -> di
         "flip_witnesses": list(cert.flip_witnesses),
         "shortcut_tag": cert.shortcut_tag,
     }
-
-
-_RECORD_INTS = ("checked_q_max", "leading_sign", "m", "n", "threshold_c")  # the int fields of a record
-_VERDICT_VALUES = tuple(v.value for v in Verdict)  # a tuple: an unhashable verdict is no member, not a TypeError
-
-
-def _int_list(value) -> bool:
-    """Whether `value` is a list of ints, never bools."""
-    return type(value) is list and all(type(x) is int for x in value)
-
-
-def _well_formed_record(value) -> bool:
-    """Whether `value` has exactly the fields of a `comparison_record`,
-    each of the type it writes: ints (never bools), lists of ints, a
-    known verdict, and a str or None for the tag."""
-    return (
-        type(value) is dict
-        and value.keys() == set(_RECORD_FIELDS)
-        and value["verdict"] in _VERDICT_VALUES
-        and all(type(value[f]) is int for f in _RECORD_INTS)
-        and _int_list(value["tie_witnesses"])
-        and _int_list(value["flip_witnesses"])
-        and (value["shortcut_tag"] is None or type(value["shortcut_tag"]) is str)
-    )
 
 
 _VERDICT_JSON = {v: encode_basestring_ascii(v.value) for v in Verdict}
@@ -939,27 +902,8 @@ def comparison_line(m: int, n: int, verdict: Verdict, cert: Certificate) -> str:
     return _line_template(verdict, cert) % (m, n)
 
 
-def record_to_json(record: dict) -> str:
-    """json.dumps(record, sort_keys=True, separators=(",", ":")) for a
-    record of `comparison_record`'s fields, by `comparison_line`."""
-    return comparison_line(*certificate_from_record(record))
-
-
-def parse_comparison_record(text: str) -> dict:
-    """Inverse of record_to_json for comparison records; raises ValueError
-    on text that is not a JSON object, or one without exactly a record's
-    fields, each of the type `comparison_record` writes
-    (`_well_formed_record`)."""
-    rec = json.loads(text)
-    if not isinstance(rec, dict):
-        raise ValueError("comparison record is not a JSON object")
-    if not _well_formed_record(rec):
-        raise ValueError(f"comparison record is ill-formed: {text}")
-    return rec
-
-
 def certificate_from_record(rec: dict) -> tuple[int, int, Verdict, Certificate]:
-    """Rebuild (m, n, verdict, certificate) from a parsed record."""
+    """Rebuild (m, n, verdict, certificate) from a parsed `comparison_record`."""
     verdict = Verdict(rec["verdict"])
     cert = Certificate(
         rec["threshold_c"],

@@ -63,6 +63,7 @@ import json
 import os
 import time
 from array import array
+from contextlib import suppress
 from functools import cmp_to_key
 from itertools import groupby
 from operator import sub
@@ -82,9 +83,9 @@ from .comparator import (
     _window_outcome,
     certificate_from_record,
     compare,
+    comparison_line,
     comparison_record,
     ramanujan_compare,
-    record_to_json,
 )
 from .cyclotomic import CycloCache
 
@@ -119,7 +120,7 @@ class IncomparablePairError(OrderingError):
 
 
 class CheckpointError(Exception):
-    """Checkpoint file is unusable: unopenable, hash-chain mismatch, wrong parameters or a class not the run's."""
+    """Checkpoint file is unusable: unopenable or unwritable, hash-chain mismatch, wrong parameters or a class not the run's."""
 
 
 class PhiClass(_Record):
@@ -280,16 +281,16 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
     `pair_count`, k - 1; `max_checked_q`, the largest checked_q_max of
     the adjacent pairs' certificates (0 for a class of one member);
     `ties`, [a, b, q] for each tie witness q of each adjacent pair
-    (a, b); `incomparable`, the `comparison_record` of each INCOMPARABLE
-    adjacent pair, the only pairs that get a record dict; and
-    `cert_hash`, the sha256 of the adjacent pairs' lines, in order, each
-    `comparator.comparison_line` of its pair and ending in a newline (of
-    empty text for a class of one member), so the summary says nothing
-    the hash does not cover.  An INCOMPARABLE pair is data, never
-    raised; any other verdict but LESS contradicts the sort and raises
-    ArithmeticError.  No coefficient is read, and no cache is taken: an
-    exact fallback keeps its values only for its pair.  A class of one
-    member reads no row.
+    (a, b); `incomparable`, an (a, b, certificate) triple for each
+    INCOMPARABLE adjacent pair (a, b), as `ChainReport.incomparable_pairs`
+    holds it; and `cert_hash`, the sha256 of the adjacent pairs' lines,
+    in order, each `comparator.comparison_line` of its pair and ending in
+    a newline (of empty text for a class of one member), so the summary
+    says nothing the hash does not cover.  An INCOMPARABLE pair is data,
+    never raised; any other verdict but LESS contradicts the sort and
+    raises ArithmeticError.  No coefficient is read, and no cache is
+    taken: an exact fallback keeps its values only for its pair.  A class
+    of one member reads no row.
 
     The class sorts once on its members' rows, each read once as one
     big-endian integer, and each run of equal rows again by the tie-break
@@ -419,7 +420,7 @@ def sort_class(phi_class: PhiClass, table: SumsTable | None = None) -> dict:
         if verdict is not _LESS:
             if verdict is not _INCOMPARABLE:
                 raise ArithmeticError(f"internal: sorted neighbours {a}, {b} compare {verdict.value}")
-            incomparable.append(comparison_record(a, b, verdict, cert))
+            incomparable.append((a, b, cert))
         lines.append(template % (a, b))
         if cert.checked_q_max > max_checked_q:
             max_checked_q = cert.checked_q_max
@@ -448,14 +449,15 @@ def _line(prev_hex: str, body: str) -> tuple[str, str]:
 def _class_body(summary: dict) -> str:
     """json.dumps(summary plus "kind": "class", sort_keys=True,
     separators=(",", ":")) for a summary of `sort_class`'s fields (ints,
-    a hex string, lists of ints and comparison records), written field by
-    field; the records go through `record_to_json`."""
+    a hex string, lists of ints and (m, n, certificate) triples), written
+    field by field; each triple is written as its pair's record, by
+    `comparison_line`."""
     return (
         '{"cert_hash":"%s","incomparable":[%s],"kind":"class","max_checked_q":%d,'
         '"members":%s,"pair_count":%d,"phi":%d,"ties":%s}'
         % (
             summary["cert_hash"],
-            ",".join(map(record_to_json, summary["incomparable"])),
+            ",".join(comparison_line(m, n, _INCOMPARABLE, cert) for m, n, cert in summary["incomparable"]),
             summary["max_checked_q"],
             str(summary["members"]).replace(" ", ""),
             summary["pair_count"],
@@ -495,8 +497,13 @@ class CheckpointFile:
     `build_chain` reports the class.  `os.fsync` runs in an `append`
     that comes CHECKPOINT_SYNC_INTERVAL_S of wall time or more after the
     handle was opened or last synced, and once more in `close()`, which
-    `build_chain` calls however its class loop ends.  Why no run loses
-    what its resume needs:
+    `build_chain` calls however its class loop ends.  An OSError of any
+    write, flush or sync, of the header, of a class line or of the
+    load's cut of a torn tail, is raised as CheckpointError ("cannot be
+    written"); `close()` closes the handle all the same.  The lines
+    flushed before a failing one stay whole on file, and a line cut short
+    by it is a torn final line (4. below).  Why no run loses what its
+    resume needs:
 
     1. Process death (SIGKILL, a crash of the interpreter) loses no
        flushed line: the kernel holds the file's data whether or not the
@@ -528,8 +535,11 @@ class CheckpointFile:
         else:
             header = '{"kind":"header","range_max":%d,"version":%d}' % (range_max, CHECKPOINT_VERSION)
             self._last_hash, line = _line("", header)
-            with self._open("w") as fh:
-                fh.write(line + "\n")
+            try:
+                with self._open("w") as fh:
+                    fh.write(line + "\n")
+            except OSError as exc:
+                raise self._unwritable(exc) from exc
 
     def _open(self, mode: str):
         """open(self.path, mode), with an OSError raised as CheckpointError."""
@@ -537,6 +547,10 @@ class CheckpointFile:
             return open(self.path, mode, encoding=None if "b" in mode else "utf-8")
         except OSError as exc:
             raise CheckpointError(f"{self.path}: cannot be opened: {exc.strerror or exc}") from exc
+
+    def _unwritable(self, exc: OSError) -> CheckpointError:
+        """The CheckpointError raised for `exc`, an OSError of a write, a flush or a sync."""
+        return CheckpointError(f"{self.path}: cannot be written: {exc.strerror or exc}")
 
     def _load(self) -> None:
         prev = None  # the chain of the last line kept; None until the header
@@ -578,37 +592,45 @@ class CheckpointFile:
         # bytes, or end a complete final line whose newline was never written
         torn = bool(raw)
         if torn or not kept.endswith(b"\n"):
-            with self._open("r+b") as fh:
-                fh.truncate(good_end)
-                if not torn:
-                    fh.seek(good_end)
-                    fh.write(b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            try:
+                with self._open("r+b") as fh:
+                    fh.truncate(good_end)
+                    if not torn:
+                        fh.seek(good_end)
+                        fh.write(b"\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            except OSError as exc:
+                raise self._unwritable(exc) from exc
 
     def append(self, summary: dict) -> None:
         chain, line = _line(self._last_hash, _class_body(summary))
         if self._fh is None:
             self._fh = self._open("a")
             self._synced_at = time.monotonic()
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        now = time.monotonic()
-        if now - self._synced_at >= CHECKPOINT_SYNC_INTERVAL_S:
-            os.fsync(self._fh.fileno())
-            self._synced_at = now
+        try:
+            self._fh.write(line + "\n")
+            self._fh.flush()
+            now = time.monotonic()
+            if now - self._synced_at >= CHECKPOINT_SYNC_INTERVAL_S:
+                os.fsync(self._fh.fileno())
+                self._synced_at = now
+        except OSError as exc:
+            raise self._unwritable(exc) from exc
         self._last_hash = chain
 
     def close(self) -> None:
-        """Sync and close the append handle, if `append` opened one."""
-        if self._fh is None:
+        """Sync and close the append handle, if `append` opened one; the
+        handle is closed whether or not the sync succeeds."""
+        fh, self._fh = self._fh, None
+        if fh is None:
             return
         try:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        finally:
-            self._fh.close()
-            self._fh = None
+            with fh:
+                fh.flush()
+                os.fsync(fh.fileno())
+        except OSError as exc:
+            raise self._unwritable(exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +659,10 @@ def build_chain(
     a line unchanged since it was written, not what wrote it: anyone can
     recompute the chain.  Past the file, the loop appends each class's
     line and then reports the class (`progress`); the checkpoint is
-    synced and closed however the loop ends (`CheckpointFile`).  One
-    totient sieve to 2 range_max, held as an `array("I")`, gives both the
-    classes and the stable prefix.  `workers` is checked (>= 1) and
+    synced and closed however the loop ends (`CheckpointFile`), and when
+    the loop raises, a close that fails too does not replace its error.
+    One totient sieve to 2 range_max, held as an `array("I")`, gives both
+    the classes and the stable prefix.  `workers` is checked (>= 1) and
     otherwise ignored: the run is one process, so any worker count gives
     the same results.
     """
@@ -677,12 +700,16 @@ def build_chain(
             sequence.extend(summary["members"])
             pair_count += summary["pair_count"]
             ties += map(tuple, summary["ties"])
-            incomparable += [(m, n, cert) for m, n, _, cert in map(certificate_from_record, summary["incomparable"])]
+            incomparable += summary["incomparable"]
             if summary["max_checked_q"] > max_checked_q:
                 max_checked_q = summary["max_checked_q"]
-    finally:
+    except BaseException:
         if checkpoint is not None:
-            checkpoint.close()
+            with suppress(CheckpointError):  # the loop's error is the one to raise, not a failing close's
+                checkpoint.close()
+        raise
+    if checkpoint is not None:
+        checkpoint.close()
     return ChainReport(range_max, sequence, len(classes), pair_count, incomparable, ties, stable_len, max_checked_q)
 
 

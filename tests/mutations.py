@@ -242,7 +242,7 @@ MUTANTS = (
         COMPARATOR,
         "filterfalse(common.__mod__, range(",
         "filterfalse(m.__mod__, range(",
-        (T_ORDER + "test_prefix_sort_matches_pairwise_first_differences_to_5000",),
+        (T_ORDER + "test_class_sort_matches_pairwise_first_differences_to_5000",),
     ),
     Mutant(
         "first difference past the rows: c_n read at d instead of gcd(n, d)",
@@ -256,7 +256,7 @@ MUTANTS = (
         ORDER,
         "return a.term(j) - b.term(j)",
         "return b.term(j) - a.term(j)",
-        (T_ORDER + "test_prefix_sort_matches_pairwise_first_differences_to_5000",),
+        (T_ORDER + "test_class_sort_matches_pairwise_first_differences_to_5000",),
     ),
     Mutant(
         "class sort: equal rows given the j0 read off the rows, not the tie-break's",
@@ -309,6 +309,13 @@ MUTANTS = (
         "    if len(on_file) > len(classes):\n",
         "    if False:\n",
         (T_ORDER + "test_class_lines_out_of_the_runs_order_are_refused[duplicated]",),
+    ),
+    Mutant(
+        "checkpoint: an incomparable pair's record written with m and n swapped",
+        ORDER,
+        "comparison_line(m, n, _INCOMPARABLE, cert) for m, n, cert in",
+        "comparison_line(n, m, _INCOMPARABLE, cert) for m, n, cert in",
+        (T_ORDER + "test_a_resume_over_an_incomparable_class_line_is_the_run",),
     ),
     Mutant(
         "records: == reads only the first field",

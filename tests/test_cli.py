@@ -9,7 +9,8 @@ import pytest
 
 import cycorder
 from cycorder.cli import main
-from cycorder.comparator import SumsTable, parse_comparison_record
+from cycorder.comparator import SumsTable, Verdict, compare, comparison_record
+from cycorder.cyclotomic import CycloCache
 from cycorder.order import (
     ChainReport,
     CheckpointFile,
@@ -61,7 +62,8 @@ def test_compare_certificate_round_trips(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "LESS"
-    rec = parse_comparison_record(lines[1])
+    rec = json.loads(lines[1])
+    assert rec == comparison_record(6, 4, *compare(6, 4, CycloCache()))
     assert rec["m"] == 6 and rec["n"] == 4
     assert rec["threshold_c"] == 1 and rec["leading_sign"] == 1
     assert rec["checked_q_max"] == 1 and rec["shortcut_tag"] is None
@@ -344,4 +346,7 @@ def test_stand_in_checkpoint_lines_are_the_general_encoders(stand_in_values, tmp
         checkpoint.append(summary)
         checkpoint.close()
         assert_lines_are_compact_and_chained(Path(path).read_bytes())
-        assert [json.loads(body) for body in CheckpointFile(path, 12).completed] == [dict(summary, kind="class")]
+        records = [comparison_record(m, n, Verdict.INCOMPARABLE, cert) for m, n, cert in summary["incomparable"]]
+        assert [json.loads(body) for body in CheckpointFile(path, 12).completed] == [
+            dict(summary, kind="class", incomparable=records)
+        ]

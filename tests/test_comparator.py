@@ -27,9 +27,7 @@ from cycorder.comparator import (
     compare,
     comparison_line,
     comparison_record,
-    parse_comparison_record,
     ramanujan_compare,
-    record_to_json,
 )
 from cycorder.cyclotomic import CycloCache, cyclo, eval_cyclo, kernel_entry, pair_width
 from cycorder.intpoly import IntPoly
@@ -158,8 +156,8 @@ def test_gap_contradicted_at_q2_is_incomparable(fake_pair_cache, eval_calls):
     assert v is Verdict.INCOMPARABLE
     assert cert == Certificate(0, 1, 3, [], [3, 2], "totient-gap")
     assert eval_calls == [(b, 2), (a, 2), (b, 3), (a, 3)]
-    rec = parse_comparison_record(record_to_json(comparison_record(a, b, v, cert)))
-    assert rec["shortcut_tag"] == "totient-gap"
+    rec = json.loads(comparison_line(a, b, v, cert))
+    assert rec == comparison_record(a, b, v, cert) and rec["shortcut_tag"] == "totient-gap"
     assert certificate_from_record(rec) == (a, b, v, cert)
 
     v, cert = compare(b, a, cache)
@@ -304,9 +302,9 @@ def test_incomparable_verdict_synthetic(fake_pair_cache):
     assert all(2 <= q <= cert.checked_q_max for q in cert.flip_witnesses)
 
     rec = comparison_record(a, b, v, cert)
-    assert record_to_json(rec) == _dumped(rec)
-    parsed = parse_comparison_record(record_to_json(rec))
-    assert parsed["verdict"] == "INCOMPARABLE"
+    assert comparison_line(a, b, v, cert) == _dumped(rec)
+    parsed = json.loads(comparison_line(a, b, v, cert))
+    assert parsed == rec and parsed["verdict"] == "INCOMPARABLE"
     assert certificate_from_record(parsed)[2] is Verdict.INCOMPARABLE
 
     # mirrored orientation: negative leading sign, flip on the finite side
@@ -337,15 +335,15 @@ def test_tall_pair_is_read_at_a_wider_packing():
 
 
 def _dumped(rec):
-    """The bytes `record_to_json` must write: the general encoder's."""
+    """The bytes `comparison_line` must write: the general encoder's."""
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 def test_record_round_trip(shared_cache):
     v, cert = compare(6, 4, shared_cache)
     rec = comparison_record(6, 4, v, cert)
-    assert record_to_json(rec) == _dumped(rec)
-    parsed = parse_comparison_record(record_to_json(rec))
+    assert comparison_line(6, 4, v, cert) == _dumped(rec)
+    parsed = json.loads(comparison_line(6, 4, v, cert))
     assert parsed == rec
     m, n, v2, cert2 = certificate_from_record(parsed)
     assert (m, n, v2) == (6, 4, v)
@@ -356,24 +354,11 @@ def test_record_round_trip(shared_cache):
 
     v, cert = compare(2, 6, shared_cache)
     rec = comparison_record(2, 6, v, cert)
-    assert record_to_json(rec) == _dumped(rec) == (
+    assert comparison_line(2, 6, v, cert) == _dumped(rec) == (
         '{"checked_q_max":2,"flip_witnesses":[],"leading_sign":1,"m":2,"n":6,'
         '"shortcut_tag":"totient-gap","threshold_c":0,"tie_witnesses":[2],"verdict":"LESS"}'
     )
-    assert certificate_from_record(parse_comparison_record(record_to_json(rec))) == (2, 6, v, cert)
-
-    with pytest.raises(ValueError):
-        parse_comparison_record('{"verdict": "LESS"}')
-
-
-@pytest.mark.parametrize(
-    "text", ["5", "null", json.dumps(" ".join(comparator._RECORD_FIELDS))], ids=["int", "null", "string"]
-)
-def test_a_record_that_is_not_a_json_object_is_refused(text):
-    """JSON that parses to a number, null or a string naming every field
-    is refused with ValueError, not a TypeError from reading it."""
-    with pytest.raises(ValueError, match="comparison record is not a JSON object"):
-        parse_comparison_record(text)
+    assert certificate_from_record(json.loads(comparison_line(2, 6, v, cert))) == (2, 6, v, cert)
 
 
 @pytest.mark.parametrize("verdict", list(Verdict))
@@ -385,14 +370,13 @@ def test_a_record_that_is_not_a_json_object_is_refused(text):
 def test_comparison_line_is_the_general_encoders_line(verdict, tag):
     """`comparison_line`, the one writer of the format, writes for every
     verdict and tag the bytes json.dumps gives the record, with empty and
-    non-empty witness lists; `record_to_json` writes the same line."""
+    non-empty witness lists."""
     for ties, flips in (([], []), ([2], [4, 2]), ([2, 3, 17], []), ([], [3, 10])):
         cert = Certificate(63, -1, 64, ties, flips, tag)
         rec = comparison_record(16445, 26565, verdict, cert)
         line = comparison_line(16445, 26565, verdict, cert)
         assert line == _dumped(rec), (ties, flips)
-        assert record_to_json(rec) == line
-        parsed = certificate_from_record(parse_comparison_record(line))
+        parsed = certificate_from_record(json.loads(line))
         assert parsed == (16445, 26565, verdict, cert)
 
 
@@ -570,7 +554,7 @@ def test_real_tall_pair_is_read_at_width_16(eval_calls):
     cache = CycloCache()
     assert pair_width(cache.packed_entry(16445)[2] + cache.packed_entry(26565)[2]) == 16
     verdict, cert = compare(16445, 26565, cache)
-    assert record_to_json(comparison_record(16445, 26565, verdict, cert)) == (
+    assert comparison_line(16445, 26565, verdict, cert) == (
         '{"checked_q_max":63,"flip_witnesses":[],"leading_sign":1,"m":16445,"n":26565,'
         '"shortcut_tag":null,"threshold_c":63,"tie_witnesses":[],"verdict":"LESS"}'
     )

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -159,7 +160,7 @@ def test_each_run_starts_from_an_empty_memo(monkeypatch):
     assert [sum(len(key) == 2 for key in t.outcomes) for t in tables] == [419, 419]
 
 
-def test_sort_class_sorts_a_tall_class_at_its_wider_packing():
+def test_sort_class_orders_a_tall_class_as_its_coefficient_tuples():
     """Class 10560 below 40000 holds 26565 (height 59) and 16445 (height
     8), whose pair `compare` reads at 16 bits.  The order from Ramanujan's
     sums is the coefficient-tuple order, and every adjacent pair
@@ -268,7 +269,7 @@ def _first_difference_order(members):
     return sorted(members, key=cmp_to_key(cmp)), firsts
 
 
-def test_prefix_sort_matches_pairwise_first_differences_to_5000():
+def test_class_sort_matches_pairwise_first_differences_to_5000():
     """Every class up to 5000 sorts to the order of the definition's
     sums (`_first_difference_order`).  Of the pairs that order compares,
     each tied pair, whose rows are equal, has its first difference j0
@@ -289,7 +290,7 @@ def test_prefix_sort_matches_pairwise_first_differences_to_5000():
     assert (tied, largest) == (53, 729)
 
 
-def test_prefix_sort_refines_runs_of_equal_prefixes(monkeypatch):
+def test_class_sort_refines_runs_of_equal_rows(monkeypatch):
     """512 and 768 (totient 256) first differ at j = 128, a divisor of
     lcm(512, 768) = 1536: their 64-term rows tie, and the sort's
     tie-break parts them, in the order of their first difference.  Past
@@ -659,7 +660,7 @@ def _assert_summary_is_bound_to_its_records(summary: dict, table: SumsTable | No
     assert summary["pair_count"] == len(records) == len(members) - 1
     assert summary["max_checked_q"] == max([0] + [r["checked_q_max"] for r in records])
     assert summary["ties"] == [[r["m"], r["n"], q] for r in records for q in r["tie_witnesses"]]
-    assert summary["incomparable"] == [r for r in records if r["verdict"] == Verdict.INCOMPARABLE.value]
+    assert summary["incomparable"] == [(a, b, cert) for a, b, v, cert in pairs if v is Verdict.INCOMPARABLE]
     return pairs
 
 
@@ -674,8 +675,8 @@ def test_class_summaries_are_bound_to_their_hashed_records():
 def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, monkeypatch):
     """The incomparable class and the tied class of the stand-ins; every
     window is left undecided, so the memo stays empty and each pair's line
-    template is built once, and `sort_class` builds a record dict only
-    for the incomparable pair."""
+    template is built once, and `sort_class` builds no record dict: the
+    incomparable pair stays an (m, n, certificate) triple."""
     built, recorded = [], []
     template, record = comparator._line_template, cycorder.order.comparison_record
     monkeypatch.setattr(
@@ -693,11 +694,12 @@ def test_stand_in_summaries_are_bound_to_their_hashed_records(stand_in_values, m
         recorded.clear()
         summary = sort_class(PhiClass(4, members), table)
         assert len(built) == summary["pair_count"] == len(members) - 1 and not table.outcomes
-        assert recorded == [(r["m"], r["n"]) for r in summary["incomparable"]]
+        assert recorded == []
         _assert_summary_is_bound_to_its_records(summary)
         if members == [a, b]:
-            [rec] = summary["incomparable"]
-            assert (rec["m"], rec["n"], summary["ties"]) == (a, b, [[a, b, 3]])  # 9 at q = 3
+            [(m, n, cert)] = summary["incomparable"]
+            assert (m, n, summary["ties"]) == (a, b, [[a, b, 3]])  # 9 at q = 3
+            assert cert.flip_witnesses and cert.shortcut_tag == "ramanujan"
         else:
             assert summary["ties"] == [[a, d, 2], [d, c, 2]] and not summary["incomparable"]
 
@@ -956,6 +958,122 @@ def test_a_rechained_checkpoint_left_as_written_resumes(tmp_path):
     intact = path.read_text()
     assert "".join(_rechained(intact.splitlines(), 2, lambda rec: None)) == intact
     assert build_chain(30, checkpoint_path=str(path)) == first
+
+
+STAND_IN_CHECKPOINT_SHA256 = "8f46bb2ec808c372852b39df29d91c3a2c50be080a10fc60ac09dcd1479b60bb"
+
+
+def test_a_resume_over_an_incomparable_class_line_is_the_run(stand_in_values, tmp_path):
+    """Under the stand-ins, the class of totient 4 of {1..12} holds the
+    INCOMPARABLE pair (12, 8), kept as an (m, n, certificate) triple from
+    the class sort to the report, and its class line carries the pair's
+    record, written from that triple.  A resume sorts the class again and
+    finds the line its own: the two reports are equal, and the file is
+    left byte for byte as the first run wrote it."""
+    path = tmp_path / "verify.ckpt"
+    first = build_chain(12, checkpoint_path=str(path))
+    written = path.read_bytes()
+    [(m, n, cert)] = first.incomparable_pairs
+    assert (m, n, cert.flip_witnesses) == (12, 8, [4, 2])
+    [line] = [line for line in written.decode().splitlines() if '"phi":4,' in line]
+    assert json.loads(line)["incomparable"] == [comparison_record(12, 8, Verdict.INCOMPARABLE, cert)]
+    assert hashlib.sha256(written).hexdigest() == STAND_IN_CHECKPOINT_SHA256
+    assert build_chain(12, checkpoint_path=str(path)) == first
+    assert path.read_bytes() == written
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_checkpoint_header_that_cannot_be_written_exits_4(capsys):
+    """/dev/full opens, but its header write fails: the library raises
+    CheckpointError, and `verify` exits 4 with one message."""
+    message = f"checkpoint error: /dev/full: cannot be written: {os.strerror(errno.ENOSPC)}\n"
+    with pytest.raises(CheckpointError, match="cannot be written"):
+        build_chain(200, checkpoint_path="/dev/full")
+    assert main(["verify", "200", "--checkpoint", "/dev/full"]) == 4
+    assert capsys.readouterr() == ("", message)
+
+
+class _FullAfter:
+    """An append handle that takes `lines` writes, then fails the next
+    write as a full disk does (ENOSPC) and every flush from then on with
+    an I/O error (EIO)."""
+
+    def __init__(self, fh, lines: int):
+        self.fh, self.left, self.failed = fh, lines, False
+
+    def write(self, text: str) -> int:
+        if not self.left:
+            self.failed = True
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.left -= 1
+        return self.fh.write(text)
+
+    def flush(self) -> None:
+        if self.failed:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        self.fh.flush()
+
+    def fileno(self) -> int:
+        return self.fh.fileno()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+
+def test_a_class_line_that_cannot_be_written_exits_4(tmp_path, capsys, monkeypatch):
+    """The 11th class line's write fails, and the close that follows fails
+    too: `verify` exits 4 with the write's error, after the progress lines
+    of the 10 classes written.  The handle is closed, the file holds the
+    header and those 10 lines, whole, as a full run writes them, and it
+    resumes to the full report."""
+    path, full = tmp_path / "verify.ckpt", tmp_path / "full.ckpt"
+    report = build_chain(2000, checkpoint_path=str(full))
+    handles = []
+    real_open = CheckpointFile._open
+
+    def open_full_after_10(checkpoint, mode):
+        fh = real_open(checkpoint, mode)
+        if mode != "a":
+            return fh
+        handles.append(fh)
+        return _FullAfter(fh, 10)
+
+    monkeypatch.setattr(CheckpointFile, "_open", open_full_after_10)
+    assert main(["verify", "2000", "--checkpoint", str(path)]) == 4
+    out, err = capsys.readouterr()
+    *progress, last = err.splitlines()
+    assert out == "" and len(progress) == 10 and not any("error" in line for line in progress)
+    assert last == f"checkpoint error: {path}: cannot be written: {os.strerror(errno.ENOSPC)}"
+    [fh] = handles
+    assert fh.closed
+    monkeypatch.undo()
+    assert path.read_bytes().splitlines(keepends=True) == full.read_bytes().splitlines(keepends=True)[:11]
+    assert build_chain(2000, checkpoint_path=str(path)) == report
+    assert path.read_bytes() == full.read_bytes()
+
+
+def test_a_torn_tail_that_cannot_be_cut_exits_4(tmp_path, capsys, monkeypatch):
+    """A sync that fails as the load cuts a torn final line raises
+    CheckpointError, and `verify` exits 4 with one message.  The cut
+    itself is done before the sync, so the torn file is written again
+    for the second run."""
+    path = tmp_path / "verify.ckpt"
+    build_chain(30, checkpoint_path=str(path))
+    torn = path.read_bytes()[:-10]
+    path.write_bytes(torn)
+
+    def fsync(fd: int) -> None:
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cycorder.order.os, "fsync", fsync)
+    with pytest.raises(CheckpointError, match="cannot be written"):
+        CheckpointFile(str(path), 30)
+    path.write_bytes(torn)
+    assert main(["verify", "30", "--checkpoint", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"checkpoint error: {path}: cannot be written: {os.strerror(errno.EIO)}\n")
 
 
 V3_HEADER_OF_VERIFY_30 = (
